@@ -236,7 +236,7 @@ def _run_lift(cfg: RunConfig, model, out_dir):
     obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed,
                                epsilon=_epsilon_for(cfg, model))
     drv = obs["driver"]
-    write_rough_path_json(drv, os.path.join(out_dir, "lift.json"))
+    write_rough_path_json(drv, os.path.join(out_dir, "lift_rough_path.json"))
     rows = []
     d = drv.dim
     for i, t in enumerate(drv.times):
@@ -254,8 +254,7 @@ def _run_lift(cfg: RunConfig, model, out_dir):
     return rows, list(rows[0]), payload, "none"
 
 
-def _interpolant_lifts(model, cfg, mesh):
-    obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed)
+def _interpolant_lifts(obs, cfg, mesh):
     wt = obs["wtilde"]
     atom_times = np.array([a for a, _ in obs["jump_record"]])
     sub = np.linspace(0.0, cfg.T, int(mesh) + 1)
@@ -268,9 +267,10 @@ def _interpolant_lifts(model, cfg, mesh):
 
 def _run_metrics(cfg: RunConfig, model):
     _require_finite_regime(cfg, model)
+    obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed)
     rows = []
     for mesh in cfg.meshes:
-        L, R = _interpolant_lifts(model, cfg, mesh)
+        L, R = _interpolant_lifts(obs, cfg, mesh)
         rows.append({"seed": cfg.seed, "mesh": int(mesh), "norm": "rho_p",
                      "value": rho_p(L, R, cfg.p)})
         sweep = beta_p(AdmissiblePair(L), AdmissiblePair(R), cfg.p,

@@ -21,10 +21,12 @@ Per-particle reference-measure dynamics, marched on the driver grid:
          + log lambda dn
 
 with h = sigma2^{-1}(b2 + int f2 (1 - lambda) dnu2). dt integrands use the
-left endpoint; d eta terms use one Davie step per grid segment with the
-joint Jacobian (finite differences), and Marcus time-1 flows across driver
-jumps. When the driver has d_Y + 1 components the extra column carries the
-observed jump path and the loadings f3, f2 must be linear in the mark.
+left endpoint; d eta terms use one Davie step per grid segment, whose
+second-order term differences the joint field along one direction per
+driver component (one stacked field call), and Marcus time-1 flows across
+driver jumps. When the driver has d_Y + 1 components the extra column
+carries the observed jump path and the loadings f3, f2 must be linear in
+the mark.
 """
 
 from __future__ import annotations
@@ -154,25 +156,48 @@ def gaussian_poisson_sampler(model: ModelSpec, times: np.ndarray):
     dts = np.diff(times)
     n_seg = len(dts)
     sq = np.sqrt(dts)
+    jumps = model.nu1 is not None and bool(model.nu1.atoms)
+    if jumps:
+        mean_count = model.nu1.total_rate * float(times[-1] - times[0])
+        marks = model.nu1.marks()
+        # the cdf Generator.choice(p=...) builds; searching it with the same
+        # uniforms reproduces choice's draw and stream exactly
+        cdf = np.cumsum(model.nu1.rates() / model.nu1.total_rate)
+        cdf /= cdf[-1]
 
     def sample(seed: int):
         rng = np.random.default_rng(seed)
         dB = rng.standard_normal((n_seg, model.dim_b)) * sq[:, None]
         atoms = []
-        if model.nu1 is not None and model.nu1.atoms:
-            T = float(times[-1] - times[0])
-            k = rng.poisson(model.nu1.total_rate * T)
+        if jumps:
+            k = rng.poisson(mean_count)
             if k:
                 at = np.sort(rng.uniform(times[0], times[-1], k))
-                marks = model.nu1.marks()
-                probs = model.nu1.rates() / model.nu1.total_rate
-                pick = rng.choice(len(probs), size=k, p=probs)
+                pick = cdf.searchsorted(rng.random(k), side="right")
                 seg = np.clip(np.searchsorted(times, at, side="left") - 1,
                               0, n_seg - 1)
                 atoms = [(int(s), marks[c]) for s, c in zip(seg, pick)]
         return dB, atoms
 
     return sample
+
+
+def _draw_auxiliary(aux_sampler, seed_base: int, N: int):
+    """Per-particle draws for seeds seed_base .. seed_base + N - 1: the
+    stacked (N, n_seg, d_B) Brownian increments and the auxiliary atoms as
+    {segment: [(particle, mark)]}. Each draw is copied in and dropped, so
+    the N per-seed arrays are never held at once."""
+    dB_all = None
+    aux_atoms = {}
+    for i in range(N):
+        dB, atoms = aux_sampler(seed_base + i)
+        dB = np.asarray(dB)
+        if dB_all is None:
+            dB_all = np.empty((N,) + dB.shape, dtype=dB.dtype)
+        dB_all[i] = dB
+        for seg, mark in atoms:
+            aux_atoms.setdefault(int(seg), []).append((i, mark))
+    return dB_all, aux_atoms
 
 
 # -- joint vector field and rates ------------------------------------------
@@ -289,12 +314,7 @@ def _particle_sweep(model: ModelSpec, driver: RoughPath, jump_record, t: float,
 
     N = particles
     dx, dy = model.dim_x, model.dim_y
-    draws = [aux_sampler(seed_base + i) for i in range(N)]
-    dB_all = np.stack([d[0] for d in draws])  # (N, n_seg, d_B)
-    aux_atoms = {}
-    for i, (_, atoms) in enumerate(draws):
-        for seg, mark in atoms:
-            aux_atoms.setdefault(int(seg), []).append((i, mark))
+    dB_all, aux_atoms = _draw_auxiliary(aux_sampler, seed_base, N)
 
     x = np.broadcast_to(np.array(model.x0), (N, dx)).copy()
     y = np.broadcast_to(np.array(model.y0), (N, dy)).copy()
@@ -450,12 +470,7 @@ def _direct_sweep(model: ModelSpec, obs: CadlagPath, jump_record,
 
     N = particles
     dx = model.dim_x
-    draws = [aux_sampler(seed_base + i) for i in range(N)]
-    dB_all = np.stack([d[0] for d in draws])
-    aux_atoms = {}
-    for i, (_, atoms) in enumerate(draws):
-        for seg, mark in atoms:
-            aux_atoms.setdefault(int(seg), []).append((i, mark))
+    dB_all, aux_atoms = _draw_auxiliary(aux_sampler, seed_base, N)
 
     x = np.broadcast_to(np.array(model.x0), (N, dx)).copy()
     logw = np.zeros(N)
@@ -649,7 +664,8 @@ def _scalar_sigma1(model: ModelSpec):
 def flow_map(s, w: float, x: np.ndarray, substeps: int = 16):
     """Integrate the one-parameter flow dphi/dv = s(phi) from 0 to w (signed)
     together with its x-derivative; classical RK4, vectorized over starting
-    points. Returns (phi, dphi_dx)."""
+    points (1-d x). Each stage evaluates s once, on phi and its two central
+    difference neighbours stacked. Returns (phi, dphi_dx)."""
     x = np.asarray(x, dtype=float)
     n = max(substeps, int(np.ceil(substeps * abs(w))))
     hh = w / n
@@ -658,8 +674,8 @@ def flow_map(s, w: float, x: np.ndarray, substeps: int = 16):
 
     def rate(p, j):
         eps = 1e-6 * (1.0 + np.abs(p))
-        sp = (s(p + eps) - s(p - eps)) / (2.0 * eps)
-        return s(p), sp * j
+        sv, splus, sminus = np.split(s(np.concatenate([p, p + eps, p - eps])), 3)
+        return sv, (splus - sminus) / (2.0 * eps) * j
 
     for _ in range(n):
         k1p, k1j = rate(phi, J)
@@ -704,12 +720,7 @@ def scalar_flow_filter_detail(model: ModelSpec, f: TestFunction,
         aux_sampler = gaussian_poisson_sampler(model, times)
 
     N = particles
-    draws = [aux_sampler(seed_base + i) for i in range(N)]
-    dB_all = np.stack([d[0] for d in draws])
-    aux_atoms = {}
-    for i, (_, atoms) in enumerate(draws):
-        for seg, mark in atoms:
-            aux_atoms.setdefault(int(seg), []).append((i, mark))
+    dB_all, aux_atoms = _draw_auxiliary(aux_sampler, seed_base, N)
 
     xt = np.full(N, float(model.x0[0]))
     logw = np.zeros(N)

@@ -34,7 +34,9 @@ class VectorField:
 
     The evaluator must broadcast over leading axes of y (batched states give
     batched matrices); the Jacobian is (e, d, e) with J[a, i, b] =
-    dV[a, i]/dy[b], finite-differenced when not supplied.
+    dV[a, i]/dy[b]. `jac(t, y, along)` returns the Jacobian's action on
+    directions instead; without a supplied Jacobian that action is a central
+    directional difference per driver component.
     """
 
     evaluator: callable
@@ -44,10 +46,31 @@ class VectorField:
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(t, y), dtype=float)
 
-    def jac(self, t: float, y: np.ndarray) -> np.ndarray:
+    def jac(self, t: float, y: np.ndarray, along: np.ndarray = None) -> np.ndarray:
+        """The Jacobian J (..., e, d, e), or with `along` (..., d, e) its
+        action sum_{i,b} J[a, i, b] along[..., i, b] as (..., e).
+
+        Without a supplied Jacobian, J is finite-differenced column by
+        column (2e field calls); the action takes the d central differences
+        of V_i along along[..., i, :] in one stacked field call."""
+        y = np.asarray(y, dtype=float)
+        if along is not None:
+            along = np.asarray(along, dtype=float)
+            if self.jacobian is not None:
+                return np.einsum("...aib,...ib->...a", self.jac(t, y), along)
+            d = along.shape[-2]
+            norm = np.max(np.abs(along), axis=-1)  # (..., d)
+            h = (1e-6 * (1.0 + np.max(np.abs(y), axis=-1, keepdims=True))
+                 / np.where(norm > 0.0, norm, 1.0))
+            step = h[..., None] * along
+            y0 = y[..., None, :]
+            vals = self(t, np.concatenate([y0 + step, y0 - step], axis=-2))
+            # V_i at y +/- h_i u_i: column i of stacked evaluation i
+            plus = np.diagonal(vals[..., :d, :, :], axis1=-3, axis2=-1)
+            minus = np.diagonal(vals[..., d:, :, :], axis1=-3, axis2=-1)
+            return np.sum((plus - minus) / (2.0 * h[..., None, :]), axis=-1)
         if self.jacobian is not None:
             return np.asarray(self.jacobian(t, y), dtype=float)
-        y = np.asarray(y, dtype=float)
         e = y.shape[-1]
         cols = []
         for b in range(e):
@@ -114,12 +137,11 @@ class RdeSolution:
 
 def davie_step(V: VectorField, t: float, y: np.ndarray, g1: np.ndarray,
                g2: np.ndarray) -> np.ndarray:
-    """y + V(y) g1 + (DV_j V_i)(y) g2[i, j]."""
+    """y + V(y) g1 + sum_j DV_j(y)[u_j] with u_j = sum_i V_i(y) g2[i, j]:
+    the second-order term needs the Jacobian only along d directions."""
     Vm = V(t, y)
-    J = V.jac(t, y)
-    first = np.einsum("...ai,i->...a", Vm, g1)
-    second = np.einsum("...ajb,...bi,ij->...a", J, Vm, g2)
-    return y + first + second
+    U = np.einsum("...bi,ij->...jb", Vm, g2)
+    return y + np.einsum("...ai,i->...a", Vm, g1) + V.jac(t, y, U)
 
 
 def _segment_subincrements(g1: np.ndarray, g2: np.ndarray, nsub: int):

@@ -171,8 +171,16 @@ def h_function(model: ModelSpec, t: float, x, y):
         if np.any(diag == 0.0):
             raise ValueError(f"sigma2 singular at t={t}")
         return rhs / np.broadcast_to(diag[..., None], rhs.shape)
+    lead = s2.ndim - 2
     try:
-        return np.linalg.solve(s2, rhs[..., None])[..., 0]
+        if any(s2.strides[:lead]):
+            return np.linalg.solve(s2, rhs[..., None])[..., 0]
+        # one sigma2 behind every leading index (a broadcast view): factor
+        # it once, with all the right-hand sides as columns
+        rhs = np.broadcast_to(
+            rhs, np.broadcast_shapes(s2.shape[:-2], rhs.shape[:-1]) + rhs.shape[-1:])
+        sol = np.linalg.solve(s2[(0,) * lead], rhs.reshape(-1, rhs.shape[-1]).T)
+        return sol.T.reshape(rhs.shape)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"sigma2 singular at t={t}") from exc
 

@@ -5,9 +5,11 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from roughfilter.cli import RunConfig, build_config, load_config_file, main
+from roughfilter.lift import read_rough_path_json
 
 
 def _read_csv(path):
@@ -139,7 +141,12 @@ def test_simulate_lift_rde_consistency_artifacts(tmp_path):
                  "--out", out]) == 0
     lift_rows = _read_csv(os.path.join(out, "lift.csv"))
     assert {"l1_0", "l2_00", "jump"} <= set(lift_rows[0])
-    assert os.path.exists(os.path.join(out, "lift.json"))
+    drv = read_rough_path_json(os.path.join(out, "lift_rough_path.json"))
+    assert len(drv.times) == len(lift_rows)
+    assert np.array_equal(drv.level1[:, 0],
+                          [float(r["l1_0"]) for r in lift_rows])
+    lift_payload = _read_json(os.path.join(out, "lift.json"))
+    assert lift_payload["grid_points"] == len(lift_rows)
 
     assert main(["rde", "--model", "linear_gaussian", "--steps", "16",
                  "--out", out]) == 0

@@ -7,6 +7,7 @@ recursion over the same outcome tree.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from roughfilter.filtering import (
 )
 from roughfilter.lift import marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
-from roughfilter.sim import get_model
+from roughfilter.sim import LevyMeasure, get_model
 
 
 # -- test functions ---------------------------------------------------------
@@ -561,6 +562,31 @@ def test_gaussian_poisson_sampler_shapes_and_determinism():
     # across many seeds the nu1 atoms appear at the configured rate
     counts = [len(sample(s)[1]) for s in range(400)]
     assert 0.3 < np.mean(counts) < 0.7  # rate1 * T = 0.5
+
+
+def test_sampler_marks_follow_choice_stream():
+    """Three auxiliary marks at unequal rates: the sampler's atoms are the
+    draws Generator.choice(p=...) makes from the same seed."""
+    nu1 = LevyMeasure((((1.0,), 0.4), ((-0.5,), 1.1), ((2.0,), 0.7)))
+    model = replace(get_model("scalar_jump_diffusion"), nu1=nu1)
+    times = np.linspace(0.0, 1.0, 17)
+    sample = gaussian_poisson_sampler(model, times)
+    probs = nu1.rates() / nu1.total_rate
+    n_atoms = 0
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        dB = rng.standard_normal((16, 1)) * np.sqrt(np.diff(times))[:, None]
+        k = rng.poisson(nu1.total_rate)
+        at = np.sort(rng.uniform(0.0, 1.0, k))
+        pick = rng.choice(3, size=k, p=probs)
+        seg = np.clip(np.searchsorted(times, at, side="left") - 1, 0, 15)
+        got_dB, atoms = sample(seed)
+        assert np.array_equal(got_dB, dB)
+        assert [s for s, _ in atoms] == [int(s) for s in seg]
+        assert all(np.array_equal(m, nu1.marks()[c])
+                   for (_, m), c in zip(atoms, pick))
+        n_atoms += k
+    assert n_atoms > 50
 
 
 def test_sampler_without_auxiliary_jumps():

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from roughfilter.fillin import AdmissiblePair, RSeq, tabulated_path_function
 from roughfilter.lift import RoughPath, marcus_lift, stratonovich_lift
@@ -257,6 +260,65 @@ def test_vector_field_jacobian_fallback():
         expect[a, 0, a] = 2.0 * y[a]
         expect[a, 1, a] = math.cos(y[a])
     assert np.allclose(J, expect, atol=1e-6)
+
+
+def _nonlinear_field():
+    return VectorField(lambda t, y: np.stack([y ** 2, np.sin(y)], axis=-1))
+
+
+def test_jacobian_action_matches_full_jacobian():
+    rng = np.random.default_rng(50)
+    V = _nonlinear_field()
+    for shape in [(2,), (5, 2), (3, 4, 2)]:
+        y = rng.standard_normal(shape)
+        U = rng.standard_normal(shape[:-1] + (2, 2))
+        expect = np.einsum("...aib,...ib->...a", V.jac(0.0, y), U)
+        assert V.jac(0.0, y, U).shape == shape
+        assert np.allclose(V.jac(0.0, y, U), expect, rtol=0.0, atol=1e-8)
+    L = linear_vector_field(rng.standard_normal((3, 4, 4)))
+    y = rng.standard_normal((6, 4))
+    U = rng.standard_normal((6, 3, 4))
+    assert np.array_equal(L.jac(0.0, y, U),
+                          np.einsum("...aib,...ib->...a", L.jac(0.0, y), U))
+
+
+_coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(y=arrays(float, (3, 2), elements=_coords),
+       U=arrays(float, (3, 2, 2), elements=_coords),
+       zero_rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                          max_size=4))
+def test_jacobian_action_property(y, U, zero_rows):
+    for n, i in zero_rows:
+        U[n, i] = 0.0
+    V = _nonlinear_field()
+    got = V.jac(0.0, y, U)
+    expect = np.einsum("...aib,...ib->...a", V.jac(0.0, y), U)
+    assert np.allclose(got, expect, rtol=0.0, atol=1e-8)
+    # a state whose directions are all zero gets exactly no second-order term
+    assert np.all(got[np.all(U == 0.0, axis=(1, 2))] == 0.0)
+
+
+def test_davie_step_two_field_calls():
+    calls = []
+
+    def evaluator(t, y):
+        calls.append(np.shape(y))
+        return np.stack([y ** 2, np.sin(y), np.cos(y)], axis=-1)
+
+    V = VectorField(evaluator)
+    y = np.array([[0.3, -0.7], [1.1, 0.2]])
+    g1 = np.array([0.1, -0.2, 0.05])
+    g2 = 0.5 * np.outer(g1, g1) + np.array(
+        [[0.0, 0.01, 0.0], [-0.01, 0.0, 0.02], [0.0, -0.02, 0.0]])
+    out = davie_step(V, 0.0, y, g1, g2)
+    assert calls == [(2, 2), (2, 6, 2)]
+    Vm = V(0.0, y)
+    expect = (y + np.einsum("...ai,i->...a", Vm, g1)
+              + np.einsum("...ajb,...bi,ij->...a", V.jac(0.0, y), Vm, g2))
+    assert np.allclose(out, expect, rtol=0.0, atol=1e-9)
 
 
 def test_solution_csv(tmp_path):

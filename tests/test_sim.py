@@ -1,6 +1,8 @@
 """Tests for the signal-observation simulator, the measure-change exponent,
 and the shot-noise sampler."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -322,6 +324,27 @@ class TestHFunction:
         model = sim.linear_gaussian(gamma=0.0)
         with pytest.raises(ValueError, match="singular"):
             sim.h_function(model, 0.0, np.array([1.0]), np.array([0.0]))
+
+    def test_constant_sigma2_solved_once_matches_batched(self):
+        """A broadcast (zero-stride) sigma2 takes the one-factorization
+        path; a materialized copy takes the batched solve. Same h."""
+        base = sim.correlated_jump_multidim()
+        rng = np.random.default_rng(5)
+        xs = rng.standard_normal((7, 3, 2))
+        ys = rng.standard_normal((7, 3, 2))
+        broadcast = base.sigma2(0.0, ys)
+        assert not any(broadcast.strides[:-2])
+        copied = replace(base, sigma2=lambda t, y: np.array(base.sigma2(t, y)))
+        h_once = sim.h_function(base, 0.0, xs, ys)
+        h_batched = sim.h_function(copied, 0.0, xs, ys)
+        assert h_once.shape == (7, 3, 2)
+        assert np.allclose(h_once, h_batched, rtol=0.0, atol=1e-14)
+
+    def test_singular_constant_sigma2(self):
+        base = sim.correlated_jump_multidim()
+        model = replace(base, sigma2=sim._const([[1.0, 2.0], [0.5, 1.0]]))
+        with pytest.raises(ValueError, match="singular"):
+            sim.h_function(model, 0.0, np.zeros((4, 2)), np.zeros((4, 2)))
 
 
 class TestGirsanovExponent:
