@@ -26,12 +26,10 @@ from .filtering import (
     direct_reference_filter,
     epsilon_stability_experiment,
     flow_map,
-    g_functional,
     gaussian_poisson_sampler,
     realized_observation,
     robust_consistency_check,
     robustness_experiment,
-    scalar_flow_filter,
     scalar_flow_filter_detail,
     theta,
     trend_non_increasing,

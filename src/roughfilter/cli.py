@@ -30,29 +30,18 @@ from .filtering import (
     FUNCTION_CATALOG,
     ParticleBlowupError,
     WeightAbortError,
-    _interpolant_path,
     _joint_field,
-    direct_reference_filter,
+    mesh_lifts,
     realized_observation,
     robust_consistency_check,
     robustness_experiment,
     theta,
     trend_non_increasing,
 )
-from .lift import marcus_lift, rho_p, stratonovich_lift, write_rough_path_json
+from .lift import rho_p, stratonovich_lift, write_rough_path_json
 from .paths import CadlagPath
 from .rde import RdeBlowupError, solve_canonical_rde
 from .sim import MODEL_BUILDERS, get_model
-
-COMMANDS = ("lift", "metrics", "rde", "simulate", "filter", "robustness",
-            "consistency", "wongzakai")
-
-_DEFAULTS = dict(
-    model_id="linear_gaussian", T=1.0, steps=128, particles=1000, p=2.5,
-    alpha=None, epsilon=None, meshes=(4, 8, 16, 32, 64),
-    delta_seq=(1.0, 0.5, 0.25, 0.125), seed=0, out=None, f_name="identity",
-    levels=5, n_seeds=5, abort_log_weight=60.0)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -149,15 +138,14 @@ def load_config_file(path: str) -> dict:
 
 
 def build_config(command: str, file_values: dict, flag_values: dict) -> RunConfig:
-    merged = dict(_DEFAULTS)
-    known = {f.name for f in fields(RunConfig)}
+    merged = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
     for src in (file_values, flag_values):
         for key, val in src.items():
             if val is None:
                 continue
             if key == "command":
                 continue
-            if key not in known:
+            if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
             merged[key] = val
     merged["meshes"] = _parse_listish(merged["meshes"], int)
@@ -206,7 +194,7 @@ def _require_finite_regime(cfg: RunConfig, model):
 # -- pipelines --------------------------------------------------------------
 
 
-def _run_simulate(cfg: RunConfig, model):
+def _run_simulate(cfg: RunConfig, model, out_dir):
     obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed,
                                epsilon=_epsilon_for(cfg, model))
     times = obs["X"].times
@@ -254,23 +242,12 @@ def _run_lift(cfg: RunConfig, model, out_dir):
     return rows, list(rows[0]), payload, "none"
 
 
-def _interpolant_lifts(obs, cfg, mesh):
-    wt = obs["wtilde"]
-    atom_times = np.array([a for a, _ in obs["jump_record"]])
-    sub = np.linspace(0.0, cfg.T, int(mesh) + 1)
-    grid = np.union1d(sub, atom_times) if len(atom_times) else sub
-    vals = wt.evaluate(sub)
-    lin = _interpolant_path(sub, vals, grid, "linear")
-    rect = _interpolant_path(sub, vals, grid, "rectangular")
-    return stratonovich_lift(lin), marcus_lift(rect)
-
-
-def _run_metrics(cfg: RunConfig, model):
+def _run_metrics(cfg: RunConfig, model, out_dir):
     _require_finite_regime(cfg, model)
     obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed)
     rows = []
     for mesh in cfg.meshes:
-        L, R = _interpolant_lifts(obs, cfg, mesh)
+        L, R = mesh_lifts(obs, cfg.T, mesh)
         rows.append({"seed": cfg.seed, "mesh": int(mesh), "norm": "rho_p",
                      "value": rho_p(L, R, cfg.p)})
         sweep = beta_p(AdmissiblePair(L), AdmissiblePair(R), cfg.p,
@@ -283,7 +260,7 @@ def _run_metrics(cfg: RunConfig, model):
     return rows, ["seed", "mesh", "norm", "value"], payload, "rho_p+beta_p"
 
 
-def _run_rde(cfg: RunConfig, model):
+def _run_rde(cfg: RunConfig, model, out_dir):
     obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed,
                                epsilon=_epsilon_for(cfg, model))
     drv = obs["driver"]
@@ -303,7 +280,7 @@ def _run_rde(cfg: RunConfig, model):
     return rows, list(rows[0]), payload, "none"
 
 
-def _run_filter(cfg: RunConfig, model):
+def _run_filter(cfg: RunConfig, model, out_dir):
     obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed,
                                epsilon=_epsilon_for(cfg, model))
     f = FUNCTION_CATALOG[cfg.f_name]
@@ -329,7 +306,7 @@ def _run_filter(cfg: RunConfig, model):
     return [row], list(row), payload, "none"
 
 
-def _run_robustness(cfg: RunConfig, model):
+def _run_robustness(cfg: RunConfig, model, out_dir):
     _require_finite_regime(cfg, model)
     f = FUNCTION_CATALOG[cfg.f_name]
     rows = robustness_experiment(model, f, cfg.T, list(cfg.meshes),
@@ -351,7 +328,7 @@ def _run_robustness(cfg: RunConfig, model):
     return rows, cols, payload, "rho_p"
 
 
-def _run_consistency(cfg: RunConfig, model):
+def _run_consistency(cfg: RunConfig, model, out_dir):
     f = FUNCTION_CATALOG[cfg.f_name]
     out = robust_consistency_check(
         model, f, cfg.T, cfg.particles,
@@ -367,7 +344,7 @@ def _run_consistency(cfg: RunConfig, model):
     return rows, list(rows[0]), payload, "none"
 
 
-def _run_wongzakai(cfg: RunConfig, model):
+def _run_wongzakai(cfg: RunConfig, model, out_dir):
     rng = np.random.default_rng(cfg.seed)
     fine_level = cfg.levels + 2
     n_fine = 2 ** fine_level
@@ -395,40 +372,51 @@ def _run_wongzakai(cfg: RunConfig, model):
 # -- entry point ------------------------------------------------------------
 
 
+_PIPELINES = {"lift": _run_lift, "metrics": _run_metrics, "rde": _run_rde,
+              "simulate": _run_simulate, "filter": _run_filter,
+              "robustness": _run_robustness, "consistency": _run_consistency,
+              "wongzakai": _run_wongzakai}
+COMMANDS = tuple(_PIPELINES)
+
+# numerical failures: exit code 3, with an "aborted" manifest
+_ABORTS = (WeightAbortError, ParticleBlowupError, DegenerateWeightsError,
+           RdeBlowupError)
+
+
+def _abort_diagnostics(exc) -> dict:
+    if isinstance(exc, ParticleBlowupError):
+        return {"particle_index": exc.particle_index,
+                "step_index": exc.step_index}
+    if isinstance(exc, RdeBlowupError):
+        return {"step_index": exc.step_index}
+    return dict(exc.diagnostics)
+
+
 def run(cfg: RunConfig) -> int:
     start = time.perf_counter()
     out_dir = cfg.out_dir()
     os.makedirs(out_dir, exist_ok=True)
     model = _model_for(cfg)
-
-    if cfg.command == "simulate":
-        rows, cols, payload, norm = _run_simulate(cfg, model)
-    elif cfg.command == "lift":
-        rows, cols, payload, norm = _run_lift(cfg, model, out_dir)
-    elif cfg.command == "metrics":
-        rows, cols, payload, norm = _run_metrics(cfg, model)
-    elif cfg.command == "rde":
-        rows, cols, payload, norm = _run_rde(cfg, model)
-    elif cfg.command == "filter":
-        rows, cols, payload, norm = _run_filter(cfg, model)
-    elif cfg.command == "robustness":
-        rows, cols, payload, norm = _run_robustness(cfg, model)
-    elif cfg.command == "consistency":
-        rows, cols, payload, norm = _run_consistency(cfg, model)
-    else:
-        rows, cols, payload, norm = _run_wongzakai(cfg, model)
-
     base = os.path.join(out_dir, cfg.command)
-    _write_csv(base + ".csv", rows, cols)
-    _write_json(base + ".json", payload)
     manifest = {
         "config": {**asdict(cfg),
                    "meshes": [int(m) for m in cfg.meshes],
                    "delta_seq": [float(d) for d in cfg.delta_seq]},
         "version": __version__,
-        "norm": norm,
-        "wall_time_s": time.perf_counter() - start,
     }
+    try:
+        rows, cols, payload, norm = _PIPELINES[cfg.command](cfg, model, out_dir)
+    except _ABORTS as exc:
+        manifest.update(status="aborted", wall_time_s=time.perf_counter() - start,
+                        error={"type": type(exc).__name__, "message": str(exc),
+                               "diagnostics": _abort_diagnostics(exc)})
+        _write_json(base + "_manifest.json", manifest)
+        raise
+
+    _write_csv(base + ".csv", rows, cols)
+    _write_json(base + ".json", payload)
+    manifest.update(status="ok", norm=norm,
+                    wall_time_s=time.perf_counter() - start)
     _write_json(base + "_manifest.json", manifest)
     return 0
 
@@ -482,8 +470,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except (WeightAbortError, ParticleBlowupError, DegenerateWeightsError,
-            RdeBlowupError) as exc:
+    except _ABORTS as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

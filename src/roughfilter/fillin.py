@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lift import RoughPath, rho_p
+from .lift import RoughPath, marcus_increment, rho_p
 from .paths import CadlagPath, skorokhod_sigma_p
 from .tensor_group import (
     GroupElement,
@@ -120,13 +120,11 @@ class AdmissiblePair:
             raise ValueError("delta must lie in (0, 1]")
         if self.phi.kind == "linear":
             for i in np.nonzero(self.rough.jump_flags)[0]:
-                chi = group_log(self.rough.jump_increment(int(i)))
-                scale = 1.0 + float(np.dot(chi.level1, chi.level1))
-                if np.max(np.abs(chi.level2)) > 1e-10 * scale:
+                try:
+                    marcus_increment(self.rough, int(i), rtol=1e-10)
+                except ValueError as exc:
                     raise ValueError(
-                        "linear path function is inadmissible: jump log has a "
-                        "level-2 part"
-                    )
+                        f"linear path function is inadmissible: {exc}") from None
 
 
 def ordered_jumps(pair: AdmissiblePair):

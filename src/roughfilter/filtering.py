@@ -3,12 +3,15 @@
 Computes g^f = E[f(X_t, Y_t) exp(I_t)] and theta = g^f / g^1 by Monte Carlo
 over auxiliary noise, with the observation entering only through a level-2
 rough driver (the lift of the reconstructed Brownian input plus the observed
-jump record), so the map from driver to filter value is deterministic. Also
-provides a direct particle filter on the raw observation path as a
-cross-check, the scalar flow-transformed route, the interpolation robustness
-experiment, and the small-jump truncation stability experiment.
+jump record), so the map from driver to filter value is deterministic. One
+particle sweep serves three routes that differ only in how the common noise
+is stepped: the rough driver, a direct particle filter on the raw
+observation path as a cross-check, and the scalar flow-transformed route.
+Also provides the interpolation robustness experiment and the small-jump
+truncation stability experiment.
 
-Per-particle reference-measure dynamics, marched on the driver grid:
+Per-particle reference-measure dynamics of the rough route, marched on the
+driver grid:
 
     dX = (b1 - sigma1 h - int f1 dnu1 - int f3 lambda dnu2) dt
          + sigma0 dB             (fresh auxiliary Brownian, Heun step)
@@ -36,7 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fillin import AdmissiblePair, beta_p
-from .lift import RoughPath, marcus_lift, rho_p, stratonovich_lift
+from .lift import (
+    RoughPath,
+    marcus_increment,
+    marcus_lift,
+    rho_p,
+    stratonovich_lift,
+)
 from .paths import CadlagPath
 from .rde import VectorField, davie_step, marcus_jump
 from .sim import (
@@ -51,7 +60,6 @@ from .sim import (
     shot_noise,
     simulate_pair,
 )
-from .tensor_group import group_log
 
 
 class ParticleBlowupError(RuntimeError):
@@ -277,54 +285,82 @@ def _normalize_record(jump_record, times: np.ndarray, t: float):
         at = float(at)
         if at > t + tol:
             continue
-        i = int(np.argmin(np.abs(times - at)))
-        if abs(times[i] - at) > tol:
-            raise ValueError(f"observed atom at t={at} is not on the driver grid")
+        i = _grid_index_of(times, at, "observed atom")
         if i == 0:
             raise ValueError("observed atom at the initial time")
         out.setdefault(i, []).append(np.atleast_1d(np.asarray(mark, dtype=float)))
     return out
 
 
-def _grid_index_of(times: np.ndarray, t: float) -> int:
+def _grid_index_of(times: np.ndarray, t: float, what: str = "horizon") -> int:
     tol = 1e-9 * max(1.0, float(times[-1]))
     i = int(np.argmin(np.abs(times - t)))
     if abs(times[i] - t) > tol:
-        raise ValueError(f"t={t} is not a driver grid time")
+        raise ValueError(f"{what} at t={t} is not on the driver grid")
     return i
 
 
 # -- the particle sweep -----------------------------------------------------
 
+JUMP_SUBSTEPS = 8  # RK4 substeps per unit size of a driver jump's Marcus flow
+FLOW_SUBSTEPS = 16  # RK4 substeps per unit |w| of the scalar flow map
 
-def _particle_sweep(model: ModelSpec, driver: RoughPath, jump_record, t: float,
-                    particles: int, seed_base: int, aux_sampler=None,
-                    abort_log_weight: float = 60.0, jump_substeps: int = 8):
-    """March all particles along the driver; returns terminal (X, Y, I)."""
-    if particles < 1:
-        raise ValueError("particles must be >= 1")
-    times = driver.times
-    m_end = _grid_index_of(times, t)
-    if m_end == 0:
-        raise ValueError("horizon t must be positive on the driver grid")
-    V = _joint_field(model, driver.dim)
-    atoms_at = _normalize_record(jump_record, times, t)
-    if aux_sampler is None:
-        aux_sampler = gaussian_poisson_sampler(model, times[:m_end + 1])
 
-    N = particles
-    dx, dy = model.dim_x, model.dim_y
-    dB_all, aux_atoms = _draw_auxiliary(aux_sampler, seed_base, N)
+class _Route:
+    """One way of stepping the common noise between grid times. A route holds
+    the particle state; `x` (N, d_X) and `y` (N, d_Y) are the signal and
+    observation values that jumps and weights see."""
 
-    x = np.broadcast_to(np.array(model.x0), (N, dx)).copy()
-    y = np.broadcast_to(np.array(model.y0), (N, dy)).copy()
-    logw = np.zeros(N)
+    def start(self, N: int):
+        self.x = np.broadcast_to(np.array(self.model.x0),
+                                 (N, self.model.dim_x)).copy()
 
-    for k in range(m_end):
-        t0, t1 = float(times[k]), float(times[k + 1])
+    def aux_jumps(self, t1: float, atoms):
+        """Auxiliary nu1 atoms [(particle, mark)]: X jumps by f1."""
+        x, y = self.x, self.y
+        for i, mark in atoms:
+            x[i] = x[i] + np.asarray(self.model.f1(t1, x[i], y[i], mark), dtype=float)
+
+    def observed_jump(self, t1: float, mark):
+        """An observed nu2 atom moves X by f3."""
+        self.x = self.x + np.asarray(self.model.f3(t1, self.x, self.y, mark),
+                                     dtype=float)
+
+    def driver_jump(self, k: int, logw):
+        """The driver's jump at grid index k + 1, if any; returns logw."""
+        return logw
+
+    def end(self, m_end: int):
+        return self.x, self.y
+
+    def meta(self, m_end: int) -> dict:
+        return {"route": self.name}
+
+
+class _RoughRoute(_Route):
+    """Along a level-2 driver: Heun steps for the dt and sigma0 dB terms, one
+    Davie step of the joint (X, Y, I) state per segment, and Marcus time-1
+    flows across driver jumps."""
+
+    def __init__(self, model: ModelSpec, driver: RoughPath):
+        self.model, self.driver, self.times = model, driver, driver.times
+        self.V = _joint_field(model, driver.dim)
+
+    def start(self, N: int):
+        super().start(N)
+        self.y = np.broadcast_to(np.array(self.model.y0),
+                                 (N, self.model.dim_y)).copy()
+
+    def _unpack(self, z):
+        """Take X and Y from the joint state; returns the log weight I."""
+        dx, dy = self.model.dim_x, self.model.dim_y
+        self.x = z[..., :dx].copy()
+        self.y = z[..., dx:dx + dy].copy()
+        return z[..., dx + dy].copy()
+
+    def advance(self, k: int, t0: float, t1: float, dB, logw):
+        model, driver, x, y = self.model, self.driver, self.x, self.y
         dt = t1 - t0
-        dB = dB_all[:, k, :]
-
         bx0, by0, h0 = _reference_rates(model, t0, x, y)
         comp0 = _lambda_compensator(model, t0, x)
         logw = logw + (-0.5 * np.einsum("...i,...i->...", h0, h0) + comp0) * dt
@@ -343,40 +379,170 @@ def _particle_sweep(model: ModelSpec, driver: RoughPath, jump_record, t: float,
         cg2 = (driver.pre_level2[k + 1] - driver.level2[k]
                - np.outer(driver.level1[k], cg1))
         z = np.concatenate([x, y, logw[:, None]], axis=-1)
-        z = davie_step(V, t0, z, cg1, cg2)
+        return self._unpack(davie_step(self.V, t0, z, cg1, cg2))
 
-        for i, mark in aux_atoms.get(k, ()):
-            zi = z[i]
-            xi, yi = zi[:dx], zi[dx:dx + dy]
-            z[i, :dx] = xi + np.asarray(model.f1(t1, xi, yi, mark), dtype=float)
+    def observed_jump(self, t1: float, mark):
+        """X moves by f3 and Y by f2."""
+        super().observed_jump(t1, mark)
+        self.y = self.y + np.asarray(self.model.f2(t1, self.y, mark), dtype=float)
 
-        x = z[..., :dx].copy()
-        y = z[..., dx:dx + dy].copy()
-        logw = z[..., dx + dy].copy()
+    def driver_jump(self, k: int, logw):
+        if not self.driver.jump_flags[k + 1]:
+            return logw
+        chi1 = marcus_increment(self.driver, k + 1)
+        z = np.concatenate([self.x, self.y, logw[:, None]], axis=-1)
+        return self._unpack(marcus_jump(self.V, float(self.times[k + 1]), z,
+                                        chi1, JUMP_SUBSTEPS))
 
+    def meta(self, m_end: int) -> dict:
+        return {"dim": self.driver.dim,
+                "driver_jumps": int(np.sum(self.driver.jump_flags[:m_end + 1]))}
+
+
+class _ObservationRoute(_Route):
+    """Driven by the raw observation path: the Brownian input W is
+    reconstructed from it, a segment sees the observation at its left end
+    (y0) and its left limit at the right end (y), and the weight takes the
+    trapezoid rule in h against dW."""
+
+    def __init__(self, model: ModelSpec, obs: CadlagPath):
+        self.model, self.obs = model, obs
+        self.wt = reconstruct_wtilde(model, obs)
+        self.times = self.wt.times
+
+    def advance(self, k: int, t0: float, t1: float, dB, logw):
+        shape = (len(self.x), self.model.dim_y)
+        self.dW = self.wt.values[k + 1] - self.wt.values[k]
+        self.y0 = np.broadcast_to(self.obs.values[k], shape)
+        self.y = np.broadcast_to(self.obs.evaluate_left(t1)[0], shape)
+        dt = t1 - t0
+        h0, comp0 = self._heun(k, t0, t1, dt, dB)
+        h1 = h_function(self.model, t1, self.x, self.y)
+        logw = logw + 0.5 * np.einsum("...i,i->...", h0 + h1, self.dW)
+        logw = logw - 0.25 * (np.einsum("...i,...i->...", h0, h0)
+                              + np.einsum("...i,...i->...", h1, h1)) * dt
+        return logw + comp0 * dt
+
+    def end(self, m_end: int):
+        """Terminal (X, Y), Y being the observation at the horizon."""
+        y = self.obs.evaluate(float(self.times[m_end]))[0]
+        return self.x, np.broadcast_to(y, (len(self.x), self.model.dim_y))
+
+
+class _DirectRoute(_ObservationRoute):
+    """Plain level-1 Heun steps in dt, sigma0 dB and sigma1 dW (no lift)."""
+
+    name = "direct"
+
+    def _heun(self, k: int, t0: float, t1: float, dt: float, dB):
+        """Step X over the segment; returns h and the lambda compensator at
+        its start."""
+        model, x, y0, y1, dW = self.model, self.x, self.y0, self.y, self.dW
+        bx0, _, h0 = _reference_rates(model, t0, x, y0)
+        comp0 = _lambda_compensator(model, t0, x)
+        s00 = np.asarray(model.sigma0(t0, x, y0), dtype=float)
+        s10 = np.asarray(model.sigma1(t0, x, y0), dtype=float)
+        d1 = (bx0 * dt + np.einsum("...ab,...b->...a", s00, dB)
+              + np.einsum("...ab,b->...a", s10, dW))
+        bx1, _, _ = _reference_rates(model, t1, x + d1, y1)
+        s01 = np.asarray(model.sigma0(t1, x + d1, y1), dtype=float)
+        s11 = np.asarray(model.sigma1(t1, x + d1, y1), dtype=float)
+        d2 = (bx1 * dt + np.einsum("...ab,...b->...a", s01, dB)
+              + np.einsum("...ab,b->...a", s11, dW))
+        self.x = x + 0.5 * (d1 + d2)
+        return h0, comp0
+
+
+class _FlowRoute(_ObservationRoute):
+    """Scalar models only: X = phi(W, X~) with phi the one-parameter flow of
+    sigma1, so the particles carry X~ through Heun steps with the drift and
+    sigma0 pulled back by d phi / dx, and auxiliary atoms pull back through
+    phi(-W)."""
+
+    name = "flow"
+
+    def __init__(self, model: ModelSpec, obs: CadlagPath):
+        self.s = _scalar_sigma1(model)
+        super().__init__(model, obs)
+
+    @property
+    def x(self):
+        return self.phi[:, None]
+
+    def start(self, N: int):
+        self.xt = np.full(N, float(self.model.x0[0]))
+        self.phi, self.dphi = flow_map(self.s, self.wt.values[0, 0], self.xt)
+
+    def _heun(self, k: int, t0: float, t1: float, dt: float, dB):
+        model, s, y0, y1 = self.model, self.s, self.y0, self.y
+        self.w1 = w1 = self.wt.values[k + 1, 0]
+        dB = dB[:, 0]
+        x0col, dphi0 = self.x, self.dphi
+        bx0, _, h0 = _reference_rates(model, t0, x0col, y0)
+        comp0 = _lambda_compensator(model, t0, x0col)
+        s00 = np.asarray(model.sigma0(t0, x0col, y0), dtype=float)[..., 0, 0]
+        d1 = (bx0[:, 0] / dphi0) * dt + (s00 / dphi0) * dB
+        phiP, dphiP = flow_map(s, w1, self.xt + d1)
+        xPcol = phiP[:, None]
+        bx1, _, _ = _reference_rates(model, t1, xPcol, y1)
+        s01 = np.asarray(model.sigma0(t1, xPcol, y1), dtype=float)[..., 0, 0]
+        d2 = (bx1[:, 0] / dphiP) * dt + (s01 / dphiP) * dB
+        self.xt = self.xt + 0.5 * (d1 + d2)
+        self.phi, self.dphi = flow_map(s, w1, self.xt)
+        return h0, comp0
+
+    def aux_jumps(self, t1: float, atoms):
+        """X jumps by f1; X~ follows through phi(-W)."""
+        if not atoms:
+            return
+        for i, mark in atoms:
+            xi = self.phi[i:i + 1]
+            xp = xi + np.asarray(
+                self.model.f1(t1, xi[:, None], self.y[i], mark), dtype=float)[..., 0]
+            self.xt[i] = flow_map(self.s, -self.w1, xp)[0][0]
+        self.phi, self.dphi = flow_map(self.s, self.w1, self.xt)
+
+    def observed_jump(self, t1: float, mark):
+        """f3 = 0 (checked at construction): an observed atom only
+        reweights."""
+
+
+def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
+           particles: int, seed_base: int, aux_sampler,
+           abort_log_weight: float) -> FilterResult:
+    """March all particles along the route's grid up to t and estimate the
+    filter from their terminal (X, Y, log weight). Each step runs the route's
+    continuous step, the auxiliary atoms, the observed atoms (lambda weight,
+    then the route's move), the driver's Marcus jump and the finiteness
+    check."""
+    if particles < 1:
+        raise ValueError("particles must be >= 1")
+    times = route.times
+    m_end = _grid_index_of(times, t)
+    if m_end == 0:
+        raise ValueError("horizon t must be positive on the driver grid")
+    atoms_at = _normalize_record(jump_record, times, t)
+    if aux_sampler is None:
+        aux_sampler = gaussian_poisson_sampler(model, times[:m_end + 1])
+    dB_all, aux_atoms = _draw_auxiliary(aux_sampler, seed_base, particles)
+
+    route.start(particles)
+    logw = np.zeros(particles)
+    for k in range(m_end):
+        t0, t1 = float(times[k]), float(times[k + 1])
+        logw = route.advance(k, t0, t1, dB_all[:, k, :], logw)
+        route.aux_jumps(t1, aux_atoms.get(k, ()))
         for mark in atoms_at.get(k + 1, ()):
             if isinstance(model.nu2, LevyMeasure):
-                lam = np.asarray(model.lambda_fn(t1, x, mark), dtype=float)
+                lam = np.asarray(model.lambda_fn(t1, route.x, mark), dtype=float)
                 if np.any(lam <= 0.0):
                     raise ValueError(f"lambda <= 0 at t={t1}")
                 logw = logw + np.log(lam)
-            x = x + np.asarray(model.f3(t1, x, y, mark), dtype=float)
-            y = y + np.asarray(model.f2(t1, y, mark), dtype=float)
+            route.observed_jump(t1, mark)
+        logw = route.driver_jump(k, logw)
 
-        if driver.jump_flags[k + 1]:
-            chi = group_log(driver.jump_increment(k + 1))
-            scale = 1.0 + float(np.dot(chi.level1, chi.level1))
-            if np.max(np.abs(chi.level2)) > 1e-8 * scale:
-                raise ValueError(
-                    f"driver jump at index {k + 1} is not of Marcus type")
-            z = np.concatenate([x, y, logw[:, None]], axis=-1)
-            z = marcus_jump(V, t1, z, chi.level1, jump_substeps)
-            x = z[..., :dx].copy()
-            y = z[..., dx:dx + dy].copy()
-            logw = z[..., dx + dy].copy()
-
-        bad = ~(np.all(np.isfinite(x), axis=-1)
-                & np.all(np.isfinite(y), axis=-1) & np.isfinite(logw))
+        bad = ~(np.all(np.isfinite(route.x), axis=-1)
+                & np.all(np.isfinite(route.y), axis=-1) & np.isfinite(logw))
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ParticleBlowupError(
@@ -391,11 +557,11 @@ def _particle_sweep(model: ModelSpec, driver: RoughPath, jump_record, t: float,
             {"max_log_weight": float(np.max(logw)),
              "min_log_weight": float(np.min(logw)),
              "particle_index": i, "threshold": abort_log_weight})
-    meta = {"dim": driver.dim, "grid_points": int(m_end + 1),
-            "driver_jumps": int(np.sum(driver.jump_flags[:m_end + 1])),
+    x, y = route.end(m_end)
+    meta = {**route.meta(m_end), "grid_points": int(m_end + 1),
             "observed_atoms": int(sum(len(v) for v in atoms_at.values())),
             "t": float(t)}
-    return x, y, logw, meta
+    return _result_from_sweep(f, x, y, logw, meta, particles, seed_base)
 
 
 def _result_from_sweep(f: TestFunction, x, y, logw, meta, particles,
@@ -423,129 +589,32 @@ def _result_from_sweep(f: TestFunction, x, y, logw, meta, particles,
 # -- public functionals -----------------------------------------------------
 
 
-def g_functional(model: ModelSpec, f: TestFunction, obs_driver, jump_record,
-                 t: float, particles: int, seed_base: int, aux_sampler=None,
-                 abort_log_weight: float = 60.0,
-                 jump_substeps: int = 8) -> McEstimate:
-    """Monte Carlo estimate of g^f = E[f(X_t, Y_t) exp(I_t)] along one
-    observation driver. obs_driver may be a RoughPath or an AdmissiblePair
-    (whose lift is used)."""
-    driver = obs_driver.rough if isinstance(obs_driver, AdmissiblePair) else obs_driver
-    x, y, logw, _ = _particle_sweep(
-        model, driver, jump_record, t, particles, seed_base,
-        aux_sampler, abort_log_weight, jump_substeps)
-    return _mc(np.asarray(f(x, y), dtype=float) * np.exp(logw))
-
-
 def theta(model: ModelSpec, f: TestFunction, obs_driver, jump_record,
           t: float, particles: int, seed_base: int, aux_sampler=None,
-          abort_log_weight: float = 60.0,
-          jump_substeps: int = 8) -> FilterResult:
+          abort_log_weight: float = 60.0) -> FilterResult:
     """The filter value theta = g^f / g^1 with both estimates from one
-    particle sweep (common random numbers), plus a delta-method standard
-    error for the ratio."""
+    particle sweep along the observation driver (common random numbers),
+    plus a delta-method standard error for the ratio. obs_driver may be a
+    RoughPath or an AdmissiblePair (whose lift is used)."""
     driver = obs_driver.rough if isinstance(obs_driver, AdmissiblePair) else obs_driver
-    x, y, logw, meta = _particle_sweep(
-        model, driver, jump_record, t, particles, seed_base,
-        aux_sampler, abort_log_weight, jump_substeps)
-    return _result_from_sweep(f, x, y, logw, meta, particles, seed_base)
+    return _sweep(model, _RoughRoute(model, driver), f, t, jump_record,
+                  particles, seed_base, aux_sampler, abort_log_weight)
 
 
 # -- direct particle filter on the raw observation -------------------------
 
 
-def _direct_sweep(model: ModelSpec, obs: CadlagPath, jump_record,
-                  t: float, particles: int, seed_base: int,
-                  aux_sampler=None, abort_log_weight: float = 60.0):
-    if particles < 1:
-        raise ValueError("particles must be >= 1")
-    wt = reconstruct_wtilde(model, obs)
-    times = wt.times
-    m_end = _grid_index_of(times, t)
-    if m_end == 0:
-        raise ValueError("horizon t must be positive on the observation grid")
-    atoms_at = _normalize_record(jump_record, times, t)
-    if aux_sampler is None:
-        aux_sampler = gaussian_poisson_sampler(model, times[:m_end + 1])
-
-    N = particles
-    dx = model.dim_x
-    dB_all, aux_atoms = _draw_auxiliary(aux_sampler, seed_base, N)
-
-    x = np.broadcast_to(np.array(model.x0), (N, dx)).copy()
-    logw = np.zeros(N)
-
-    for k in range(m_end):
-        t0, t1 = float(times[k]), float(times[k + 1])
-        dt = t1 - t0
-        dW = wt.values[k + 1] - wt.values[k]
-        dB = dB_all[:, k, :]
-        y0 = np.broadcast_to(obs.values[k], (N, model.dim_y))
-        y1 = np.broadcast_to(obs.evaluate_left(t1)[0], (N, model.dim_y))
-
-        bx0, _, h0 = _reference_rates(model, t0, x, y0)
-        comp0 = _lambda_compensator(model, t0, x)
-        s00 = np.asarray(model.sigma0(t0, x, y0), dtype=float)
-        s10 = np.asarray(model.sigma1(t0, x, y0), dtype=float)
-        d1 = (bx0 * dt + np.einsum("...ab,...b->...a", s00, dB)
-              + np.einsum("...ab,b->...a", s10, dW))
-        bx1, _, _ = _reference_rates(model, t1, x + d1, y1)
-        s01 = np.asarray(model.sigma0(t1, x + d1, y1), dtype=float)
-        s11 = np.asarray(model.sigma1(t1, x + d1, y1), dtype=float)
-        d2 = (bx1 * dt + np.einsum("...ab,...b->...a", s01, dB)
-              + np.einsum("...ab,b->...a", s11, dW))
-        xn = x + 0.5 * (d1 + d2)
-
-        h1 = h_function(model, t1, xn, y1)
-        logw = logw + 0.5 * np.einsum("...i,i->...", h0 + h1, dW)
-        logw = logw - 0.25 * (np.einsum("...i,...i->...", h0, h0)
-                              + np.einsum("...i,...i->...", h1, h1)) * dt
-        logw = logw + comp0 * dt
-        x = xn
-
-        for i, mark in aux_atoms.get(k, ()):
-            x[i] = x[i] + np.asarray(model.f1(t1, x[i], y1[i], mark), dtype=float)
-        for mark in atoms_at.get(k + 1, ()):
-            if isinstance(model.nu2, LevyMeasure):
-                lam = np.asarray(model.lambda_fn(t1, x, mark), dtype=float)
-                if np.any(lam <= 0.0):
-                    raise ValueError(f"lambda <= 0 at t={t1}")
-                logw = logw + np.log(lam)
-            x = x + np.asarray(model.f3(t1, x, y1, mark), dtype=float)
-
-        bad = ~(np.all(np.isfinite(x), axis=-1) & np.isfinite(logw))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ParticleBlowupError(
-                f"particle {i} blew up at step {k} (t={t1})", i, k)
-
-    amax = float(np.max(np.abs(logw)))
-    if amax > abort_log_weight:
-        i = int(np.argmax(np.abs(logw)))
-        raise WeightAbortError(
-            f"log weight {amax:.2f} of particle {i} exceeds the abort "
-            f"threshold {abort_log_weight}",
-            {"max_log_weight": float(np.max(logw)),
-             "min_log_weight": float(np.min(logw)),
-             "particle_index": i, "threshold": abort_log_weight})
-    y_end = np.broadcast_to(obs.evaluate(float(times[m_end]))[0],
-                            (N, model.dim_y))
-    meta = {"route": "direct", "grid_points": int(m_end + 1), "t": float(t)}
-    return x, y_end, logw, meta
-
-
 def direct_reference_filter(model: ModelSpec, f: TestFunction,
                             obs: CadlagPath, jump_record, t: float,
-                            particles: int, seed_base: int,
-                            **kw) -> FilterResult:
+                            particles: int, seed_base: int, aux_sampler=None,
+                            abort_log_weight: float = 60.0) -> FilterResult:
     """Weighted particle filter driven by the raw observation path: the
     Brownian input is reconstructed from obs and used through plain level-1
     Heun steps (no rough lift), with trapezoid h quadrature for the weight.
     Serves as an independently discretized estimate of the same conditional
     expectation."""
-    x, y, logw, meta = _direct_sweep(
-        model, obs, jump_record, t, particles, seed_base, **kw)
-    return _result_from_sweep(f, x, y, logw, meta, particles, seed_base)
+    return _sweep(model, _DirectRoute(model, obs), f, t, jump_record,
+                  particles, seed_base, aux_sampler, abort_log_weight)
 
 
 # -- observation records from simulation -----------------------------------
@@ -661,7 +730,7 @@ def _scalar_sigma1(model: ModelSpec):
     return s
 
 
-def flow_map(s, w: float, x: np.ndarray, substeps: int = 16):
+def flow_map(s, w: float, x: np.ndarray, substeps: int = FLOW_SUBSTEPS):
     """Integrate the one-parameter flow dphi/dv = s(phi) from 0 to w (signed)
     together with its x-derivative; classical RK4, vectorized over starting
     points (1-d x). Each stage evaluates s once, on phi and its two central
@@ -687,113 +756,19 @@ def flow_map(s, w: float, x: np.ndarray, substeps: int = 16):
     return phi, J
 
 
-def scalar_flow_filter(model: ModelSpec, f: TestFunction, obs: CadlagPath,
-                       particles: int, seed_base: int, jump_record=None,
-                       flow_substeps: int = 16, aux_sampler=None,
-                       abort_log_weight: float = 60.0) -> float:
-    """Filter value through the flow decomposition: X_t = phi(W_t, X~_t)
-    with phi the one-parameter flow of sigma1 evaluated at the reconstructed
-    Brownian input, and X~ solving the transformed SDE with pulled-back
-    drift, diffusion, and auxiliary jumps. Independent of the rough-driver
-    route; only for scalar models whose common noise is Brownian."""
-    res = scalar_flow_filter_detail(model, f, obs, particles, seed_base,
-                                    jump_record, flow_substeps, aux_sampler,
-                                    abort_log_weight)
-    return res.theta
-
-
 def scalar_flow_filter_detail(model: ModelSpec, f: TestFunction,
                               obs: CadlagPath, particles: int, seed_base: int,
-                              jump_record=None, flow_substeps: int = 16,
-                              aux_sampler=None,
+                              jump_record=None, aux_sampler=None,
                               abort_log_weight: float = 60.0) -> FilterResult:
-    if particles < 1:
-        raise ValueError("particles must be >= 1")
-    s = _scalar_sigma1(model)
-    wt = reconstruct_wtilde(model, obs)
-    times = wt.times
-    wv = wt.values[:, 0]
-    m_end = len(times) - 1
-    t_end = float(times[m_end])
-    atoms_at = _normalize_record(jump_record, times, t_end)
-    if aux_sampler is None:
-        aux_sampler = gaussian_poisson_sampler(model, times)
-
-    N = particles
-    dB_all, aux_atoms = _draw_auxiliary(aux_sampler, seed_base, N)
-
-    xt = np.full(N, float(model.x0[0]))
-    logw = np.zeros(N)
-    phi0, dphi0 = flow_map(s, wv[0], xt, flow_substeps)
-
-    for k in range(m_end):
-        t0, t1 = float(times[k]), float(times[k + 1])
-        dt = t1 - t0
-        w1 = wv[k + 1]
-        dw = w1 - wv[k]
-        dB = dB_all[:, k, 0]
-        y0 = np.broadcast_to(obs.values[k], (N, 1))
-        y1 = np.broadcast_to(obs.evaluate_left(t1)[0], (N, 1))
-
-        x0col = phi0[:, None]
-        bx0, _, h0 = _reference_rates(model, t0, x0col, y0)
-        comp0 = _lambda_compensator(model, t0, x0col)
-        s00 = np.asarray(model.sigma0(t0, x0col, y0), dtype=float)[..., 0, 0]
-        d1 = (bx0[:, 0] / dphi0) * dt + (s00 / dphi0) * dB
-        phiP, dphiP = flow_map(s, w1, xt + d1, flow_substeps)
-        xPcol = phiP[:, None]
-        bx1, _, _ = _reference_rates(model, t1, xPcol, y1)
-        s01 = np.asarray(model.sigma0(t1, xPcol, y1), dtype=float)[..., 0, 0]
-        d2 = (bx1[:, 0] / dphiP) * dt + (s01 / dphiP) * dB
-        xt = xt + 0.5 * (d1 + d2)
-
-        phi1, dphi1 = flow_map(s, w1, xt, flow_substeps)
-        h1 = h_function(model, t1, phi1[:, None], y1)
-        logw = logw + 0.5 * (h0[:, 0] + h1[:, 0]) * dw
-        logw = logw - 0.25 * (h0[:, 0] ** 2 + h1[:, 0] ** 2) * dt
-        logw = logw + comp0 * dt
-
-        dirty = False
-        for i, mark in aux_atoms.get(k, ()):
-            xi = phi1[i:i + 1]
-            xp = xi + np.asarray(
-                model.f1(t1, xi[:, None], y1[i], mark), dtype=float)[..., 0]
-            xt[i] = flow_map(s, -w1, xp, flow_substeps)[0][0]
-            dirty = True
-        for mark in atoms_at.get(k + 1, ()):
-            if isinstance(model.nu2, LevyMeasure):
-                if dirty:
-                    phi1, dphi1 = flow_map(s, w1, xt, flow_substeps)
-                    dirty = False
-                lam = np.asarray(model.lambda_fn(t1, phi1[:, None], mark),
-                                 dtype=float)
-                if np.any(lam <= 0.0):
-                    raise ValueError(f"lambda <= 0 at t={t1}")
-                logw = logw + np.log(lam)
-        if dirty:
-            phi1, dphi1 = flow_map(s, w1, xt, flow_substeps)
-        phi0, dphi0 = phi1, dphi1
-
-        if not (np.all(np.isfinite(xt)) and np.all(np.isfinite(logw))):
-            bad = ~(np.isfinite(xt) & np.isfinite(logw))
-            i = int(np.argmax(bad))
-            raise ParticleBlowupError(
-                f"particle {i} blew up at step {k} (t={t1})", i, k)
-
-    amax = float(np.max(np.abs(logw)))
-    if amax > abort_log_weight:
-        i = int(np.argmax(np.abs(logw)))
-        raise WeightAbortError(
-            f"log weight {amax:.2f} of particle {i} exceeds the abort "
-            f"threshold {abort_log_weight}",
-            {"max_log_weight": float(np.max(logw)),
-             "min_log_weight": float(np.min(logw)),
-             "particle_index": i, "threshold": abort_log_weight})
-    x_end = phi0[:, None]
-    y_end = np.broadcast_to(obs.evaluate(t_end)[0], (N, 1))
-    meta = {"route": "flow", "grid_points": int(m_end + 1), "t": t_end}
-    return _result_from_sweep(f, x_end, y_end, logw, meta, particles,
-                              seed_base)
+    """Filter value at the end of obs through the flow decomposition:
+    X_t = phi(W_t, X~_t) with phi the one-parameter flow of sigma1 evaluated
+    at the reconstructed Brownian input, and X~ solving the transformed SDE
+    with pulled-back drift, diffusion, and auxiliary jumps. Independent of
+    the rough-driver route; only for scalar models whose common noise is
+    Brownian."""
+    route = _FlowRoute(model, obs)
+    return _sweep(model, route, f, float(route.times[-1]), jump_record,
+                  particles, seed_base, aux_sampler, abort_log_weight)
 
 
 # -- interpolation robustness ----------------------------------------------
@@ -822,6 +797,20 @@ def _interpolant_path(sub_times, sub_vals, grid, mode: str) -> CadlagPath:
     pre[0] = vals[0]
     jumpy = not np.array_equal(vals, pre)
     return CadlagPath(grid, vals, pre if jumpy else None, "constant")
+
+
+def mesh_lifts(obs: dict, t: float, mesh: int):
+    """Subsample the reconstructed Brownian input of a realized observation
+    at mesh + 1 equal steps on [0, t] and lift both interpolants, tabulated
+    on those times plus the observed atom times: (Stratonovich lift of the
+    linear one, Marcus lift of the rectangular one)."""
+    atom_times = np.array([a for a, _ in obs["jump_record"]])
+    sub_times = np.linspace(0.0, t, int(mesh) + 1)
+    grid = np.union1d(sub_times, atom_times) if len(atom_times) else sub_times
+    sub_vals = obs["wtilde"].evaluate(sub_times)
+    lin = _interpolant_path(sub_times, sub_vals, grid, "linear")
+    rect = _interpolant_path(sub_times, sub_vals, grid, "rectangular")
+    return stratonovich_lift(lin), marcus_lift(rect)
 
 
 def trend_non_increasing(values, slacks) -> bool:
@@ -855,19 +844,11 @@ def robustness_experiment(model: ModelSpec, f: TestFunction, t: float,
     if obs_seed is None:
         obs_seed = seed_base + 999983
     obs = realized_observation(model, t, truth_steps, obs_seed)
-    wt = obs["wtilde"]
     record = obs["jump_record"]
-    atom_times = np.array([a for a, _ in record])
 
     rows = []
     for mesh in mesh_list:
-        sub_times = np.linspace(0.0, t, int(mesh) + 1)
-        grid = np.union1d(sub_times, atom_times) if len(atom_times) else sub_times
-        sub_vals = wt.evaluate(sub_times)
-        lin = _interpolant_path(sub_times, sub_vals, grid, "linear")
-        rect = _interpolant_path(sub_times, sub_vals, grid, "rectangular")
-        lift_lin = stratonovich_lift(lin)
-        lift_rect = marcus_lift(rect)
+        lift_lin, lift_rect = mesh_lifts(obs, t, mesh)
         th_lin = theta(model, f, lift_lin, record, t, particles, seed_base)
         th_rect = theta(model, f, lift_rect, record, t, particles,
                         seed_base + 611953)

@@ -241,6 +241,18 @@ def marcus_jump_defect(X: RoughPath) -> float:
     return worst
 
 
+def marcus_increment(X: RoughPath, i: int, rtol: float = 1e-8) -> np.ndarray:
+    """Level 1 of the log of the jump at grid index i. Raises ValueError
+    unless the jump is of Marcus type: its log may have no level-2 part
+    beyond rtol * (1 + |level 1|^2)."""
+    chi = group_log(X.jump_increment(i))
+    scale = 1.0 + float(np.dot(chi.level1, chi.level1))
+    if np.max(np.abs(chi.level2)) > rtol * scale:
+        raise ValueError(f"jump at driver index {i} is not of Marcus type "
+                         "(its log has a level-2 part)")
+    return chi.level1
+
+
 # -- rough p-variation distance -------------------------------------------
 
 

@@ -39,7 +39,6 @@ from roughfilter.filtering import (
     FUNCTION_CATALOG,
     TestFunction,
     epsilon_stability_experiment,
-    g_functional,
     realized_observation,
     robustness_experiment,
     scalar_flow_filter_detail,
@@ -324,12 +323,9 @@ def test_bernoulli_sweep_matches_outcome_tree():
     record = [(times[1], 1.0), (times[2], -1.0)]
     sampler = _enum_sampler(times)
 
-    est_f = g_functional(model, TestFunction.coordinate(0), driver, record,
-                         1.0, 512, _ENUM_BASE, aux_sampler=sampler)
-    est_1 = g_functional(model, TestFunction.constant(1.0), driver, record,
-                         1.0, 512, _ENUM_BASE, aux_sampler=sampler)
     res = theta(model, TestFunction.coordinate(0), driver, record,
                 1.0, 512, _ENUM_BASE, aux_sampler=sampler)
+    est_f, est_1 = res.g_f, res.g_1
     oracle_f, oracle_w = _oracle_enumeration(
         PARAMS, times, w_values, record, lambda x, y: x)
     d1 = abs(est_f.value - oracle_f)

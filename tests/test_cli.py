@@ -8,8 +8,16 @@ import os
 import numpy as np
 import pytest
 
-from roughfilter.cli import RunConfig, build_config, load_config_file, main
+from roughfilter.cli import (
+    RunConfig,
+    _abort_diagnostics,
+    build_config,
+    load_config_file,
+    main,
+)
+from roughfilter.filtering import ParticleBlowupError
 from roughfilter.lift import read_rough_path_json
+from roughfilter.rde import RdeBlowupError
 
 
 def _read_csv(path):
@@ -97,7 +105,7 @@ def test_robustness_artifacts_and_trend_flag(tmp_path):
     assert isinstance(payload["trend_non_increasing"], bool)
     assert isinstance(payload["final_gap_within_3se"], bool)
     manifest = _read_json(os.path.join(out, "robustness_manifest.json"))
-    assert manifest["norm"] == "rho_p"
+    assert manifest["norm"] == "rho_p" and manifest["status"] == "ok"
     assert manifest["config"]["meshes"] == [4, 8]
     assert "version" in manifest and manifest["wall_time_s"] > 0
 
@@ -173,3 +181,18 @@ def test_exit_codes(tmp_path, capsys):
                  "--out", out]) == 3
     err = capsys.readouterr().err
     assert "unknown model" in err and "numerical abort" in err
+    # an aborted run leaves only its manifest, with the error's diagnostics
+    assert os.listdir(out) == ["filter_manifest.json"]
+    manifest = _read_json(os.path.join(out, "filter_manifest.json"))
+    assert manifest["status"] == "aborted"
+    assert manifest["config"]["abort_log_weight"] == 1e-6
+    error = manifest["error"]
+    assert error["type"] == "WeightAbortError"
+    assert "exceeds the abort threshold" in error["message"]
+    diag = error["diagnostics"]
+    assert diag["threshold"] == 1e-6
+    assert diag["min_log_weight"] <= diag["max_log_weight"]
+    assert isinstance(diag["particle_index"], int)
+    assert _abort_diagnostics(ParticleBlowupError("m", 4, 7)) == {
+        "particle_index": 4, "step_index": 7}
+    assert _abort_diagnostics(RdeBlowupError("m", 3)) == {"step_index": 3}

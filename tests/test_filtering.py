@@ -22,12 +22,10 @@ from roughfilter.filtering import (
     direct_reference_filter,
     epsilon_stability_experiment,
     flow_map,
-    g_functional,
     gaussian_poisson_sampler,
     realized_observation,
     robust_consistency_check,
     robustness_experiment,
-    scalar_flow_filter,
     scalar_flow_filter_detail,
     theta,
     trend_non_increasing,
@@ -55,7 +53,7 @@ def test_mc_estimate_single_sample():
     f = TestFunction.constant(2.0)
     model = get_model("linear_gaussian")
     drv = _linear_driver([0.0, 0.5, 1.0], [0.0, 0.1, -0.2])
-    est = g_functional(model, f, drv, None, 1.0, 1, 7)
+    est = theta(model, f, drv, None, 1.0, 1, 7).g_f
     assert isinstance(est, McEstimate)
     assert est.n == 1 and est.stderr == 0.0
 
@@ -198,18 +196,13 @@ def test_exhaustive_outcome_tree_matches_sweep():
     record = [(times[1], 1.0), (times[2], -1.0)]
     sampler = _enum_sampler(times)
 
-    est_f = g_functional(model, TestFunction.coordinate(0), driver, record,
-                         1.0, 512, _ENUM_BASE, aux_sampler=sampler)
-    est_1 = g_functional(model, TestFunction.constant(1.0), driver, record,
-                         1.0, 512, _ENUM_BASE, aux_sampler=sampler)
+    res = theta(model, TestFunction.coordinate(0), driver, record,
+                1.0, 512, _ENUM_BASE, aux_sampler=sampler)
     oracle_f, oracle_w = _oracle_enumeration(
         PARAMS, times, w_values, record, lambda x, y: x)
 
-    assert est_f.value == pytest.approx(oracle_f, abs=1e-12)
-    assert est_1.value == pytest.approx(oracle_w, abs=1e-12)
-
-    res = theta(model, TestFunction.coordinate(0), driver, record,
-                1.0, 512, _ENUM_BASE, aux_sampler=sampler)
+    assert res.g_f.value == pytest.approx(oracle_f, abs=1e-12)
+    assert res.g_1.value == pytest.approx(oracle_w, abs=1e-12)
     assert res.theta == pytest.approx(oracle_f / oracle_w, abs=1e-12)
 
 
@@ -222,8 +215,8 @@ def test_exhaustive_tree_other_functional_and_path():
     record = [(times[2], 1.0)]
     sampler = _enum_sampler(times)
 
-    est = g_functional(model, FUNCTION_CATALOG["square"], driver, record,
-                       0.6, 512, _ENUM_BASE, aux_sampler=sampler)
+    est = theta(model, FUNCTION_CATALOG["square"], driver, record,
+                0.6, 512, _ENUM_BASE, aux_sampler=sampler).g_f
     oracle, _ = _oracle_enumeration(
         PARAMS, times, w_values, record, lambda x, y: x * x)
     assert est.value == pytest.approx(oracle, abs=1e-12)
@@ -381,26 +374,23 @@ def test_flow_filter_agrees_geometric_loading():
     obs = realized_observation(model, 1.0, 128, 8)
     res = theta(model, FUNCTION_CATALOG["identity"], obs["driver"],
                 obs["jump_record"], 1.0, 3000, 33)
-    val = scalar_flow_filter(model, FUNCTION_CATALOG["identity"],
-                             obs["Y"], 3000, 9033)
     detail = scalar_flow_filter_detail(model, FUNCTION_CATALOG["identity"],
                                        obs["Y"], 3000, 9033)
-    assert val == detail.theta
     comb = np.hypot(res.theta_se, detail.theta_se)
-    assert abs(res.theta - val) < 3.0 * comb
+    assert abs(res.theta - detail.theta) < 3.0 * comb
 
 
 def test_flow_filter_rejects_unsupported_models():
     multi = get_model("correlated_jump_multidim")
     obs_y = CadlagPath(np.array([0.0, 1.0]), np.zeros((2, 2)), None, "linear")
     with pytest.raises(ValueError, match="scalar"):
-        scalar_flow_filter(multi, FUNCTION_CATALOG["one"], obs_y, 10, 0)
+        scalar_flow_filter_detail(multi, FUNCTION_CATALOG["one"], obs_y, 10, 0)
 
     jumpy = get_model("scalar_jump_diffusion")
     obs = realized_observation(jumpy, 1.0, 32, 2)
     with pytest.raises(ValueError, match="f3"):
-        scalar_flow_filter(jumpy, FUNCTION_CATALOG["one"], obs["Y"], 10, 0,
-                           jump_record=obs["atoms"])
+        scalar_flow_filter_detail(jumpy, FUNCTION_CATALOG["one"], obs["Y"], 10,
+                                  0, jump_record=obs["atoms"])
 
     import dataclasses
     lg = get_model("linear_gaussian")
@@ -408,7 +398,8 @@ def test_flow_filter_rejects_unsupported_models():
         np.array([[0.3]]) * (1.0 + t), np.asarray(x).shape[:-1] + (1, 1)))
     obs2 = realized_observation(lg, 1.0, 32, 2)
     with pytest.raises(ValueError, match="sigma1 depends"):
-        scalar_flow_filter(timedep, FUNCTION_CATALOG["one"], obs2["Y"], 10, 0)
+        scalar_flow_filter_detail(timedep, FUNCTION_CATALOG["one"], obs2["Y"],
+                                  10, 0)
 
 
 # -- rough-vs-direct consistency --------------------------------------------

@@ -4,10 +4,13 @@ The filter value is a deterministic function of the driver, the jump record
 and the seeds, so a change that only speeds up the particle sweep must
 reproduce these numbers to rounding. Values were recorded before the sweep's
 inner step was reworked (directional Davie term, one constant-sigma2 solve,
-stacked flow-map stages, hoisted sampler tables).
+stacked flow-map stages, hoisted sampler tables); the "rough-mesh8" pin and
+the flow pin on scalar_jump_diffusion were recorded before the three sweep
+loops became one kernel.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from roughfilter.filtering import (
     FUNCTION_CATALOG,
     direct_reference_filter,
     gaussian_poisson_sampler,
+    mesh_lifts,
     realized_observation,
     scalar_flow_filter_detail,
     theta,
@@ -25,7 +29,12 @@ from roughfilter.sim import get_model
 OBS_SEED, SEED_BASE, PARTICLES, STEPS = 5, 4242, 200, 32
 RTOL = 1e-12
 
-# (route, model) -> (theta, theta_se, g_1)
+# (route, model) -> (theta, theta_se, g_1). "rough-mesh8" runs the rough
+# route on the Marcus lift of the mesh-8 rectangular interpolant of a 64-step
+# observation (driver jumps and observed atoms in one sweep); the suffix
+# ":f3=0" zeroes the loading of observed jumps on the signal, which the flow
+# route needs, so that its auxiliary-atom pull-back and lambda reweighting
+# are covered.
 GOLDEN = {
     ("rough", "linear_gaussian"): (
         0.42870530587925565, 0.017954438368001476, 0.33847394694370997),
@@ -45,6 +54,10 @@ GOLDEN = {
         0.48171568309318763, 0.016498136002418555, 0.9247181369916482),
     ("direct", "stable_shot_noise"): (
         0.4786514658118788, 0.016468503405083892, 0.9284930958883095),
+    ("flow", "scalar_jump_diffusion:f3=0"): (
+        -0.021998364748313477, 0.02156276245657109, 0.9592099377390321),
+    ("rough-mesh8", "scalar_jump_diffusion"): (
+        0.01512507416326413, 0.018001414278504182, 0.6400362351307265),
 }
 
 # gaussian_poisson_sampler on scalar_jump_diffusion, 32 equal steps on
@@ -59,13 +72,28 @@ SAMPLER_ATOMS = [
 ]
 
 
+def _model(model_id):
+    name, _, variant = model_id.partition(":")
+    model = get_model(name)
+    if variant == "f3=0":
+        model = replace(model, f3=lambda t, x, y, u: np.zeros_like(
+            np.asarray(x, dtype=float)))
+    return model
+
+
 def _observation(model):
     eps = 0.05 if model.regime == "infinite_jumps" else None
     return realized_observation(model, 1.0, STEPS, OBS_SEED, epsilon=eps)
 
 
-def _run(route, model, obs):
+def _run(route, model):
     f = FUNCTION_CATALOG["identity"]
+    if route == "rough-mesh8":
+        obs = realized_observation(model, 1.0, 2 * STEPS, OBS_SEED)
+        _, rectangular = mesh_lifts(obs, 1.0, 8)
+        return theta(model, f, rectangular, obs["jump_record"], 1.0,
+                     PARTICLES, SEED_BASE)
+    obs = _observation(model)
     if route == "rough":
         return theta(model, f, obs["driver"], obs["jump_record"], 1.0,
                      PARTICLES, SEED_BASE)
@@ -78,8 +106,7 @@ def _run(route, model, obs):
 
 @pytest.mark.parametrize("route,model_id", sorted(GOLDEN))
 def test_golden_filter_values(route, model_id):
-    model = get_model(model_id)
-    res = _run(route, model, _observation(model))
+    res = _run(route, _model(model_id))
     got = (res.theta, res.theta_se, res.g_1.value)
     np.testing.assert_allclose(got, GOLDEN[(route, model_id)], rtol=RTOL, atol=0)
 

@@ -3,10 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from roughfilter.fillin import AdmissiblePair, linear_path_function
+from roughfilter.filtering import FUNCTION_CATALOG, theta
 from roughfilter.lift import (
     RoughPath,
     chen_defect,
     geometric_defect_max,
+    marcus_increment,
     marcus_jump_defect,
     marcus_lift,
     read_rough_path_json,
@@ -18,6 +21,8 @@ from roughfilter.lift import (
     write_rough_path_json,
 )
 from roughfilter.paths import CadlagPath
+from roughfilter.rde import constant_vector_field, solve_canonical_rde
+from roughfilter.sim import get_model
 from roughfilter.tensor_group import group_exp, group_log
 
 
@@ -105,6 +110,34 @@ def test_marcus_lift_jump_logs_vanish():
     assert marcus_jump_defect(X) < 1e-12
     assert chen_defect(X) < 1e-12
     assert geometric_defect_max(X) < 1e-12
+
+
+def test_marcus_increment_and_non_marcus_jump_rejected():
+    times = np.array([0.0, 0.5, 1.0])
+    vals = np.array([[0.0, 0.0], [0.5, 0.2], [0.4, 0.1]])
+    pre = vals.copy()
+    pre[1] = [0.1, 0.0]
+    X = marcus_lift(CadlagPath(times, vals, pre))
+    np.testing.assert_allclose(marcus_increment(X, 1), vals[1] - pre[1],
+                               rtol=0, atol=1e-15)
+
+    # an area A added from the jump on: the jump's log gains level 2 A
+    A = np.array([[0.0, 0.2], [-0.2, 0.0]])
+    bad = RoughPath(X.times, X.level1,
+                    X.level2 + np.array([0.0, 1.0, 1.0])[:, None, None] * A,
+                    X.jump_flags, X.pre_level1,
+                    X.pre_level2 + np.array([0.0, 0.0, 1.0])[:, None, None] * A)
+    with pytest.raises(ValueError, match="not of Marcus type"):
+        marcus_increment(bad, 1)
+    with pytest.raises(ValueError, match="not of Marcus type"):
+        theta(get_model("scalar_jump_diffusion"), FUNCTION_CATALOG["one"],
+              bad, None, 1.0, 10, 0)
+    with pytest.raises(ValueError, match="not of Marcus type"):
+        solve_canonical_rde(constant_vector_field(np.zeros((1, 2))),
+                            AdmissiblePair(bad), [0.0], steps=4)
+    with pytest.raises(ValueError, match="inadmissible.*not of Marcus type"):
+        AdmissiblePair(bad, linear_path_function())
+    AdmissiblePair(X, linear_path_function())
 
 
 def test_increment_and_pre_point():
