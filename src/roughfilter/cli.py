@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .fillin import AdmissiblePair, beta_p
+from .fillin import DELTA_SEQ, AdmissiblePair, beta_p
 from .filtering import (
     DegenerateWeightsError,
     FUNCTION_CATALOG,
@@ -54,7 +54,7 @@ class RunConfig:
     alpha: float = None  # type: ignore[assignment]
     epsilon: float = None  # type: ignore[assignment]
     meshes: tuple = (4, 8, 16, 32, 64)
-    delta_seq: tuple = (1.0, 0.5, 0.25, 0.125)
+    delta_seq: tuple = DELTA_SEQ
     seed: int = 0
     out: str = None  # type: ignore[assignment]
     f_name: str = "identity"

@@ -16,15 +16,12 @@ import numpy as np
 
 from .lift import RoughPath, marcus_increment, rho_p
 from .paths import CadlagPath, skorokhod_sigma_p
-from .tensor_group import (
-    GroupElement,
-    group_exp_tensor,
-    group_inv,
-    group_log,
-    group_mul,
-    homogeneous_norm,
-    scale_tensor,
-)
+from .tensor_group import GroupElement, group_inv, group_mul, group_pow, homogeneous_norm
+
+# Defaults of the fill-in: the delta sweep of alpha_p/beta_p (and of the
+# CLI) and the number of equal steps a jump slot is traversed in.
+DELTA_SEQ = (1.0, 0.5, 0.25, 0.125)
+SLOT_STEPS = 8
 
 
 # -- path functions -------------------------------------------------------
@@ -37,14 +34,15 @@ class PathFunction:
     kind: str  # "log_linear" | "linear" | "tabulated"
     profile: callable = field(default=None)  # type: ignore[assignment]
 
-    def __call__(self, a: GroupElement, b: GroupElement, s: float) -> GroupElement:
-        if s <= 0.0:
-            return a
-        if s >= 1.0:
-            return b
-        w = s if self.profile is None else float(self.profile(s))
-        chi = group_log(group_mul(group_inv(a), b))
-        return group_mul(a, group_exp_tensor(scale_tensor(chi, w)))
+    def __call__(self, a: GroupElement, b: GroupElement, s) -> GroupElement:
+        """phi(a, b)_s; an array s gives the batch over s, broadcast against
+        the batch axes of a and b. A scalar s outside (0, 1) returns a or b
+        itself; array entries there are clipped to the endpoints."""
+        s = np.asarray(s, dtype=float)
+        if s.ndim == 0 and not 0.0 < s < 1.0:
+            return a if s <= 0.0 else b
+        w = np.clip(s if self.profile is None else self.profile(s), 0.0, 1.0)
+        return group_mul(a, group_pow(group_mul(group_inv(a), b), w))
 
 
 def log_linear_path_function() -> PathFunction:
@@ -119,12 +117,12 @@ class AdmissiblePair:
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
         if self.phi.kind == "linear":
-            for i in np.nonzero(self.rough.jump_flags)[0]:
-                try:
-                    marcus_increment(self.rough, int(i), rtol=1e-10)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"linear path function is inadmissible: {exc}") from None
+            jumps = np.nonzero(self.rough.jump_flags)[0]
+            try:
+                marcus_increment(self.rough, jumps, rtol=1e-10)
+            except ValueError as exc:
+                raise ValueError(
+                    f"linear path function is inadmissible: {exc}") from None
 
 
 def ordered_jumps(pair: AdmissiblePair):
@@ -132,8 +130,8 @@ def ordered_jumps(pair: AdmissiblePair):
     ties; returns (indices_in_rank_order, sizes_in_rank_order)."""
     X = pair.rough
     idx = np.nonzero(X.jump_flags)[0]
-    sizes = np.array([homogeneous_norm(X.jump_increment(int(i))) for i in idx])
-    order = sorted(range(len(idx)), key=lambda k: (-sizes[k], X.times[idx[k]]))
+    sizes = homogeneous_norm(X.increment(idx, idx, left_i=True))
+    order = np.lexsort((X.times[idx], -sizes))
     return idx[order], sizes[order]
 
 
@@ -208,8 +206,11 @@ class Representative:
         return self.extension.T_ext / self.extension.T if self.extension.T > 0 else 1.0
 
 
-def build_representative(pair: AdmissiblePair, slot_steps: int = 8) -> Representative:
-    """Open jumps into phi-filled slots, then rescale [0, T+r] back to [0, T]."""
+def build_representative(pair: AdmissiblePair,
+                         slot_steps: int = SLOT_STEPS) -> Representative:
+    """Open jumps into phi-filled slots, then rescale [0, T+r] back to [0, T].
+    A jump at index i becomes slot_steps + 1 points: the left limit at the
+    slot start, phi at slot_steps - 1 equal steps inside, and the value."""
     if slot_steps < 1:
         raise ValueError("slot_steps must be >= 1")
     X = pair.rough
@@ -221,52 +222,36 @@ def build_representative(pair: AdmissiblePair, slot_steps: int = 8) -> Represent
             pair, ext, np.arange(n), X.times.copy(), ()
         )
 
-    idx_rank, _ = ordered_jumps(pair)
-    width_of_index = {
-        int(i): float(ext.widths[j]) for j, i in enumerate(sorted(idx_rank))
-    }
+    jumps = np.nonzero(X.jump_flags)[0]  # time order, as ext.widths
+    counts = 1 + slot_steps * X.jump_flags.astype(int)
+    orig_indices = np.cumsum(counts) - 1
+    start = orig_indices[jumps] - slot_steps
+    inside = start[:, None] + np.arange(1, slot_steps)
+    m = orig_indices[-1] + 1
+    t_ext = np.empty(m)
+    L1 = np.empty((m, X.dim))
+    L2 = np.empty((m, X.dim, X.dim))
 
-    squash = X.T / ext.T_ext
-    t_ext, L1, L2, orig_t = [], [], [], []
-    orig_indices = np.empty(n, dtype=int)
-    slot_segments = []
+    tau = ext(X.times)
+    tau[0] = 0.0
+    slot_start = tau[jumps] - ext.widths
+    s = np.arange(1, slot_steps) / slot_steps
+    t_ext[orig_indices] = tau
+    t_ext[start] = slot_start
+    t_ext[inside] = slot_start[:, None] + s * ext.widths[:, None]
+    L1[orig_indices], L2[orig_indices] = X.level1, X.level2
+    L1[start], L2[start] = X.pre_level1[jumps], X.pre_level2[jumps]
+    g = pair.phi(X.point(jumps[:, None], left=True), X.point(jumps[:, None]), s)
+    L1[inside], L2[inside] = g.level1, g.level2
 
-    def emit(te, l1, l2, to):
-        t_ext.append(te)
-        L1.append(np.asarray(l1, dtype=float))
-        L2.append(np.asarray(l2, dtype=float))
-        orig_t.append(to)
-
-    emit(0.0, X.level1[0], X.level2[0], X.times[0])
-    orig_indices[0] = 0
-    for i in range(1, n):
-        ti = float(X.times[i])
-        tau_i = float(ext(ti))
-        if not X.jump_flags[i]:
-            emit(tau_i, X.level1[i], X.level2[i], ti)
-            orig_indices[i] = len(t_ext) - 1
-            continue
-        w = width_of_index[i]
-        slot_start = tau_i - w
-        emit(slot_start, X.pre_level1[i], X.pre_level2[i], ti)
-        start_idx = len(t_ext) - 1
-        a = X.pre_point(i)
-        b = X.point(i)
-        for j in range(1, slot_steps):
-            s = j / slot_steps
-            g = pair.phi(a, b, s)
-            emit(slot_start + s * w, g.level1, g.level2, ti)
-        emit(tau_i, X.level1[i], X.level2[i], ti)
-        orig_indices[i] = len(t_ext) - 1
-        slot_segments.append((start_idx, len(t_ext) - 1, i))
-
-    times = np.asarray(t_ext) * squash
-    rough = RoughPath(times, np.asarray(L1), np.asarray(L2))
-    return Representative(rough, pair, ext, orig_indices, np.asarray(orig_t),
+    rough = RoughPath(t_ext * (X.T / ext.T_ext), L1, L2)
+    slot_segments = zip(start.tolist(), orig_indices[jumps].tolist(), jumps.tolist())
+    return Representative(rough, pair, ext, orig_indices, np.repeat(X.times, counts),
                           tuple(slot_segments))
 
 
-def continuous_representative(pair: AdmissiblePair, slot_steps: int = 8) -> RoughPath:
+def continuous_representative(pair: AdmissiblePair,
+                              slot_steps: int = SLOT_STEPS) -> RoughPath:
     """The jump-filled continuous rough path x^phi on [0, T]."""
     return build_representative(pair, slot_steps).rough
 
@@ -328,7 +313,7 @@ def _delta_sweep(X: AdmissiblePair, Y: AdmissiblePair, delta_seq, metric,
 
 
 def beta_p(X: AdmissiblePair, Y: AdmissiblePair, p: float,
-           delta_seq=(1.0, 0.5, 0.25, 0.125), slot_steps: int = 8) -> DeltaSweep:
+           delta_seq=DELTA_SEQ, slot_steps: int = SLOT_STEPS) -> DeltaSweep:
     """rho_p between delta-scaled continuous representatives, swept over
     delta; the estimate is the finest-delta value. When the two pairs carry
     different jump counts the slots are rank-aligned (absent ranks are
@@ -337,7 +322,7 @@ def beta_p(X: AdmissiblePair, Y: AdmissiblePair, p: float,
 
 
 def alpha_p(X: AdmissiblePair, Y: AdmissiblePair, p: float,
-            delta_seq=(1.0, 0.5, 0.25, 0.125), slot_steps: int = 8,
+            delta_seq=DELTA_SEQ, slot_steps: int = SLOT_STEPS,
             warp_grid: int = 8) -> DeltaSweep:
     """Like beta_p but with the Skorokhod sigma_p metric on the level-1
     representatives (reported with the warp_grid used)."""

@@ -345,6 +345,8 @@ class _RoughRoute(_Route):
     def __init__(self, model: ModelSpec, driver: RoughPath):
         self.model, self.driver, self.times = model, driver, driver.times
         self.V = _joint_field(model, driver.dim)
+        k = np.arange(len(driver.times) - 1)
+        self.chords = driver.increment(k, k + 1, left_j=True)
 
     def start(self, N: int):
         super().start(N)
@@ -359,7 +361,7 @@ class _RoughRoute(_Route):
         return z[..., dx + dy].copy()
 
     def advance(self, k: int, t0: float, t1: float, dB, logw):
-        model, driver, x, y = self.model, self.driver, self.x, self.y
+        model, x, y = self.model, self.x, self.y
         dt = t1 - t0
         bx0, by0, h0 = _reference_rates(model, t0, x, y)
         comp0 = _lambda_compensator(model, t0, x)
@@ -375,11 +377,9 @@ class _RoughRoute(_Route):
         x = x + 0.5 * (d1x + d2x)
         y = y + 0.5 * (d1y + d2y)
 
-        cg1 = driver.pre_level1[k + 1] - driver.level1[k]
-        cg2 = (driver.pre_level2[k + 1] - driver.level2[k]
-               - np.outer(driver.level1[k], cg1))
         z = np.concatenate([x, y, logw[:, None]], axis=-1)
-        return self._unpack(davie_step(self.V, t0, z, cg1, cg2))
+        return self._unpack(davie_step(self.V, t0, z, self.chords.level1[k],
+                                       self.chords.level2[k]))
 
     def observed_jump(self, t1: float, mark):
         """X moves by f3 and Y by f2."""

@@ -17,9 +17,12 @@ from .paths import CadlagPath, _pvar_sum_dp
 from .tensor_group import (
     NORM_CONVENTION,
     GroupElement,
-    group_exp_tensor,
+    geometric_defect,
+    group_increment,
+    group_inv,
     group_log,
-    scale_tensor,
+    group_mul,
+    group_pow,
 )
 
 FORMAT_VERSION = 1
@@ -86,59 +89,42 @@ class RoughPath:
     def has_jumps(self) -> bool:
         return bool(np.any(self.jump_flags))
 
-    def point(self, i: int) -> GroupElement:
+    def point(self, i, left: bool = False) -> GroupElement:
+        """Running signature at grid index i (an int or an index array);
+        left=True takes the left limit, the pre-jump value."""
+        if left:
+            return GroupElement(self.pre_level1[i], self.pre_level2[i])
         return GroupElement(self.level1[i], self.level2[i])
 
-    def pre_point(self, i: int) -> GroupElement:
-        return GroupElement(self.pre_level1[i], self.pre_level2[i])
-
-    def increment(self, i: int, j: int) -> GroupElement:
-        """Group increment between grid indices i <= j."""
-        g1 = self.level1[j] - self.level1[i]
-        g2 = self.level2[j] - self.level2[i] - np.outer(self.level1[i], g1)
-        return GroupElement(g1, g2)
-
-    def jump_increment(self, i: int) -> GroupElement:
-        """Increment across the jump at index i (identity off jumps)."""
-        g1 = self.level1[i] - self.pre_level1[i]
-        g2 = self.level2[i] - self.pre_level2[i] - np.outer(self.pre_level1[i], g1)
-        return GroupElement(g1, g2)
-
-    def segment_increments(self):
-        """(g1, g2) arrays of grid-step increments, shapes (n-1, d), (n-1, d, d)."""
-        g1 = np.diff(self.level1, axis=0)
-        g2 = self.level2[1:] - self.level2[:-1] - self.level1[:-1, :, None] * g1[:, None, :]
-        return g1, g2
+    def increment(self, i, j, left_i: bool = False,
+                  left_j: bool = False) -> GroupElement:
+        """Group increment from grid index i to grid index j (ints or index
+        arrays that broadcast); left_i / left_j take the left limit at that
+        end. increment(i, i, left_i=True) is the jump at i, and
+        increment(k, k + 1, left_j=True) the continuous chord after k."""
+        return group_increment(self.point(i, left_i), self.point(j, left_j))
 
     # -- evaluation between grid points ----------------------------------
 
-    def running_at(self, t, left: bool = False):
-        """Running signature at arbitrary times: stored values on the grid,
-        one-parameter-subgroup (log-linear) interpolation inside segments,
-        pre-jump values when left=True at flagged times."""
+    def running_at(self, t, left=False):
+        """Running signature (L1, L2) at arbitrary times: stored values on
+        the grid, one-parameter-subgroup (log-linear) interpolation inside
+        segments, the last value past the end. `left` (a bool, or one per
+        time) selects the pre-jump value at grid times."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        n, d = self.level1.shape
-        L1 = np.empty((len(t), d))
-        L2 = np.empty((len(t), d, d))
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        idx = np.clip(idx, 0, n - 1)
-        for k, (i, tk) in enumerate(zip(idx, t)):
-            if self.times[i] == tk:
-                if left:
-                    L1[k], L2[k] = self.pre_level1[i], self.pre_level2[i]
-                else:
-                    L1[k], L2[k] = self.level1[i], self.level2[i]
-                continue
-            if i >= n - 1:
-                L1[k], L2[k] = self.level1[-1], self.level2[-1]
-                continue
-            theta = (tk - self.times[i]) / (self.times[i + 1] - self.times[i])
-            base1, base2 = self.level1[i], self.level2[i]
-            g1 = self.pre_level1[i + 1] - base1
-            g2 = self.pre_level2[i + 1] - self.level2[i] - np.outer(base1, g1)
-            part = group_exp_tensor(scale_tensor(group_log(GroupElement(g1, g2)), theta))
-            L1[k] = base1 + part.level1
-            L2[k] = base2 + part.level2 + np.outer(base1, part.level1)
+        n = len(self.times)
+        i = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, n - 1)
+        on_grid = self.times[i] == t
+        pre = on_grid & np.broadcast_to(left, t.shape)
+        L1 = np.where(pre[:, None], self.pre_level1[i], self.level1[i])
+        L2 = np.where(pre[:, None, None], self.pre_level2[i], self.level2[i])
+        inside = ~on_grid & (i < n - 1)
+        k = i[inside]
+        if k.size:
+            theta = (t[inside] - self.times[k]) / (self.times[k + 1] - self.times[k])
+            g = group_mul(self.point(k),
+                          group_pow(self.increment(k, k + 1, left_j=True), theta))
+            L1[inside], L2[inside] = g.level1, g.level2
         return L1, L2
 
 
@@ -189,19 +175,8 @@ def reverse_rough_path(X: RoughPath) -> RoughPath:
     if X.has_jumps():
         raise ValueError("time reversal is only defined here for continuous paths")
     n = len(X.times)
-    d = X.dim
-    L1 = np.empty((n, d))
-    L2 = np.empty((n, d, d))
-    end1, end2 = X.level1[-1], X.level2[-1]
-    for k in range(n):
-        i = n - 1 - k
-        g1 = end1 - X.level1[i]
-        g2 = end2 - X.level2[i] - np.outer(X.level1[i], g1)
-        # group inverse of the increment (i, n-1)
-        L1[k] = -g1
-        L2[k] = -g2 + np.outer(g1, g1)
-    times = X.T - X.times[::-1]
-    return RoughPath(times, L1, L2)
+    back = group_inv(X.increment(np.arange(n - 1, -1, -1), n - 1))
+    return RoughPath(X.T - X.times[::-1], back.level1, back.level2)
 
 
 # -- consistency checks ---------------------------------------------------
@@ -210,47 +185,48 @@ def reverse_rough_path(X: RoughPath) -> RoughPath:
 def chen_defect(X: RoughPath, triples=None) -> float:
     """Max violation of increment(i,k) = increment(i,j) o increment(j,k)."""
     n = len(X.times)
-    if triples is None:
-        triples = [(i, (i + k) // 2, k) for i in range(n) for k in range(i + 2, n)
-                   ] if n <= 40 else [(0, j, n - 1) for j in range(1, n - 1)]
-    worst = 0.0
-    for i, j, k in triples:
-        a = X.increment(i, j)
-        b = X.increment(j, k)
-        c = X.increment(i, k)
-        l1 = a.level1 + b.level1
-        l2 = a.level2 + b.level2 + np.outer(a.level1, b.level1)
-        worst = max(worst, float(np.max(np.abs(l1 - c.level1))),
-                    float(np.max(np.abs(l2 - c.level2))))
-    return worst
+    if triples is not None:
+        i, j, k = np.asarray(triples, dtype=int).reshape(-1, 3).T
+    elif n <= 40:
+        i, k = np.triu_indices(n, 2)
+        j = (i + k) // 2
+    else:
+        j = np.arange(1, n - 1)
+        i, k = np.zeros_like(j), np.full_like(j, n - 1)
+    if not len(j):
+        return 0.0
+    ab = group_mul(X.increment(i, j), X.increment(j, k))
+    c = X.increment(i, k)
+    return max(float(np.max(np.abs(ab.level1 - c.level1))),
+               float(np.max(np.abs(ab.level2 - c.level2))))
 
 
 def geometric_defect_max(X: RoughPath) -> float:
     """Max violation of the shuffle identity over all grid points."""
-    resid = X.level2 + np.swapaxes(X.level2, 1, 2) \
-        - X.level1[:, :, None] * X.level1[:, None, :]
-    return float(np.max(np.abs(resid))) if resid.size else 0.0
+    return geometric_defect(GroupElement(X.level1, X.level2))
 
 
 def marcus_jump_defect(X: RoughPath) -> float:
     """Max level-2 magnitude of log of jump increments (zero for Marcus lifts)."""
-    worst = 0.0
-    for i in np.nonzero(X.jump_flags)[0]:
-        lg = group_log(X.jump_increment(int(i)))
-        worst = max(worst, float(np.max(np.abs(lg.level2))))
-    return worst
+    idx = np.nonzero(X.jump_flags)[0]
+    if not idx.size:
+        return 0.0
+    _, chi2 = group_log(X.increment(idx, idx, left_i=True))
+    return float(np.max(np.abs(chi2)))
 
 
-def marcus_increment(X: RoughPath, i: int, rtol: float = 1e-8) -> np.ndarray:
-    """Level 1 of the log of the jump at grid index i. Raises ValueError
-    unless the jump is of Marcus type: its log may have no level-2 part
-    beyond rtol * (1 + |level 1|^2)."""
-    chi = group_log(X.jump_increment(i))
-    scale = 1.0 + float(np.dot(chi.level1, chi.level1))
-    if np.max(np.abs(chi.level2)) > rtol * scale:
-        raise ValueError(f"jump at driver index {i} is not of Marcus type "
+def marcus_increment(X: RoughPath, i, rtol: float = 1e-8) -> np.ndarray:
+    """Level 1 of the log of the jump at grid index i (an int or an index
+    array). Raises ValueError unless every such jump is of Marcus type: its
+    log may have no level-2 part beyond rtol * (1 + |level 1|^2)."""
+    chi1, chi2 = group_log(X.increment(i, i, left_i=True))
+    scale = 1.0 + np.sum(chi1 * chi1, axis=-1)
+    bad = np.atleast_1d(np.max(np.abs(chi2), axis=(-2, -1)) > rtol * scale)
+    if np.any(bad):
+        first = np.atleast_1d(i)[np.argmax(bad)]
+        raise ValueError(f"jump at driver index {first} is not of Marcus type "
                          "(its log has a level-2 part)")
-    return chi.level1
+    return chi1
 
 
 # -- rough p-variation distance -------------------------------------------
@@ -260,26 +236,12 @@ def _merged_running(X: RoughPath, Y: RoughPath):
     """Running signatures of X and Y along the interleaved visited sequence of
     the merged grid (left limits inserted before joint jump times)."""
     times = np.union1d(X.times, Y.times)
-    jumpy = set(X.times[X.jump_flags]) | set(Y.times[Y.jump_flags])
-    tv, is_left = [], []
-    for t in times:
-        if t in jumpy and t != times[0]:
-            tv.append(t)
-            is_left.append(True)
-        tv.append(t)
-        is_left.append(False)
-    tv = np.asarray(tv)
-    is_left = np.asarray(is_left, dtype=bool)
-    outs = []
-    for Z in (X, Y):
-        L1 = np.empty((len(tv), Z.dim))
-        L2 = np.empty((len(tv), Z.dim, Z.dim))
-        for flag in (False, True):
-            sel = is_left == flag
-            if np.any(sel):
-                L1[sel], L2[sel] = Z.running_at(tv[sel], left=flag)
-        outs.append((L1, L2))
-    return tv, outs[0], outs[1]
+    jumpy = np.isin(times, np.union1d(X.times[X.jump_flags], Y.times[Y.jump_flags]))
+    jumpy[0] = False
+    tv = np.repeat(times, 1 + jumpy)
+    is_left = np.zeros(len(tv), dtype=bool)
+    is_left[(np.cumsum(1 + jumpy) - 2)[jumpy]] = True
+    return tv, X.running_at(tv, is_left), Y.running_at(tv, is_left)
 
 
 def rho_p(X: RoughPath, Y: RoughPath, p: float) -> float:
@@ -305,9 +267,11 @@ def rho_p(X: RoughPath, Y: RoughPath, p: float) -> float:
 
     q = p / 2.0
 
+    A, B = GroupElement(A1, A2), GroupElement(B1, B2)
+
     def powdist2(j):
-        dx2 = A2[j] - A2[:j] - A1[:j, :, None] * (A1[j] - A1[:j])[:, None, :]
-        dy2 = B2[j] - B2[:j] - B1[:j, :, None] * (B1[j] - B1[:j])[:, None, :]
+        dx2 = group_increment(A[:j], A[j]).level2
+        dy2 = group_increment(B[:j], B[j]).level2
         return np.linalg.norm((dx2 - dy2).reshape(j, -1), axis=1) ** q
 
     lvl2 = _pvar_sum_dp(m, powdist2) ** (1.0 / q)

@@ -17,6 +17,7 @@ import numpy as np
 from .fillin import AdmissiblePair, build_representative
 from .lift import RoughPath, marcus_increment, reverse_rough_path
 from .paths import CadlagPath, d_p
+from .tensor_group import group_pow
 
 
 class RdeBlowupError(RuntimeError):
@@ -143,11 +144,14 @@ def davie_step(V: VectorField, t: float, y: np.ndarray, g1: np.ndarray,
     return y + np.einsum("...ai,i->...a", Vm, g1) + V.jac(t, y, U)
 
 
-def _segment_subincrements(g1: np.ndarray, g2: np.ndarray, nsub: int):
-    """Equal geodesic subdivision of a group increment: exp(log(g)/nsub)."""
-    chi1 = g1 / nsub
-    chi2 = (g2 - 0.5 * np.outer(g1, g1)) / nsub
-    return chi1, chi2 + 0.5 * np.outer(chi1, chi1)
+def _subdivided_segments(R: RoughPath, times: np.ndarray, steps: int):
+    """Per grid segment of R: the number of Davie substeps, about `steps`
+    over `times`, and the equal geodesic part exp(log(g)/nsub) of its
+    increment g."""
+    T = times[-1] if times[-1] > 0 else 1.0
+    nsub = np.maximum(1, np.ceil(steps * np.diff(times) / T - 1e-12)).astype(int)
+    k = np.arange(len(nsub))
+    return nsub, group_pow(R.increment(k, k + 1), 1.0 / nsub)
 
 
 def _check_finite(y: np.ndarray, step_index: int):
@@ -164,17 +168,14 @@ def solve_continuous_rde(V: VectorField, X: RoughPath, y0, steps: int,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     y = np.asarray(y0, dtype=float).copy()
-    T = X.T if X.T > 0 else 1.0
     out = [y.copy()]
-    g1s, g2s = X.segment_increments()
+    nsubs, subs = _subdivided_segments(X, X.times, steps)
     total = 0
-    for k in range(len(g1s)):
+    for k, nsub in enumerate(nsubs.tolist()):
         dt = X.times[k + 1] - X.times[k]
-        nsub = max(1, int(np.ceil(steps * dt / T - 1e-12)))
-        s1, s2 = _segment_subincrements(g1s[k], g2s[k], nsub)
         for j in range(nsub):
             t = X.times[k] + dt * j / nsub
-            y = davie_step(V, t, y, s1, s2)
+            y = davie_step(V, t, y, subs.level1[k], subs.level2[k])
             total += 1
         _check_finite(y, k)
         out.append(y.copy())
@@ -216,12 +217,11 @@ def solve_canonical_rde(V: VectorField, pair: AdmissiblePair, y0, steps: int,
     X = pair.rough
     slot_start = {seg[0]: seg for seg in rep.slot_segments}
     y = np.asarray(y0, dtype=float).copy()
-    T = X.T if X.T > 0 else 1.0
     states_at = {0: y.copy()}
-    g1s, g2s = R.segment_increments()
+    nsubs, subs = _subdivided_segments(R, rep.orig_times, steps)
     total = 0
     k = 0
-    while k < len(g1s):
+    while k < len(nsubs):
         if k in slot_start:
             _, end_idx, jump_idx = slot_start[k]
             chi1 = marcus_increment(X, int(jump_idx))
@@ -233,11 +233,10 @@ def solve_canonical_rde(V: VectorField, pair: AdmissiblePair, y0, steps: int,
             k = end_idx
             continue
         dt_orig = rep.orig_times[k + 1] - rep.orig_times[k]
-        nsub = max(1, int(np.ceil(steps * dt_orig / T - 1e-12)))
-        s1, s2 = _segment_subincrements(g1s[k], g2s[k], nsub)
+        nsub = int(nsubs[k])
         for j in range(nsub):
             t = rep.orig_times[k] + dt_orig * j / nsub
-            y = davie_step(V, float(t), y, s1, s2)
+            y = davie_step(V, float(t), y, subs.level1[k], subs.level2[k])
             total += 1
         _check_finite(y, k)
         states_at[k + 1] = y.copy()

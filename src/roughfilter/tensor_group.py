@@ -1,13 +1,19 @@
-"""Arithmetic in the step-2 truncated tensor algebra T2(R^d) and the group G2(R^d).
+"""The step-2 group G2(R^d) inside the truncated tensor algebra T2(R^d).
 
-A group element is stored as (level1, level2) with the scalar part fixed at 1;
-a tensor element carries an explicit scalar. All operations are pure functions
-of immutable inputs and safe to call concurrently.
+A point is stored as (level1, level2) with the scalar part fixed at 1. Every
+operation works on batches: a `GroupElement` holds level-1 data of shape
+(..., d) and level-2 data of shape (..., d, d), and the operations act
+pointwise over the leading (batch) axes, broadcasting them like numpy. A
+single point is a batch of shape ().
+
+Shapes and finiteness are validated once per batch, when a `GroupElement`
+is built from outside data. Results of the operations are built without a
+second check: they are finite whenever their inputs are, barring overflow.
+A log is a pair of arrays (level1, level2) of the same shapes with scalar
+part 0. All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,120 +23,101 @@ import numpy as np
 NORM_CONVENTION = "max(|level1|_2, sqrt(2*|antisym(level2)|_F))"
 
 
-def _as_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite entries in level-1 data")
-    return v
-
-
-def _as_matrix(m, d: int) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite entries in level-2 data")
-    return m
-
-
-@dataclass(frozen=True)
-class TensorElement:
-    """Element of T2(R^d): scalar + level-1 vector + level-2 matrix."""
-
-    scalar: float
-    level1: np.ndarray
-    level2: np.ndarray
-
-    def __post_init__(self):
-        v = _as_vector(self.level1)
-        object.__setattr__(self, "level1", v)
-        object.__setattr__(self, "level2", _as_matrix(self.level2, v.size))
-        object.__setattr__(self, "scalar", float(self.scalar))
-
-    @property
-    def dim(self) -> int:
-        return self.level1.size
-
-
-@dataclass(frozen=True)
 class GroupElement:
-    """Point of G2(R^d); the scalar part is implicitly 1."""
+    """A batch of points of G2(R^d); the scalar part is implicitly 1."""
 
-    level1: np.ndarray
-    level2: np.ndarray = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("level1", "level2")
 
-    def __post_init__(self):
-        v = _as_vector(self.level1)
-        object.__setattr__(self, "level1", v)
-        m = np.zeros((v.size, v.size)) if self.level2 is None else self.level2
-        object.__setattr__(self, "level2", _as_matrix(m, v.size))
+    def __init__(self, level1, level2=None):
+        v = np.asarray(level1, dtype=float)
+        if v.ndim < 1 or v.shape[-1] < 1:
+            raise ValueError(f"expected level-1 data of shape (..., d), got {v.shape}")
+        shape2 = v.shape + v.shape[-1:]
+        m = np.zeros(shape2) if level2 is None else np.asarray(level2, dtype=float)
+        if m.shape != shape2:
+            raise ValueError(f"expected level-2 data of shape {shape2}, got {m.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite entries in level-1 data")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("non-finite entries in level-2 data")
+        self.level1 = v
+        self.level2 = m
 
     @property
     def dim(self) -> int:
-        return self.level1.size
+        return self.level1.shape[-1]
+
+    def __getitem__(self, idx) -> GroupElement:
+        """Sub-batch; `idx` indexes the batch axes only."""
+        return _element(self.level1[idx], self.level2[idx])
 
 
-def identity_element(d: int) -> GroupElement:
-    return GroupElement(np.zeros(d), np.zeros((d, d)))
+def _element(level1: np.ndarray, level2: np.ndarray) -> GroupElement:
+    """A GroupElement from arrays that already form a valid batch."""
+    g = object.__new__(GroupElement)
+    g.level1 = level1
+    g.level2 = level2
+    return g
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :]
 
 
 def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     """Truncated tensor product a*b (realizes Chen's relation on increments)."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    level1 = a.level1 + b.level1
-    level2 = a.level2 + b.level2 + np.outer(a.level1, b.level1)
-    return GroupElement(level1, level2)
+    return _element(a.level1 + b.level1,
+                    a.level2 + b.level2 + _outer(a.level1, b.level1))
 
 
 def group_inv(g: GroupElement) -> GroupElement:
     # (1 + v + m)^(-1) = 1 - v - m + v (x) v at truncation level 2
-    return GroupElement(-g.level1, -g.level2 + np.outer(g.level1, g.level1))
+    return _element(-g.level1, -g.level2 + _outer(g.level1, g.level1))
 
 
-def group_exp(v) -> GroupElement:
-    """exp of a level-1 Lie element: exp(v) = (v, v(x)v / 2)."""
-    v = _as_vector(v)
-    return GroupElement(v, 0.5 * np.outer(v, v))
+def group_increment(a: GroupElement, b: GroupElement) -> GroupElement:
+    """a^{-1} b in the form used between running signatures:
+    (b1 - a1, b2 - a2 - a1 (x) (b1 - a1))."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    g1 = b.level1 - a.level1
+    return _element(g1, b.level2 - a.level2 - _outer(a.level1, g1))
 
 
-def group_exp_tensor(t: TensorElement) -> GroupElement:
-    """exp of a tensor with zero scalar part: level2 + v(x)v / 2 on top of level1."""
-    if t.scalar != 0.0:
-        raise ValueError("exp is only taken of tensors with zero scalar part")
-    return GroupElement(t.level1, t.level2 + 0.5 * np.outer(t.level1, t.level1))
+def group_exp(v, m=0.0) -> GroupElement:
+    """exp of the tensor (v, m) with scalar part 0: (v, m + v (x) v / 2).
+    With m = 0 this is the exp of a level-1 Lie element."""
+    v = np.asarray(v, dtype=float)
+    return GroupElement(v, m + 0.5 * _outer(v, v))
 
 
-def group_log(g: GroupElement) -> TensorElement:
-    """log in T2: (v, m) -> (v, m - v(x)v / 2), scalar part 0."""
-    return TensorElement(0.0, g.level1, g.level2 - 0.5 * np.outer(g.level1, g.level1))
+def group_log(g: GroupElement):
+    """log in T2: (v, m) -> (v, m - v (x) v / 2), scalar part 0; returns the
+    pair of arrays (level1, level2)."""
+    return g.level1, g.level2 - 0.5 * _outer(g.level1, g.level1)
 
 
-def scale_tensor(t: TensorElement, s: float) -> TensorElement:
-    return TensorElement(s * t.scalar, s * t.level1, s * t.level2)
+def group_pow(g: GroupElement, s) -> GroupElement:
+    """Geodesic power exp(s * log g); `s` broadcasts against the batch."""
+    s = np.asarray(s, dtype=float)[..., None]
+    chi1, chi2 = group_log(g)
+    return group_exp(s * chi1, s[..., None] * chi2)
 
 
-def dilate(g: GroupElement, lam: float) -> GroupElement:
-    """Group dilation: level1 -> lam*level1, level2 -> lam^2*level2."""
-    return GroupElement(lam * g.level1, lam * lam * g.level2)
-
-
-def homogeneous_norm(g: GroupElement) -> float:
-    """Homogeneous norm equivalent to the CC norm (see NORM_CONVENTION)."""
-    antisym = 0.5 * (g.level2 - g.level2.T)
-    n1 = float(np.linalg.norm(g.level1))
-    n2 = float(np.sqrt(2.0 * np.linalg.norm(antisym)))
-    return max(n1, n2)
-
-
-def group_distance(a: GroupElement, b: GroupElement) -> float:
-    """Left-invariant homogeneous distance: norm of a^{-1} b."""
-    return homogeneous_norm(group_mul(group_inv(a), b))
+def homogeneous_norm(g: GroupElement):
+    """Homogeneous norm equivalent to the CC norm (see NORM_CONVENTION), one
+    value per batch point (a float for a single point)."""
+    antisym = 0.5 * (g.level2 - np.swapaxes(g.level2, -1, -2))
+    n1 = np.linalg.norm(g.level1, axis=-1)
+    n2 = np.sqrt(2.0 * np.linalg.norm(antisym, axis=(-2, -1)))
+    out = np.maximum(n1, n2)
+    return float(out) if out.ndim == 0 else out
 
 
 def geometric_defect(g: GroupElement) -> float:
-    """Max-abs violation of the shuffle identity level2 + level2^T = level1 (x) level1."""
-    resid = g.level2 + g.level2.T - np.outer(g.level1, g.level1)
+    """Max-abs violation of the shuffle identity level2 + level2^T =
+    level1 (x) level1 over the whole batch."""
+    resid = g.level2 + np.swapaxes(g.level2, -1, -2) - _outer(g.level1, g.level1)
     return float(np.max(np.abs(resid))) if resid.size else 0.0

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughfilter.fillin import AdmissiblePair, linear_path_function
 from roughfilter.filtering import FUNCTION_CATALOG, theta
@@ -23,7 +25,7 @@ from roughfilter.lift import (
 from roughfilter.paths import CadlagPath
 from roughfilter.rde import constant_vector_field, solve_canonical_rde
 from roughfilter.sim import get_model
-from roughfilter.tensor_group import group_exp, group_log
+from roughfilter.tensor_group import group_exp, group_log, group_mul
 
 
 def brownian_path(rng, n, d, T=1.0):
@@ -91,8 +93,8 @@ def test_marcus_pure_jump():
     assert np.allclose(X.level1[-1], g.level1)
     assert np.allclose(X.level2[-1], g.level2)
     assert X.jump_flags[1]
-    lg = group_log(X.jump_increment(1))
-    assert np.max(np.abs(lg.level2)) < 1e-12
+    _, lg2 = group_log(X.increment(1, 1, left_i=True))
+    assert np.max(np.abs(lg2)) < 1e-12
 
 
 def test_marcus_jumpless_bit_identical_to_stratonovich():
@@ -144,9 +146,12 @@ def test_increment_and_pre_point():
     rng = np.random.default_rng(23)
     X = marcus_lift(jumpy_path(rng, 8, 2))
     i = int(np.nonzero(X.jump_flags)[0][0])
-    jump = X.jump_increment(i)
-    lg = group_log(jump)
-    assert np.max(np.abs(lg.level2)) < 1e-12
+    jump = X.increment(i, i, left_i=True)
+    _, lg2 = group_log(jump)
+    assert np.max(np.abs(lg2)) < 1e-12
+    pre = X.point(i, left=True)
+    assert np.array_equal(pre.level1, X.pre_level1[i])
+    assert np.array_equal(group_mul(pre, jump).level1, X.level1[i])
     full = X.increment(0, len(X.times) - 1)
     assert np.allclose(full.level1, X.level1[-1])
 
@@ -209,6 +214,32 @@ def test_rho_p_matches_brute_force_small_grids():
         X, Y = stratonovich_lift(x), stratonovich_lift(y)
         p = float(rng.uniform(2.0, 2.9))
         assert rho_p(X, Y, p) == pytest.approx(brute_force_rho_p(X, Y, p), abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2), n=st.integers(2, 12),
+       p=st.floats(2.0, 2.9))
+def test_rho_p_metric_axioms(seed, d, n, p):
+    """Exactly symmetric, exactly 0 on equal paths, and the triangle
+    inequality on Stratonovich and Marcus lifts sampled on one grid."""
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, n - 2)), [1.0]])
+
+    def random_lift():
+        vals = rng.standard_normal((n, d))
+        if rng.random() < 0.5:
+            return stratonovich_lift(CadlagPath(t, vals))
+        pre = vals.copy()
+        jumps = rng.random(n) < 0.4
+        jumps[0] = False
+        pre[jumps] += rng.standard_normal((int(jumps.sum()), d))
+        return marcus_lift(CadlagPath(t, vals, pre, "linear"))
+
+    X, Y, Z = random_lift(), random_lift(), random_lift()
+    xy, yz, xz = rho_p(X, Y, p), rho_p(Y, Z, p), rho_p(X, Z, p)
+    assert rho_p(Y, X, p) == xy
+    assert rho_p(X, X, p) == 0.0 and rho_p(Z, Z, p) == 0.0
+    assert xz <= (xy + yz) * (1.0 + 1e-12)
 
 
 def test_wong_zakai_shape_refinement():
