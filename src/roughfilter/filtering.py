@@ -492,7 +492,8 @@ class _FlowRoute(_ObservationRoute):
         return h0, comp0
 
     def aux_jumps(self, t1: float, atoms):
-        """X jumps by f1; X~ follows through phi(-W)."""
+        """X jumps by f1; X~ follows through phi(-W). Atoms of one particle
+        apply in turn, each from the position the previous one left."""
         if not atoms:
             return
         for i, mark in atoms:
@@ -500,6 +501,7 @@ class _FlowRoute(_ObservationRoute):
             xp = xi + np.asarray(
                 self.model.f1(t1, xi[:, None], self.y[i], mark), dtype=float)[..., 0]
             self.xt[i] = flow_map(self.s, -self.w1, xp)[0][0]
+            self.phi[i] = xp[0]
         self.phi, self.dphi = flow_map(self.s, self.w1, self.xt)
 
     def observed_jump(self, t1: float, mark):

@@ -380,6 +380,32 @@ def test_flow_filter_agrees_geometric_loading():
     assert abs(res.theta - detail.theta) < 3.0 * comb
 
 
+def test_flow_route_compounds_repeated_atoms():
+    """One particle drawing several nu1 atoms in one segment moves by each
+    of them in turn, on the flow route as on the direct route (sigma0 = 0
+    and zero Brownian draws make both deterministic)."""
+    model = replace(
+        get_model("scalar_jump_diffusion"),
+        f3=lambda t, x, y, u: np.zeros_like(np.asarray(x, dtype=float)),
+        sigma0=lambda t, x, y: np.zeros(np.asarray(x).shape[:-1] + (1, 1)))
+    obs = realized_observation(model, 1.0, 8, 5)
+    n_seg = len(obs["Y"].times) - 1
+    f = FUNCTION_CATALOG["identity"]
+    ends = []
+    for count in (1, 2, 3):
+        def sampler(seed, count=count):
+            return np.zeros((n_seg, 1)), [(3, np.array([1.0]))] * count
+        direct = direct_reference_filter(model, f, obs["Y"], None, 1.0, 1, 0,
+                                         aux_sampler=sampler).theta
+        flow = scalar_flow_filter_detail(model, f, obs["Y"], 1, 0,
+                                         aux_sampler=sampler).theta
+        assert flow == pytest.approx(direct, abs=1e-9)
+        ends.append(flow)
+    assert ends[0] == pytest.approx(0.1600, abs=1e-4)
+    assert ends[1] == pytest.approx(0.2491, abs=1e-4)
+    assert ends[0] < ends[1] < ends[2]
+
+
 def test_flow_filter_rejects_unsupported_models():
     multi = get_model("correlated_jump_multidim")
     obs_y = CadlagPath(np.array([0.0, 1.0]), np.zeros((2, 2)), None, "linear")
