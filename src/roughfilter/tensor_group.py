@@ -7,10 +7,11 @@ pointwise over the leading (batch) axes, broadcasting them like numpy. A
 single point is a batch of shape ().
 
 Shapes and finiteness are validated once per batch, when a `GroupElement`
-is built from outside data. Results of the operations are built without a
-second check: they are finite whenever their inputs are, barring overflow.
-A log is a pair of arrays (level1, level2) of the same shapes with scalar
-part 0. All operations are pure functions of their inputs.
+is built from outside data (group_exp, which takes a tensor, is such a
+constructor). Products, inverses, increments and sub-batches are built
+without a second check: they are finite whenever their inputs are, barring
+overflow. A log is a pair of arrays (level1, level2) of the same shapes
+with scalar part 0. All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
