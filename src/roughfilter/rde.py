@@ -60,9 +60,12 @@ class VectorField:
                 return np.einsum("...aib,...ib->...a", self.jac(t, y), along)
             d = along.shape[-2]
             norm = np.max(np.abs(along), axis=-1)  # (..., d)
+            # a direction below the smallest normal float counts as zero:
+            # the step 1e-6 (1 + |y|) / norm would overflow
+            live = norm >= np.finfo(float).tiny
             h = (1e-6 * (1.0 + np.max(np.abs(y), axis=-1, keepdims=True))
-                 / np.where(norm > 0.0, norm, 1.0))
-            step = h[..., None] * along
+                 / np.where(live, norm, 1.0))
+            step = h[..., None] * np.where(live[..., None], along, 0.0)
             y0 = y[..., None, :]
             vals = self(t, np.concatenate([y0 + step, y0 - step], axis=-2))
             # V_i at y +/- h_i u_i: column i of stacked evaluation i

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -290,6 +290,7 @@ _coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
        U=arrays(float, (3, 2, 2), elements=_coords),
        zero_rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)),
                           max_size=4))
+@example(y=np.zeros((3, 2)), U=np.full((3, 2, 2), 5e-324), zero_rows=[])
 def test_jacobian_action_property(y, U, zero_rows):
     for n, i in zero_rows:
         U[n, i] = 0.0
