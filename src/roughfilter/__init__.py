@@ -27,6 +27,7 @@ from .filtering import (
     epsilon_stability_experiment,
     flow_map,
     gaussian_poisson_sampler,
+    per_seed_sampler,
     realized_observation,
     robust_consistency_check,
     robustness_experiment,

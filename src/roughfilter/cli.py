@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .fillin import DELTA_SEQ, AdmissiblePair, beta_p
 from .filtering import (
+    AUX_STREAM,
     DegenerateWeightsError,
     FUNCTION_CATALOG,
     ParticleBlowupError,
@@ -403,6 +404,7 @@ def run(cfg: RunConfig) -> int:
                    "meshes": [int(m) for m in cfg.meshes],
                    "delta_seq": [float(d) for d in cfg.delta_seq]},
         "version": __version__,
+        "aux_stream": AUX_STREAM,
     }
     try:
         rows, cols, payload, norm = _PIPELINES[cfg.command](cfg, model, out_dir)

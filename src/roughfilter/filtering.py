@@ -30,6 +30,12 @@ driver component (one stacked field call), and Marcus time-1 flows across
 driver jumps. When the driver has d_Y + 1 components the extra column
 carries the observed jump path and the loadings f3, f2 must be linear in
 the mark.
+
+A sweep draws the auxiliary noise of all its particles in one call,
+aux_sampler(seed_base, N); the default draws one block from
+SeedSequence(seed_base) (gaussian_poisson_sampler, scheme AUX_STREAM), and
+per_seed_sampler adapts a sampler keyed by one seed per particle. The
+estimates are taken from log weights shifted by their maximum.
 """
 
 from __future__ import annotations
@@ -155,57 +161,83 @@ class FilterResult:
 # -- auxiliary noise --------------------------------------------------------
 
 
+# The scheme of the default auxiliary draw, written into every CLI manifest;
+# it names what a change of the default stream has to change.
+AUX_STREAM = ("block/v1: SeedSequence(seed_base).spawn(3); "
+              "dB = standard_normal((N, n_seg, d_B)) * sqrt(dt); "
+              "counts = poisson(nu1 rate * T, N); "
+              "atoms = random((sum(counts), 2)) rows (time, mark cdf), "
+              "time-ordered within each particle")
+
+
 def gaussian_poisson_sampler(model: ModelSpec, times: np.ndarray):
-    """Default auxiliary sampler: one call per particle seed, returning
-    fresh Brownian increments for sigma0 over each grid segment and nu1 atom
-    draws (segment index of the containing segment, mark); atoms apply at
-    segment right endpoints."""
+    """Default auxiliary sampler on a grid: sample(seed_base, N) returns the
+    fresh Brownian increments for sigma0 of N particles, dB of shape
+    (N, n_seg, d_B), and their nu1 atoms as {segment: [(particle, mark)]},
+    applied at segment right endpoints (AUX_STREAM names the scheme).
+
+    SeedSequence(seed_base) spawns three independent streams: the first
+    draws dB in one standard_normal block (particle-major), the second the
+    per-particle atom counts from poisson(nu1 rate * T, N), the third one
+    random((K, 2)) row per atom holding its time uniform and its mark
+    uniform (searched in the mark cdf). So the draw is deterministic in
+    (seed_base, N), the first N particles of a draw of N' >= N are the
+    draw of N (common random numbers across particle counts), and distinct
+    seed_base values give independent clouds."""
     times = np.asarray(times, dtype=float)
-    dts = np.diff(times)
-    n_seg = len(dts)
-    sq = np.sqrt(dts)
+    n_seg = len(times) - 1
+    sq = np.sqrt(np.diff(times))[:, None]
     jumps = model.nu1 is not None and bool(model.nu1.atoms)
     if jumps:
         mean_count = model.nu1.total_rate * float(times[-1] - times[0])
         marks = model.nu1.marks()
-        # the cdf Generator.choice(p=...) builds; searching it with the same
-        # uniforms reproduces choice's draw and stream exactly
         cdf = np.cumsum(model.nu1.rates() / model.nu1.total_rate)
         cdf /= cdf[-1]
 
-    def sample(seed: int):
-        rng = np.random.default_rng(seed)
-        dB = rng.standard_normal((n_seg, model.dim_b)) * sq[:, None]
-        atoms = []
+    def sample(seed_base: int, N: int):
+        noise, counts_ss, rows_ss = np.random.SeedSequence(seed_base).spawn(3)
+        dB = np.random.default_rng(noise).standard_normal((N, n_seg, model.dim_b))
+        dB *= sq
+        aux_atoms = {}
         if jumps:
-            k = rng.poisson(mean_count)
-            if k:
-                at = np.sort(rng.uniform(times[0], times[-1], k))
-                pick = cdf.searchsorted(rng.random(k), side="right")
-                seg = np.clip(np.searchsorted(times, at, side="left") - 1,
-                              0, n_seg - 1)
-                atoms = [(int(s), marks[c]) for s, c in zip(seg, pick)]
-        return dB, atoms
+            counts = np.random.default_rng(counts_ss).poisson(mean_count, N)
+            rows = np.random.default_rng(rows_ss).random((int(counts.sum()), 2))
+            particle = np.repeat(np.arange(N), counts)
+            at = times[0] + (times[-1] - times[0]) * rows[:, 0]
+            seg = np.clip(np.searchsorted(times, at, side="left") - 1,
+                          0, n_seg - 1)
+            pick = cdf.searchsorted(rows[:, 1], side="right")
+            # by segment, then particle, then time: each segment's list holds
+            # a particle's atoms in time order
+            order = np.lexsort((at, particle, seg))
+            for s, i, c in zip(seg[order].tolist(), particle[order].tolist(),
+                               pick[order].tolist()):
+                aux_atoms.setdefault(s, []).append((i, marks[c]))
+        return dB, aux_atoms
 
     return sample
 
 
-def _draw_auxiliary(aux_sampler, seed_base: int, N: int):
-    """Per-particle draws for seeds seed_base .. seed_base + N - 1: the
-    stacked (N, n_seg, d_B) Brownian increments and the auxiliary atoms as
-    {segment: [(particle, mark)]}. Each draw is copied in and dropped, so
-    the N per-seed arrays are never held at once."""
-    dB_all = None
-    aux_atoms = {}
-    for i in range(N):
-        dB, atoms = aux_sampler(seed_base + i)
-        dB = np.asarray(dB)
-        if dB_all is None:
-            dB_all = np.empty((N,) + dB.shape, dtype=dB.dtype)
-        dB_all[i] = dB
-        for seg, mark in atoms:
-            aux_atoms.setdefault(int(seg), []).append((i, mark))
-    return dB_all, aux_atoms
+def per_seed_sampler(sample):
+    """Adapt a per-seed sampler, sample(seed) -> (dB (n_seg, d_B),
+    [(segment, mark)]), to the block protocol of gaussian_poisson_sampler:
+    particle i draws from seed seed_base + i. Each draw is copied in and
+    dropped, so the N per-seed arrays are never held at once."""
+
+    def block(seed_base: int, N: int):
+        dB_all = None
+        aux_atoms = {}
+        for i in range(N):
+            dB, atoms = sample(seed_base + i)
+            dB = np.asarray(dB)
+            if dB_all is None:
+                dB_all = np.empty((N,) + dB.shape, dtype=dB.dtype)
+            dB_all[i] = dB
+            for seg, mark in atoms:
+                aux_atoms.setdefault(int(seg), []).append((i, mark))
+        return dB_all, aux_atoms
+
+    return block
 
 
 # -- joint vector field and rates ------------------------------------------
@@ -526,7 +558,7 @@ def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
     atoms_at = _normalize_record(jump_record, times, t)
     if aux_sampler is None:
         aux_sampler = gaussian_poisson_sampler(model, times[:m_end + 1])
-    dB_all, aux_atoms = _draw_auxiliary(aux_sampler, seed_base, particles)
+    dB_all, aux_atoms = aux_sampler(seed_base, particles)
 
     route.start(particles)
     logw = np.zeros(particles)
@@ -568,24 +600,32 @@ def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
 
 def _result_from_sweep(f: TestFunction, x, y, logw, meta, particles,
                        seed_base) -> FilterResult:
-    w = np.exp(logw)
-    fv = np.asarray(f(x, y), dtype=float)
-    g_f = _mc(fv * w)
-    g_1 = _mc(w)
+    """Estimates from the terminal log weights, shifted by their maximum:
+    theta, its standard error and the Kish effective sample size
+    (sum w)^2 / sum w^2 are shift-invariant, and g^f, g^1 are scaled back
+    by exp(max log w)."""
+    lmax, lmin = float(np.max(logw)), float(np.min(logw))
+    w = np.exp(logw - lmax)
+    fw = np.asarray(f(x, y), dtype=float) * w
+    shifted_f, shifted_1 = _mc(fw), _mc(w)
+    scale = float(np.exp(lmax))
+    g_f, g_1 = (McEstimate(e.value * scale, e.stderr * scale, e.n)
+                for e in (shifted_f, shifted_1))
     if not np.isfinite(g_1.value) or g_1.value <= 0.0:
         raise DegenerateWeightsError(
             f"g^1 estimate {g_1.value} is not a positive number",
-            {"max_log_weight": float(np.max(logw)),
-             "min_log_weight": float(np.min(logw)),
-             "n_nonfinite": int(np.sum(~np.isfinite(w)))})
-    th = g_f.value / g_1.value
+            {"max_log_weight": lmax, "min_log_weight": lmin,
+             "n_nonfinite": int(np.sum(logw > np.log(np.finfo(float).max)))})
+    th = shifted_f.value / shifted_1.value
     n = len(w)
     if n > 1:
-        resid = fv * w - th * w
-        th_se = float(np.std(resid, ddof=1) / (g_1.value * np.sqrt(n)))
+        th_se = float(np.std(fw - th * w, ddof=1)
+                      / (shifted_1.value * np.sqrt(n)))
     else:
         th_se = 0.0
-    return FilterResult(g_f, g_1, float(th), th_se, particles, seed_base, meta)
+    meta = {**meta, "ess": float(np.sum(w) ** 2 / np.sum(w * w)),
+            "min_log_weight": lmin, "max_log_weight": lmax}
+    return FilterResult(g_f, g_1, th, th_se, particles, seed_base, meta)
 
 
 # -- public functionals -----------------------------------------------------
@@ -597,7 +637,10 @@ def theta(model: ModelSpec, f: TestFunction, obs_driver, jump_record,
     """The filter value theta = g^f / g^1 with both estimates from one
     particle sweep along the observation driver (common random numbers),
     plus a delta-method standard error for the ratio. obs_driver may be a
-    RoughPath or an AdmissiblePair (whose lift is used)."""
+    RoughPath or an AdmissiblePair (whose lift is used). aux_sampler, by
+    default gaussian_poisson_sampler on the grid up to t, is called once as
+    aux_sampler(seed_base, particles) -> (dB, {segment: [(particle, mark)]});
+    per_seed_sampler adapts a sampler keyed by one seed per particle."""
     driver = obs_driver.rough if isinstance(obs_driver, AdmissiblePair) else obs_driver
     return _sweep(model, _RoughRoute(model, driver), f, t, jump_record,
                   particles, seed_base, aux_sampler, abort_log_weight)
@@ -735,27 +778,34 @@ def _scalar_sigma1(model: ModelSpec):
 def flow_map(s, w: float, x: np.ndarray, substeps: int = FLOW_SUBSTEPS):
     """Integrate the one-parameter flow dphi/dv = s(phi) from 0 to w (signed)
     together with its x-derivative; classical RK4, vectorized over starting
-    points (1-d x). Each stage evaluates s once, on phi and its two central
-    difference neighbours stacked. Returns (phi, dphi_dx)."""
+    points (1-d x). The state (phi, J) steps as one (2, n) array; each stage
+    evaluates s once, on phi and its two central difference neighbours
+    filled into one (3, n) buffer. Returns (phi, dphi_dx)."""
     x = np.asarray(x, dtype=float)
     n = max(substeps, int(np.ceil(substeps * abs(w))))
     hh = w / n
-    phi = x.copy()
-    J = np.ones_like(x)
+    state = np.stack([x, np.ones_like(x)])
+    stage = np.empty((3,) + x.shape)
 
-    def rate(p, j):
+    def rate(z):
+        p, j = z
         eps = 1e-6 * (1.0 + np.abs(p))
-        sv, splus, sminus = np.split(s(np.concatenate([p, p + eps, p - eps])), 3)
-        return sv, (splus - sminus) / (2.0 * eps) * j
+        stage[0] = p
+        np.add(p, eps, out=stage[1])
+        np.subtract(p, eps, out=stage[2])
+        sv = s(stage.reshape(-1)).reshape(stage.shape)
+        k = np.empty_like(z)
+        k[0] = sv[0]
+        k[1] = (sv[1] - sv[2]) / (2.0 * eps) * j
+        return k
 
     for _ in range(n):
-        k1p, k1j = rate(phi, J)
-        k2p, k2j = rate(phi + 0.5 * hh * k1p, J + 0.5 * hh * k1j)
-        k3p, k3j = rate(phi + 0.5 * hh * k2p, J + 0.5 * hh * k2j)
-        k4p, k4j = rate(phi + hh * k3p, J + hh * k3j)
-        phi = phi + (hh / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        J = J + (hh / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
-    return phi, J
+        k1 = rate(state)
+        k2 = rate(state + 0.5 * hh * k1)
+        k3 = rate(state + 0.5 * hh * k2)
+        k4 = rate(state + hh * k3)
+        state = state + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return state[0], state[1]
 
 
 def scalar_flow_filter_detail(model: ModelSpec, f: TestFunction,

@@ -39,6 +39,7 @@ from roughfilter.filtering import (
     FUNCTION_CATALOG,
     TestFunction,
     epsilon_stability_experiment,
+    per_seed_sampler,
     realized_observation,
     robustness_experiment,
     scalar_flow_filter_detail,
@@ -320,7 +321,7 @@ def test_bernoulli_sweep_matches_outcome_tree():
     w_values = np.array([0.0, 0.3, -0.2, 0.4])
     driver = _linear_driver(times, w_values)
     record = [(times[1], 1.0), (times[2], -1.0)]
-    sampler = _enum_sampler(times)
+    sampler = per_seed_sampler(_enum_sampler(times))
 
     res = theta(model, TestFunction.coordinate(0), driver, record,
                 1.0, 512, _ENUM_BASE, aux_sampler=sampler)

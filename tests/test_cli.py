@@ -15,7 +15,7 @@ from roughfilter.cli import (
     load_config_file,
     main,
 )
-from roughfilter.filtering import ParticleBlowupError
+from roughfilter.filtering import AUX_STREAM, ParticleBlowupError
 from roughfilter.lift import read_rough_path_json
 from roughfilter.rde import RdeBlowupError
 
@@ -108,6 +108,7 @@ def test_robustness_artifacts_and_trend_flag(tmp_path):
     assert manifest["norm"] == "rho_p" and manifest["status"] == "ok"
     assert manifest["config"]["meshes"] == [4, 8]
     assert "version" in manifest and manifest["wall_time_s"] > 0
+    assert manifest["aux_stream"] == AUX_STREAM
 
 
 def test_manifest_round_trip_bit_identical(tmp_path):
@@ -185,6 +186,7 @@ def test_exit_codes(tmp_path, capsys):
     assert os.listdir(out) == ["filter_manifest.json"]
     manifest = _read_json(os.path.join(out, "filter_manifest.json"))
     assert manifest["status"] == "aborted"
+    assert manifest["aux_stream"] == AUX_STREAM
     assert manifest["config"]["abort_log_weight"] == 1e-6
     error = manifest["error"]
     assert error["type"] == "WeightAbortError"

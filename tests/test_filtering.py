@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughfilter.filtering import (
     DegenerateWeightsError,
@@ -23,6 +25,7 @@ from roughfilter.filtering import (
     epsilon_stability_experiment,
     flow_map,
     gaussian_poisson_sampler,
+    per_seed_sampler,
     realized_observation,
     robust_consistency_check,
     robustness_experiment,
@@ -194,7 +197,7 @@ def test_exhaustive_outcome_tree_matches_sweep():
     w_values = np.array([0.0, 0.3, -0.2, 0.4])
     driver = _linear_driver(times, w_values)
     record = [(times[1], 1.0), (times[2], -1.0)]
-    sampler = _enum_sampler(times)
+    sampler = per_seed_sampler(_enum_sampler(times))
 
     res = theta(model, TestFunction.coordinate(0), driver, record,
                 1.0, 512, _ENUM_BASE, aux_sampler=sampler)
@@ -213,7 +216,7 @@ def test_exhaustive_tree_other_functional_and_path():
     w_values = np.array([0.0, -0.25, 0.1, 0.05])
     driver = _linear_driver(times, w_values)
     record = [(times[2], 1.0)]
-    sampler = _enum_sampler(times)
+    sampler = per_seed_sampler(_enum_sampler(times))
 
     est = theta(model, FUNCTION_CATALOG["square"], driver, record,
                 0.6, 512, _ENUM_BASE, aux_sampler=sampler).g_f
@@ -275,6 +278,14 @@ def test_filter_result_fields():
     assert res.g_1.value > 0 and res.theta_se > 0
     assert res.driver_meta["t"] == 1.0
     assert res.driver_meta["observed_atoms"] == len(obs["jump_record"])
+    # terminal weight health: the Kish ESS (sum w)^2 / sum w^2 agrees with the
+    # mean and standard error of g^1, and g^1 lies within the weight range
+    meta, m, se = res.driver_meta, res.g_1.value, res.g_1.stderr
+    assert meta["ess"] == pytest.approx(200 * m**2 / (199 * se**2 + m**2),
+                                        rel=1e-9)
+    assert 1.0 <= meta["ess"] <= 200
+    assert (np.exp(meta["min_log_weight"]) <= m
+            <= np.exp(meta["max_log_weight"]))
 
 
 # -- Kalman-Bucy cross-check ------------------------------------------------
@@ -393,6 +404,7 @@ def test_flow_route_compounds_repeated_atoms():
     f = FUNCTION_CATALOG["identity"]
     ends = []
     for count in (1, 2, 3):
+        @per_seed_sampler
         def sampler(seed, count=count):
             return np.zeros((n_seg, 1)), [(3, np.array([1.0]))] * count
         direct = direct_reference_filter(model, f, obs["Y"], None, 1.0, 1, 0,
@@ -564,53 +576,94 @@ def test_degenerate_weights_raise():
 # -- auxiliary noise sampler ------------------------------------------------
 
 
+def _atom_list(aux_atoms):
+    """{segment: [(particle, mark)]} as comparable (segment, particle, mark)
+    tuples in the sampler's order."""
+    return [(seg, i, tuple(np.asarray(m, dtype=float)))
+            for seg, pairs in aux_atoms.items() for i, m in pairs]
+
+
 def test_gaussian_poisson_sampler_shapes_and_determinism():
     model = get_model("scalar_jump_diffusion")
     times = np.linspace(0.0, 1.0, 9)
     sample = gaussian_poisson_sampler(model, times)
-    dB, atoms = sample(123)
-    assert dB.shape == (8, 1)
-    dB2, atoms2 = sample(123)
+    dB, atoms = sample(123, 400)
+    assert dB.shape == (400, 8, 1)
+    dB2, atoms2 = sample(123, 400)
     assert np.array_equal(dB, dB2)
-    assert len(atoms) == len(atoms2)
-    for (seg, mark), (seg2, mark2) in zip(atoms, atoms2):
-        assert seg == seg2 and np.array_equal(mark, mark2)
-        assert 0 <= seg < 8
-    # across many seeds the nu1 atoms appear at the configured rate
-    counts = [len(sample(s)[1]) for s in range(400)]
-    assert 0.3 < np.mean(counts) < 0.7  # rate1 * T = 0.5
+    assert _atom_list(atoms) == _atom_list(atoms2)
+    assert all(0 <= seg < 8 for seg in atoms)
+    assert all(0 <= i < 400 for pairs in atoms.values() for i, _ in pairs)
+    # across the block the nu1 atoms appear at the configured rate
+    n_atoms = sum(len(pairs) for pairs in atoms.values())
+    assert 0.3 < n_atoms / 400 < 0.7  # rate1 * T = 0.5
 
 
 def test_sampler_marks_follow_choice_stream():
-    """Three auxiliary marks at unequal rates: the sampler's atoms are the
-    draws Generator.choice(p=...) makes from the same seed."""
+    """Three auxiliary marks at unequal rates: a block draw is the scheme
+    gaussian_poisson_sampler documents, each atom's mark being the index
+    Generator.choice(p=...) returns for the atom's mark uniform, and the
+    marks come out at the rates' proportions."""
     nu1 = LevyMeasure((((1.0,), 0.4), ((-0.5,), 1.1), ((2.0,), 0.7)))
     model = replace(get_model("scalar_jump_diffusion"), nu1=nu1)
     times = np.linspace(0.0, 1.0, 17)
     sample = gaussian_poisson_sampler(model, times)
     probs = nu1.rates() / nu1.total_rate
-    n_atoms = 0
-    for seed in range(50):
-        rng = np.random.default_rng(seed)
-        dB = rng.standard_normal((16, 1)) * np.sqrt(np.diff(times))[:, None]
-        k = rng.poisson(nu1.total_rate)
-        at = np.sort(rng.uniform(0.0, 1.0, k))
-        pick = rng.choice(3, size=k, p=probs)
-        seg = np.clip(np.searchsorted(times, at, side="left") - 1, 0, 15)
-        got_dB, atoms = sample(seed)
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    N = 3000
+    for seed_base in (0, 1, 2**40 + 7):
+        noise, counts_ss, rows_ss = np.random.SeedSequence(seed_base).spawn(3)
+        dB = (np.random.default_rng(noise).standard_normal((N, 16, 1))
+              * np.sqrt(np.diff(times))[:, None])
+        counts = np.random.default_rng(counts_ss).poisson(nu1.total_rate, N)
+        rows = np.random.default_rng(rows_ss).random((counts.sum(), 2))
+        expected = {}
+        start = 0
+        for i, k in enumerate(counts):
+            own = rows[start:start + k]
+            start += k
+            for at, u in own[np.argsort(own[:, 0], kind="stable")]:
+                seg = min(max(int(np.searchsorted(times, at, side="left")) - 1, 0), 15)
+                pick = int(cdf.searchsorted(u, side="right"))
+                expected.setdefault(seg, []).append((i, nu1.marks()[pick]))
+        got_dB, atoms = sample(seed_base, N)
         assert np.array_equal(got_dB, dB)
-        assert [s for s, _ in atoms] == [int(s) for s in seg]
-        assert all(np.array_equal(m, nu1.marks()[c])
-                   for (_, m), c in zip(atoms, pick))
-        n_atoms += k
-    assert n_atoms > 50
+        assert _atom_list(atoms) == _atom_list(dict(sorted(expected.items())))
+    picks = [int(np.flatnonzero(nu1.marks()[:, 0] == m[0])[0])
+             for pairs in atoms.values() for _, m in pairs]
+    freq = np.bincount(picks, minlength=3) / len(picks)
+    se = np.sqrt(probs * (1.0 - probs) / len(picks))
+    assert len(picks) > 5000
+    assert np.all(np.abs(freq - probs) < 5.0 * se)
 
 
 def test_sampler_without_auxiliary_jumps():
     model = get_model("linear_gaussian")
     sample = gaussian_poisson_sampler(model, np.linspace(0.0, 1.0, 5))
-    dB, atoms = sample(7)
-    assert dB.shape == (4, 1) and atoms == []
+    dB, atoms = sample(7, 3)
+    assert dB.shape == (3, 4, 1) and atoms == {}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**63), n=st.integers(1, 2000))
+def test_block_sampler_prefix_independence_and_rate(seed, n):
+    """A draw of n particles is the first n of a draw of 2000 at the same
+    seed base; seed bases s and s + 1 share no Brownian row (a per-seed
+    stream would share all but one); atoms come at the nu1 rate."""
+    N = 2000
+    times = np.linspace(0.0, 1.0, 9)
+    sample = gaussian_poisson_sampler(get_model("scalar_jump_diffusion"), times)
+    dB, atoms = sample(seed, N)
+    dB_n, atoms_n = sample(seed, n)
+    assert np.array_equal(dB_n, dB[:n])
+    prefix = [a for a in _atom_list(atoms) if a[1] < n]
+    assert _atom_list(atoms_n) == prefix
+    dB_next, _ = sample(seed + 1, N)
+    assert not ({r.tobytes() for r in dB.reshape(N, -1)}
+                & {r.tobytes() for r in dB_next.reshape(N, -1)})
+    rate = sum(len(pairs) for pairs in atoms.values()) / N
+    assert abs(rate - 0.5) < 5.0 * np.sqrt(0.5 / N)  # rate1 * T = 0.5
 
 
 # -- realized observations --------------------------------------------------
