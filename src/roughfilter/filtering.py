@@ -191,6 +191,8 @@ def gaussian_poisson_sampler(model: ModelSpec, times: np.ndarray):
     if jumps:
         mean_count = model.nu1.total_rate * float(times[-1] - times[0])
         marks = model.nu1.marks()
+        # the cdf Generator.choice(p=...) builds: a mark uniform picks the
+        # mark choice would pick from it
         cdf = np.cumsum(model.nu1.rates() / model.nu1.total_rate)
         cdf /= cdf[-1]
 
