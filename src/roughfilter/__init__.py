@@ -47,12 +47,9 @@ from .lift import (
 )
 from .paths import (
     CadlagPath,
-    Partition,
     d_p,
     p_variation,
-    read_path_csv,
     skorokhod_sigma_p,
-    write_path_csv,
 )
 from .rde import (
     RdeBlowupError,

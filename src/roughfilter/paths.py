@@ -9,11 +9,10 @@ visited-value sequence (right values interleaved with left limits at jumps).
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 _INTERPS = ("linear", "constant")
 
@@ -94,65 +93,56 @@ class CadlagPath:
 
     # -- evaluation -------------------------------------------------------
 
-    def _segment_value(self, t: np.ndarray, left: bool) -> np.ndarray:
+    def _segment_values(self, t: np.ndarray):
+        """Right values x(t) and left limits x(t-) at each t, from one search."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         tt = self.times
-        idx = np.searchsorted(tt, t, side="right") - 1
-        idx = np.clip(idx, 0, len(tt) - 1)
-        out = self.values[idx].copy()
+        idx = np.maximum(np.searchsorted(tt, t, side="right") - 1, 0)
+        right = self.values[idx]
         on_sample = tt[idx] == t
-        if left:
-            out[on_sample] = self.pre_values[idx[on_sample]]
         if self.interp == "linear":
             interior = ~on_sample & (idx < len(tt) - 1)
             if np.any(interior):
                 i = idx[interior]
                 frac = (t[interior] - tt[i]) / (tt[i + 1] - tt[i])
-                out[interior] = self.values[i] + frac[:, None] * (
+                right[interior] = self.values[i] + frac[:, None] * (
                     self.pre_values[i + 1] - self.values[i]
                 )
-        return out
+        left = right.copy()
+        left[on_sample] = self.pre_values[idx[on_sample]]
+        return right, left
 
     def evaluate(self, t) -> np.ndarray:
         """Right-continuous value x(t); vectorized over t."""
-        out = self._segment_value(t, left=False)
+        out = self._segment_values(t)[0]
         return out[0] if np.isscalar(t) else out
 
     def evaluate_left(self, t) -> np.ndarray:
         """Left limit x(t-); equals x(t) off jump times, x(0-) := x(0)."""
-        out = self._segment_value(t, left=True)
+        out = self._segment_values(t)[1]
         return out[0] if np.isscalar(t) else out
 
     def with_interp(self, interp: str) -> "CadlagPath":
         return replace(self, interp=interp)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Strictly increasing index vector into a path's sample grid."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        if idx.ndim != 1 or len(idx) < 2:
-            raise ValueError("a partition needs at least two indices")
-        if idx[0] != 0 or not np.all(np.diff(idx) > 0):
-            raise ValueError("partition indices must start at 0 and strictly increase")
-        object.__setattr__(self, "indices", idx)
+def _visited_sequence(right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Rows right[0], left[1], right[1], left[2], ... with consecutive
+    duplicates dropped. A row equal to its predecessor also equals the last
+    kept row, so one comparison with the predecessor decides each row."""
+    seq = np.empty((2 * len(right) - 1, right.shape[1]))
+    seq[0::2] = right
+    seq[1::2] = left[1:]
+    keep = np.empty(len(seq), dtype=bool)
+    keep[0] = True
+    np.any(seq[1:] != seq[:-1], axis=1, out=keep[1:])
+    return seq[keep]
 
 
 def visited_points(x: CadlagPath) -> np.ndarray:
     """Ordered sequence of values the path visits: right values interleaved
     with left limits at jumps, consecutive duplicates dropped."""
-    rows = [x.values[0]]
-    for i in range(1, len(x.times)):
-        pre = x.pre_values[i]
-        if not np.array_equal(pre, rows[-1]):
-            rows.append(pre)
-        if not np.array_equal(x.values[i], rows[-1]):
-            rows.append(x.values[i])
-    return np.asarray(rows)
+    return _visited_sequence(x.values, x.pre_values)
 
 
 def _pvar_sum_dp(m: int, powdist) -> float:
@@ -160,8 +150,15 @@ def _pvar_sum_dp(m: int, powdist) -> float:
     free) of the sum of powdist terms; powdist(j) -> array over i<j."""
     best = np.zeros(m)
     for j in range(1, m):
-        best[j] = np.max(best[:j] + powdist(j))
+        best[j] = np.maximum.reduce(best[:j] + powdist(j))
     return float(best[-1])
+
+
+# Up to this many points the power-distance matrix is built in one broadcast
+# (an m x m x d temporary: 1.5 MB at m = 256, d = 3); above it each row is
+# built on its own, which measured faster from m = 384 on for d = 1..3.
+# Both give the same bits.
+PVAR_MATRIX_MAX = 256
 
 
 def p_variation_of_points(points: np.ndarray, p: float) -> float:
@@ -172,6 +169,10 @@ def p_variation_of_points(points: np.ndarray, p: float) -> float:
     m = len(pts)
     if m < 2:
         return 0.0
+    if m <= PVAR_MATRIX_MAX:
+        diff = pts[:, None, :] - pts[None, :, :]
+        powdists = np.sqrt(np.add.reduce(diff * diff, axis=-1)) ** p
+        return _pvar_sum_dp(m, lambda j: powdists[j, :j]) ** (1.0 / p)
 
     def powdist(j):
         return np.linalg.norm(pts[:j] - pts[j], axis=1) ** p
@@ -186,21 +187,16 @@ def p_variation(x: CadlagPath, p: float) -> float:
     return p_variation_of_points(visited_points(x), p)
 
 
-def variation_sum(x: CadlagPath, partition: Partition, p: float) -> float:
-    """(sum over one explicit partition of |increment|^p)^(1/p), right values."""
-    pts = x.values[partition.indices]
-    incs = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return float(np.sum(incs**p) ** (1.0 / p))
-
-
 def merge_difference(x: CadlagPath, y: CadlagPath) -> CadlagPath:
     """The path x - y sampled on the merged grid, with left limits at the
     union of jump times."""
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     times = np.union1d(x.times, y.times)
-    vals = x.evaluate(times) - y.evaluate(times)
-    pre = x.evaluate_left(times) - y.evaluate_left(times)
+    xr, xl = x._segment_values(times)
+    yr, yl = y._segment_values(times)
+    vals = xr - yr
+    pre = xl - yl
     pre[0] = vals[0]
     return CadlagPath(times, vals, pre, "linear")
 
@@ -216,54 +212,108 @@ def d_p(x: CadlagPath, y: CadlagPath, p: float) -> float:
 
 
 def _nearest_jump_lookup(path: CadlagPath, t: np.ndarray, tol: float):
-    """For each t, the index of a sample time within tol, or -1."""
-    idx = np.searchsorted(path.times, t)
+    """For each t, the index of a sample time within tol, or -1. Of the two
+    samples around t, the earlier one wins when both are within tol."""
+    tt = path.times
+    i = np.searchsorted(tt, t)
     out = np.full(len(t), -1, dtype=int)
-    for k, (i, tk) in enumerate(zip(idx, t)):
-        for j in (i - 1, i):
-            if 0 <= j < len(path.times) and abs(path.times[j] - tk) <= tol:
-                out[k] = j
-                break
+    hit = (i < len(tt)) & (np.abs(tt[np.minimum(i, len(tt) - 1)] - t) <= tol)
+    out[hit] = i[hit]
+    hit = (i > 0) & (np.abs(tt[np.maximum(i - 1, 0)] - t) <= tol)
+    out[hit] = i[hit] - 1
     return out
+
+
+def _pinned_values(path: CadlagPath, t: np.ndarray, tol: float):
+    """Right values and left limits of path at t, where a t within tol of a
+    sample time reads that sample's values."""
+    right, left = path._segment_values(t)
+    i = _nearest_jump_lookup(path, t, tol)
+    hit = i >= 0
+    right[hit] = path.values[i[hit]]
+    left[hit] = path.pre_values[i[hit]]
+    return right, left
 
 
 def _warped_objective(x: CadlagPath, y: CadlagPath, knots_t, knots_s, p: float) -> float:
     """max(|lambda - id|, d_p(x o lambda, y)) for the piecewise-linear warp
     lambda interpolating knots_t -> knots_s."""
     warp_size = float(np.max(np.abs(knots_s - knots_t)))
-    lam = lambda t: np.interp(t, knots_t, knots_s)
-    lam_inv = lambda u: np.interp(u, knots_s, knots_t)
-
     tol = 1e-12 * max(1.0, x.T)
-    cand = np.concatenate([lam_inv(x.times), y.times, knots_t])
-    cand = np.sort(cand)
+    cand = np.sort(np.concatenate([np.interp(x.times, knots_s, knots_t),
+                                   y.times, knots_t]))
     cand = cand[np.concatenate([[True], np.diff(cand) > tol])]
 
-    u = lam(cand)
-    xi = _nearest_jump_lookup(x, u, tol)
-    yi = _nearest_jump_lookup(y, cand, tol)
-
-    xr = x.evaluate(u)
-    xl = x.evaluate_left(u)
-    hit = xi >= 0
-    xr[hit] = x.values[xi[hit]]
-    xl[hit] = x.pre_values[xi[hit]]
-    yr = y.evaluate(cand)
-    yl = y.evaluate_left(cand)
-    hit = yi >= 0
-    yr[hit] = y.values[yi[hit]]
-    yl[hit] = y.pre_values[yi[hit]]
-
-    rows = [xr[0] - yr[0]]
-    for k in range(1, len(cand)):
-        dl = xl[k] - yl[k]
-        if not np.array_equal(dl, rows[-1]):
-            rows.append(dl)
-        dr = xr[k] - yr[k]
-        if not np.array_equal(dr, rows[-1]):
-            rows.append(dr)
-    dist = p_variation_of_points(np.asarray(rows), p)
+    u = np.interp(cand, knots_t, knots_s)
+    xr, xl = _pinned_values(x, u, tol)
+    yr, yl = _pinned_values(y, cand, tol)
+    dist = p_variation_of_points(_visited_sequence(xr - yr, xl - yl), p)
     return max(warp_size, dist)
+
+
+def _brent_bounded(f, lo: float, hi: float, xatol: float):
+    """(f_min, x_min) of f on [lo, hi] by Brent's bounded minimisation
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5), step for step as scipy's fminbound, at most 500 calls of f."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # parabola through xf, nfc, fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return fx, xf
 
 
 def _jump_alignment_anchors(x: CadlagPath, y: CadlagPath, T: float, tol: float):
@@ -305,6 +355,12 @@ def skorokhod_sigma_p(x: CadlagPath, y: CadlagPath, p: float, warp_grid: int = 8
     y's jump times so jumps can be aligned exactly, with x's jump times tried
     as exact knot values. Report warp_grid with the value; the true infimum
     may be smaller.
+
+    Cost: per warp level, up to two sweeps over the interior knots, each knot
+    one bounded Brent search (10-30 objective calls at mesh 8, at most 500)
+    plus one call per trial knot value; each call is one p-variation of the
+    visited points of x o lambda - y, by the one-broadcast distance matrix
+    while they number at most PVAR_MATRIX_MAX.
     """
     if warp_grid < 1:
         raise ValueError("warp_grid must be >= 1")
@@ -361,9 +417,7 @@ def skorokhod_sigma_p(x: CadlagPath, y: CadlagPath, p: float, warp_grid: int = 8
                     trial[k] = s
                     return _warped_objective(x, y, knots_t, trial, p)
 
-                res = minimize_scalar(obj, bounds=(lo, hi), method="bounded",
-                                      options={"xatol": 1e-6 * T})
-                trials = [(float(res.fun), float(res.x))]
+                trials = [_brent_bounded(obj, float(lo), float(hi), 1e-6 * T)]
                 for s in x_jump_values + [float(knots_t[k])]:
                     if lo < s < hi:
                         trials.append((obj(s), s))
@@ -376,42 +430,3 @@ def skorokhod_sigma_p(x: CadlagPath, y: CadlagPath, p: float, warp_grid: int = 8
                 break
         best = min(best, _warped_objective(x, y, knots_t, knots_s, p))
     return best
-
-
-# -- CSV interface --------------------------------------------------------
-
-
-def write_path_csv(x: CadlagPath, path: str) -> None:
-    """Write `t,v1..vd[,pre_v1..pre_vd]`; pre columns appear iff jumps exist."""
-    d = x.dim
-    with_pre = x.has_jumps()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        header = ["t"] + [f"v{i + 1}" for i in range(d)]
-        if with_pre:
-            header += [f"pre_v{i + 1}" for i in range(d)]
-        w.writerow(header)
-        for i, t in enumerate(x.times):
-            row = [repr(float(t))] + [repr(float(v)) for v in x.values[i]]
-            if with_pre:
-                row += [repr(float(v)) for v in x.pre_values[i]]
-            w.writerow(row)
-
-
-def read_path_csv(path: str, interp: str = "linear") -> CadlagPath:
-    with open(path, newline="", encoding="utf-8") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if not header or header[0] != "t":
-            raise ValueError("path CSV must start with a 't' column")
-        names = header[1:]
-        d = sum(1 for n in names if not n.startswith("pre_"))
-        with_pre = len(names) == 2 * d
-        if not with_pre and len(names) != d:
-            raise ValueError("malformed path CSV header")
-        rows = [[float(c) for c in row] for row in r if row]
-    data = np.asarray(rows)
-    times = data[:, 0]
-    values = data[:, 1 : 1 + d]
-    pre = data[:, 1 + d : 1 + 2 * d] if with_pre else None
-    return CadlagPath(times, values, pre, interp)

@@ -4,10 +4,13 @@ columns, determinism, manifest round-trips, and exit codes."""
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import roughfilter
 from roughfilter.cli import (
     RunConfig,
     _abort_diagnostics,
@@ -198,3 +201,14 @@ def test_exit_codes(tmp_path, capsys):
     assert _abort_diagnostics(ParticleBlowupError("m", 4, 7)) == {
         "particle_index": 4, "step_index": 7}
     assert _abort_diagnostics(RdeBlowupError("m", 3)) == {"step_index": 3}
+
+
+def test_runtime_imports_leave_scipy_out():
+    """scipy is a test dependency only: importing the package and the CLI
+    must not load it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(roughfilter.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import roughfilter, roughfilter.cli; print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,67 @@
+"""Golden values of the Skorokhod-type metrics, pinned at fixed seeds.
+
+The warp search of `skorokhod_sigma_p` and `alpha_p` is a deterministic
+sequence of objective calls, so a change that only speeds up the objective
+or the line search must reproduce these values bit for bit (repr equality).
+They were recorded before the warp objective was vectorised and the bounded
+Brent search moved in-house from scipy's `fminbound`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from roughfilter.fillin import AdmissiblePair, alpha_p
+from roughfilter.lift import marcus_lift, stratonovich_lift
+from roughfilter.paths import CadlagPath, skorokhod_sigma_p
+
+
+def jumpy_pair(seed, d, interps):
+    """x on 7 samples and y on 6, two interior jumps each, on [0, 1]."""
+    rng = np.random.default_rng(seed)
+
+    def make(n, interp):
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, n - 2)), [1.0]])
+        values = rng.standard_normal((n, d))
+        pre = values.copy()
+        at = rng.choice(np.arange(1, n - 1), size=2, replace=False)
+        pre[at] += rng.standard_normal((2, d))
+        return CadlagPath(times, values, pre, interp)
+
+    return make(7, interps[0]), make(6, interps[1])
+
+
+# (seed, d, (x interp, y interp), p) -> sigma_p at warp_grid 8. Each pair
+# aligns two jumps through the anchor seed and tries x's jump times as knot
+# values in its Brent sweeps.
+SIGMA_PINS = {
+    (601, 1, ("linear", "constant"), 2.0): 3.4353926103280776,
+    (602, 2, ("constant", "linear"), 2.5): 5.446819474638023,
+    (603, 3, ("linear", "linear"), 1.5): 13.829969619500556,
+}
+
+# alpha_p between the Stratonovich lift of the linear interpolant and the
+# Marcus lift of the rectangular interpolant of one Brownian path (2^11 steps,
+# seed 20261018) at mesh 8, p = 2.5, deltas (1, 0.5)
+ALPHA_PIN = ((1.0, 0.574052996527554), (0.5, 0.609376944278572))
+
+
+@pytest.mark.parametrize("case", list(SIGMA_PINS), ids=lambda c: f"d{c[1]}")
+def test_golden_sigma_p_jumpy_pairs(case):
+    seed, d, interps, p = case
+    x, y = jumpy_pair(seed, d, interps)
+    assert repr(skorokhod_sigma_p(x, y, p, 8)) == repr(SIGMA_PINS[case])
+
+
+def test_golden_alpha_p_mesh8():
+    rng = np.random.default_rng(20261018)
+    n = 2 ** 11
+    w = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n) / math.sqrt(n))])
+    sub = np.linspace(0.0, 1.0, 9)
+    v = np.interp(sub, np.linspace(0.0, 1.0, n + 1), w)
+    pre = np.concatenate([v[:1], v[:-1]])
+    L = stratonovich_lift(CadlagPath(sub, v[:, None], None, "linear"))
+    R = marcus_lift(CadlagPath(sub, v[:, None], pre[:, None], "constant"))
+    sweep = alpha_p(AdmissiblePair(L), AdmissiblePair(R), 2.5, delta_seq=(1.0, 0.5))
+    assert repr(sweep.per_delta) == repr(ALPHA_PIN)

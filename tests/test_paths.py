@@ -2,19 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughfilter.paths import (
+    PVAR_MATRIX_MAX,
     CadlagPath,
-    Partition,
+    _nearest_jump_lookup,
     d_p,
     merge_difference,
     p_variation,
     p_variation_of_points,
-    read_path_csv,
     skorokhod_sigma_p,
-    variation_sum,
     visited_points,
-    write_path_csv,
 )
 
 
@@ -125,16 +125,6 @@ def test_p_variation_reparameterization_invariant():
     assert p_variation(a, 2.2) == pytest.approx(p_variation(b, 2.2), abs=1e-14)
 
 
-def test_partition_and_variation_sum():
-    x = CadlagPath([0.0, 0.5, 1.0], [[0.0], [1.0], [0.0]])
-    part = Partition([0, 2])
-    assert variation_sum(x, part, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        Partition([1, 2])
-    with pytest.raises(ValueError):
-        Partition([0, 0, 2])
-
-
 def test_d_p_degeneracies_and_symmetry():
     rng = np.random.default_rng(13)
     x = random_path(rng, 7, 2, with_jumps=True)
@@ -203,19 +193,70 @@ def test_sigma_p_validation():
         skorokhod_sigma_p(x, y, 2.0, 2)
 
 
-def test_csv_round_trip_exact(tmp_path):
-    rng = np.random.default_rng(18)
-    x = random_path(rng, 9, 3, with_jumps=True)
-    f = tmp_path / "path.csv"
-    write_path_csv(x, str(f))
-    back = read_path_csv(str(f))
-    assert np.array_equal(back.times, x.times)
-    assert np.array_equal(back.values, x.values)
-    assert np.array_equal(back.pre_values, x.pre_values)
+def loop_nearest_jump_lookup(times, t, tol):
+    """Per-point reference: of the samples around t, the earlier within tol."""
+    idx = np.searchsorted(times, t)
+    out = np.full(len(t), -1, dtype=int)
+    for k, (i, tk) in enumerate(zip(idx, t)):
+        for j in (i - 1, i):
+            if 0 <= j < len(times) and abs(times[j] - tk) <= tol:
+                out[k] = j
+                break
+    return out
 
-    cont = random_path(rng, 5, 1)
-    write_path_csv(cont, str(f))
-    header = f.read_text().splitlines()[0]
-    assert header == "t,v1"
-    back = read_path_csv(str(f))
-    assert not back.has_jumps()
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       max_gap=st.sampled_from([2, 8, 4096]))
+def test_nearest_jump_lookup_matches_loop(seed, n, max_gap):
+    # dyadic times and tol, so that t = sample +- tol is exact; gaps of
+    # tol/4 .. 2 tol put some t within tol of both samples around it
+    rng = np.random.default_rng(seed)
+    tol = 2.0 ** -10
+    steps = rng.integers(1, max_gap + 1, n - 1) * 2.0 ** -12
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    T = times[-1]
+    t = np.concatenate([times, times + tol, times - tol, times + 0.5 * tol,
+                        rng.uniform(-1.0, T + 1.0, 8), [-tol, T + tol, -1.0, T + 1.0]])
+    rng.shuffle(t)
+    x = CadlagPath(times, np.zeros(n))
+    np.testing.assert_array_equal(_nearest_jump_lookup(x, t, tol),
+                                  loop_nearest_jump_lookup(times, t, tol))
+
+
+def loop_p_variation_of_points(pts, p):
+    """Row-by-row reference of the max-plus recursion."""
+    m = len(pts)
+    best = np.zeros(m)
+    for j in range(1, m):
+        best[j] = np.max(best[:j] + np.linalg.norm(pts[:j] - pts[j], axis=1) ** p)
+    return float(best[-1]) ** (1.0 / p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+       m=st.one_of(st.integers(2, 40),
+                   st.integers(PVAR_MATRIX_MAX - 2, PVAR_MATRIX_MAX + 2)),
+       p=st.one_of(st.just(2.0), st.floats(1.0, 3.0)), coarse=st.booleans())
+def test_p_variation_of_points_matches_row_loop(seed, d, m, p, coarse):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, d))
+    if coarse:  # repeated points and equal distances
+        pts = np.round(pts)
+    assert repr(p_variation_of_points(pts, p)) == repr(loop_p_variation_of_points(pts, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 3))
+def test_visited_points_matches_loop(seed, n, d):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-1, 2, (n, d)).astype(float)
+    pre = np.where(rng.random((n, 1)) < 0.5, values, rng.integers(-1, 2, (n, d)))
+    pre[0] = values[0]
+    x = CadlagPath(np.arange(float(n)), values, pre)
+    rows = [x.values[0]]
+    for i in range(1, n):
+        for row in (x.pre_values[i], x.values[i]):
+            if not np.array_equal(row, rows[-1]):
+                rows.append(row)
+    np.testing.assert_array_equal(visited_points(x), np.asarray(rows))
