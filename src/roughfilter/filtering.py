@@ -26,10 +26,17 @@ driver grid:
 with h = sigma2^{-1}(b2 + int f2 (1 - lambda) dnu2). dt integrands use the
 left endpoint; d eta terms use one Davie step per grid segment, whose
 second-order term differences the joint field along one direction per
-driver component (one stacked field call), and Marcus time-1 flows across
-driver jumps. When the driver has d_Y + 1 components the extra column
-carries the observed jump path and the loadings f3, f2 must be linear in
-the mark.
+driver component (one stacked call), and Marcus time-1 flows across driver
+jumps. When the driver has d_Y + 1 components the extra column carries the
+observed jump path and the loadings f3, f2 must be linear in the mark.
+
+A model declares which coefficients are constant by how it builds them
+(sim._const for sigma0, sigma1, sigma2; sim._linear_mark for jump loadings
+linear in the mark, as every catalog model does). Declared coefficients
+skip work: with sigma1, sigma2 (and f3, f2 at the jump column) constant
+only the h row of the joint field is differenced, h_function uses the
+sigma2 matrix itself, and the flow route takes the closed-form flow
+x + sigma1 w. Plain callables are evaluated and differenced in full.
 
 A sweep draws the auxiliary noise of all its particles in one call,
 aux_sampler(seed_base, N); the default draws one block from
@@ -59,6 +66,7 @@ from .sim import (
     LevyMeasure,
     ModelSpec,
     _accepted_nu2,
+    _declared_matrix,
     _physical_drifts,
     h_function,
     make_noise_bundle,
@@ -251,12 +259,21 @@ _UNIT_MARK = np.array([1.0])
 def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
     """The (X, Y, I) loading matrix against the driver: rows (sigma1,
     sigma2, h), plus a jump-path column (f3, f2, 0) at unit mark when the
-    driver has one extra component."""
+    driver has one extra component. When sigma1, sigma2 (and, at that
+    column, f3 and f2) are declared constant, only the h row depends on the
+    state, and the field's directional action differences that row alone."""
     dx, dy = model.dim_x, model.dim_y
     extra = driver_dim - dy
     if extra not in (0, 1):
         raise ValueError(
             f"driver dimension {driver_dim} must be d_Y={dy} or d_Y+1")
+
+    def h_row(t, z):
+        z = np.asarray(z, dtype=float)
+        h = h_function(model, t, z[..., :dx], z[..., dx:dx + dy])
+        if extra:
+            h = np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)
+        return h[..., None, :]
 
     def evaluator(t, z):
         z = np.asarray(z, dtype=float)
@@ -264,19 +281,20 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
         y = z[..., dx:dx + dy]
         s1 = np.asarray(model.sigma1(t, x, y), dtype=float)
         s2 = np.asarray(model.sigma2(t, y), dtype=float)
-        h = h_function(model, t, x, y)
         rows = np.concatenate(
-            [s1, np.broadcast_to(s2, x.shape[:-1] + (dy, dy)), h[..., None, :]],
-            axis=-2)
-        if not extra:
-            return rows
-        cx = np.asarray(model.f3(t, x, y, _UNIT_MARK), dtype=float)
-        cy = np.broadcast_to(np.asarray(model.f2(t, y, _UNIT_MARK), dtype=float),
-                             x.shape[:-1] + (dy,))
-        ci = np.zeros(x.shape[:-1] + (1,))
-        col = np.concatenate([cx, cy, ci], axis=-1)[..., None]
-        return np.concatenate([rows, col], axis=-1)
+            [s1, np.broadcast_to(s2, x.shape[:-1] + (dy, dy))], axis=-2)
+        if extra:
+            cx = np.asarray(model.f3(t, x, y, _UNIT_MARK), dtype=float)
+            cy = np.broadcast_to(
+                np.asarray(model.f2(t, y, _UNIT_MARK), dtype=float),
+                x.shape[:-1] + (dy,))
+            col = np.concatenate([cx, cy], axis=-1)[..., None]
+            rows = np.concatenate([rows, col], axis=-1)
+        return np.concatenate([rows, h_row(t, z)], axis=-2)
 
+    loadings = [model.sigma1, model.sigma2] + ([model.f3, model.f2] if extra else [])
+    if all(_declared_matrix(c) is not None for c in loadings):
+        return VectorField(evaluator, varying=(slice(dx + dy, None), h_row))
     return VectorField(evaluator)
 
 
@@ -748,26 +766,31 @@ def robust_consistency_check(model: ModelSpec, f: TestFunction, t: float,
 
 
 def _scalar_sigma1(model: ModelSpec):
-    """The scalar common-noise loading as a function of x alone; rejects
-    time- or observation-dependent loadings and non-scalar models."""
+    """The scalar common-noise loading: its value when sigma1 is declared
+    constant, else a function of x alone. Rejects time- or
+    observation-dependent loadings, common jumps that feed the signal and
+    non-scalar models."""
     if model.dim_x != 1 or model.dim_y != 1:
         raise ValueError(
             "flow decomposition needs commuting driver fields; only scalar "
             "models (d_X = d_Y = 1) are supported")
     probe_x = np.array([[0.3], [-1.1], [2.0]])
     y_a = np.zeros((3, 1))
-    y_b = np.full((3, 1), 0.7)
-    va = np.asarray(model.sigma1(0.0, probe_x, y_a), dtype=float)
-    vb = np.asarray(model.sigma1(0.3, probe_x, y_b), dtype=float)
-    if not np.allclose(va, vb, rtol=0.0, atol=1e-12):
-        raise ValueError(
-            "sigma1 depends on t or y; the scalar flow route needs an "
-            "autonomous loading sigma1(x)")
     pf3 = np.asarray(model.f3(0.0, probe_x, y_a, _UNIT_MARK), dtype=float)
     if np.any(pf3 != 0.0):
         raise ValueError(
             "common jumps feed the signal (f3 != 0); the scalar flow route "
             "only transforms the Brownian common noise")
+    const = _declared_matrix(model.sigma1)
+    if const is not None:
+        return float(const[0, 0])
+    va = np.asarray(model.sigma1(0.0, probe_x, y_a), dtype=float)
+    vb = np.asarray(model.sigma1(0.3, probe_x, np.full((3, 1), 0.7)),
+                    dtype=float)
+    if not np.allclose(va, vb, rtol=0.0, atol=1e-12):
+        raise ValueError(
+            "sigma1 depends on t or y; the scalar flow route needs an "
+            "autonomous loading sigma1(x)")
 
     def s(xflat):
         xcol = np.asarray(xflat, dtype=float)[:, None]
@@ -778,12 +801,17 @@ def _scalar_sigma1(model: ModelSpec):
 
 
 def flow_map(s, w: float, x: np.ndarray, substeps: int = FLOW_SUBSTEPS):
-    """Integrate the one-parameter flow dphi/dv = s(phi) from 0 to w (signed)
-    together with its x-derivative; classical RK4, vectorized over starting
-    points (1-d x). The state (phi, J) steps as one (2, n) array; each stage
+    """The one-parameter flow dphi/dv = s(phi) from 0 to w (signed) and its
+    x-derivative at starting points x (1-d). Returns (phi, dphi_dx).
+
+    A constant loading s (a number) has the closed form phi = x + s w,
+    dphi_dx = 1. A callable s is integrated by classical RK4, vectorized
+    over x: the state (phi, J) steps as one (2, n) array, and each stage
     evaluates s once, on phi and its two central difference neighbours
-    filled into one (3, n) buffer. Returns (phi, dphi_dx)."""
+    filled into one (3, n) buffer."""
     x = np.asarray(x, dtype=float)
+    if not callable(s):
+        return x + s * w, np.ones_like(x)
     n = max(substeps, int(np.ceil(substeps * abs(w))))
     hh = w / n
     state = np.stack([x, np.ones_like(x)])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paths import CadlagPath, _pvar_sum_dp
+from .paths import CadlagPath, _pvar_sum_dp, p_variation_of_points
 from .tensor_group import (
     NORM_CONVENTION,
     GroupElement,
@@ -258,13 +258,7 @@ def rho_p(X: RoughPath, Y: RoughPath, p: float) -> float:
     if m < 2:
         return 0.0
 
-    diff1 = A1 - B1
-
-    def powdist1(j):
-        return np.linalg.norm(diff1[:j] - diff1[j], axis=1) ** p
-
-    lvl1 = _pvar_sum_dp(m, powdist1) ** (1.0 / p)
-
+    lvl1 = p_variation_of_points(A1 - B1, p)
     q = p / 2.0
 
     A, B = GroupElement(A1, A2), GroupElement(B1, B2)

@@ -36,12 +36,16 @@ class VectorField:
     batched matrices); the Jacobian is (e, d, e) with J[a, i, b] =
     dV[a, i]/dy[b]. `jac(t, y, along)` returns the Jacobian's action on
     directions instead; without a supplied Jacobian that action is a central
-    directional difference per driver component.
+    directional difference per driver component. When only some rows of V
+    depend on y, `varying` = (rows, evaluator of V[..., rows, :]) lets the
+    action difference those rows alone: the others are constant, and their
+    central differences would be exactly 0.
     """
 
     evaluator: callable
     jacobian: callable = field(default=None)  # type: ignore[assignment]
     lipschitz_gamma: float = field(default=None)  # type: ignore[assignment]
+    varying: tuple = field(default=None)  # type: ignore[assignment]
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(t, y), dtype=float)
@@ -52,12 +56,14 @@ class VectorField:
 
         Without a supplied Jacobian, J is finite-differenced column by
         column (2e field calls); the action takes the d central differences
-        of V_i along along[..., i, :] in one stacked field call."""
+        of V_i along along[..., i, :] in one stacked field call, of the
+        `varying` rows only when they are given (the other rows get 0)."""
         y = np.asarray(y, dtype=float)
         if along is not None:
             along = np.asarray(along, dtype=float)
             if self.jacobian is not None:
                 return np.einsum("...aib,...ib->...a", self.jac(t, y), along)
+            rows, field_rows = self.varying or (None, self)
             d = along.shape[-2]
             norm = np.max(np.abs(along), axis=-1)  # (..., d)
             # a direction below the smallest normal float counts as zero:
@@ -67,11 +73,18 @@ class VectorField:
                  / np.where(live, norm, 1.0))
             step = h[..., None] * np.where(live[..., None], along, 0.0)
             y0 = y[..., None, :]
-            vals = self(t, np.concatenate([y0 + step, y0 - step], axis=-2))
+            vals = np.asarray(
+                field_rows(t, np.concatenate([y0 + step, y0 - step], axis=-2)),
+                dtype=float)
             # V_i at y +/- h_i u_i: column i of stacked evaluation i
             plus = np.diagonal(vals[..., :d, :, :], axis1=-3, axis2=-1)
             minus = np.diagonal(vals[..., d:, :, :], axis1=-3, axis2=-1)
-            return np.sum((plus - minus) / (2.0 * h[..., None, :]), axis=-1)
+            action = np.sum((plus - minus) / (2.0 * h[..., None, :]), axis=-1)
+            if rows is None:
+                return action
+            out = np.zeros(action.shape[:-1] + y.shape[-1:])
+            out[..., rows] = action
+            return out
         if self.jacobian is not None:
             return np.asarray(self.jacobian(t, y), dtype=float)
         e = y.shape[-1]
@@ -286,13 +299,3 @@ def stability_probe(V: VectorField, X: AdmissiblePair, Y: AdmissiblePair, y0,
     ratio = sol / drv if drv > 1e-15 else float("nan")
     return StabilityReport(float(sol), float(drv), float(ratio))
 
-
-def write_solution_csv(sol: RdeSolution, path: str) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        e = sol.states.shape[1]
-        w.writerow(["t"] + [f"y{i + 1}" for i in range(e)])
-        for t, row in zip(sol.times, sol.states):
-            w.writerow([repr(float(t))] + [repr(float(v)) for v in row])

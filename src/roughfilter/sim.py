@@ -154,7 +154,9 @@ class ModelSpec:
 def h_function(model: ModelSpec, t: float, x, y):
     """h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2); broadcasts over
     leading axes of x, y. The nu2 integral is exact for atom lists and zero
-    in the infinite-activity regime (lambda = 1 there)."""
+    in the infinite-activity regime (lambda = 1 there). A sigma2 declared
+    constant (built by _const) is used as its matrix: one division when it
+    is 1 x 1, else one solve with every right-hand side as a column."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rhs = np.asarray(model.b2(t, x, y), dtype=float)
@@ -165,21 +167,17 @@ def h_function(model: ModelSpec, t: float, x, y):
             return f2 * (1.0 - lam)[..., None]
 
         rhs = rhs + model.nu2.integrate(term)
-    s2 = np.asarray(model.sigma2(t, y), dtype=float)
+    s2 = _declared_matrix(model.sigma2)
+    if s2 is None:
+        s2 = np.asarray(model.sigma2(t, y), dtype=float)
     if s2.shape[-2:] == (1, 1):
-        diag = s2[..., 0, 0]
-        if np.any(diag == 0.0):
+        if np.any(s2 == 0.0):
             raise ValueError(f"sigma2 singular at t={t}")
-        return rhs / np.broadcast_to(diag[..., None], rhs.shape)
-    lead = s2.ndim - 2
+        return rhs / s2[..., 0]
     try:
-        if any(s2.strides[:lead]):
+        if s2.ndim > 2:
             return np.linalg.solve(s2, rhs[..., None])[..., 0]
-        # one sigma2 behind every leading index (a broadcast view): factor
-        # it once, with all the right-hand sides as columns
-        rhs = np.broadcast_to(
-            rhs, np.broadcast_shapes(s2.shape[:-2], rhs.shape[:-1]) + rhs.shape[-1:])
-        sol = np.linalg.solve(s2[(0,) * lead], rhs.reshape(-1, rhs.shape[-1]).T)
+        sol = np.linalg.solve(s2, rhs.reshape(-1, rhs.shape[-1]).T)
         return sol.T.reshape(rhs.shape)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"sigma2 singular at t={t}") from exc
@@ -401,10 +399,8 @@ def _physical_drifts(model: ModelSpec, t, x, y):
             lambda u: np.asarray(model.f3(t, x, y, u)) * lam(u)[..., None])
         by = by - model.nu2.integrate(
             lambda u: np.asarray(model.f2(t, y, u)) * lam(u)[..., None])
-    elif isinstance(model.nu2, StableTail):
-        eps_mean = 0.0  # symmetric tail; jump coefficients linear in the mark
-        bx = bx - eps_mean * np.asarray(model.f3(t, x, y, np.array([1.0])))
-        by = by - eps_mean * np.asarray(model.f2(t, y, np.array([1.0])))
+    # a StableTail nu2 needs no compensator: the tail is symmetric and the
+    # jump loadings are linear in the mark, so int f lambda dnu2 = 0
     return bx, by
 
 
@@ -627,13 +623,39 @@ def reconstruct_wtilde(model: ModelSpec, Y: CadlagPath) -> CadlagPath:
 
 
 def _const(mat):
+    """A coefficient constant in (t, state): (t, state...) -> mat broadcast
+    over the leading axes of the first state argument. The callable carries
+    `mat` as its `matrix`, which is how the filter knows the coefficient is
+    constant (see _declared_matrix)."""
     mat = np.asarray(mat, dtype=float)
 
     def f(t, *state):
         lead = np.asarray(state[0], dtype=float).shape[:-1]
         return np.broadcast_to(mat, lead + mat.shape)
 
+    f.matrix = mat
     return f
+
+
+def _linear_mark(mat):
+    """A jump loading linear in the mark and constant in (t, state):
+    (t, state..., u) -> mat @ u broadcast over the leading axes of the first
+    state argument. It carries `mat` as its `matrix`, like _const."""
+    mat = np.asarray(mat, dtype=float)
+
+    def f(t, *args):
+        lead = np.asarray(args[0], dtype=float).shape[:-1]
+        jump = mat @ np.atleast_1d(np.asarray(args[-1], dtype=float))
+        return np.broadcast_to(jump, lead + jump.shape)
+
+    f.matrix = mat
+    return f
+
+
+def _declared_matrix(coefficient):
+    """The matrix of a coefficient built by _const or _linear_mark, else
+    None (a plain callable, which is evaluated wherever it is needed)."""
+    return getattr(coefficient, "matrix", None)
 
 
 def linear_gaussian(a=-0.5, s0=0.4, s1=0.3, c=1.0, gamma=0.5,
@@ -646,9 +668,8 @@ def linear_gaussian(a=-0.5, s0=0.4, s1=0.3, c=1.0, gamma=0.5,
         b1=lambda t, x, y: a * x,
         b2=lambda t, x, y: c * x,
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),
-        f1=lambda t, x, y, u: np.zeros_like(x),
-        f2=lambda t, y, u: np.zeros_like(y),
-        f3=lambda t, x, y, u: np.zeros_like(x),
+        f1=_linear_mark([[0.0]]), f2=_linear_mark([[0.0]]),
+        f3=_linear_mark([[0.0]]),
         lambda_fn=lambda t, x, u: np.ones(np.asarray(x).shape[:-1]),
         nu1=None, nu2=None, x0=(x0,), y0=(y0,),
         meta={"a": a, "s0": s0, "s1": s1, "c": c, "gamma": gamma,
@@ -674,9 +695,8 @@ def scalar_jump_diffusion(a=-0.4, s0=0.35, s1=0.25, c=0.8, gamma=0.5,
         b1=lambda t, x, y: a * x,
         b2=lambda t, x, y: c * x,
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),
-        f1=lambda t, x, y, u: jump1 * float(np.atleast_1d(u)[0]) * np.ones_like(x),
-        f2=lambda t, y, u: jump2 * float(np.atleast_1d(u)[0]) * np.ones_like(y),
-        f3=lambda t, x, y, u: jump3 * float(np.atleast_1d(u)[0]) * np.ones_like(x),
+        f1=_linear_mark([[jump1]]), f2=_linear_mark([[jump2]]),
+        f3=_linear_mark([[jump3]]),
         lambda_fn=lam,
         nu1=LevyMeasure((((1.0,), rate1),)),
         nu2=LevyMeasure((((1.0,), 0.5 * rate2), ((-1.0,), 0.5 * rate2))),
@@ -703,13 +723,8 @@ def correlated_jump_multidim(x0=(0.8, -0.2), y0=(0.0, 0.0)) -> ModelSpec:
         b1=lambda t, x, y: np.einsum("ij,...j->...i", A, np.asarray(x, dtype=float)),
         b2=lambda t, x, y: np.einsum("ij,...j->...i", C, np.asarray(x, dtype=float)),
         sigma0=_const(S0), sigma1=_const(S1), sigma2=_const(S2),
-        f1=lambda t, x, y, u: np.zeros_like(np.asarray(x, dtype=float)),
-        f2=lambda t, y, u: np.broadcast_to(
-            0.5 * np.asarray(u, dtype=float),
-            np.asarray(y, dtype=float).shape),
-        f3=lambda t, x, y, u: np.broadcast_to(
-            0.3 * np.asarray(u, dtype=float)[::-1],
-            np.asarray(x, dtype=float).shape),
+        f1=_linear_mark(np.zeros((2, 2))), f2=_linear_mark(0.5 * np.eye(2)),
+        f3=_linear_mark([[0.0, 0.3], [0.3, 0.0]]),
         lambda_fn=lambda t, x, u: np.ones(np.asarray(x).shape[:-1]),
         nu1=None,
         nu2=LevyMeasure(tuple((m, r) for m, r in J2.items())),
@@ -729,11 +744,8 @@ def stable_shot_noise(alpha=1.0, c=0.3, a=-0.5, s0=0.35, s1=0.2, cobs=0.8,
         b1=lambda t, x, y: a * x,
         b2=lambda t, x, y: cobs * x,
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),
-        f1=lambda t, x, y, u: np.zeros_like(np.asarray(x, dtype=float)),
-        f2=lambda t, y, u: rho2 * float(np.atleast_1d(u)[0]) * np.ones_like(
-            np.asarray(y, dtype=float)),
-        f3=lambda t, x, y, u: rho3 * float(np.atleast_1d(u)[0]) * np.ones_like(
-            np.asarray(x, dtype=float)),
+        f1=_linear_mark([[0.0]]), f2=_linear_mark([[rho2]]),
+        f3=_linear_mark([[rho3]]),
         lambda_fn=lambda t, x, u: np.ones(np.asarray(x).shape[:-1]),
         nu1=None, nu2=StableTail(alpha, c), x0=(x0,), y0=(y0,),
         meta={"a": a, "cobs": cobs, "gamma": gamma, "rho2": rho2, "rho3": rho3,

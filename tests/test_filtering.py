@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughfilter import sim
 from roughfilter.filtering import (
     DegenerateWeightsError,
     FUNCTION_CATALOG,
@@ -21,6 +22,8 @@ from roughfilter.filtering import (
     McEstimate,
     TestFunction,
     WeightAbortError,
+    _joint_field,
+    _scalar_sigma1,
     direct_reference_filter,
     epsilon_stability_experiment,
     flow_map,
@@ -35,7 +38,8 @@ from roughfilter.filtering import (
 )
 from roughfilter.lift import marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
-from roughfilter.sim import LevyMeasure, get_model
+from roughfilter.rde import VectorField
+from roughfilter.sim import MODEL_BUILDERS, LevyMeasure, get_model
 
 
 # -- test functions ---------------------------------------------------------
@@ -438,6 +442,103 @@ def test_flow_filter_rejects_unsupported_models():
     with pytest.raises(ValueError, match="sigma1 depends"):
         scalar_flow_filter_detail(timedep, FUNCTION_CATALOG["one"], obs2["Y"],
                                   10, 0)
+
+
+def test_flow_map_constant_loading_closed_form():
+    x = np.linspace(-2.0, 2.0, 9)
+    for s_val, w in ((0.3, 0.7), (0.3, -1.3), (-0.25, 2.4), (0.3, 0.0)):
+        phi, J = flow_map(s_val, w, x)
+        assert np.array_equal(phi, x + s_val * w)
+        assert np.array_equal(J, np.ones_like(x))
+        rk_phi, rk_J = flow_map(lambda v, c=s_val: c + 0.0 * v, w, x)
+        assert np.allclose(rk_phi, phi, rtol=0.0, atol=1e-13)
+        assert np.allclose(rk_J, J, rtol=0.0, atol=1e-13)
+
+
+# -- declared coefficients ---------------------------------------------------
+
+
+def test_catalog_declares_constant_coefficients():
+    """Every catalog model builds its loadings with sim._const and its jump
+    loadings with sim._linear_mark, so the sweep takes the structured path:
+    a catalog edit cannot drop it silently."""
+    for name, build in MODEL_BUILDERS.items():
+        model = build()
+        for coef in ("sigma0", "sigma1", "sigma2", "f1", "f2", "f3"):
+            assert sim._declared_matrix(getattr(model, coef)) is not None, (
+                name, coef)
+        assert _joint_field(model, model.dim_y).varying is not None, name
+    stable = get_model("stable_shot_noise")
+    assert _joint_field(stable, stable.dim_y + 1).varying is not None
+    mark = np.array([-0.4])
+    assert np.array_equal(stable.f2(0.0, np.zeros((3, 1)), mark),
+                          np.full((3, 1), 0.25 * -0.4))
+
+
+_FIELD_CASES = [(name, MODEL_BUILDERS[name]().dim_y) for name in MODEL_BUILDERS]
+_FIELD_CASES.append(("stable_shot_noise", 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(_FIELD_CASES), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 5), t=st.floats(0.0, 1.0),
+       special=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2),
+                                  st.sampled_from([0.0, 5e-324])),
+                        max_size=4))
+def test_structured_action_matches_generic_bitwise(case, seed, n, t, special):
+    """The h-row-only directional action of a declared model equals the
+    central-difference action over the whole joint field bit for bit,
+    zero and subnormal direction rows included."""
+    name, driver_dim = case
+    model = MODEL_BUILDERS[name]()
+    V = _joint_field(model, driver_dim)
+    e = model.dim_x + model.dim_y + 1
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-2.0, 2.0, (n, e))
+    U = rng.uniform(-2.0, 2.0, (n, driver_dim, e))
+    for p, i, v in special:
+        U[p % n, i % driver_dim] = v
+    got = V.jac(t, z, U)
+    expect = VectorField(V.evaluator).jac(t, z, U)
+    assert got.shape == (n, e)
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+def _plain(coefficient):
+    """The same coefficient as a plain callable, which declares nothing."""
+    return lambda *args: np.array(coefficient(*args))
+
+
+def test_plain_callable_loadings_take_the_generic_path():
+    """Swapping the declared loadings for plain callables of the same values
+    keeps the rough and direct values to the bit and the flow value to
+    rounding (RK4 of a constant loading against its closed form)."""
+    f = FUNCTION_CATALOG["identity"]
+    for name, epsilon in (("linear_gaussian", None), ("stable_shot_noise", 0.1)):
+        model = get_model(name)
+        plain = replace(model, sigma1=_plain(model.sigma1),
+                        sigma2=_plain(model.sigma2), f2=_plain(model.f2),
+                        f3=_plain(model.f3))
+        obs = realized_observation(model, 1.0, 32, 5, epsilon=epsilon)
+        assert _joint_field(plain, obs["driver"].dim).varying is None
+        runs = [
+            lambda m: theta(m, f, obs["driver"], obs["jump_record"], 1.0,
+                            150, 77),
+            lambda m: direct_reference_filter(m, f, obs["Y"], obs["atoms"],
+                                              1.0, 150, 77),
+        ]
+        for run in runs:
+            a, b = run(model), run(plain)
+            assert (a.theta, a.theta_se, a.g_f, a.g_1) == (
+                b.theta, b.theta_se, b.g_f, b.g_1), name
+        if name == "linear_gaussian":
+            assert callable(_scalar_sigma1(plain))
+            assert not callable(_scalar_sigma1(model))
+            a = scalar_flow_filter_detail(model, f, obs["Y"], 150, 77)
+            b = scalar_flow_filter_detail(plain, f, obs["Y"], 150, 77)
+            assert a.theta == pytest.approx(b.theta, rel=1e-12)
+            assert a.g_1.value == pytest.approx(b.g_1.value, rel=1e-12)
 
 
 # -- rough-vs-direct consistency --------------------------------------------

@@ -21,7 +21,6 @@ from roughfilter.rde import (
     solve_canonical_rde,
     solve_continuous_rde,
     stability_probe,
-    write_solution_csv,
 )
 
 
@@ -321,13 +320,3 @@ def test_davie_step_two_field_calls():
               + np.einsum("...ajb,...bi,ij->...a", V.jac(0.0, y), Vm, g2))
     assert np.allclose(out, expect, rtol=0.0, atol=1e-9)
 
-
-def test_solution_csv(tmp_path):
-    rng = np.random.default_rng(49)
-    V = constant_vector_field(np.eye(2))
-    sol = solve_continuous_rde(V, brownian_lift(rng, n=4), [0.0, 0.0], steps=4)
-    f = tmp_path / "sol.csv"
-    write_solution_csv(sol, str(f))
-    lines = f.read_text().strip().split("\n")
-    assert lines[0] == "t,y1,y2"
-    assert len(lines) == 1 + len(sol.times)

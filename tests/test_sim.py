@@ -326,8 +326,9 @@ class TestHFunction:
             sim.h_function(model, 0.0, np.array([1.0]), np.array([0.0]))
 
     def test_constant_sigma2_solved_once_matches_batched(self):
-        """A broadcast (zero-stride) sigma2 takes the one-factorization
-        path; a materialized copy takes the batched solve. Same h."""
+        """A declared sigma2 (built by _const) is solved once with every
+        right-hand side as a column; a plain callable returning the same
+        matrices takes the batched solve. Same h."""
         base = sim.correlated_jump_multidim()
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((7, 3, 2))
@@ -335,6 +336,8 @@ class TestHFunction:
         broadcast = base.sigma2(0.0, ys)
         assert not any(broadcast.strides[:-2])
         copied = replace(base, sigma2=lambda t, y: np.array(base.sigma2(t, y)))
+        assert sim._declared_matrix(base.sigma2) is not None
+        assert sim._declared_matrix(copied.sigma2) is None
         h_once = sim.h_function(base, 0.0, xs, ys)
         h_batched = sim.h_function(copied, 0.0, xs, ys)
         assert h_once.shape == (7, 3, 2)
