@@ -31,12 +31,16 @@ jumps. When the driver has d_Y + 1 components the extra column carries the
 observed jump path and the loadings f3, f2 must be linear in the mark.
 
 A model declares which coefficients are constant by how it builds them
-(sim._const for sigma0, sigma1, sigma2; sim._linear_mark for jump loadings
-linear in the mark, as every catalog model does). Declared coefficients
-skip work: with sigma1, sigma2 (and f3, f2 at the jump column) constant
-only the h row of the joint field is differenced, h_function uses the
-sigma2 matrix itself, and the flow route takes the closed-form flow
-x + sigma1 w. Plain callables are evaluated and differenced in full.
+(sim._const for sigma0, sigma1, sigma2 and lambda_fn; sim._linear_mark for
+jump loadings linear in the mark, as every catalog model does). Declared
+coefficients skip work: with sigma1, sigma2 (and f3, f2 at the jump column)
+constant only the h row of the joint field is differenced, h_function uses
+the sigma2 matrix itself, the flow route takes the closed-form flow
+x + sigma1 w, and with lambda_fn, f2 and f3 declared every nu2 integral is
+one constant vector, evaluated at a single state. Plain callables are
+evaluated and differenced in full. Either way one reference-rate call
+(sim._reference_rates) evaluates lambda once per atom of nu2, for the
+drift compensators, h and the (1 - lambda) weight rate together.
 
 A sweep draws the auxiliary noise of all its particles in one call,
 aux_sampler(seed_base, N); the default draws one block from
@@ -67,7 +71,7 @@ from .sim import (
     ModelSpec,
     _accepted_nu2,
     _declared_matrix,
-    _physical_drifts,
+    _reference_rates,
     h_function,
     make_noise_bundle,
     reconstruct_wtilde,
@@ -298,26 +302,6 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
     return VectorField(evaluator)
 
 
-def _reference_rates(model: ModelSpec, t, x, y):
-    """Reference-measure dt rates (compensators folded in) and h."""
-    h = h_function(model, t, x, y)
-    bx, by = _physical_drifts(model, t, x, y)
-    s1 = np.asarray(model.sigma1(t, x, y), dtype=float)
-    s2 = np.asarray(model.sigma2(t, y), dtype=float)
-    bx = bx - np.einsum("...ij,...j->...i", s1, h)
-    by = by - np.einsum("...ij,...j->...i", s2, h)
-    return bx, by, h
-
-
-def _lambda_compensator(model: ModelSpec, t, x):
-    """int (1 - lambda(t, x, u)) nu2(du), batched over x; zero without an
-    atomic nu2."""
-    if not isinstance(model.nu2, LevyMeasure):
-        return 0.0
-    return np.asarray(model.nu2.integrate(
-        lambda u: 1.0 - np.asarray(model.lambda_fn(t, x, u), dtype=float)))
-
-
 # -- jump records -----------------------------------------------------------
 
 
@@ -415,14 +399,13 @@ class _RoughRoute(_Route):
     def advance(self, k: int, t0: float, t1: float, dB, logw):
         model, x, y = self.model, self.x, self.y
         dt = t1 - t0
-        bx0, by0, h0 = _reference_rates(model, t0, x, y)
-        comp0 = _lambda_compensator(model, t0, x)
+        bx0, by0, h0, comp0 = _reference_rates(model, t0, x, y)
         logw = logw + (-0.5 * np.einsum("...i,...i->...", h0, h0) + comp0) * dt
 
         s0 = np.asarray(model.sigma0(t0, x, y), dtype=float)
         d1x = bx0 * dt + np.einsum("...ab,...b->...a", s0, dB)
         d1y = by0 * dt
-        bx1, by1, _ = _reference_rates(model, t1, x + d1x, y + d1y)
+        bx1, by1, _, _ = _reference_rates(model, t1, x + d1x, y + d1y)
         s0p = np.asarray(model.sigma0(t1, x + d1x, y + d1y), dtype=float)
         d2x = bx1 * dt + np.einsum("...ab,...b->...a", s0p, dB)
         d2y = by1 * dt
@@ -490,13 +473,12 @@ class _DirectRoute(_ObservationRoute):
         """Step X over the segment; returns h and the lambda compensator at
         its start."""
         model, x, y0, y1, dW = self.model, self.x, self.y0, self.y, self.dW
-        bx0, _, h0 = _reference_rates(model, t0, x, y0)
-        comp0 = _lambda_compensator(model, t0, x)
+        bx0, _, h0, comp0 = _reference_rates(model, t0, x, y0)
         s00 = np.asarray(model.sigma0(t0, x, y0), dtype=float)
         s10 = np.asarray(model.sigma1(t0, x, y0), dtype=float)
         d1 = (bx0 * dt + np.einsum("...ab,...b->...a", s00, dB)
               + np.einsum("...ab,b->...a", s10, dW))
-        bx1, _, _ = _reference_rates(model, t1, x + d1, y1)
+        bx1, _, _, _ = _reference_rates(model, t1, x + d1, y1)
         s01 = np.asarray(model.sigma0(t1, x + d1, y1), dtype=float)
         s11 = np.asarray(model.sigma1(t1, x + d1, y1), dtype=float)
         d2 = (bx1 * dt + np.einsum("...ab,...b->...a", s01, dB)
@@ -530,13 +512,12 @@ class _FlowRoute(_ObservationRoute):
         self.w1 = w1 = self.wt.values[k + 1, 0]
         dB = dB[:, 0]
         x0col, dphi0 = self.x, self.dphi
-        bx0, _, h0 = _reference_rates(model, t0, x0col, y0)
-        comp0 = _lambda_compensator(model, t0, x0col)
+        bx0, _, h0, comp0 = _reference_rates(model, t0, x0col, y0)
         s00 = np.asarray(model.sigma0(t0, x0col, y0), dtype=float)[..., 0, 0]
         d1 = (bx0[:, 0] / dphi0) * dt + (s00 / dphi0) * dB
         phiP, dphiP = flow_map(s, w1, self.xt + d1)
         xPcol = phiP[:, None]
-        bx1, _, _ = _reference_rates(model, t1, xPcol, y1)
+        bx1, _, _, _ = _reference_rates(model, t1, xPcol, y1)
         s01 = np.asarray(model.sigma0(t1, xPcol, y1), dtype=float)[..., 0, 0]
         d2 = (bx1[:, 0] / dphiP) * dt + (s01 / dphiP) * dB
         self.xt = self.xt + 0.5 * (d1 + d2)
@@ -595,9 +576,10 @@ def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
             route.observed_jump(t1, mark)
         logw = route.driver_jump(k, logw)
 
-        bad = ~(np.all(np.isfinite(route.x), axis=-1)
-                & np.all(np.isfinite(route.y), axis=-1) & np.isfinite(logw))
-        if np.any(bad):
+        if not (np.isfinite(route.x).all() and np.isfinite(route.y).all()
+                and np.isfinite(logw).all()):
+            bad = ~(np.all(np.isfinite(route.x), axis=-1)
+                    & np.all(np.isfinite(route.y), axis=-1) & np.isfinite(logw))
             i = int(np.argmax(bad))
             raise ParticleBlowupError(
                 f"particle {i} blew up at step {k} (t={t1})", i, k)

@@ -62,11 +62,17 @@ class LevyMeasure:
 
     def integrate(self, fn):
         """sum_a rate_a * fn(u_a); fn may return any broadcastable shape."""
-        out = None
-        for mark, rate in self.atoms:
-            term = rate * np.asarray(fn(np.array(mark)), dtype=float)
-            out = term if out is None else out + term
-        return out
+        return _atom_sum(self, (fn(np.array(mark)) for mark, _ in self.atoms))
+
+
+def _atom_sum(levy: LevyMeasure, values):
+    """sum_a rate_a * values[a], added in atom order: the arithmetic of
+    LevyMeasure.integrate over values already evaluated at the marks."""
+    out = None
+    for (_, rate), value in zip(levy.atoms, values):
+        term = rate * np.asarray(value, dtype=float)
+        out = term if out is None else out + term
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,10 @@ class ModelSpec:
     b1(t,x,y)->(...,dx), b2->(...,dy), sigma0->(...,dx,db),
     sigma1->(...,dx,dy), sigma2(t,y)->(...,dy,dy), f1(t,x,y,u)->(...,dx),
     f2(t,y,u)->(...,dy), f3(t,x,y,u)->(...,dx), lambda_fn(t,x,u)->(...,).
+    sigma0, sigma1, sigma2 and lambda_fn may be declared constant by building
+    them with _const, and f1, f2, f3 declared linear in the mark by building
+    them with _linear_mark; the particle sweep then skips the work that this
+    structure makes unnecessary. Any other callable is evaluated in full.
     """
 
     model_id: str
@@ -153,20 +163,29 @@ class ModelSpec:
 
 def h_function(model: ModelSpec, t: float, x, y):
     """h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2); broadcasts over
-    leading axes of x, y. The nu2 integral is exact for atom lists and zero
-    in the infinite-activity regime (lambda = 1 there). A sigma2 declared
-    constant (built by _const) is used as its matrix: one division when it
-    is 1 x 1, else one solve with every right-hand side as a column."""
+    leading axes of x, y. The nu2 integral is exact for atom lists (one
+    constant vector when lambda_fn, f2 and f3 are declared, see _nu2_state)
+    and zero in the infinite-activity regime (lambda = 1 there)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rhs = np.asarray(model.b2(t, x, y), dtype=float)
     if isinstance(model.nu2, LevyMeasure):
-        def term(u):
-            lam = np.asarray(model.lambda_fn(t, x, u), dtype=float)
-            f2 = np.asarray(model.f2(t, y, u), dtype=float)
-            return f2 * (1.0 - lam)[..., None]
+        xs, ys = _nu2_state(model, x, y)
+        rhs = rhs + model.nu2.integrate(lambda u: _h_integrand(
+            np.asarray(model.f2(t, ys, u), dtype=float),
+            np.asarray(model.lambda_fn(t, xs, u), dtype=float)))
+    return _solve_sigma2(model, t, y, rhs)
 
-        rhs = rhs + model.nu2.integrate(term)
+
+def _h_integrand(f2, lam):
+    """f2 (1 - lambda), the nu2 integrand of h's right-hand side."""
+    return f2 * (1.0 - lam)[..., None]
+
+
+def _solve_sigma2(model: ModelSpec, t: float, y, rhs):
+    """sigma2^{-1} rhs. A sigma2 declared constant (built by _const) is used
+    as its matrix: one division when it is 1 x 1, else one solve with every
+    right-hand side as a column."""
     s2 = _declared_matrix(model.sigma2)
     if s2 is None:
         s2 = np.asarray(model.sigma2(t, y), dtype=float)
@@ -181,6 +200,65 @@ def h_function(model: ModelSpec, t: float, x, y):
         return sol.T.reshape(rhs.shape)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"sigma2 singular at t={t}") from exc
+
+
+def _nu2_state(model: ModelSpec, x, y):
+    """The state at which the nu2 integrands are evaluated: (x, y) itself,
+    or one zero state when lambda_fn, f2 and f3 are all declared (built by
+    _const or _linear_mark). Then every nu2 integral is a constant vector,
+    and one state gives it in the same arithmetic, so with the same bits,
+    as every particle's state."""
+    if all(_declared_matrix(c) is not None
+           for c in (model.lambda_fn, model.f2, model.f3)):
+        return np.zeros(model.dim_x), np.zeros(model.dim_y)
+    return x, y
+
+
+def _reference_rates(model: ModelSpec, t: float, x, y):
+    """Reference-measure dt rates at (t, x, y) from one lambda evaluation
+    per atom of an atomic nu2: (bx, by, h, comp) with
+
+        bx = b1 - int f1 dnu1 - int f3 lambda dnu2 - sigma1 h,
+        by = b2 - int f2 lambda dnu2 - sigma2 h,
+        h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2),
+        comp = int (1 - lambda) dnu2 (0.0 without an atomic nu2);
+
+    broadcasts over leading axes of x, y. bx + sigma1 h and by + sigma2 h
+    are the physical-measure rates of _rates."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    bx, by, rhs, comp = _rates(model, t, x, y)
+    h = _solve_sigma2(model, t, y, rhs)
+    s1 = np.asarray(model.sigma1(t, x, y), dtype=float)
+    s2 = np.asarray(model.sigma2(t, y), dtype=float)
+    bx = bx - np.einsum("...ij,...j->...i", s1, h)
+    by = by - np.einsum("...ij,...j->...i", s2, h)
+    return bx, by, h, comp
+
+
+def _rates(model: ModelSpec, t: float, x, y):
+    """(bx + sigma1 h, by + sigma2 h, sigma2 h, comp) of _reference_rates:
+    the physical-measure rates, h's right-hand side and the compensator,
+    from one evaluation of lambda, f2 and f3 per atom of an atomic nu2. A
+    StableTail nu2 needs no compensator: the tail is symmetric and the jump
+    loadings are linear in the mark, so int f lambda dnu2 = 0."""
+    bx = np.asarray(model.b1(t, x, y), dtype=float)
+    by = rhs = np.asarray(model.b2(t, x, y), dtype=float)
+    comp = 0.0
+    if model.nu1 is not None and model.nu1.atoms:
+        bx = bx - model.nu1.integrate(lambda u: model.f1(t, x, y, u))
+    nu2 = model.nu2
+    if isinstance(nu2, LevyMeasure):
+        xs, ys = _nu2_state(model, x, y)
+        marks = nu2.marks()
+        lam = [np.asarray(model.lambda_fn(t, xs, u), dtype=float) for u in marks]
+        f2 = [np.asarray(model.f2(t, ys, u), dtype=float) for u in marks]
+        f3 = [np.asarray(model.f3(t, xs, ys, u), dtype=float) for u in marks]
+        bx = bx - _atom_sum(nu2, (f * l[..., None] for f, l in zip(f3, lam)))
+        by = by - _atom_sum(nu2, (f * l[..., None] for f, l in zip(f2, lam)))
+        rhs = rhs + _atom_sum(nu2, map(_h_integrand, f2, lam))
+        comp = _atom_sum(nu2, (1.0 - l for l in lam))
+    return bx, by, rhs, comp
 
 
 def _lambda_bounds(model: ModelSpec):
@@ -385,34 +463,11 @@ def _atom_lookup(record: JumpRecord, times: np.ndarray):
     return out
 
 
-def _physical_drifts(model: ModelSpec, t, x, y):
-    """dt-coefficients under the physical measure, jump compensators
-    included: (b1 - int f1 dnu1 - int f3 lambda dnu2,
-               b2 - int f2 lambda dnu2)."""
-    bx = np.asarray(model.b1(t, x, y), dtype=float).copy()
-    by = np.asarray(model.b2(t, x, y), dtype=float).copy()
-    if model.nu1 is not None and model.nu1.atoms:
-        bx = bx - model.nu1.integrate(lambda u: model.f1(t, x, y, u))
-    if isinstance(model.nu2, LevyMeasure):
-        lam = lambda u: np.asarray(model.lambda_fn(t, x, u), dtype=float)
-        bx = bx - model.nu2.integrate(
-            lambda u: np.asarray(model.f3(t, x, y, u)) * lam(u)[..., None])
-        by = by - model.nu2.integrate(
-            lambda u: np.asarray(model.f2(t, y, u)) * lam(u)[..., None])
-    # a StableTail nu2 needs no compensator: the tail is symmetric and the
-    # jump loadings are linear in the mark, so int f lambda dnu2 = 0
-    return bx, by
-
-
 def _drift_pair(model: ModelSpec, t, x, y, measure: str):
-    bx, by = _physical_drifts(model, t, x, y)
+    """The dt rates of (X, Y) under the bundle's measure."""
     if measure == "reference":
-        h = h_function(model, t, x, y)
-        s1 = np.asarray(model.sigma1(t, x, y), dtype=float)
-        s2 = np.asarray(model.sigma2(t, y), dtype=float)
-        bx = bx - np.einsum("...ij,...j->...i", s1, h)
-        by = by - np.einsum("...ij,...j->...i", s2, h)
-    return bx, by
+        return _reference_rates(model, t, x, y)[:2]
+    return _rates(model, t, x, y)[:2]
 
 
 def _accepted_nu2(model: ModelSpec, noise: NoiseBundle, x_left) -> np.ndarray:
@@ -670,7 +725,7 @@ def linear_gaussian(a=-0.5, s0=0.4, s1=0.3, c=1.0, gamma=0.5,
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),
         f1=_linear_mark([[0.0]]), f2=_linear_mark([[0.0]]),
         f3=_linear_mark([[0.0]]),
-        lambda_fn=lambda t, x, u: np.ones(np.asarray(x).shape[:-1]),
+        lambda_fn=_const(1.0),
         nu1=None, nu2=None, x0=(x0,), y0=(y0,),
         meta={"a": a, "s0": s0, "s1": s1, "c": c, "gamma": gamma,
               "lambda_min": 1.0, "lambda_max": 1.0, "lipschitz_gamma": "C^inf"},
@@ -725,7 +780,7 @@ def correlated_jump_multidim(x0=(0.8, -0.2), y0=(0.0, 0.0)) -> ModelSpec:
         sigma0=_const(S0), sigma1=_const(S1), sigma2=_const(S2),
         f1=_linear_mark(np.zeros((2, 2))), f2=_linear_mark(0.5 * np.eye(2)),
         f3=_linear_mark([[0.0, 0.3], [0.3, 0.0]]),
-        lambda_fn=lambda t, x, u: np.ones(np.asarray(x).shape[:-1]),
+        lambda_fn=_const(1.0),
         nu1=None,
         nu2=LevyMeasure(tuple((m, r) for m, r in J2.items())),
         x0=x0, y0=y0,
@@ -746,7 +801,7 @@ def stable_shot_noise(alpha=1.0, c=0.3, a=-0.5, s0=0.35, s1=0.2, cobs=0.8,
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),
         f1=_linear_mark([[0.0]]), f2=_linear_mark([[rho2]]),
         f3=_linear_mark([[rho3]]),
-        lambda_fn=lambda t, x, u: np.ones(np.asarray(x).shape[:-1]),
+        lambda_fn=_const(1.0),
         nu1=None, nu2=StableTail(alpha, c), x0=(x0,), y0=(y0,),
         meta={"a": a, "cobs": cobs, "gamma": gamma, "rho2": rho2, "rho3": rho3,
               "lambda_min": 1.0, "lambda_max": 1.0, "lipschitz_gamma": "C^inf"},

@@ -20,6 +20,7 @@ from roughfilter.filtering import (
     FUNCTION_CATALOG,
     FilterResult,
     McEstimate,
+    ParticleBlowupError,
     TestFunction,
     WeightAbortError,
     _joint_field,
@@ -460,14 +461,21 @@ def test_flow_map_constant_loading_closed_form():
 
 def test_catalog_declares_constant_coefficients():
     """Every catalog model builds its loadings with sim._const and its jump
-    loadings with sim._linear_mark, so the sweep takes the structured path:
-    a catalog edit cannot drop it silently."""
+    loadings with sim._linear_mark, and the three lambda = 1 models build
+    lambda_fn with sim._const, so the sweep takes the structured path: a
+    catalog edit cannot drop it silently."""
     for name, build in MODEL_BUILDERS.items():
         model = build()
         for coef in ("sigma0", "sigma1", "sigma2", "f1", "f2", "f3"):
             assert sim._declared_matrix(getattr(model, coef)) is not None, (
                 name, coef)
         assert _joint_field(model, model.dim_y).varying is not None, name
+    for name in ("linear_gaussian", "correlated_jump_multidim",
+                 "stable_shot_noise"):
+        model = get_model(name)
+        assert sim._declared_matrix(model.lambda_fn) == 1.0, name
+        assert np.array_equal(model.lambda_fn(0.0, np.zeros((3, model.dim_x)),
+                                              np.array([0.4])), np.ones(3))
     stable = get_model("stable_shot_noise")
     assert _joint_field(stable, stable.dim_y + 1).varying is not None
     mark = np.array([-0.4])
@@ -511,15 +519,22 @@ def _plain(coefficient):
 
 
 def test_plain_callable_loadings_take_the_generic_path():
-    """Swapping the declared loadings for plain callables of the same values
-    keeps the rough and direct values to the bit and the flow value to
-    rounding (RK4 of a constant loading against its closed form)."""
+    """Swapping the declared loadings and lambda for plain callables of the
+    same values keeps the rough and direct values to the bit and the flow
+    value to rounding (RK4 of a constant loading against its closed form).
+    On correlated_jump_multidim a plain lambda alone moves the nu2 integrals
+    from one constant vector to every particle's state; its 2 x 2 sigma2
+    stays declared, since a plain one is solved per particle, which rounds
+    differently from one solve over all particles' columns."""
     f = FUNCTION_CATALOG["identity"]
-    for name, epsilon in (("linear_gaussian", None), ("stable_shot_noise", 0.1)):
+    for name, epsilon in (("linear_gaussian", None), ("stable_shot_noise", 0.1),
+                          ("correlated_jump_multidim", None)):
         model = get_model(name)
-        plain = replace(model, sigma1=_plain(model.sigma1),
-                        sigma2=_plain(model.sigma2), f2=_plain(model.f2),
-                        f3=_plain(model.f3))
+        plain = replace(model, sigma1=_plain(model.sigma1), f2=_plain(model.f2),
+                        f3=_plain(model.f3), lambda_fn=_plain(model.lambda_fn))
+        if model.dim_y == 1:
+            plain = replace(plain, sigma2=_plain(model.sigma2))
+        variants = [plain, replace(model, lambda_fn=_plain(model.lambda_fn))]
         obs = realized_observation(model, 1.0, 32, 5, epsilon=epsilon)
         assert _joint_field(plain, obs["driver"].dim).varying is None
         runs = [
@@ -529,9 +544,11 @@ def test_plain_callable_loadings_take_the_generic_path():
                                               1.0, 150, 77),
         ]
         for run in runs:
-            a, b = run(model), run(plain)
-            assert (a.theta, a.theta_se, a.g_f, a.g_1) == (
-                b.theta, b.theta_se, b.g_f, b.g_1), name
+            a = run(model)
+            for other in variants:
+                b = run(other)
+                assert (a.theta, a.theta_se, a.g_f, a.g_1) == (
+                    b.theta, b.theta_se, b.g_f, b.g_1), name
         if name == "linear_gaussian":
             assert callable(_scalar_sigma1(plain))
             assert not callable(_scalar_sigma1(model))
@@ -539,6 +556,70 @@ def test_plain_callable_loadings_take_the_generic_path():
             b = scalar_flow_filter_detail(plain, f, obs["Y"], 150, 77)
             assert a.theta == pytest.approx(b.theta, rel=1e-12)
             assert a.g_1.value == pytest.approx(b.g_1.value, rel=1e-12)
+
+
+def _counting_lambda(model):
+    """The model with its lambda_fn wrapped to record the state shape of
+    each evaluation; a declared lambda stays declared."""
+    calls = []
+
+    def lam(t, x, u):
+        calls.append(np.shape(x))
+        return model.lambda_fn(t, x, u)
+
+    if sim._declared_matrix(model.lambda_fn) is not None:
+        lam.matrix = sim._declared_matrix(model.lambda_fn)
+    return replace(model, lambda_fn=lam), calls
+
+
+def test_reference_rates_evaluate_lambda_once_per_atom():
+    """One reference-rate call evaluates lambda once per atom of nu2 and
+    gives the drifts, h and the (1 - lambda) compensator of their separate
+    definitions bit for bit."""
+    model, calls = _counting_lambda(get_model("scalar_jump_diffusion"))
+    rng = np.random.default_rng(61)
+    t, x, y = 0.3, rng.standard_normal((40, 1)), rng.standard_normal((40, 1))
+    bx, by, h, comp = sim._reference_rates(model, t, x, y)
+    assert calls == [(40, 1)] * len(model.nu2.atoms)
+
+    def lam(u):
+        return np.asarray(model.lambda_fn(t, x, u), dtype=float)
+
+    rhs_ref = model.b2(t, x, y) + model.nu2.integrate(
+        lambda u: model.f2(t, y, u) * (1.0 - lam(u))[..., None])
+    h_ref = rhs_ref / model.sigma2(t, y)[..., 0]  # sigma2 is 1 x 1
+    bx_ref = (model.b1(t, x, y)
+              - model.nu1.integrate(lambda u: model.f1(t, x, y, u))
+              - model.nu2.integrate(
+                  lambda u: model.f3(t, x, y, u) * lam(u)[..., None])
+              - np.einsum("...ij,...j->...i", model.sigma1(t, x, y), h_ref))
+    by_ref = (model.b2(t, x, y)
+              - model.nu2.integrate(
+                  lambda u: model.f2(t, y, u) * lam(u)[..., None])
+              - np.einsum("...ij,...j->...i", model.sigma2(t, y), h_ref))
+    comp_ref = model.nu2.integrate(lambda u: 1.0 - lam(u))
+    for got, expect in ((bx, bx_ref), (by, by_ref), (h, h_ref),
+                        (comp, comp_ref)):
+        assert np.array_equal(got, expect)
+
+
+def test_declared_lambda_integrals_at_one_state():
+    """With lambda_fn, f2 and f3 declared, h and the reference rates
+    evaluate lambda once per atom at one state, and give the values of a
+    plain lambda evaluated at every particle's state bit for bit."""
+    base = get_model("correlated_jump_multidim")
+    model, calls = _counting_lambda(base)
+    plain = replace(base, lambda_fn=_plain(base.lambda_fn))
+    rng = np.random.default_rng(62)
+    x, y = rng.standard_normal((30, 2)), rng.standard_normal((30, 2))
+    assert np.array_equal(sim.h_function(model, 0.1, x, y),
+                          sim.h_function(plain, 0.1, x, y))
+    assert calls == [(2,)] * len(base.nu2.atoms)
+    calls.clear()
+    got = sim._reference_rates(model, 0.1, x, y)
+    assert calls == [(2,)] * len(base.nu2.atoms)
+    for g, e in zip(got, sim._reference_rates(plain, 0.1, x, y)):
+        assert np.array_equal(np.broadcast_to(g, np.shape(e)), e)
 
 
 # -- rough-vs-direct consistency --------------------------------------------
@@ -672,6 +753,32 @@ def test_degenerate_weights_raise():
         theta(model, FUNCTION_CATALOG["one"], obs["driver"], None, 1.0,
               20, 0, abort_log_weight=np.inf)
     assert "max_log_weight" in info.value.diagnostics
+
+
+@pytest.mark.parametrize("route", ["rough", "direct"])
+def test_particle_blowup_names_particle_and_step(route):
+    """An infinite auxiliary increment of one particle in one segment stops
+    the sweep at that step with ParticleBlowupError naming that particle."""
+    model = get_model("linear_gaussian")
+    obs = realized_observation(model, 1.0, 16, 2)
+    block = gaussian_poisson_sampler(model, obs["driver"].times)
+
+    def sampler(seed_base, N):
+        dB, atoms = block(seed_base, N)
+        dB[3, 5, 0] = np.inf
+        return dB, atoms
+
+    f = FUNCTION_CATALOG["identity"]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(ParticleBlowupError) as info:
+            if route == "rough":
+                theta(model, f, obs["driver"], None, 1.0, 8, 0,
+                      aux_sampler=sampler)
+            else:
+                direct_reference_filter(model, f, obs["Y"], [], 1.0, 8, 0,
+                                        aux_sampler=sampler)
+    assert (info.value.particle_index, info.value.step_index) == (3, 5)
+    assert str(info.value).startswith("particle 3 blew up at step 5 ")
 
 
 # -- auxiliary noise sampler ------------------------------------------------

@@ -13,6 +13,8 @@ from roughfilter.paths import CadlagPath
 from roughfilter.rde import (
     RdeBlowupError,
     VectorField,
+    _max_abs_last,
+    _sum_last,
     constant_vector_field,
     davie_step,
     flow_and_inverse,
@@ -320,3 +322,70 @@ def test_davie_step_two_field_calls():
               + np.einsum("...ajb,...bi,ij->...a", V.jac(0.0, y), Vm, g2))
     assert np.allclose(out, expect, rtol=0.0, atol=1e-9)
 
+
+
+# -- elementwise short-axis reductions ---------------------------------------
+
+_reduction_entries = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), length=st.integers(1, 9),
+       lead=st.sampled_from(["()", "(n,)", "(n, k)"]),
+       n=st.integers(1, 4), k=st.integers(1, 3))
+def test_short_axis_reductions_match_numpy(data, length, lead, n, k):
+    """The elementwise chains equal numpy's reductions over the last axis
+    bit for bit, signed zeros and subnormals included. A NaN result is
+    compared as NaN only: when several NaNs meet, IEEE 754 leaves open
+    which sign and payload the result carries."""
+    shape = {"()": (), "(n,)": (n,), "(n, k)": (n, k)}[lead] + (length,)
+    a = data.draw(arrays(float, shape, elements=_reduction_entries))
+    with np.errstate(invalid="ignore", over="ignore"):
+        pairs = [(_max_abs_last(a), np.max(np.abs(a), axis=-1)),
+                 (_sum_last(a), np.sum(a, axis=-1))]
+    for got, expect in pairs:
+        got, expect = np.asarray(got), np.asarray(expect)
+        assert got.shape == expect.shape
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64),
+                              expect[~nan].view(np.int64))
+
+
+def _partly_varying_field(M):
+    """Rows 0-1 constant (M), row 2 depending on y, declared by `varying`."""
+
+    def row(t, y):
+        y = np.asarray(y, dtype=float)
+        return np.stack([np.sin(y[..., 0] * y[..., 2]), y[..., 1] ** 2],
+                        axis=-1)[..., None, :]
+
+    def evaluator(t, y):
+        y = np.asarray(y, dtype=float)
+        return np.concatenate(
+            [np.broadcast_to(M, y.shape[:-1] + M.shape), row(t, y)], axis=-2)
+
+    return VectorField(evaluator, varying=(slice(2, None), row))
+
+
+def test_unbatched_state_matches_batched_row():
+    """jac(along=) and davie_step on one (e,) state, where the short-axis
+    reductions see 0-d rows, give the batched call's row bit for bit."""
+    rng = np.random.default_rng(52)
+    for V, e in ((_nonlinear_field(), 2),
+                 (_partly_varying_field(rng.standard_normal((2, 2))), 3)):
+        y = rng.standard_normal((4, e))
+        U = rng.standard_normal((4, 2, e))
+        U[1, 0] = 0.0
+        g1 = rng.standard_normal(2) * 0.1
+        g2 = rng.standard_normal((2, 2)) * 0.01
+        batch_jac = V.jac(0.0, y, U)
+        batch_step = davie_step(V, 0.0, y, g1, g2)
+        for i in range(4):
+            one = V.jac(0.0, y[i], U[i])
+            assert one.shape == (e,)
+            assert np.array_equal(one, batch_jac[i])
+            assert np.array_equal(davie_step(V, 0.0, y[i], g1, g2),
+                                  batch_step[i])
