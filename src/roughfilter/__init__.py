@@ -61,7 +61,6 @@ from .rde import (
     linear_vector_field,
     marcus_jump,
     solve_canonical_rde,
-    solve_continuous_rde,
     stability_probe,
 )
 from .sim import (

@@ -1,11 +1,13 @@
 """Cadlag-to-continuous machinery: path functions, jump-slot time extension,
-continuous representatives, the inverse time change, and the alpha_p/beta_p
-metric estimators between jump-filled representatives.
+continuous representatives, and the alpha_p/beta_p metric estimators between
+jump-filled representatives.
 
 Jumps are opened into fictitious-time slots ordered by decreasing jump size
 (ties: earlier jump first); slot k gets width delta * r_k from a summable
-sequence. Solutions of canonical RDEs are independent of these choices, which
-the rde module's tests exercise.
+sequence. The metrics read the filled slots; canonical RDE solutions do not
+(the rde module reads only the jump chords), so they are independent of
+these choices. No inverse time change is provided: the representative
+records where each original sample time landed (`orig_indices`).
 """
 
 from __future__ import annotations
@@ -191,19 +193,11 @@ def time_extension(pair: AdmissiblePair):
 
 @dataclass(frozen=True)
 class Representative:
-    """Continuous representative on [0, T] with its bookkeeping: where the
-    original sample times landed and which segments are fictitious slots."""
+    """Continuous representative on [0, T] with the grid index each original
+    sample time landed on."""
 
     rough: RoughPath
-    pair: AdmissiblePair
-    extension: TimeExtension
     orig_indices: np.ndarray  # rep grid index of each original grid time
-    orig_times: np.ndarray  # original time attached to every rep grid point
-    slot_segments: tuple  # (start_idx, end_idx, original_jump_index) per jump
-
-    @property
-    def scale(self) -> float:
-        return self.extension.T_ext / self.extension.T if self.extension.T > 0 else 1.0
 
 
 def build_representative(pair: AdmissiblePair,
@@ -214,14 +208,10 @@ def build_representative(pair: AdmissiblePair,
     if slot_steps < 1:
         raise ValueError("slot_steps must be >= 1")
     X = pair.rough
-    ext, _ = time_extension(pair)
-    n = len(X.times)
     if not X.has_jumps():
-        return Representative(
-            RoughPath(X.times, X.level1, X.level2),
-            pair, ext, np.arange(n), X.times.copy(), ()
-        )
-
+        return Representative(RoughPath(X.times, X.level1, X.level2),
+                              np.arange(len(X.times)))
+    ext, _ = time_extension(pair)
     jumps = np.nonzero(X.jump_flags)[0]  # time order, as ext.widths
     counts = 1 + slot_steps * X.jump_flags.astype(int)
     orig_indices = np.cumsum(counts) - 1
@@ -244,34 +234,13 @@ def build_representative(pair: AdmissiblePair,
     g = pair.phi(X.point(jumps[:, None], left=True), X.point(jumps[:, None]), s)
     L1[inside], L2[inside] = g.level1, g.level2
 
-    rough = RoughPath(t_ext * (X.T / ext.T_ext), L1, L2)
-    slot_segments = zip(start.tolist(), orig_indices[jumps].tolist(), jumps.tolist())
-    return Representative(rough, pair, ext, orig_indices, np.repeat(X.times, counts),
-                          tuple(slot_segments))
+    return Representative(RoughPath(t_ext * (X.T / ext.T_ext), L1, L2), orig_indices)
 
 
 def continuous_representative(pair: AdmissiblePair,
                               slot_steps: int = SLOT_STEPS) -> RoughPath:
     """The jump-filled continuous rough path x^phi on [0, T]."""
     return build_representative(pair, slot_steps).rough
-
-
-@dataclass(frozen=True)
-class TimeChange:
-    """tau_x = tau_r^{-1} o tau: [0, T] -> [0, T]; skips slot interiors."""
-
-    extension: TimeExtension
-
-    def __call__(self, t):
-        ext = self.extension
-        squash = ext.T / ext.T_ext if ext.T > 0 else 1.0
-        out = np.asarray(ext(t), dtype=float) * squash
-        return float(out) if out.ndim == 0 else out
-
-
-def time_change_back(pair: AdmissiblePair) -> TimeChange:
-    ext, _ = time_extension(pair)
-    return TimeChange(ext)
 
 
 # -- alpha_p / beta_p ------------------------------------------------------

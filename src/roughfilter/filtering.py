@@ -889,8 +889,7 @@ def trend_non_increasing(values, slacks) -> bool:
 
 
 def robustness_experiment(model: ModelSpec, f: TestFunction, t: float,
-                          mesh_list, interp_modes=("linear", "rectangular"),
-                          particles: int = 2000, seed_base: int = 0,
+                          mesh_list, particles: int = 2000, seed_base: int = 0,
                           obs_seed: int = None, truth_steps: int = 512,
                           p: float = 2.5) -> list:
     """One realized observation; for each mesh, subsample the reconstructed
@@ -903,8 +902,6 @@ def robustness_experiment(model: ModelSpec, f: TestFunction, t: float,
     its own Monte Carlo noise floor, which is what the trend test and the
     final-mesh comparison against the combined standard error account for.
     """
-    if tuple(interp_modes) != ("linear", "rectangular"):
-        raise ValueError("interp_modes must be ('linear', 'rectangular')")
     if obs_seed is None:
         obs_seed = seed_base + 999983
     obs = realized_observation(model, t, truth_steps, obs_seed)

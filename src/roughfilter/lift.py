@@ -30,7 +30,12 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class RoughPath:
-    """Path in G2(R^d) sampled on a grid, as running signatures from time 0."""
+    """Path in G2(R^d) sampled on a grid, as running signatures from time 0.
+
+    The running signatures and the pre-jump ones are each validated once, as
+    one GroupElement batch; points and increments are sub-batches of these.
+    Without pre-jump arrays the pre-jump values are the running ones: no
+    jumps."""
 
     times: np.ndarray
     level1: np.ndarray  # (n, d) running level-1
@@ -38,20 +43,20 @@ class RoughPath:
     jump_flags: np.ndarray = field(default=None)  # type: ignore[assignment]
     pre_level1: np.ndarray = field(default=None)  # type: ignore[assignment]
     pre_level2: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _running: GroupElement = field(init=False, repr=False, compare=False)
+    _pre: GroupElement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        l1 = np.asarray(self.level1, dtype=float)
-        l2 = np.asarray(self.level2, dtype=float)
         n = len(t)
-        if l1.ndim != 2 or l1.shape[0] != n:
-            raise ValueError("level1 must be (n, d)")
-        d = l1.shape[1]
-        if l2.shape != (n, d, d):
-            raise ValueError("level2 must be (n, d, d)")
         if n < 1 or (n > 1 and not np.all(np.diff(t) > 0)):
             raise ValueError("times must be strictly increasing")
-        if np.any(l1[0] != 0.0) or np.any(l2[0] != 0.0):
+        if not np.all(np.isfinite(t)):
+            raise ValueError("non-finite entries in times")
+        if np.ndim(self.level1) != 2 or len(self.level1) != n:
+            raise ValueError("level1 must be (n, d)")
+        running = GroupElement(self.level1, self.level2)
+        if np.any(running.level1[0] != 0.0) or np.any(running.level2[0] != 0.0):
             raise ValueError("a rough path must start at the group identity")
         flags = self.jump_flags
         flags = np.zeros(n, dtype=bool) if flags is None else np.asarray(flags, dtype=bool)
@@ -59,22 +64,21 @@ class RoughPath:
             raise ValueError("jump_flags must be (n,)")
         if flags[0]:
             raise ValueError("no jump at the initial time")
-        p1 = self.pre_level1
-        p2 = self.pre_level2
-        p1 = l1.copy() if p1 is None else np.asarray(p1, dtype=float)
-        p2 = l2.copy() if p2 is None else np.asarray(p2, dtype=float)
-        if p1.shape != l1.shape or p2.shape != l2.shape:
-            raise ValueError("pre-level arrays must match level arrays in shape")
-        for name, arr in (("times", t), ("level1", l1), ("level2", l2),
-                          ("pre_level1", p1), ("pre_level2", p2)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite entries in {name}")
+        pre = running
+        if self.pre_level1 is not None or self.pre_level2 is not None:
+            pre = GroupElement(
+                running.level1 if self.pre_level1 is None else self.pre_level1,
+                running.level2 if self.pre_level2 is None else self.pre_level2)
+            if pre.level1.shape != running.level1.shape:
+                raise ValueError("pre-level arrays must match level arrays in shape")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "level1", l1)
-        object.__setattr__(self, "level2", l2)
+        object.__setattr__(self, "level1", running.level1)
+        object.__setattr__(self, "level2", running.level2)
         object.__setattr__(self, "jump_flags", flags)
-        object.__setattr__(self, "pre_level1", p1)
-        object.__setattr__(self, "pre_level2", p2)
+        object.__setattr__(self, "pre_level1", pre.level1)
+        object.__setattr__(self, "pre_level2", pre.level2)
+        object.__setattr__(self, "_running", running)
+        object.__setattr__(self, "_pre", pre)
 
     # -- queries ----------------------------------------------------------
 
@@ -92,9 +96,7 @@ class RoughPath:
     def point(self, i, left: bool = False) -> GroupElement:
         """Running signature at grid index i (an int or an index array);
         left=True takes the left limit, the pre-jump value."""
-        if left:
-            return GroupElement(self.pre_level1[i], self.pre_level2[i])
-        return GroupElement(self.level1[i], self.level2[i])
+        return (self._pre if left else self._running)[i]
 
     def increment(self, i, j, left_i: bool = False,
                   left_j: bool = False) -> GroupElement:

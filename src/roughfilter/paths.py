@@ -78,11 +78,6 @@ class CadlagPath:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def from_values(times, values, interp: str = "linear") -> "CadlagPath":
-        """Continuous sampled path (no jumps)."""
-        return CadlagPath(times, values, None, interp)
-
-    @staticmethod
     def rectangular(times, values) -> "CadlagPath":
         """Piecewise-constant path jumping to values[i] at times[i]."""
         v = np.asarray(values, dtype=float)

@@ -1,11 +1,13 @@
-"""Level-2 RDE solver (Davie scheme) for continuous geometric drivers, forward
-and inverse flows, and canonical RDEs for cadlag drivers via fill-in.
+"""Level-2 RDE solver (Davie scheme) for canonical RDEs driven by cadlag
+geometric rough paths, with forward and inverse flows.
 
-Canonical solves treat fictitious jump slots by the Marcus rule: the state is
-carried across each jump by the time-1 flow of y' = V(y) * delta, integrated
-with classical RK4 substeps (one Davie step across a large jump would leave
-errors far above the jump-rule tolerance). Slot results depend only on the
-jump chord, so solutions are invariant under the r_seq/delta slot layout.
+The canonical (Marcus) solution is defined by filling in each jump, but only
+the Marcus flow along the jump's chord matters, not the fill-in (Chevyrev-Friz
+2019, Canonical RDEs and general semimartingales as rough paths). So the
+solver reads only the driver's own grid: Davie steps on each continuous
+chord, and across each jump the time-1 flow of y' = V(y) chi, chi the level 1
+of the jump's log, integrated with classical RK4 substeps (one Davie step
+across a large jump would leave errors far above the jump-rule tolerance).
 """
 
 from __future__ import annotations
@@ -14,14 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fillin import AdmissiblePair, build_representative
+from .fillin import AdmissiblePair
 from .lift import RoughPath, marcus_increment, reverse_rough_path
 from .paths import CadlagPath, d_p
 from .tensor_group import group_pow
 
 
 class RdeBlowupError(RuntimeError):
-    """Raised when a state stops being finite; carries the failing step."""
+    """Raised when a state stops being finite; `step_index` is the driver
+    segment k whose Davie steps on [t_k, t_{k+1}], or whose jump at t_{k+1},
+    produced it."""
 
     def __init__(self, message: str, step_index: int):
         super().__init__(message)
@@ -68,7 +72,6 @@ class VectorField:
 
     evaluator: callable
     jacobian: callable = field(default=None)  # type: ignore[assignment]
-    lipschitz_gamma: float = field(default=None)  # type: ignore[assignment]
     varying: tuple = field(default=None)  # type: ignore[assignment]
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -133,7 +136,7 @@ def linear_vector_field(mats) -> VectorField:
         J = np.transpose(A, (1, 0, 2))  # (e, d, e)
         return np.broadcast_to(J, y.shape[:-1] + J.shape)
 
-    return VectorField(evaluator, jacobian, lipschitz_gamma=np.inf)
+    return VectorField(evaluator, jacobian)
 
 
 def constant_vector_field(mat) -> VectorField:
@@ -149,14 +152,13 @@ def constant_vector_field(mat) -> VectorField:
         J = np.zeros(M.shape + (M.shape[0],))
         return np.broadcast_to(J, y.shape[:-1] + J.shape)
 
-    return VectorField(evaluator, jacobian, lipschitz_gamma=np.inf)
+    return VectorField(evaluator, jacobian)
 
 
 @dataclass(frozen=True)
 class RdeSolution:
     times: np.ndarray
     states: np.ndarray  # (n, e)
-    driver_ref: str = ""
     scheme_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -184,45 +186,6 @@ def davie_step(V: VectorField, t: float, y: np.ndarray, g1: np.ndarray,
     return y + np.einsum("...ai,i->...a", Vm, g1) + V.jac(t, y, U)
 
 
-def _subdivided_segments(R: RoughPath, times: np.ndarray, steps: int):
-    """Per grid segment of R: the number of Davie substeps, about `steps`
-    over `times`, and the equal geodesic part exp(log(g)/nsub) of its
-    increment g."""
-    T = times[-1] if times[-1] > 0 else 1.0
-    nsub = np.maximum(1, np.ceil(steps * np.diff(times) / T - 1e-12)).astype(int)
-    k = np.arange(len(nsub))
-    return nsub, group_pow(R.increment(k, k + 1), 1.0 / nsub)
-
-
-def _check_finite(y: np.ndarray, step_index: int):
-    if not np.all(np.isfinite(y)):
-        raise RdeBlowupError(f"state blew up at step {step_index}", step_index)
-
-
-def solve_continuous_rde(V: VectorField, X: RoughPath, y0, steps: int,
-                         driver_ref: str = "") -> RdeSolution:
-    """March the Davie level-2 scheme along the driver grid, refined so the
-    total step count is about `steps` over [0, T]."""
-    if X.has_jumps():
-        raise ValueError("driver has jumps; use solve_canonical_rde")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    y = np.asarray(y0, dtype=float).copy()
-    out = [y.copy()]
-    nsubs, subs = _subdivided_segments(X, X.times, steps)
-    total = 0
-    for k, nsub in enumerate(nsubs.tolist()):
-        dt = X.times[k + 1] - X.times[k]
-        for j in range(nsub):
-            t = X.times[k] + dt * j / nsub
-            y = davie_step(V, t, y, subs.level1[k], subs.level2[k])
-            total += 1
-        _check_finite(y, k)
-        out.append(y.copy())
-    return RdeSolution(X.times, np.asarray(out), driver_ref,
-                       {"scheme": "davie2", "steps_total": total})
-
-
 def marcus_jump(V: VectorField, t: float, y: np.ndarray, delta: np.ndarray,
                 substeps: int = 64) -> np.ndarray:
     """Time-1 flow of y' = V(y) delta by classical RK4 with `substeps` steps
@@ -245,44 +208,41 @@ def marcus_jump(V: VectorField, t: float, y: np.ndarray, delta: np.ndarray,
 
 
 def solve_canonical_rde(V: VectorField, pair: AdmissiblePair, y0, steps: int,
-                        slot_substeps: int = 64,
-                        driver_ref: str = "") -> RdeSolution:
-    """Canonical RDE: continuous representative for the continuous stretches,
-    Marcus time-1 jump flows for the slots, states reported at the original
-    sample times."""
+                        slot_substeps: int = 64) -> RdeSolution:
+    """Canonical RDE along the driver's own grid, states at its sample times.
+
+    Segment k takes about steps * (t_{k+1} - t_k) / T Davie steps on equal
+    geodesic parts of its continuous chord; a jump at t_{k+1} is then
+    crossed by the Marcus time-1 flow along the level 1 of its log. The
+    solve reads only these chords and jump logs, never a filled slot, which
+    is why r_seq, delta and the path function of `pair` drop out. A state
+    that stops being finite raises RdeBlowupError naming segment k."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rep = build_representative(pair, slot_steps=1)
-    R = rep.rough
     X = pair.rough
-    slot_start = {seg[0]: seg for seg in rep.slot_segments}
+    jumps = np.nonzero(X.jump_flags)[0]
+    jump_logs = dict(zip(jumps.tolist(), marcus_increment(X, jumps)))
+    dts = np.diff(X.times)
+    T = X.T if X.T > 0 else 1.0
+    nsubs = np.maximum(1, np.ceil(steps * dts / T - 1e-12)).astype(int)
+    seg = np.arange(len(nsubs))
+    subs = group_pow(X.increment(seg, seg + 1, left_j=True), 1.0 / nsubs)
     y = np.asarray(y0, dtype=float).copy()
-    states_at = {0: y.copy()}
-    nsubs, subs = _subdivided_segments(R, rep.orig_times, steps)
+    out = [y.copy()]
     total = 0
-    k = 0
-    while k < len(nsubs):
-        if k in slot_start:
-            _, end_idx, jump_idx = slot_start[k]
-            chi1 = marcus_increment(X, int(jump_idx))
-            t_jump = rep.orig_times[k]
-            y = marcus_jump(V, float(t_jump), y, chi1, slot_substeps)
-            _check_finite(y, k)
-            total += 1
-            states_at[end_idx] = y.copy()
-            k = end_idx
-            continue
-        dt_orig = rep.orig_times[k + 1] - rep.orig_times[k]
-        nsub = int(nsubs[k])
+    for k, nsub in enumerate(nsubs.tolist()):
         for j in range(nsub):
-            t = rep.orig_times[k] + dt_orig * j / nsub
+            t = X.times[k] + dts[k] * j / nsub
             y = davie_step(V, float(t), y, subs.level1[k], subs.level2[k])
+        total += nsub
+        if k + 1 in jump_logs:
+            y = marcus_jump(V, float(X.times[k + 1]), y, jump_logs[k + 1],
+                            slot_substeps)
             total += 1
-        _check_finite(y, k)
-        states_at[k + 1] = y.copy()
-        k += 1
-    states = np.asarray([states_at[i] for i in rep.orig_indices])
-    return RdeSolution(X.times, states, driver_ref,
+        if not np.all(np.isfinite(y)):
+            raise RdeBlowupError(f"state blew up at step {k}", k)
+        out.append(y.copy())
+    return RdeSolution(X.times, np.asarray(out),
                        {"scheme": "davie2+marcus", "steps_total": total,
                         "slot_substeps": slot_substeps})
 
@@ -295,9 +255,9 @@ def flow_and_inverse(V: VectorField, X: RoughPath, x_grid, steps: int):
     phis = np.empty_like(xg)
     residuals = np.empty(len(xg))
     for i, x0 in enumerate(xg):
-        fwd = solve_continuous_rde(V, X, x0, steps)
+        fwd = solve_canonical_rde(V, AdmissiblePair(X), x0, steps)
         phis[i] = fwd.states[-1]
-        back = solve_continuous_rde(V, Xrev, fwd.states[-1], steps)
+        back = solve_canonical_rde(V, AdmissiblePair(Xrev), fwd.states[-1], steps)
         residuals[i] = float(np.max(np.abs(back.states[-1] - x0)))
     return phis, residuals
 

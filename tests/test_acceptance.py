@@ -58,7 +58,6 @@ from roughfilter.rde import (
     flow_and_inverse,
     linear_vector_field,
     solve_canonical_rde,
-    solve_continuous_rde,
 )
 from roughfilter.sim import get_model, shot_noise
 from roughfilter.tensor_group import group_exp, group_log
@@ -277,7 +276,7 @@ def test_piecewise_linear_refinement_tracks_sde_solver():
             n = 2 ** level
             idx = np.arange(n + 1) * (nf // n)
             X = stratonovich_lift(CadlagPath(tf[idx], w[idx], None, "linear"))
-            sol = solve_continuous_rde(V, X, y0, steps=6 * n)
+            sol = solve_canonical_rde(V, AdmissiblePair(X), y0, steps=6 * n)
             sde = _heun_path(V, tf[idx], w[idx], y0)
             errs.append(float(np.sum(np.abs(sol.states[-1] - sde))))
         monotone += all(b < a for a, b in zip(errs, errs[1:]))

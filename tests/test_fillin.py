@@ -14,7 +14,6 @@ from roughfilter.fillin import (
     log_linear_path_function,
     ordered_jumps,
     tabulated_path_function,
-    time_change_back,
     time_extension,
 )
 from roughfilter.lift import RoughPath, marcus_lift, stratonovich_lift
@@ -184,7 +183,7 @@ def test_representative_jumpless_passthrough():
     assert np.array_equal(rep.rough.times, X.times)
     assert np.array_equal(rep.rough.level1, X.level1)
     assert np.array_equal(rep.orig_indices, np.arange(len(X.times)))
-    assert rep.slot_segments == ()
+    assert len(rep.rough.times) == len(X.times)  # no slot points
 
 
 def test_representative_single_jump_layout():
@@ -198,10 +197,10 @@ def test_representative_single_jump_layout():
     for i, j in enumerate(rep.orig_indices):
         assert np.array_equal(R.level1[j], X.level1[i])
         assert np.array_equal(R.level2[j], X.level2[i])
-    start, end, jidx = rep.slot_segments[0]
-    assert jidx == 1
+    # the slot of the jump at index 1 runs from the point after index 0 to
+    # the point of index 1: 4 segments, no original time inside
+    start, end = rep.orig_indices[0] + 1, rep.orig_indices[1]
     assert end - start == 4
-    assert np.all(rep.orig_times[start:end + 1] == 0.5)
     # slot traverses exp(chi) in equal one-parameter steps
     sub = group_pow(X.increment(1, 1, left_i=True), 0.25)
     for k in range(start, end):
@@ -222,10 +221,10 @@ def test_time_change_round_trip_exact():
     for X in (step_lift(jump_time=0.3), two_jump_lift()):
         pair = AdmissiblePair(X, delta=0.7)
         rep = build_representative(pair, slot_steps=8)
-        tau_x = time_change_back(pair)
+        ext, _ = time_extension(pair)
         for i in range(len(X.times)):
             t = float(X.times[i])
-            assert rep.rough.times[rep.orig_indices[i]] == tau_x(t)
+            assert rep.rough.times[rep.orig_indices[i]] == ext(t) * (ext.T / ext.T_ext)
 
 
 def test_beta_p_self_is_zero():

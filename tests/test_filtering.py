@@ -662,13 +662,6 @@ def test_robustness_experiment_rows():
     assert [r["theta_linear"] for r in rows] == [r["theta_linear"] for r in again]
 
 
-def test_robustness_experiment_rejects_other_modes():
-    model = get_model("scalar_jump_diffusion")
-    with pytest.raises(ValueError, match="interp_modes"):
-        robustness_experiment(model, FUNCTION_CATALOG["identity"], 1.0,
-                              [4], interp_modes=("linear",), particles=10)
-
-
 def test_trend_non_increasing():
     assert trend_non_increasing([3.0, 2.0, 1.0], [0.0, 0.0, 0.0])
     assert not trend_non_increasing([1.0, 2.0], [0.0, 0.0])

@@ -156,6 +156,87 @@ def test_increment_and_pre_point():
     assert np.allclose(full.level1, X.level1[-1])
 
 
+def _malformed(case):
+    """Arguments of a 3-point, 2-d RoughPath with one defect."""
+    rng = np.random.default_rng(25)
+    X = marcus_lift(jumpy_path(rng, 2, 2, n_jumps=1))
+    kw = dict(times=X.times.copy(), level1=X.level1.copy(),
+              level2=X.level2.copy(), jump_flags=X.jump_flags.copy(),
+              pre_level1=X.pre_level1.copy(), pre_level2=X.pre_level2.copy())
+    if case == "times not increasing":
+        kw["times"] = np.array([0.0, 1.0, 0.5])
+    elif case == "time nan":
+        kw["times"] = np.array([0.0, 0.5, np.nan])
+    elif case == "time inf":
+        kw["times"] = np.array([0.0, 0.5, np.inf])
+    elif case == "level1 1-d":
+        kw["level1"] = kw["level1"][:, 0]
+    elif case == "level1 rows":
+        kw["level1"] = kw["level1"][:2]
+    elif case in ("level2 shape", "pre_level2 shape"):
+        key = case.split()[0]
+        kw[key] = kw[key][:, :1]
+    elif case == "pre_level1 shape":
+        kw["pre_level1"] = kw["pre_level1"][:2]
+    elif case == "jump_flags shape":
+        kw["jump_flags"] = kw["jump_flags"][:2]
+    elif case == "level1 start":
+        kw["level1"][0, 1] = 1e-3
+    elif case == "level2 start":
+        kw["level2"][0, 0, 1] = 1e-3
+    elif case == "jump at t=0":
+        kw["jump_flags"][0] = True
+    else:  # "<name> non-finite"
+        key = case.split()[0]
+        kw[key][(1,) * kw[key].ndim] = np.nan if "1" in key else np.inf
+    return kw
+
+
+@pytest.mark.parametrize("case", [
+    "times not increasing", "time nan", "time inf", "level1 1-d", "level1 rows",
+    "level2 shape", "pre_level1 shape", "pre_level2 shape", "jump_flags shape",
+    "level1 start", "level2 start", "jump at t=0", "level1 non-finite",
+    "level2 non-finite", "pre_level1 non-finite", "pre_level2 non-finite"])
+def test_rough_path_rejects_malformed_input(case):
+    with pytest.raises(ValueError):
+        RoughPath(**_malformed(case))
+
+
+def test_rough_path_without_pre_levels_has_no_jumps():
+    rng = np.random.default_rng(26)
+    X = stratonovich_lift(brownian_path(rng, 6, 2))
+    Y = RoughPath(X.times, X.level1, X.level2)
+    assert not Y.has_jumps()
+    assert np.array_equal(Y.pre_level1, Y.level1)
+    assert np.array_equal(Y.pre_level2, Y.level2)
+    jumps = Y.increment(np.arange(7), np.arange(7), left_i=True)
+    assert np.all(jumps.level1 == 0.0) and np.all(jumps.level2 == 0.0)
+
+
+def test_points_are_not_validated_again(monkeypatch):
+    """RoughPath validates its two batches when it is built; points and
+    increments are sub-batches of them and build no new GroupElement."""
+    from roughfilter import tensor_group
+
+    rng = np.random.default_rng(27)
+    X = marcus_lift(jumpy_path(rng, 8, 2))
+    built = []
+    init = tensor_group.GroupElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_group.GroupElement, "__init__", counting_init)
+    i = int(np.nonzero(X.jump_flags)[0][0])
+    pre = X.point(i, left=True)
+    batch = X.point(np.arange(9))
+    X.increment(np.arange(8), np.arange(1, 9), left_j=True)
+    assert built == []
+    assert np.array_equal(pre.level1, X.pre_level1[i])
+    assert np.array_equal(batch.level2, X.level2)
+
+
 def test_running_at_interpolates_segment():
     x = CadlagPath([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]])
     X = stratonovich_lift(x)

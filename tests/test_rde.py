@@ -21,7 +21,6 @@ from roughfilter.rde import (
     linear_vector_field,
     marcus_jump,
     solve_canonical_rde,
-    solve_continuous_rde,
     stability_probe,
 )
 
@@ -65,14 +64,15 @@ def nilpotent_closed_form(B, X, y0):
 def test_zero_field_constant_solution():
     rng = np.random.default_rng(40)
     V = constant_vector_field(np.zeros((2, 2)))
-    sol = solve_continuous_rde(V, brownian_lift(rng), [1.0, -2.0], steps=50)
+    sol = solve_canonical_rde(V, AdmissiblePair(brownian_lift(rng)), [1.0, -2.0],
+                              steps=50)
     assert np.allclose(sol.states, [1.0, -2.0])
-    assert sol.scheme_meta["scheme"] == "davie2"
+    assert sol.scheme_meta["scheme"] == "davie2+marcus"
 
 
 def test_scalar_exponential_oracle():
     V = linear_vector_field(np.ones((1, 1, 1)))
-    sol = solve_continuous_rde(V, line_lift(), [1.0], steps=4000)
+    sol = solve_canonical_rde(V, AdmissiblePair(line_lift()), [1.0], steps=4000)
     assert abs(sol.states[-1, 0] - math.e) < 1e-6
 
 
@@ -80,7 +80,8 @@ def test_step_halving_second_order():
     V = linear_vector_field(np.ones((1, 1, 1)))
     errs = []
     for steps in (50, 100, 200, 400):
-        sol = solve_continuous_rde(V, line_lift(), [1.0], steps=steps)
+        sol = solve_canonical_rde(V, AdmissiblePair(line_lift()), [1.0],
+                                  steps=steps)
         errs.append(abs(sol.states[-1, 0] - math.e))
     assert errs[0] > errs[1] > errs[2] > errs[3]
     assert errs[0] / errs[3] > 20.0
@@ -93,7 +94,7 @@ def test_nilpotent_closed_form_continuous():
     y0 = np.array([1.0, 2.0, 3.0])
     for _ in range(3):
         X = brownian_lift(rng, n=12)
-        sol = solve_continuous_rde(V, X, y0, steps=30)
+        sol = solve_canonical_rde(V, AdmissiblePair(X), y0, steps=30)
         assert np.allclose(sol.states[-1], nilpotent_closed_form(B, X, y0),
                            atol=1e-12)
 
@@ -106,7 +107,7 @@ def test_nilpotent_pure_area_driver():
     B = nilpotent_fields()
     V = linear_vector_field(B)
     y0 = np.array([1.0, 2.0, 3.0])
-    sol = solve_continuous_rde(V, X, y0, steps=7)
+    sol = solve_canonical_rde(V, AdmissiblePair(X), y0, steps=7)
     # area drives the commutator direction: (I - a [B_1, B_2]) y0
     comm = B[0] @ B[1] - B[1] @ B[0]
     assert np.allclose(sol.states[-1], (np.eye(3) - a * comm) @ y0, atol=1e-13)
@@ -122,23 +123,6 @@ def test_nilpotent_closed_form_with_jumps():
     assert np.allclose(sol.states[-1], nilpotent_closed_form(B, X, y0),
                        atol=1e-12)
     assert sol.scheme_meta["scheme"] == "davie2+marcus"
-
-
-def test_continuous_driver_rejected_with_jumps():
-    rng = np.random.default_rng(43)
-    with pytest.raises(ValueError):
-        solve_continuous_rde(constant_vector_field(np.zeros((1, 2))),
-                             jumpy_lift_2d(rng), [0.0], steps=10)
-
-
-def test_canonical_jumpless_matches_continuous():
-    rng = np.random.default_rng(44)
-    X = brownian_lift(rng)
-    V = linear_vector_field(np.stack([np.eye(2), 0.3 * np.ones((2, 2))]))
-    a = solve_continuous_rde(V, X, [1.0, 0.5], steps=64)
-    b = solve_canonical_rde(V, AdmissiblePair(X), [1.0, 0.5], steps=64)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.times, b.times)
 
 
 def test_canonical_single_jump_exponential():
@@ -230,8 +214,25 @@ def test_blowup_raises_with_step_index():
                    np.linspace(0.0, 1.0, 101)[:, None]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RdeBlowupError) as info:
-            solve_continuous_rde(V, X, [3.0], steps=100)
+            solve_canonical_rde(V, AdmissiblePair(X), [3.0], steps=100)
     assert info.value.step_index >= 0
+
+
+def test_blowup_step_index_names_driver_segment():
+    """Two jumps (at t_2 and t_4) come before segment 7, across which the
+    driver rises by 3 and y' = y^2 dx blows up: the error names segment 7,
+    not an index shifted by the jumps."""
+    V = VectorField(lambda t, y: (np.asarray(y, dtype=float) ** 2)[..., None])
+    vals = np.array([0.0, 0.0, 0.1, 0.1, 0.2, 0.2, 0.2, 0.2, 3.2, 3.2, 3.2])
+    pre = vals.copy()
+    pre[2], pre[4] = 0.0, 0.1
+    X = marcus_lift(CadlagPath(np.linspace(0.0, 1.0, 11), vals[:, None],
+                               pre[:, None]))
+    assert np.nonzero(X.jump_flags)[0].tolist() == [2, 4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RdeBlowupError) as info:
+            solve_canonical_rde(V, AdmissiblePair(X), [0.5], steps=1000)
+    assert info.value.step_index == 7
 
 
 def test_stability_probe_reports():

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from roughfilter import fillin, sim
 from roughfilter.lift import marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
-from roughfilter.rde import VectorField, solve_continuous_rde
+from roughfilter.rde import VectorField, solve_canonical_rde
 
 
 def zero_coeff_model(nu2=None, f2_scale=0.0):
@@ -268,7 +268,8 @@ class TestSimulatePair:
         w_fine = np.concatenate([[0.0], np.cumsum(dw_fine)])
         ref_lift = stratonovich_lift(CadlagPath(t_fine, w_fine[:, None]))
         V = VectorField(lambda t, y: sigma2(t, y))
-        ref = solve_continuous_rde(V, ref_lift, np.array([0.3]), steps=4096)
+        ref = solve_canonical_rde(V, fillin.AdmissiblePair(ref_lift),
+                                  np.array([0.3]), steps=4096)
         y_ref = ref.states[-1, 0]
 
         errs = []
