@@ -34,11 +34,13 @@ A model declares which coefficients are constant by how it builds them
 (sim._const for sigma0, sigma1, sigma2 and lambda_fn; sim._linear_mark for
 jump loadings linear in the mark, as every catalog model does). Declared
 coefficients skip work: with sigma1, sigma2 (and f3, f2 at the jump column)
-constant only the h row of the joint field is differenced, h_function uses
-the sigma2 matrix itself, the flow route takes the closed-form flow
-x + sigma1 w, and with lambda_fn, f2 and f3 declared every nu2 integral is
-one constant vector, evaluated at a single state. Plain callables are
-evaluated and differenced in full. Either way one reference-rate call
+constant the other rows of the joint field are built once, only the h row
+is differenced, and a driver jump's Marcus flow evaluates the h row alone,
+once per RK4 substep; h_function uses the sigma2 matrix itself, the flow
+route takes the closed-form flow x + sigma1 w, a declared lambda_fn, f2 or
+f3 enters the nu2 integrals at a single state, and with all three declared
+every nu2 integral is one constant vector. Plain callables are evaluated
+and differenced in full. Either way one reference-rate call
 (sim._reference_rates) evaluates lambda once per atom of nu2, for the
 drift compensators, h and the (1 - lambda) weight rate together.
 
@@ -70,6 +72,7 @@ from .sim import (
     LevyMeasure,
     ModelSpec,
     _accepted_nu2,
+    _const,
     _declared_matrix,
     _reference_rates,
     h_function,
@@ -265,7 +268,8 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
     sigma2, h), plus a jump-path column (f3, f2, 0) at unit mark when the
     driver has one extra component. When sigma1, sigma2 (and, at that
     column, f3 and f2) are declared constant, only the h row depends on the
-    state, and the field's directional action differences that row alone."""
+    state: the other rows are built once, as one constant block, and the
+    field's directional action and Marcus flow evaluate the h row alone."""
     dx, dy = model.dim_x, model.dim_y
     extra = driver_dim - dy
     if extra not in (0, 1):
@@ -279,10 +283,7 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
             h = np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)
         return h[..., None, :]
 
-    def evaluator(t, z):
-        z = np.asarray(z, dtype=float)
-        x = z[..., :dx]
-        y = z[..., dx:dx + dy]
+    def loading_rows(t, x, y):
         s1 = np.asarray(model.sigma1(t, x, y), dtype=float)
         s2 = np.asarray(model.sigma2(t, y), dtype=float)
         rows = np.concatenate(
@@ -294,11 +295,22 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
                 x.shape[:-1] + (dy,))
             col = np.concatenate([cx, cy], axis=-1)[..., None]
             rows = np.concatenate([rows, col], axis=-1)
-        return np.concatenate([rows, h_row(t, z)], axis=-2)
+        return rows
 
     loadings = [model.sigma1, model.sigma2] + ([model.f3, model.f2] if extra else [])
     if all(_declared_matrix(c) is not None for c in loadings):
+        block = _const(loading_rows(0.0, np.zeros(dx), np.zeros(dy)))
+
+        def evaluator(t, z):
+            return np.concatenate([block(t, z), h_row(t, z)], axis=-2)
+
         return VectorField(evaluator, varying=(slice(dx + dy, None), h_row))
+
+    def evaluator(t, z):
+        z = np.asarray(z, dtype=float)
+        rows = loading_rows(t, z[..., :dx], z[..., dx:dx + dy])
+        return np.concatenate([rows, h_row(t, z)], axis=-2)
+
     return VectorField(evaluator)
 
 

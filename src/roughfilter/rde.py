@@ -65,9 +65,12 @@ class VectorField:
     dV[a, i]/dy[b]. `jac(t, y, along)` returns the Jacobian's action on
     directions instead; without a supplied Jacobian that action is a central
     directional difference per driver component. When only some rows of V
-    depend on y, `varying` = (rows, evaluator of V[..., rows, :]) lets the
-    action difference those rows alone: the others are constant, and their
-    central differences would be exactly 0.
+    depend on y, `varying` = (rows, evaluator of V[..., rows, :]) declares
+    that the other rows are constant and that the varying rows read none of
+    their own coordinates (the joint (X, Y, I) field's h row reads X and Y,
+    never I). The action then differences those rows alone, since the
+    central differences of the others would be exactly 0, and marcus_jump
+    evaluates them alone along coordinates it knows in advance.
     """
 
     evaluator: callable
@@ -158,7 +161,7 @@ def constant_vector_field(mat) -> VectorField:
 @dataclass(frozen=True)
 class RdeSolution:
     times: np.ndarray
-    states: np.ndarray  # (n, e)
+    states: np.ndarray  # (times, e), or (times, n, e) for n start states
     scheme_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -189,7 +192,16 @@ def davie_step(V: VectorField, t: float, y: np.ndarray, g1: np.ndarray,
 def marcus_jump(V: VectorField, t: float, y: np.ndarray, delta: np.ndarray,
                 substeps: int = 64) -> np.ndarray:
     """Time-1 flow of y' = V(y) delta by classical RK4 with `substeps` steps
-    (more for large jumps)."""
+    (more for large jumps).
+
+    For a field that declares `varying`, the constant rows have the same
+    slope c at every stage, taken from one full-field call; so their
+    increment (h/6)(c + 2c + 2c + c) and the stage points z, z + (h/2) c and
+    z + h c of the coordinates the varying rows read are known up front.
+    As those rows read none of their own coordinates, their slopes at the
+    second and third stages coincide, and each substep takes one `varying`
+    call on 3 stacked states per state, combined in the RK4 order below: the
+    same bits as the loop of full-field calls."""
     nrm = float(np.linalg.norm(delta))
     n = max(substeps, int(np.ceil(substeps * nrm)))
     h = 1.0 / n
@@ -198,6 +210,23 @@ def marcus_jump(V: VectorField, t: float, y: np.ndarray, delta: np.ndarray,
         return np.einsum("...ai,i->...a", V(t, z), delta)
 
     z = np.asarray(y, dtype=float).copy()
+    if V.varying is not None:
+        rows, field_rows = V.varying
+        c = f(z)
+        c[..., rows] = 0.0
+        step = (h / 6.0) * (c + 2.0 * c + 2.0 * c + c)
+        half, full = 0.5 * h * c, h * c
+        stages = np.empty((3,) + z.shape)
+        for _ in range(n):
+            stages[0] = z
+            np.add(z, half, out=stages[1])
+            np.add(z, full, out=stages[2])
+            k1, k2, k4 = np.einsum("...ai,i->...a", field_rows(t, stages), delta)
+            k22 = 2.0 * k2  # 2 k2 and 2 k3 of the loop, k3 being k2
+            zr = z[..., rows] + (h / 6.0) * (k1 + k22 + k22 + k4)
+            z += step
+            z[..., rows] = zr
+        return z
     for _ in range(n):
         k1 = f(z)
         k2 = f(z + 0.5 * h * k1)
@@ -216,7 +245,11 @@ def solve_canonical_rde(V: VectorField, pair: AdmissiblePair, y0, steps: int,
     crossed by the Marcus time-1 flow along the level 1 of its log. The
     solve reads only these chords and jump logs, never a filled slot, which
     is why r_seq, delta and the path function of `pair` drop out. A state
-    that stops being finite raises RdeBlowupError naming segment k."""
+    that stops being finite raises RdeBlowupError naming segment k.
+
+    `y0` is one start state (e,), giving states (times, e), or n start
+    states (n, e) solved together, giving states (times, n, e); each start
+    takes the same steps as it would alone."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     X = pair.rough
@@ -249,17 +282,13 @@ def solve_canonical_rde(V: VectorField, pair: AdmissiblePair, y0, steps: int,
 
 def flow_and_inverse(V: VectorField, X: RoughPath, x_grid, steps: int):
     """phi(T, x) for each start x, plus the inverse-flow residuals
-    |psi(T, phi(T, x)) - x| from solving along the time-reversed driver."""
-    Xrev = reverse_rough_path(X)
+    |psi(T, phi(T, x)) - x| from solving along the time-reversed driver:
+    one forward and one backward solve over all starts together."""
     xg = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    phis = np.empty_like(xg)
-    residuals = np.empty(len(xg))
-    for i, x0 in enumerate(xg):
-        fwd = solve_canonical_rde(V, AdmissiblePair(X), x0, steps)
-        phis[i] = fwd.states[-1]
-        back = solve_canonical_rde(V, AdmissiblePair(Xrev), fwd.states[-1], steps)
-        residuals[i] = float(np.max(np.abs(back.states[-1] - x0)))
-    return phis, residuals
+    phis = solve_canonical_rde(V, AdmissiblePair(X), xg, steps).states[-1]
+    back = solve_canonical_rde(V, AdmissiblePair(reverse_rough_path(X)), phis,
+                               steps).states[-1]
+    return phis, np.max(np.abs(back - xg), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -164,16 +164,17 @@ class ModelSpec:
 def h_function(model: ModelSpec, t: float, x, y):
     """h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2); broadcasts over
     leading axes of x, y. The nu2 integral is exact for atom lists (one
-    constant vector when lambda_fn, f2 and f3 are declared, see _nu2_state)
+    constant vector when lambda_fn and f2 are declared, see _nu2_state)
     and zero in the infinite-activity regime (lambda = 1 there)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rhs = np.asarray(model.b2(t, x, y), dtype=float)
     if isinstance(model.nu2, LevyMeasure):
-        xs, ys = _nu2_state(model, x, y)
+        xl = _nu2_state(model, model.lambda_fn, x, y)[0]
+        y2 = _nu2_state(model, model.f2, x, y)[1]
         rhs = rhs + model.nu2.integrate(lambda u: _h_integrand(
-            np.asarray(model.f2(t, ys, u), dtype=float),
-            np.asarray(model.lambda_fn(t, xs, u), dtype=float)))
+            np.asarray(model.f2(t, y2, u), dtype=float),
+            np.asarray(model.lambda_fn(t, xl, u), dtype=float)))
     return _solve_sigma2(model, t, y, rhs)
 
 
@@ -202,14 +203,14 @@ def _solve_sigma2(model: ModelSpec, t: float, y, rhs):
         raise ValueError(f"sigma2 singular at t={t}") from exc
 
 
-def _nu2_state(model: ModelSpec, x, y):
-    """The state at which the nu2 integrands are evaluated: (x, y) itself,
-    or one zero state when lambda_fn, f2 and f3 are all declared (built by
-    _const or _linear_mark). Then every nu2 integral is a constant vector,
-    and one state gives it in the same arithmetic, so with the same bits,
-    as every particle's state."""
-    if all(_declared_matrix(c) is not None
-           for c in (model.lambda_fn, model.f2, model.f3)):
+def _nu2_state(model: ModelSpec, coefficient, x, y):
+    """The state at which `coefficient` (lambda_fn, f2 or f3) enters the
+    nu2 integrands: (x, y) itself, or one zero state when it is declared
+    (built by _const or _linear_mark). A declared coefficient has the same
+    value at every state, and the integrand broadcasts it against the
+    others in the same arithmetic, so with the same bits; when all three
+    are declared, every nu2 integral is one constant vector."""
+    if _declared_matrix(coefficient) is not None:
         return np.zeros(model.dim_x), np.zeros(model.dim_y)
     return x, y
 
@@ -249,11 +250,13 @@ def _rates(model: ModelSpec, t: float, x, y):
         bx = bx - model.nu1.integrate(lambda u: model.f1(t, x, y, u))
     nu2 = model.nu2
     if isinstance(nu2, LevyMeasure):
-        xs, ys = _nu2_state(model, x, y)
+        xl = _nu2_state(model, model.lambda_fn, x, y)[0]
+        y2 = _nu2_state(model, model.f2, x, y)[1]
+        x3, y3 = _nu2_state(model, model.f3, x, y)
         marks = nu2.marks()
-        lam = [np.asarray(model.lambda_fn(t, xs, u), dtype=float) for u in marks]
-        f2 = [np.asarray(model.f2(t, ys, u), dtype=float) for u in marks]
-        f3 = [np.asarray(model.f3(t, xs, ys, u), dtype=float) for u in marks]
+        lam = [np.asarray(model.lambda_fn(t, xl, u), dtype=float) for u in marks]
+        f2 = [np.asarray(model.f2(t, y2, u), dtype=float) for u in marks]
+        f3 = [np.asarray(model.f3(t, x3, y3, u), dtype=float) for u in marks]
         bx = bx - _atom_sum(nu2, (f * l[..., None] for f, l in zip(f3, lam)))
         by = by - _atom_sum(nu2, (f * l[..., None] for f, l in zip(f2, lam)))
         rhs = rhs + _atom_sum(nu2, map(_h_integrand, f2, lam))
@@ -679,14 +682,19 @@ def reconstruct_wtilde(model: ModelSpec, Y: CadlagPath) -> CadlagPath:
 
 def _const(mat):
     """A coefficient constant in (t, state): (t, state...) -> mat broadcast
-    over the leading axes of the first state argument. The callable carries
-    `mat` as its `matrix`, which is how the filter knows the coefficient is
-    constant (see _declared_matrix)."""
+    over the leading axes of the first state argument, as one read-only
+    view per leading shape, made on the first call with that shape. The
+    callable carries `mat` as its `matrix`, which is how the filter knows
+    the coefficient is constant (see _declared_matrix)."""
     mat = np.asarray(mat, dtype=float)
+    views = {}
 
     def f(t, *state):
-        lead = np.asarray(state[0], dtype=float).shape[:-1]
-        return np.broadcast_to(mat, lead + mat.shape)
+        lead = np.shape(state[0])[:-1]
+        view = views.get(lead)
+        if view is None:
+            view = views[lead] = np.broadcast_to(mat, lead + mat.shape)
+        return view
 
     f.matrix = mat
     return f
@@ -695,13 +703,14 @@ def _const(mat):
 def _linear_mark(mat):
     """A jump loading linear in the mark and constant in (t, state):
     (t, state..., u) -> mat @ u broadcast over the leading axes of the first
-    state argument. It carries `mat` as its `matrix`, like _const."""
+    state argument (for one state, the product itself). It carries `mat` as
+    its `matrix`, like _const."""
     mat = np.asarray(mat, dtype=float)
 
     def f(t, *args):
-        lead = np.asarray(args[0], dtype=float).shape[:-1]
+        lead = np.shape(args[0])[:-1]
         jump = mat @ np.atleast_1d(np.asarray(args[-1], dtype=float))
-        return np.broadcast_to(jump, lead + jump.shape)
+        return np.broadcast_to(jump, lead + jump.shape) if lead else jump
 
     f.matrix = mat
     return f

@@ -4,7 +4,8 @@ A canonical solve is a deterministic sequence of Davie steps and Marcus jump
 flows, so a change that only reorganises how the solver walks the driver
 must reproduce these states bit for bit (repr equality). They were recorded
 before the solver stopped building a continuous representative and began to
-march the driver's own grid.
+march the driver's own grid; the Marcus jump pins were recorded before a
+declared joint field's jump flow began to stack its h-row stages.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from roughfilter.rde import (
     VectorField,
     flow_and_inverse,
     linear_vector_field,
+    marcus_jump,
     solve_canonical_rde,
 )
 from roughfilter.sim import get_model
@@ -114,3 +116,47 @@ def test_flow_and_inverse_pin():
     phis, residuals = flow_and_inverse(nonlinear_field(), smooth_driver(), grid,
                                        steps=32)
     assert (_digest(phis), _digest(residuals)) == FLOW_PIN
+
+
+# (model, jump size, substeps) -> sha256 of repr of marcus_jump on the
+# declared joint field from 64 random states at t = 0.25. The driver of
+# scalar_jump_diffusion has dimension 1 (jump [size]); that of
+# stable_shot_noise carries the jump column (jump size * [0.6, -0.8]). At
+# size 3 the flow takes 3 * substeps RK4 substeps.
+MARCUS_JUMP_PINS = {
+    ("scalar_jump_diffusion", 0.05, 8):
+        "74bccd23eea2257554edaeea822f791f2f68cd31fe1194c286fbfdfb2c849da4",
+    ("scalar_jump_diffusion", 0.05, 64):
+        "fec94bb3f9133c7e2cb7461b49fa1ba8269af29619e4d5f92401a10fbec19452",
+    ("scalar_jump_diffusion", 0.5, 8):
+        "3ed57ae82c63f271562c96b11ced6ff6cce6b5cd76953fa0996e5395ee675fa2",
+    ("scalar_jump_diffusion", 0.5, 64):
+        "1767bb2ffbd632d5a57ce82c07d8799218c1b749f3dee01979d26521c72ed391",
+    ("scalar_jump_diffusion", 3.0, 8):
+        "03557c259c9691c7366f853fa8e3be280e10d5acae0085691a1ec733fad97eb5",
+    ("scalar_jump_diffusion", 3.0, 64):
+        "3874a2cf3ce7846d6181694fd3c8c447bc2c179e018b864be9539060eee42f3a",
+    ("stable_shot_noise", 0.05, 8):
+        "1988c766e2138c92e03629057eb90dd9a8478e800fd648170912c4d62bff815a",
+    ("stable_shot_noise", 0.05, 64):
+        "628e4ce99c7eecac2377765399543cc7462745b9f6c5e779f594339c28d74729",
+    ("stable_shot_noise", 0.5, 8):
+        "716eb86db7f365be613c991f3339289e7e83a6c2d266d8aeb8d4a29f9f8c1a51",
+    ("stable_shot_noise", 0.5, 64):
+        "b9ddc387a96ea64711992348e95454d23f2c6a7f45b715e524c8cc587fd54219",
+    ("stable_shot_noise", 3.0, 8):
+        "7d4a6a455175101d230edb5be6045d6460ad0154a7e4ef7265fa7b30200ca50e",
+    ("stable_shot_noise", 3.0, 64):
+        "fb605cb1e9c8dd902989be925a115c46da0dfc8b5b279412d3238c1906a3b3df",
+}
+
+
+@pytest.mark.parametrize("model_id,size,substeps", sorted(MARCUS_JUMP_PINS))
+def test_marcus_jump_pins(model_id, size, substeps):
+    d = {"scalar_jump_diffusion": 1, "stable_shot_noise": 2}[model_id]
+    V = _joint_field(get_model(model_id), d)
+    assert V.varying is not None
+    z = np.random.default_rng(903).standard_normal((64, 3))
+    u = np.array([1.0]) if d == 1 else np.array([0.6, -0.8])
+    out = marcus_jump(V, 0.25, z, size * u, substeps)
+    assert _digest(out) == MARCUS_JUMP_PINS[(model_id, size, substeps)]

@@ -356,11 +356,12 @@ def test_short_axis_reductions_match_numpy(data, length, lead, n, k):
 
 
 def _partly_varying_field(M):
-    """Rows 0-1 constant (M), row 2 depending on y, declared by `varying`."""
+    """Rows 0-1 constant (M), row 2 depending on y[0] and y[1] (never on
+    its own coordinate y[2]), declared by `varying`."""
 
     def row(t, y):
         y = np.asarray(y, dtype=float)
-        return np.stack([np.sin(y[..., 0] * y[..., 2]), y[..., 1] ** 2],
+        return np.stack([np.sin(y[..., 0] * y[..., 1]), y[..., 1] ** 2],
                         axis=-1)[..., None, :]
 
     def evaluator(t, y):
@@ -390,3 +391,69 @@ def test_unbatched_state_matches_batched_row():
             assert np.array_equal(one, batch_jac[i])
             assert np.array_equal(davie_step(V, 0.0, y[i], g1, g2),
                                   batch_step[i])
+
+
+# -- Marcus jumps of declared fields -------------------------------------------
+
+# The joint fields of the catalog models whose sigma2 is 1 x 1, by driver
+# dimension: 1 without, 2 with the jump-path column.
+_JUMP_CASES = [("linear_gaussian", 1), ("scalar_jump_diffusion", 1),
+               ("stable_shot_noise", 1), ("stable_shot_noise", 2)]
+
+
+def _counted(V):
+    """V with counting evaluators, and the loop field of the same evaluator
+    with `varying=None`; returns (declared, loop, counts)."""
+    counts = {"full": 0, "varying": 0}
+    rows, field_rows = V.varying
+
+    def full(t, z):
+        counts["full"] += 1
+        return V.evaluator(t, z)
+
+    def varying(t, z):
+        counts["varying"] += 1
+        return field_rows(t, z)
+
+    return (VectorField(full, varying=(rows, varying)), VectorField(full),
+            counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_JUMP_CASES), seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["(e,)", "(1, e)", "(n, e)"]),
+       n=st.integers(2, 6), t=st.floats(0.0, 1.0),
+       size=st.floats(0.0, 3.0), substeps=st.integers(1, 8),
+       special=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2),
+                                  st.sampled_from([0.0, -0.0, 5e-324])),
+                        max_size=4))
+def test_declared_marcus_jump_matches_rk4_loop(case, seed, shape, n, t, size,
+                                               substeps, special):
+    """marcus_jump of a declared joint field equals the RK4 loop of the same
+    evaluator with varying=None bit for bit, zero and subnormal coordinates
+    included, and makes 1 full-field call and m `varying` calls where the
+    loop makes 4m full-field calls (m RK4 substeps)."""
+    from roughfilter.filtering import _joint_field
+    from roughfilter.sim import get_model
+
+    name, driver_dim = case
+    model = get_model(name)
+    e = model.dim_x + model.dim_y + 1
+    rng = np.random.default_rng(seed)
+    lead = {"(e,)": (), "(1, e)": (1,), "(n, e)": (n,)}[shape]
+    z = rng.uniform(-2.0, 2.0, lead + (e,))
+    flat = z.reshape(-1, e)
+    for p, i, v in special:
+        flat[p % len(flat), i] = v
+    u = rng.standard_normal(driver_dim)
+    delta = size * u / max(np.linalg.norm(u), 1e-300)
+    m = max(substeps, int(np.ceil(substeps * float(np.linalg.norm(delta)))))
+
+    declared, loop, counts = _counted(_joint_field(model, driver_dim))
+    got = marcus_jump(declared, t, z, delta, substeps)
+    assert counts == {"full": 1, "varying": m}
+    counts.update(full=0, varying=0)
+    expect = marcus_jump(loop, t, z, delta, substeps)
+    assert counts == {"full": 4 * m, "varying": 0}
+    assert got.shape == z.shape
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))

@@ -595,3 +595,49 @@ class TestShotNoise:
                                          delta_seq=(1.0,)).estimate
         assert sums[1] < sums[0]
         assert sums[2] < sums[1]
+
+
+class TestDeclaredViews:
+    """_const hands out one read-only view per leading shape; _linear_mark
+    keeps nothing per mark."""
+
+    def test_const_view_is_read_only(self):
+        f = sim._const([[0.5, 0.1], [0.0, 0.4]])
+        for state in (np.zeros(2), np.zeros((5, 2)), np.zeros((5, 3, 2))):
+            view = f(0.0, state, state)
+            assert view.shape == state.shape[:-1] + (2, 2)
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0.0
+        assert np.array_equal(f.matrix, [[0.5, 0.1], [0.0, 0.4]])
+
+    def test_const_same_leading_shape_same_object(self):
+        f = sim._const([[0.3]])
+        a = f(0.0, np.zeros((7, 1)), np.ones((7, 1)))
+        assert f(1.0, np.full((7, 1), 2.0), np.zeros((7, 1))) is a
+        assert f(0.0, np.zeros((7, 3, 1)), None) is not a
+        assert f(0.0, [0.0], None) is f(0.5, np.ones(1), None)
+
+    def test_linear_mark_keeps_nothing_per_mark(self):
+        """1,000 distinct observed marks on single and batched states leave
+        no memory behind, and each jump is mat @ u."""
+        import tracemalloc
+
+        mat = np.array([[0.0, 0.3], [0.3, 0.0]])
+        f = sim._linear_mark(mat)
+        marks = np.random.default_rng(8).standard_normal((1000, 2))
+        states = (np.zeros(2), np.zeros((4, 2)))
+        for x in states:  # first calls with each shape
+            f(0.0, x, x, marks[0])
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        for u in marks:
+            for x in states:
+                out = f(0.0, x, x, u)
+        del out
+        grown = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        assert grown < 4096, grown
+        for x in states:
+            out = f(0.0, x, x, marks[-1])
+            assert out.shape == x.shape
+            assert np.array_equal(out, np.broadcast_to(mat @ marks[-1], x.shape))
