@@ -32,15 +32,20 @@ observed jump path and the loadings f3, f2 must be linear in the mark.
 
 A model declares which coefficients are constant by how it builds them
 (sim._const for sigma0, sigma1, sigma2 and lambda_fn; sim._linear_mark for
-jump loadings linear in the mark, as every catalog model does). Declared
-coefficients skip work: with sigma1, sigma2 (and f3, f2 at the jump column)
-constant the other rows of the joint field are built once, only the h row
-is differenced, and a driver jump's Marcus flow evaluates the h row alone,
-once per RK4 substep; h_function uses the sigma2 matrix itself, the flow
-route takes the closed-form flow x + sigma1 w, a declared lambda_fn, f2 or
-f3 enters the nu2 integrals at a single state, and with all three declared
-every nu2 integral is one constant vector. Plain callables are evaluated
-and differenced in full. Either way one reference-rate call
+jump loadings linear in the mark; sim._linear_state for drifts linear in
+the signal, as every catalog model does). Declared coefficients skip work:
+with sigma1, sigma2 (and f3, f2 at the jump column) constant the other rows
+of the joint field are built once, only the h row is differenced, and a
+driver jump's Marcus flow evaluates the h row alone, once per RK4 substep;
+h_function uses the sigma2 matrix (or its inverse, kept once) itself, the
+flow route takes the closed-form flow x + sigma1 w, a declared lambda_fn,
+f2 or f3 enters the nu2 integrals at a single state, and with all three
+declared every nu2 integral is one constant vector. When b2 is linear too
+and h's nu2 term is state-free (the three lambda = 1 models), h = H x + h0
+is affine: the Davie step is closed-form, with one h evaluation and an
+exact second-order constant per chord, and one RK4 substep per unit jump
+size is the exact Marcus flow (see _RoughRoute). Plain callables are
+evaluated and differenced in full. Either way one reference-rate call
 (sim._reference_rates) evaluates lambda once per atom of nu2, for the
 drift compensators, h and the (1 - lambda) weight rate together.
 
@@ -75,6 +80,8 @@ from .sim import (
     _const,
     _declared_matrix,
     _reference_rates,
+    _solve_sigma2,
+    _state_matrix,
     h_function,
     make_noise_bundle,
     reconstruct_wtilde,
@@ -385,16 +392,50 @@ class _Route:
         return {"route": self.name}
 
 
+def _affine_h(model: ModelSpec, V: VectorField):
+    """H with h = H x + h0, when the joint field's only varying row is
+    affine: V declares `varying`, b2 is built by _linear_state and h's nu2
+    term does not depend on the state (no atomic nu2, or lambda_fn and f2
+    declared). Else None. H = sigma2^{-1} C goes through h_function's own
+    sigma2 step."""
+    C = _state_matrix(model.b2)
+    if V.varying is None or C is None:
+        return None
+    if isinstance(model.nu2, LevyMeasure) and not (
+            _declared_matrix(model.lambda_fn) is not None
+            and _declared_matrix(model.f2) is not None):
+        return None
+    return _solve_sigma2(model, 0.0, None, C.T).T
+
+
 class _RoughRoute(_Route):
     """Along a level-2 driver: Heun steps for the dt and sigma0 dB terms, one
     Davie step of the joint (X, Y, I) state per segment, and Marcus time-1
-    flows across driver jumps."""
+    flows across driver jumps.
+
+    When h = H x + h0 is affine (_affine_h), X and Y have constant loadings
+    and the Davie step is closed-form: X and Y move by block @ g1 and I by
+    h . g1 + c2, where c2 = sum_{j < d_Y} (H block_X g2)_{jj} is the exact
+    second-order term, the same for every particle. So a step takes one h
+    evaluation and no finite difference. Across a jump the X and Y slope is
+    constant and the I slope is linear in the flow time, so one RK4 substep
+    (per unit jump size) is the exact Marcus flow."""
 
     def __init__(self, model: ModelSpec, driver: RoughPath):
         self.model, self.driver, self.times = model, driver, driver.times
         self.V = _joint_field(model, driver.dim)
         k = np.arange(len(driver.times) - 1)
         self.chords = driver.increment(k, k + 1, left_j=True)
+        H = _affine_h(model, self.V)
+        self.affine = H is not None
+        self.jump_substeps = 1 if self.affine else JUMP_SUBSTEPS
+        if self.affine:
+            dx, dy = model.dim_x, model.dim_y
+            block = self.V(0.0, np.zeros(dx + dy + 1))[:dx + dy]
+            g1, g2 = self.chords.level1, self.chords.level2
+            self.dxy = np.einsum("ai,ki->ka", block, g1)
+            self.gh = g1[:, :dy]
+            self.c2 = np.einsum("ji,kij->k", H @ block[:dx], g2[:, :, :dy])
 
     def start(self, N: int):
         super().start(N)
@@ -423,9 +464,19 @@ class _RoughRoute(_Route):
         d2y = by1 * dt
         x = x + 0.5 * (d1x + d2x)
         y = y + 0.5 * (d1y + d2y)
+        return self.davie(k, t0, x, y, logw)
 
+    def davie(self, k: int, t: float, x, y, logw):
+        """The Davie step of the joint state (x, y, logw) along chord k;
+        returns the log weight."""
+        if self.affine:
+            h = h_function(self.model, t, x, y)
+            dx = self.model.dim_x
+            self.x = x + self.dxy[k, :dx]
+            self.y = y + self.dxy[k, dx:]
+            return logw + np.einsum("...i,i->...", h, self.gh[k]) + self.c2[k]
         z = np.concatenate([x, y, logw[:, None]], axis=-1)
-        return self._unpack(davie_step(self.V, t0, z, self.chords.level1[k],
+        return self._unpack(davie_step(self.V, t, z, self.chords.level1[k],
                                        self.chords.level2[k]))
 
     def observed_jump(self, t1: float, mark):
@@ -439,7 +490,7 @@ class _RoughRoute(_Route):
         chi1 = marcus_increment(self.driver, k + 1)
         z = np.concatenate([self.x, self.y, logw[:, None]], axis=-1)
         return self._unpack(marcus_jump(self.V, float(self.times[k + 1]), z,
-                                        chi1, JUMP_SUBSTEPS))
+                                        chi1, self.jump_substeps))
 
     def meta(self, m_end: int) -> dict:
         return {"dim": self.driver.dim,

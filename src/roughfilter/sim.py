@@ -125,9 +125,11 @@ class ModelSpec:
     sigma1->(...,dx,dy), sigma2(t,y)->(...,dy,dy), f1(t,x,y,u)->(...,dx),
     f2(t,y,u)->(...,dy), f3(t,x,y,u)->(...,dx), lambda_fn(t,x,u)->(...,).
     sigma0, sigma1, sigma2 and lambda_fn may be declared constant by building
-    them with _const, and f1, f2, f3 declared linear in the mark by building
-    them with _linear_mark; the particle sweep then skips the work that this
-    structure makes unnecessary. Any other callable is evaluated in full.
+    them with _const, f1, f2, f3 declared linear in the mark by building
+    them with _linear_mark, and b1, b2 declared linear in the signal by
+    building them with _linear_state; the particle sweep then skips the work
+    that this structure makes unnecessary. Any other callable is evaluated in
+    full.
     """
 
     model_id: str
@@ -185,15 +187,29 @@ def _h_integrand(f2, lam):
 
 def _solve_sigma2(model: ModelSpec, t: float, y, rhs):
     """sigma2^{-1} rhs. A sigma2 declared constant (built by _const) is used
-    as its matrix: one division when it is 1 x 1, else one solve with every
-    right-hand side as a column."""
-    s2 = _declared_matrix(model.sigma2)
+    as its matrix: one division when it is 1 x 1, else the product with its
+    inverse, computed once and kept on the coefficient, as a sum over
+    columns in order (elementwise, so one right-hand side gets the bits it
+    gets among many)."""
+    declared = _declared_matrix(model.sigma2)
+    s2 = declared
     if s2 is None:
         s2 = np.asarray(model.sigma2(t, y), dtype=float)
     if s2.shape[-2:] == (1, 1):
         if np.any(s2 == 0.0):
             raise ValueError(f"sigma2 singular at t={t}")
         return rhs / s2[..., 0]
+    if declared is not None:
+        inv = getattr(model.sigma2, "inverse", None)
+        if inv is None:
+            try:
+                inv = model.sigma2.inverse = np.linalg.inv(s2)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"sigma2 singular at t={t}") from exc
+        out = rhs[..., :1] * inv[:, 0]
+        for j in range(1, inv.shape[1]):
+            out = out + rhs[..., j:j + 1] * inv[:, j]
+        return out
     try:
         if s2.ndim > 2:
             return np.linalg.solve(s2, rhs[..., None])[..., 0]
@@ -716,10 +732,38 @@ def _linear_mark(mat):
     return f
 
 
+def _linear_state(mat):
+    """A drift linear in the signal and constant in t: (t, x, y) -> mat x,
+    broadcast over the leading axes of x, as c * x when mat is 1 x 1 and as
+    one einsum otherwise. It carries `mat` as its `matrix`, like _const, and
+    _state_matrix tells it apart from a constant."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape == (1, 1):
+        c = float(mat[0, 0])
+
+        def f(t, x, y):
+            return c * x
+    else:
+        def f(t, x, y):
+            return np.einsum("ij,...j->...i", mat, np.asarray(x, dtype=float))
+
+    f.matrix = mat
+    f.reads_state = True
+    return f
+
+
 def _declared_matrix(coefficient):
-    """The matrix of a coefficient built by _const or _linear_mark, else
-    None (a plain callable, which is evaluated wherever it is needed)."""
+    """The matrix of a coefficient built by _const, _linear_mark or
+    _linear_state, else None (a plain callable, which is evaluated wherever
+    it is needed)."""
     return getattr(coefficient, "matrix", None)
+
+
+def _state_matrix(coefficient):
+    """M of a drift built by _linear_state (x -> M x), else None."""
+    if getattr(coefficient, "reads_state", False):
+        return coefficient.matrix
+    return None
 
 
 def linear_gaussian(a=-0.5, s0=0.4, s1=0.3, c=1.0, gamma=0.5,
@@ -729,8 +773,7 @@ def linear_gaussian(a=-0.5, s0=0.4, s1=0.3, c=1.0, gamma=0.5,
     return ModelSpec(
         model_id="linear_gaussian", regime="scalar",
         dim_x=1, dim_y=1, dim_b=1,
-        b1=lambda t, x, y: a * x,
-        b2=lambda t, x, y: c * x,
+        b1=_linear_state([[a]]), b2=_linear_state([[c]]),
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),
         f1=_linear_mark([[0.0]]), f2=_linear_mark([[0.0]]),
         f3=_linear_mark([[0.0]]),
@@ -756,8 +799,7 @@ def scalar_jump_diffusion(a=-0.4, s0=0.35, s1=0.25, c=0.8, gamma=0.5,
     return ModelSpec(
         model_id="scalar_jump_diffusion", regime="finite_jumps",
         dim_x=1, dim_y=1, dim_b=1,
-        b1=lambda t, x, y: a * x,
-        b2=lambda t, x, y: c * x,
+        b1=_linear_state([[a]]), b2=_linear_state([[c]]),
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),
         f1=_linear_mark([[jump1]]), f2=_linear_mark([[jump2]]),
         f3=_linear_mark([[jump3]]),
@@ -784,8 +826,7 @@ def correlated_jump_multidim(x0=(0.8, -0.2), y0=(0.0, 0.0)) -> ModelSpec:
     return ModelSpec(
         model_id="correlated_jump_multidim", regime="finite_jumps",
         dim_x=2, dim_y=2, dim_b=1,
-        b1=lambda t, x, y: np.einsum("ij,...j->...i", A, np.asarray(x, dtype=float)),
-        b2=lambda t, x, y: np.einsum("ij,...j->...i", C, np.asarray(x, dtype=float)),
+        b1=_linear_state(A), b2=_linear_state(C),
         sigma0=_const(S0), sigma1=_const(S1), sigma2=_const(S2),
         f1=_linear_mark(np.zeros((2, 2))), f2=_linear_mark(0.5 * np.eye(2)),
         f3=_linear_mark([[0.0, 0.3], [0.3, 0.0]]),
@@ -805,8 +846,7 @@ def stable_shot_noise(alpha=1.0, c=0.3, a=-0.5, s0=0.35, s1=0.2, cobs=0.8,
     return ModelSpec(
         model_id="stable_shot_noise", regime="infinite_jumps",
         dim_x=1, dim_y=1, dim_b=1,
-        b1=lambda t, x, y: a * x,
-        b2=lambda t, x, y: cobs * x,
+        b1=_linear_state([[a]]), b2=_linear_state([[cobs]]),
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),
         f1=_linear_mark([[0.0]]), f2=_linear_mark([[rho2]]),
         f3=_linear_mark([[rho3]]),

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughfilter import sim
+from roughfilter import filtering, sim
 from roughfilter.filtering import (
+    JUMP_SUBSTEPS,
     DegenerateWeightsError,
     FUNCTION_CATALOG,
     FilterResult,
@@ -23,12 +24,14 @@ from roughfilter.filtering import (
     ParticleBlowupError,
     TestFunction,
     WeightAbortError,
+    _RoughRoute,
     _joint_field,
     _scalar_sigma1,
     direct_reference_filter,
     epsilon_stability_experiment,
     flow_map,
     gaussian_poisson_sampler,
+    mesh_lifts,
     per_seed_sampler,
     realized_observation,
     robust_consistency_check,
@@ -39,7 +42,7 @@ from roughfilter.filtering import (
 )
 from roughfilter.lift import marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
-from roughfilter.rde import VectorField
+from roughfilter.rde import VectorField, davie_step, marcus_jump
 from roughfilter.sim import MODEL_BUILDERS, LevyMeasure, get_model
 
 
@@ -460,16 +463,29 @@ def test_flow_map_constant_loading_closed_form():
 
 
 def test_catalog_declares_constant_coefficients():
-    """Every catalog model builds its loadings with sim._const and its jump
-    loadings with sim._linear_mark, and the three lambda = 1 models build
-    lambda_fn with sim._const, so the sweep takes the structured path: a
-    catalog edit cannot drop it silently."""
+    """Every catalog model builds its loadings with sim._const, its jump
+    loadings with sim._linear_mark and its drifts b1, b2 with
+    sim._linear_state, and the three lambda = 1 models build lambda_fn with
+    sim._const, so the sweep takes the structured path (the closed-form
+    affine-h route for those three): a catalog edit cannot drop it
+    silently."""
+    rng = np.random.default_rng(63)
     for name, build in MODEL_BUILDERS.items():
         model = build()
         for coef in ("sigma0", "sigma1", "sigma2", "f1", "f2", "f3"):
             assert sim._declared_matrix(getattr(model, coef)) is not None, (
                 name, coef)
+            assert sim._state_matrix(getattr(model, coef)) is None
         assert _joint_field(model, model.dim_y).varying is not None, name
+        dx, dy = model.dim_x, model.dim_y
+        x, y = rng.standard_normal((3, dx)), rng.standard_normal((3, dy))
+        for coef, rows in (("b1", dx), ("b2", dy)):
+            M = sim._state_matrix(getattr(model, coef))
+            assert M is not None and M.shape == (rows, dx), (name, coef)
+            assert np.allclose(getattr(model, coef)(0.0, x, y), x @ M.T,
+                               rtol=1e-15, atol=1e-15), (name, coef)
+        assert _RoughRoute(model, _random_driver(rng, dy, 1.0)).affine == (
+            name != "scalar_jump_diffusion"), name
     for name in ("linear_gaussian", "correlated_jump_multidim",
                  "stable_shot_noise"):
         model = get_model(name)
@@ -522,33 +538,45 @@ def test_plain_callable_loadings_take_the_generic_path():
     """Swapping the declared loadings and lambda for plain callables of the
     same values keeps the rough and direct values to the bit and the flow
     value to rounding (RK4 of a constant loading against its closed form).
-    On correlated_jump_multidim a plain lambda alone moves the nu2 integrals
-    from one constant vector to every particle's state; its 2 x 2 sigma2
-    stays declared, since a plain one is solved per particle, which rounds
-    differently from one solve over all particles' columns."""
+    The bitwise baseline has a plain b2, which keeps the differenced h-row
+    path; the declared catalog model takes the closed-form affine-h step,
+    which agrees with it to rounding. On correlated_jump_multidim a plain
+    lambda alone moves the nu2 integrals from one constant vector to every
+    particle's state; its 2 x 2 sigma2 stays declared, since a plain one is
+    solved per particle, which rounds differently from the declared one."""
     f = FUNCTION_CATALOG["identity"]
     for name, epsilon in (("linear_gaussian", None), ("stable_shot_noise", 0.1),
                           ("correlated_jump_multidim", None)):
         model = get_model(name)
-        plain = replace(model, sigma1=_plain(model.sigma1), f2=_plain(model.f2),
+        base = replace(model, b2=_plain(model.b2))
+        plain = replace(base, sigma1=_plain(model.sigma1), f2=_plain(model.f2),
                         f3=_plain(model.f3), lambda_fn=_plain(model.lambda_fn))
         if model.dim_y == 1:
             plain = replace(plain, sigma2=_plain(model.sigma2))
-        variants = [plain, replace(model, lambda_fn=_plain(model.lambda_fn))]
+        variants = [plain, replace(base, lambda_fn=_plain(model.lambda_fn))]
         obs = realized_observation(model, 1.0, 32, 5, epsilon=epsilon)
         assert _joint_field(plain, obs["driver"].dim).varying is None
+        assert _joint_field(base, obs["driver"].dim).varying is not None
+        assert _RoughRoute(model, obs["driver"]).affine
+        assert not _RoughRoute(base, obs["driver"]).affine
         runs = [
             lambda m: theta(m, f, obs["driver"], obs["jump_record"], 1.0,
                             150, 77),
             lambda m: direct_reference_filter(m, f, obs["Y"], obs["atoms"],
                                               1.0, 150, 77),
         ]
-        for run in runs:
-            a = run(model)
-            for other in variants:
+        # the direct route has no closed form: there the declared model
+        # matches the baseline to the bit as well
+        for run, declared in zip(runs, ([], [model])):
+            a = run(base)
+            for other in variants + declared:
                 b = run(other)
                 assert (a.theta, a.theta_se, a.g_f, a.g_1) == (
                     b.theta, b.theta_se, b.g_f, b.g_1), name
+        a, b = runs[0](base), runs[0](model)
+        np.testing.assert_allclose(
+            (b.theta, b.theta_se, b.g_1.value),
+            (a.theta, a.theta_se, a.g_1.value), rtol=1e-11, atol=0, err_msg=name)
         if name == "linear_gaussian":
             assert callable(_scalar_sigma1(plain))
             assert not callable(_scalar_sigma1(model))
@@ -556,6 +584,130 @@ def test_plain_callable_loadings_take_the_generic_path():
             b = scalar_flow_filter_detail(plain, f, obs["Y"], 150, 77)
             assert a.theta == pytest.approx(b.theta, rel=1e-12)
             assert a.g_1.value == pytest.approx(b.g_1.value, rel=1e-12)
+
+
+def _random_driver(rng, dim, scale, n=6):
+    """Marcus lift of a random path with `dim` components on n steps of
+    [0, 1], with jumps of size 0.05-3 per component at two sample times."""
+    vals = np.vstack([np.zeros(dim), scale * np.cumsum(
+        rng.standard_normal((n, dim)), axis=0) / np.sqrt(n)])
+    pre = vals.copy()
+    at = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+    pre[at] = vals[at] - rng.uniform(0.05, 3.0, (2, dim)) * rng.choice(
+        [-1.0, 1.0], (2, dim))
+    return marcus_lift(CadlagPath(np.linspace(0.0, 1.0, n + 1), vals, pre))
+
+
+def _close(got, expect, rtol):
+    """Agreement to rtol relative to the larger of 1 and the largest entry."""
+    return np.max(np.abs(got - expect)) <= rtol * max(1.0, np.max(np.abs(expect)))
+
+
+_AFFINE_CASES = [("linear_gaussian", 1), ("correlated_jump_multidim", 2),
+                 ("stable_shot_noise", 1), ("stable_shot_noise", 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(_AFFINE_CASES), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 6), scale=st.floats(0.05, 3.0))
+def test_closed_form_step_matches_davie_step(case, seed, n, scale):
+    """The rough route's closed-form step for affine h equals the generic
+    davie_step on the joint field, whose h row is finite-differenced, within
+    1e-9 relative, on random states and chords (jump column included)."""
+    name, dim = case
+    model = get_model(name)
+    dx, dy = model.dim_x, model.dim_y
+    rng = np.random.default_rng(seed)
+    route = _RoughRoute(model, _random_driver(rng, dim, scale))
+    assert route.affine
+    z = rng.uniform(-2.0, 2.0, (n, dx + dy + 1))
+    k = int(rng.integers(len(route.times) - 1))
+    t = float(route.times[k])
+    logw = route.davie(k, t, z[:, :dx], z[:, dx:dx + dy], z[:, -1])
+    got = np.column_stack([route.x, route.y, logw])
+    expect = davie_step(_joint_field(model, dim), t, z,
+                        route.chords.level1[k], route.chords.level2[k])
+    assert _close(got, expect, 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(_AFFINE_CASES), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 6), size=st.floats(0.05, 3.0))
+def test_one_substep_marcus_jump_is_exact(case, seed, n, size):
+    """For affine h the Marcus flow's X and Y slope is constant and its I
+    slope linear in the flow time, so one RK4 substep per unit jump size
+    agrees with JUMP_SUBSTEPS substeps within 1e-9 relative."""
+    name, dim = case
+    model = get_model(name)
+    V = _joint_field(model, dim)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-2.0, 2.0, (n, model.dim_x + model.dim_y + 1))
+    delta = rng.standard_normal(dim)
+    delta *= size / np.linalg.norm(delta)
+    assert _close(marcus_jump(V, 0.3, z, delta, 1),
+                  marcus_jump(V, 0.3, z, delta, JUMP_SUBSTEPS), 1e-9)
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call of a filtering module global."""
+    calls, real = [], getattr(filtering, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(filtering, name, counted)
+    return calls
+
+
+def _sweep_calls(monkeypatch, model, driver, record, N):
+    davie = _count_calls(monkeypatch, "davie_step")
+    h = _count_calls(monkeypatch, "h_function")
+    jumps = _count_calls(monkeypatch, "marcus_jump")
+    res = theta(model, FUNCTION_CATALOG["identity"], driver, record, 1.0, N, 5)
+    return res, davie, [np.shape(a[2]) for a in h], [a[4] for a in jumps]
+
+
+def test_closed_form_sweep_calls(monkeypatch):
+    """A closed-form sweep makes no davie_step call, one h_function call on
+    the N particle states per step, and one marcus_jump call of one substep
+    (per unit size) per driver jump; the jump's own h calls are its one
+    full-field call on the N states and its stacked RK4 stages."""
+    N = 40
+    for name, eps in (("linear_gaussian", None), ("correlated_jump_multidim", None),
+                      ("stable_shot_noise", 0.05)):
+        model = get_model(name)
+        obs = realized_observation(model, 1.0, 16, 3, epsilon=eps)
+        res, davie, h_shapes, substeps = _sweep_calls(
+            monkeypatch, model, obs["driver"], obs["jump_record"], N)
+        steps = len(obs["driver"].times) - 1
+        jumps = res.driver_meta["driver_jumps"]
+        assert davie == []
+        assert substeps == [1] * jumps
+        assert [s for s in h_shapes if s[:1] == (N,)] == (
+            [(N, model.dim_x)] * (steps + jumps))
+        if name == "stable_shot_noise":
+            assert res.driver_meta["driver_jumps"] > 0
+
+
+def test_generic_sweeps_keep_their_calls(monkeypatch):
+    """scalar_jump_diffusion (state-dependent lambda) and a model with a
+    plain b2 keep one davie_step call per step and JUMP_SUBSTEPS per unit
+    size for each driver jump."""
+    sjd = get_model("scalar_jump_diffusion")
+    obs = realized_observation(sjd, 1.0, 32, 5)
+    _, rectangular = mesh_lifts(obs, 1.0, 8)
+    stable = get_model("stable_shot_noise")
+    obs2 = realized_observation(stable, 1.0, 16, 3, epsilon=0.05)
+    for model, driver, record in (
+            (sjd, rectangular, obs["jump_record"]),
+            (replace(stable, b2=_plain(stable.b2)), obs2["driver"], None)):
+        assert not _RoughRoute(model, driver).affine
+        res, davie, _, substeps = _sweep_calls(monkeypatch, model, driver,
+                                               record, 30)
+        assert len(davie) == len(driver.times) - 1
+        assert res.driver_meta["driver_jumps"] > 0
+        assert substeps == [JUMP_SUBSTEPS] * res.driver_meta["driver_jumps"]
 
 
 def _counting_lambda(model):

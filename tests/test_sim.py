@@ -1,6 +1,7 @@
 """Tests for the signal-observation simulator, the measure-change exponent,
 and the shot-noise sampler."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -159,6 +160,42 @@ class TestSimulatePair:
         assert np.array_equal(X1.values, X2.values)
         assert np.array_equal(Y1.values, Y2.values)
         assert np.array_equal(X1.pre_values, X2.pre_values)
+
+    # sha256 over X values, X pre-values, Y values and Y pre-values of
+    # simulate_pair at seed 5, 32 steps on [0, 1] (epsilon 0.05 for the
+    # stable tail), recorded before b1 and b2 were built by sim._linear_state:
+    # declaring the drifts keeps the simulation's bits.
+    SIMULATION_SHA256 = {
+        ("linear_gaussian", "physical"):
+            "3810aaa554332a7a0a22ef2514bbe8fc78975fa78a6c8de871f1dd5fb9766eb7",
+        ("linear_gaussian", "reference"):
+            "88b2a3d21685feea9d81dde1e4c48052aee7df4d490a476b058aba643d43490f",
+        ("scalar_jump_diffusion", "physical"):
+            "646ceff2bbcca93e5212b41fa6dc10e3aea3721f4e4aed6c1599cc8845f215c4",
+        ("scalar_jump_diffusion", "reference"):
+            "3314cb889943af5e8dc83fbfa80e2495dddd05c5878e3f8865506912e35f9c0a",
+        ("correlated_jump_multidim", "physical"):
+            "38c9b851786ebc711e19f0f1f76961ff5b580bf0801117d2d6e70e477847e548",
+        ("correlated_jump_multidim", "reference"):
+            "545571f79bc97e25da417ae0de61ea7742b89bfd018423125d4b7eee7508fea1",
+        ("stable_shot_noise", "physical"):
+            "dd50228f3c8748f6cadb13a4c4bcda614c3180843d5048ea64a2fa4a644ddd5c",
+        ("stable_shot_noise", "reference"):
+            "2dd0f085f8c00f4b32a99fc4c9861456e2e1db0aa6b8c34066d3f325fb54999d",
+    }
+
+    @pytest.mark.parametrize("name,measure", sorted(SIMULATION_SHA256))
+    def test_simulation_bits_pinned(self, name, measure):
+        model = sim.get_model(name)
+        eps = 0.05 if model.regime == "infinite_jumps" else None
+        nb = sim.make_noise_bundle(model, 1.0, 32, 5, epsilon=eps,
+                                   measure=measure)
+        X, Y = sim.simulate_pair(model, nb, 32)
+        digest = hashlib.sha256()
+        for path in (X, Y):
+            digest.update(path.values.tobytes())
+            digest.update(path.pre_values.tobytes())
+        assert digest.hexdigest() == self.SIMULATION_SHA256[(name, measure)]
 
     def test_steps_mismatch_rejected(self):
         model = sim.linear_gaussian()
@@ -327,9 +364,10 @@ class TestHFunction:
             sim.h_function(model, 0.0, np.array([1.0]), np.array([0.0]))
 
     def test_constant_sigma2_solved_once_matches_batched(self):
-        """A declared sigma2 (built by _const) is solved once with every
-        right-hand side as a column; a plain callable returning the same
-        matrices takes the batched solve. Same h."""
+        """A declared sigma2 (built by _const) is applied through its
+        inverse, kept once; a plain callable returning the same matrices
+        takes the batched solve. Same h to rounding, and one state gets
+        the bits of its row in a batch."""
         base = sim.correlated_jump_multidim()
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((7, 3, 2))
@@ -343,6 +381,9 @@ class TestHFunction:
         h_batched = sim.h_function(copied, 0.0, xs, ys)
         assert h_once.shape == (7, 3, 2)
         assert np.allclose(h_once, h_batched, rtol=0.0, atol=1e-14)
+        one = [sim.h_function(base, 0.0, x, y)
+               for x, y in zip(xs.reshape(-1, 2), ys.reshape(-1, 2))]
+        assert np.array_equal(np.reshape(one, h_once.shape), h_once)
 
     def test_singular_constant_sigma2(self):
         base = sim.correlated_jump_multidim()
