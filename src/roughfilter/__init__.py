@@ -11,7 +11,6 @@ from .fillin import (
     alpha_p,
     beta_p,
     build_representative,
-    continuous_representative,
     linear_path_function,
     log_linear_path_function,
 )
@@ -61,7 +60,6 @@ from .rde import (
     linear_vector_field,
     marcus_jump,
     solve_canonical_rde,
-    stability_probe,
 )
 from .sim import (
     LevyMeasure,

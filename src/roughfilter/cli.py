@@ -26,7 +26,9 @@ import numpy as np
 from . import __version__
 from .fillin import DELTA_SEQ, AdmissiblePair, beta_p
 from .filtering import (
+    ABORT_LOG_WEIGHT,
     AUX_STREAM,
+    P_VAR,
     DegenerateWeightsError,
     FUNCTION_CATALOG,
     ParticleBlowupError,
@@ -42,7 +44,7 @@ from .filtering import (
 from .lift import rho_p, stratonovich_lift, write_rough_path_json
 from .paths import CadlagPath
 from .rde import RdeBlowupError, solve_canonical_rde
-from .sim import MODEL_BUILDERS, get_model
+from .sim import MODEL_BUILDERS, SimulationBlowupError, get_model
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -51,7 +53,7 @@ class RunConfig:
     T: float = 1.0
     steps: int = 128
     particles: int = 1000
-    p: float = 2.5
+    p: float = P_VAR
     alpha: float = None  # type: ignore[assignment]
     epsilon: float = None  # type: ignore[assignment]
     meshes: tuple = (4, 8, 16, 32, 64)
@@ -61,7 +63,7 @@ class RunConfig:
     f_name: str = "identity"
     levels: int = 5
     n_seeds: int = 5
-    abort_log_weight: float = 60.0
+    abort_log_weight: float = ABORT_LOG_WEIGHT
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -381,14 +383,14 @@ COMMANDS = tuple(_PIPELINES)
 
 # numerical failures: exit code 3, with an "aborted" manifest
 _ABORTS = (WeightAbortError, ParticleBlowupError, DegenerateWeightsError,
-           RdeBlowupError)
+           RdeBlowupError, SimulationBlowupError)
 
 
 def _abort_diagnostics(exc) -> dict:
     if isinstance(exc, ParticleBlowupError):
         return {"particle_index": exc.particle_index,
                 "step_index": exc.step_index}
-    if isinstance(exc, RdeBlowupError):
+    if isinstance(exc, (RdeBlowupError, SimulationBlowupError)):
         return {"step_index": exc.step_index}
     return dict(exc.diagnostics)
 

@@ -237,22 +237,16 @@ def build_representative(pair: AdmissiblePair,
     return Representative(RoughPath(t_ext * (X.T / ext.T_ext), L1, L2), orig_indices)
 
 
-def continuous_representative(pair: AdmissiblePair,
-                              slot_steps: int = SLOT_STEPS) -> RoughPath:
-    """The jump-filled continuous rough path x^phi on [0, T]."""
-    return build_representative(pair, slot_steps).rough
-
-
 # -- alpha_p / beta_p ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DeltaSweep:
-    """Per-delta metric values with the limit estimate (the finest delta)."""
+    """Per-delta metric values, the limit estimate (the finest delta's
+    value) and whether the two pairs carry different jump counts."""
 
     estimate: float
     per_delta: tuple  # ((delta, value), ...)
-    stagnated: bool
     jump_count_mismatch: bool
 
 
@@ -270,15 +264,8 @@ def _delta_sweep(X: AdmissiblePair, Y: AdmissiblePair, delta_seq, metric,
         rx = build_representative(replace(X, delta=d), slot_steps)
         ry = build_representative(replace(Y, delta=d), slot_steps)
         values.append((float(d), float(metric(rx.rough, ry.rough))))
-    vs = [v for _, v in values]
-    if len(vs) >= 3:
-        d0 = abs(vs[1] - vs[0])
-        d1 = abs(vs[-1] - vs[-2])
-        stagnated = d1 <= max(1e-12, d0)
-    else:
-        stagnated = len(vs) < 2 or abs(vs[-1] - vs[-2]) <= 1e-10
     mismatch = int(np.sum(X.rough.jump_flags)) != int(np.sum(Y.rough.jump_flags))
-    return DeltaSweep(vs[-1], tuple(values), stagnated, mismatch)
+    return DeltaSweep(values[-1][1], tuple(values), mismatch)
 
 
 def beta_p(X: AdmissiblePair, Y: AdmissiblePair, p: float,

@@ -73,12 +73,13 @@ from .lift import (
 from .paths import CadlagPath
 from .rde import VectorField, davie_step, marcus_jump
 from .sim import (
-    JumpRecord,
     LevyMeasure,
     ModelSpec,
     _accepted_nu2,
+    _atom_path,
     _const,
     _declared_matrix,
+    _observed_lambda,
     _reference_rates,
     _solve_sigma2,
     _state_matrix,
@@ -88,6 +89,11 @@ from .sim import (
     shot_noise,
     simulate_pair,
 )
+
+# Defaults of the sweeps, the experiments and the CLI: the log-weight abort
+# threshold and the p-variation exponent of the driver metrics.
+ABORT_LOG_WEIGHT = 60.0
+P_VAR = 2.5
 
 
 class ParticleBlowupError(RuntimeError):
@@ -121,14 +127,12 @@ class DegenerateWeightsError(RuntimeError):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """f(x, y) with optional bound and Lipschitz constant; the evaluator
-    must broadcast over leading axes of x and y."""
+    """A named test function f(x, y); the evaluator must broadcast over
+    leading axes of x and y."""
 
     __test__ = False  # not a pytest item, despite the name
 
     evaluator: callable
-    bound: float = None  # type: ignore[assignment]
-    lipschitz: float = None  # type: ignore[assignment]
     name: str = "f"
 
     def __call__(self, x, y) -> np.ndarray:
@@ -139,7 +143,7 @@ class TestFunction:
     @staticmethod
     def constant(c: float = 1.0) -> "TestFunction":
         return TestFunction(lambda x, y: np.full(x.shape[:-1], float(c)),
-                            bound=abs(c), lipschitz=0.0, name=f"const{c}")
+                            name=f"const{c}")
 
     @staticmethod
     def coordinate(i: int = 0) -> "TestFunction":
@@ -150,8 +154,7 @@ FUNCTION_CATALOG = {
     "identity": TestFunction.coordinate(0),
     "one": TestFunction.constant(1.0),
     "square": TestFunction(lambda x, y: x[..., 0] ** 2, name="square"),
-    "sin": TestFunction(lambda x, y: np.sin(x[..., 0]), bound=1.0,
-                        lipschitz=1.0, name="sin"),
+    "sin": TestFunction(lambda x, y: np.sin(x[..., 0]), name="sin"),
 }
 
 
@@ -325,18 +328,14 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
 
 
 def _normalize_record(jump_record, times: np.ndarray, t: float):
-    """Observed atoms as {grid index: [marks]}; accepts a JumpRecord or an
-    iterable of (time, mark) pairs. Atom times must sit on the driver grid."""
+    """Observed atoms as {grid index: [marks]} from the accepted atoms as
+    (time, mark) pairs (not a JumpRecord, whose candidates predate
+    thinning). Atom times must sit on the driver grid."""
     if jump_record is None:
         return {}
-    if isinstance(jump_record, JumpRecord):
-        pairs = list(zip(jump_record.times, jump_record.marks))
-    else:
-        pairs = [(float(a), np.atleast_1d(np.asarray(m, dtype=float)))
-                 for a, m in jump_record]
     tol = 1e-9 * max(1.0, float(times[-1]))
     out = {}
-    for at, mark in pairs:
+    for at, mark in jump_record:
         at = float(at)
         if at > t + tol:
             continue
@@ -512,7 +511,7 @@ class _ObservationRoute(_Route):
         shape = (len(self.x), self.model.dim_y)
         self.dW = self.wt.values[k + 1] - self.wt.values[k]
         self.y0 = np.broadcast_to(self.obs.values[k], shape)
-        self.y = np.broadcast_to(self.obs.evaluate_left(t1)[0], shape)
+        self.y = np.broadcast_to(self.obs.pre_values[k + 1], shape)
         dt = t1 - t0
         h0, comp0 = self._heun(k, t0, t1, dt, dB)
         h1 = h_function(self.model, t1, self.x, self.y)
@@ -523,8 +522,8 @@ class _ObservationRoute(_Route):
 
     def end(self, m_end: int):
         """Terminal (X, Y), Y being the observation at the horizon."""
-        y = self.obs.evaluate(float(self.times[m_end]))[0]
-        return self.x, np.broadcast_to(y, (len(self.x), self.model.dim_y))
+        return self.x, np.broadcast_to(self.obs.values[m_end],
+                                       (len(self.x), self.model.dim_y))
 
 
 class _DirectRoute(_ObservationRoute):
@@ -632,10 +631,7 @@ def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
         route.aux_jumps(t1, aux_atoms.get(k, ()))
         for mark in atoms_at.get(k + 1, ()):
             if isinstance(model.nu2, LevyMeasure):
-                lam = np.asarray(model.lambda_fn(t1, route.x, mark), dtype=float)
-                if np.any(lam <= 0.0):
-                    raise ValueError(f"lambda <= 0 at t={t1}")
-                logw = logw + np.log(lam)
+                logw = logw + np.log(_observed_lambda(model, t1, route.x, mark))
             route.observed_jump(t1, mark)
         logw = route.driver_jump(k, logw)
 
@@ -698,16 +694,15 @@ def _result_from_sweep(f: TestFunction, x, y, logw, meta, particles,
 
 def theta(model: ModelSpec, f: TestFunction, obs_driver, jump_record,
           t: float, particles: int, seed_base: int, aux_sampler=None,
-          abort_log_weight: float = 60.0) -> FilterResult:
+          abort_log_weight: float = ABORT_LOG_WEIGHT) -> FilterResult:
     """The filter value theta = g^f / g^1 with both estimates from one
-    particle sweep along the observation driver (common random numbers),
-    plus a delta-method standard error for the ratio. obs_driver may be a
-    RoughPath or an AdmissiblePair (whose lift is used). aux_sampler, by
-    default gaussian_poisson_sampler on the grid up to t, is called once as
-    aux_sampler(seed_base, particles) -> (dB, {segment: [(particle, mark)]});
-    per_seed_sampler adapts a sampler keyed by one seed per particle."""
-    driver = obs_driver.rough if isinstance(obs_driver, AdmissiblePair) else obs_driver
-    return _sweep(model, _RoughRoute(model, driver), f, t, jump_record,
+    particle sweep along the rough observation driver (common random
+    numbers), plus a delta-method standard error for the ratio. jump_record
+    lists the accepted observed atoms as (time, mark) pairs, or is None.
+    aux_sampler, by default gaussian_poisson_sampler on the grid up to t, is
+    called once as aux_sampler(seed_base, particles) -> (dB, {segment:
+    [(particle, mark)]}); per_seed_sampler adapts a per-seed sampler."""
+    return _sweep(model, _RoughRoute(model, obs_driver), f, t, jump_record,
                   particles, seed_base, aux_sampler, abort_log_weight)
 
 
@@ -717,7 +712,7 @@ def theta(model: ModelSpec, f: TestFunction, obs_driver, jump_record,
 def direct_reference_filter(model: ModelSpec, f: TestFunction,
                             obs: CadlagPath, jump_record, t: float,
                             particles: int, seed_base: int, aux_sampler=None,
-                            abort_log_weight: float = 60.0) -> FilterResult:
+                            abort_log_weight: float = ABORT_LOG_WEIGHT) -> FilterResult:
     """Weighted particle filter driven by the raw observation path: the
     Brownian input is reconstructed from obs and used through plain level-1
     Heun steps (no rough lift), with trapezoid h quadrature for the weight.
@@ -739,19 +734,15 @@ def realized_observation(model: ModelSpec, t: float, steps: int, seed: int,
     joined with the observed jump path)."""
     noise = make_noise_bundle(model, t, steps, seed, epsilon=epsilon,
                               measure="physical")
-    X, Y = simulate_pair(model, noise, steps)
+    X, Y = simulate_pair(model, noise)
     rec2 = noise.pp_jumps["nu2"]
-    accepted = _accepted_nu2(model, noise, X.evaluate_left)
     record = [(float(rec2.times[a]), np.array(rec2.marks[a], dtype=float))
-              for a in range(len(rec2)) if accepted[a]]
+              for a in np.flatnonzero(_accepted_nu2(model, noise, X))]
     wt = reconstruct_wtilde(model, Y)
     if model.regime == "infinite_jumps":
         xi = _atom_path(wt.times, [a for a, _ in record],
                         [m[0] for _, m in record])
-        vals = np.column_stack([wt.values, xi.values])
-        pre = np.column_stack([wt.values, xi.pre_values])
-        two = CadlagPath(wt.times, vals, pre, "linear")
-        driver = marcus_lift(two)
+        driver = _jump_joined_lift(wt.times, wt.values, xi)
         driver_record = []
     else:
         driver = stratonovich_lift(wt)
@@ -760,21 +751,12 @@ def realized_observation(model: ModelSpec, t: float, steps: int, seed: int,
             "jump_record": driver_record, "atoms": record, "noise": noise}
 
 
-def _atom_path(times: np.ndarray, atom_times, sizes) -> CadlagPath:
-    """Piecewise-constant cumulative atom-sum path on a grid that already
-    contains the atom times."""
-    times = np.asarray(times, dtype=float)
-    at = np.asarray(atom_times, dtype=float)
-    sz = np.asarray(sizes, dtype=float)
-    order = np.argsort(at)
-    at, sz = at[order], sz[order]
-    csum = np.concatenate([[0.0], np.cumsum(sz)])
-    vals = csum[np.searchsorted(at, times, side="right")]
-    pre = csum[np.searchsorted(at, times, side="left")]
-    pre[0] = vals[0]
-    jumpy = not np.array_equal(vals, pre)
-    return CadlagPath(times, vals[:, None], pre[:, None] if jumpy else None,
-                      "constant")
+def _jump_joined_lift(times: np.ndarray, w, xi: CadlagPath) -> RoughPath:
+    """The infinite-activity driver: the Marcus lift of the continuous input
+    w (its values on `times`) joined with the jump path xi on that grid."""
+    vals = np.column_stack([w, xi.values])
+    pre = np.column_stack([w, xi.pre_values])
+    return marcus_lift(CadlagPath(times, vals, pre, "linear"))
 
 
 # -- consistency check ------------------------------------------------------
@@ -886,7 +868,7 @@ def flow_map(s, w: float, x: np.ndarray, substeps: int = FLOW_SUBSTEPS):
 def scalar_flow_filter_detail(model: ModelSpec, f: TestFunction,
                               obs: CadlagPath, particles: int, seed_base: int,
                               jump_record=None, aux_sampler=None,
-                              abort_log_weight: float = 60.0) -> FilterResult:
+                              abort_log_weight: float = ABORT_LOG_WEIGHT) -> FilterResult:
     """Filter value at the end of obs through the flow decomposition:
     X_t = phi(W_t, X~_t) with phi the one-parameter flow of sigma1 evaluated
     at the reconstructed Brownian input, and X~ solving the transformed SDE
@@ -954,7 +936,7 @@ def trend_non_increasing(values, slacks) -> bool:
 def robustness_experiment(model: ModelSpec, f: TestFunction, t: float,
                           mesh_list, particles: int = 2000, seed_base: int = 0,
                           obs_seed: int = None, truth_steps: int = 512,
-                          p: float = 2.5) -> list:
+                          p: float = P_VAR) -> list:
     """One realized observation; for each mesh, subsample the reconstructed
     Brownian input, build both interpolants on the mesh (linear: continuous
     lift; rectangular: jumpy Marcus lift), compute theta along each with
@@ -996,7 +978,7 @@ def robustness_experiment(model: ModelSpec, f: TestFunction, t: float,
 def epsilon_stability_experiment(model: ModelSpec, f: TestFunction, t: float,
                                  epsilons, particles: int, seed: int,
                                  seed_base: int = 50021, steps: int = 128,
-                                 p: float = 2.5) -> dict:
+                                 p: float = P_VAR) -> dict:
     """Infinite-activity stability in the truncation level: one Brownian
     input and one nested atom stream; for each epsilon, the driver joins the
     input with the truncated jump path on a common grid (so particle noise
@@ -1022,10 +1004,8 @@ def epsilon_stability_experiment(model: ModelSpec, f: TestFunction, t: float,
         xi = shot_noise(model.nu2, e, jump_seed, grid)
         if not np.array_equal(xi.times, grid):
             raise RuntimeError("nested truncation left the common grid")
-        vals = np.column_stack([w_grid, xi.values[:, 0]])
-        pre = np.column_stack([w_grid, xi.pre_values[:, 0]])
-        two = CadlagPath(grid, vals, pre, "linear")
-        res = theta(model, f, marcus_lift(two), None, t, particles, seed_base)
+        res = theta(model, f, _jump_joined_lift(grid, w_grid, xi), None, t,
+                    particles, seed_base)
         thetas.append(res.theta)
         ses.append(res.theta_se)
         xi_pairs.append(AdmissiblePair(marcus_lift(xi)))

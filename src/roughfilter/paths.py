@@ -68,23 +68,8 @@ class CadlagPath:
     def jump_mask(self) -> np.ndarray:
         return np.any(self.pre_values != self.values, axis=1)
 
-    @property
-    def jump_indices(self) -> np.ndarray:
-        return np.nonzero(self.jump_mask)[0]
-
     def has_jumps(self) -> bool:
         return bool(np.any(self.jump_mask))
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def rectangular(times, values) -> "CadlagPath":
-        """Piecewise-constant path jumping to values[i] at times[i]."""
-        v = np.asarray(values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        pre = np.vstack([v[:1], v[:-1]])
-        return CadlagPath(times, v, pre, "constant")
 
     # -- evaluation -------------------------------------------------------
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .fillin import AdmissiblePair
 from .lift import RoughPath, marcus_increment, reverse_rough_path
-from .paths import CadlagPath, d_p
 from .tensor_group import group_pow
 
 
@@ -176,9 +175,6 @@ class RdeSolution:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
 
-    def as_path(self) -> CadlagPath:
-        return CadlagPath(self.times, self.states, None, "linear")
-
 
 def davie_step(V: VectorField, t: float, y: np.ndarray, g1: np.ndarray,
                g2: np.ndarray) -> np.ndarray:
@@ -289,26 +285,4 @@ def flow_and_inverse(V: VectorField, X: RoughPath, x_grid, steps: int):
     back = solve_canonical_rde(V, AdmissiblePair(reverse_rough_path(X)), phis,
                                steps).states[-1]
     return phis, np.max(np.abs(back - xg), axis=-1)
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    sol_dist: float
-    driver_dist: float
-    ratio: float
-
-
-def stability_probe(V: VectorField, X: AdmissiblePair, Y: AdmissiblePair, y0,
-                    steps: int, p: float = 2.5,
-                    delta_seq=(1.0, 0.5)) -> StabilityReport:
-    """Empirical Lipschitz probe: solution distance, beta_p driver distance,
-    and their ratio (NaN when the drivers coincide)."""
-    from .fillin import beta_p as _beta_p
-
-    sx = solve_canonical_rde(V, X, y0, steps)
-    sy = solve_canonical_rde(V, Y, y0, steps)
-    sol = d_p(sx.as_path(), sy.as_path(), min(p, 2.99))
-    drv = _beta_p(X, Y, p, delta_seq).estimate
-    ratio = sol / drv if drv > 1e-15 else float("nan")
-    return StabilityReport(float(sol), float(drv), float(ratio))
 

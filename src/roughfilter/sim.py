@@ -108,10 +108,6 @@ class StableTail:
             return float("inf")
         return 2.0 * self.c / (p - self.alpha)
 
-    def mean(self, epsilon: float) -> float:
-        """int_{eps<|x|<1} x nu(dx): zero by symmetry."""
-        return 0.0
-
 
 # -- model specification ---------------------------------------------------
 
@@ -310,15 +306,15 @@ def validate_model(model: ModelSpec, seed: int = 0, n_probes: int = 64) -> dict:
             inv_norms = max(inv_norms, float(np.linalg.norm(np.linalg.inv(s2))))
         except np.linalg.LinAlgError:
             return {"ok": False, "reason": f"sigma2 singular at probe t={t}"}
-        if isinstance(model.nu2, LevyMeasure):
+        if isinstance(model.nu2, LevyMeasure) and model.nu2.atoms:
             for mark, rate in model.nu2.atoms:
                 lam = float(np.asarray(model.lambda_fn(t, x, np.array(mark))))
                 lam_lo, lam_hi = min(lam_lo, lam), max(lam_hi, lam)
-                lam_integrability = max(
-                    lam_integrability,
-                    float(model.nu2.integrate(lambda u: (
-                        1.0 - np.asarray(model.lambda_fn(t, x, u))) ** 2
-                        / np.asarray(model.lambda_fn(t, x, u)))))
+            lam_integrability = max(
+                lam_integrability,
+                float(model.nu2.integrate(lambda u: (
+                    1.0 - np.asarray(model.lambda_fn(t, x, u))) ** 2
+                    / np.asarray(model.lambda_fn(t, x, u)))))
     report = {
         "growth_ratio": float(growth),
         "sigma2_inv_bound": float(inv_norms),
@@ -482,46 +478,52 @@ def _atom_lookup(record: JumpRecord, times: np.ndarray):
     return out
 
 
-def _drift_pair(model: ModelSpec, t, x, y, measure: str):
-    """The dt rates of (X, Y) under the bundle's measure."""
-    if measure == "reference":
-        return _reference_rates(model, t, x, y)[:2]
-    return _rates(model, t, x, y)[:2]
+def _observed_lambda(model: ModelSpec, t: float, x_left, u) -> np.ndarray:
+    """lambda(t, X_{t-}, u) at an observed atom, batched over the leading
+    axes of x_left; a value <= 0 raises ValueError."""
+    lam = np.asarray(model.lambda_fn(t, x_left, u), dtype=float)
+    if np.any(lam <= 0.0):
+        raise ValueError(f"lambda <= 0 at t={t}")
+    return lam
 
 
-def _accepted_nu2(model: ModelSpec, noise: NoiseBundle, x_left) -> np.ndarray:
-    """Thinning decisions for the observed point process: under the physical
-    measure an atom at t with mark u survives iff
-    accept_u < lambda(t, X_{t-}, u) / lambda_max. x_left(t) must return the
-    left limit of the signal path, so the same rule reproduces the decisions
-    made during simulation."""
-    rec = noise.pp_jumps["nu2"]
-    if len(rec) == 0:
-        return np.zeros(0, dtype=bool)
+def _kept(model: ModelSpec, noise: NoiseBundle, a: int, x_left) -> bool:
+    """Whether observed atom a of the bundle, at (t, u), survives thinning:
+    under the physical measure with an atomic nu2 iff
+    accept_u < lambda(t, X_{t-}, u) / lambda_max; otherwise always."""
     if noise.measure == "reference" or not isinstance(model.nu2, LevyMeasure):
-        return np.ones(len(rec), dtype=bool)
-    _, lam_hi = _lambda_bounds(model)
-    out = np.empty(len(rec), dtype=bool)
-    for a in range(len(rec)):
-        t, u = float(rec.times[a]), rec.marks[a]
-        lam = float(np.asarray(model.lambda_fn(t, x_left(t), u)))
-        if lam <= 0:
-            raise ValueError(f"lambda <= 0 at t={t}")
-        out[a] = rec.accept_u[a] < lam / lam_hi
-    return out
+        return True
+    rec = noise.pp_jumps["nu2"]
+    lam = float(_observed_lambda(model, float(rec.times[a]), x_left, rec.marks[a]))
+    return bool(rec.accept_u[a] < lam / _lambda_bounds(model)[1])
 
 
-def simulate_pair(model: ModelSpec, noise: NoiseBundle, steps: int):
+def _accepted_nu2(model: ModelSpec, noise: NoiseBundle, X: CadlagPath):
+    """The thinning decisions simulate_pair made, read off the signal X it
+    returned: X.pre_values holds X_{t-} at each atom's grid index."""
+    idx = np.searchsorted(noise.times, noise.pp_jumps["nu2"].times)
+    return np.array([_kept(model, noise, a, X.pre_values[i])
+                     for a, i in enumerate(idx)], dtype=bool)
+
+
+class SimulationBlowupError(RuntimeError):
+    """Raised when the simulated state stops being finite; `step_index` is
+    the grid step k whose Heun step on [t_k, t_{k+1}] produced it."""
+
+    def __init__(self, message: str, step_index: int):
+        super().__init__(message)
+        self.step_index = step_index
+
+
+def simulate_pair(model: ModelSpec, noise: NoiseBundle):
     """Integrate the signal-observation system along one noise bundle.
 
     Heun (predictor-corrector) steps for the Stratonovich diffusion part on
     the event-refined grid; compensated-jump drifts folded into the dt term;
     atoms applied to the left limits at their exact grid times. Returns
-    (X, Y) as cadlag paths; deterministic given (model, noise, steps).
+    (X, Y) as cadlag paths; deterministic given (model, noise). A state that
+    stops being finite raises SimulationBlowupError.
     """
-    if steps != noise.base_steps:
-        raise ValueError(
-            f"steps={steps} does not match the bundle's grid ({noise.base_steps})")
     times = noise.times
     n = len(times)
     x = np.array(model.x0, dtype=float)
@@ -535,11 +537,10 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle, steps: int):
     nu1_at = _atom_lookup(noise.pp_jumps["nu1"], times)
     nu2_at = _atom_lookup(noise.pp_jumps["nu2"], times)
     rec1, rec2 = noise.pp_jumps["nu1"], noise.pp_jumps["nu2"]
-    _, lam_hi = _lambda_bounds(model)
-    thin = noise.measure == "physical" and isinstance(model.nu2, LevyMeasure)
+    rates = _reference_rates if noise.measure == "reference" else _rates
 
     def euler_rates(t, xv, yv, dB, dW, dt):
-        bx, by = _drift_pair(model, t, xv, yv, noise.measure)
+        bx, by = rates(model, t, xv, yv)[:2]
         s0 = np.asarray(model.sigma0(t, xv, yv), dtype=float)
         s1 = np.asarray(model.sigma1(t, xv, yv), dtype=float)
         s2 = np.asarray(model.sigma2(t, yv), dtype=float)
@@ -555,19 +556,15 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle, steps: int):
         x = x + 0.5 * (dx1 + dx2)
         y = y + 0.5 * (dy1 + dy2)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise RuntimeError(f"simulation blew up at step {k}")
+            raise SimulationBlowupError(f"simulation blew up at step {k}", k)
         preX[k + 1], preY[k + 1] = x, y
         tk = float(times[k + 1])
         for a in nu1_at.get(k + 1, ()):
             x = x + np.asarray(model.f1(tk, x, y, rec1.marks[a]), dtype=float)
         for a in nu2_at.get(k + 1, ()):
+            if not _kept(model, noise, a, preX[k + 1]):
+                continue
             u = rec2.marks[a]
-            if thin:
-                lam = float(np.asarray(model.lambda_fn(tk, preX[k + 1], u)))
-                if lam <= 0:
-                    raise ValueError(f"lambda <= 0 at t={tk}")
-                if not rec2.accept_u[a] < lam / lam_hi:
-                    continue
             dxj = np.asarray(model.f3(tk, x, y, u), dtype=float)
             dyj = np.asarray(model.f2(tk, y, u), dtype=float)
             x = x + dxj
@@ -598,13 +595,12 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
     if mode not in ("stratonovich", "ito"):
         raise ValueError(f"unknown quadrature mode {mode!r}")
     times = noise.times
-    if len(X.times) != len(times) or not np.array_equal(X.times, times):
+    if not all(np.array_equal(P.times, times) for P in (X, Y)):
         raise ValueError("paths must come from simulate_pair on this bundle")
     n = len(times)
     sign = 0.5 if noise.measure == "physical" else -0.5
     rec2 = noise.pp_jumps["nu2"]
     nu2_at = _atom_lookup(rec2, times)
-    accepted = _accepted_nu2(model, noise, X.evaluate_left)
 
     vals = np.empty(n)
     pre = np.empty(n)
@@ -616,7 +612,7 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
         x0v, y0v = X.values[k], Y.values[k]
         h0 = h_function(model, t0, x0v, y0v)
         if mode == "stratonovich":
-            h1 = h_function(model, t1, X.evaluate_left(t1), Y.evaluate_left(t1))
+            h1 = h_function(model, t1, X.pre_values[k + 1], Y.pre_values[k + 1])
             acc += 0.5 * float((h0 + h1) @ noise.brownian_W[k])
             acc += sign * 0.5 * float(h0 @ h0 + h1 @ h1) * dt
         else:
@@ -628,13 +624,9 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
             acc += float(comp) * dt
         pre[k + 1] = acc
         for a in nu2_at.get(k + 1, ()):
-            if not accepted[a]:
-                continue
-            lam = float(np.asarray(
-                model.lambda_fn(t1, X.evaluate_left(t1), rec2.marks[a])))
-            if lam <= 0:
-                raise ValueError(f"lambda <= 0 at t={t1}")
-            acc += np.log(lam)
+            if _kept(model, noise, a, X.pre_values[k + 1]):
+                acc += np.log(float(_observed_lambda(
+                    model, t1, X.pre_values[k + 1], rec2.marks[a])))
         vals[k + 1] = acc
     jumpy = not np.array_equal(vals, pre)
     return CadlagPath(times, vals, pre if jumpy else None, "linear")
@@ -643,10 +635,28 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
 # -- shot noise ------------------------------------------------------------
 
 
+def _atom_path(times: np.ndarray, atom_times, sizes) -> CadlagPath:
+    """Piecewise-constant cumulative atom-sum path on a grid that already
+    contains the atom times."""
+    times = np.asarray(times, dtype=float)
+    at = np.asarray(atom_times, dtype=float)
+    sz = np.asarray(sizes, dtype=float)
+    order = np.argsort(at)
+    at, sz = at[order], sz[order]
+    csum = np.concatenate([[0.0], np.cumsum(sz)])
+    vals = csum[np.searchsorted(at, times, side="right")]
+    pre = csum[np.searchsorted(at, times, side="left")]
+    pre[0] = vals[0]
+    jumpy = not np.array_equal(vals, pre)
+    return CadlagPath(times, vals[:, None], pre[:, None] if jumpy else None,
+                      "constant")
+
+
 def shot_noise(levy: StableTail, epsilon: float, seed: int, grid) -> CadlagPath:
-    """The truncated shot-noise path xi^eps: atoms with eps < |x| < 1 from
-    the series sampler (nested across eps at fixed seed), compensated by the
-    analytic small-jump mean (zero here by symmetry)."""
+    """The truncated shot-noise path xi^eps: the running sum of the atoms
+    with eps < |x| < 1 from the series sampler (nested across eps at fixed
+    seed), on the grid joined with the atom times. The tail is symmetric,
+    so the small-jump compensator is zero."""
     if not isinstance(levy, StableTail):
         raise ValueError("shot_noise needs a StableTail descriptor")
     if epsilon >= 1.0:
@@ -654,21 +664,9 @@ def shot_noise(levy: StableTail, epsilon: float, seed: int, grid) -> CadlagPath:
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     grid = np.asarray(grid, dtype=float)
-    T = float(grid[-1])
     rng = np.random.default_rng(seed)
-    at, sizes = _sample_stable_atoms(rng, levy, epsilon, T)
-    times = np.union1d(grid, at)
-    vals = np.zeros((len(times), 1))
-    pre = np.zeros((len(times), 1))
-    csum = np.concatenate([[0.0], np.cumsum(sizes[:, 0])])
-    k = np.searchsorted(at, times, side="right")
-    k_pre = np.searchsorted(at, times, side="left")
-    drift = -levy.mean(epsilon)
-    vals[:, 0] = csum[k] + drift * times
-    pre[:, 0] = csum[k_pre] + drift * times
-    pre[0] = vals[0]
-    jumpy = not np.array_equal(vals, pre)
-    return CadlagPath(times, vals, pre if jumpy else None, "constant")
+    at, sizes = _sample_stable_atoms(rng, levy, epsilon, float(grid[-1]))
+    return _atom_path(np.union1d(grid, at), at, sizes[:, 0])
 
 
 def reconstruct_wtilde(model: ModelSpec, Y: CadlagPath) -> CadlagPath:
@@ -684,7 +682,7 @@ def reconstruct_wtilde(model: ModelSpec, Y: CadlagPath) -> CadlagPath:
         t0 = float(times[k])
         dt = float(times[k + 1] - times[k])
         y0v = Y.values[k]
-        dy = Y.evaluate_left(float(times[k + 1])) - y0v
+        dy = Y.pre_values[k + 1] - y0v
         if isinstance(model.nu2, LevyMeasure):
             dy = dy + dt * model.nu2.integrate(lambda u: model.f2(t0, y0v, u))
         s2 = np.asarray(model.sigma2(t0, y0v), dtype=float)
@@ -780,7 +778,7 @@ def linear_gaussian(a=-0.5, s0=0.4, s1=0.3, c=1.0, gamma=0.5,
         lambda_fn=_const(1.0),
         nu1=None, nu2=None, x0=(x0,), y0=(y0,),
         meta={"a": a, "s0": s0, "s1": s1, "c": c, "gamma": gamma,
-              "lambda_min": 1.0, "lambda_max": 1.0, "lipschitz_gamma": "C^inf"},
+              "lambda_min": 1.0, "lambda_max": 1.0},
     )
 
 
@@ -808,8 +806,7 @@ def scalar_jump_diffusion(a=-0.4, s0=0.35, s1=0.25, c=0.8, gamma=0.5,
         nu2=LevyMeasure((((1.0,), 0.5 * rate2), ((-1.0,), 0.5 * rate2))),
         x0=(x0,), y0=(y0,),
         meta={"a": a, "c": c, "gamma": gamma, "kappa": kappa,
-              "lambda_min": float(np.exp(-kappa)), "lambda_max": lam_hi,
-              "lipschitz_gamma": "C^inf"},
+              "lambda_min": float(np.exp(-kappa)), "lambda_max": lam_hi},
     )
 
 
@@ -834,7 +831,7 @@ def correlated_jump_multidim(x0=(0.8, -0.2), y0=(0.0, 0.0)) -> ModelSpec:
         nu1=None,
         nu2=LevyMeasure(tuple((m, r) for m, r in J2.items())),
         x0=x0, y0=y0,
-        meta={"lambda_min": 1.0, "lambda_max": 1.0, "lipschitz_gamma": "C^inf"},
+        meta={"lambda_min": 1.0, "lambda_max": 1.0},
     )
 
 
@@ -853,7 +850,7 @@ def stable_shot_noise(alpha=1.0, c=0.3, a=-0.5, s0=0.35, s1=0.2, cobs=0.8,
         lambda_fn=_const(1.0),
         nu1=None, nu2=StableTail(alpha, c), x0=(x0,), y0=(y0,),
         meta={"a": a, "cobs": cobs, "gamma": gamma, "rho2": rho2, "rho3": rho3,
-              "lambda_min": 1.0, "lambda_max": 1.0, "lipschitz_gamma": "C^inf"},
+              "lambda_min": 1.0, "lambda_max": 1.0},
     )
 
 

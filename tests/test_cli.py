@@ -203,6 +203,25 @@ def test_exit_codes(tmp_path, capsys):
     assert _abort_diagnostics(RdeBlowupError("m", 3)) == {"step_index": 3}
 
 
+def test_simulation_blowup_aborts(tmp_path, capsys):
+    """A Heun step of dt = 1000 overflows the linear_gaussian signal: the
+    run exits 3 with an aborted manifest naming the grid step."""
+    out = str(tmp_path)
+    # the overflow warns before the finiteness check raises
+    with pytest.warns(RuntimeWarning):
+        code = main(["simulate", "--T", "1e6", "--steps", "1000", "--out", out])
+    assert code == 3
+    assert "simulation blew up" in capsys.readouterr().err
+    assert os.listdir(out) == ["simulate_manifest.json"]
+    manifest = _read_json(os.path.join(out, "simulate_manifest.json"))
+    assert manifest["status"] == "aborted"
+    error = manifest["error"]
+    assert error["type"] == "SimulationBlowupError"
+    step = error["diagnostics"]["step_index"]
+    assert isinstance(step, int) and 0 <= step < 1000
+    assert error["message"] == f"simulation blew up at step {step}"
+
+
 def test_runtime_imports_leave_scipy_out():
     """scipy is a test dependency only: importing the package and the CLI
     must not load it."""

@@ -9,7 +9,6 @@ from roughfilter.fillin import (
     alpha_p,
     beta_p,
     build_representative,
-    continuous_representative,
     linear_path_function,
     log_linear_path_function,
     ordered_jumps,
@@ -212,7 +211,7 @@ def test_representative_single_jump_layout():
 def test_representative_preserves_endpoint_signature():
     rng = np.random.default_rng(35)
     X = two_jump_lift(d1=0.7, d2=-1.1)
-    R = continuous_representative(AdmissiblePair(X), slot_steps=8)
+    R = build_representative(AdmissiblePair(X), slot_steps=8).rough
     assert np.allclose(R.level1[-1], X.level1[-1], atol=1e-12)
     assert np.allclose(R.level2[-1], X.level2[-1], atol=1e-12)
 

@@ -795,6 +795,18 @@ def test_rough_and_direct_routes_agree_infinite_activity():
     assert out["all_pass"], out["rows"]
 
 
+def test_direct_route_reads_every_observation_component():
+    """At d_Y = 2 the direct route ends at the observation's whole row at
+    the horizon, so theta of the second component is that component."""
+    model = get_model("correlated_jump_multidim")
+    obs = realized_observation(model, 1.0, 16, 2)
+    f = TestFunction(lambda x, y: y[..., 1])
+    res = direct_reference_filter(model, f, obs["Y"], obs["atoms"], 1.0, 4, 0)
+    y_T = obs["Y"].values[-1]
+    assert y_T[0] != y_T[1]
+    assert res.theta == pytest.approx(y_T[1], rel=1e-12, abs=1e-12)
+
+
 # -- interpolation robustness experiment ------------------------------------
 
 

@@ -66,11 +66,11 @@ def test_evaluate_linear_and_left_limits():
     assert x.evaluate_left(1.0)[0] == 0.5
     assert x.evaluate(1.5)[0] == pytest.approx(2.0)
     assert x.evaluate_left(0.0)[0] == 0.0
-    assert np.array_equal(x.jump_indices, [1])
+    assert np.array_equal(np.nonzero(x.jump_mask)[0], [1])
 
 
 def test_evaluate_constant_interp():
-    x = CadlagPath.rectangular([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
+    x = CadlagPath([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], [0.0, 0.0, 1.0], "constant")
     assert x.evaluate(0.5)[0] == 0.0
     assert x.evaluate(1.0)[0] == 1.0
     assert x.evaluate_left(1.0)[0] == 0.0

@@ -21,7 +21,6 @@ from roughfilter.rde import (
     linear_vector_field,
     marcus_jump,
     solve_canonical_rde,
-    stability_probe,
 )
 
 
@@ -233,23 +232,6 @@ def test_blowup_step_index_names_driver_segment():
         with pytest.raises(RdeBlowupError) as info:
             solve_canonical_rde(V, AdmissiblePair(X), [0.5], steps=1000)
     assert info.value.step_index == 7
-
-
-def test_stability_probe_reports():
-    rng = np.random.default_rng(48)
-    X = brownian_lift(rng)
-    Y = stratonovich_lift(CadlagPath(X.times, X.level1 * 1.01))
-    V = linear_vector_field(np.stack([np.diag([0.5, 0.5]),
-                                      np.array([[0.0, 0.4], [-0.4, 0.0]])]))
-    rep = stability_probe(V, AdmissiblePair(X), AdmissiblePair(Y),
-                          [1.0, 0.0], steps=32)
-    assert rep.sol_dist > 0.0
-    assert rep.driver_dist > 0.0
-    assert np.isfinite(rep.ratio)
-    same = stability_probe(V, AdmissiblePair(X), AdmissiblePair(X),
-                           [1.0, 0.0], steps=32)
-    assert same.sol_dist == 0.0
-    assert math.isnan(same.ratio)
 
 
 def test_vector_field_jacobian_fallback():

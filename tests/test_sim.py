@@ -53,7 +53,6 @@ class TestLevyDescriptors:
         assert np.isclose(tail.inv_tail(tail.tail_mass(r)), r)
         assert np.isclose(tail.p_moment(2.5), 0.2)
         assert tail.p_moment(1.5) == np.inf
-        assert tail.mean(0.1) == 0.0
 
     def test_stable_tail_validation(self):
         with pytest.raises(ValueError):
@@ -135,7 +134,7 @@ class TestSimulatePair:
         nu2 = sim.LevyMeasure((((1.0,), 2.0),))
         model = zero_coeff_model(nu2=nu2, f2_scale=0.0)
         nb = sim.make_noise_bundle(model, 2.0, 32, seed=9)
-        X, Y = sim.simulate_pair(model, nb, 32)
+        X, Y = sim.simulate_pair(model, nb)
         assert np.array_equal(X.values, np.full_like(X.values, 0.7))
         assert np.array_equal(Y.values, np.full_like(Y.values, -0.2))
         assert not X.jump_mask.any() and not Y.jump_mask.any()
@@ -147,7 +146,7 @@ class TestSimulatePair:
         model = zero_coeff_model(nu2=nu2, f2_scale=1.0)
         for seed in range(5):
             nb = sim.make_noise_bundle(model, 2.0, 16, seed=seed)
-            X, Y = sim.simulate_pair(model, nb, 16)
+            X, Y = sim.simulate_pair(model, nb)
             count = len(nb.pp_jumps["nu2"])
             got = float(Y.values[-1, 0] - Y.values[0, 0])
             assert abs(got - (count - 2.0)) < 1e-12
@@ -155,8 +154,8 @@ class TestSimulatePair:
     def test_deterministic_bit_identical(self):
         model = sim.scalar_jump_diffusion()
         nb = sim.make_noise_bundle(model, 1.5, 24, seed=21)
-        X1, Y1 = sim.simulate_pair(model, nb, 24)
-        X2, Y2 = sim.simulate_pair(model, nb, 24)
+        X1, Y1 = sim.simulate_pair(model, nb)
+        X2, Y2 = sim.simulate_pair(model, nb)
         assert np.array_equal(X1.values, X2.values)
         assert np.array_equal(Y1.values, Y2.values)
         assert np.array_equal(X1.pre_values, X2.pre_values)
@@ -190,23 +189,17 @@ class TestSimulatePair:
         eps = 0.05 if model.regime == "infinite_jumps" else None
         nb = sim.make_noise_bundle(model, 1.0, 32, 5, epsilon=eps,
                                    measure=measure)
-        X, Y = sim.simulate_pair(model, nb, 32)
+        X, Y = sim.simulate_pair(model, nb)
         digest = hashlib.sha256()
         for path in (X, Y):
             digest.update(path.values.tobytes())
             digest.update(path.pre_values.tobytes())
         assert digest.hexdigest() == self.SIMULATION_SHA256[(name, measure)]
 
-    def test_steps_mismatch_rejected(self):
-        model = sim.linear_gaussian()
-        nb = sim.make_noise_bundle(model, 1.0, 16, seed=0)
-        with pytest.raises(ValueError, match="steps"):
-            sim.simulate_pair(model, nb, 17)
-
     def test_common_jumps_hit_both_components(self):
         model = sim.scalar_jump_diffusion()
         nb = sim.make_noise_bundle(model, 2.0, 24, seed=7, measure="reference")
-        X, Y = sim.simulate_pair(model, nb, 24)
+        X, Y = sim.simulate_pair(model, nb)
         # under the reference measure every nu2 atom is kept, and it must
         # appear as a jump of both X (via f3) and Y (via f2)
         t2 = nb.pp_jumps["nu2"].times
@@ -222,7 +215,7 @@ class TestSimulatePair:
     def test_thinning_keeps_subset(self):
         model = sim.scalar_jump_diffusion()
         nb = sim.make_noise_bundle(model, 3.0, 24, seed=13, measure="physical")
-        X, Y = sim.simulate_pair(model, nb, 24)
+        X, Y = sim.simulate_pair(model, nb)
         kept = int(Y.jump_mask.sum())
         assert 0 <= kept <= len(nb.pp_jumps["nu2"])
 
@@ -248,7 +241,7 @@ class TestSimulatePair:
         draws = np.empty((n, 2))
         for i in range(n):
             nb = sim.make_noise_bundle(model, T, steps, seed=1000 + i)
-            X, Y = sim.simulate_pair(model, nb, steps)
+            X, Y = sim.simulate_pair(model, nb)
             draws[i] = X.values[-1, 0], Y.values[-1, 0]
         se_mean = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - m_true) < 3.0 * se_mean)
@@ -272,7 +265,7 @@ class TestSimulatePair:
             x0=(0.0,), y0=(1.0,),
         )
         nb = sim.make_noise_bundle(model, 1.0, 4096, seed=2)
-        X, Y = sim.simulate_pair(model, nb, 4096)
+        X, Y = sim.simulate_pair(model, nb)
         w = np.concatenate([[0.0], np.cumsum(nb.brownian_W[:, 0])])
         rel = np.max(np.abs(Y.values[:, 0] - np.exp(w))) / np.max(np.exp(w))
         assert rel < 1e-3
@@ -318,7 +311,7 @@ class TestSimulatePair:
                 seed=17, T=1.0, base_steps=steps, times=times,
                 brownian_B=np.zeros((steps, 1)), brownian_W=agg[:, None],
                 pp_jumps={"nu1": empty, "nu2": empty})
-            X, Y = sim.simulate_pair(model, nb, steps)
+            X, Y = sim.simulate_pair(model, nb)
             errs.append(abs(float(Y.values[-1, 0]) - y_ref))
         assert errs[2] < errs[0]
         assert errs[2] < 2e-3
@@ -397,7 +390,7 @@ class TestGirsanovExponent:
         # h = 0 and lambda = 1: I vanishes even with observed jumps present
         model = sim.scalar_jump_diffusion(c=0.0, kappa=0.0)
         nb = sim.make_noise_bundle(model, 2.0, 24, seed=3)
-        X, Y = sim.simulate_pair(model, nb, 24)
+        X, Y = sim.simulate_pair(model, nb)
         assert len(nb.pp_jumps["nu2"]) > 0
         I = sim.girsanov_exponent(model, nb, X, Y)
         assert np.array_equal(I.values, np.zeros_like(I.values))
@@ -419,7 +412,7 @@ class TestGirsanovExponent:
         )
         h = beta / 0.5
         nb = sim.make_noise_bundle(model, 1.0, 32, seed=8)
-        X, Y = sim.simulate_pair(model, nb, 32)
+        X, Y = sim.simulate_pair(model, nb)
         w = np.concatenate([[0.0], np.cumsum(nb.brownian_W[:, 0])])
         expect = h * w + 0.5 * h * h * nb.times
         for mode in ("stratonovich", "ito"):
@@ -431,7 +424,7 @@ class TestGirsanovExponent:
         |h|^2 dt, log lambda at atoms, left-endpoint compensator) matches."""
         model = sim.scalar_jump_diffusion()
         nb = sim.make_noise_bundle(model, 1.5, 16, seed=19, measure="reference")
-        X, Y = sim.simulate_pair(model, nb, 16)
+        X, Y = sim.simulate_pair(model, nb)
         I = sim.girsanov_exponent(model, nb, X, Y, mode="stratonovich")
 
         def h_at(t, xv, yv):
@@ -464,7 +457,7 @@ class TestGirsanovExponent:
         for i in range(n):
             nb = sim.make_noise_bundle(model, 0.5, 8, seed=5000 + i,
                                        measure="reference")
-            X, Y = sim.simulate_pair(model, nb, 8)
+            X, Y = sim.simulate_pair(model, nb)
             I = sim.girsanov_exponent(model, nb, X, Y, mode="ito")
             vals[i] = np.exp(I.values[-1, 0])
         se = vals.std(ddof=1) / np.sqrt(n)
@@ -478,7 +471,7 @@ class TestGirsanovExponent:
         for i in range(n):
             nb = sim.make_noise_bundle(model, 0.5, 8, seed=5000 + i,
                                        measure="physical")
-            X, Y = sim.simulate_pair(model, nb, 8)
+            X, Y = sim.simulate_pair(model, nb)
             I = sim.girsanov_exponent(model, nb, X, Y, mode="ito")
             vals[i] = np.exp(-I.values[-1, 0])
         se = vals.std(ddof=1) / np.sqrt(n)
@@ -506,7 +499,7 @@ class TestGirsanovExponent:
             for i in range(n):
                 nb = sim.make_noise_bundle(model, 1.0, 16, seed=3000 + i,
                                            measure=measure)
-                X, Y = sim.simulate_pair(model, nb, 16)
+                X, Y = sim.simulate_pair(model, nb)
                 I = sim.girsanov_exponent(model, nb, X, Y, mode="ito")
                 vals[i] = np.exp(flip * I.values[-1, 0])
             se = vals.std(ddof=1) / np.sqrt(n)
@@ -520,14 +513,14 @@ class TestGirsanovExponent:
         })
         nb = sim.make_noise_bundle(model, 3.0, 16, seed=4, measure="reference")
         assert len(nb.pp_jumps["nu2"]) > 0
-        X, Y = sim.simulate_pair(model, nb, 16)
+        X, Y = sim.simulate_pair(model, nb)
         with pytest.raises(ValueError, match="lambda"):
             sim.girsanov_exponent(model, nb, X, Y)
 
     def test_unknown_mode(self):
         model = sim.linear_gaussian()
         nb = sim.make_noise_bundle(model, 1.0, 8, seed=0)
-        X, Y = sim.simulate_pair(model, nb, 8)
+        X, Y = sim.simulate_pair(model, nb)
         with pytest.raises(ValueError, match="mode"):
             sim.girsanov_exponent(model, nb, X, Y, mode="midpoint")
 
@@ -536,7 +529,7 @@ class TestWtildeReconstruction:
     def test_linear_gaussian_exact(self):
         model = sim.linear_gaussian()
         nb = sim.make_noise_bundle(model, 1.0, 64, seed=4)
-        X, Y = sim.simulate_pair(model, nb, 64)
+        X, Y = sim.simulate_pair(model, nb)
         W = sim.reconstruct_wtilde(model, Y)
         assert np.allclose(W.values[:, 0],
                            (Y.values[:, 0] - Y.values[0, 0]) / 0.5, atol=1e-12)
@@ -544,7 +537,7 @@ class TestWtildeReconstruction:
     def test_observed_jumps_drop_out(self):
         model = sim.scalar_jump_diffusion()
         nb = sim.make_noise_bundle(model, 2.0, 32, seed=6, measure="reference")
-        X, Y = sim.simulate_pair(model, nb, 32)
+        X, Y = sim.simulate_pair(model, nb)
         W = sim.reconstruct_wtilde(model, Y)
         # continuous path: increments bounded by diffusion scale, no atoms
         assert not np.any(np.abs(np.diff(W.values[:, 0])) > 1.0)
