@@ -28,7 +28,6 @@ from .fillin import DELTA_SEQ, AdmissiblePair, beta_p
 from .filtering import (
     ABORT_LOG_WEIGHT,
     AUX_STREAM,
-    P_VAR,
     DegenerateWeightsError,
     FUNCTION_CATALOG,
     ParticleBlowupError,
@@ -42,7 +41,7 @@ from .filtering import (
     trend_non_increasing,
 )
 from .lift import rho_p, stratonovich_lift, write_rough_path_json
-from .paths import CadlagPath
+from .paths import P_VAR, CadlagPath
 from .rde import RdeBlowupError, solve_canonical_rde
 from .sim import MODEL_BUILDERS, SimulationBlowupError, get_model
 

@@ -39,15 +39,20 @@ of the joint field are built once, only the h row is differenced, and a
 driver jump's Marcus flow evaluates the h row alone, once per RK4 substep;
 h_function uses the sigma2 matrix (or its inverse, kept once) itself, the
 flow route takes the closed-form flow x + sigma1 w, a declared lambda_fn,
-f2 or f3 enters the nu2 integrals at a single state, and with all three
-declared every nu2 integral is one constant vector. When b2 is linear too
+f1, f2 or f3 is evaluated at the marks once per model, and with lambda_fn,
+f2 and f3 declared every nu2 integral is one constant vector, kept on the
+model with those values (sim._Declared). When b2 is linear too
 and h's nu2 term is state-free (the three lambda = 1 models), h = H x + h0
 is affine: the Davie step is closed-form, with one h evaluation and an
 exact second-order constant per chord, and one RK4 substep per unit jump
 size is the exact Marcus flow (see _RoughRoute). Plain callables are
 evaluated and differenced in full. Either way one reference-rate call
-(sim._reference_rates) evaluates lambda once per atom of nu2, for the
-drift compensators, h and the (1 - lambda) weight rate together.
+(sim._reference_rates) evaluates a plain lambda once per atom of nu2, for
+the drift compensators, h and the (1 - lambda) weight rate together. Every
+per-step product (sigma0 dB, sigma1 dW, sigma1 h, sigma2 h, a declared
+drift, h . h, h . g1) is a sum over columns in order from 0.0 (sim._matvec,
+sim._dot), with einsum's bits at the catalog's sizes, and a constant vector
+meets the particle batch one column at a time (sim._by_column).
 
 A sweep draws the auxiliary noise of all its particles in one call,
 aux_sampler(seed_base, N); the default draws one block from
@@ -70,15 +75,18 @@ from .lift import (
     rho_p,
     stratonovich_lift,
 )
-from .paths import CadlagPath
+from .paths import P_VAR, CadlagPath
 from .rde import VectorField, davie_step, marcus_jump
 from .sim import (
     LevyMeasure,
     ModelSpec,
     _accepted_nu2,
     _atom_path,
+    _by_column,
     _const,
     _declared_matrix,
+    _dot,
+    _matvec,
     _observed_lambda,
     _reference_rates,
     _solve_sigma2,
@@ -90,10 +98,9 @@ from .sim import (
     simulate_pair,
 )
 
-# Defaults of the sweeps, the experiments and the CLI: the log-weight abort
-# threshold and the p-variation exponent of the driver metrics.
+# The log-weight abort threshold of the sweeps, the experiments and the CLI
+# (their p-variation exponent is paths.P_VAR).
 ABORT_LOG_WEIGHT = 60.0
-P_VAR = 2.5
 
 
 class ParticleBlowupError(RuntimeError):
@@ -452,14 +459,12 @@ class _RoughRoute(_Route):
         model, x, y = self.model, self.x, self.y
         dt = t1 - t0
         bx0, by0, h0, comp0 = _reference_rates(model, t0, x, y)
-        logw = logw + (-0.5 * np.einsum("...i,...i->...", h0, h0) + comp0) * dt
+        logw = logw + (-0.5 * _dot(h0, h0) + comp0) * dt
 
-        s0 = np.asarray(model.sigma0(t0, x, y), dtype=float)
-        d1x = bx0 * dt + np.einsum("...ab,...b->...a", s0, dB)
+        d1x = bx0 * dt + _matvec(model.sigma0(t0, x, y), dB)
         d1y = by0 * dt
         bx1, by1, _, _ = _reference_rates(model, t1, x + d1x, y + d1y)
-        s0p = np.asarray(model.sigma0(t1, x + d1x, y + d1y), dtype=float)
-        d2x = bx1 * dt + np.einsum("...ab,...b->...a", s0p, dB)
+        d2x = bx1 * dt + _matvec(model.sigma0(t1, x + d1x, y + d1y), dB)
         d2y = by1 * dt
         x = x + 0.5 * (d1x + d2x)
         y = y + 0.5 * (d1y + d2y)
@@ -471,9 +476,9 @@ class _RoughRoute(_Route):
         if self.affine:
             h = h_function(self.model, t, x, y)
             dx = self.model.dim_x
-            self.x = x + self.dxy[k, :dx]
-            self.y = y + self.dxy[k, dx:]
-            return logw + np.einsum("...i,i->...", h, self.gh[k]) + self.c2[k]
+            self.x = _by_column(np.add, x, self.dxy[k, :dx])
+            self.y = _by_column(np.add, y, self.dxy[k, dx:])
+            return logw + _dot(h, self.gh[k]) + self.c2[k]
         z = np.concatenate([x, y, logw[:, None]], axis=-1)
         return self._unpack(davie_step(self.V, t, z, self.chords.level1[k],
                                        self.chords.level2[k]))
@@ -515,9 +520,8 @@ class _ObservationRoute(_Route):
         dt = t1 - t0
         h0, comp0 = self._heun(k, t0, t1, dt, dB)
         h1 = h_function(self.model, t1, self.x, self.y)
-        logw = logw + 0.5 * np.einsum("...i,i->...", h0 + h1, self.dW)
-        logw = logw - 0.25 * (np.einsum("...i,...i->...", h0, h0)
-                              + np.einsum("...i,...i->...", h1, h1)) * dt
+        logw = logw + 0.5 * _dot(h0 + h1, self.dW)
+        logw = logw - 0.25 * (_dot(h0, h0) + _dot(h1, h1)) * dt
         return logw + comp0 * dt
 
     def end(self, m_end: int):
@@ -536,15 +540,11 @@ class _DirectRoute(_ObservationRoute):
         its start."""
         model, x, y0, y1, dW = self.model, self.x, self.y0, self.y, self.dW
         bx0, _, h0, comp0 = _reference_rates(model, t0, x, y0)
-        s00 = np.asarray(model.sigma0(t0, x, y0), dtype=float)
-        s10 = np.asarray(model.sigma1(t0, x, y0), dtype=float)
-        d1 = (bx0 * dt + np.einsum("...ab,...b->...a", s00, dB)
-              + np.einsum("...ab,b->...a", s10, dW))
+        d1 = (bx0 * dt + _matvec(model.sigma0(t0, x, y0), dB)
+              + _matvec(model.sigma1(t0, x, y0), dW))
         bx1, _, _, _ = _reference_rates(model, t1, x + d1, y1)
-        s01 = np.asarray(model.sigma0(t1, x + d1, y1), dtype=float)
-        s11 = np.asarray(model.sigma1(t1, x + d1, y1), dtype=float)
-        d2 = (bx1 * dt + np.einsum("...ab,...b->...a", s01, dB)
-              + np.einsum("...ab,b->...a", s11, dW))
+        d2 = (bx1 * dt + _matvec(model.sigma0(t1, x + d1, y1), dB)
+              + _matvec(model.sigma1(t1, x + d1, y1), dW))
         self.x = x + 0.5 * (d1 + d2)
         return h0, comp0
 

@@ -16,6 +16,10 @@ import numpy as np
 
 _INTERPS = ("linear", "constant")
 
+# The default p-variation exponent: of the driver metrics of the sweeps, the
+# experiments and the CLI, and of the infinite-activity moment witness.
+P_VAR = 2.5
+
 
 @dataclass(frozen=True)
 class CadlagPath:

@@ -22,10 +22,11 @@ martingale density.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .paths import CadlagPath
+from .paths import P_VAR, CadlagPath
 
 
 # -- Levy measure descriptors ---------------------------------------------
@@ -124,8 +125,10 @@ class ModelSpec:
     them with _const, f1, f2, f3 declared linear in the mark by building
     them with _linear_mark, and b1, b2 declared linear in the signal by
     building them with _linear_state; the particle sweep then skips the work
-    that this structure makes unnecessary. Any other callable is evaluated in
-    full.
+    that this structure makes unnecessary. The values of the declared jump
+    coefficients and lambda_fn over the marks, and the nu2 integrals they
+    fix, are computed once per model, on first use (_Declared). Any other
+    callable is evaluated in full, at every state.
     """
 
     model_id: str
@@ -158,21 +161,29 @@ class ModelSpec:
         if len(self.x0) != self.dim_x or len(self.y0) != self.dim_y:
             raise ValueError("initial values do not match declared dimensions")
 
+    @cached_property
+    def _declared(self) -> "_Declared":
+        """The declared coefficients' values, computed on first use."""
+        return _Declared.of(self)
+
 
 def h_function(model: ModelSpec, t: float, x, y):
     """h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2); broadcasts over
-    leading axes of x, y. The nu2 integral is exact for atom lists (one
-    constant vector when lambda_fn and f2 are declared, see _nu2_state)
+    leading axes of x, y. The nu2 integral is exact for atom lists (kept
+    once per model when lambda_fn, f2 and f3 are declared, see _Declared)
     and zero in the infinite-activity regime (lambda = 1 there)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rhs = np.asarray(model.b2(t, x, y), dtype=float)
-    if isinstance(model.nu2, LevyMeasure):
-        xl = _nu2_state(model, model.lambda_fn, x, y)[0]
-        y2 = _nu2_state(model, model.f2, x, y)[1]
-        rhs = rhs + model.nu2.integrate(lambda u: _h_integrand(
-            np.asarray(model.f2(t, y2, u), dtype=float),
-            np.asarray(model.lambda_fn(t, xl, u), dtype=float)))
+    nu2 = model.nu2
+    if isinstance(nu2, LevyMeasure):
+        kept = model._declared
+        if kept.integrals is not None:
+            rhs = _by_column(np.add, rhs, kept.integrals[2])
+        else:
+            lam = _at_marks(kept.lam, model.lambda_fn, nu2, t, x)
+            f2 = _at_marks(kept.f2, model.f2, nu2, t, y)
+            rhs = rhs + _atom_sum(nu2, map(_h_integrand, f2, lam))
     return _solve_sigma2(model, t, y, rhs)
 
 
@@ -181,12 +192,59 @@ def _h_integrand(f2, lam):
     return f2 * (1.0 - lam)[..., None]
 
 
+def _matvec(M, v):
+    """out[..., i] = sum_j M[..., i, j] v[..., j], broadcast over leading
+    axes; M is one matrix or a stack of them. Each component is built from
+    the columns v[..., j] and added in column order from 0.0, so a -0.0
+    product reads +0.0: np.einsum("...ij,...j->...i", M, v) bit for bit
+    for sums of one or two terms (einsum adds three as (p0 + p2) + p1 with
+    numpy 2.4.6 on x86-64)."""
+    M = np.asarray(M, dtype=float)
+    v = np.asarray(v, dtype=float)
+    rows, cols = M.shape[-2:]
+    out = None
+    for i in range(rows):
+        acc = 0.0 + M[..., i, 0] * v[..., 0]
+        for j in range(1, cols):
+            acc += M[..., i, j] * v[..., j]
+        if rows == 1:
+            return acc[..., None]
+        if out is None:
+            out = np.empty(np.shape(acc) + (rows,))
+        out[..., i] = acc
+    return out
+
+
+def _dot(a, b):
+    """sum_i a[..., i] b[..., i], broadcast over leading axes and added in
+    order from 0.0, as _matvec adds."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = 0.0 + a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
+def _by_column(ufunc, a, c):
+    """ufunc(a, c) for rows a (..., d) and one vector c (d,), one column at
+    a time, with the same bits. numpy loops over a short broadcast last
+    axis row by row: at d = 2 and 2,000 rows, a - c took 25 us that way and
+    10-12 us by columns (numpy 2.4.6, one thread of a 2-vCPU Intel Xeon)."""
+    if a.ndim < 2 or c.shape != a.shape[-1:] or c.shape[0] < 2:
+        return ufunc(a, c)
+    out = np.empty(a.shape)
+    for i in range(c.shape[0]):
+        ufunc(a[..., i], c[i], out=out[..., i])
+    return out
+
+
 def _solve_sigma2(model: ModelSpec, t: float, y, rhs):
     """sigma2^{-1} rhs. A sigma2 declared constant (built by _const) is used
     as its matrix: one division when it is 1 x 1, else the product with its
-    inverse, computed once and kept on the coefficient, as a sum over
-    columns in order (elementwise, so one right-hand side gets the bits it
-    gets among many)."""
+    inverse, computed once and kept on the coefficient, through _matvec
+    (elementwise, so one right-hand side gets the bits it gets among
+    many)."""
     declared = _declared_matrix(model.sigma2)
     s2 = declared
     if s2 is None:
@@ -202,10 +260,7 @@ def _solve_sigma2(model: ModelSpec, t: float, y, rhs):
                 inv = model.sigma2.inverse = np.linalg.inv(s2)
             except np.linalg.LinAlgError as exc:
                 raise ValueError(f"sigma2 singular at t={t}") from exc
-        out = rhs[..., :1] * inv[:, 0]
-        for j in range(1, inv.shape[1]):
-            out = out + rhs[..., j:j + 1] * inv[:, j]
-        return out
+        return _matvec(inv, rhs)
     try:
         if s2.ndim > 2:
             return np.linalg.solve(s2, rhs[..., None])[..., 0]
@@ -215,21 +270,67 @@ def _solve_sigma2(model: ModelSpec, t: float, y, rhs):
         raise ValueError(f"sigma2 singular at t={t}") from exc
 
 
-def _nu2_state(model: ModelSpec, coefficient, x, y):
-    """The state at which `coefficient` (lambda_fn, f2 or f3) enters the
-    nu2 integrands: (x, y) itself, or one zero state when it is declared
-    (built by _const or _linear_mark). A declared coefficient has the same
-    value at every state, and the integrand broadcasts it against the
-    others in the same arithmetic, so with the same bits; when all three
-    are declared, every nu2 integral is one constant vector."""
-    if _declared_matrix(coefficient) is not None:
-        return np.zeros(model.dim_x), np.zeros(model.dim_y)
-    return x, y
+@dataclass(frozen=True)
+class _Declared:
+    """The values of a model's declared coefficients (built by _const or
+    _linear_mark) where the rates need them, evaluated once at a zero
+    state. A declared coefficient has the same value at every (t, state),
+    and the rates broadcast it against the others in the same arithmetic,
+    so these give every call's bits. An entry is None where a coefficient
+    it needs is a plain callable, evaluated at every state instead.
+
+    f1 holds f1 over nu1's marks; lam, f2, f3 hold lambda_fn, f2, f3 over
+    nu2's marks; integrals holds _nu2_integrals of those when all three
+    are declared."""
+
+    f1: list
+    lam: list
+    f2: list
+    f3: list
+    integrals: tuple
+
+    @staticmethod
+    def of(model: ModelSpec) -> "_Declared":
+        x, y = np.zeros(model.dim_x), np.zeros(model.dim_y)
+
+        def at_marks(coefficient, levy, *state):
+            if (_declared_matrix(coefficient) is None
+                    or not isinstance(levy, LevyMeasure)):
+                return None
+            return _at_marks(None, coefficient, levy, 0.0, *state)
+
+        lam = at_marks(model.lambda_fn, model.nu2, x)
+        f2 = at_marks(model.f2, model.nu2, y)
+        f3 = at_marks(model.f3, model.nu2, x, y)
+        integrals = None
+        if lam is not None and f2 is not None and f3 is not None:
+            integrals = _nu2_integrals(model.nu2, lam, f2, f3)
+        return _Declared(at_marks(model.f1, model.nu1, x, y), lam, f2, f3,
+                         integrals)
+
+
+def _at_marks(kept, coefficient, levy: LevyMeasure, t: float, *state):
+    """coefficient(t, *state, u) at each mark u of levy, in atom order: the
+    values kept for a declared coefficient, else evaluated."""
+    if kept is not None:
+        return kept
+    return [np.asarray(coefficient(t, *state, u), dtype=float)
+            for u in levy.marks()]
+
+
+def _nu2_integrals(nu2: LevyMeasure, lam, f2, f3):
+    """(int f3 lambda, int f2 lambda, int f2 (1 - lambda), int (1 - lambda))
+    dnu2 from lambda, f2 and f3 at nu2's marks, each added in atom order."""
+    return (_atom_sum(nu2, (f * l[..., None] for f, l in zip(f3, lam))),
+            _atom_sum(nu2, (f * l[..., None] for f, l in zip(f2, lam))),
+            _atom_sum(nu2, map(_h_integrand, f2, lam)),
+            _atom_sum(nu2, (1.0 - l for l in lam)))
 
 
 def _reference_rates(model: ModelSpec, t: float, x, y):
     """Reference-measure dt rates at (t, x, y) from one lambda evaluation
-    per atom of an atomic nu2: (bx, by, h, comp) with
+    per atom of an atomic nu2 (none when lambda_fn, f2 and f3 are declared):
+    (bx, by, h, comp) with
 
         bx = b1 - int f1 dnu1 - int f3 lambda dnu2 - sigma1 h,
         by = b2 - int f2 lambda dnu2 - sigma2 h,
@@ -242,37 +343,37 @@ def _reference_rates(model: ModelSpec, t: float, x, y):
     y = np.asarray(y, dtype=float)
     bx, by, rhs, comp = _rates(model, t, x, y)
     h = _solve_sigma2(model, t, y, rhs)
-    s1 = np.asarray(model.sigma1(t, x, y), dtype=float)
-    s2 = np.asarray(model.sigma2(t, y), dtype=float)
-    bx = bx - np.einsum("...ij,...j->...i", s1, h)
-    by = by - np.einsum("...ij,...j->...i", s2, h)
+    bx = bx - _matvec(model.sigma1(t, x, y), h)
+    by = by - _matvec(model.sigma2(t, y), h)
     return bx, by, h, comp
 
 
 def _rates(model: ModelSpec, t: float, x, y):
     """(bx + sigma1 h, by + sigma2 h, sigma2 h, comp) of _reference_rates:
     the physical-measure rates, h's right-hand side and the compensator,
-    from one evaluation of lambda, f2 and f3 per atom of an atomic nu2. A
-    StableTail nu2 needs no compensator: the tail is symmetric and the jump
-    loadings are linear in the mark, so int f lambda dnu2 = 0."""
+    from one evaluation of each plain lambda_fn, f1, f2 and f3 per atom
+    (declared ones are kept, see _Declared). A StableTail nu2 needs no
+    compensator: the tail is symmetric and the jump loadings are linear in
+    the mark, so int f lambda dnu2 = 0."""
     bx = np.asarray(model.b1(t, x, y), dtype=float)
     by = rhs = np.asarray(model.b2(t, x, y), dtype=float)
     comp = 0.0
+    kept = model._declared
     if model.nu1 is not None and model.nu1.atoms:
-        bx = bx - model.nu1.integrate(lambda u: model.f1(t, x, y, u))
+        bx = _by_column(np.subtract, bx, _atom_sum(
+            model.nu1, _at_marks(kept.f1, model.f1, model.nu1, t, x, y)))
     nu2 = model.nu2
     if isinstance(nu2, LevyMeasure):
-        xl = _nu2_state(model, model.lambda_fn, x, y)[0]
-        y2 = _nu2_state(model, model.f2, x, y)[1]
-        x3, y3 = _nu2_state(model, model.f3, x, y)
-        marks = nu2.marks()
-        lam = [np.asarray(model.lambda_fn(t, xl, u), dtype=float) for u in marks]
-        f2 = [np.asarray(model.f2(t, y2, u), dtype=float) for u in marks]
-        f3 = [np.asarray(model.f3(t, x3, y3, u), dtype=float) for u in marks]
-        bx = bx - _atom_sum(nu2, (f * l[..., None] for f, l in zip(f3, lam)))
-        by = by - _atom_sum(nu2, (f * l[..., None] for f, l in zip(f2, lam)))
-        rhs = rhs + _atom_sum(nu2, map(_h_integrand, f2, lam))
-        comp = _atom_sum(nu2, (1.0 - l for l in lam))
+        integrals = kept.integrals
+        if integrals is None:
+            integrals = _nu2_integrals(
+                nu2, _at_marks(kept.lam, model.lambda_fn, nu2, t, x),
+                _at_marks(kept.f2, model.f2, nu2, t, y),
+                _at_marks(kept.f3, model.f3, nu2, t, x, y))
+        f3_lam, f2_lam, h_term, comp = integrals
+        bx = _by_column(np.subtract, bx, f3_lam)
+        by = _by_column(np.subtract, by, f2_lam)
+        rhs = _by_column(np.add, rhs, h_term)
     return bx, by, rhs, comp
 
 
@@ -327,8 +428,8 @@ def validate_model(model: ModelSpec, seed: int = 0, n_probes: int = 64) -> dict:
         ok = ok and lam_lo > 0.0 and np.isfinite(lam_hi)
         ok = ok and np.isfinite(lam_integrability)
     if model.regime == "infinite_jumps":
-        witness = model.nu2.p_moment(2.5)
-        report["p_moment_2.5"] = float(witness)
+        witness = model.nu2.p_moment(P_VAR)
+        report[f"p_moment_{P_VAR}"] = float(witness)
         lo, hi = _lambda_bounds(model)
         ok = ok and np.isfinite(witness) and lo == hi == 1.0
     report["ok"] = bool(ok)
@@ -369,7 +470,6 @@ class NoiseBundle:
 
     seed: int
     T: float
-    base_steps: int
     times: np.ndarray
     brownian_B: np.ndarray  # (n-1, d_B) increments
     brownian_W: np.ndarray  # (n-1, d_Y) increments
@@ -461,7 +561,7 @@ def make_noise_bundle(model: ModelSpec, T: float, steps: int, seed: int,
     dts = np.diff(times)
     brownian_B = rng.standard_normal((n - 1, model.dim_b)) * np.sqrt(dts)[:, None]
     brownian_W = rng.standard_normal((n - 1, model.dim_y)) * np.sqrt(dts)[:, None]
-    return NoiseBundle(int(seed), float(T), int(steps), times, brownian_B,
+    return NoiseBundle(int(seed), float(T), times, brownian_B,
                        brownian_W, records, epsilon, measure)
 
 
@@ -487,22 +587,24 @@ def _observed_lambda(model: ModelSpec, t: float, x_left, u) -> np.ndarray:
     return lam
 
 
-def _kept(model: ModelSpec, noise: NoiseBundle, a: int, x_left) -> bool:
-    """Whether observed atom a of the bundle, at (t, u), survives thinning:
-    under the physical measure with an atomic nu2 iff
-    accept_u < lambda(t, X_{t-}, u) / lambda_max; otherwise always."""
+def _kept(model: ModelSpec, noise: NoiseBundle, a: int, x_left):
+    """(kept, lam): whether observed atom a of the bundle, at (t, u),
+    survives thinning, and the lambda(t, X_{t-}, u) the test evaluated.
+    Under the physical measure with an atomic nu2 it survives iff
+    accept_u < lam / lambda_max; otherwise always, and lam is None (no
+    test, no evaluation)."""
     if noise.measure == "reference" or not isinstance(model.nu2, LevyMeasure):
-        return True
+        return True, None
     rec = noise.pp_jumps["nu2"]
     lam = float(_observed_lambda(model, float(rec.times[a]), x_left, rec.marks[a]))
-    return bool(rec.accept_u[a] < lam / _lambda_bounds(model)[1])
+    return bool(rec.accept_u[a] < lam / _lambda_bounds(model)[1]), lam
 
 
 def _accepted_nu2(model: ModelSpec, noise: NoiseBundle, X: CadlagPath):
     """The thinning decisions simulate_pair made, read off the signal X it
     returned: X.pre_values holds X_{t-} at each atom's grid index."""
     idx = np.searchsorted(noise.times, noise.pp_jumps["nu2"].times)
-    return np.array([_kept(model, noise, a, X.pre_values[i])
+    return np.array([_kept(model, noise, a, X.pre_values[i])[0]
                      for a, i in enumerate(idx)], dtype=bool)
 
 
@@ -562,7 +664,7 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle):
         for a in nu1_at.get(k + 1, ()):
             x = x + np.asarray(model.f1(tk, x, y, rec1.marks[a]), dtype=float)
         for a in nu2_at.get(k + 1, ()):
-            if not _kept(model, noise, a, preX[k + 1]):
+            if not _kept(model, noise, a, preX[k + 1])[0]:
                 continue
             u = rec2.marks[a]
             dxj = np.asarray(model.f3(tk, x, y, u), dtype=float)
@@ -624,9 +726,12 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
             acc += float(comp) * dt
         pre[k + 1] = acc
         for a in nu2_at.get(k + 1, ()):
-            if _kept(model, noise, a, X.pre_values[k + 1]):
-                acc += np.log(float(_observed_lambda(
-                    model, t1, X.pre_values[k + 1], rec2.marks[a])))
+            kept, lam = _kept(model, noise, a, X.pre_values[k + 1])
+            if kept:
+                if lam is None:
+                    lam = float(_observed_lambda(
+                        model, t1, X.pre_values[k + 1], rec2.marks[a]))
+                acc += np.log(lam)
         vals[k + 1] = acc
     jumpy = not np.array_equal(vals, pre)
     return CadlagPath(times, vals, pre if jumpy else None, "linear")
@@ -733,8 +838,8 @@ def _linear_mark(mat):
 def _linear_state(mat):
     """A drift linear in the signal and constant in t: (t, x, y) -> mat x,
     broadcast over the leading axes of x, as c * x when mat is 1 x 1 and as
-    one einsum otherwise. It carries `mat` as its `matrix`, like _const, and
-    _state_matrix tells it apart from a constant."""
+    _matvec(mat, x) otherwise. It carries `mat` as its `matrix`, like
+    _const, and _state_matrix tells it apart from a constant."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape == (1, 1):
         c = float(mat[0, 0])
@@ -743,7 +848,7 @@ def _linear_state(mat):
             return c * x
     else:
         def f(t, x, y):
-            return np.einsum("ij,...j->...i", mat, np.asarray(x, dtype=float))
+            return _matvec(mat, x)
 
     f.matrix = mat
     f.reads_state = True

@@ -756,9 +756,10 @@ def test_reference_rates_evaluate_lambda_once_per_atom():
 
 
 def test_declared_lambda_integrals_at_one_state():
-    """With lambda_fn, f2 and f3 declared, h and the reference rates
-    evaluate lambda once per atom at one state, and give the values of a
-    plain lambda evaluated at every particle's state bit for bit."""
+    """With lambda_fn, f2 and f3 declared, lambda is evaluated once per atom
+    at one state, once per model: h and the reference rates share the nu2
+    integrals kept on first use, and give the values of a plain lambda
+    evaluated at every particle's state bit for bit."""
     base = get_model("correlated_jump_multidim")
     model, calls = _counting_lambda(base)
     plain = replace(base, lambda_fn=_plain(base.lambda_fn))
@@ -769,7 +770,8 @@ def test_declared_lambda_integrals_at_one_state():
     assert calls == [(2,)] * len(base.nu2.atoms)
     calls.clear()
     got = sim._reference_rates(model, 0.1, x, y)
-    assert calls == [(2,)] * len(base.nu2.atoms)
+    sim.h_function(model, 0.4, x[:3], y[:3])
+    assert calls == []
     for g, e in zip(got, sim._reference_rates(plain, 0.1, x, y)):
         assert np.array_equal(np.broadcast_to(g, np.shape(e)), e)
 

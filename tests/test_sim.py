@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from roughfilter import fillin, sim
@@ -308,7 +311,7 @@ class TestSimulatePair:
             times = np.linspace(0.0, 1.0, steps + 1)
             empty = sim.JumpRecord(np.zeros(0), np.zeros((0, 1)), np.zeros(0))
             nb = sim.NoiseBundle(
-                seed=17, T=1.0, base_steps=steps, times=times,
+                seed=17, T=1.0, times=times,
                 brownian_B=np.zeros((steps, 1)), brownian_W=agg[:, None],
                 pp_jumps={"nu1": empty, "nu2": empty})
             X, Y = sim.simulate_pair(model, nb)
@@ -675,3 +678,234 @@ class TestDeclaredViews:
             out = f(0.0, x, x, marks[-1])
             assert out.shape == x.shape
             assert np.array_equal(out, np.broadcast_to(mat @ marks[-1], x.shape))
+
+
+# -- products in column order and the reference rates ------------------------
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                     st.floats(-1e3, 1e3))
+
+
+def _column_order(M, v):
+    """out[..., i] = sum_j M[..., i, j] v[..., j], one Python float at a
+    time, added in column order from 0.0."""
+    lead = np.broadcast_shapes(M.shape[:-2], v.shape[:-1])
+    M = np.broadcast_to(M, lead + M.shape[-2:])
+    v = np.broadcast_to(v, lead + v.shape[-1:])
+    out = np.empty(lead + M.shape[-2:-1])
+    for idx in np.ndindex(out.shape):
+        acc = 0.0
+        for j in range(M.shape[-1]):
+            acc += float(M[idx + (j,)]) * float(v[idx[:-1] + (j,)])
+        out[idx] = acc
+    return out
+
+
+# layout -> (einsum the product replaced, M's shape, whether v is one vector)
+_MATVEC_LAYOUTS = {
+    "declared matrix": ("ij,...j->...i", "matrix", False),  # _linear_state
+    "per-particle stack": ("...ij,...j->...i", "stack", False),  # sigma1 h
+    "broadcast view": ("...ab,...b->...a", "view", False),  # sigma0 dB
+    "view, one vector": ("...ab,b->...a", "view", True),  # sigma1 dW
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), layout=st.sampled_from(sorted(_MATVEC_LAYOUTS)),
+       rows=st.integers(1, 3), cols=st.integers(1, 3), n=st.integers(1, 5))
+def test_matvec_is_the_einsum_it_replaces(data, layout, rows, cols, n):
+    """_matvec adds each component in column order from 0.0, signed zeros
+    included; for the one- and two-term sums of the catalog models that is
+    the einsum it replaced, bit for bit. (einsum's own order for three
+    terms is not the column order: it read (p0 + p2) + p1 with numpy 2.4.6
+    on x86-64, where _matvec reads (p0 + p1) + p2.)"""
+    spec, shape, one_vector = _MATVEC_LAYOUTS[layout]
+    M = data.draw(arrays(float, (n, rows, cols) if shape == "stack"
+                         else (rows, cols), elements=_ENTRIES))
+    if shape == "view":
+        M = np.broadcast_to(M, (n, rows, cols))
+    if one_vector:
+        v = data.draw(arrays(float, (cols,), elements=_ENTRIES))
+    else:  # a strided column block, as a step's slice of the dB draw
+        v = data.draw(arrays(float, (n, 2, cols), elements=_ENTRIES))[:, 1]
+    got = sim._matvec(M, v)
+    expect = _column_order(M, v)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+    if cols <= 2:
+        assert got.tobytes() == np.einsum(spec, M, v).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 5),
+       one_vector=st.booleans())
+def test_dot_is_the_einsum_it_replaces(data, d, n, one_vector):
+    """_dot adds in order from 0.0, as _matvec does: the einsums h . h,
+    h . g1 and (h0 + h1) . dW bit for bit at one or two terms."""
+    a = data.draw(arrays(float, (n, d), elements=_ENTRIES))
+    b = data.draw(arrays(float, (d,) if one_vector else (n, d),
+                         elements=_ENTRIES))
+    got = sim._dot(a, b)
+    expect = _column_order(a[..., None, :], b)[..., 0]
+    assert got.shape == expect.shape == (n,)
+    assert got.tobytes() == expect.tobytes()
+    if d <= 2:
+        spec = "...i,i->..." if one_vector else "...i,...i->..."
+        assert got.tobytes() == np.einsum(spec, a, b).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), lead=st.sampled_from([(), (4,), (2, 3)]),
+       subtract=st.booleans())
+def test_by_column_is_the_broadcast_it_replaces(data, d, lead, subtract):
+    """_by_column(ufunc, a, c) is ufunc(a, c) bit for bit, signed zeros
+    included, batched or not."""
+    ufunc = np.subtract if subtract else np.add
+    a = data.draw(arrays(float, lead + (d,), elements=_ENTRIES))
+    c = data.draw(arrays(float, (d,), elements=_ENTRIES))
+    got, expect = sim._by_column(ufunc, a, c), ufunc(a, c)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+def _reference_drift(coefficient, t, x, y):
+    """b1 or b2 as _linear_state evaluated it per call: c * x for a 1 x 1
+    matrix, one einsum otherwise."""
+    M = sim._state_matrix(coefficient)
+    if M is None:
+        return np.asarray(coefficient(t, x, y), dtype=float)
+    if M.shape == (1, 1):
+        return float(M[0, 0]) * x
+    return np.einsum("ij,...j->...i", M, x)
+
+
+def _reference_state(model, coefficient, x, y):
+    """The state at which a nu2 coefficient was evaluated per call: one zero
+    state when it is declared, else (x, y)."""
+    if sim._declared_matrix(coefficient) is not None:
+        return np.zeros(model.dim_x), np.zeros(model.dim_y)
+    return x, y
+
+
+def _reference_solve(model, t, y, rhs):
+    """sigma2^{-1} rhs as computed per call: a division for 1 x 1, the
+    declared inverse as a column sum from the first column, else a solve."""
+    declared = sim._declared_matrix(model.sigma2)
+    s2 = declared if declared is not None else np.asarray(
+        model.sigma2(t, y), dtype=float)
+    if s2.shape[-2:] == (1, 1):
+        return rhs / s2[..., 0]
+    if declared is not None:
+        inv = np.linalg.inv(s2)
+        out = rhs[..., :1] * inv[:, 0]
+        for j in range(1, inv.shape[1]):
+            out = out + rhs[..., j:j + 1] * inv[:, j]
+        return out
+    if s2.ndim > 2:
+        return np.linalg.solve(s2, rhs[..., None])[..., 0]
+    sol = np.linalg.solve(s2, rhs.reshape(-1, rhs.shape[-1]).T)
+    return sol.T.reshape(rhs.shape)
+
+
+def _reference_nu2_values(model, t, x, y):
+    """lambda_fn, f2 and f3 at nu2's marks, each evaluated at its state."""
+    xl = _reference_state(model, model.lambda_fn, x, y)[0]
+    y2 = _reference_state(model, model.f2, x, y)[1]
+    x3, y3 = _reference_state(model, model.f3, x, y)
+    marks = model.nu2.marks()
+    return ([np.asarray(model.lambda_fn(t, xl, u), dtype=float) for u in marks],
+            [np.asarray(model.f2(t, y2, u), dtype=float) for u in marks],
+            [np.asarray(model.f3(t, x3, y3, u), dtype=float) for u in marks])
+
+
+def _per_call_rates(model, t, x, y):
+    """(bx, by, h, comp) evaluated in full at every call, with einsum
+    products: the formula the kept values and _matvec must reproduce."""
+    bx = _reference_drift(model.b1, t, x, y)
+    by = rhs = _reference_drift(model.b2, t, x, y)
+    comp = 0.0
+    if model.nu1 is not None and model.nu1.atoms:
+        bx = bx - model.nu1.integrate(lambda u: model.f1(t, x, y, u))
+    nu2 = model.nu2
+    if isinstance(nu2, sim.LevyMeasure):
+        lam, f2, f3 = _reference_nu2_values(model, t, x, y)
+        bx = bx - sim._atom_sum(nu2, (f * l[..., None] for f, l in zip(f3, lam)))
+        by = by - sim._atom_sum(nu2, (f * l[..., None] for f, l in zip(f2, lam)))
+        rhs = rhs + sim._atom_sum(
+            nu2, (f * (1.0 - l)[..., None] for f, l in zip(f2, lam)))
+        comp = sim._atom_sum(nu2, (1.0 - l for l in lam))
+    h = _reference_solve(model, t, y, rhs)
+    bx = bx - np.einsum("...ij,...j->...i", model.sigma1(t, x, y), h)
+    by = by - np.einsum("...ij,...j->...i", model.sigma2(t, y), h)
+    return bx, by, h, comp
+
+
+def _per_call_h(model, t, x, y):
+    """h evaluated in full at every call."""
+    rhs = _reference_drift(model.b2, t, x, y)
+    if isinstance(model.nu2, sim.LevyMeasure):
+        lam, f2, _ = _reference_nu2_values(model, t, x, y)
+        rhs = rhs + sim._atom_sum(
+            model.nu2, (f * (1.0 - l)[..., None] for f, l in zip(f2, lam)))
+    return _reference_solve(model, t, y, rhs)
+
+
+def _plain_coefficient(coefficient):
+    return lambda *args: np.array(coefficient(*args))
+
+
+def _rate_models():
+    models = {name: sim.get_model(name) for name in sim.MODEL_BUILDERS}
+    sjd = models["scalar_jump_diffusion"]
+    models["scalar_jump_diffusion, plain"] = replace(sjd, **{
+        c: _plain_coefficient(getattr(sjd, c))
+        for c in ("sigma1", "sigma2", "f2", "f3")})
+    cjm = models["correlated_jump_multidim"]
+    models["correlated_jump_multidim, plain lambda"] = replace(
+        cjm, lambda_fn=_plain_coefficient(cjm.lambda_fn))
+    return models
+
+
+_RATE_MODELS = _rate_models()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_RATE_MODELS)),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6),
+       t=st.floats(0.0, 1.0), h_first=st.booleans())
+def test_reference_rates_match_the_per_call_formula(name, seed, n, t, h_first):
+    """_reference_rates and h_function, with declared values kept once per
+    model and products through _matvec, equal the per-call formula with
+    einsum products bit for bit, at random states (n = 0: one unbatched
+    state), whichever of the two computes the kept values."""
+    model = replace(_RATE_MODELS[name])  # a copy that has kept nothing yet
+    rng = np.random.default_rng(seed)
+    lead = (n,) if n else ()
+    x = rng.uniform(-3.0, 3.0, lead + (model.dim_x,))
+    y = rng.uniform(-3.0, 3.0, lead + (model.dim_y,))
+    if h_first:
+        h = sim.h_function(model, t, x, y)
+    rates = sim._reference_rates(model, t, x, y)
+    if not h_first:
+        h = sim.h_function(model, t, x, y)
+    expect = _per_call_rates(model, t, x, y)
+    for got, want in zip(rates + (h,), expect + (_per_call_h(model, t, x, y),)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_declared_values_kept_once_per_model():
+    """The declared values live on the model that computed them, on first
+    use: a model built by dataclasses.replace computes its own."""
+    model = sim.get_model("correlated_jump_multidim")
+    kept = model._declared
+    assert model._declared is kept
+    assert kept.integrals is not None and kept.f1 is None
+    other = replace(model, lambda_fn=_plain_coefficient(model.lambda_fn))
+    assert other._declared is not kept
+    assert other._declared.lam is None and other._declared.integrals is None
+    assert other._declared.f2 is not None
+    sjd = sim.get_model("scalar_jump_diffusion")
+    assert sjd._declared.integrals is None and sjd._declared.lam is None
+    assert len(sjd._declared.f1) == len(sjd.nu1.atoms)
