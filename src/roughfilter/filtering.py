@@ -48,11 +48,13 @@ exact second-order constant per chord, and one RK4 substep per unit jump
 size is the exact Marcus flow (see _RoughRoute). Plain callables are
 evaluated and differenced in full. Either way one reference-rate call
 (sim._reference_rates) evaluates a plain lambda once per atom of nu2, for
-the drift compensators, h and the (1 - lambda) weight rate together. Every
-per-step product (sigma0 dB, sigma1 dW, sigma1 h, sigma2 h, a declared
-drift, h . h, h . g1) is a sum over columns in order from 0.0 (sim._matvec,
-sim._dot), with einsum's bits at the catalog's sizes, and a constant vector
-meets the particle batch one column at a time (sim._by_column).
+the drift compensators, h and the (1 - lambda) weight rate together; the
+direct and flow routes, which move X alone, take it without the sigma2 h
+product (sim._reference_signal_rates). Every per-step product (sigma0 dB,
+sigma1 dW, sigma1 h, sigma2 h, a declared drift, h . h, h . g1) is a sum
+over columns in order from 0.0 (sim._matvec, sim._dot), with einsum's bits
+at the catalog's sizes, and a constant vector meets the particle batch one
+column at a time (sim._by_column).
 
 A sweep draws the auxiliary noise of all its particles in one call,
 aux_sampler(seed_base, N); the default draws one block from
@@ -89,6 +91,7 @@ from .sim import (
     _matvec,
     _observed_lambda,
     _reference_rates,
+    _reference_signal_rates,
     _solve_sigma2,
     _state_matrix,
     h_function,
@@ -539,10 +542,10 @@ class _DirectRoute(_ObservationRoute):
         """Step X over the segment; returns h and the lambda compensator at
         its start."""
         model, x, y0, y1, dW = self.model, self.x, self.y0, self.y, self.dW
-        bx0, _, h0, comp0 = _reference_rates(model, t0, x, y0)
+        bx0, _, h0, comp0 = _reference_signal_rates(model, t0, x, y0)
         d1 = (bx0 * dt + _matvec(model.sigma0(t0, x, y0), dB)
               + _matvec(model.sigma1(t0, x, y0), dW))
-        bx1, _, _, _ = _reference_rates(model, t1, x + d1, y1)
+        bx1, _, _, _ = _reference_signal_rates(model, t1, x + d1, y1)
         d2 = (bx1 * dt + _matvec(model.sigma0(t1, x + d1, y1), dB)
               + _matvec(model.sigma1(t1, x + d1, y1), dW))
         self.x = x + 0.5 * (d1 + d2)
@@ -574,12 +577,12 @@ class _FlowRoute(_ObservationRoute):
         self.w1 = w1 = self.wt.values[k + 1, 0]
         dB = dB[:, 0]
         x0col, dphi0 = self.x, self.dphi
-        bx0, _, h0, comp0 = _reference_rates(model, t0, x0col, y0)
+        bx0, _, h0, comp0 = _reference_signal_rates(model, t0, x0col, y0)
         s00 = np.asarray(model.sigma0(t0, x0col, y0), dtype=float)[..., 0, 0]
         d1 = (bx0[:, 0] / dphi0) * dt + (s00 / dphi0) * dB
         phiP, dphiP = flow_map(s, w1, self.xt + d1)
         xPcol = phiP[:, None]
-        bx1, _, _, _ = _reference_rates(model, t1, xPcol, y1)
+        bx1, _, _, _ = _reference_signal_rates(model, t1, xPcol, y1)
         s01 = np.asarray(model.sigma0(t1, xPcol, y1), dtype=float)[..., 0, 0]
         d2 = (bx1[:, 0] / dphiP) * dt + (s01 / dphiP) * dB
         self.xt = self.xt + 0.5 * (d1 + d2)

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paths import CadlagPath, _pvar_sum_dp, p_variation_of_points
+from .paths import CadlagPath, _norm_powers, _pvar_sum_dp, p_variation_of_points
 from .tensor_group import (
     NORM_CONVENTION,
     GroupElement,
+    _increment_level2,
     geometric_defect,
     group_increment,
     group_inv,
@@ -262,15 +263,27 @@ def rho_p(X: RoughPath, Y: RoughPath, p: float) -> float:
 
     lvl1 = p_variation_of_points(A1 - B1, p)
     q = p / 2.0
+    d = X.dim
+    # component-major copies: level 1 as (d, m), level 2 as (d, d, m)
+    a1, b1 = np.ascontiguousarray(A1.T), np.ascontiguousarray(B1.T)
+    a2 = np.ascontiguousarray(np.moveaxis(A2, 0, -1))
+    b2 = np.ascontiguousarray(np.moveaxis(B2, 0, -1))
 
-    A, B = GroupElement(A1, A2), GroupElement(B1, B2)
+    def outer(u, v):
+        return u[:, None] * v[None, :]
 
-    def powdist2(j):
-        dx2 = group_increment(A[:j], A[j]).level2
-        dy2 = group_increment(B[:j], B[j]).level2
-        return np.linalg.norm((dx2 - dy2).reshape(j, -1), axis=1) ** q
+    def level2(z1, z2, j0, j1):
+        # from each i < j1 to each j in [j0, j1): a (d, d, j1 - j0, j1) array
+        zi = z1[:, None, :j1]
+        return _increment_level2(zi, z2[:, :, None, :j1], z2[:, :, j0:j1, None],
+                                 z1[:, j0:j1, None] - zi, outer)
 
-    lvl2 = _pvar_sum_dp(m, powdist2) ** (1.0 / q)
+    def rows(j0, j1):
+        diff = level2(a1, a2, j0, j1)
+        diff -= level2(b1, b2, j0, j1)
+        return _norm_powers(diff.reshape(d * d, j1 - j0, j1), q)
+
+    lvl2 = _pvar_sum_dp(m, rows, d * d) ** (1.0 / q)
     return max(lvl1, lvl2)
 
 

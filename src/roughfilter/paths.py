@@ -10,6 +10,7 @@ visited-value sequence (right values interleaved with left limits at jumps).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -129,20 +130,78 @@ def visited_points(x: CadlagPath) -> np.ndarray:
     return _visited_sequence(x.values, x.pre_values)
 
 
-def _pvar_sum_dp(m: int, powdist) -> float:
+# Row blocks of the max-plus recursion of _pvar_sum_dp: at most _BLOCK_ROWS
+# rows, and at most _BLOCK_ELEMENTS elements in a (per_cell, rows, j1)
+# temporary, 64 KiB. numpy takes each temporary from malloc, and glibc
+# serves 128 KiB and more by a fresh mmap whose pages fault in on first
+# touch: level-2 rows of 128 KiB blocks cost about twice as much per cost
+# as 64 KiB ones (numpy 2.4.6, one thread of a 2-vCPU Intel Xeon host).
+_BLOCK_ROWS = 32
+_BLOCK_ELEMENTS = 2 ** 13
+_STRICTLY_LOWER = np.tri(_BLOCK_ROWS, _BLOCK_ROWS, -1, dtype=bool)
+
+
+def _block_end(j0: int, m: int, per_cell: int) -> int:
+    """End j1 of the row block that starts at row j0 of m."""
+    n_rows = _BLOCK_ELEMENTS // (per_cell * (j0 + _BLOCK_ROWS))
+    return min(m, j0 + max(1, min(_BLOCK_ROWS, n_rows)))
+
+
+def _pvar_sum_dp(m: int, rows, per_cell: int) -> float:
     """max over strictly increasing index subsequences (0 ... m-1 endpoints
-    free) of the sum of powdist terms; powdist(j) -> array over i<j."""
+    free) of the sum of the costs c(i, j) of consecutive indices i < j: the
+    max-plus recursion best[j] = max_{i<j} (best[i] + c(i, j)), the exact
+    p-variation of a finite sequence when c(i, j) = |x_j - x_i|^p (Butkus
+    and Norvaisa, Computation of p-variation, Lith. Math. J. 58 (2018)).
+
+    rows(j0, j1) returns the costs of a block of rows as a (j1 - j0, j1)
+    array, row j - j0 holding c(i, j) at column i < j (what it holds at
+    columns i >= j is not read); per_cell, the number of components a cost
+    is computed from, sizes the blocks (_block_end). A block takes the max
+    over i < j0 for all of its rows in one 2-d numpy max, and the small
+    triangle j0 <= i < j on Python floats, row after row.
+
+    The value is the row-by-row recursion's, bit for bit: each best[i] +
+    c(i, j) is the same IEEE addition of the same two doubles, on Python
+    floats as in numpy, and a max does not round, so grouping the maxima
+    differently cannot change their value. A NaN cost makes the sum NaN,
+    as numpy's max propagates it through every later row: Python's max
+    would drop it, so a block whose head or triangle holds one ends the
+    recursion."""
     best = np.zeros(m)
-    for j in range(1, m):
-        best[j] = np.maximum.reduce(best[:j] + powdist(j))
+    j0 = 1
+    while j0 < m:
+        j1 = _block_end(j0, m, per_cell)
+        costs = rows(j0, j1)
+        head = np.maximum.reduce(best[:j0] + costs[:, :j0], axis=1).tolist()
+        n = j1 - j0
+        tri = costs[:, j0:][_STRICTLY_LOWER[:n, :n]].tolist()  # row by row
+        if math.isnan(sum(head) + sum(tri)):
+            return math.nan
+        # map stops at the end of vals, so row r takes r costs from tri
+        tri = iter(tri)
+        vals = head[:1]
+        for b in head[1:]:
+            vals.append(max(b, max(map(operator.add, vals, tri))))
+        best[j0:j1] = vals
+        j0 = j1
     return float(best[-1])
 
 
-# Up to this many points the power-distance matrix is built in one broadcast
-# (an m x m x d temporary: 1.5 MB at m = 256, d = 3); above it each row is
-# built on its own, which measured faster from m = 384 on for d = 1..3.
-# Both give the same bits.
-PVAR_MATRIX_MAX = 256
+def _norm_powers(parts: np.ndarray, power: float) -> np.ndarray:
+    """|v|^power for the (rows, columns) vectors v whose n components are
+    given as an (n, rows, columns) array, which it overwrites: their squares
+    summed over a contiguous trailing axis with np.add.reduce, as
+    np.linalg.norm(..., axis=-1) sums a row of components, or the single
+    square when n is 1."""
+    if len(parts) == 1:
+        norms = np.multiply(parts[0], parts[0], out=parts[0])
+    else:
+        squares = np.empty(parts.shape[1:] + parts.shape[:1])
+        np.multiply(parts, parts, out=squares.transpose(2, 0, 1))
+        norms = np.add.reduce(squares, axis=-1)
+    np.sqrt(norms, out=norms)
+    return np.power(norms, power, out=norms)
 
 
 def p_variation_of_points(points: np.ndarray, p: float) -> float:
@@ -150,18 +209,15 @@ def p_variation_of_points(points: np.ndarray, p: float) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    m = len(pts)
+    m, d = pts.shape
     if m < 2:
         return 0.0
-    if m <= PVAR_MATRIX_MAX:
-        diff = pts[:, None, :] - pts[None, :, :]
-        powdists = np.sqrt(np.add.reduce(diff * diff, axis=-1)) ** p
-        return _pvar_sum_dp(m, lambda j: powdists[j, :j]) ** (1.0 / p)
+    comps = np.ascontiguousarray(pts.T)  # (d, m): each component's row contiguous
 
-    def powdist(j):
-        return np.linalg.norm(pts[:j] - pts[j], axis=1) ** p
+    def rows(j0, j1):
+        return _norm_powers(comps[:, None, :j1] - comps[:, j0:j1, None], p)
 
-    return _pvar_sum_dp(m, powdist) ** (1.0 / p)
+    return _pvar_sum_dp(m, rows, d) ** (1.0 / p)
 
 
 def p_variation(x: CadlagPath, p: float) -> float:
@@ -343,8 +399,8 @@ def skorokhod_sigma_p(x: CadlagPath, y: CadlagPath, p: float, warp_grid: int = 8
     Cost: per warp level, up to two sweeps over the interior knots, each knot
     one bounded Brent search (10-30 objective calls at mesh 8, at most 500)
     plus one call per trial knot value; each call is one p-variation of the
-    visited points of x o lambda - y, by the one-broadcast distance matrix
-    while they number at most PVAR_MATRIX_MAX.
+    visited points of x o lambda - y, a few row blocks of _pvar_sum_dp at
+    the tens of points of mesh 8.
     """
     if warp_grid < 1:
         raise ValueError("warp_grid must be >= 1")

@@ -339,13 +339,20 @@ def _reference_rates(model: ModelSpec, t: float, x, y):
 
     broadcasts over leading axes of x, y. bx + sigma1 h and by + sigma2 h
     are the physical-measure rates of _rates."""
+    y = np.asarray(y, dtype=float)
+    bx, by, h, comp = _reference_signal_rates(model, t, x, y)
+    return bx, by - _matvec(model.sigma2(t, y), h), h, comp
+
+
+def _reference_signal_rates(model: ModelSpec, t: float, x, y):
+    """_reference_rates with by left at its physical-measure value by +
+    sigma2 h: all that a step moving X alone along a given Y needs, without
+    the sigma2 h product."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     bx, by, rhs, comp = _rates(model, t, x, y)
     h = _solve_sigma2(model, t, y, rhs)
-    bx = bx - _matvec(model.sigma1(t, x, y), h)
-    by = by - _matvec(model.sigma2(t, y), h)
-    return bx, by, h, comp
+    return bx - _matvec(model.sigma1(t, x, y), h), by, h, comp
 
 
 def _rates(model: ModelSpec, t: float, x, y):

@@ -84,7 +84,17 @@ def group_increment(a: GroupElement, b: GroupElement) -> GroupElement:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     g1 = b.level1 - a.level1
-    return _element(g1, b.level2 - a.level2 - _outer(a.level1, g1))
+    return _element(g1, _increment_level2(a.level1, a.level2, b.level2, g1))
+
+
+def _increment_level2(a1, a2, b2, g1, outer=_outer) -> np.ndarray:
+    """Level 2 of group_increment, b2 - a2 - outer(a1, g1) with g1 = b1 - a1,
+    term by term, as a new array. outer(u, v) is the outer product of the
+    layout at hand: _outer for component axes last, or u[:, None] *
+    v[None, :] for component axes first."""
+    g2 = b2 - a2
+    g2 -= outer(a1, g1)
+    return g2
 
 
 def group_exp(v, m=0.0) -> GroupElement:

@@ -4,7 +4,10 @@ The warp search of `skorokhod_sigma_p` and `alpha_p` is a deterministic
 sequence of objective calls, so a change that only speeds up the objective
 or the line search must reproduce these values bit for bit (repr equality).
 They were recorded before the warp objective was vectorised and the bounded
-Brent search moved in-house from scipy's `fminbound`.
+Brent search moved in-house from scipy's `fminbound`. The `rho_p` and
+`beta_p` pins were recorded while the max-plus recursion still ran one
+numpy row at a time and built its level-2 rows from `GroupElement`
+sub-batches.
 """
 
 import math
@@ -12,8 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from roughfilter.fillin import AdmissiblePair, alpha_p
-from roughfilter.lift import marcus_lift, stratonovich_lift
+from roughfilter.fillin import AdmissiblePair, alpha_p, beta_p
+from roughfilter.lift import marcus_lift, rho_p, stratonovich_lift
 from roughfilter.paths import CadlagPath, skorokhod_sigma_p
 
 
@@ -65,3 +68,52 @@ def test_golden_alpha_p_mesh8():
     R = marcus_lift(CadlagPath(sub, v[:, None], pre[:, None], "constant"))
     sweep = alpha_p(AdmissiblePair(L), AdmissiblePair(R), 2.5, delta_seq=(1.0, 0.5))
     assert repr(sweep.per_delta) == repr(ALPHA_PIN)
+
+
+def jumpy_marcus_lift(rng, n, d, jumps, decimals=None):
+    """Marcus lift of a random walk on n random times in [0, 1] with `jumps`
+    jumps; `decimals` rounds values and left limits (repeated points and
+    tied distances)."""
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+    values = np.cumsum(rng.standard_normal((n, d)) / np.sqrt(n), axis=0)
+    values[0] = 0.0
+    pre = values.copy()
+    at = rng.choice(np.arange(1, n), size=jumps, replace=False)
+    pre[at] -= rng.standard_normal((jumps, d))
+    if decimals is not None:
+        values, pre = np.round(values, decimals), np.round(pre, decimals)
+        pre[0] = values[0]
+    return marcus_lift(CadlagPath(times, values, pre, "linear"))
+
+
+# (seed, d, n, decimals) -> rho_p at p = 2.5 between Marcus lifts on n and
+# n - 7 samples with 4 and 3 jumps. The merged lengths (about 2n) span many
+# row blocks of the max-plus recursion, past its cell budget at each d.
+RHO_PINS = {
+    (701, 1, 300, None): 4.442181518225818,
+    (702, 2, 160, None): 9.122707966088768,
+    (703, 3, 90, None): 22.77018716478137,
+    (704, 2, 150, 1): 13.31910369396491,
+}
+
+# beta_p.per_delta at p = 2.5, deltas (1, 0.5), between Marcus lifts on 40
+# and 33 samples in R^2 with two jumps each (seed 705)
+BETA_PIN = ((1.0, 6.188512365449493), (0.5, 6.097520542914851))
+
+
+@pytest.mark.parametrize("case", list(RHO_PINS),
+                         ids=lambda c: f"d{c[1]}" + ("-rounded" if c[3] else ""))
+def test_golden_rho_p_marcus_lifts(case):
+    seed, d, n, decimals = case
+    rng = np.random.default_rng(seed)
+    X = jumpy_marcus_lift(rng, n, d, 4, decimals)
+    Y = jumpy_marcus_lift(rng, n - 7, d, 3, decimals)
+    assert repr(rho_p(X, Y, 2.5)) == repr(RHO_PINS[case])
+
+
+def test_golden_beta_p_d2():
+    rng = np.random.default_rng(705)
+    X = jumpy_marcus_lift(rng, 40, 2, 2)
+    Y = jumpy_marcus_lift(rng, 33, 2, 2)
+    sweep = beta_p(AdmissiblePair(X), AdmissiblePair(Y), 2.5, delta_seq=(1.0, 0.5))
+    assert repr(sweep.per_delta) == repr(BETA_PIN)

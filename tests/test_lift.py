@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_paths import block_edge_lengths
+
 from roughfilter.fillin import AdmissiblePair, linear_path_function
 from roughfilter.filtering import FUNCTION_CATALOG, theta
 from roughfilter.lift import (
     RoughPath,
+    _merged_running,
     chen_defect,
     geometric_defect_max,
     marcus_increment,
@@ -25,7 +28,13 @@ from roughfilter.lift import (
 from roughfilter.paths import CadlagPath
 from roughfilter.rde import constant_vector_field, solve_canonical_rde
 from roughfilter.sim import get_model
-from roughfilter.tensor_group import group_exp, group_log, group_mul
+from roughfilter.tensor_group import (
+    GroupElement,
+    group_exp,
+    group_increment,
+    group_log,
+    group_mul,
+)
 
 
 def brownian_path(rng, n, d, T=1.0):
@@ -321,6 +330,110 @@ def test_rho_p_metric_axioms(seed, d, n, p):
     assert rho_p(Y, X, p) == xy
     assert rho_p(X, X, p) == 0.0 and rho_p(Z, Z, p) == 0.0
     assert xz <= (xy + yz) * (1.0 + 1e-12)
+
+
+def row_loop_rho_p(X, Y, p):
+    """rho_p as one numpy row at a time, each level-2 row built from
+    GroupElement sub-batches by group_increment."""
+    _, (A1, A2), (B1, B2) = _merged_running(X, Y)
+    m = len(A1)
+    if m < 2:
+        return 0.0
+    q = p / 2.0
+    A, B = GroupElement(A1, A2), GroupElement(B1, B2)
+    best1, best2 = np.zeros(m), np.zeros(m)
+    for j in range(1, m):
+        c1 = np.linalg.norm((A1 - B1)[:j] - (A1 - B1)[j], axis=1) ** p
+        best1[j] = np.maximum.reduce(best1[:j] + c1)
+        dx2 = group_increment(A[:j], A[j]).level2
+        dy2 = group_increment(B[:j], B[j]).level2
+        c2 = np.linalg.norm((dx2 - dy2).reshape(j, -1), axis=1) ** q
+        best2[j] = np.maximum.reduce(best2[:j] + c2)
+    return max(float(best1[-1]) ** (1.0 / p), float(best2[-1]) ** (1.0 / q))
+
+
+def shared_grid_marcus_pair(rng, m, d, jumps, rounded):
+    """Marcus lifts X, Y on one grid of m - jumps times, both jumping at the
+    same `jumps` interior times: their merged visited sequence has m
+    points. `rounded` rounds values to halves (repeated points, tied
+    costs)."""
+    n = m - jumps
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, n - 2)), [1.0]])
+    at = rng.choice(np.arange(1, n), size=jumps, replace=False)
+
+    def lift():
+        vals = rng.standard_normal((n, d))
+        if rounded:
+            vals = np.round(2.0 * vals) / 2.0
+        pre = vals.copy()
+        pre[at, 0] -= 1.0 + np.round(np.abs(rng.standard_normal(jumps)))
+        return marcus_lift(CadlagPath(times, vals, pre, "linear"))
+
+    return lift(), lift()
+
+
+@st.composite
+def block_edge_pairs(draw):
+    """(d, m): merged lengths around the row-block edges of rho_p's level-2
+    recursion, which sizes its blocks at d * d elements a cost."""
+    d = draw(st.integers(1, 3))
+    return d, draw(st.sampled_from(block_edge_lengths(d * d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dm=block_edge_pairs(),
+       jumps=st.integers(0, 3), rounded=st.booleans(), level2_only=st.booleans(),
+       p=st.one_of(st.just(2.5), st.floats(2.0, 2.9)))
+def test_rho_p_matches_row_loop_at_block_edges(seed, dm, jumps, rounded, level2_only, p):
+    """Bit for bit against the row loop; with level2_only, Y carries X's
+    level 1 and a level 2 moved by a random walk, so that rho_p is the
+    level-2 value and not the level-1 one."""
+    d, m = dm
+    jumps = min(jumps, (m - 1) // 2)
+    rng = np.random.default_rng(seed)
+    X, Y = shared_grid_marcus_pair(rng, m, d, jumps, rounded)
+    if level2_only:
+        walk = np.cumsum(rng.standard_normal((len(X.times), d, d)), axis=0)
+        walk[0] = 0.0
+        Y = RoughPath(X.times, X.level1, X.level2 + walk, X.jump_flags,
+                      X.pre_level1, X.pre_level2 + walk)
+    assert len(_merged_running(X, Y)[0]) == m
+    assert repr(rho_p(X, Y, p)) == repr(row_loop_rho_p(X, Y, p))
+
+
+def test_rho_p_of_overflowing_increments_matches_row_loop():
+    """Signatures near the largest double have increments that overflow to
+    inf, and to NaN where inf - inf meets; numpy's max propagates a NaN
+    that Python's would drop. Each result equals the row loop's, NaN as
+    NaN. rho_p's own max(level 1, level 2) keeps level 1 over a NaN level
+    2, so paths with one level 1 read 0.0 exactly when level 2 is NaN."""
+    big = 1.7e308
+    outcomes = set()
+    with np.errstate(all="ignore"):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            d, m = 1 + seed % 3, (40, 80, 600, 40)[seed % 4]
+            t = np.linspace(0.0, 1.0, m)
+
+            def huge_path(level1=None, scale1=big):
+                L1 = rng.uniform(-1.0, 1.0, (m, d)) * scale1 if level1 is None else level1
+                L2 = rng.uniform(-1.0, 1.0, (m, d, d)) * big
+                L1[0], L2[0] = 0.0, 0.0
+                return RoughPath(t, L1, L2)
+
+            X = huge_path()
+            kind = seed % 3
+            if kind == 0:  # one level 1: level 2 alone overflows
+                Y = huge_path(X.level1.copy())
+            elif kind == 1:  # level 1 overflows too
+                Y = huge_path()
+            else:  # squares overflow to inf, differences stay finite
+                X = huge_path(scale1=1e154)
+                Y = RoughPath(t, np.zeros((m, d)), np.zeros((m, d, d)))
+            got = rho_p(X, Y, 2.5)
+            assert repr(got) == repr(row_loop_rho_p(X, Y, 2.5))
+            outcomes.add(repr(got))
+    assert {"0.0", "nan", "inf"} <= outcomes
 
 
 def test_wong_zakai_shape_refinement():

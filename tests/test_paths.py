@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughfilter.paths import (
-    PVAR_MATRIX_MAX,
+    _BLOCK_ROWS,
     CadlagPath,
+    _block_end,
     _nearest_jump_lookup,
     d_p,
     merge_difference,
@@ -233,12 +234,25 @@ def loop_p_variation_of_points(pts, p):
     return float(best[-1]) ** (1.0 / p)
 
 
+def block_edge_lengths(per_cell):
+    """Lengths m around the row-block edges of the max-plus recursion at
+    per_cell array elements a cost: 2, the end of the first block, and the
+    start of the first block that the cell budget cuts below _BLOCK_ROWS
+    rows (m one past a block start ends the recursion on one row of it)."""
+    big = 10 ** 6
+    first = _block_end(1, big, per_cell)
+    short = 1
+    while _block_end(short, big, per_cell) - short == _BLOCK_ROWS:
+        short = _block_end(short, big, per_cell)
+    return sorted({2} | {e + k for e in (first, short + 1) for k in (-1, 0, 1)} - {0, 1})
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
-       m=st.one_of(st.integers(2, 40),
-                   st.integers(PVAR_MATRIX_MAX - 2, PVAR_MATRIX_MAX + 2)),
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), data=st.data(),
        p=st.one_of(st.just(2.0), st.floats(1.0, 3.0)), coarse=st.booleans())
-def test_p_variation_of_points_matches_row_loop(seed, d, m, p, coarse):
+def test_p_variation_of_points_matches_row_loop(seed, d, data, p, coarse):
+    m = data.draw(st.one_of(st.integers(2, 40), st.sampled_from(block_edge_lengths(d))),
+                  label="m")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((m, d))
     if coarse:  # repeated points and equal distances
@@ -260,3 +274,25 @@ def test_visited_points_matches_loop(seed, n, d):
             if not np.array_equal(row, rows[-1]):
                 rows.append(row)
     np.testing.assert_array_equal(visited_points(x), np.asarray(rows))
+
+
+def test_p_variation_of_non_finite_points_matches_row_loop():
+    """inf - inf makes a NaN cost, which numpy's max propagates and
+    Python's would drop; an infinite cost stays infinite. The bad points sit
+    early in the first row block, or a few rows before the end inside the
+    last one, where no later block's numpy max would carry a NaN on. Two
+    infinite points next to each other make one NaN cost inside a block's
+    triangle, with every head infinite; an infinite point early on and one
+    at the bad place make a NaN cost in the head of a later block."""
+    outcomes = set()
+    with np.errstate(all="ignore"):
+        for seed, m, bad in [(1, 40, 5), (2, 40, 35), (3, 700, 600), (4, 700, 697)]:
+            rng = np.random.default_rng(seed)
+            for at, fill in (([bad], np.inf), ([bad], np.nan), ([bad], 1e200),
+                             ([bad, bad + 1], np.inf), ([3, bad], np.inf)):
+                pts = rng.standard_normal((m, 2))
+                pts[at] = fill
+                got = p_variation_of_points(pts, 2.5)
+                assert repr(got) == repr(loop_p_variation_of_points(pts, 2.5))
+                outcomes.add(repr(got))
+    assert {"nan", "inf"} <= outcomes

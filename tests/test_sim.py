@@ -877,7 +877,9 @@ def test_reference_rates_match_the_per_call_formula(name, seed, n, t, h_first):
     """_reference_rates and h_function, with declared values kept once per
     model and products through _matvec, equal the per-call formula with
     einsum products bit for bit, at random states (n = 0: one unbatched
-    state), whichever of the two computes the kept values."""
+    state), whichever of the two computes the kept values.
+    _reference_signal_rates gives the same bx, h and comp, and by at its
+    physical-measure value from _rates."""
     model = replace(_RATE_MODELS[name])  # a copy that has kept nothing yet
     rng = np.random.default_rng(seed)
     lead = (n,) if n else ()
@@ -893,6 +895,11 @@ def test_reference_rates_match_the_per_call_formula(name, seed, n, t, h_first):
         got, want = np.asarray(got), np.asarray(want)
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+    # the routes that move X alone skip sigma2 h: by stays physical
+    signal = sim._reference_signal_rates(model, t, x, y)
+    physical_by = sim._rates(model, t, x, y)[1]
+    for got, want in zip(signal, (rates[0], physical_by) + rates[2:]):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 def test_declared_values_kept_once_per_model():
