@@ -9,11 +9,24 @@ increments. Jump times additionally carry the pre-jump running signature.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paths import CadlagPath, _norm_powers, _pvar_sum_dp, p_variation_of_points
+from .paths import (
+    _BLOCK_ROWS,
+    _REL_SLACK,
+    CadlagPath,
+    _block_centers,
+    _block_radii,
+    _norm_floor,
+    _norms,
+    _prunes,
+    _pvar_sum_dp,
+    _safe_bound,
+    p_variation_of_points,
+)
 from .tensor_group import (
     NORM_CONVENTION,
     GroupElement,
@@ -247,9 +260,90 @@ def _merged_running(X: RoughPath, Y: RoughPath):
     return tv, X.running_at(tv, is_left), Y.running_at(tv, is_left)
 
 
+def _outer(u, v):
+    return u[:, None] * v[None, :]
+
+
+def _level2(z1, z2, j0, j1, cols):
+    """Level-2 increments from each column i in cols to each row j in [j0,
+    j1) of the component-major running signature z1 (d, m), z2 (d, d, m): a
+    (d, d, j1 - j0, len(cols)) array."""
+    zi = z1[:, None, cols]
+    return _increment_level2(zi, z2[:, :, None, cols], z2[:, :, j0:j1, None],
+                             z1[:, j0:j1, None] - zi, _outer)
+
+
+def _chen_bound(a1, a2, b1, b2, q):
+    """bound of _pvar_sum_dp for the level-2 norms |D2(i, j)|, D2 = A2_ij -
+    B2_ij, of the component-major running signatures of two paths, or None
+    where it is not set up (_safe_bound, or equal signatures). Chen's
+    relation X_ij = X_ic (x) X_cj, for any order of i, c and j, gives
+    D2(i, j) = D2(i, c) + D2(c, j) + A1_ic (x) A1_cj - B1_ic (x) B1_cj, and
+    the last two terms are half of Z_ic (x) S_cj + S_ic (x) Z_cj with Z =
+    A1 - B1 and S = A1 + B1. So for i in a block K with center c
+
+        |D2(i, j)| <= |D2(c, j)| + R2_K + (rZ_K |S_cj| + rS_K |Z_cj|) / 2,
+
+    R2_K = max_{i in K} |D2(i, c)| and rZ_K, rS_K the radii of Z and S
+    about c; where the two paths' level 1 are close, Z is small.
+
+    Slack for cancellation: with u = 2^-53 and M1, M2 a path's largest
+    level-1 and level-2 running entries, a computed entry of its level-2
+    increment is off by at most 8u (M2 + M1^2), as b2 - a2 and a1 (x) (b1 -
+    a1) cancel; a norm over the d x d entries of D2 by at most 8 d u (MA +
+    MB), and the rounding of Z and S moves the cross terms by at most 16 d
+    u (MA + MB). |D2(c, j)|, R2_K and the cell itself lose at most about 40
+    d u (MA + MB) together, so the bound adds d 2^-45 (MA + MB), six times
+    that; and d 2^-520 (d + M1A + M1B) for underflow where a radius
+    multiplies a level-1 norm, besides the slack of _pvar_sum_dp."""
+    d, m = a1.shape
+    if not _prunes(m, d * d) or (np.array_equal(a1, b1) and np.array_equal(a2, b2)):
+        return None  # equal signatures (rho_p(X, X)): every cost is 0, none is skipped
+    m1a, m1b, m2a, m2b = (float(np.max(np.abs(z), initial=0.0)) for z in (a1, b1, a2, b2))
+    if not (max(m1a, m1b) < 2.0 ** 100 and max(m2a, m2b) < 2.0 ** 200):
+        return None
+    size = m2a + m1a ** 2 + m2b + m1b ** 2
+    slack = (d * (2.0 ** -45 * size + 2.0 ** -520 * (d + m1a + m1b))
+             + _norm_floor(d * d, q))
+    if not _safe_bound(m, d * d, 16.0 * d * size + slack, q):
+        return None
+    c = _block_centers(m)
+    n = len(c)
+
+    def to_centers(z1, z2):
+        return _increment_level2(z1[:, :n], z2[:, :, :n], z2[:, :, c], z1[:, c] - z1[:, :n],
+                                 _outer)
+
+    r2 = _block_radii((to_centers(a1, a2) - to_centers(b1, b2)).reshape(d * d, n)) + slack
+    z, s = a1 - b1, a1 + b1
+    half_radii = 0.5 * np.stack([_block_radii(z[:, c] - z[:, :n]),
+                                 _block_radii(s[:, c] - s[:, :n])])
+    # S's arm takes Z's radius and Z's arm S's; the arms of the rows are
+    # made per group, so that no (2d, m) array is held through the recursion
+    arm_centers = np.concatenate([s[:, _BLOCK_ROWS // 2:n:_BLOCK_ROWS],
+                                  z[:, _BLOCK_ROWS // 2:n:_BLOCK_ROWS]])
+    arms = np.empty((2 * d, _BLOCK_ROWS))
+
+    def bound(j0, j1, blocks, probes):
+        np.add(a1[:, j0:j1], b1[:, j0:j1], out=arms[:d, :j1 - j0])
+        np.subtract(a1[:, j0:j1], b1[:, j0:j1], out=arms[d:, :j1 - j0])
+        cross = arm_centers[:, None, blocks] - arms[:, :j1 - j0, None]
+        cross *= cross
+        cross = np.sqrt(np.add.reduce(cross.reshape(2, d, j1 - j0, -1), axis=1))
+        cross *= half_radii[:, None, blocks]
+        reach = np.add.reduce(cross, axis=0)
+        reach += probes
+        reach += r2[blocks]
+        reach *= 1.0 + _REL_SLACK
+        return reach
+
+    return bound
+
+
 def rho_p(X: RoughPath, Y: RoughPath, p: float) -> float:
     """Rough p-variation distance: max over levels k=1,2 of the DP-sup of
-    (sum |X^k - Y^k|^{p/k})^{k/p} over merged-grid partitions."""
+    (sum |X^k - Y^k|^{p/k})^{k/p} over merged-grid partitions; NaN when
+    either level is NaN (increments that overflow to inf - inf)."""
     if not 2.0 <= p < 3.0:
         raise ValueError(f"rho_p requires p in [2, 3), got {p}")
     if X.dim != Y.dim:
@@ -269,21 +363,14 @@ def rho_p(X: RoughPath, Y: RoughPath, p: float) -> float:
     a2 = np.ascontiguousarray(np.moveaxis(A2, 0, -1))
     b2 = np.ascontiguousarray(np.moveaxis(B2, 0, -1))
 
-    def outer(u, v):
-        return u[:, None] * v[None, :]
+    def rows(j0, j1, cols):
+        diff = _level2(a1, a2, j0, j1, cols)
+        diff -= _level2(b1, b2, j0, j1, cols)
+        return _norms(diff.reshape(d * d, j1 - j0, -1))
 
-    def level2(z1, z2, j0, j1):
-        # from each i < j1 to each j in [j0, j1): a (d, d, j1 - j0, j1) array
-        zi = z1[:, None, :j1]
-        return _increment_level2(zi, z2[:, :, None, :j1], z2[:, :, j0:j1, None],
-                                 z1[:, j0:j1, None] - zi, outer)
-
-    def rows(j0, j1):
-        diff = level2(a1, a2, j0, j1)
-        diff -= level2(b1, b2, j0, j1)
-        return _norm_powers(diff.reshape(d * d, j1 - j0, j1), q)
-
-    lvl2 = _pvar_sum_dp(m, rows, d * d) ** (1.0 / q)
+    lvl2 = _pvar_sum_dp(m, rows, q, d * d, _chen_bound(a1, a2, b1, b2, q)) ** (1.0 / q)
+    if math.isnan(lvl1) or math.isnan(lvl2):
+        return math.nan
     return max(lvl1, lvl2)
 
 

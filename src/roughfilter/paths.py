@@ -131,7 +131,7 @@ def visited_points(x: CadlagPath) -> np.ndarray:
 
 
 # Row blocks of the max-plus recursion of _pvar_sum_dp: at most _BLOCK_ROWS
-# rows, and at most _BLOCK_ELEMENTS elements in a (per_cell, rows, j1)
+# rows, and at most _BLOCK_ELEMENTS elements in a (per_cell, rows, columns)
 # temporary, 64 KiB. numpy takes each temporary from malloc, and glibc
 # serves 128 KiB and more by a fresh mmap whose pages fault in on first
 # touch: level-2 rows of 128 KiB blocks cost about twice as much per cost
@@ -139,6 +139,11 @@ def visited_points(x: CadlagPath) -> np.ndarray:
 _BLOCK_ROWS = 32
 _BLOCK_ELEMENTS = 2 ** 13
 _STRICTLY_LOWER = np.tri(_BLOCK_ROWS, _BLOCK_ROWS, -1, dtype=bool)
+# Block-bound pruning in _pvar_sum_dp: a group of rows whose bound keeps
+# more than _PRUNE_KEEP of its column blocks runs as plain blocks.
+_PRUNE_KEEP = 0.5
+# Relative slack of a bound on a computed norm (derived in _pvar_sum_dp).
+_REL_SLACK = 2.0 ** -20
 
 
 def _block_end(j0: int, m: int, per_cell: int) -> int:
@@ -147,35 +152,161 @@ def _block_end(j0: int, m: int, per_cell: int) -> int:
     return min(m, j0 + max(1, min(_BLOCK_ROWS, n_rows)))
 
 
-def _pvar_sum_dp(m: int, rows, per_cell: int) -> float:
-    """max over strictly increasing index subsequences (0 ... m-1 endpoints
-    free) of the sum of the costs c(i, j) of consecutive indices i < j: the
-    max-plus recursion best[j] = max_{i<j} (best[i] + c(i, j)), the exact
-    p-variation of a finite sequence when c(i, j) = |x_j - x_i|^p (Butkus
-    and Norvaisa, Computation of p-variation, Lith. Math. J. 58 (2018)).
+def _prune_from(per_cell: int) -> int:
+    """First row at which _pvar_sum_dp tries a bound: where the rows of a
+    group hold about 16 column blocks' worth of elements, at least 4
+    blocks, so that the few dozen numpy calls of a try cost less than the
+    cells they may skip."""
+    return max(4, 16 // per_cell) * _BLOCK_ROWS
 
-    rows(j0, j1) returns the costs of a block of rows as a (j1 - j0, j1)
-    array, row j - j0 holding c(i, j) at column i < j (what it holds at
-    columns i >= j is not read); per_cell, the number of components a cost
+
+def _prunes(m: int, per_cell: int) -> bool:
+    """Whether a bound is set up for m points: only where a third of the
+    rows or more come from _prune_from(per_cell) on, so that its set-up
+    and first tries pay (at d = 1, rho_p with a bound took 5% longer at
+    m = 640 and 11% less at m = 961)."""
+    return 2 * m > 3 * _prune_from(per_cell)
+
+
+def _chunks(start: int, stop: int, width: int) -> list:
+    """Slices of at most `width` covering [start, stop), the last ending at
+    stop."""
+    return [slice(max(start, e - width), e) for e in range(stop, start, -width)][::-1]
+
+
+def _centers(blocks: slice) -> slice:
+    """The center columns of a slice of column blocks."""
+    return slice(_BLOCK_ROWS // 2 + _BLOCK_ROWS * blocks.start, _BLOCK_ROWS * blocks.stop,
+                 _BLOCK_ROWS)
+
+
+def _kept_pieces(j0, j1, best, rows, power, bound, width):
+    """(column slices, head) of the pruned row group [j0, j1), or None when
+    its bound keeps more than _PRUNE_KEEP of the column blocks below j0.
+    head is each row's max over its probe cells (the block centers); the
+    slices cover the kept blocks and the columns from the last whole block
+    to j1, the last slice ending with the triangle [j0, j1)."""
+    blocks = slice(0, j0 // _BLOCK_ROWS)
+    centers = _centers(blocks)
+    probes = rows(j0, j1, centers)
+    reach = np.power(bound(j0, j1, blocks, probes), power)
+    reach += best[_BLOCK_ROWS - 1:j0:_BLOCK_ROWS]  # best never decreases
+    np.power(probes, power, out=probes)
+    probes += best[centers]
+    head = np.maximum.reduce(probes, axis=1)
+    # row j's max is also at least best[j - 1] >= best[j0 - 1]
+    lower = np.maximum(head, best[j0 - 1])
+    kept = np.flatnonzero(np.any(reach >= lower[:, None], axis=0)).tolist()
+    if len(kept) > _PRUNE_KEEP * blocks.stop:
+        return None
+    runs = []
+    for k in kept + [blocks.stop]:  # the block there: the columns from it to j1
+        if runs and runs[-1][1] == k * _BLOCK_ROWS:
+            runs[-1][1] += _BLOCK_ROWS
+        else:
+            runs.append([k * _BLOCK_ROWS, (k + 1) * _BLOCK_ROWS])
+    runs[-1][1] = j1
+    return [c for a, b in runs for c in _chunks(a, b, width)], head
+
+
+def _pvar_sum_dp(m: int, rows, power: float, per_cell: int, bound=None) -> float:
+    """max over strictly increasing index subsequences (0 ... m-1 endpoints
+    free) of the sum of the costs c(i, j) = n(i, j)^power of consecutive
+    indices i < j: the max-plus recursion best[j] = max_{i<j} (best[i] +
+    c(i, j)), the exact p-variation of a finite sequence when n(i, j) =
+    |x_j - x_i| and power = p (Butkus and Norvaisa, Computation of
+    p-variation, Lith. Math. J. 58 (2018)).
+
+    rows(j0, j1, cols) returns the norms n(i, j) of the rows j0 <= j < j1
+    at the columns i of the slice cols as a new (j1 - j0, len(cols)) array
+    (what it holds at columns i >= j is not read), which the recursion
+    raises to `power` in place; per_cell, the number of components a norm
     is computed from, sizes the blocks (_block_end). A block takes the max
-    over i < j0 for all of its rows in one 2-d numpy max, and the small
+    over i < j0 for all of its rows in 2-d numpy maxima, and the small
     triangle j0 <= i < j on Python floats, row after row.
 
+    bound, if given, prunes (block-bound pruning). From row
+    _prune_from(per_cell) on, rows go in groups of up to _BLOCK_ROWS, and
+    the columns below a group in blocks K of _BLOCK_ROWS columns. The
+    group's cells (c_K, j) at the blocks' middle columns c_K are computed
+    first, as probes: max_K (best[c_K] + c(c_K, j)) and best[j0 - 1] (row
+    j's term at j - 1 is at least that) are lower bounds LB_j of row j's
+    max. bound(j0, j1, blocks, probes), given the probes' norms for a slice
+    of blocks, returns for each row j and block K a norm whose power bounds
+    the computed cost of every cell of K in row j; best never decreases,
+    so UB_{j, K} = best[last column of K] + that power bounds every term
+    best[i] + c(i, j) of the block. A block with UB_{j, K} < LB_j in every
+    row of the group holds no row's max and is skipped. The kept blocks,
+    with the columns from the last whole block to j1, are computed as
+    slices of contiguous runs of at most _BLOCK_ELEMENTS elements.
+
     The value is the row-by-row recursion's, bit for bit: each best[i] +
-    c(i, j) is the same IEEE addition of the same two doubles, on Python
-    floats as in numpy, and a max does not round, so grouping the maxima
-    differently cannot change their value. A NaN cost makes the sum NaN,
-    as numpy's max propagates it through every later row: Python's max
-    would drop it, so a block whose head or triangle holds one ends the
-    recursion."""
+    c(i, j) that is computed, the probes' included, is the same IEEE
+    addition of the same two doubles, on Python floats as in numpy; a max
+    does not round, so grouping the maxima differently cannot change their
+    value, and a skipped term is at most UB < LB, at most a term that is
+    kept. Only the slack needs care: a bound must dominate every computed
+    cost, not only the exact one. With u = 2^-53 and fl(a + b) monotone in
+    a and b:
+    - a computed norm has relative error at most (per_cell + 3) u from its
+      squares, their sum and the square root, and absolute error at most
+      sqrt(per_cell) 2^-537 where the squares underflow (a subnormal result
+      is off by at most 2^-1075 each); a bound's own few operations err by
+      a few u more. The relative slack _REL_SLACK = 2^-20 covers all of
+      these for per_cell up to _BLOCK_ELEMENTS, and the few ulp by which a
+      computed power can err: for power >= 1, a bound b >= n (1 + 2^-20)
+      on a computed norm n has b^power >= n^power (1 + 2^-20);
+    - _norm_floor adds per_cell 2^-520 for the underflow of squares, and
+      2^(-1000 / power), which keeps the bound's power at least 2^-1000,
+      so that it rounds relatively and exceeds a computed cost that
+      underflows (at most 2^-1074 off): (a + b)^power >= a^power + b^power;
+    - best[i] <= best[last column of K] and fl(best + cost) is monotone, so
+      fl(best[i] + c(i, j)) <= UB_{j, K}.
+    Level 2 adds slack for its cancellation (lift._chen_bound). The callers
+    set a bound up only for finite inputs small enough that no norm, cost,
+    bound or sum of costs overflows (_safe_bound), so no NaN or inf meets
+    it, and only where _prunes(m, per_cell).
+
+    Where the bound keeps more than _PRUNE_KEEP of a group's blocks, the
+    group runs as plain blocks, and the next try waits twice as many groups
+    as the last one did, so that inputs it cannot prune (equal points,
+    where every cost is 0) pay for few tries.
+
+    A NaN cost makes the sum NaN, as numpy's max propagates it through
+    every later row: Python's max would drop it, so a block whose head or
+    triangle holds one ends the recursion."""
     best = np.zeros(m)
+    retry = m
+    if bound is not None:
+        group = min(_BLOCK_ROWS, math.isqrt(_BLOCK_ELEMENTS // per_cell))
+        width = _BLOCK_ELEMENTS // (per_cell * group)  # >= group: the triangle fits
+        retry, fails = _prune_from(per_cell), 0
     j0 = 1
     while j0 < m:
-        j1 = _block_end(j0, m, per_cell)
-        costs = rows(j0, j1)
-        head = np.maximum.reduce(best[:j0] + costs[:, :j0], axis=1).tolist()
+        pruned = None
+        if j0 >= retry:
+            j1 = min(m, j0 + group)
+            pruned = _kept_pieces(j0, j1, best, rows, power, bound, width)
+            fails = 0 if pruned else fails + 1
+            retry = j0 + (group << fails)
+        if pruned:
+            pieces, head = pruned
+            for cols in pieces:
+                costs = rows(j0, j1, cols)
+                np.power(costs, power, out=costs)
+                k = min(j0, cols.stop) - cols.start
+                if k:
+                    np.maximum(head, np.maximum.reduce(best[cols.start:cols.start + k]
+                                                       + costs[:, :k], axis=1), out=head)
+        else:
+            j1 = _block_end(j0, m, per_cell)
+            costs = rows(j0, j1, slice(0, j1))
+            np.power(costs, power, out=costs)
+            k = j0
+            head = np.maximum.reduce(best[:k] + costs[:, :k], axis=1)
+        head = head.tolist()
         n = j1 - j0
-        tri = costs[:, j0:][_STRICTLY_LOWER[:n, :n]].tolist()  # row by row
+        tri = costs[:, k:][_STRICTLY_LOWER[:n, :n]].tolist()  # row by row
         if math.isnan(sum(head) + sum(tri)):
             return math.nan
         # map stops at the end of vals, so row r takes r costs from tri
@@ -188,9 +319,9 @@ def _pvar_sum_dp(m: int, rows, per_cell: int) -> float:
     return float(best[-1])
 
 
-def _norm_powers(parts: np.ndarray, power: float) -> np.ndarray:
-    """|v|^power for the (rows, columns) vectors v whose n components are
-    given as an (n, rows, columns) array, which it overwrites: their squares
+def _norms(parts: np.ndarray) -> np.ndarray:
+    """|v| for the (rows, columns) vectors v whose n components are given
+    as an (n, rows, columns) array, which it overwrites: their squares
     summed over a contiguous trailing axis with np.add.reduce, as
     np.linalg.norm(..., axis=-1) sums a row of components, or the single
     square when n is 1."""
@@ -200,8 +331,56 @@ def _norm_powers(parts: np.ndarray, power: float) -> np.ndarray:
         squares = np.empty(parts.shape[1:] + parts.shape[:1])
         np.multiply(parts, parts, out=squares.transpose(2, 0, 1))
         norms = np.add.reduce(squares, axis=-1)
-    np.sqrt(norms, out=norms)
-    return np.power(norms, power, out=norms)
+    return np.sqrt(norms, out=norms)
+
+
+def _block_centers(m: int) -> np.ndarray:
+    """For each column of the whole column blocks below row m - 1, the
+    center column of its block."""
+    i = np.arange((m - 1) // _BLOCK_ROWS * _BLOCK_ROWS)
+    return i - i % _BLOCK_ROWS + _BLOCK_ROWS // 2
+
+
+def _block_radii(parts: np.ndarray) -> np.ndarray:
+    """Each column block's max of the norms of the (n, columns) parts."""
+    return _norms(parts.reshape(len(parts), -1, _BLOCK_ROWS)).max(axis=1)
+
+
+def _norm_floor(per_cell: int, power: float) -> float:
+    """Absolute slack of a bound on a computed norm (_pvar_sum_dp)."""
+    return per_cell * 2.0 ** -520 + 2.0 ** (-1000.0 / power)
+
+
+def _safe_bound(m: int, per_cell: int, reach: float, power: float) -> bool:
+    """Whether the slack of _pvar_sum_dp holds (power >= 1, per_cell at
+    most _BLOCK_ELEMENTS, so that a pruned group has a row) and no norm or
+    bound of at most reach, its square or power, or a sum of m such powers
+    overflows; False for NaN."""
+    return (power >= 1.0 and per_cell <= _BLOCK_ELEMENTS and reach < 2.0 ** 500
+            and (reach <= 1.0 or power * math.log2(reach) + math.log2(m) < 1000))
+
+
+def _distance_bound(comps: np.ndarray, p: float):
+    """bound of _pvar_sum_dp for the norms |z_j - z_i| of the points given
+    as a (d, m) array, or None where it is not set up (_safe_bound, or all
+    points 0): by the triangle inequality, |z_j - z_i| <= |z_j - z_c| + r_K
+    for i in block K, r_K the radius of the block about its center c."""
+    d, m = comps.shape
+    if not _prunes(m, d):
+        return None
+    top = float(np.max(np.abs(comps), initial=0.0))
+    floor = _norm_floor(d, p)
+    if not top or not _safe_bound(m, d, 4.0 * math.sqrt(d) * top + floor, p):
+        return None  # all points 0 (rho_p(X, X)): every cost is 0, none is skipped
+    c = _block_centers(m)
+    radii = _block_radii(comps[:, :len(c)] - comps[:, c]) + floor
+
+    def bound(j0, j1, blocks, probes):
+        reach = probes + radii[blocks]
+        reach *= 1.0 + _REL_SLACK
+        return reach
+
+    return bound
 
 
 def p_variation_of_points(points: np.ndarray, p: float) -> float:
@@ -214,10 +393,10 @@ def p_variation_of_points(points: np.ndarray, p: float) -> float:
         return 0.0
     comps = np.ascontiguousarray(pts.T)  # (d, m): each component's row contiguous
 
-    def rows(j0, j1):
-        return _norm_powers(comps[:, None, :j1] - comps[:, j0:j1, None], p)
+    def rows(j0, j1, cols):
+        return _norms(comps[:, None, cols] - comps[:, j0:j1, None])
 
-    return _pvar_sum_dp(m, rows, d) ** (1.0 / p)
+    return _pvar_sum_dp(m, rows, p, d, _distance_bound(comps, p)) ** (1.0 / p)
 
 
 def p_variation(x: CadlagPath, p: float) -> float:

@@ -117,3 +117,37 @@ def test_golden_beta_p_d2():
     Y = jumpy_marcus_lift(rng, 33, 2, 2)
     sweep = beta_p(AdmissiblePair(X), AdmissiblePair(Y), 2.5, delta_seq=(1.0, 0.5))
     assert repr(sweep.per_delta) == repr(BETA_PIN)
+
+
+# Pins on long inputs, recorded while every cost cell of the max-plus
+# recursion was still computed. beta_p.per_delta at p = 2.5, deltas (1, 0.5,
+# 0.25, 0.125), between the Stratonovich lift of the linear interpolant and
+# the Marcus lift of the rectangular interpolant of one Brownian path (2^11
+# steps, seed 20261019) at mesh 256: merged lengths about 2,561, d = 1.
+BETA_PIN_MESH256 = ((1.0, 1.773508037549209), (0.5, 1.7761344312327143),
+                    (0.25, 1.7526278452578838), (0.125, 1.5963901949797155))
+
+# rho_p at p = 2.5 between Marcus lifts in R^2 on 500 and 493 samples with 4
+# and 3 jumps (seed 706): merged length 998, its value the level-2 one.
+RHO_PIN_D2_LONG = 10.892234069765074
+
+
+def test_golden_beta_p_mesh256():
+    rng = np.random.default_rng(20261019)
+    n = 2 ** 11
+    w = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n) / math.sqrt(n))])
+    sub = np.linspace(0.0, 1.0, 257)
+    v = np.interp(sub, np.linspace(0.0, 1.0, n + 1), w)
+    pre = np.concatenate([v[:1], v[:-1]])
+    L = stratonovich_lift(CadlagPath(sub, v[:, None], None, "linear"))
+    R = marcus_lift(CadlagPath(sub, v[:, None], pre[:, None], "constant"))
+    sweep = beta_p(AdmissiblePair(L), AdmissiblePair(R), 2.5,
+                   delta_seq=(1.0, 0.5, 0.25, 0.125))
+    assert repr(sweep.per_delta) == repr(BETA_PIN_MESH256)
+
+
+def test_golden_rho_p_d2_long():
+    rng = np.random.default_rng(706)
+    X = jumpy_marcus_lift(rng, 500, 2, 4)
+    Y = jumpy_marcus_lift(rng, 493, 2, 3)
+    assert repr(rho_p(X, Y, 2.5)) == repr(RHO_PIN_D2_LONG)

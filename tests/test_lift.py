@@ -1,13 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_paths import block_edge_lengths
+from test_paths import block_edge_lengths, cell_counts, first_pruned_length
 
-from roughfilter.fillin import AdmissiblePair, linear_path_function
+from roughfilter.fillin import AdmissiblePair, build_representative, linear_path_function
 from roughfilter.filtering import FUNCTION_CATALOG, theta
 from roughfilter.lift import (
     RoughPath,
@@ -334,7 +335,8 @@ def test_rho_p_metric_axioms(seed, d, n, p):
 
 def row_loop_rho_p(X, Y, p):
     """rho_p as one numpy row at a time, each level-2 row built from
-    GroupElement sub-batches by group_increment."""
+    GroupElement sub-batches by group_increment; NaN when either level is
+    NaN."""
     _, (A1, A2), (B1, B2) = _merged_running(X, Y)
     m = len(A1)
     if m < 2:
@@ -349,7 +351,10 @@ def row_loop_rho_p(X, Y, p):
         dy2 = group_increment(B[:j], B[j]).level2
         c2 = np.linalg.norm((dx2 - dy2).reshape(j, -1), axis=1) ** q
         best2[j] = np.maximum.reduce(best2[:j] + c2)
-    return max(float(best1[-1]) ** (1.0 / p), float(best2[-1]) ** (1.0 / q))
+    lvl1, lvl2 = float(best1[-1]) ** (1.0 / p), float(best2[-1]) ** (1.0 / q)
+    if math.isnan(lvl1) or math.isnan(lvl2):
+        return math.nan
+    return max(lvl1, lvl2)
 
 
 def shared_grid_marcus_pair(rng, m, d, jumps, rounded):
@@ -405,8 +410,8 @@ def test_rho_p_of_overflowing_increments_matches_row_loop():
     """Signatures near the largest double have increments that overflow to
     inf, and to NaN where inf - inf meets; numpy's max propagates a NaN
     that Python's would drop. Each result equals the row loop's, NaN as
-    NaN. rho_p's own max(level 1, level 2) keeps level 1 over a NaN level
-    2, so paths with one level 1 read 0.0 exactly when level 2 is NaN."""
+    NaN. Paths with one level 1 whose level 2 is NaN read NaN, not their
+    level-1 value 0.0."""
     big = 1.7e308
     outcomes = set()
     with np.errstate(all="ignore"):
@@ -432,8 +437,103 @@ def test_rho_p_of_overflowing_increments_matches_row_loop():
                 Y = RoughPath(t, np.zeros((m, d)), np.zeros((m, d, d)))
             got = rho_p(X, Y, 2.5)
             assert repr(got) == repr(row_loop_rho_p(X, Y, 2.5))
+            if kind == 0:
+                assert repr(got) == "nan"
             outcomes.add(repr(got))
-    assert {"0.0", "nan", "inf"} <= outcomes
+    assert {"nan", "inf"} <= outcomes
+
+
+def pruning_pair(rng, family, m, d):
+    """Stratonovich lifts X of a path on m equal steps of [0, 1] and Y of
+    its every other point (a Wong-Zakai pair, merged length m + 1), of one
+    of the families the pruned recursion must reproduce bit for bit: a
+    Brownian path, the path rounded to halves (ties), one step of 1e3 and
+    then steps of 1e-6 (the level-2 increments cancel), a constant path
+    (zero costs), steps near 1e-170 or 1e-155 (their squares underflow),
+    or the level2_only pair of test_rho_p_matches_row_loop_at_block_edges
+    (Y with X's level 1)."""
+    t = np.linspace(0.0, 1.0, m + 1)
+    steps = rng.standard_normal((m, d)) / np.sqrt(m)
+    if family == "offset":
+        steps[0] = 1e3
+        steps[1:] *= 1e-6
+    elif family == "equal":
+        steps[:] = 0.0
+    elif family == "tiny":
+        steps *= rng.choice([1e-170, 1e-155])
+    v = np.concatenate([np.zeros((1, d)), np.cumsum(steps, axis=0)])
+    if family == "ties":
+        v = np.round(2.0 * v) / 2.0
+    X = stratonovich_lift(CadlagPath(t, v))
+    if family == "level2_only":
+        walk = np.cumsum(rng.standard_normal((m + 1, d, d)) / np.sqrt(m), axis=0)
+        walk[0] = 0.0
+        return X, RoughPath(t, X.level1, X.level2 + walk)
+    coarse = np.unique(np.append(np.arange(0, m + 1, 2), m))
+    return X, stratonovich_lift(CadlagPath(t[coarse], v[coarse]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), data=st.data(),
+       family=st.sampled_from(("walk", "ties", "offset", "equal", "tiny", "level2_only")),
+       p=st.one_of(st.just(2.5), st.floats(2.0, 3.0, exclude_max=True)))
+def test_rho_p_matches_row_loop_when_pruned(seed, d, data, family, p):
+    """Merged lengths from the first at which either level's recursion
+    tries its bound."""
+    start = min(first_pruned_length(d), first_pruned_length(d * d))
+    m = data.draw(st.integers(start, start + 250), label="m")
+    X, Y = pruning_pair(np.random.default_rng(seed), family, m - 1, d)
+    assert len(_merged_running(X, Y)[0]) == m
+    assert repr(rho_p(X, Y, p)) == repr(row_loop_rho_p(X, Y, p))
+
+
+def test_rho_p_of_one_overflowing_cell_in_the_pruning_regime(monkeypatch):
+    """A Wong-Zakai pair long enough that both levels prune, with both
+    paths' level 2 moved by +big at i1 and by -big at i2 > i1: every
+    level-2 increment stays finite except the one from i1 to i2, inf - inf,
+    a NaN cost in a column block that the finite pair's rows skip. The
+    result is NaN, as the row loop's."""
+    big = 1.7e308
+    counts = cell_counts(monkeypatch)
+    for d in (1, 2, 3):
+        X, Y = pruning_pair(np.random.default_rng(40 + d), "walk", 1199, d)
+        counts.clear()
+        rho_p(X, Y, 2.5)
+        for m, cells in counts:
+            assert m == 1200 and cells < 0.5 * m * (m - 1) / 2  # the finite pair prunes
+        moved = []
+        for Z in (X, Y):
+            L2 = Z.level2.copy()
+            i1, i2 = np.searchsorted(Z.times, [0.25, 0.9])
+            L2[i1] += big
+            L2[i2] -= big
+            moved.append(RoughPath(Z.times, Z.level1, L2))
+        with np.errstate(all="ignore"):
+            got = rho_p(*moved, 2.5)
+            assert repr(got) == repr(row_loop_rho_p(*moved, 2.5)) == "nan"
+
+
+def test_rho_p_prunes_interpolant_lifts(monkeypatch):
+    """rho_p between the delta-1 representatives of the linear and
+    rectangular interpolant lifts of a Brownian path at mesh 256 (merged
+    length about 2,561, as beta_p's at mesh 256): the pruned recursions
+    compute at most 25% of the level-1 cells and 40% of the level-2 ones,
+    so that pruning cannot switch off unseen."""
+    rng = np.random.default_rng(4242)
+    n = 2 ** 11
+    w = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n) / np.sqrt(n))])
+    sub = np.linspace(0.0, 1.0, 257)
+    v = np.interp(sub, np.linspace(0.0, 1.0, n + 1), w)
+    pre = np.concatenate([v[:1], v[:-1]])
+    L = stratonovich_lift(CadlagPath(sub, v[:, None], None, "linear"))
+    R = marcus_lift(CadlagPath(sub, v[:, None], pre[:, None], "constant"))
+    X, Y = (build_representative(AdmissiblePair(Z)).rough for Z in (L, R))
+    counts = cell_counts(monkeypatch)
+    rho_p(X, Y, 2.5)
+    (m1, cells1), (m2, cells2) = counts
+    assert m1 == m2 > 2500
+    assert cells1 <= 0.25 * m1 * (m1 - 1) / 2
+    assert cells2 <= 0.40 * m2 * (m2 - 1) / 2
 
 
 def test_wong_zakai_shape_refinement():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughfilter import lift, paths
 from roughfilter.paths import (
     _BLOCK_ROWS,
     CadlagPath,
     _block_end,
     _nearest_jump_lookup,
+    _prunes,
     d_p,
     merge_difference,
     p_variation,
@@ -225,6 +227,28 @@ def test_nearest_jump_lookup_matches_loop(seed, n, max_gap):
                                   loop_nearest_jump_lookup(times, t, tol))
 
 
+def cell_counts(monkeypatch):
+    """Wrap _pvar_sum_dp (in paths, and in lift, which imports it by name)
+    to record, per call, [m, number of cost cells its rows returned]."""
+    counts = []
+    inner = paths._pvar_sum_dp
+
+    def counting(m, rows, *args):
+        seen = [m, 0]
+        counts.append(seen)
+
+        def counted(j0, j1, cols):
+            out = rows(j0, j1, cols)
+            seen[1] += out.size
+            return out
+
+        return inner(m, counted, *args)
+
+    monkeypatch.setattr(paths, "_pvar_sum_dp", counting)
+    monkeypatch.setattr(lift, "_pvar_sum_dp", counting)
+    return counts
+
+
 def loop_p_variation_of_points(pts, p):
     """Row-by-row reference of the max-plus recursion."""
     m = len(pts)
@@ -234,17 +258,24 @@ def loop_p_variation_of_points(pts, p):
     return float(best[-1]) ** (1.0 / p)
 
 
+def first_pruned_length(per_cell):
+    """The least m for which the recursion sets up a bound and tries it."""
+    return next(m for m in itertools.count(2) if _prunes(m, per_cell))
+
+
 def block_edge_lengths(per_cell):
     """Lengths m around the row-block edges of the max-plus recursion at
-    per_cell array elements a cost: 2, the end of the first block, and the
+    per_cell array elements a cost: 2, the end of the first block, the
     start of the first block that the cell budget cuts below _BLOCK_ROWS
-    rows (m one past a block start ends the recursion on one row of it)."""
+    rows (m one past a block start ends the recursion on one row of it),
+    and the first length at which a bound is set up and tried."""
     big = 10 ** 6
     first = _block_end(1, big, per_cell)
     short = 1
     while _block_end(short, big, per_cell) - short == _BLOCK_ROWS:
         short = _block_end(short, big, per_cell)
-    return sorted({2} | {e + k for e in (first, short + 1) for k in (-1, 0, 1)} - {0, 1})
+    edges = (first, short + 1, first_pruned_length(per_cell))
+    return sorted({2} | {e + k for e in edges for k in (-1, 0, 1)} - {0, 1})
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,23 +307,65 @@ def test_visited_points_matches_loop(seed, n, d):
     np.testing.assert_array_equal(visited_points(x), np.asarray(rows))
 
 
-def test_p_variation_of_non_finite_points_matches_row_loop():
+def pruning_points(rng, family, m, d):
+    """m points in R^d of one of the families the pruned recursion must
+    reproduce bit for bit: a Brownian walk, the walk rounded (ties), a
+    large common offset with tiny increments, all-equal points (zero
+    costs), or increments near 1e-170 or 1e-155, whose squares underflow."""
+    steps = rng.standard_normal((m, d))
+    if family == "walk":
+        return np.cumsum(steps, axis=0)
+    if family == "ties":
+        return np.round(np.cumsum(steps, axis=0))
+    if family == "offset":
+        return 1e6 + np.cumsum(1e-9 * steps, axis=0)
+    if family == "equal":
+        return np.full((m, d), 0.3)
+    return np.cumsum(rng.choice([1e-170, 1e-155]) * steps, axis=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), data=st.data(),
+       family=st.sampled_from(("walk", "ties", "offset", "equal", "tiny")),
+       p=st.one_of(st.just(2.5), st.floats(1.0, 3.0, exclude_max=True)))
+def test_p_variation_of_points_matches_row_loop_when_pruned(seed, d, data, family, p):
+    """Lengths from the first at which the recursion tries its bound."""
+    start = first_pruned_length(d)
+    m = data.draw(st.integers(start, start + 250), label="m")
+    pts = pruning_points(np.random.default_rng(seed), family, m, d)
+    assert repr(p_variation_of_points(pts, p)) == repr(loop_p_variation_of_points(pts, p))
+
+
+def test_p_variation_of_non_finite_points_matches_row_loop(monkeypatch):
     """inf - inf makes a NaN cost, which numpy's max propagates and
     Python's would drop; an infinite cost stays infinite. The bad points sit
     early in the first row block, or a few rows before the end inside the
     last one, where no later block's numpy max would carry a NaN on. Two
     infinite points next to each other make one NaN cost inside a block's
     triangle, with every head infinite; an infinite point early on and one
-    at the bad place make a NaN cost in the head of a later block."""
+    at the bad place make a NaN cost in the head of a later block. On a
+    walk long enough to prune, the bad points sit in a column block that
+    the finite walk's rows skip."""
+    counts = cell_counts(monkeypatch)
     outcomes = set()
+    cases = [(1, 40, 5, False), (2, 40, 35, False), (3, 700, 600, False),
+             (4, 700, 697, False), (5, 1500, 600, True)]
     with np.errstate(all="ignore"):
-        for seed, m, bad in [(1, 40, 5), (2, 40, 35), (3, 700, 600), (4, 700, 697)]:
+        for seed, m, bad, walk in cases:
             rng = np.random.default_rng(seed)
+            if walk:
+                pts = pruning_points(rng, "walk", m, 2)
+                counts.clear()
+                assert repr(p_variation_of_points(pts, 2.5)) == repr(
+                    loop_p_variation_of_points(pts, 2.5))
+                (_, cells), = counts
+                assert cells < 0.5 * m * (m - 1) / 2  # the finite walk prunes
             for at, fill in (([bad], np.inf), ([bad], np.nan), ([bad], 1e200),
-                             ([bad, bad + 1], np.inf), ([3, bad], np.inf)):
-                pts = rng.standard_normal((m, 2))
-                pts[at] = fill
-                got = p_variation_of_points(pts, 2.5)
-                assert repr(got) == repr(loop_p_variation_of_points(pts, 2.5))
+                             ([bad, bad + 1], np.inf), ([3, bad], np.inf),
+                             ([bad, m - 2], np.inf)):
+                bad_pts = pts.copy() if walk else rng.standard_normal((m, 2))
+                bad_pts[at] = fill
+                got = p_variation_of_points(bad_pts, 2.5)
+                assert repr(got) == repr(loop_p_variation_of_points(bad_pts, 2.5))
                 outcomes.add(repr(got))
     assert {"nan", "inf"} <= outcomes
