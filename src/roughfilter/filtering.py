@@ -33,28 +33,26 @@ observed jump path and the loadings f3, f2 must be linear in the mark.
 A model declares which coefficients are constant by how it builds them
 (sim._const for sigma0, sigma1, sigma2 and lambda_fn; sim._linear_mark for
 jump loadings linear in the mark; sim._linear_state for drifts linear in
-the signal, as every catalog model does). Declared coefficients skip work:
-with sigma1, sigma2 (and f3, f2 at the jump column) constant the other rows
-of the joint field are built once, only the h row is differenced, and a
-driver jump's Marcus flow evaluates the h row alone, once per RK4 substep;
-h_function uses the sigma2 matrix (or its inverse, kept once) itself, the
-flow route takes the closed-form flow x + sigma1 w, a declared lambda_fn,
-f1, f2 or f3 is evaluated at the marks once per model, and with lambda_fn,
-f2 and f3 declared every nu2 integral is one constant vector, kept on the
-model with those values (sim._Declared). When b2 is linear too
-and h's nu2 term is state-free (the three lambda = 1 models), h = H x + h0
-is affine: the Davie step is closed-form, with one h evaluation and an
-exact second-order constant per chord, and one RK4 substep per unit jump
-size is the exact Marcus flow (see _RoughRoute). Plain callables are
-evaluated and differenced in full. Either way one reference-rate call
-(sim._reference_rates) evaluates a plain lambda once per atom of nu2, for
-the drift compensators, h and the (1 - lambda) weight rate together; the
-direct and flow routes, which move X alone, take it without the sigma2 h
-product (sim._reference_signal_rates). Every per-step product (sigma0 dB,
-sigma1 dW, sigma1 h, sigma2 h, a declared drift, h . h, h . g1) is a sum
-over columns in order from 0.0 (sim._matvec, sim._dot), with einsum's bits
-at the catalog's sizes, and a constant vector meets the particle batch one
-column at a time (sim._by_column).
+the signal, as every catalog model does), and declared ones skip work: the
+joint field's constant rows are built once and only its h row is
+differenced, or flowed across a driver jump; sigma2 is applied as its
+matrix or kept inverse; the flow route takes the closed form x + sigma1 w;
+declared jump loadings and lambda are evaluated at the marks once per
+model (sim._Declared), and with lambda_fn, f2 and f3 all declared every
+nu2 integral is one kept vector. When b2 is linear too and h's nu2 term is
+state-free (the three lambda = 1 models), h = H x + h0 is affine, the Davie
+step is closed-form and one RK4 substep per unit jump size is the exact
+Marcus flow (see _RoughRoute). Plain callables are evaluated and
+differenced in full. One reference-rate call (sim._reference_rates)
+evaluates a plain lambda once per atom of nu2 for the drift compensators,
+h and the (1 - lambda) weight rate together.
+
+The sweep holds its particles component-major, x (d_X, N), y (d_Y, N) and
+the joint state (e, N). Every per-step product (sigma0 dB, sigma1 dW, sigma
+h, a declared drift, h . h, h . g1, rde's sums over driver components) is an
+ordered column sum from 0.0 (rde._column_sum); one that is the same for all
+particles, such as a declared sigma1 dW, is a column (d, 1). Plain callables
+keep their protocol: they get the views x.T, y.T.
 
 A sweep draws the auxiliary noise of all its particles in one call,
 aux_sampler(seed_base, N); the default draws one block from
@@ -78,20 +76,19 @@ from .lift import (
     stratonovich_lift,
 )
 from .paths import P_VAR, CadlagPath
-from .rde import VectorField, davie_step, marcus_jump
+from .rde import VectorField, _column_sum, davie_step, marcus_jump
 from .sim import (
     LevyMeasure,
     ModelSpec,
     _accepted_nu2,
     _atom_path,
-    _by_column,
     _const,
+    _const_matrix,
     _declared_matrix,
-    _dot,
-    _matvec,
+    _loading,
+    _moved,
     _observed_lambda,
     _reference_rates,
-    _reference_signal_rates,
     _solve_sigma2,
     _state_matrix,
     h_function,
@@ -317,8 +314,9 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
             rows = np.concatenate([rows, col], axis=-1)
         return rows
 
-    loadings = [model.sigma1, model.sigma2] + ([model.f3, model.f2] if extra else [])
-    if all(_declared_matrix(c) is not None for c in loadings):
+    kept = [_const_matrix(model.sigma1), _const_matrix(model.sigma2)] + (
+        [_declared_matrix(model.f3), _declared_matrix(model.f2)] if extra else [])
+    if all(m is not None for m in kept):
         block = _const(loading_rows(0.0, np.zeros(dx), np.zeros(dy)))
 
         def evaluator(t, z):
@@ -372,23 +370,22 @@ FLOW_SUBSTEPS = 16  # RK4 substeps per unit |w| of the scalar flow map
 
 class _Route:
     """One way of stepping the common noise between grid times. A route holds
-    the particle state; `x` (N, d_X) and `y` (N, d_Y) are the signal and
-    observation values that jumps and weights see."""
+    the particle state component-major: `x` (d_X, N) and `y` (d_Y, N) are the
+    signal and observation values that jumps and weights see."""
 
     def start(self, N: int):
-        self.x = np.broadcast_to(np.array(self.model.x0),
-                                 (N, self.model.dim_x)).copy()
+        self.x, self.y = (np.repeat(np.array(v)[:, None], N, axis=1)
+                          for v in (self.model.x0, self.model.y0))
 
     def aux_jumps(self, t1: float, atoms):
         """Auxiliary nu1 atoms [(particle, mark)]: X jumps by f1."""
         x, y = self.x, self.y
         for i, mark in atoms:
-            x[i] = x[i] + np.asarray(self.model.f1(t1, x[i], y[i], mark), dtype=float)
+            x[:, i] += np.asarray(self.model.f1(t1, x[:, i], y[:, i], mark))
 
     def observed_jump(self, t1: float, mark):
         """An observed nu2 atom moves X by f3."""
-        self.x = self.x + np.asarray(self.model.f3(t1, self.x, self.y, mark),
-                                     dtype=float)
+        self.x = self.x + _moved(self.model.f3(t1, self.x.T, self.y.T, mark), 1, self.x)
 
     def driver_jump(self, k: int, logw):
         """The driver's jump at grid index k + 1, if any; returns logw."""
@@ -399,6 +396,11 @@ class _Route:
 
     def meta(self, m_end: int) -> dict:
         return {"route": self.name}
+
+
+def _inner(a, b):
+    """sum_i a[i] b[i] over the component axis, in order from 0.0."""
+    return _column_sum(a[None], b)[0]
 
 
 def _affine_h(model: ModelSpec, V: VectorField):
@@ -414,7 +416,7 @@ def _affine_h(model: ModelSpec, V: VectorField):
             _declared_matrix(model.lambda_fn) is not None
             and _declared_matrix(model.f2) is not None):
         return None
-    return _solve_sigma2(model, 0.0, None, C.T).T
+    return _solve_sigma2(model, 0.0, None, C)
 
 
 class _RoughRoute(_Route):
@@ -442,32 +444,27 @@ class _RoughRoute(_Route):
             dx, dy = model.dim_x, model.dim_y
             block = self.V(0.0, np.zeros(dx + dy + 1))[:dx + dy]
             g1, g2 = self.chords.level1, self.chords.level2
-            self.dxy = np.einsum("ai,ki->ka", block, g1)
+            self.dxy = np.einsum("ai,ki->ka", block, g1)[..., None]
             self.gh = g1[:, :dy]
             self.c2 = np.einsum("ji,kij->k", H @ block[:dx], g2[:, :, :dy])
 
-    def start(self, N: int):
-        super().start(N)
-        self.y = np.broadcast_to(np.array(self.model.y0),
-                                 (N, self.model.dim_y)).copy()
-
     def _unpack(self, z):
-        """Take X and Y from the joint state; returns the log weight I."""
+        """Take X and Y from the joint state (e, N); returns the weight I."""
         dx, dy = self.model.dim_x, self.model.dim_y
-        self.x = z[..., :dx].copy()
-        self.y = z[..., dx:dx + dy].copy()
-        return z[..., dx + dy].copy()
+        self.x, self.y = z[:dx], z[dx:dx + dy]
+        return z[dx + dy]
 
     def advance(self, k: int, t0: float, t1: float, dB, logw):
         model, x, y = self.model, self.x, self.y
         dt = t1 - t0
         bx0, by0, h0, comp0 = _reference_rates(model, t0, x, y)
-        logw = logw + (-0.5 * _dot(h0, h0) + comp0) * dt
+        logw = logw + (-0.5 * _inner(h0, h0) + comp0) * dt
 
-        d1x = bx0 * dt + _matvec(model.sigma0(t0, x, y), dB)
+        d1x = bx0 * dt + _column_sum(_loading(model.sigma0, t0, x, y), dB)
         d1y = by0 * dt
-        bx1, by1, _, _ = _reference_rates(model, t1, x + d1x, y + d1y)
-        d2x = bx1 * dt + _matvec(model.sigma0(t1, x + d1x, y + d1y), dB)
+        x1, y1 = x + d1x, y + d1y
+        bx1, by1, _, _ = _reference_rates(model, t1, x1, y1)
+        d2x = bx1 * dt + _column_sum(_loading(model.sigma0, t1, x1, y1), dB)
         d2y = by1 * dt
         x = x + 0.5 * (d1x + d2x)
         y = y + 0.5 * (d1y + d2y)
@@ -477,27 +474,27 @@ class _RoughRoute(_Route):
         """The Davie step of the joint state (x, y, logw) along chord k;
         returns the log weight."""
         if self.affine:
-            h = h_function(self.model, t, x, y)
+            h = h_function(self.model, t, x.T, y.T).T
             dx = self.model.dim_x
-            self.x = _by_column(np.add, x, self.dxy[k, :dx])
-            self.y = _by_column(np.add, y, self.dxy[k, dx:])
-            return logw + _dot(h, self.gh[k]) + self.c2[k]
-        z = np.concatenate([x, y, logw[:, None]], axis=-1)
-        return self._unpack(davie_step(self.V, t, z, self.chords.level1[k],
-                                       self.chords.level2[k]))
+            self.x = x + self.dxy[k, :dx]
+            self.y = y + self.dxy[k, dx:]
+            return logw + _inner(h, self.gh[k]) + self.c2[k]
+        z = np.concatenate([x, y, logw[None]])
+        return self._unpack(davie_step(self.V, t, z.T, self.chords.level1[k],
+                                       self.chords.level2[k]).T)
 
     def observed_jump(self, t1: float, mark):
         """X moves by f3 and Y by f2."""
         super().observed_jump(t1, mark)
-        self.y = self.y + np.asarray(self.model.f2(t1, self.y, mark), dtype=float)
+        self.y = self.y + _moved(self.model.f2(t1, self.y.T, mark), 1, self.y)
 
     def driver_jump(self, k: int, logw):
         if not self.driver.jump_flags[k + 1]:
             return logw
         chi1 = marcus_increment(self.driver, k + 1)
-        z = np.concatenate([self.x, self.y, logw[:, None]], axis=-1)
-        return self._unpack(marcus_jump(self.V, float(self.times[k + 1]), z,
-                                        chi1, self.jump_substeps))
+        z = np.concatenate([self.x, self.y, logw[None]])
+        return self._unpack(marcus_jump(self.V, float(self.times[k + 1]), z.T,
+                                        chi1, self.jump_substeps).T)
 
     def meta(self, m_end: int) -> dict:
         return {"dim": self.driver.dim,
@@ -516,21 +513,20 @@ class _ObservationRoute(_Route):
         self.times = self.wt.times
 
     def advance(self, k: int, t0: float, t1: float, dB, logw):
-        shape = (len(self.x), self.model.dim_y)
         self.dW = self.wt.values[k + 1] - self.wt.values[k]
-        self.y0 = np.broadcast_to(self.obs.values[k], shape)
-        self.y = np.broadcast_to(self.obs.pre_values[k + 1], shape)
+        shape = (self.model.dim_y, self.x.shape[1])
+        self.y0 = np.broadcast_to(self.obs.values[k][:, None], shape)
+        self.y = np.broadcast_to(self.obs.pre_values[k + 1][:, None], shape)
         dt = t1 - t0
         h0, comp0 = self._heun(k, t0, t1, dt, dB)
-        h1 = h_function(self.model, t1, self.x, self.y)
-        logw = logw + 0.5 * _dot(h0 + h1, self.dW)
-        logw = logw - 0.25 * (_dot(h0, h0) + _dot(h1, h1)) * dt
+        h1 = h_function(self.model, t1, self.x.T, self.y.T).T
+        logw = logw + 0.5 * _inner(h0 + h1, self.dW)
+        logw = logw - 0.25 * (_inner(h0, h0) + _inner(h1, h1)) * dt
         return logw + comp0 * dt
 
     def end(self, m_end: int):
         """Terminal (X, Y), Y being the observation at the horizon."""
-        return self.x, np.broadcast_to(self.obs.values[m_end],
-                                       (len(self.x), self.model.dim_y))
+        return self.x, np.broadcast_to(self.obs.values[m_end][:, None], self.y.shape)
 
 
 class _DirectRoute(_ObservationRoute):
@@ -542,12 +538,17 @@ class _DirectRoute(_ObservationRoute):
         """Step X over the segment; returns h and the lambda compensator at
         its start."""
         model, x, y0, y1, dW = self.model, self.x, self.y0, self.y, self.dW
-        bx0, _, h0, comp0 = _reference_signal_rates(model, t0, x, y0)
-        d1 = (bx0 * dt + _matvec(model.sigma0(t0, x, y0), dB)
-              + _matvec(model.sigma1(t0, x, y0), dW))
-        bx1, _, _, _ = _reference_signal_rates(model, t1, x + d1, y1)
-        d2 = (bx1 * dt + _matvec(model.sigma0(t1, x + d1, y1), dB)
-              + _matvec(model.sigma1(t1, x + d1, y1), dW))
+        bx0, _, h0, comp0 = _reference_rates(model, t0, x, y0, signal=True)
+        s0dB = _column_sum(_loading(model.sigma0, t0, x, y0), dB)
+        s1dW = _column_sum(_loading(model.sigma1, t0, x, y0), dW)
+        d1 = bx0 * dt + s0dB + s1dW
+        x1 = x + d1
+        bx1 = _reference_rates(model, t1, x1, y1, signal=True)[0]
+        if _const_matrix(model.sigma0) is None:
+            s0dB = _column_sum(_loading(model.sigma0, t1, x1, y1), dB)
+        if _const_matrix(model.sigma1) is None:
+            s1dW = _column_sum(_loading(model.sigma1, t1, x1, y1), dW)
+        d2 = bx1 * dt + s0dB + s1dW
         self.x = x + 0.5 * (d1 + d2)
         return h0, comp0
 
@@ -566,7 +567,7 @@ class _FlowRoute(_ObservationRoute):
 
     @property
     def x(self):
-        return self.phi[:, None]
+        return self.phi[None]
 
     def start(self, N: int):
         self.xt = np.full(N, float(self.model.x0[0]))
@@ -575,16 +576,16 @@ class _FlowRoute(_ObservationRoute):
     def _heun(self, k: int, t0: float, t1: float, dt: float, dB):
         model, s, y0, y1 = self.model, self.s, self.y0, self.y
         self.w1 = w1 = self.wt.values[k + 1, 0]
-        dB = dB[:, 0]
-        x0col, dphi0 = self.x, self.dphi
-        bx0, _, h0, comp0 = _reference_signal_rates(model, t0, x0col, y0)
-        s00 = np.asarray(model.sigma0(t0, x0col, y0), dtype=float)[..., 0, 0]
-        d1 = (bx0[:, 0] / dphi0) * dt + (s00 / dphi0) * dB
+        dB = dB[0]
+        x0, dphi0 = self.x, self.dphi
+        bx0, _, h0, comp0 = _reference_rates(model, t0, x0, y0, signal=True)
+        s00 = _loading(model.sigma0, t0, x0, y0)[0, 0]
+        d1 = (bx0[0] / dphi0) * dt + (s00 / dphi0) * dB
         phiP, dphiP = flow_map(s, w1, self.xt + d1)
-        xPcol = phiP[:, None]
-        bx1, _, _, _ = _reference_signal_rates(model, t1, xPcol, y1)
-        s01 = np.asarray(model.sigma0(t1, xPcol, y1), dtype=float)[..., 0, 0]
-        d2 = (bx1[:, 0] / dphiP) * dt + (s01 / dphiP) * dB
+        xP = phiP[None]
+        bx1 = _reference_rates(model, t1, xP, y1, signal=True)[0]
+        s01 = _loading(model.sigma0, t1, xP, y1)[0, 0]
+        d2 = (bx1[0] / dphiP) * dt + (s01 / dphiP) * dB
         self.xt = self.xt + 0.5 * (d1 + d2)
         self.phi, self.dphi = flow_map(s, w1, self.xt)
         return h0, comp0
@@ -597,7 +598,7 @@ class _FlowRoute(_ObservationRoute):
         for i, mark in atoms:
             xi = self.phi[i:i + 1]
             xp = xi + np.asarray(
-                self.model.f1(t1, xi[:, None], self.y[i], mark), dtype=float)[..., 0]
+                self.model.f1(t1, xi[:, None], self.y[:, i], mark))[..., 0]
             self.xt[i] = flow_map(self.s, -self.w1, xp)[0][0]
             self.phi[i] = xp[0]
         self.phi, self.dphi = flow_map(self.s, self.w1, self.xt)
@@ -630,19 +631,18 @@ def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
     logw = np.zeros(particles)
     for k in range(m_end):
         t0, t1 = float(times[k]), float(times[k + 1])
-        logw = route.advance(k, t0, t1, dB_all[:, k, :], logw)
+        logw = route.advance(k, t0, t1, dB_all[:, k, :].T, logw)
         route.aux_jumps(t1, aux_atoms.get(k, ()))
         for mark in atoms_at.get(k + 1, ()):
             if isinstance(model.nu2, LevyMeasure):
-                logw = logw + np.log(_observed_lambda(model, t1, route.x, mark))
+                logw = logw + np.log(_observed_lambda(model, t1, route.x.T, mark))
             route.observed_jump(t1, mark)
         logw = route.driver_jump(k, logw)
 
-        if not (np.isfinite(route.x).all() and np.isfinite(route.y).all()
-                and np.isfinite(logw).all()):
-            bad = ~(np.all(np.isfinite(route.x), axis=-1)
-                    & np.all(np.isfinite(route.y), axis=-1) & np.isfinite(logw))
-            i = int(np.argmax(bad))
+        finite = (np.isfinite(route.x).all(axis=0)
+                  & np.isfinite(route.y).all(axis=0) & np.isfinite(logw))
+        if not finite.all():
+            i = int(np.argmin(finite))
             raise ParticleBlowupError(
                 f"particle {i} blew up at step {k} (t={t1})", i, k)
 
@@ -659,7 +659,7 @@ def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
     meta = {**route.meta(m_end), "grid_points": int(m_end + 1),
             "observed_atoms": int(sum(len(v) for v in atoms_at.values())),
             "t": float(t)}
-    return _result_from_sweep(f, x, y, logw, meta, particles, seed_base)
+    return _result_from_sweep(f, x.T, y.T, logw, meta, particles, seed_base)
 
 
 def _result_from_sweep(f: TestFunction, x, y, logw, meta, particles,
@@ -811,7 +811,7 @@ def _scalar_sigma1(model: ModelSpec):
         raise ValueError(
             "common jumps feed the signal (f3 != 0); the scalar flow route "
             "only transforms the Brownian common noise")
-    const = _declared_matrix(model.sigma1)
+    const = _const_matrix(model.sigma1)
     if const is not None:
         return float(const[0, 0])
     va = np.asarray(model.sigma1(0.0, probe_x, y_a), dtype=float)

@@ -31,28 +31,30 @@ class RdeBlowupError(RuntimeError):
         self.step_index = step_index
 
 
-# Reductions over a short last axis (a state's e entries, a step's d driver
-# components) written as elementwise chains: numpy's reduce costs about 20 ns
-# per row there, the chain a few ns per element. Both give the same bits:
-# max is exact, and numpy adds fewer than 8 entries in order, from 0.0.
-
-
-def _max_abs_last(a: np.ndarray) -> np.ndarray:
-    """np.max(np.abs(a), axis=-1), bit for bit, NaN propagating."""
-    out = np.abs(a[..., 0], out=np.empty(a.shape[:-1]))
-    for j in range(1, a.shape[-1]):
-        np.maximum(out, np.abs(a[..., j]), out=out)
+def _column_sum(M, v):
+    """sum_j M[:, j] v[j] in column order from 0.0 (a -0.0 product reads
+    +0.0), M (rows, cols, ...) and v (cols, ...): every per-step product.
+    One state's product of over 3 columns takes np.add.accumulate, the same
+    adds at less dispatch; a batch always loops (README)."""
+    if M.ndim == 2 and np.ndim(v) == 1 and len(v) > 3:
+        terms = M * v
+        terms[:, 0] += 0.0
+        return np.add.accumulate(terms, axis=1)[:, -1]
+    out = M[:, 0] * v[0]
+    out += 0.0
+    for j in range(1, len(v)):
+        out += M[:, j] * v[j]
     return out
 
 
-def _sum_last(a: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=-1), bit for bit."""
-    if a.shape[-1] >= 8:  # numpy sums pairwise from 8 entries on
-        return np.sum(a, axis=-1)
-    out = np.add(0.0, a[..., 0], out=np.empty(a.shape[:-1]))
-    for j in range(1, a.shape[-1]):
-        np.add(out, a[..., j], out=out)
-    return out
+def _components_first(a, core: int = 1):
+    """a (..., core axes) as a view (core axes, ...)."""
+    return a.transpose(*range(a.ndim - core, a.ndim), *range(a.ndim - core))
+
+
+def _components_last(a, core: int = 1):
+    """a (core axes, ...) as a view (..., core axes)."""
+    return a.transpose(*range(core, a.ndim), *range(core))
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,8 @@ class VectorField:
     """V = (V_1..V_d) as one evaluator (t, y) -> (e, d) matrix.
 
     The evaluator must broadcast over leading axes of y (batched states give
-    batched matrices); the Jacobian is (e, d, e) with J[a, i, b] =
+    batched matrices; the solver, component-major inside, passes views
+    y (..., e)); the Jacobian is (e, d, e) with J[a, i, b] =
     dV[a, i]/dy[b]. `jac(t, y, along)` returns the Jacobian's action on
     directions instead; without a supplied Jacobian that action is a central
     directional difference per driver component. When only some rows of V
@@ -80,58 +83,53 @@ class VectorField:
         return np.asarray(self.evaluator(t, y), dtype=float)
 
     def jac(self, t: float, y: np.ndarray, along: np.ndarray = None) -> np.ndarray:
-        """The Jacobian J (..., e, d, e), or with `along` (..., d, e) its
-        action sum_{i,b} J[a, i, b] along[..., i, b] as (..., e).
-
-        Without a supplied Jacobian, J is finite-differenced column by
-        column (2e field calls); the action takes the d central differences
-        of V_i along along[..., i, :] in one stacked field call, of the
-        `varying` rows only when they are given (the other rows get 0)."""
+        """The supplied Jacobian J (..., e, d, e), or with `along` (..., d, e)
+        its action sum_{i,b} J[a, i, b] along[..., i, b] (..., e): a column
+        sum, or else the d central differences of V_i along along[..., i, :]
+        in one stacked call, of the `varying` rows alone if given (others 0)."""
         y = np.asarray(y, dtype=float)
-        if along is not None:
-            along = np.asarray(along, dtype=float)
-            if self.jacobian is not None:
-                return np.einsum("...aib,...ib->...a", self.jac(t, y), along)
-            rows, field_rows = self.varying or (None, self)
-            d = along.shape[-2]
-            norm = _max_abs_last(along)  # (..., d)
-            # a direction below the smallest normal float counts as zero:
-            # the step 1e-6 (1 + |y|) / norm would overflow
-            live = norm >= np.finfo(float).tiny
-            h = (1e-6 * (1.0 + _max_abs_last(y)[..., None])
-                 / np.where(live, norm, 1.0))
-            step = h[..., None] * np.where(live[..., None], along, 0.0)
-            y0 = y[..., None, :]
-            vals = np.asarray(
-                field_rows(t, np.concatenate([y0 + step, y0 - step], axis=-2)),
-                dtype=float)
-            # V_i at y +/- h_i u_i: column i of stacked evaluation i
-            plus = np.diagonal(vals[..., :d, :, :], axis1=-3, axis2=-1)
-            minus = np.diagonal(vals[..., d:, :, :], axis1=-3, axis2=-1)
-            action = _sum_last((plus - minus) / (2.0 * h[..., None, :]))
-            if rows is None:
-                return action
-            out = np.zeros(action.shape[:-1] + y.shape[-1:])
-            out[..., rows] = action
-            return out
-        if self.jacobian is not None:
+        if along is None:
+            if self.jacobian is None:
+                raise ValueError("no Jacobian supplied; pass `along`")
             return np.asarray(self.jacobian(t, y), dtype=float)
-        e = y.shape[-1]
-        cols = []
-        for b in range(e):
-            step = np.zeros_like(y)
-            step[..., b] = 1e-6 * (1.0 + np.abs(y[..., b]))
-            cols.append((self(t, y + step) - self(t, y - step))
-                        / (2.0 * step[..., b])[..., None, None])
-        return np.stack(cols, axis=-1)
+        u = _components_first(np.asarray(along, dtype=float), 2)  # (d, e, ...)
+        d = u.shape[0]
+        if self.jacobian is not None:
+            J = _components_first(self.jac(t, y), 3)  # (e, d, e, ...)
+            return _components_last(_column_sum(
+                J.reshape((len(J), -1) + J.shape[3:]),
+                u.reshape((-1,) + u.shape[2:])))
+        rows, field_rows = self.varying or (None, self)
+        yc = _components_first(y)
+        norm = np.max(np.abs(u), axis=1)  # (d, ...)
+        # a direction below the smallest normal float counts as zero:
+        # the step 1e-6 (1 + |y|) / norm would overflow
+        live = norm >= np.finfo(float).tiny
+        h = (1e-6 * (1.0 + np.max(np.abs(yc), axis=0))
+             / np.where(live, norm, 1.0))
+        step = h[:, None] * np.where(live[:, None], u, 0.0)
+        vals = _components_first(np.asarray(field_rows(
+            t, _components_last(np.concatenate([yc + step, yc - step]), 2)),
+            dtype=float), 3)  # (2d, rows, d, ...)
+        # V_i at y +/- h_i u_i: column i of stacked evaluation i
+        action = sum((vals[i, :, i] - vals[d + i, :, i]) / (2.0 * h[i])
+                     for i in range(d))
+        if rows is None:
+            return _components_last(action)
+        out = np.zeros(yc.shape)
+        out[rows] = action
+        return _components_last(out)
 
 
 def linear_vector_field(mats) -> VectorField:
     """V_i(y) = A_i y for a list of (e, e) matrices A_i."""
     A = np.stack([np.asarray(m, dtype=float) for m in mats], axis=0)  # (d, e, e)
+    M = A.transpose(1, 2, 0)  # M[a, b, i] = A_i[a, b]
 
     def evaluator(t, y):
-        return np.einsum("iab,...b->...ai", A, np.asarray(y, dtype=float))
+        y = np.asarray(y, dtype=float)
+        return _components_last(_column_sum(
+            M.reshape(M.shape + (1,) * (y.ndim - 1)), _components_first(y)), 2)
 
     def jacobian(t, y):
         y = np.asarray(y, dtype=float)
@@ -180,15 +178,18 @@ def davie_step(V: VectorField, t: float, y: np.ndarray, g1: np.ndarray,
                g2: np.ndarray) -> np.ndarray:
     """y + V(y) g1 + sum_j DV_j(y)[u_j] with u_j = sum_i V_i(y) g2[i, j]:
     the second-order term needs the Jacobian only along d directions."""
-    Vm = V(t, y)
-    U = np.einsum("...bi,ij->...jb", Vm, g2)
-    return y + np.einsum("...ai,i->...a", Vm, g1) + V.jac(t, y, U)
+    y = np.asarray(y, dtype=float)
+    Vm = _components_first(V(t, y), 2)  # (e, d, ...)
+    U = _column_sum(Vm[:, :, None], g2.reshape(g2.shape + (1,) * (Vm.ndim - 2)))
+    return _components_last(
+        _components_first(y) + _column_sum(Vm, g1)
+        + _components_first(V.jac(t, y, _components_last(U.swapaxes(0, 1), 2))))
 
 
 def marcus_jump(V: VectorField, t: float, y: np.ndarray, delta: np.ndarray,
                 substeps: int = 64) -> np.ndarray:
     """Time-1 flow of y' = V(y) delta by classical RK4 with `substeps` steps
-    (more for large jumps).
+    (more for large jumps), marched component-major.
 
     For a field that declares `varying`, the constant rows have the same
     slope c at every stage, taken from one full-field call; so their
@@ -198,18 +199,17 @@ def marcus_jump(V: VectorField, t: float, y: np.ndarray, delta: np.ndarray,
     second and third stages coincide, and each substep takes one `varying`
     call on 3 stacked states per state, combined in the RK4 order below: the
     same bits as the loop of full-field calls."""
-    nrm = float(np.linalg.norm(delta))
-    n = max(substeps, int(np.ceil(substeps * nrm)))
+    n = max(substeps, int(np.ceil(substeps * float(np.linalg.norm(delta)))))
     h = 1.0 / n
 
     def f(z):
-        return np.einsum("...ai,i->...a", V(t, z), delta)
+        return _column_sum(_components_first(V(t, _components_last(z)), 2), delta)
 
-    z = np.asarray(y, dtype=float).copy()
+    z = _components_first(np.asarray(y, dtype=float)).copy()
     if V.varying is not None:
         rows, field_rows = V.varying
         c = f(z)
-        c[..., rows] = 0.0
+        c[rows] = 0.0
         step = (h / 6.0) * (c + 2.0 * c + 2.0 * c + c)
         half, full = 0.5 * h * c, h * c
         stages = np.empty((3,) + z.shape)
@@ -217,19 +217,21 @@ def marcus_jump(V: VectorField, t: float, y: np.ndarray, delta: np.ndarray,
             stages[0] = z
             np.add(z, half, out=stages[1])
             np.add(z, full, out=stages[2])
-            k1, k2, k4 = np.einsum("...ai,i->...a", field_rows(t, stages), delta)
+            k1, k2, k4 = _column_sum(_components_first(field_rows(  # (3, ..., e)
+                t, stages.transpose(0, *range(2, stages.ndim), 1)), 2),
+                delta).swapaxes(0, 1)
             k22 = 2.0 * k2  # 2 k2 and 2 k3 of the loop, k3 being k2
-            zr = z[..., rows] + (h / 6.0) * (k1 + k22 + k22 + k4)
+            zr = z[rows] + (h / 6.0) * (k1 + k22 + k22 + k4)
             z += step
-            z[..., rows] = zr
-        return z
+            z[rows] = zr
+        return _components_last(z)
     for _ in range(n):
         k1 = f(z)
         k2 = f(z + 0.5 * h * k1)
         k3 = f(z + 0.5 * h * k2)
         k4 = f(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return z
+    return _components_last(z)
 
 
 def solve_canonical_rde(V: VectorField, pair: AdmissiblePair, y0, steps: int,

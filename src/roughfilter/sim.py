@@ -27,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .paths import P_VAR, CadlagPath
+from .rde import _column_sum, _components_first, _components_last
 
 
 # -- Levy measure descriptors ---------------------------------------------
@@ -128,7 +129,8 @@ class ModelSpec:
     that this structure makes unnecessary. The values of the declared jump
     coefficients and lambda_fn over the marks, and the nu2 integrals they
     fix, are computed once per model, on first use (_Declared). Any other
-    callable is evaluated in full, at every state.
+    callable is evaluated in full, at every state, with this protocol: the
+    component-major sweep passes it the transposed views.
     """
 
     model_id: str
@@ -162,9 +164,17 @@ class ModelSpec:
             raise ValueError("initial values do not match declared dimensions")
 
     @cached_property
-    def _declared(self) -> "_Declared":
-        """The declared coefficients' values, computed on first use."""
-        return _Declared.of(self)
+    def _declared_one(self) -> "_Declared":
+        return _Declared.of(self, ())
+
+    @cached_property
+    def _declared_batch(self) -> "_Declared":
+        return _Declared.of(self, (1,))
+
+
+def _declared_for(model: ModelSpec, state) -> "_Declared":
+    """The model's _Declared for one state (d,) or a batch (d, n)."""
+    return model._declared_batch if state.ndim > 1 else model._declared_one
 
 
 def h_function(model: ModelSpec, t: float, x, y):
@@ -172,100 +182,81 @@ def h_function(model: ModelSpec, t: float, x, y):
     leading axes of x, y. The nu2 integral is exact for atom lists (kept
     once per model when lambda_fn, f2 and f3 are declared, see _Declared)
     and zero in the infinite-activity regime (lambda = 1 there)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rhs = np.asarray(model.b2(t, x, y), dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    if lead:  # else one state, which stays 1-d
+        x, y = (a.reshape(-1, a.shape[-1]).T if a.shape[:-1] == lead else
+                np.broadcast_to(a, lead + a.shape[-1:]).reshape(-1, a.shape[-1]).T
+                for a in (x, y))
+    rhs = _drift(model.b2, t, x, y)
     nu2 = model.nu2
     if isinstance(nu2, LevyMeasure):
-        kept = model._declared
+        kept = _declared_for(model, x)
         if kept.integrals is not None:
-            rhs = _by_column(np.add, rhs, kept.integrals[2])
+            rhs = rhs + kept.integrals[2]
         else:
-            lam = _at_marks(kept.lam, model.lambda_fn, nu2, t, x)
-            f2 = _at_marks(kept.f2, model.f2, nu2, t, y)
+            lam = _at_marks(kept.lam, model.lambda_fn, nu2, t, 0, x)
+            f2 = _at_marks(kept.f2, model.f2, nu2, t, 1, y)
             rhs = rhs + _atom_sum(nu2, map(_h_integrand, f2, lam))
-    return _solve_sigma2(model, t, y, rhs)
+    h = _solve_sigma2(model, t, y, rhs)
+    return h.T.reshape(lead + h.shape[:1])
 
 
 def _h_integrand(f2, lam):
     """f2 (1 - lambda), the nu2 integrand of h's right-hand side."""
-    return f2 * (1.0 - lam)[..., None]
+    return f2 * (1.0 - lam)
 
 
-def _matvec(M, v):
-    """out[..., i] = sum_j M[..., i, j] v[..., j], broadcast over leading
-    axes; M is one matrix or a stack of them. Each component is built from
-    the columns v[..., j] and added in column order from 0.0, so a -0.0
-    product reads +0.0: np.einsum("...ij,...j->...i", M, v) bit for bit
-    for sums of one or two terms (einsum adds three as (p0 + p2) + p1 with
-    numpy 2.4.6 on x86-64)."""
-    M = np.asarray(M, dtype=float)
-    v = np.asarray(v, dtype=float)
-    rows, cols = M.shape[-2:]
-    out = None
-    for i in range(rows):
-        acc = 0.0 + M[..., i, 0] * v[..., 0]
-        for j in range(1, cols):
-            acc += M[..., i, j] * v[..., j]
-        if rows == 1:
-            return acc[..., None]
-        if out is None:
-            out = np.empty(np.shape(acc) + (rows,))
-        out[..., i] = acc
-    return out
+def _moved(value, core: int, state):
+    """A plain coefficient's value (n, `core` component axes) as (..., n), or
+    as it is at one state (d,); laid against `state` if it has no n axis."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim > core:
+        return _components_last(a)
+    return a[..., None] if state.ndim > 1 else a
 
 
-def _dot(a, b):
-    """sum_i a[..., i] b[..., i], broadcast over leading axes and added in
-    order from 0.0, as _matvec adds."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = 0.0 + a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        out += a[..., i] * b[..., i]
-    return out
+def _drift(coefficient, t: float, x, y):
+    """b1 or b2: for one built by _linear_state what its callable computes,
+    c * x (1 x 1) or M x, else the plain callable's value."""
+    M = _state_matrix(coefficient)
+    if M is None:
+        return _moved(coefficient(t, x.T, y.T), 1, x)
+    if M.shape == (1, 1):
+        return float(M[0, 0]) * x
+    return _column_sum(M[..., None] if x.ndim > 1 else M, x)
 
 
-def _by_column(ufunc, a, c):
-    """ufunc(a, c) for rows a (..., d) and one vector c (d,), one column at
-    a time, with the same bits. numpy loops over a short broadcast last
-    axis row by row: at d = 2 and 2,000 rows, a - c took 25 us that way and
-    10-12 us by columns (numpy 2.4.6, one thread of a 2-vCPU Intel Xeon)."""
-    if a.ndim < 2 or c.shape != a.shape[-1:] or c.shape[0] < 2:
-        return ufunc(a, c)
-    out = np.empty(a.shape)
-    for i in range(c.shape[0]):
-        ufunc(a[..., i], c[i], out=out[..., i])
-    return out
+def _loading(coefficient, t: float, *state):
+    """sigma0, sigma1 or sigma2 as (rows, cols, n), one built by _const as
+    (rows, cols, 1); at one state (d,) as (rows, cols)."""
+    M = _const_matrix(coefficient)
+    if M is not None:
+        return M[..., None] if state[0].ndim > 1 else M
+    return _moved(coefficient(t, *(s.T for s in state)), 2, state[0])
 
 
 def _solve_sigma2(model: ModelSpec, t: float, y, rhs):
-    """sigma2^{-1} rhs. A sigma2 declared constant (built by _const) is used
-    as its matrix: one division when it is 1 x 1, else the product with its
-    inverse, computed once and kept on the coefficient, through _matvec
-    (elementwise, so one right-hand side gets the bits it gets among
-    many)."""
-    declared = _declared_matrix(model.sigma2)
-    s2 = declared
-    if s2 is None:
-        s2 = np.asarray(model.sigma2(t, y), dtype=float)
+    """sigma2^{-1} rhs. A declared sigma2 is used as _Declared keeps it: a
+    division when it is 1 x 1, else the ordered column sum with its inverse
+    (elementwise, so one right-hand side gets the bits it gets among many).
+    A plain one is evaluated at y and solved."""
+    kept = _declared_for(model, rhs).sigma2
+    if isinstance(kept, float):
+        if kept == 0.0:
+            raise ValueError(f"sigma2 singular at t={t}")
+        return rhs / kept
+    if kept is not None:
+        return _column_sum(kept, rhs)
+    s2 = np.asarray(model.sigma2(t, y.T), dtype=float)
     if s2.shape[-2:] == (1, 1):
         if np.any(s2 == 0.0):
             raise ValueError(f"sigma2 singular at t={t}")
-        return rhs / s2[..., 0]
-    if declared is not None:
-        inv = getattr(model.sigma2, "inverse", None)
-        if inv is None:
-            try:
-                inv = model.sigma2.inverse = np.linalg.inv(s2)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"sigma2 singular at t={t}") from exc
-        return _matvec(inv, rhs)
+        return rhs / s2[..., 0].T
     try:
         if s2.ndim > 2:
-            return np.linalg.solve(s2, rhs[..., None])[..., 0]
-        sol = np.linalg.solve(s2, rhs.reshape(-1, rhs.shape[-1]).T)
-        return sol.T.reshape(rhs.shape)
+            return np.linalg.solve(s2, rhs.T[..., None])[..., 0].T
+        return np.linalg.solve(s2, rhs.reshape(len(rhs), -1)).reshape(rhs.shape)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"sigma2 singular at t={t}") from exc
 
@@ -273,86 +264,87 @@ def _solve_sigma2(model: ModelSpec, t: float, y, rhs):
 @dataclass(frozen=True)
 class _Declared:
     """The values of a model's declared coefficients (built by _const or
-    _linear_mark) where the rates need them, evaluated once at a zero
-    state. A declared coefficient has the same value at every (t, state),
-    and the rates broadcast it against the others in the same arithmetic,
-    so these give every call's bits. An entry is None where a coefficient
-    it needs is a plain callable, evaluated at every state instead.
+    _linear_mark) where the rates need them, evaluated once at a zero state:
+    the same at every (t, state) and broadcast in the same arithmetic, so
+    every call's bits. None where a plain callable is needed instead.
 
     f1 holds f1 over nu1's marks; lam, f2, f3 hold lambda_fn, f2, f3 over
     nu2's marks; integrals holds _nu2_integrals of those when all three
-    are declared."""
+    are declared; sigma2 the divisor of a 1 x 1 _const sigma2, the inverse
+    of a d x d one, 0.0 if singular. Arrays end in `batch`, () or (1,)."""
 
     f1: list
     lam: list
     f2: list
     f3: list
     integrals: tuple
+    sigma2: object
 
     @staticmethod
-    def of(model: ModelSpec) -> "_Declared":
-        x, y = np.zeros(model.dim_x), np.zeros(model.dim_y)
+    def of(model: ModelSpec, batch: tuple) -> "_Declared":
+        x, y = np.zeros((model.dim_x,) + batch), np.zeros((model.dim_y,) + batch)
 
-        def at_marks(coefficient, levy, *state):
-            if (_declared_matrix(coefficient) is None
-                    or not isinstance(levy, LevyMeasure)):
+        def at_marks(coefficient, levy, core, *state):
+            if _declared_matrix(coefficient) is None or not isinstance(levy, LevyMeasure):
                 return None
-            return _at_marks(None, coefficient, levy, 0.0, *state)
+            return _at_marks(None, coefficient, levy, 0.0, core, *state)
 
-        lam = at_marks(model.lambda_fn, model.nu2, x)
-        f2 = at_marks(model.f2, model.nu2, y)
-        f3 = at_marks(model.f3, model.nu2, x, y)
+        lam = at_marks(model.lambda_fn, model.nu2, 0, x)
+        f2 = at_marks(model.f2, model.nu2, 1, y)
+        f3 = at_marks(model.f3, model.nu2, 1, x, y)
         integrals = None
         if lam is not None and f2 is not None and f3 is not None:
             integrals = _nu2_integrals(model.nu2, lam, f2, f3)
-        return _Declared(at_marks(model.f1, model.nu1, x, y), lam, f2, f3,
-                         integrals)
+        s2 = _const_matrix(model.sigma2)
+        if s2 is not None:
+            try:
+                s2 = (float(s2[0, 0]) if s2.shape == (1, 1)
+                      else np.linalg.inv(s2).reshape(s2.shape + batch))
+            except np.linalg.LinAlgError:
+                s2 = 0.0
+        return _Declared(at_marks(model.f1, model.nu1, 1, x, y), lam, f2, f3,
+                         integrals, s2)
 
 
-def _at_marks(kept, coefficient, levy: LevyMeasure, t: float, *state):
-    """coefficient(t, *state, u) at each mark u of levy, in atom order: the
+def _at_marks(kept, coefficient, levy, t: float, core: int, *state):
+    """coefficient(t, *state, u) at each mark u of levy, in atom order, with
+    `core` component axes (0 for lambda_fn, 1 for a jump loading): the
     values kept for a declared coefficient, else evaluated."""
     if kept is not None:
         return kept
-    return [np.asarray(coefficient(t, *state, u), dtype=float)
+    return [_moved(coefficient(t, *(s.T for s in state), u), core, state[0])
             for u in levy.marks()]
 
 
 def _nu2_integrals(nu2: LevyMeasure, lam, f2, f3):
     """(int f3 lambda, int f2 lambda, int f2 (1 - lambda), int (1 - lambda))
     dnu2 from lambda, f2 and f3 at nu2's marks, each added in atom order."""
-    return (_atom_sum(nu2, (f * l[..., None] for f, l in zip(f3, lam))),
-            _atom_sum(nu2, (f * l[..., None] for f, l in zip(f2, lam))),
+    return (_atom_sum(nu2, (f * l for f, l in zip(f3, lam))),
+            _atom_sum(nu2, (f * l for f, l in zip(f2, lam))),
             _atom_sum(nu2, map(_h_integrand, f2, lam)),
             _atom_sum(nu2, (1.0 - l for l in lam)))
 
 
-def _reference_rates(model: ModelSpec, t: float, x, y):
-    """Reference-measure dt rates at (t, x, y) from one lambda evaluation
-    per atom of an atomic nu2 (none when lambda_fn, f2 and f3 are declared):
-    (bx, by, h, comp) with
+def _reference_rates(model: ModelSpec, t: float, x, y, signal: bool = False):
+    """Reference-measure dt rates at component-major states x (d_X, n),
+    y (d_Y, n) or one state (d,), from one lambda evaluation per atom of an
+    atomic nu2 (none when lambda_fn, f2 and f3 are declared): (bx, by, h,
+    comp), a vector (d, n), or (d, 1) where it is the same for all, with
 
         bx = b1 - int f1 dnu1 - int f3 lambda dnu2 - sigma1 h,
         by = b2 - int f2 lambda dnu2 - sigma2 h,
         h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2),
-        comp = int (1 - lambda) dnu2 (0.0 without an atomic nu2);
+        comp = int (1 - lambda) dnu2 (0.0 without an atomic nu2).
 
-    broadcasts over leading axes of x, y. bx + sigma1 h and by + sigma2 h
-    are the physical-measure rates of _rates."""
-    y = np.asarray(y, dtype=float)
-    bx, by, h, comp = _reference_signal_rates(model, t, x, y)
-    return bx, by - _matvec(model.sigma2(t, y), h), h, comp
-
-
-def _reference_signal_rates(model: ModelSpec, t: float, x, y):
-    """_reference_rates with by left at its physical-measure value by +
-    sigma2 h: all that a step moving X alone along a given Y needs, without
-    the sigma2 h product."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    bx + sigma1 h and by + sigma2 h are the physical-measure rates of
+    _rates. With `signal`, by keeps that value and the sigma2 h product,
+    which a step moving X alone along a given Y never reads, is skipped."""
     bx, by, rhs, comp = _rates(model, t, x, y)
     h = _solve_sigma2(model, t, y, rhs)
-    return bx - _matvec(model.sigma1(t, x, y), h), by, h, comp
+    bx = bx - _column_sum(_loading(model.sigma1, t, x, y), h)
+    if not signal:
+        by = by - _column_sum(_loading(model.sigma2, t, y), h)
+    return bx, by, h, comp
 
 
 def _rates(model: ModelSpec, t: float, x, y):
@@ -362,25 +354,25 @@ def _rates(model: ModelSpec, t: float, x, y):
     (declared ones are kept, see _Declared). A StableTail nu2 needs no
     compensator: the tail is symmetric and the jump loadings are linear in
     the mark, so int f lambda dnu2 = 0."""
-    bx = np.asarray(model.b1(t, x, y), dtype=float)
-    by = rhs = np.asarray(model.b2(t, x, y), dtype=float)
+    bx = _drift(model.b1, t, x, y)
+    by = rhs = _drift(model.b2, t, x, y)
     comp = 0.0
-    kept = model._declared
+    kept = _declared_for(model, x)
     if model.nu1 is not None and model.nu1.atoms:
-        bx = _by_column(np.subtract, bx, _atom_sum(
-            model.nu1, _at_marks(kept.f1, model.f1, model.nu1, t, x, y)))
+        bx = bx - _atom_sum(
+            model.nu1, _at_marks(kept.f1, model.f1, model.nu1, t, 1, x, y))
     nu2 = model.nu2
     if isinstance(nu2, LevyMeasure):
         integrals = kept.integrals
         if integrals is None:
             integrals = _nu2_integrals(
-                nu2, _at_marks(kept.lam, model.lambda_fn, nu2, t, x),
-                _at_marks(kept.f2, model.f2, nu2, t, y),
-                _at_marks(kept.f3, model.f3, nu2, t, x, y))
+                nu2, _at_marks(kept.lam, model.lambda_fn, nu2, t, 0, x),
+                _at_marks(kept.f2, model.f2, nu2, t, 1, y),
+                _at_marks(kept.f3, model.f3, nu2, t, 1, x, y))
         f3_lam, f2_lam, h_term, comp = integrals
-        bx = _by_column(np.subtract, bx, f3_lam)
-        by = _by_column(np.subtract, by, f2_lam)
-        rhs = _by_column(np.add, rhs, h_term)
+        bx = bx - f3_lam
+        by = by - f2_lam
+        rhs = rhs + h_term
     return bx, by, rhs, comp
 
 
@@ -653,9 +645,7 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle):
         s0 = np.asarray(model.sigma0(t, xv, yv), dtype=float)
         s1 = np.asarray(model.sigma1(t, xv, yv), dtype=float)
         s2 = np.asarray(model.sigma2(t, yv), dtype=float)
-        dx = bx * dt + s0 @ dB + s1 @ dW
-        dy = by * dt + s2 @ dW
-        return dx, dy
+        return bx * dt + s0 @ dB + s1 @ dW, by * dt + s2 @ dW
 
     for k in range(n - 1):
         t, dt = float(times[k]), float(times[k + 1] - times[k])
@@ -810,8 +800,8 @@ def _const(mat):
     """A coefficient constant in (t, state): (t, state...) -> mat broadcast
     over the leading axes of the first state argument, as one read-only
     view per leading shape, made on the first call with that shape. The
-    callable carries `mat` as its `matrix`, which is how the filter knows
-    the coefficient is constant (see _declared_matrix)."""
+    callable carries `mat` as its `matrix` and is marked `constant`, which
+    is how the filter knows the coefficient is constant (see _const_matrix)."""
     mat = np.asarray(mat, dtype=float)
     views = {}
 
@@ -823,6 +813,7 @@ def _const(mat):
         return view
 
     f.matrix = mat
+    f.constant = True
     return f
 
 
@@ -844,9 +835,9 @@ def _linear_mark(mat):
 
 def _linear_state(mat):
     """A drift linear in the signal and constant in t: (t, x, y) -> mat x,
-    broadcast over the leading axes of x, as c * x when mat is 1 x 1 and as
-    _matvec(mat, x) otherwise. It carries `mat` as its `matrix`, like
-    _const, and _state_matrix tells it apart from a constant."""
+    broadcast over the leading axes of x, as c * x when mat is 1 x 1, else
+    as a column sum. It carries `mat` as its `matrix`, like _const, and
+    _state_matrix tells it apart from a constant."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape == (1, 1):
         c = float(mat[0, 0])
@@ -855,7 +846,9 @@ def _linear_state(mat):
             return c * x
     else:
         def f(t, x, y):
-            return _matvec(mat, x)
+            x = np.asarray(x, dtype=float)
+            return _components_last(_column_sum(
+                mat.reshape(mat.shape + (1,) * (x.ndim - 1)), _components_first(x)))
 
     f.matrix = mat
     f.reads_state = True
@@ -867,6 +860,11 @@ def _declared_matrix(coefficient):
     _linear_state, else None (a plain callable, which is evaluated wherever
     it is needed)."""
     return getattr(coefficient, "matrix", None)
+
+
+def _const_matrix(coefficient):
+    """The matrix of a coefficient built by _const, fixed at every state."""
+    return coefficient.matrix if getattr(coefficient, "constant", False) else None
 
 
 def _state_matrix(coefficient):

@@ -623,8 +623,9 @@ def test_closed_form_step_matches_davie_step(case, seed, n, scale):
     z = rng.uniform(-2.0, 2.0, (n, dx + dy + 1))
     k = int(rng.integers(len(route.times) - 1))
     t = float(route.times[k])
-    logw = route.davie(k, t, z[:, :dx], z[:, dx:dx + dy], z[:, -1])
-    got = np.column_stack([route.x, route.y, logw])
+    zc = z.T  # the route's states are component-major
+    logw = route.davie(k, t, zc[:dx], zc[dx:dx + dy], zc[-1])
+    got = np.column_stack([route.x.T, route.y.T, logw])
     expect = davie_step(_joint_field(model, dim), t, z,
                         route.chords.level1[k], route.chords.level2[k])
     assert _close(got, expect, 1e-9)
@@ -731,7 +732,8 @@ def test_reference_rates_evaluate_lambda_once_per_atom():
     model, calls = _counting_lambda(get_model("scalar_jump_diffusion"))
     rng = np.random.default_rng(61)
     t, x, y = 0.3, rng.standard_normal((40, 1)), rng.standard_normal((40, 1))
-    bx, by, h, comp = sim._reference_rates(model, t, x, y)
+    bx, by, h, comp = (np.asarray(r).T for r in
+                       sim._reference_rates(model, t, x.T, y.T))
     assert calls == [(40, 1)] * len(model.nu2.atoms)
 
     def lam(u):
@@ -767,12 +769,12 @@ def test_declared_lambda_integrals_at_one_state():
     x, y = rng.standard_normal((30, 2)), rng.standard_normal((30, 2))
     assert np.array_equal(sim.h_function(model, 0.1, x, y),
                           sim.h_function(plain, 0.1, x, y))
-    assert calls == [(2,)] * len(base.nu2.atoms)
+    assert calls == [(1, 2)] * len(base.nu2.atoms)  # one zero state
     calls.clear()
-    got = sim._reference_rates(model, 0.1, x, y)
+    got = sim._reference_rates(model, 0.1, x.T, y.T)
     sim.h_function(model, 0.4, x[:3], y[:3])
     assert calls == []
-    for g, e in zip(got, sim._reference_rates(plain, 0.1, x, y)):
+    for g, e in zip(got, sim._reference_rates(plain, 0.1, x.T, y.T)):
         assert np.array_equal(np.broadcast_to(g, np.shape(e)), e)
 
 
@@ -1060,3 +1062,93 @@ def test_realized_observation_infinite_regime():
     # the second driver column is the cumulative observed jump path
     jumps = int(np.sum(obs["driver"].jump_flags))
     assert jumps == len(obs["atoms"])
+
+
+# -- batch independence and the per-step arithmetic --------------------------
+
+
+@pytest.fixture(scope="module")
+def batch_observations():
+    """One 16-step observation per catalog model."""
+    out = {}
+    for name in MODEL_BUILDERS:
+        model = get_model(name)
+        eps = 0.05 if model.regime == "infinite_jumps" else None
+        out[name] = realized_observation(model, 1.0, 16, 7, epsilon=eps)
+    return out
+
+
+def _terminal_states(model, route, obs, particles, seed_base):
+    """The particles' terminal (x, y, log w) of one sweep, particle-major."""
+    from unittest import mock
+
+    real, got = filtering._result_from_sweep, {}
+
+    def capture(f, x, y, logw, *rest):
+        got.update(x=np.array(x), y=np.array(y), logw=np.array(logw))
+        return real(f, x, y, logw, *rest)
+
+    f = FUNCTION_CATALOG["identity"]
+    with mock.patch.object(filtering, "_result_from_sweep", capture):
+        if route == "rough":
+            theta(model, f, obs["driver"], obs["jump_record"], 1.0, particles,
+                  seed_base)
+        else:
+            direct_reference_filter(model, f, obs["Y"], obs["atoms"], 1.0,
+                                    particles, seed_base)
+    return got
+
+
+@settings(max_examples=24, deadline=None)
+@given(name=st.sampled_from(sorted(MODEL_BUILDERS)),
+       route=st.sampled_from(["rough", "direct"]), plain=st.booleans(),
+       seed_base=st.integers(0, 2**31 - 1))
+def test_particle_does_not_depend_on_the_batch(batch_observations, name, route,
+                                               plain, seed_base):
+    """A particle's terminal (x, y, log w) is the same bits in a sweep of 1,
+    7 or 300 particles: the block sampler's first N particles of a draw of
+    N' are the draw of N, and no batch operation of the sweep mixes
+    particles. Declared sigma1 and sigma2, or plain callables of the same
+    values (the generic Davie step, and per-particle solves of a 2 x 2
+    sigma2)."""
+    model = get_model(name)
+    if plain:
+        model = replace(model, sigma1=_plain(model.sigma1),
+                        sigma2=_plain(model.sigma2))
+    obs = batch_observations[name]
+    ref = _terminal_states(model, route, obs, 300, seed_base)
+    for n in (1, 7):
+        got = _terminal_states(model, route, obs, n, seed_base)
+        for key in ("x", "y", "logw"):
+            assert got[key].tobytes() == ref[key][:n].tobytes(), (key, n)
+
+
+def test_no_einsum_runs_per_step(monkeypatch):
+    """theta and direct_reference_filter call np.einsum as often on a
+    16-step grid as on a 32-step one, on every catalog model: every
+    per-step product is an ordered column sum (rde._column_sum), and
+    einsum runs only where a sweep sets up."""
+    real, count = np.einsum, [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    f = FUNCTION_CATALOG["identity"]
+    for name in sorted(MODEL_BUILDERS):
+        model = get_model(name)
+        eps = 0.05 if model.regime == "infinite_jumps" else None
+        counts = {}
+        for steps in (16, 32):
+            obs = realized_observation(model, 1.0, steps, 3, epsilon=eps)
+            monkeypatch.setattr(np, "einsum", counted)
+            count[0] = 0
+            theta(model, f, obs["driver"], obs["jump_record"], 1.0, 20, 1)
+            counts["rough", steps] = count[0]
+            count[0] = 0
+            direct_reference_filter(model, f, obs["Y"], obs["atoms"], 1.0,
+                                    20, 1)
+            counts["direct", steps] = count[0]
+            monkeypatch.setattr(np, "einsum", real)
+        for route in ("rough", "direct"):
+            assert counts[route, 16] == counts[route, 32], (name, counts)

@@ -13,8 +13,7 @@ from roughfilter.paths import CadlagPath
 from roughfilter.rde import (
     RdeBlowupError,
     VectorField,
-    _max_abs_last,
-    _sum_last,
+    _column_sum,
     constant_vector_field,
     davie_step,
     flow_and_inverse,
@@ -234,10 +233,44 @@ def test_blowup_step_index_names_driver_segment():
     assert info.value.step_index == 7
 
 
+def _full_jacobian(V, t, y):
+    """The Jacobian (..., e, d, e) of a field without a supplied one,
+    finite-differenced column by column (2e field calls): the reference the
+    directional action is checked against."""
+    y = np.asarray(y, dtype=float)
+    cols = []
+    for b in range(y.shape[-1]):
+        step = np.zeros_like(y)
+        step[..., b] = 1e-6 * (1.0 + np.abs(y[..., b]))
+        cols.append((V(0.0, y + step) - V(0.0, y - step))
+                    / (2.0 * step[..., b])[..., None, None])
+    return np.stack(cols, axis=-1)
+
+
+def _in_order_action(J, U):
+    """sum_{i,b} J[..., a, i, b] U[..., i, b], one Python float at a time,
+    added in (i, b) order from 0.0."""
+    lead = np.broadcast_shapes(J.shape[:-3], U.shape[:-2])
+    J = np.broadcast_to(J, lead + J.shape[-3:])
+    U = np.broadcast_to(U, lead + U.shape[-2:])
+    out = np.empty(lead + J.shape[-3:-2])
+    for idx in np.ndindex(out.shape):
+        acc = 0.0
+        for i in range(U.shape[-2]):
+            for b in range(U.shape[-1]):
+                acc += float(J[idx + (i, b)]) * float(U[idx[:-1] + (i, b)])
+        out[idx] = acc
+    return out
+
+
 def test_vector_field_jacobian_fallback():
+    """A field without a supplied Jacobian gives its directional action
+    only; the full Jacobian is the tests' finite difference."""
     V = VectorField(lambda t, y: np.stack([y ** 2, np.sin(y)], axis=-1))
     y = np.array([0.3, -0.7])
-    J = V.jac(0.0, y)
+    with pytest.raises(ValueError, match="no Jacobian"):
+        V.jac(0.0, y)
+    J = _full_jacobian(V, 0.0, y)
     # d V[a, 0] / d y_b = 2 y_a delta_ab; d V[a, 1] / d y_b = cos(y_a) delta_ab
     expect = np.zeros((2, 2, 2))
     for a in range(2):
@@ -251,19 +284,24 @@ def _nonlinear_field():
 
 
 def test_jacobian_action_matches_full_jacobian():
+    """The finite-difference action agrees with the full Jacobian's; a
+    supplied Jacobian's action is the in-order sum over (i, b), here of 12
+    terms, bit for bit."""
     rng = np.random.default_rng(50)
     V = _nonlinear_field()
     for shape in [(2,), (5, 2), (3, 4, 2)]:
         y = rng.standard_normal(shape)
         U = rng.standard_normal(shape[:-1] + (2, 2))
-        expect = np.einsum("...aib,...ib->...a", V.jac(0.0, y), U)
+        expect = np.einsum("...aib,...ib->...a", _full_jacobian(V, 0.0, y), U)
         assert V.jac(0.0, y, U).shape == shape
         assert np.allclose(V.jac(0.0, y, U), expect, rtol=0.0, atol=1e-8)
     L = linear_vector_field(rng.standard_normal((3, 4, 4)))
-    y = rng.standard_normal((6, 4))
-    U = rng.standard_normal((6, 3, 4))
-    assert np.array_equal(L.jac(0.0, y, U),
-                          np.einsum("...aib,...ib->...a", L.jac(0.0, y), U))
+    for lead in [(), (6,), (2, 3)]:
+        y = rng.standard_normal(lead + (4,))
+        U = rng.standard_normal(lead + (3, 4))
+        got = L.jac(0.0, y, U)
+        assert got.shape == y.shape
+        assert got.tobytes() == _in_order_action(L.jac(0.0, y), U).tobytes()
 
 
 _coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -280,7 +318,7 @@ def test_jacobian_action_property(y, U, zero_rows):
         U[n, i] = 0.0
     V = _nonlinear_field()
     got = V.jac(0.0, y, U)
-    expect = np.einsum("...aib,...ib->...a", V.jac(0.0, y), U)
+    expect = np.einsum("...aib,...ib->...a", _full_jacobian(V, 0.0, y), U)
     assert np.allclose(got, expect, rtol=0.0, atol=1e-8)
     # a state whose directions are all zero gets exactly no second-order term
     assert np.all(got[np.all(U == 0.0, axis=(1, 2))] == 0.0)
@@ -302,39 +340,151 @@ def test_davie_step_two_field_calls():
     assert calls == [(2, 2), (2, 6, 2)]
     Vm = V(0.0, y)
     expect = (y + np.einsum("...ai,i->...a", Vm, g1)
-              + np.einsum("...ajb,...bi,ij->...a", V.jac(0.0, y), Vm, g2))
+              + np.einsum("...ajb,...bi,ij->...a", _full_jacobian(V, 0.0, y),
+                          Vm, g2))
     assert np.allclose(out, expect, rtol=0.0, atol=1e-9)
 
 
 
-# -- elementwise short-axis reductions ---------------------------------------
+# -- ordered column sums -------------------------------------------------------
 
 _reduction_entries = st.one_of(
     st.floats(width=64),
     st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324]))
 
 
+def _same_bits(got, expect):
+    """Equal bit for bit; a NaN is compared as NaN only: when several NaNs
+    meet, IEEE 754 leaves open which sign and payload the result carries."""
+    got, expect = np.asarray(got), np.asarray(expect)
+    assert got.shape == expect.shape
+    nan = np.isnan(expect)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), expect[~nan].view(np.int64))
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), length=st.integers(1, 9),
+@given(data=st.data(), length=st.integers(1, 9), rows=st.integers(1, 3),
        lead=st.sampled_from(["()", "(n,)", "(n, k)"]),
-       n=st.integers(1, 4), k=st.integers(1, 3))
-def test_short_axis_reductions_match_numpy(data, length, lead, n, k):
-    """The elementwise chains equal numpy's reductions over the last axis
-    bit for bit, signed zeros and subnormals included. A NaN result is
-    compared as NaN only: when several NaNs meet, IEEE 754 leaves open
-    which sign and payload the result carries."""
-    shape = {"()": (), "(n,)": (n,), "(n, k)": (n, k)}[lead] + (length,)
-    a = data.draw(arrays(float, shape, elements=_reduction_entries))
+       n=st.integers(1, 4), k=st.integers(1, 3), floats=st.booleans())
+def test_short_axis_reductions_match_numpy(data, length, rows, lead, n, k,
+                                           floats):
+    """The solver's sums over a few components, component-major: the
+    ordered column sum equals the explicit in-order loop from 0.0 at 1, 2
+    and 3+ terms, signed zeros, subnormals and infinities included, against
+    per-state rows or a vector of floats; with unit weights it is numpy's
+    sum over a short last axis (below 8 entries numpy adds in order from
+    0.0, which the helpers of the particle-major layout relied on). One
+    state's sum of more than 3 columns goes through np.add.accumulate, a
+    batched one through the loop: both are drawn."""
+    lead = {"()": (), "(n,)": (n,), "(n, k)": (n, k)}[lead]
+    M = data.draw(arrays(float, (rows, length) + lead,
+                         elements=_reduction_entries))
+    v = data.draw(arrays(float, (length,) if floats else (length,) + lead,
+                         elements=_reduction_entries))
     with np.errstate(invalid="ignore", over="ignore"):
-        pairs = [(_max_abs_last(a), np.max(np.abs(a), axis=-1)),
-                 (_sum_last(a), np.sum(a, axis=-1))]
-    for got, expect in pairs:
-        got, expect = np.asarray(got), np.asarray(expect)
-        assert got.shape == expect.shape
-        nan = np.isnan(expect)
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(got[~nan].view(np.int64),
-                              expect[~nan].view(np.int64))
+        got = _column_sum(M, v)
+        expect = np.empty((rows,) + lead)
+        for idx in np.ndindex(expect.shape):
+            acc = 0.0
+            for j in range(length):
+                vj = v[j] if floats else v[(j,) + idx[1:]]
+                acc += float(M[(idx[0], j) + idx[1:]]) * float(vj)
+            expect[idx] = acc
+        _same_bits(got, expect)
+        ones = _column_sum(M, np.ones(length))
+        if length < 8:
+            _same_bits(ones, np.sum(np.moveaxis(M, 1, -1), axis=-1))
+
+
+def _floats_linear_field(A, y):
+    """V[a][i] = sum_b A[i, a, b] y[b] for one state, in Python floats."""
+    d, e = A.shape[:2]
+    V = [[0.0] * d for _ in range(e)]
+    for a in range(e):
+        for i in range(d):
+            acc = 0.0
+            for b in range(e):
+                acc += float(A[i, a, b]) * float(y[b])
+            V[a][i] = acc
+    return V
+
+
+def _floats_davie_step(A, y, g1, g2):
+    """davie_step of linear_vector_field(A) at one state, every sum over
+    driver components added in order from 0.0, in Python floats."""
+    d, e = A.shape[:2]
+    V = _floats_linear_field(A, y)
+    U = [[0.0] * e for _ in range(d)]
+    for j in range(d):
+        for b in range(e):
+            acc = 0.0
+            for i in range(d):
+                acc += V[b][i] * float(g2[i, j])
+            U[j][b] = acc
+    out = []
+    for a in range(e):
+        first = 0.0
+        for i in range(d):
+            first += V[a][i] * float(g1[i])
+        action = 0.0
+        for i in range(d):
+            for b in range(e):
+                action += float(A[i, a, b]) * U[i][b]
+        out.append(float(y[a]) + first + action)
+    return out
+
+
+def _floats_marcus_jump(A, y, delta, substeps):
+    """marcus_jump of linear_vector_field(A) at one state: the RK4 loop with
+    each slope sum_i V_i delta_i added in order from 0.0, in Python
+    floats."""
+    d, e = A.shape[:2]
+    n = max(substeps, int(np.ceil(substeps * float(np.linalg.norm(delta)))))
+    h = 1.0 / n
+
+    def f(z):
+        V = _floats_linear_field(A, z)
+        out = []
+        for a in range(e):
+            acc = 0.0
+            for i in range(d):
+                acc += V[a][i] * float(delta[i])
+            out.append(acc)
+        return out
+
+    z = [float(v) for v in y]
+    for _ in range(n):
+        k1 = f(z)
+        k2 = f([zi + 0.5 * h * ki for zi, ki in zip(z, k1)])
+        k3 = f([zi + 0.5 * h * ki for zi, ki in zip(z, k2)])
+        k4 = f([zi + h * ki for zi, ki in zip(z, k3)])
+        z = [zi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + w)
+             for zi, a, b, c, w in zip(z, k1, k2, k3, k4)]
+    return z
+
+
+@pytest.mark.parametrize("e", [1, 2, 4])
+def test_three_component_driver_steps_are_in_order_sums(e):
+    """With a 3-component driver, where einsum would add the three terms of
+    each product in an order of its own ((p0 + p2) + p1 with numpy 2.4.6 on
+    x86-64), davie_step and marcus_jump add them in column order from 0.0:
+    batched states equal the Python-float loop state by state, bit for bit,
+    zero coordinates included."""
+    rng = np.random.default_rng(53 + e)
+    A = rng.standard_normal((3, e, e)) * 0.4
+    V = linear_vector_field(A)
+    y = rng.standard_normal((5, e))
+    y[1] = 0.0
+    y[2, 0] = -0.0
+    g1 = rng.standard_normal(3) * 0.3
+    g2 = 0.5 * np.outer(g1, g1) + rng.standard_normal((3, 3)) * 0.01
+    delta = rng.standard_normal(3) * 0.7
+    step = davie_step(V, 0.0, y, g1, g2)
+    jump = marcus_jump(V, 0.0, y, delta, 4)
+    for i in range(5):
+        assert step[i].tolist() == _floats_davie_step(A, y[i], g1, g2)
+        assert jump[i].tolist() == _floats_marcus_jump(A, y[i], delta, 4)
 
 
 def _partly_varying_field(M):

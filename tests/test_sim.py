@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 from roughfilter import fillin, sim
 from roughfilter.lift import marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
-from roughfilter.rde import VectorField, solve_canonical_rde
+from roughfilter.rde import VectorField, _column_sum, solve_canonical_rde
 
 
 def zero_coeff_model(nu2=None, f2_scale=0.0):
@@ -387,6 +387,34 @@ class TestHFunction:
         with pytest.raises(ValueError, match="singular"):
             sim.h_function(model, 0.0, np.zeros((4, 2)), np.zeros((4, 2)))
 
+    def test_declared_sigma2_kept_once_on_the_model(self):
+        """A declared sigma2 is kept in the model's _Declared, not on the
+        shared coefficient: its 1 x 1 entry as the divisor, a d x d
+        matrix's inverse as (d, d) for one state and (d, d, 1) for a batch,
+        and a singular one as 0.0, which every solve reports, at every call
+        and through every rate."""
+        lg = sim.linear_gaussian(gamma=0.5)
+        assert lg._declared_one.sigma2 == lg._declared_batch.sigma2 == 0.5
+        x = np.array([[0.3], [-1.2], [0.0]])
+        assert np.array_equal(sim.h_function(lg, 0.0, x, np.zeros((3, 1))),
+                              (float(lg.meta["c"]) * x) / 0.5)
+        cjm = sim.correlated_jump_multidim()
+        one, batch = cjm._declared_one.sigma2, cjm._declared_batch.sigma2
+        assert one.shape == (2, 2) and batch.shape == (2, 2, 1)
+        assert np.array_equal(batch[..., 0], one)
+        assert np.array_equal(one, np.linalg.inv(sim._const_matrix(cjm.sigma2)))
+        assert not hasattr(cjm.sigma2, "inverse")
+        for model in (sim.linear_gaussian(gamma=0.0),
+                      replace(cjm, sigma2=sim._const([[1.0, 2.0], [0.5, 1.0]]))):
+            assert model._declared_one.sigma2 == model._declared_batch.sigma2 == 0.0
+            d = model.dim_x
+            for _ in range(2):
+                with pytest.raises(ValueError, match="sigma2 singular at t=0.25"):
+                    sim._reference_rates(model, 0.25, np.zeros((d, 3)),
+                                         np.zeros((model.dim_y, 3)))
+            with pytest.raises(ValueError, match="singular"):
+                sim.h_function(model, 0.0, np.zeros(d), np.zeros(model.dim_y))
+
 
 class TestGirsanovExponent:
     def test_identically_zero(self):
@@ -705,8 +733,8 @@ def _column_order(M, v):
 _MATVEC_LAYOUTS = {
     "declared matrix": ("ij,...j->...i", "matrix", False),  # _linear_state
     "per-particle stack": ("...ij,...j->...i", "stack", False),  # sigma1 h
-    "broadcast view": ("...ab,...b->...a", "view", False),  # sigma0 dB
-    "view, one vector": ("...ab,b->...a", "view", True),  # sigma1 dW
+    "declared, strided rows": ("...ab,...b->...a", "matrix", False),  # sigma0 dB
+    "declared, one vector": ("...ab,b->...a", "matrix", True),  # sigma1 dW
 }
 
 
@@ -714,38 +742,51 @@ _MATVEC_LAYOUTS = {
 @given(data=st.data(), layout=st.sampled_from(sorted(_MATVEC_LAYOUTS)),
        rows=st.integers(1, 3), cols=st.integers(1, 3), n=st.integers(1, 5))
 def test_matvec_is_the_einsum_it_replaces(data, layout, rows, cols, n):
-    """_matvec adds each component in column order from 0.0, signed zeros
-    included; for the one- and two-term sums of the catalog models that is
-    the einsum it replaced, bit for bit. (einsum's own order for three
-    terms is not the column order: it read (p0 + p2) + p1 with numpy 2.4.6
-    on x86-64, where _matvec reads (p0 + p1) + p2.)"""
+    """rde._column_sum, the product of every rate, adds each component in
+    column order from 0.0, signed zeros included, on component-major
+    layouts: a declared matrix kept as (rows, cols, 1) or a per-particle
+    stack (rows, cols, n), against particle rows (contiguous, or strided as
+    a step's slice of the dB draw) or one vector of floats, whose product
+    comes out once, as (rows, 1). For the one- and two-term sums of the
+    catalog models that is the particle-major einsum it replaced, bit for
+    bit. (einsum's own order for three terms is not the column order: it
+    read (p0 + p2) + p1 with numpy 2.4.6 on x86-64.)"""
     spec, shape, one_vector = _MATVEC_LAYOUTS[layout]
     M = data.draw(arrays(float, (n, rows, cols) if shape == "stack"
                          else (rows, cols), elements=_ENTRIES))
-    if shape == "view":
-        M = np.broadcast_to(M, (n, rows, cols))
     if one_vector:
         v = data.draw(arrays(float, (cols,), elements=_ENTRIES))
-    else:  # a strided column block, as a step's slice of the dB draw
+        vc = v
+    elif layout == "declared, strided rows":
         v = data.draw(arrays(float, (n, 2, cols), elements=_ENTRIES))[:, 1]
-    got = sim._matvec(M, v)
+        vc = v.T
+    else:
+        v = data.draw(arrays(float, (n, cols), elements=_ENTRIES))
+        vc = np.ascontiguousarray(v.T)
+    Mc = M[..., None] if shape == "matrix" else M.transpose(1, 2, 0)
+    got = _column_sum(Mc, vc)
     expect = _column_order(M, v)
-    assert got.shape == expect.shape
-    assert got.tobytes() == expect.tobytes()
+    assert got.shape == (rows, 1 if one_vector else n)
+    assert got.T.tobytes() == np.broadcast_to(
+        expect, got.T.shape).tobytes()
     if cols <= 2:
-        assert got.tobytes() == np.einsum(spec, M, v).tobytes()
+        assert got.T.tobytes() == np.broadcast_to(
+            np.einsum(spec, M, v), got.T.shape).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 5),
        one_vector=st.booleans())
 def test_dot_is_the_einsum_it_replaces(data, d, n, one_vector):
-    """_dot adds in order from 0.0, as _matvec does: the einsums h . h,
-    h . g1 and (h0 + h1) . dW bit for bit at one or two terms."""
+    """The sweep's inner products over components (h . h, h . g1 and
+    (h0 + h1) . dW) add in order from 0.0, as the column sum does: the
+    particle-major einsums bit for bit at one or two terms."""
+    from roughfilter.filtering import _inner
+
     a = data.draw(arrays(float, (n, d), elements=_ENTRIES))
     b = data.draw(arrays(float, (d,) if one_vector else (n, d),
                          elements=_ENTRIES))
-    got = sim._dot(a, b)
+    got = _inner(np.ascontiguousarray(a.T), b if one_vector else b.T)
     expect = _column_order(a[..., None, :], b)[..., 0]
     assert got.shape == expect.shape == (n,)
     assert got.tobytes() == expect.tobytes()
@@ -755,17 +796,18 @@ def test_dot_is_the_einsum_it_replaces(data, d, n, one_vector):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), d=st.integers(1, 3), lead=st.sampled_from([(), (4,), (2, 3)]),
+@given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 5),
        subtract=st.booleans())
-def test_by_column_is_the_broadcast_it_replaces(data, d, lead, subtract):
-    """_by_column(ufunc, a, c) is ufunc(a, c) bit for bit, signed zeros
-    included, batched or not."""
+def test_by_column_is_the_broadcast_it_replaces(data, d, n, subtract):
+    """A vector that is the same for every particle, kept as a column
+    (d, 1), meets a component-major batch (d, n) in one broadcast: the
+    particle-major ufunc(a, c) bit for bit, signed zeros included."""
     ufunc = np.subtract if subtract else np.add
-    a = data.draw(arrays(float, lead + (d,), elements=_ENTRIES))
+    a = data.draw(arrays(float, (n, d), elements=_ENTRIES))
     c = data.draw(arrays(float, (d,), elements=_ENTRIES))
-    got, expect = sim._by_column(ufunc, a, c), ufunc(a, c)
-    assert got.shape == expect.shape
-    assert got.tobytes() == expect.tobytes()
+    got, expect = ufunc(np.ascontiguousarray(a.T), c[:, None]), ufunc(a, c)
+    assert got.shape == (d, n)
+    assert got.T.tobytes() == expect.tobytes()
 
 
 def _reference_drift(coefficient, t, x, y):
@@ -875,44 +917,71 @@ _RATE_MODELS = _rate_models()
        t=st.floats(0.0, 1.0), h_first=st.booleans())
 def test_reference_rates_match_the_per_call_formula(name, seed, n, t, h_first):
     """_reference_rates and h_function, with declared values kept once per
-    model and products through _matvec, equal the per-call formula with
-    einsum products bit for bit, at random states (n = 0: one unbatched
-    state), whichever of the two computes the kept values.
-    _reference_signal_rates gives the same bx, h and comp, and by at its
+    model and products through rde._column_sum on component-major states,
+    equal the per-call formula with particle-major einsum products bit for
+    bit, at random states (n = 0: one unbatched state, both as 1-d arrays
+    and as a batch of one component-major), whichever of the two computes
+    the kept values. With
+    `signal`, _reference_rates gives the same bx, h and comp, and by at its
     physical-measure value from _rates."""
     model = replace(_RATE_MODELS[name])  # a copy that has kept nothing yet
     rng = np.random.default_rng(seed)
     lead = (n,) if n else ()
     x = rng.uniform(-3.0, 3.0, lead + (model.dim_x,))
     y = rng.uniform(-3.0, 3.0, lead + (model.dim_y,))
+    xc, yc = x.reshape(-1, model.dim_x).T, y.reshape(-1, model.dim_y).T
     if h_first:
         h = sim.h_function(model, t, x, y)
-    rates = sim._reference_rates(model, t, x, y)
+    rates = sim._reference_rates(model, t, xc, yc)
     if not h_first:
         h = sim.h_function(model, t, x, y)
     expect = _per_call_rates(model, t, x, y)
-    for got, want in zip(rates + (h,), expect + (_per_call_h(model, t, x, y),)):
-        got, want = np.asarray(got), np.asarray(want)
-        assert got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+
+    def particle_major(got, want):
+        return np.asarray(got).T.reshape(np.shape(want))
+
+    for got, want in zip(rates, expect):
+        want = np.asarray(want)
+        assert particle_major(got, want).tobytes() == want.tobytes(), name
+    if not n:
+        for got, want in zip(sim._reference_rates(model, t, x, y), expect):
+            assert np.shape(got) == np.shape(want), name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    want_h = _per_call_h(model, t, x, y)
+    assert h.shape == want_h.shape, name
+    assert h.tobytes() == want_h.tobytes(), name
     # the routes that move X alone skip sigma2 h: by stays physical
-    signal = sim._reference_signal_rates(model, t, x, y)
-    physical_by = sim._rates(model, t, x, y)[1]
+    signal = sim._reference_rates(model, t, xc, yc, signal=True)
+    physical_by = sim._rates(model, t, xc, yc)[1]
     for got, want in zip(signal, (rates[0], physical_by) + rates[2:]):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
+def test_only_const_builds_a_fixed_loading():
+    """_const marks its callable constant. _linear_mark and _linear_state
+    carry a matrix too, but one that maps the mark or the state, so the
+    rates and routes never apply theirs as a loading fixed at every state."""
+    M = np.array([[0.5, 0.1], [0.0, 0.4]])
+    assert sim._const_matrix(sim._const(M)) is not None
+    for built in (sim._linear_mark(M), sim._linear_state(M), lambda t, x, y: M):
+        assert sim._const_matrix(built) is None
+
+
 def test_declared_values_kept_once_per_model():
     """The declared values live on the model that computed them, on first
-    use: a model built by dataclasses.replace computes its own."""
+    use, laid out for one state and for a batch: a model built by
+    dataclasses.replace computes its own."""
     model = sim.get_model("correlated_jump_multidim")
-    kept = model._declared
-    assert model._declared is kept
-    assert kept.integrals is not None and kept.f1 is None
+    kept = model._declared_one, model._declared_batch
+    one, batch = kept
+    assert model._declared_one is one and model._declared_batch is batch
+    assert one.integrals[0].shape == (2,) and batch.integrals[0].shape == (2, 1)
+    assert all(k.integrals is not None and k.f1 is None for k in kept)
     other = replace(model, lambda_fn=_plain_coefficient(model.lambda_fn))
-    assert other._declared is not kept
-    assert other._declared.lam is None and other._declared.integrals is None
-    assert other._declared.f2 is not None
+    assert other._declared_batch is not batch
+    for k in (other._declared_one, other._declared_batch):
+        assert k.lam is None and k.integrals is None and k.f2 is not None
     sjd = sim.get_model("scalar_jump_diffusion")
-    assert sjd._declared.integrals is None and sjd._declared.lam is None
-    assert len(sjd._declared.f1) == len(sjd.nu1.atoms)
+    for k in (sjd._declared_one, sjd._declared_batch):
+        assert k.integrals is None and k.lam is None
+        assert len(k.f1) == len(sjd.nu1.atoms)
