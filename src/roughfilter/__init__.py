@@ -74,6 +74,3 @@ from .sim import (
     simulate_pair,
     validate_model,
 )
-
-MODEL_IDS = ("linear_gaussian", "scalar_jump_diffusion",
-             "correlated_jump_multidim", "stable_shot_noise")

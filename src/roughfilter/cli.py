@@ -186,6 +186,19 @@ def _epsilon_for(cfg: RunConfig, model):
     return cfg.epsilon
 
 
+def _observation(cfg: RunConfig, model) -> dict:
+    return realized_observation(model, cfg.T, cfg.steps, cfg.seed,
+                                epsilon=_epsilon_for(cfg, model))
+
+
+def _time_rows(cfg: RunConfig, times, columns: dict) -> list:
+    """One CSV row per time: the provenance columns, the time, then each
+    named column's entry at it."""
+    return [{"seed": cfg.seed, "mesh": cfg.steps, "norm": "none", "time": float(t),
+             **{name: col[i] for name, col in columns.items()}}
+            for i, t in enumerate(times)]
+
+
 def _require_finite_regime(cfg: RunConfig, model):
     if model.regime == "infinite_jumps":
         raise ValueError(
@@ -197,21 +210,12 @@ def _require_finite_regime(cfg: RunConfig, model):
 
 
 def _run_simulate(cfg: RunConfig, model, out_dir):
-    obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed,
-                               epsilon=_epsilon_for(cfg, model))
-    times = obs["X"].times
+    obs = _observation(cfg, model)
     xv, yv = obs["X"].values, obs["Y"].values
-    wv = obs["wtilde"].values
-    rows = []
-    for i, t in enumerate(times):
-        row = {"seed": cfg.seed, "mesh": cfg.steps, "norm": "none",
-               "time": float(t)}
-        for j in range(xv.shape[1]):
-            row[f"x{j}"] = xv[i, j]
-        for j in range(yv.shape[1]):
-            row[f"y{j}"] = yv[i, j]
-        row["wtilde"] = wv[i, 0]
-        rows.append(row)
+    rows = _time_rows(cfg, obs["X"].times, {
+        **{f"x{j}": xv[:, j] for j in range(xv.shape[1])},
+        **{f"y{j}": yv[:, j] for j in range(yv.shape[1])},
+        "wtilde": obs["wtilde"].values[:, 0]})
     payload = {
         "model_id": model.model_id, "seed": cfg.seed, "T": cfg.T,
         "steps": cfg.steps,
@@ -223,21 +227,13 @@ def _run_simulate(cfg: RunConfig, model, out_dir):
 
 
 def _run_lift(cfg: RunConfig, model, out_dir):
-    obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed,
-                               epsilon=_epsilon_for(cfg, model))
-    drv = obs["driver"]
+    drv = _observation(cfg, model)["driver"]
     write_rough_path_json(drv, os.path.join(out_dir, "lift_rough_path.json"))
-    rows = []
     d = drv.dim
-    for i, t in enumerate(drv.times):
-        row = {"seed": cfg.seed, "mesh": cfg.steps, "norm": "none",
-               "time": float(t), "jump": int(drv.jump_flags[i])}
-        for a in range(d):
-            row[f"l1_{a}"] = drv.level1[i, a]
-        for a in range(d):
-            for b in range(d):
-                row[f"l2_{a}{b}"] = drv.level2[i, a, b]
-        rows.append(row)
+    rows = _time_rows(cfg, drv.times, {
+        "jump": drv.jump_flags.astype(int),
+        **{f"l1_{a}": drv.level1[:, a] for a in range(d)},
+        **{f"l2_{a}{b}": drv.level2[:, a, b] for a in range(d) for b in range(d)}})
     payload = {"model_id": model.model_id, "seed": cfg.seed, "dim": d,
                "grid_points": len(drv.times),
                "jumps": int(np.sum(drv.jump_flags))}
@@ -246,7 +242,7 @@ def _run_lift(cfg: RunConfig, model, out_dir):
 
 def _run_metrics(cfg: RunConfig, model, out_dir):
     _require_finite_regime(cfg, model)
-    obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed)
+    obs = _observation(cfg, model)
     rows = []
     for mesh in cfg.meshes:
         L, R = mesh_lifts(obs, cfg.T, mesh)
@@ -263,19 +259,12 @@ def _run_metrics(cfg: RunConfig, model, out_dir):
 
 
 def _run_rde(cfg: RunConfig, model, out_dir):
-    obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed,
-                               epsilon=_epsilon_for(cfg, model))
-    drv = obs["driver"]
+    drv = _observation(cfg, model)["driver"]
     V = _joint_field(model, drv.dim)
     z0 = np.concatenate([np.array(model.x0), np.array(model.y0), [0.0]])
     sol = solve_canonical_rde(V, AdmissiblePair(drv), z0, cfg.steps)
-    rows = []
-    for i, t in enumerate(sol.times):
-        row = {"seed": cfg.seed, "mesh": cfg.steps, "norm": "none",
-               "time": float(t)}
-        for j in range(sol.states.shape[1]):
-            row[f"z{j}"] = sol.states[i, j]
-        rows.append(row)
+    rows = _time_rows(cfg, sol.times, {
+        f"z{j}": sol.states[:, j] for j in range(sol.states.shape[1])})
     payload = {"model_id": model.model_id, "seed": cfg.seed,
                "terminal": [float(v) for v in sol.states[-1]],
                "scheme": dict(sol.scheme_meta)}
@@ -283,8 +272,7 @@ def _run_rde(cfg: RunConfig, model, out_dir):
 
 
 def _run_filter(cfg: RunConfig, model, out_dir):
-    obs = realized_observation(model, cfg.T, cfg.steps, cfg.seed,
-                               epsilon=_epsilon_for(cfg, model))
+    obs = _observation(cfg, model)
     f = FUNCTION_CATALOG[cfg.f_name]
     res = theta(model, f, obs["driver"], obs["jump_record"], cfg.T,
                 cfg.particles, cfg.seed * 1000 + 17,
@@ -386,11 +374,7 @@ _ABORTS = (WeightAbortError, ParticleBlowupError, DegenerateWeightsError,
 
 
 def _abort_diagnostics(exc) -> dict:
-    if isinstance(exc, ParticleBlowupError):
-        return {"particle_index": exc.particle_index,
-                "step_index": exc.step_index}
-    if isinstance(exc, (RdeBlowupError, SimulationBlowupError)):
-        return {"step_index": exc.step_index}
+    """The diagnostics each abort type fills in its constructor."""
     return dict(exc.diagnostics)
 
 

@@ -75,8 +75,15 @@ from .lift import (
     rho_p,
     stratonovich_lift,
 )
-from .paths import P_VAR, CadlagPath
-from .rde import VectorField, _column_sum, davie_step, marcus_jump
+from .paths import P_VAR, CadlagPath, _step_path
+from .rde import (
+    NumericalAbort,
+    VectorField,
+    _central_step,
+    _column_sum,
+    davie_step,
+    marcus_jump,
+)
 from .sim import (
     LevyMeasure,
     ModelSpec,
@@ -103,30 +110,23 @@ from .sim import (
 ABORT_LOG_WEIGHT = 60.0
 
 
-class ParticleBlowupError(RuntimeError):
+class ParticleBlowupError(NumericalAbort):
     """A particle state left the finite range; carries which one and when."""
 
     def __init__(self, message: str, particle_index: int, step_index: int):
-        super().__init__(message)
+        super().__init__(message, {"particle_index": particle_index,
+                                   "step_index": step_index})
         self.particle_index = particle_index
         self.step_index = step_index
 
 
-class WeightAbortError(RuntimeError):
+class WeightAbortError(NumericalAbort):
     """A log weight crossed the abort threshold. Weights are never clipped;
     the run stops and reports the extremes instead."""
 
-    def __init__(self, message: str, diagnostics: dict):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
-
-class DegenerateWeightsError(RuntimeError):
+class DegenerateWeightsError(NumericalAbort):
     """The normalizing estimate g^1 came out nonpositive or non-finite."""
-
-    def __init__(self, message: str, diagnostics: dict):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 # -- test functions and estimates ------------------------------------------
@@ -341,11 +341,10 @@ def _normalize_record(jump_record, times: np.ndarray, t: float):
     thinning). Atom times must sit on the driver grid."""
     if jump_record is None:
         return {}
-    tol = 1e-9 * max(1.0, float(times[-1]))
     out = {}
     for at, mark in jump_record:
         at = float(at)
-        if at > t + tol:
+        if at > t + _grid_tol(times):
             continue
         i = _grid_index_of(times, at, "observed atom")
         if i == 0:
@@ -354,10 +353,15 @@ def _normalize_record(jump_record, times: np.ndarray, t: float):
     return out
 
 
+def _grid_tol(times: np.ndarray) -> float:
+    """The tolerance 1e-9 max(1, T) within which a time is on the driver
+    grid `times`: of _normalize_record and _grid_index_of."""
+    return 1e-9 * max(1.0, float(times[-1]))
+
+
 def _grid_index_of(times: np.ndarray, t: float, what: str = "horizon") -> int:
-    tol = 1e-9 * max(1.0, float(times[-1]))
     i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > tol:
+    if abs(times[i] - t) > _grid_tol(times):
         raise ValueError(f"{what} at t={t} is not on the driver grid")
     return i
 
@@ -765,10 +769,14 @@ def _jump_joined_lift(times: np.ndarray, w, xi: CadlagPath) -> RoughPath:
 # -- consistency check ------------------------------------------------------
 
 
+# Observation seed s runs both sweeps of the consistency check from
+# seed_base _CONSISTENCY_SEED + 1000 s.
+_CONSISTENCY_SEED = 90001
+
+
 def robust_consistency_check(model: ModelSpec, f: TestFunction, t: float,
                              particles: int, seeds, grid: int,
-                             epsilon: float = None,
-                             seed_particles: int = 90001) -> dict:
+                             epsilon: float = None) -> dict:
     """For each observation seed: simulate the physical pair, lift the
     realized observation, and compare theta along the lift against the
     direct reference-measure particle filter on the raw path. PASS means
@@ -777,10 +785,9 @@ def robust_consistency_check(model: ModelSpec, f: TestFunction, t: float,
     for seed in seeds:
         obs = realized_observation(model, t, grid, seed, epsilon=epsilon)
         th = theta(model, f, obs["driver"], obs["jump_record"], t,
-                   particles, seed_particles + 1000 * seed)
+                   particles, _CONSISTENCY_SEED + 1000 * seed)
         dr = direct_reference_filter(model, f, obs["Y"], obs["atoms"],
-                                     t, particles,
-                                     seed_particles + 1000 * seed)
+                                     t, particles, _CONSISTENCY_SEED + 1000 * seed)
         gap = abs(th.theta - dr.theta)
         comb = float(np.sqrt(th.theta_se ** 2 + dr.theta_se ** 2))
         rows.append({"seed": int(seed), "theta_rough": th.theta,
@@ -849,7 +856,7 @@ def flow_map(s, w: float, x: np.ndarray, substeps: int = FLOW_SUBSTEPS):
 
     def rate(z):
         p, j = z
-        eps = 1e-6 * (1.0 + np.abs(p))
+        eps = _central_step(np.abs(p))
         stage[0] = p
         np.add(p, eps, out=stage[1])
         np.subtract(p, eps, out=stage[2])
@@ -886,43 +893,19 @@ def scalar_flow_filter_detail(model: ModelSpec, f: TestFunction,
 # -- interpolation robustness ----------------------------------------------
 
 
-def _interpolant_path(sub_times, sub_vals, grid, mode: str) -> CadlagPath:
-    """Linear or rectangular interpolant of subsampled values, tabulated on
-    a refinement grid that contains the sample times."""
-    sub_times = np.asarray(sub_times, dtype=float)
-    sub_vals = np.atleast_2d(np.asarray(sub_vals, dtype=float))
-    if sub_vals.shape[0] != len(sub_times):
-        sub_vals = sub_vals.T
-    grid = np.asarray(grid, dtype=float)
-    if mode == "linear":
-        cols = [np.interp(grid, sub_times, sub_vals[:, j])
-                for j in range(sub_vals.shape[1])]
-        return CadlagPath(grid, np.column_stack(cols), None, "linear")
-    if mode != "rectangular":
-        raise ValueError(f"unknown interpolation mode {mode!r}")
-    idx = np.clip(np.searchsorted(sub_times, grid, side="right") - 1,
-                  0, len(sub_times) - 1)
-    idx_pre = np.clip(np.searchsorted(sub_times, grid, side="left") - 1,
-                      0, len(sub_times) - 1)
-    vals = sub_vals[idx]
-    pre = sub_vals[idx_pre]
-    pre[0] = vals[0]
-    jumpy = not np.array_equal(vals, pre)
-    return CadlagPath(grid, vals, pre if jumpy else None, "constant")
-
-
 def mesh_lifts(obs: dict, t: float, mesh: int):
     """Subsample the reconstructed Brownian input of a realized observation
     at mesh + 1 equal steps on [0, t] and lift both interpolants, tabulated
     on those times plus the observed atom times: (Stratonovich lift of the
-    linear one, Marcus lift of the rectangular one)."""
+    linear one, Marcus lift of the rectangular one, which holds each
+    sample until the next)."""
     atom_times = np.array([a for a, _ in obs["jump_record"]])
     sub_times = np.linspace(0.0, t, int(mesh) + 1)
     grid = np.union1d(sub_times, atom_times) if len(atom_times) else sub_times
     sub_vals = obs["wtilde"].evaluate(sub_times)
-    lin = _interpolant_path(sub_times, sub_vals, grid, "linear")
-    rect = _interpolant_path(sub_times, sub_vals, grid, "rectangular")
-    return stratonovich_lift(lin), marcus_lift(rect)
+    lin = np.column_stack([np.interp(grid, sub_times, v) for v in sub_vals.T])
+    return (stratonovich_lift(CadlagPath(grid, lin, None, "linear")),
+            marcus_lift(_step_path(grid, sub_times[1:], sub_vals)))
 
 
 def trend_non_increasing(values, slacks) -> bool:

@@ -20,6 +20,7 @@ from .paths import (
     CadlagPath,
     _block_centers,
     _block_radii,
+    _check_pair,
     _norm_floor,
     _norms,
     _prunes,
@@ -198,12 +199,10 @@ def reverse_rough_path(X: RoughPath) -> RoughPath:
 # -- consistency checks ---------------------------------------------------
 
 
-def chen_defect(X: RoughPath, triples=None) -> float:
+def chen_defect(X: RoughPath) -> float:
     """Max violation of increment(i,k) = increment(i,j) o increment(j,k)."""
     n = len(X.times)
-    if triples is not None:
-        i, j, k = np.asarray(triples, dtype=int).reshape(-1, 3).T
-    elif n <= 40:
+    if n <= 40:
         i, k = np.triu_indices(n, 2)
         j = (i + k) // 2
     else:
@@ -346,10 +345,7 @@ def rho_p(X: RoughPath, Y: RoughPath, p: float) -> float:
     either level is NaN (increments that overflow to inf - inf)."""
     if not 2.0 <= p < 3.0:
         raise ValueError(f"rho_p requires p in [2, 3), got {p}")
-    if X.dim != Y.dim:
-        raise ValueError(f"dimension mismatch: {X.dim} vs {Y.dim}")
-    if abs(X.T - Y.T) > 1e-12 * max(1.0, X.T):
-        raise ValueError("rough paths must share the time horizon")
+    _check_pair(X, Y)
     _, (A1, A2), (B1, B2) = _merged_running(X, Y)
     m = len(A1)
     if m < 2:

@@ -24,7 +24,11 @@ P_VAR = 2.5
 
 @dataclass(frozen=True)
 class CadlagPath:
-    """Finite sample representation of a cadlag path on [0, T]."""
+    """Finite sample representation of a cadlag path on [0, T].
+
+    pre_values equal to values (or None) mean no jump: the path then keeps
+    a copy of values as its left limits. This is the one place that rule
+    is applied, so callers may pass the left limits they computed."""
 
     times: np.ndarray
     values: np.ndarray
@@ -45,14 +49,14 @@ class CadlagPath:
         if self.interp not in _INTERPS:
             raise ValueError(f"interp must be one of {_INTERPS}")
         pre = self.pre_values
-        if pre is None:
-            pre = v.copy()
-        else:
+        if pre is not None:
             pre = np.asarray(pre, dtype=float)
             if pre.ndim == 1:
                 pre = pre[:, None]
             if pre.shape != v.shape:
                 raise ValueError("pre_values must match values in shape")
+        if pre is None or np.array_equal(pre, v):
+            pre = v.copy()
         if not np.array_equal(pre[0], v[0]):
             raise ValueError("a path cannot jump at its initial time")
         object.__setattr__(self, "times", t)
@@ -109,6 +113,17 @@ class CadlagPath:
 
     def with_interp(self, interp: str) -> "CadlagPath":
         return replace(self, interp=interp)
+
+
+def _step_path(grid, jump_times, levels) -> CadlagPath:
+    """The right-continuous step path on `grid` that holds levels[0] before
+    jump_times[0] (sorted) and levels[i] from jump_times[i - 1] on, with
+    its left limits at the grid times: every step path is built here."""
+    grid = np.asarray(grid, dtype=float)
+    vals = levels[np.searchsorted(jump_times, grid, side="right")]
+    pre = levels[np.searchsorted(jump_times, grid, side="left")]
+    pre[0] = vals[0]
+    return CadlagPath(grid, vals, pre, "constant")
 
 
 def _visited_sequence(right: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -400,7 +415,8 @@ def p_variation_of_points(points: np.ndarray, p: float) -> float:
 
 
 def p_variation(x: CadlagPath, p: float) -> float:
-    """sup over sample-grid partitions of (sum |increment|^p)^(1/p)."""
+    """sup over sample-grid partitions of (sum |increment|^p)^(1/p); the
+    one check of p >= 1 for it and d_p."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return p_variation_of_points(visited_points(x), p)
@@ -421,13 +437,28 @@ def merge_difference(x: CadlagPath, y: CadlagPath) -> CadlagPath:
 
 
 def d_p(x: CadlagPath, y: CadlagPath, p: float) -> float:
-    """p-variation distance: p-variation of x - y on the merged grid."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    """p-variation distance: p-variation of x - y on the merged grid
+    (p_variation checks p >= 1)."""
     return p_variation(merge_difference(x, y), p)
 
 
 # -- Skorokhod-type metric ------------------------------------------------
+
+
+def _horizon_tol(T: float) -> float:
+    """The tolerance 1e-12 max(1, T) within which two times of [0, T] are
+    one: of the horizon check (_check_pair) and the Skorokhod search."""
+    return 1e-12 * max(1.0, T)
+
+
+def _check_pair(x, y) -> None:
+    """Paths or rough paths x and y must share their dimension and, within
+    _horizon_tol, their horizon: the check of skorokhod_sigma_p and
+    lift.rho_p."""
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    if abs(x.T - y.T) > _horizon_tol(x.T):
+        raise ValueError("paths must share the time horizon [0, T]")
 
 
 def _nearest_jump_lookup(path: CadlagPath, t: np.ndarray, tol: float):
@@ -458,7 +489,7 @@ def _warped_objective(x: CadlagPath, y: CadlagPath, knots_t, knots_s, p: float) 
     """max(|lambda - id|, d_p(x o lambda, y)) for the piecewise-linear warp
     lambda interpolating knots_t -> knots_s."""
     warp_size = float(np.max(np.abs(knots_s - knots_t)))
-    tol = 1e-12 * max(1.0, x.T)
+    tol = _horizon_tol(x.T)
     cand = np.sort(np.concatenate([np.interp(x.times, knots_s, knots_t),
                                    y.times, knots_t]))
     cand = cand[np.concatenate([[True], np.diff(cand) > tol])]
@@ -585,10 +616,7 @@ def skorokhod_sigma_p(x: CadlagPath, y: CadlagPath, p: float, warp_grid: int = 8
         raise ValueError("warp_grid must be >= 1")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if abs(x.T - y.T) > 1e-12 * max(1.0, x.T):
-        raise ValueError("paths must share the time horizon [0, T]")
+    _check_pair(x, y)
     T = x.T
     if T <= 0:
         return _warped_objective(x, y, np.array([0.0]), np.array([0.0]), p)
@@ -599,7 +627,7 @@ def skorokhod_sigma_p(x: CadlagPath, y: CadlagPath, p: float, warp_grid: int = 8
     if grids[-1] != warp_grid:
         grids.append(warp_grid)
 
-    tol = 1e-12 * max(1.0, T)
+    tol = _horizon_tol(T)
     anchors = _jump_alignment_anchors(x, y, T, tol)
     jump_knots = np.array([u for u, _ in anchors] +
                           [float(t) for t in y.times[y.jump_mask]

@@ -21,14 +21,33 @@ from .lift import RoughPath, marcus_increment, reverse_rough_path
 from .tensor_group import group_pow
 
 
-class RdeBlowupError(RuntimeError):
+class NumericalAbort(RuntimeError):
+    """A numerical failure that stops a run. Each subclass fills
+    `diagnostics`, the dict that the CLI's aborted manifest reports."""
+
+    def __init__(self, message: str, diagnostics: dict):
+        super().__init__(message)
+        self.diagnostics = diagnostics
+
+
+class RdeBlowupError(NumericalAbort):
     """Raised when a state stops being finite; `step_index` is the driver
     segment k whose Davie steps on [t_k, t_{k+1}], or whose jump at t_{k+1},
     produced it."""
 
     def __init__(self, message: str, step_index: int):
-        super().__init__(message)
+        super().__init__(message, {"step_index": step_index})
         self.step_index = step_index
+
+
+# RK4 substeps per unit jump size of a Marcus time-1 flow
+MARCUS_SUBSTEPS = 64
+
+
+def _central_step(size):
+    """The central-difference step 1e-6 (1 + size) at a state of magnitude
+    `size`: of VectorField.jac and filtering.flow_map."""
+    return 1e-6 * (1.0 + size)
 
 
 def _column_sum(M, v):
@@ -105,8 +124,7 @@ class VectorField:
         # a direction below the smallest normal float counts as zero:
         # the step 1e-6 (1 + |y|) / norm would overflow
         live = norm >= np.finfo(float).tiny
-        h = (1e-6 * (1.0 + np.max(np.abs(yc), axis=0))
-             / np.where(live, norm, 1.0))
+        h = _central_step(np.max(np.abs(yc), axis=0)) / np.where(live, norm, 1.0)
         step = h[:, None] * np.where(live[:, None], u, 0.0)
         vals = _components_first(np.asarray(field_rows(
             t, _components_last(np.concatenate([yc + step, yc - step]), 2)),
@@ -157,6 +175,9 @@ def constant_vector_field(mat) -> VectorField:
 
 @dataclass(frozen=True)
 class RdeSolution:
+    """The states of a canonical RDE solve, made by solve_canonical_rde,
+    the one place that checks them finite (segment by segment)."""
+
     times: np.ndarray
     states: np.ndarray  # (times, e), or (times, n, e) for n start states
     scheme_meta: dict = field(default_factory=dict)
@@ -168,8 +189,6 @@ class RdeSolution:
             s = s[:, None]
         if s.shape[0] != len(t):
             raise ValueError("states and times must align")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("non-finite states")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
 
@@ -187,7 +206,7 @@ def davie_step(V: VectorField, t: float, y: np.ndarray, g1: np.ndarray,
 
 
 def marcus_jump(V: VectorField, t: float, y: np.ndarray, delta: np.ndarray,
-                substeps: int = 64) -> np.ndarray:
+                substeps: int = MARCUS_SUBSTEPS) -> np.ndarray:
     """Time-1 flow of y' = V(y) delta by classical RK4 with `substeps` steps
     (more for large jumps), marched component-major.
 
@@ -235,7 +254,7 @@ def marcus_jump(V: VectorField, t: float, y: np.ndarray, delta: np.ndarray,
 
 
 def solve_canonical_rde(V: VectorField, pair: AdmissiblePair, y0, steps: int,
-                        slot_substeps: int = 64) -> RdeSolution:
+                        slot_substeps: int = MARCUS_SUBSTEPS) -> RdeSolution:
     """Canonical RDE along the driver's own grid, states at its sample times.
 
     Segment k takes about steps * (t_{k+1} - t_k) / T Davie steps on equal

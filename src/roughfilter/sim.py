@@ -26,8 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .paths import P_VAR, CadlagPath
-from .rde import _column_sum, _components_first, _components_last
+from .paths import P_VAR, CadlagPath, _step_path
+from .rde import NumericalAbort, _column_sum, _components_first, _components_last
 
 
 # -- Levy measure descriptors ---------------------------------------------
@@ -95,9 +95,10 @@ class StableTail:
             raise ValueError("c must be positive")
 
     def tail_mass(self, r: float) -> float:
-        """nu(r < |x| < 1)."""
+        """nu(r < |x| < 1); the one check that a truncation level epsilon
+        lies in (0, 1), for make_noise_bundle and shot_noise."""
         if not 0.0 < r < 1.0:
-            raise ValueError("truncation level must lie in (0, 1)")
+            raise ValueError(f"truncation level epsilon must lie in (0, 1), got {r}")
         return 2.0 * self.c / self.alpha * (r ** (-self.alpha) - 1.0)
 
     def inv_tail(self, y: float) -> float:
@@ -516,7 +517,7 @@ def make_noise_bundle(model: ModelSpec, T: float, steps: int, seed: int,
     """Draw one noise realization: auxiliary and observed point processes
     (re-drawn on exact time collisions so the two measures never jump
     together), then Brownian increments on the union of the uniform grid and
-    all atom times."""
+    all atom times. StableTail.tail_mass checks epsilon's range."""
     if measure not in ("physical", "reference"):
         raise ValueError(f"unknown measure {measure!r}")
     if steps < 1:
@@ -545,8 +546,6 @@ def make_noise_bundle(model: ModelSpec, T: float, steps: int, seed: int,
     elif isinstance(model.nu2, StableTail):
         if epsilon is None:
             raise ValueError("infinite-activity noise needs a truncation epsilon")
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
         t2, m2 = _sample_stable_atoms(rng, model.nu2, epsilon, T)
         records["nu2"] = JumpRecord(t2, m2, np.ones(len(t2)))
     else:
@@ -607,12 +606,12 @@ def _accepted_nu2(model: ModelSpec, noise: NoiseBundle, X: CadlagPath):
                      for a, i in enumerate(idx)], dtype=bool)
 
 
-class SimulationBlowupError(RuntimeError):
+class SimulationBlowupError(NumericalAbort):
     """Raised when the simulated state stops being finite; `step_index` is
     the grid step k whose Heun step on [t_k, t_{k+1}] produced it."""
 
     def __init__(self, message: str, step_index: int):
-        super().__init__(message)
+        super().__init__(message, {"step_index": step_index})
         self.step_index = step_index
 
 
@@ -670,11 +669,7 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle):
             y = y + dyj
         X[k + 1], Y[k + 1] = x, y
 
-    jumpy = not (np.array_equal(X, preX) and np.array_equal(Y, preY))
-    return (
-        CadlagPath(times, X, preX if jumpy else None, "linear"),
-        CadlagPath(times, Y, preY if jumpy else None, "linear"),
-    )
+    return CadlagPath(times, X, preX, "linear"), CadlagPath(times, Y, preY, "linear")
 
 
 # -- measure-change exponent ----------------------------------------------
@@ -730,8 +725,7 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
                         model, t1, X.pre_values[k + 1], rec2.marks[a]))
                 acc += np.log(lam)
         vals[k + 1] = acc
-    jumpy = not np.array_equal(vals, pre)
-    return CadlagPath(times, vals, pre if jumpy else None, "linear")
+    return CadlagPath(times, vals, pre, "linear")
 
 
 # -- shot noise ------------------------------------------------------------
@@ -740,31 +734,20 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
 def _atom_path(times: np.ndarray, atom_times, sizes) -> CadlagPath:
     """Piecewise-constant cumulative atom-sum path on a grid that already
     contains the atom times."""
-    times = np.asarray(times, dtype=float)
     at = np.asarray(atom_times, dtype=float)
-    sz = np.asarray(sizes, dtype=float)
     order = np.argsort(at)
-    at, sz = at[order], sz[order]
-    csum = np.concatenate([[0.0], np.cumsum(sz)])
-    vals = csum[np.searchsorted(at, times, side="right")]
-    pre = csum[np.searchsorted(at, times, side="left")]
-    pre[0] = vals[0]
-    jumpy = not np.array_equal(vals, pre)
-    return CadlagPath(times, vals[:, None], pre[:, None] if jumpy else None,
-                      "constant")
+    csum = np.concatenate([[0.0], np.cumsum(np.asarray(sizes, dtype=float)[order])])
+    return _step_path(times, at[order], csum)
 
 
 def shot_noise(levy: StableTail, epsilon: float, seed: int, grid) -> CadlagPath:
     """The truncated shot-noise path xi^eps: the running sum of the atoms
     with eps < |x| < 1 from the series sampler (nested across eps at fixed
     seed), on the grid joined with the atom times. The tail is symmetric,
-    so the small-jump compensator is zero."""
+    so the small-jump compensator is zero. StableTail.tail_mass checks
+    epsilon's range."""
     if not isinstance(levy, StableTail):
         raise ValueError("shot_noise needs a StableTail descriptor")
-    if epsilon >= 1.0:
-        raise ValueError("epsilon must be < 1")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
     grid = np.asarray(grid, dtype=float)
     rng = np.random.default_rng(seed)
     at, sizes = _sample_stable_atoms(rng, levy, epsilon, float(grid[-1]))

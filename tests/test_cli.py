@@ -12,15 +12,22 @@ import pytest
 
 import roughfilter
 from roughfilter.cli import (
+    _ABORTS,
     RunConfig,
     _abort_diagnostics,
     build_config,
     load_config_file,
     main,
 )
-from roughfilter.filtering import AUX_STREAM, ParticleBlowupError
+from roughfilter.filtering import (
+    AUX_STREAM,
+    DegenerateWeightsError,
+    ParticleBlowupError,
+    WeightAbortError,
+)
 from roughfilter.lift import read_rough_path_json
 from roughfilter.rde import RdeBlowupError
+from roughfilter.sim import SimulationBlowupError
 
 
 def _read_csv(path):
@@ -201,6 +208,32 @@ def test_exit_codes(tmp_path, capsys):
     assert _abort_diagnostics(ParticleBlowupError("m", 4, 7)) == {
         "particle_index": 4, "step_index": 7}
     assert _abort_diagnostics(RdeBlowupError("m", 3)) == {"step_index": 3}
+
+
+def test_every_abort_carries_its_diagnostics():
+    """Each abort type the CLI catches fills `diagnostics` from its own
+    constructor arguments, and the manifest reports that dict as it is."""
+    weights = {"max_log_weight": 70.0, "min_log_weight": -1.0,
+               "particle_index": 2, "threshold": 60.0}
+    degenerate = {"max_log_weight": 1.0, "min_log_weight": 0.5, "n_nonfinite": 3}
+    built = {
+        WeightAbortError: (WeightAbortError("m", weights), weights),
+        ParticleBlowupError: (ParticleBlowupError("m", 4, 7),
+                              {"particle_index": 4, "step_index": 7}),
+        DegenerateWeightsError: (DegenerateWeightsError("m", degenerate), degenerate),
+        RdeBlowupError: (RdeBlowupError("m", 3), {"step_index": 3}),
+        SimulationBlowupError: (SimulationBlowupError("m", 9), {"step_index": 9}),
+    }
+    assert set(built) == set(_ABORTS)
+    for kind, (exc, expected) in built.items():
+        assert type(exc) is kind and str(exc) == "m"
+        assert isinstance(exc.diagnostics, dict)
+        assert exc.diagnostics == expected
+        assert _abort_diagnostics(exc) == exc.diagnostics
+    assert built[ParticleBlowupError][0].particle_index == 4
+    assert built[ParticleBlowupError][0].step_index == 7
+    assert built[RdeBlowupError][0].step_index == 3
+    assert built[SimulationBlowupError][0].step_index == 9
 
 
 def test_simulation_blowup_aborts(tmp_path, capsys):

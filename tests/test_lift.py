@@ -270,6 +270,20 @@ def test_rho_p_validation_and_identity():
         rho_p(X, Y, 2.5)
 
 
+def test_rho_p_horizon_check_and_single_point():
+    """Paths on [0, 1] and [0, 2] are refused by the shared horizon check;
+    two one-point paths merge to one point, at distance 0."""
+    rng = np.random.default_rng(25)
+    X = stratonovich_lift(brownian_path(rng, 8, 2))
+    Y = stratonovich_lift(brownian_path(rng, 8, 2, T=2.0))
+    with pytest.raises(ValueError, match="horizon"):
+        rho_p(X, Y, 2.5)
+    with pytest.raises(ValueError, match="horizon"):
+        rho_p(Y, X, 2.5)
+    P = RoughPath(np.array([0.0]), np.zeros((1, 2)), np.zeros((1, 2, 2)))
+    assert rho_p(P, P, 2.5) == 0.0
+
+
 def test_rho_p_sees_pure_area_difference():
     # same level-1 path, extra area in level 2
     times = np.array([0.0, 1.0])

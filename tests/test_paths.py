@@ -10,6 +10,7 @@ from roughfilter.paths import (
     _BLOCK_ROWS,
     CadlagPath,
     _block_end,
+    _jump_alignment_anchors,
     _nearest_jump_lookup,
     _prunes,
     d_p,
@@ -59,6 +60,18 @@ def test_construction_validation():
         CadlagPath([0.0, 1.0], [[1.0], [2.0]], [[0.0], [2.0]])  # jump at t=0
     with pytest.raises(ValueError):
         CadlagPath([0.0, 1.0], [[1.0], [2.0]], interp="spline")
+
+
+def test_left_limits_equal_to_values_mean_no_jump():
+    """pre_values equal to values, up to the sign of a zero, are replaced
+    by a copy of values: the path has no jump and keeps its values' bits."""
+    values = np.array([[0.0], [1.0], [-0.0]])
+    x = CadlagPath([0.0, 0.5, 1.0], values, np.array([[0.0], [1.0], [0.0]]))
+    assert not x.has_jumps()
+    assert np.array_equal(np.signbit(x.pre_values), np.signbit(values))
+    assert x.pre_values is not x.values
+    jumpy = CadlagPath([0.0, 0.5, 1.0], values, np.array([[0.0], [0.5], [0.0]]))
+    assert jumpy.jump_mask.tolist() == [False, True, False]
 
 
 def test_evaluate_linear_and_left_limits():
@@ -185,6 +198,39 @@ def test_sigma_p_monotone_in_dyadic_warp_grid():
     y = random_path(rng, 7, 1, with_jumps=True)
     vals = [skorokhod_sigma_p(x, y, 2.0, m) for m in (1, 2, 4, 8)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def step_jumps(jump_times, T=1.0):
+    """A scalar path on [0, T] with a unit jump at each of jump_times."""
+    times = np.concatenate([[0.0], jump_times, [T]])
+    vals = np.concatenate([np.arange(len(jump_times) + 1.0), [len(jump_times)]])
+    pre = np.concatenate([[0.0], np.arange(len(jump_times) * 1.0), [len(jump_times)]])
+    return CadlagPath(times, vals, pre, "constant")
+
+
+def test_sigma_p_aligns_unequal_jump_counts():
+    """With more jumps in x than in y, each y jump (in time order) pairs
+    with the nearest x jump after the previous pair's; with more in y, the
+    pairing stops when x's jumps run out."""
+    x = step_jumps([0.3, 0.5, 0.8])
+    y = step_jumps([0.35, 0.75])
+    assert _jump_alignment_anchors(x, y, 1.0, 1e-12) == [(0.35, 0.3), (0.75, 0.8)]
+    assert _jump_alignment_anchors(y, x, 1.0, 1e-12) == [(0.3, 0.35), (0.5, 0.75)]
+    z = step_jumps([0.45])
+    w = step_jumps([0.2, 0.4, 0.9])
+    assert _jump_alignment_anchors(z, w, 1.0, 1e-12) == [(0.2, 0.45)]
+    for a, b in ((x, y), (y, x), (z, w)):
+        assert 0.0 < skorokhod_sigma_p(a, b, 2.0, 8) <= skorokhod_sigma_p(a, b, 2.0, 1)
+
+
+def test_sigma_p_warp_grid_between_powers_of_two():
+    """A warp_grid that is not a power of two adds one level after the
+    largest power of two below it, which starts from that level's best."""
+    rng = np.random.default_rng(18)
+    x = random_path(rng, 7, 1, with_jumps=True)
+    y = random_path(rng, 7, 1, with_jumps=True)
+    for m, below in ((3, 2), (6, 4), (12, 8)):
+        assert skorokhod_sigma_p(x, y, 2.0, m) <= skorokhod_sigma_p(x, y, 2.0, below)
 
 
 def test_sigma_p_validation():

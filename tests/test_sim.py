@@ -387,6 +387,44 @@ class TestHFunction:
         with pytest.raises(ValueError, match="singular"):
             sim.h_function(model, 0.0, np.zeros((4, 2)), np.zeros((4, 2)))
 
+    def test_plain_square_sigma2_one_state_matches_batch_row(self):
+        """A plain d x d sigma2 at one state is solved as one system: the
+        bits of that state's row in a batch, and a singular one raises
+        there as in the batch."""
+        base = sim.correlated_jump_multidim()
+        model = replace(base, sigma2=lambda t, y: np.array(base.sigma2(t, y)))
+        rng = np.random.default_rng(6)
+        xs, ys = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        batch = sim.h_function(model, 0.3, xs, ys)
+        for i in range(5):
+            assert np.array_equal(sim.h_function(model, 0.3, xs[i], ys[i]), batch[i])
+        singular = replace(base, sigma2=lambda t, y: np.broadcast_to(
+            [[1.0, 2.0], [0.5, 1.0]], np.shape(y)[:-1] + (2, 2)))
+        with pytest.raises(ValueError, match="singular"):
+            sim.h_function(singular, 0.3, xs[0], ys[0])
+        with pytest.raises(ValueError, match="singular"):
+            sim.h_function(singular, 0.3, xs, ys)
+
+    @pytest.mark.parametrize("name, x_shape, y_shape", [
+        ("correlated_jump_multidim", (3, 4, 2), (4, 2)),
+        ("correlated_jump_multidim", (4, 2), (3, 1, 2)),
+        ("scalar_jump_diffusion", (5, 1), (1,)),
+        ("scalar_jump_diffusion", (1,), (2, 3, 1)),
+    ])
+    def test_leading_shapes_broadcast_like_single_states(self, name, x_shape, y_shape):
+        """x and y of different leading shapes broadcast against each other;
+        each entry is h at its own pair of states, bit for bit."""
+        model = sim.get_model(name)
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal(x_shape), rng.standard_normal(y_shape)
+        h = sim.h_function(model, 0.2, x, y)
+        lead = np.broadcast_shapes(x_shape[:-1], y_shape[:-1])
+        assert h.shape == lead + (model.dim_y,)
+        xb = np.broadcast_to(x, lead + x_shape[-1:])
+        yb = np.broadcast_to(y, lead + y_shape[-1:])
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(sim.h_function(model, 0.2, xb[idx], yb[idx]), h[idx])
+
     def test_declared_sigma2_kept_once_on_the_model(self):
         """A declared sigma2 is kept in the model's _Declared, not on the
         shared coefficient: its 1 x 1 entry as the divisor, a d x d
