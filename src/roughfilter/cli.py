@@ -301,7 +301,8 @@ def _run_robustness(cfg: RunConfig, model, out_dir):
     f = FUNCTION_CATALOG[cfg.f_name]
     rows = robustness_experiment(model, f, cfg.T, list(cfg.meshes),
                                  particles=cfg.particles, seed_base=cfg.seed,
-                                 truth_steps=cfg.steps, p=cfg.p)
+                                 truth_steps=cfg.steps, p=cfg.p,
+                                 abort_log_weight=cfg.abort_log_weight)
     gaps = [r["gap"] for r in rows]
     slacks = [2.0 * r["combined_se"] for r in rows]
     trend = trend_non_increasing(gaps, slacks)
@@ -323,7 +324,7 @@ def _run_consistency(cfg: RunConfig, model, out_dir):
     out = robust_consistency_check(
         model, f, cfg.T, cfg.particles,
         seeds=range(cfg.seed, cfg.seed + cfg.n_seeds), grid=cfg.steps,
-        epsilon=_epsilon_for(cfg, model))
+        epsilon=_epsilon_for(cfg, model), abort_log_weight=cfg.abort_log_weight)
     rows = [{"seed": r["seed"], "mesh": cfg.steps, "norm": "none", **{
         k: r[k] for k in ("theta_rough", "theta_direct", "gap",
                           "combined_se", "pass")}} for r in out["rows"]]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lift import RoughPath, marcus_increment, rho_p
-from .paths import CadlagPath, skorokhod_sigma_p
+from .paths import WARP_GRID, CadlagPath, skorokhod_sigma_p
 from .tensor_group import GroupElement, group_inv, group_mul, group_pow, homogeneous_norm
 
 # Defaults of the fill-in: the delta sweep of alpha_p/beta_p (and of the
@@ -250,8 +250,8 @@ class DeltaSweep:
     jump_count_mismatch: bool
 
 
-def _delta_sweep(X: AdmissiblePair, Y: AdmissiblePair, delta_seq, metric,
-                 slot_steps: int) -> DeltaSweep:
+def _delta_sweep(X: AdmissiblePair, Y: AdmissiblePair, delta_seq,
+                 metric) -> DeltaSweep:
     deltas = list(delta_seq)
     if not deltas:
         raise ValueError("delta_seq must be non-empty")
@@ -261,25 +261,24 @@ def _delta_sweep(X: AdmissiblePair, Y: AdmissiblePair, delta_seq, metric,
         raise ValueError("dimension mismatch between pairs")
     values = []
     for d in deltas:
-        rx = build_representative(replace(X, delta=d), slot_steps)
-        ry = build_representative(replace(Y, delta=d), slot_steps)
+        rx = build_representative(replace(X, delta=d))
+        ry = build_representative(replace(Y, delta=d))
         values.append((float(d), float(metric(rx.rough, ry.rough))))
     mismatch = int(np.sum(X.rough.jump_flags)) != int(np.sum(Y.rough.jump_flags))
     return DeltaSweep(values[-1][1], tuple(values), mismatch)
 
 
 def beta_p(X: AdmissiblePair, Y: AdmissiblePair, p: float,
-           delta_seq=DELTA_SEQ, slot_steps: int = SLOT_STEPS) -> DeltaSweep:
+           delta_seq=DELTA_SEQ) -> DeltaSweep:
     """rho_p between delta-scaled continuous representatives, swept over
     delta; the estimate is the finest-delta value. When the two pairs carry
     different jump counts the slots are rank-aligned (absent ranks are
     zero-width no-ops) and the mismatch is flagged."""
-    return _delta_sweep(X, Y, delta_seq, lambda a, b: rho_p(a, b, p), slot_steps)
+    return _delta_sweep(X, Y, delta_seq, lambda a, b: rho_p(a, b, p))
 
 
 def alpha_p(X: AdmissiblePair, Y: AdmissiblePair, p: float,
-            delta_seq=DELTA_SEQ, slot_steps: int = SLOT_STEPS,
-            warp_grid: int = 8) -> DeltaSweep:
+            delta_seq=DELTA_SEQ, warp_grid: int = WARP_GRID) -> DeltaSweep:
     """Like beta_p but with the Skorokhod sigma_p metric on the level-1
     representatives (reported with the warp_grid used)."""
 
@@ -288,4 +287,4 @@ def alpha_p(X: AdmissiblePair, Y: AdmissiblePair, p: float,
         pb = CadlagPath(b.times, b.level1, None, "linear")
         return skorokhod_sigma_p(pa, pb, p, warp_grid)
 
-    return _delta_sweep(X, Y, delta_seq, metric, slot_steps)
+    return _delta_sweep(X, Y, delta_seq, metric)

@@ -300,7 +300,8 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
             h = np.concatenate([h, np.zeros(h.shape[:-1] + (1,))], axis=-1)
         return h[..., None, :]
 
-    def loading_rows(t, x, y):
+    def loading_rows(t, z):
+        x, y = z[..., :dx], z[..., dx:dx + dy]
         s1 = np.asarray(model.sigma1(t, x, y), dtype=float)
         s2 = np.asarray(model.sigma2(t, y), dtype=float)
         rows = np.concatenate(
@@ -316,20 +317,14 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
 
     kept = [_const_matrix(model.sigma1), _const_matrix(model.sigma2)] + (
         [_declared_matrix(model.f3), _declared_matrix(model.f2)] if extra else [])
-    if all(m is not None for m in kept):
-        block = _const(loading_rows(0.0, np.zeros(dx), np.zeros(dy)))
-
-        def evaluator(t, z):
-            return np.concatenate([block(t, z), h_row(t, z)], axis=-2)
-
-        return VectorField(evaluator, varying=(slice(dx + dy, None), h_row))
+    declared = all(m is not None for m in kept)
+    rows = _const(loading_rows(0.0, np.zeros(dx + dy))) if declared else loading_rows
 
     def evaluator(t, z):
         z = np.asarray(z, dtype=float)
-        rows = loading_rows(t, z[..., :dx], z[..., dx:dx + dy])
-        return np.concatenate([rows, h_row(t, z)], axis=-2)
+        return np.concatenate([rows(t, z), h_row(t, z)], axis=-2)
 
-    return VectorField(evaluator)
+    return VectorField(evaluator, varying=(slice(dx + dy, None), h_row) if declared else None)
 
 
 # -- jump records -----------------------------------------------------------
@@ -776,7 +771,8 @@ _CONSISTENCY_SEED = 90001
 
 def robust_consistency_check(model: ModelSpec, f: TestFunction, t: float,
                              particles: int, seeds, grid: int,
-                             epsilon: float = None) -> dict:
+                             epsilon: float = None,
+                             abort_log_weight: float = ABORT_LOG_WEIGHT) -> dict:
     """For each observation seed: simulate the physical pair, lift the
     realized observation, and compare theta along the lift against the
     direct reference-measure particle filter on the raw path. PASS means
@@ -785,9 +781,11 @@ def robust_consistency_check(model: ModelSpec, f: TestFunction, t: float,
     for seed in seeds:
         obs = realized_observation(model, t, grid, seed, epsilon=epsilon)
         th = theta(model, f, obs["driver"], obs["jump_record"], t,
-                   particles, _CONSISTENCY_SEED + 1000 * seed)
+                   particles, _CONSISTENCY_SEED + 1000 * seed,
+                   abort_log_weight=abort_log_weight)
         dr = direct_reference_filter(model, f, obs["Y"], obs["atoms"],
-                                     t, particles, _CONSISTENCY_SEED + 1000 * seed)
+                                     t, particles, _CONSISTENCY_SEED + 1000 * seed,
+                                     abort_log_weight=abort_log_weight)
         gap = abs(th.theta - dr.theta)
         comb = float(np.sqrt(th.theta_se ** 2 + dr.theta_se ** 2))
         rows.append({"seed": int(seed), "theta_rough": th.theta,
@@ -877,8 +875,7 @@ def flow_map(s, w: float, x: np.ndarray, substeps: int = FLOW_SUBSTEPS):
 
 def scalar_flow_filter_detail(model: ModelSpec, f: TestFunction,
                               obs: CadlagPath, particles: int, seed_base: int,
-                              jump_record=None, aux_sampler=None,
-                              abort_log_weight: float = ABORT_LOG_WEIGHT) -> FilterResult:
+                              jump_record=None, aux_sampler=None) -> FilterResult:
     """Filter value at the end of obs through the flow decomposition:
     X_t = phi(W_t, X~_t) with phi the one-parameter flow of sigma1 evaluated
     at the reconstructed Brownian input, and X~ solving the transformed SDE
@@ -887,7 +884,7 @@ def scalar_flow_filter_detail(model: ModelSpec, f: TestFunction,
     Brownian."""
     route = _FlowRoute(model, obs)
     return _sweep(model, route, f, float(route.times[-1]), jump_record,
-                  particles, seed_base, aux_sampler, abort_log_weight)
+                  particles, seed_base, aux_sampler, ABORT_LOG_WEIGHT)
 
 
 # -- interpolation robustness ----------------------------------------------
@@ -922,7 +919,8 @@ def trend_non_increasing(values, slacks) -> bool:
 def robustness_experiment(model: ModelSpec, f: TestFunction, t: float,
                           mesh_list, particles: int = 2000, seed_base: int = 0,
                           obs_seed: int = None, truth_steps: int = 512,
-                          p: float = P_VAR) -> list:
+                          p: float = P_VAR,
+                          abort_log_weight: float = ABORT_LOG_WEIGHT) -> list:
     """One realized observation; for each mesh, subsample the reconstructed
     Brownian input, build both interpolants on the mesh (linear: continuous
     lift; rectangular: jumpy Marcus lift), compute theta along each with
@@ -941,9 +939,10 @@ def robustness_experiment(model: ModelSpec, f: TestFunction, t: float,
     rows = []
     for mesh in mesh_list:
         lift_lin, lift_rect = mesh_lifts(obs, t, mesh)
-        th_lin = theta(model, f, lift_lin, record, t, particles, seed_base)
+        th_lin = theta(model, f, lift_lin, record, t, particles, seed_base,
+                       abort_log_weight=abort_log_weight)
         th_rect = theta(model, f, lift_rect, record, t, particles,
-                        seed_base + 611953)
+                        seed_base + 611953, abort_log_weight=abort_log_weight)
         dist = rho_p(lift_lin, lift_rect, p)
         gap = abs(th_lin.theta - th_rect.theta)
         comb = float(np.sqrt(th_lin.theta_se ** 2 + th_rect.theta_se ** 2))
@@ -963,8 +962,7 @@ def robustness_experiment(model: ModelSpec, f: TestFunction, t: float,
 
 def epsilon_stability_experiment(model: ModelSpec, f: TestFunction, t: float,
                                  epsilons, particles: int, seed: int,
-                                 seed_base: int = 50021, steps: int = 128,
-                                 p: float = P_VAR) -> dict:
+                                 steps: int = 128) -> dict:
     """Infinite-activity stability in the truncation level: one Brownian
     input and one nested atom stream; for each epsilon, the driver joins the
     input with the truncated jump path on a common grid (so particle noise
@@ -991,11 +989,11 @@ def epsilon_stability_experiment(model: ModelSpec, f: TestFunction, t: float,
         if not np.array_equal(xi.times, grid):
             raise RuntimeError("nested truncation left the common grid")
         res = theta(model, f, _jump_joined_lift(grid, w_grid, xi), None, t,
-                    particles, seed_base)
+                    particles, 50021)
         thetas.append(res.theta)
         ses.append(res.theta_se)
         xi_pairs.append(AdmissiblePair(marcus_lift(xi)))
-    betas = [float(beta_p(xi_pairs[i], xi_pairs[i + 1], p,
+    betas = [float(beta_p(xi_pairs[i], xi_pairs[i + 1], P_VAR,
                           delta_seq=(1.0,)).estimate)
              for i in range(len(eps) - 1)]
     gaps = [abs(thetas[i] - thetas[i + 1]) for i in range(len(eps) - 1)]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .paths import (
     _BLOCK_ROWS,
-    _REL_SLACK,
     CadlagPath,
+    _block_bound,
     _block_centers,
     _block_radii,
     _check_pair,
@@ -25,7 +25,6 @@ from .paths import (
     _norms,
     _prunes,
     _pvar_sum_dp,
-    _safe_bound,
     p_variation_of_points,
 )
 from .tensor_group import (
@@ -275,7 +274,7 @@ def _level2(z1, z2, j0, j1, cols):
 def _chen_bound(a1, a2, b1, b2, q):
     """bound of _pvar_sum_dp for the level-2 norms |D2(i, j)|, D2 = A2_ij -
     B2_ij, of the component-major running signatures of two paths, or None
-    where it is not set up (_safe_bound, or equal signatures). Chen's
+    where it is not set up (_block_bound, or equal signatures). Chen's
     relation X_ij = X_ic (x) X_cj, for any order of i, c and j, gives
     D2(i, j) = D2(i, c) + D2(c, j) + A1_ic (x) A1_cj - B1_ic (x) B1_cj, and
     the last two terms are half of Z_ic (x) S_cj + S_ic (x) Z_cj with Z =
@@ -304,8 +303,6 @@ def _chen_bound(a1, a2, b1, b2, q):
     size = m2a + m1a ** 2 + m2b + m1b ** 2
     slack = (d * (2.0 ** -45 * size + 2.0 ** -520 * (d + m1a + m1b))
              + _norm_floor(d * d, q))
-    if not _safe_bound(m, d * d, 16.0 * d * size + slack, q):
-        return None
     c = _block_centers(m)
     n = len(c)
 
@@ -313,7 +310,6 @@ def _chen_bound(a1, a2, b1, b2, q):
         return _increment_level2(z1[:, :n], z2[:, :, :n], z2[:, :, c], z1[:, c] - z1[:, :n],
                                  _outer)
 
-    r2 = _block_radii((to_centers(a1, a2) - to_centers(b1, b2)).reshape(d * d, n)) + slack
     z, s = a1 - b1, a1 + b1
     half_radii = 0.5 * np.stack([_block_radii(z[:, c] - z[:, :n]),
                                  _block_radii(s[:, c] - s[:, :n])])
@@ -323,20 +319,19 @@ def _chen_bound(a1, a2, b1, b2, q):
                                   z[:, _BLOCK_ROWS // 2:n:_BLOCK_ROWS]])
     arms = np.empty((2 * d, _BLOCK_ROWS))
 
-    def bound(j0, j1, blocks, probes):
+    def cross(j0, j1, blocks):
         np.add(a1[:, j0:j1], b1[:, j0:j1], out=arms[:d, :j1 - j0])
         np.subtract(a1[:, j0:j1], b1[:, j0:j1], out=arms[d:, :j1 - j0])
-        cross = arm_centers[:, None, blocks] - arms[:, :j1 - j0, None]
-        cross *= cross
-        cross = np.sqrt(np.add.reduce(cross.reshape(2, d, j1 - j0, -1), axis=1))
-        cross *= half_radii[:, None, blocks]
-        reach = np.add.reduce(cross, axis=0)
-        reach += probes
-        reach += r2[blocks]
-        reach *= 1.0 + _REL_SLACK
-        return reach
+        arm = arm_centers[:, None, blocks] - arms[:, :j1 - j0, None]
+        arm *= arm
+        arm = np.sqrt(np.add.reduce(arm.reshape(2, d, j1 - j0, -1), axis=1))
+        arm *= half_radii[:, None, blocks]
+        return np.add.reduce(arm, axis=0)
 
-    return bound
+    def radii():
+        return _block_radii((to_centers(a1, a2) - to_centers(b1, b2)).reshape(d * d, n)) + slack
+
+    return _block_bound(m, d * d, q, 16.0 * d * size + slack, radii, cross)
 
 
 def rho_p(X: RoughPath, Y: RoughPath, p: float) -> float:

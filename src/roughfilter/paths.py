@@ -20,6 +20,9 @@ _INTERPS = ("linear", "constant")
 # The default p-variation exponent: of the driver metrics of the sweeps, the
 # experiments and the CLI, and of the infinite-activity moment witness.
 P_VAR = 2.5
+# The default number of uniform warp segments of skorokhod_sigma_p and
+# fillin.alpha_p.
+WARP_GRID = 8
 
 
 @dataclass(frozen=True)
@@ -279,7 +282,7 @@ def _pvar_sum_dp(m: int, rows, power: float, per_cell: int, bound=None) -> float
       fl(best[i] + c(i, j)) <= UB_{j, K}.
     Level 2 adds slack for its cancellation (lift._chen_bound). The callers
     set a bound up only for finite inputs small enough that no norm, cost,
-    bound or sum of costs overflows (_safe_bound), so no NaN or inf meets
+    bound or sum of costs overflows (_block_bound), so no NaN or inf meets
     it, and only where _prunes(m, per_cell).
 
     Where the bound keeps more than _PRUNE_KEEP of a group's blocks, the
@@ -306,19 +309,16 @@ def _pvar_sum_dp(m: int, rows, power: float, per_cell: int, bound=None) -> float
             retry = j0 + (group << fails)
         if pruned:
             pieces, head = pruned
-            for cols in pieces:
-                costs = rows(j0, j1, cols)
-                np.power(costs, power, out=costs)
-                k = min(j0, cols.stop) - cols.start
-                if k:
-                    np.maximum(head, np.maximum.reduce(best[cols.start:cols.start + k]
-                                                       + costs[:, :k], axis=1), out=head)
-        else:
+        else:  # a plain block: one piece of all columns, no probes
             j1 = _block_end(j0, m, per_cell)
-            costs = rows(j0, j1, slice(0, j1))
+            pieces, head = [slice(0, j1)], None
+        for cols in pieces:
+            costs = rows(j0, j1, cols)
             np.power(costs, power, out=costs)
-            k = j0
-            head = np.maximum.reduce(best[:k] + costs[:, :k], axis=1)
+            k = min(j0, cols.stop) - cols.start
+            if k:
+                part = np.maximum.reduce(best[cols.start:cols.start + k] + costs[:, :k], axis=1)
+                head = part if head is None else np.maximum(head, part, out=head)
         head = head.tolist()
         n = j1 - j0
         tri = costs[:, k:][_STRICTLY_LOWER[:n, :n]].tolist()  # row by row
@@ -366,36 +366,43 @@ def _norm_floor(per_cell: int, power: float) -> float:
     return per_cell * 2.0 ** -520 + 2.0 ** (-1000.0 / power)
 
 
-def _safe_bound(m: int, per_cell: int, reach: float, power: float) -> bool:
-    """Whether the slack of _pvar_sum_dp holds (power >= 1, per_cell at
-    most _BLOCK_ELEMENTS, so that a pruned group has a row) and no norm or
-    bound of at most reach, its square or power, or a sum of m such powers
-    overflows; False for NaN."""
-    return (power >= 1.0 and per_cell <= _BLOCK_ELEMENTS and reach < 2.0 ** 500
-            and (reach <= 1.0 or power * math.log2(reach) + math.log2(m) < 1000))
+def _block_bound(m: int, per_cell: int, power: float, reach: float, radii, cross):
+    """bound of _pvar_sum_dp for one level, or None where its slack does not
+    hold. The slack needs power >= 1, per_cell at most _BLOCK_ELEMENTS (so
+    that a pruned group has a row), and no norm or bound of at most
+    `reach`, its square or power, or sum of m such powers, that overflows;
+    a NaN reach fails. For row j and column block K the bound is (cross +
+    probe + radius) (1 + _REL_SLACK), added in that order: probe is the norm
+    at K's center, radius K's entry of radii(), and cross, at level 2 only,
+    the entry of cross(j0, j1, blocks) (level 1 passes None). radii() is
+    called only where the slack holds, so that it cannot overflow."""
+    if not (power >= 1.0 and per_cell <= _BLOCK_ELEMENTS and reach < 2.0 ** 500
+            and (reach <= 1.0 or power * math.log2(reach) + math.log2(m) < 1000)):
+        return None
+    radii = radii()
+
+    def bound(j0, j1, blocks, probes):
+        near = probes if cross is None else cross(j0, j1, blocks) + probes
+        return (near + radii[blocks]) * (1.0 + _REL_SLACK)
+
+    return bound
 
 
 def _distance_bound(comps: np.ndarray, p: float):
     """bound of _pvar_sum_dp for the norms |z_j - z_i| of the points given
-    as a (d, m) array, or None where it is not set up (_safe_bound, or all
+    as a (d, m) array, or None where it is not set up (_block_bound, or all
     points 0): by the triangle inequality, |z_j - z_i| <= |z_j - z_c| + r_K
     for i in block K, r_K the radius of the block about its center c."""
     d, m = comps.shape
     if not _prunes(m, d):
         return None
     top = float(np.max(np.abs(comps), initial=0.0))
-    floor = _norm_floor(d, p)
-    if not top or not _safe_bound(m, d, 4.0 * math.sqrt(d) * top + floor, p):
+    if not top:
         return None  # all points 0 (rho_p(X, X)): every cost is 0, none is skipped
+    floor = _norm_floor(d, p)
     c = _block_centers(m)
-    radii = _block_radii(comps[:, :len(c)] - comps[:, c]) + floor
-
-    def bound(j0, j1, blocks, probes):
-        reach = probes + radii[blocks]
-        reach *= 1.0 + _REL_SLACK
-        return reach
-
-    return bound
+    return _block_bound(m, d, p, 4.0 * math.sqrt(d) * top + floor,
+                        lambda: _block_radii(comps[:, :len(c)] - comps[:, c]) + floor, None)
 
 
 def p_variation_of_points(points: np.ndarray, p: float) -> float:
@@ -595,7 +602,8 @@ def _jump_alignment_anchors(x: CadlagPath, y: CadlagPath, T: float, tol: float):
     return out
 
 
-def skorokhod_sigma_p(x: CadlagPath, y: CadlagPath, p: float, warp_grid: int = 8) -> float:
+def skorokhod_sigma_p(x: CadlagPath, y: CadlagPath, p: float,
+                      warp_grid: int = WARP_GRID) -> float:
     """Upper bound of inf over time warps of max(|lambda - id|, d_p(x o lambda, y)).
 
     The infimum is restricted to piecewise-linear warps, refined dyadically up

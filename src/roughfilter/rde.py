@@ -182,16 +182,6 @@ class RdeSolution:
     states: np.ndarray  # (times, e), or (times, n, e) for n start states
     scheme_meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
-        if s.ndim == 1:
-            s = s[:, None]
-        if s.shape[0] != len(t):
-            raise ValueError("states and times must align")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-
 
 def davie_step(V: VectorField, t: float, y: np.ndarray, g1: np.ndarray,
                g2: np.ndarray) -> np.ndarray:

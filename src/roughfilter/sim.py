@@ -383,13 +383,14 @@ def _lambda_bounds(model: ModelSpec):
     return lo, hi
 
 
-def validate_model(model: ModelSpec, seed: int = 0, n_probes: int = 64) -> dict:
-    """Probe the standing assumptions at random states: linear coefficient
-    growth, invertible sigma2 with bounded inverse, lambda bounded away from
-    0 and infinity, the (1-lambda)^2/lambda integrability functional, and the
-    p-moment witness in the infinite-activity regime. Returns a report; the
-    'ok' entry is the conjunction."""
-    rng = np.random.default_rng(seed)
+def validate_model(model: ModelSpec) -> dict:
+    """Probe the standing assumptions at 64 random states (seed 0): linear
+    coefficient growth, invertible sigma2 with bounded inverse, lambda
+    bounded away from 0 and infinity, the (1-lambda)^2/lambda integrability
+    functional, and the p-moment witness in the infinite-activity regime.
+    Returns a report; the 'ok' entry is the conjunction."""
+    n_probes = 64
+    rng = np.random.default_rng(0)
     xs = rng.standard_normal((n_probes, model.dim_x)) * 3.0
     ys = rng.standard_normal((n_probes, model.dim_y)) * 3.0
     ts = rng.uniform(0.0, 1.0, n_probes)
@@ -641,10 +642,9 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle):
 
     def euler_rates(t, xv, yv, dB, dW, dt):
         bx, by = rates(model, t, xv, yv)[:2]
-        s0 = np.asarray(model.sigma0(t, xv, yv), dtype=float)
-        s1 = np.asarray(model.sigma1(t, xv, yv), dtype=float)
-        s2 = np.asarray(model.sigma2(t, yv), dtype=float)
-        return bx * dt + s0 @ dB + s1 @ dW, by * dt + s2 @ dW
+        return (bx * dt + _loading(model.sigma0, t, xv, yv) @ dB
+                + _loading(model.sigma1, t, xv, yv) @ dW,
+                by * dt + _loading(model.sigma2, t, yv) @ dW)
 
     for k in range(n - 1):
         t, dt = float(times[k]), float(times[k + 1] - times[k])
@@ -763,15 +763,15 @@ def reconstruct_wtilde(model: ModelSpec, Y: CadlagPath) -> CadlagPath:
     n = len(times)
     out = np.zeros((n, model.dim_y))
     w = np.zeros(model.dim_y)
+    kept, nu2 = model._declared_one, model.nu2
     for k in range(n - 1):
         t0 = float(times[k])
         dt = float(times[k + 1] - times[k])
         y0v = Y.values[k]
         dy = Y.pre_values[k + 1] - y0v
-        if isinstance(model.nu2, LevyMeasure):
-            dy = dy + dt * model.nu2.integrate(lambda u: model.f2(t0, y0v, u))
-        s2 = np.asarray(model.sigma2(t0, y0v), dtype=float)
-        w = w + np.linalg.solve(s2, dy)
+        if isinstance(nu2, LevyMeasure):
+            dy = dy + dt * _atom_sum(nu2, _at_marks(kept.f2, model.f2, nu2, t0, 1, y0v))
+        w = w + np.linalg.solve(_loading(model.sigma2, t0, y0v), dy)
         out[k + 1] = w
     return CadlagPath(times, out, None, "linear")
 
@@ -781,19 +781,14 @@ def reconstruct_wtilde(model: ModelSpec, Y: CadlagPath) -> CadlagPath:
 
 def _const(mat):
     """A coefficient constant in (t, state): (t, state...) -> mat broadcast
-    over the leading axes of the first state argument, as one read-only
-    view per leading shape, made on the first call with that shape. The
-    callable carries `mat` as its `matrix` and is marked `constant`, which
-    is how the filter knows the coefficient is constant (see _const_matrix)."""
+    over the leading axes of the first state argument, as a read-only view.
+    The callable carries `mat` as its `matrix` and is marked `constant`,
+    which is how the filter knows the coefficient is constant (see
+    _const_matrix)."""
     mat = np.asarray(mat, dtype=float)
-    views = {}
 
     def f(t, *state):
-        lead = np.shape(state[0])[:-1]
-        view = views.get(lead)
-        if view is None:
-            view = views[lead] = np.broadcast_to(mat, lead + mat.shape)
-        return view
+        return np.broadcast_to(mat, np.shape(state[0])[:-1] + mat.shape)
 
     f.matrix = mat
     f.constant = True

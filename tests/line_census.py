@@ -1,0 +1,182 @@
+"""Line census of src/roughfilter: which code lines a run executes, and
+which it never does.
+
+pytest does not collect this module (its name does not start with test_).
+Three ways to run it, from the root of the repository:
+
+  python3 tests/line_census.py workloads [--seed 4242] [--hits FILE]
+      one cycle of each benchmark workload of bench/workloads.py (set-up,
+      warm-up and every unit of the cycle's rounds), then the report
+  PYTHONPATH=src:tests python3 -m pytest -q -p line_census
+      the test suite as a pytest plugin; the report is printed at the end,
+      and the hits go to $LINE_CENSUS_OUT if that is set
+  python3 tests/line_census.py report FILE [FILE ...]
+      the report for the union of hit files written by the other two
+
+Tracing starts before roughfilter is imported, so module-level lines count
+as run. A code line is a line number that the compiled module attributes
+to an instruction (co_lines of the module and every nested code object),
+less blank, comment and docstring lines. The report lists each code line no
+traced frame ever reached, as path:line: source, and the count per module.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import sys
+import tempfile
+import threading
+import types
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "roughfilter")
+
+
+class LineTracer:
+    """Records (file, line) for every line event of a frame whose code lies
+    under src/roughfilter; frames elsewhere are not traced line by line."""
+
+    def __init__(self):
+        self.hits = {}  # absolute file path -> set of line numbers
+        # co_filename -> the local tracer of its file, or None outside
+        # PACKAGE; made once per file, so that tracing allocates nothing
+        # per call (the suite measures allocations with tracemalloc)
+        self._locals = {}
+
+    def _global(self, frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in self._locals:
+            self._locals[name] = self._local_for(os.path.abspath(name))
+        return self._locals[name]
+
+    def _local_for(self, path: str):
+        if not path.startswith(PACKAGE + os.sep):
+            return None
+        lines = self.hits.setdefault(path, set())
+
+        def local(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return local
+
+        return local
+
+    def start(self):
+        threading.settrace(self._global)
+        sys.settrace(self._global)
+
+    def stop(self):
+        sys.settrace(None)
+        threading.settrace(None)
+
+    def dump(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({os.path.relpath(f, ROOT): sorted(v) for f, v in self.hits.items()},
+                      fh)
+
+
+def code_lines(path: str) -> set:
+    """The code lines of one module (see the module docstring)."""
+    with open(path, encoding="utf-8") as fh:
+        src = fh.read()
+    lines, stack = set(), [compile(src, path, "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    for node in ast.walk(ast.parse(src)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            lines -= set(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    text = src.splitlines()
+    return {n for n in lines if text[n - 1].strip()
+            and not text[n - 1].lstrip().startswith("#")}
+
+
+def report(hits: dict) -> None:
+    """Print the never-run code lines of every module and their count."""
+    total = 0
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE, name)
+        missed = sorted(code_lines(path) - set(hits.get(path, ())))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().splitlines()
+        for n in missed:
+            print(f"{os.path.relpath(path, ROOT)}:{n}: {text[n - 1].strip()}")
+        print(f"# {name}: {len(missed)} code lines never run")
+        total += len(missed)
+    print(f"# total: {total} code lines never run")
+
+
+def run_workloads(seed: int) -> LineTracer:
+    """The tracer of one cycle of each benchmark workload at `seed`."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    tracer = LineTracer()
+    tracer.start()
+    try:
+        import workloads
+
+        for name in workloads.WORKLOADS:
+            with tempfile.TemporaryDirectory() as workdir:
+                wl = workloads.make(name, seed, False, workdir)
+                try:
+                    wl.setup()
+                    wl.warmup()
+                    for r in range(wl.cycle):
+                        for unit in wl.round(r):
+                            unit.check(unit.call())
+                finally:
+                    wl.close()
+    finally:
+        tracer.stop()
+    return tracer
+
+
+# -- pytest plugin (-p line_census) -------------------------------------------
+
+_PLUGIN_TRACER = LineTracer()
+
+
+def pytest_configure(config):
+    _PLUGIN_TRACER.start()
+
+
+def pytest_unconfigure(config):
+    _PLUGIN_TRACER.stop()
+    if os.environ.get("LINE_CENSUS_OUT"):
+        _PLUGIN_TRACER.dump(os.environ["LINE_CENSUS_OUT"])
+    report(_PLUGIN_TRACER.hits)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="mode", required=True)
+    wl = sub.add_parser("workloads", help="one cycle of each benchmark workload")
+    wl.add_argument("--seed", type=int, default=4242)
+    wl.add_argument("--hits", help="also write the hits to this JSON file")
+    rp = sub.add_parser("report", help="report on hit files")
+    rp.add_argument("files", nargs="+")
+    args = ap.parse_args(argv)
+    if args.mode == "workloads":
+        tracer = run_workloads(args.seed)
+        if args.hits:
+            tracer.dump(args.hits)
+        hits = tracer.hits
+    else:
+        hits = {}
+        for name in args.files:
+            with open(name, encoding="utf-8") as fh:
+                for path, lines in json.load(fh).items():
+                    hits.setdefault(os.path.join(ROOT, path), set()).update(lines)
+    report(hits)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

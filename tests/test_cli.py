@@ -24,10 +24,11 @@ from roughfilter.filtering import (
     DegenerateWeightsError,
     ParticleBlowupError,
     WeightAbortError,
+    realized_observation,
 )
 from roughfilter.lift import read_rough_path_json
 from roughfilter.rde import RdeBlowupError
-from roughfilter.sim import SimulationBlowupError
+from roughfilter.sim import SimulationBlowupError, get_model
 
 
 def _read_csv(path):
@@ -152,9 +153,19 @@ def test_wongzakai_distances_decrease(tmp_path):
 def test_simulate_lift_rde_consistency_artifacts(tmp_path):
     out = str(tmp_path / "misc")
     assert main(["simulate", "--model", "stable_shot_noise", "--epsilon",
-                 "0.1", "--steps", "16", "--out", out]) == 0
+                 "0.1", "--alpha", "1.5", "--steps", "16", "--out", out]) == 0
     sim_rows = _read_csv(os.path.join(out, "simulate.csv"))
     assert {"time", "x0", "y0", "wtilde"} <= set(sim_rows[0])
+    # --alpha builds the stable model with that tail index, bit for bit
+    obs = realized_observation(get_model("stable_shot_noise", alpha=1.5),
+                               1.0, 16, 0, epsilon=0.1)
+    for col, path in (("x0", obs["X"]), ("y0", obs["Y"]), ("wtilde", obs["wtilde"])):
+        assert [float(r[col]) for r in sim_rows] == path.values[:, 0].tolist()
+    assert _read_json(os.path.join(out, "simulate.json"))["atoms"] == [
+        [at, mark.tolist()] for at, mark in obs["atoms"]]
+    default_alpha = realized_observation(get_model("stable_shot_noise"), 1.0, 16, 0,
+                                      epsilon=0.1)
+    assert default_alpha["X"].values[-1, 0] != obs["X"].values[-1, 0]
 
     assert main(["lift", "--model", "scalar_jump_diffusion", "--steps", "16",
                  "--out", out]) == 0
@@ -187,24 +198,28 @@ def test_exit_codes(tmp_path, capsys):
                  "--out", out]) == 2
     assert main(["robustness", "--model", "stable_shot_noise",
                  "--out", out]) == 2  # infinite-activity model rejected
-    assert main(["filter", "--model", "scalar_jump_diffusion",
-                 "--steps", "32", "--abort-log-weight", "1e-6",
-                 "--out", out]) == 3
-    err = capsys.readouterr().err
-    assert "unknown model" in err and "numerical abort" in err
-    # an aborted run leaves only its manifest, with the error's diagnostics
-    assert os.listdir(out) == ["filter_manifest.json"]
-    manifest = _read_json(os.path.join(out, "filter_manifest.json"))
-    assert manifest["status"] == "aborted"
-    assert manifest["aux_stream"] == AUX_STREAM
-    assert manifest["config"]["abort_log_weight"] == 1e-6
-    error = manifest["error"]
-    assert error["type"] == "WeightAbortError"
-    assert "exceeds the abort threshold" in error["message"]
-    diag = error["diagnostics"]
-    assert diag["threshold"] == 1e-6
-    assert diag["min_log_weight"] <= diag["max_log_weight"]
-    assert isinstance(diag["particle_index"], int)
+    assert "unknown model" in capsys.readouterr().err
+    # every command that runs particle sweeps stops at the threshold
+    written = []
+    for command in ("filter", "robustness", "consistency"):
+        assert main([command, "--model", "scalar_jump_diffusion",
+                     "--steps", "32", "--abort-log-weight", "1e-6",
+                     "--out", out]) == 3, command
+        assert "numerical abort" in capsys.readouterr().err
+        # an aborted run leaves only its manifest, with the error's diagnostics
+        written.append(f"{command}_manifest.json")
+        assert sorted(os.listdir(out)) == sorted(written)
+        manifest = _read_json(os.path.join(out, written[-1]))
+        assert manifest["status"] == "aborted"
+        assert manifest["aux_stream"] == AUX_STREAM
+        assert manifest["config"]["abort_log_weight"] == 1e-6
+        error = manifest["error"]
+        assert error["type"] == "WeightAbortError"
+        assert "exceeds the abort threshold" in error["message"]
+        diag = error["diagnostics"]
+        assert diag["threshold"] == 1e-6
+        assert diag["min_log_weight"] <= diag["max_log_weight"]
+        assert isinstance(diag["particle_index"], int)
     assert _abort_diagnostics(ParticleBlowupError("m", 4, 7)) == {
         "particle_index": 4, "step_index": 7}
     assert _abort_diagnostics(RdeBlowupError("m", 3)) == {"step_index": 3}

@@ -886,6 +886,18 @@ def test_rejects_off_grid_and_initial_atoms():
         theta(model, FUNCTION_CATALOG["one"], drv, [(0.0, 1.0)], 1.0, 10, 0)
 
 
+def test_atoms_past_the_horizon_are_skipped():
+    """Observed atoms after t, on the grid or off it, leave theta at t as it
+    is, bit for bit."""
+    model = get_model("scalar_jump_diffusion")
+    drv = _linear_driver(np.linspace(0.0, 1.0, 5), [0.0, 0.1, 0.0, -0.1, 0.2])
+    f = FUNCTION_CATALOG["identity"]
+    record = [(0.25, 1.0)]
+    res = theta(model, f, drv, record, 0.5, 50, 3)
+    assert res.driver_meta["observed_atoms"] == 1
+    assert theta(model, f, drv, record + [(0.75, -1.0), (0.8, 1.0)], 0.5, 50, 3) == res
+
+
 def test_rejects_wrong_driver_dimension():
     model = get_model("linear_gaussian")
     times = np.linspace(0.0, 1.0, 5)

@@ -94,6 +94,23 @@ def test_lift_consistency_random():
         assert geometric_defect_max(X) < 1e-12
 
 
+def test_chen_defect_past_40_points_matches_loop():
+    """Past 40 points chen_defect checks the splits (0, j, n - 1) of the
+    whole path: the value of an explicit loop over those triples."""
+    rng = np.random.default_rng(23)
+    X = marcus_lift(jumpy_path(rng, 60, 2, n_jumps=4))
+    n = len(X.times)
+    assert n > 40
+    whole = X.increment(0, n - 1)
+    loop = 0.0
+    for j in range(1, n - 1):
+        ab = group_mul(X.increment(0, j), X.increment(j, n - 1))
+        loop = max(loop, float(np.max(np.abs(ab.level1 - whole.level1))),
+                   float(np.max(np.abs(ab.level2 - whole.level2))))
+    assert chen_defect(X) == loop
+    assert loop < 1e-12
+
+
 def test_marcus_pure_jump():
     delta = np.array([1.5, -0.5])
     x = CadlagPath([0.0, 1.0], [np.zeros(2), delta],

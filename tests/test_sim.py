@@ -71,6 +71,17 @@ class TestModelCatalog:
         report = sim.validate_model(model)
         assert report["ok"], report
 
+    def test_validate_model_failure_reports(self):
+        """A non-finite coefficient and a singular sigma2 at a probe each
+        fail the report, with their reason."""
+        base = sim.get_model("linear_gaussian")
+        nan_drift = replace(base, b1=lambda t, x, y: np.full(np.shape(x), np.nan))
+        assert sim.validate_model(nan_drift) == {
+            "ok": False, "reason": "non-finite coefficient at probe"}
+        report = sim.validate_model(replace(base, sigma2=sim._const([[0.0]])))
+        assert report["ok"] is False
+        assert report["reason"].startswith("sigma2 singular at probe t=")
+
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             sim.get_model("nope")
@@ -701,8 +712,8 @@ class TestShotNoise:
 
 
 class TestDeclaredViews:
-    """_const hands out one read-only view per leading shape; _linear_mark
-    keeps nothing per mark."""
+    """_const hands out read-only views; _linear_mark keeps nothing per
+    mark."""
 
     def test_const_view_is_read_only(self):
         f = sim._const([[0.5, 0.1], [0.0, 0.4]])
@@ -712,13 +723,6 @@ class TestDeclaredViews:
             with pytest.raises(ValueError, match="read-only"):
                 view[...] = 0.0
         assert np.array_equal(f.matrix, [[0.5, 0.1], [0.0, 0.4]])
-
-    def test_const_same_leading_shape_same_object(self):
-        f = sim._const([[0.3]])
-        a = f(0.0, np.zeros((7, 1)), np.ones((7, 1)))
-        assert f(1.0, np.full((7, 1), 2.0), np.zeros((7, 1))) is a
-        assert f(0.0, np.zeros((7, 3, 1)), None) is not a
-        assert f(0.0, [0.0], None) is f(0.5, np.ones(1), None)
 
     def test_linear_mark_keeps_nothing_per_mark(self):
         """1,000 distinct observed marks on single and batched states leave
