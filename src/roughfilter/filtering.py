@@ -375,10 +375,26 @@ class _Route:
     def start(self, N: int):
         self.x, self.y = (np.repeat(np.array(v)[:, None], N, axis=1)
                           for v in (self.model.x0, self.model.y0))
+        kept = self.model._declared_batch.f1
+        # a declared f1's kept values, one column per mark of nu1, found by
+        # the mark's bytes
+        self.kept_f1 = None if not kept else (
+            {np.asarray(u).tobytes(): c for c, u in enumerate(self.model.nu1.marks())},
+            np.concatenate(kept, axis=1))
 
     def aux_jumps(self, t1: float, atoms):
-        """Auxiliary nu1 atoms [(particle, mark)]: X jumps by f1."""
+        """Auxiliary nu1 atoms [(particle, mark)]: X jumps by f1, each
+        particle's atoms in their order. A declared f1 adds its kept values
+        at all of a segment's atoms by one np.add.at, which applies a
+        repeated particle once per atom, in order; a plain f1, or an atom
+        whose mark is not one of nu1's, is evaluated atom by atom."""
         x, y = self.x, self.y
+        if self.kept_f1 is not None and atoms:
+            index, values = self.kept_f1
+            at = [index.get(np.asarray(mark, dtype=float).tobytes()) for _, mark in atoms]
+            if None not in at:
+                np.add.at(x, (slice(None), [i for i, _ in atoms]), values[:, at])
+                return
         for i, mark in atoms:
             x[:, i] += np.asarray(self.model.f1(t1, x[:, i], y[:, i], mark))
 

@@ -274,7 +274,8 @@ def _level2(z1, z2, j0, j1, cols):
 def _chen_bound(a1, a2, b1, b2, q):
     """bound of _pvar_sum_dp for the level-2 norms |D2(i, j)|, D2 = A2_ij -
     B2_ij, of the component-major running signatures of two paths, or None
-    where it is not set up (_block_bound, or equal signatures). Chen's
+    where it is not set up (_block_bound; equal signatures that are not
+    too large for it leave rho_p at _no_difference). Chen's
     relation X_ij = X_ic (x) X_cj, for any order of i, c and j, gives
     D2(i, j) = D2(i, c) + D2(c, j) + A1_ic (x) A1_cj - B1_ic (x) B1_cj, and
     the last two terms are half of Z_ic (x) S_cj + S_ic (x) Z_cj with Z =
@@ -295,8 +296,8 @@ def _chen_bound(a1, a2, b1, b2, q):
     that; and d 2^-520 (d + M1A + M1B) for underflow where a radius
     multiplies a level-1 norm, besides the slack of _pvar_sum_dp."""
     d, m = a1.shape
-    if not _prunes(m, d * d) or (np.array_equal(a1, b1) and np.array_equal(a2, b2)):
-        return None  # equal signatures (rho_p(X, X)): every cost is 0, none is skipped
+    if not _prunes(m, d * d):
+        return None
     m1a, m1b, m2a, m2b = (float(np.max(np.abs(z), initial=0.0)) for z in (a1, b1, a2, b2))
     if not (max(m1a, m1b) < 2.0 ** 100 and max(m2a, m2b) < 2.0 ** 200):
         return None
@@ -334,6 +335,18 @@ def _chen_bound(a1, a2, b1, b2, q):
     return _block_bound(m, d * d, q, 16.0 * d * size + slack, radii, cross)
 
 
+def _no_difference(A1, A2, B1, B2) -> bool:
+    """Whether the merged running signatures are equal, with finite entries
+    small enough (level 1 below 2^500, level 2 below 2^1000) that no
+    level-2 increment overflows: then every difference of increments is x -
+    x = +0.0, every cost 0 and both recursions' value 0.0, so rho_p returns
+    0.0 without them. NaN, inf and larger entries take the recursions,
+    which return NaN where inf - inf meets."""
+    return (np.array_equal(A1, B1) and np.array_equal(A2, B2)
+            and float(np.max(np.abs(A1), initial=0.0)) < 2.0 ** 500
+            and float(np.max(np.abs(A2), initial=0.0)) < 2.0 ** 1000)
+
+
 def rho_p(X: RoughPath, Y: RoughPath, p: float) -> float:
     """Rough p-variation distance: max over levels k=1,2 of the DP-sup of
     (sum |X^k - Y^k|^{p/k})^{k/p} over merged-grid partitions; NaN when
@@ -343,7 +356,7 @@ def rho_p(X: RoughPath, Y: RoughPath, p: float) -> float:
     _check_pair(X, Y)
     _, (A1, A2), (B1, B2) = _merged_running(X, Y)
     m = len(A1)
-    if m < 2:
+    if m < 2 or _no_difference(A1, A2, B1, B2):
         return 0.0
 
     lvl1 = p_variation_of_points(A1 - B1, p)

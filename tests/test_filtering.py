@@ -24,6 +24,7 @@ from roughfilter.filtering import (
     ParticleBlowupError,
     TestFunction,
     WeightAbortError,
+    _Route,
     _RoughRoute,
     _joint_field,
     _scalar_sigma1,
@@ -884,6 +885,45 @@ def test_rejects_off_grid_and_initial_atoms():
         theta(model, FUNCTION_CATALOG["one"], drv, [(0.3, 1.0)], 1.0, 10, 0)
     with pytest.raises(ValueError, match="initial time"):
         theta(model, FUNCTION_CATALOG["one"], drv, [(0.0, 1.0)], 1.0, 10, 0)
+
+
+def test_declared_aux_jumps_match_the_atom_loop():
+    """A declared f1 adds its kept values at a segment's auxiliary atoms by
+    one np.add.at, without calling f1: the particles end where the loop
+    over the atoms of a plain f1 puts them, bit for bit, with several atoms
+    of one mark and of different marks on one particle, a mark given as a
+    list, and particles without atoms. A mark that is not one of nu1's
+    sends the segment through the loop."""
+    rng = np.random.default_rng(11)
+    marks = rng.standard_normal((3, 2))
+    calls = []
+    jump = sim._linear_mark(rng.standard_normal((2, 2)))
+
+    def counted(*args):
+        calls.append(args[-1])
+        return jump(*args)
+
+    counted.matrix = jump.matrix
+    declared = replace(get_model("correlated_jump_multidim"), f1=counted,
+                       nu1=LevyMeasure(tuple((tuple(u), 0.5) for u in marks)))
+    plain = replace(declared, f1=_plain(jump))
+    atoms = [(0, marks[1]), (2, marks[0]), (2, marks[2]), (2, marks[0]),
+             (3, marks[1].tolist()), (5, marks[2]), (5, marks[2])]
+    x, y = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
+    for extra, f1_calls in (([], 0), ([(4, np.array([9.0, 9.0]))], len(atoms) + 1)):
+        ends = []
+        for model in (declared, plain):
+            route = _Route()
+            route.model = model
+            route.start(6)
+            route.x, route.y = x.copy(), y.copy()
+            calls.clear()
+            route.aux_jumps(0.5, atoms + extra)
+            ends.append(route.x)
+            if model is declared:
+                assert len(calls) == f1_calls
+        assert ends[0].tobytes() == ends[1].tobytes()
+        assert not np.array_equal(ends[0], x)
 
 
 def test_atoms_past_the_horizon_are_skipped():

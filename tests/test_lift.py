@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from test_paths import block_edge_lengths, cell_counts, first_pruned_length
 
 from roughfilter.fillin import AdmissiblePair, build_representative, linear_path_function
+from roughfilter import lift
 from roughfilter.filtering import FUNCTION_CATALOG, theta
 from roughfilter.lift import (
     RoughPath,
@@ -31,6 +32,7 @@ from roughfilter.rde import constant_vector_field, solve_canonical_rde
 from roughfilter.sim import get_model
 from roughfilter.tensor_group import (
     GroupElement,
+    _element,
     group_exp,
     group_increment,
     group_log,
@@ -369,11 +371,17 @@ def row_loop_rho_p(X, Y, p):
     GroupElement sub-batches by group_increment; NaN when either level is
     NaN."""
     _, (A1, A2), (B1, B2) = _merged_running(X, Y)
+    return row_loop_levels(A1, A2, B1, B2, p)
+
+
+def row_loop_levels(A1, A2, B1, B2, p):
+    """row_loop_rho_p on merged running signatures, which may hold inf and
+    NaN (unvalidated batches)."""
     m = len(A1)
     if m < 2:
         return 0.0
     q = p / 2.0
-    A, B = GroupElement(A1, A2), GroupElement(B1, B2)
+    A, B = _element(A1, A2), _element(B1, B2)
     best1, best2 = np.zeros(m), np.zeros(m)
     for j in range(1, m):
         c1 = np.linalg.norm((A1 - B1)[:j] - (A1 - B1)[j], axis=1) ** p
@@ -386,6 +394,51 @@ def row_loop_rho_p(X, Y, p):
     if math.isnan(lvl1) or math.isnan(lvl2):
         return math.nan
     return max(lvl1, lvl2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), m=st.integers(2, 40),
+       kind=st.sampled_from(["equal", "large", "ulp level 1", "ulp level 2", "huge level 1",
+                             "huge level 2", "inf", "nan"]),
+       p=st.one_of(st.just(2.5), st.floats(2.0, 3.0, exclude_max=True)))
+def test_rho_p_zero_difference_exit_matches_row_loop(seed, d, m, kind, p):
+    """rho_p skips both recursions for equal merged signatures whose
+    entries are finite and small enough that no level-2 increment
+    overflows ("equal", and "large", just below 2^500 at level 1 and
+    2^1000 at level 2), and returns the row loop's 0.0. Every other pair
+    takes the recursions and equals the row loop, NaN as NaN: one entry one
+    ulp off, equal entries at 2^500 or 2^1000 and beyond, inf or NaN."""
+    rng = np.random.default_rng(seed)
+    A1, A2 = rng.standard_normal((m, d)), rng.standard_normal((m, d, d))
+    A1[0], A2[0] = 0.0, 0.0
+    j = int(rng.integers(1, m))
+    if kind == "large":
+        A1 *= 1.99 * 2.0 ** 499 / np.max(np.abs(A1))
+        A2 *= 1.99 * 2.0 ** 999 / np.max(np.abs(A2))
+    elif kind == "huge level 1":
+        A1 *= 2.0 ** 500 * rng.uniform(1.0, 2.0 ** 20) / np.max(np.abs(A1))
+    elif kind == "huge level 2":
+        A2 *= 2.0 ** 1000 * rng.uniform(1.0, 2.0 ** 20) / np.max(np.abs(A2))
+    elif kind in ("inf", "nan"):
+        (A1 if rng.random() < 0.5 else A2)[j] = np.inf if kind == "inf" else np.nan
+    B1, B2 = A1.copy(), A2.copy()
+    if kind == "ulp level 1":
+        B1[j, 0] = np.nextafter(B1[j, 0], np.inf)
+    elif kind == "ulp level 2":
+        B2[j, 0, -1] = np.nextafter(B2[j, 0, -1], -np.inf)
+    X = RoughPath(np.linspace(0.0, 1.0, m), np.zeros((m, d)), np.zeros((m, d, d)))
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(lift, "_merged_running", lambda *_: (None, (A1, A2), (B1, B2)))
+        level2_runs = []
+        inner = lift._pvar_sum_dp
+        patch.setattr(lift, "_pvar_sum_dp", lambda *a: level2_runs.append(1) or inner(*a))
+        got = lift.rho_p(X, X, p)
+        want = row_loop_levels(A1, A2, B1, B2, p)
+    assert repr(got) == repr(want)
+    exits = kind in ("equal", "large")
+    assert (not level2_runs) == exits
+    if exits:
+        assert repr(got) == "0.0"
 
 
 def shared_grid_marcus_pair(rng, m, d, jumps, rounded):

@@ -1,17 +1,20 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import fminbound
 
 from roughfilter import lift, paths
+from roughfilter.fillin import AdmissiblePair, alpha_p
 from roughfilter.paths import (
     _BLOCK_ROWS,
     CadlagPath,
     _block_end,
     _jump_alignment_anchors,
-    _nearest_jump_lookup,
+    _pinned_values,
     _prunes,
     d_p,
     merge_difference,
@@ -242,35 +245,244 @@ def test_sigma_p_validation():
         skorokhod_sigma_p(x, y, 2.0, 2)
 
 
-def loop_nearest_jump_lookup(times, t, tol):
-    """Per-point reference: of the samples around t, the earlier within tol."""
-    idx = np.searchsorted(times, t)
-    out = np.full(len(t), -1, dtype=int)
-    for k, (i, tk) in enumerate(zip(idx, t)):
-        for j in (i - 1, i):
-            if 0 <= j < len(times) and abs(times[j] - tk) <= tol:
-                out[k] = j
+def loop_pinned_values(path, t, tol):
+    """The two-lookup reference, point by point: the segment lookup (a
+    sample's values at its own time, else linear interpolation toward the
+    next left limit or the held value), then the nearest-sample lookup: of
+    the two samples around t, the earlier one within tol gives both
+    values."""
+    tt, n = path.times, len(path.times)
+    right = np.empty((len(t), path.dim))
+    left = np.empty_like(right)
+    for j, tj in enumerate(t):
+        i = max(int(np.searchsorted(tt, tj, side="right")) - 1, 0)
+        r = l = path.values[i]
+        if tt[i] == tj:
+            l = path.pre_values[i]
+        elif path.interp == "linear" and i < n - 1:
+            frac = (tj - tt[i]) / (tt[i + 1] - tt[i])
+            r = l = path.values[i] + frac * (path.pre_values[i + 1] - path.values[i])
+        after = int(np.searchsorted(tt, tj))
+        for s in (after - 1, after):
+            if 0 <= s < n and abs(tt[s] - tj) <= tol:
+                r, l = path.values[s], path.pre_values[s]
                 break
-    return out
+        right[j], left[j] = r, l
+    return right, left
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
-       max_gap=st.sampled_from([2, 8, 4096]))
-def test_nearest_jump_lookup_matches_loop(seed, n, max_gap):
-    # dyadic times and tol, so that t = sample +- tol is exact; gaps of
-    # tol/4 .. 2 tol put some t within tol of both samples around it
+       max_gap=st.sampled_from([2, 8, 4096]), d=st.integers(1, 2), jumps=st.booleans(),
+       interp=st.sampled_from(["linear", "constant"]))
+def test_pinned_values_match_two_lookup_loop(seed, n, max_gap, d, jumps, interp):
+    """One search gives the two lookups' right values and left limits bit
+    for bit, at tol and at 0 (evaluate's): at sample times, within tol of
+    one and just beyond, within tol of two (the earlier wins), before
+    times[0] and past T. Dyadic times and tol make t = sample +- tol exact;
+    gaps of tol/4 .. 2 tol put some t within tol of both samples around
+    it. A jump-free path returns its right values as its left limits."""
     rng = np.random.default_rng(seed)
     tol = 2.0 ** -10
     steps = rng.integers(1, max_gap + 1, n - 1) * 2.0 ** -12
     times = np.concatenate([[0.0], np.cumsum(steps)])
     T = times[-1]
+    beyond = tol + 2.0 ** -20
     t = np.concatenate([times, times + tol, times - tol, times + 0.5 * tol,
-                        rng.uniform(-1.0, T + 1.0, 8), [-tol, T + tol, -1.0, T + 1.0]])
+                        times + beyond, times - beyond, rng.uniform(-1.0, T + 1.0, 8),
+                        [-tol, T + tol, -1.0, T + 1.0]])
     rng.shuffle(t)
-    x = CadlagPath(times, np.zeros(n))
-    np.testing.assert_array_equal(_nearest_jump_lookup(x, t, tol),
-                                  loop_nearest_jump_lookup(times, t, tol))
+    values = rng.standard_normal((n, d))
+    pre = values.copy()
+    if jumps:
+        at = rng.random(n) < 0.5
+        at[0] = False
+        pre[at] += rng.standard_normal((int(at.sum()), d))
+    x = CadlagPath(times, values, pre, interp)
+    for tolerance in (tol, 0.0):
+        right, left = _pinned_values(x, t, tolerance)
+        want_right, want_left = loop_pinned_values(x, t, tolerance)
+        assert right.tobytes() == want_right.tobytes()
+        assert left.tobytes() == want_left.tobytes()
+        assert (left is right) == (not x.has_jumps())
+
+
+def reference_warped_objective(x, y, knots_t, knots_s, p):
+    """The warp objective evaluated from scratch at one knot vector, its
+    paths read by loop_pinned_values and its visited points interleaved."""
+    warp = float(np.max(np.abs(knots_s - knots_t)))
+    tol = 1e-12 * max(1.0, x.T)
+    cand = np.sort(np.concatenate([np.interp(x.times, knots_s, knots_t), y.times, knots_t]))
+    cand = cand[np.concatenate([[True], np.diff(cand) > tol])]
+    xr, xl = loop_pinned_values(x, np.interp(cand, knots_t, knots_s), tol)
+    yr, yl = loop_pinned_values(y, cand, tol)
+    seq = np.empty((2 * len(cand) - 1, x.dim))
+    seq[0::2], seq[1::2] = xr - yr, (xl - yl)[1:]
+    seq = seq[np.concatenate([[True], np.any(seq[1:] != seq[:-1], axis=1)])]
+    return max(warp, p_variation_of_points(seq, p))
+
+
+def dyadic_path(rng, n, d, jumps, interp):
+    """A path on n distinct times of [0, 1] on the grid of 1/64 (so that
+    warped times meet sample times and knots exactly), with jumps at about
+    half of its interior times if `jumps`."""
+    inner = np.sort(rng.choice(np.arange(1, 64), size=n - 2, replace=False)) / 64.0
+    times = np.concatenate([[0.0], inner, [1.0]])
+    values = rng.standard_normal((n, d))
+    pre = values.copy()
+    if jumps:
+        at = rng.random(n) < 0.5
+        at[0] = False
+        pre[at] += rng.standard_normal((int(at.sum()), d))
+    return CadlagPath(times, values, pre, interp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2), m=st.sampled_from([2, 4, 8]),
+       jumps=st.sampled_from([(False, False), (True, False), (False, True), (True, True)]),
+       interps=st.sampled_from([("linear", "linear"), ("linear", "constant"),
+                                ("constant", "linear")]))
+def test_knot_objective_matches_one_evaluation(seed, d, m, jumps, interps):
+    """The objective of one knot, with its fixed parts computed once and a
+    memo shared with the other knots, equals the objective evaluated from
+    scratch at each trial knot vector, bit for bit: trial values on the
+    dyadic grid of the paths and the knots (ties between warped times,
+    sample times and knots), x's sample times and values 2^-44 from them
+    (x's sample there is pulled back to within tol of knot k, and merged
+    with it), and random values."""
+    rng = np.random.default_rng(seed)
+    x = dyadic_path(rng, int(rng.integers(2, 12)), d, jumps[0], interps[0])
+    y = dyadic_path(rng, int(rng.integers(2, 12)), d, jumps[1], interps[1])
+    p = float(rng.choice([1.5, 2.0, 2.5]))
+    knots_t = np.linspace(0.0, 1.0, m + 1)
+    knots_s = np.concatenate([[0.0], np.sort(rng.choice(np.arange(1, 64), m - 1,
+                                                        replace=False)) / 64.0, [1.0]])
+    memo = {}
+    whole = paths._warp_objective(x, y, p, knots_t, knots_s, None, memo)(None)
+    assert repr(whole) == repr(reference_warped_objective(x, y, knots_t, knots_s, p))
+    for k in range(1, m):
+        lo, hi = knots_s[k - 1], knots_s[k + 1]
+        objective = paths._warp_objective(x, y, p, knots_t, knots_s, k, memo)
+        grid = np.arange(lo * 128 + 1, hi * 128) / 128.0
+        on_x = x.times[(lo < x.times) & (x.times < hi)]
+        values = [float(v) for v in np.concatenate([rng.choice(grid, min(4, len(grid))), on_x,
+                                                    on_x + 2.0 ** -44, on_x - 2.0 ** -44,
+                                                    rng.uniform(lo, hi, 2)])]
+        for s in values:
+            trial = knots_s.copy()
+            trial[k] = s
+            got = objective(s)
+            assert repr(got) == repr(reference_warped_objective(x, y, knots_t, trial, p))
+            assert objective(s) is got  # answered from the memo
+
+
+def alpha_mesh8_pair():
+    """The input of test_golden_metrics.py::test_golden_alpha_p_mesh8."""
+    rng = np.random.default_rng(20261018)
+    n = 2 ** 11
+    w = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n) / np.sqrt(n))])
+    sub = np.linspace(0.0, 1.0, 9)
+    v = np.interp(sub, np.linspace(0.0, 1.0, n + 1), w)
+    pre = np.concatenate([v[:1], v[:-1]])
+    L = lift.stratonovich_lift(CadlagPath(sub, v[:, None], None, "linear"))
+    R = lift.marcus_lift(CadlagPath(sub, v[:, None], pre[:, None], "constant"))
+    return AdmissiblePair(L), AdmissiblePair(R)
+
+
+def record_trials(monkeypatch):
+    """Wrap paths._warp_objective to record, in order, what the warp search
+    asks for: (k, knot time, knot value) for each call of one knot's
+    objective, and (knot times, knot values) as bytes for every request."""
+    trials, requests = [], []
+    inner = paths._warp_objective
+
+    def recording(x, y, p, knots_t, knots_s, k, memo):
+        objective = inner(x, y, p, knots_t, knots_s, k, memo)
+
+        def called(s):
+            trial = knots_s.copy()
+            if k is not None:
+                trials.append((k, float(knots_t[k]), s))
+                trial[k] = s
+            requests.append((knots_t.tobytes(), trial.tobytes()))
+            return objective(s)
+
+        return called
+
+    monkeypatch.setattr(paths, "_warp_objective", recording)
+    return trials, requests
+
+
+# sha256 of repr([(k, s), ...]): the knot index and value of each call of a
+# knot's objective (Brent's and the trial knot values'), in order, over the
+# two deltas of test_golden_metrics.py::test_golden_alpha_p_mesh8, recorded
+# before the objective was computed per knot and remembered per call.
+ALPHA_MESH8_TRIALS = (947, "1061bbfaa705a89266550234619135efcc88af263ee8a0e9010d48f1dd10cdd6")
+
+
+def test_warp_search_trial_sequence_pinned(monkeypatch):
+    trials, _ = record_trials(monkeypatch)
+    X, Y = alpha_mesh8_pair()
+    alpha_p(X, Y, 2.5, delta_seq=(1.0, 0.5))
+    sequence = [(k, s) for k, _, s in trials]
+    assert (len(sequence), hashlib.sha256(repr(sequence).encode()).hexdigest()) == \
+        ALPHA_MESH8_TRIALS
+
+
+def test_warp_search_evaluates_each_knot_vector_once(monkeypatch):
+    """A knot vector asked for again within one skorokhod_sigma_p call is
+    answered from its memo: one p-variation per distinct (knot times, knot
+    values), fewer than the requests."""
+    _, requests = record_trials(monkeypatch)
+    evaluations = []
+    inner = paths.p_variation_of_points
+    monkeypatch.setattr(paths, "p_variation_of_points",
+                        lambda points, p: evaluations.append(p) or inner(points, p))
+    X, Y = alpha_mesh8_pair()
+    alpha_p(X, Y, 2.5, delta_seq=(1.0,))
+    assert len(evaluations) == len(set(requests)) < len(requests)
+
+
+def test_sigma_p_at_zero_horizon():
+    """Paths on [0, 0] hold one sample each: nothing can be warped and
+    there is no increment, so sigma_p is 0.0, as d_p."""
+    x = CadlagPath([0.0], [[1.0, 2.0]])
+    y = CadlagPath([0.0], [[0.5, -1.0]])
+    assert repr(skorokhod_sigma_p(x, y, 2.0, 8)) == repr(d_p(x, y, 2.0)) == "0.0"
+
+
+def test_sigma_p_skips_a_knot_without_room(monkeypatch):
+    """y's jumps at 5e-8 and 1e-7 become knots. The first, between 0 and
+    1e-7, is closer to both than the search's margin of 1e-7 allows: the
+    first sweep of warp_grid 2 skips it and searches the knot at 1e-7
+    first."""
+    trials, _ = record_trials(monkeypatch)
+    x = CadlagPath(np.linspace(0.0, 1.0, 9), np.sin(np.arange(9.0))[:, None])
+    times = np.array([0.0, 5e-8, 1e-7, 0.25, 0.75, 1.0])
+    values = np.array([[0.0], [0.5], [1.0], [-1.0], [0.0], [0.5]])
+    pre = values.copy()
+    pre[[1, 2]] = [[0.0], [0.5]]
+    y = CadlagPath(times, values, pre, "linear")
+    sigma = skorokhod_sigma_p(x, y, 2.0, 8)
+    assert trials[0][:2] == (2, 1e-7)
+    assert sigma <= skorokhod_sigma_p(x, y, 2.0, 1)
+
+
+def test_brent_stops_at_500_calls():
+    """With xatol 0 and its minimum at 0, the search's tolerance shrinks
+    with |x| and it never converges: it stops after 500 calls of f, at
+    the point and value of scipy's fminbound with maxfun=500."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return abs(x)
+
+    f_min, x_min = paths._brent_bounded(f, -1.0, 1.0, 0.0)
+    x_ref, f_ref, flag, n_ref = fminbound(lambda x: abs(x), -1.0, 1.0, xtol=0.0,
+                                          maxfun=500, full_output=True, disp=0)
+    assert len(calls) == n_ref == 500 and flag == 1
+    assert (x_min, f_min) == (float(x_ref), float(f_ref))
 
 
 def cell_counts(monkeypatch):
