@@ -28,10 +28,7 @@ from .fillin import DELTA_SEQ, AdmissiblePair, beta_p
 from .filtering import (
     ABORT_LOG_WEIGHT,
     AUX_STREAM,
-    DegenerateWeightsError,
     FUNCTION_CATALOG,
-    ParticleBlowupError,
-    WeightAbortError,
     _joint_field,
     mesh_lifts,
     realized_observation,
@@ -42,8 +39,8 @@ from .filtering import (
 )
 from .lift import rho_p, stratonovich_lift, write_rough_path_json
 from .paths import P_VAR, CadlagPath
-from .rde import RdeBlowupError, solve_canonical_rde
-from .sim import MODEL_BUILDERS, SimulationBlowupError, get_model
+from .rde import NumericalAbort, solve_canonical_rde
+from .sim import MODEL_BUILDERS, get_model
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -369,15 +366,6 @@ _PIPELINES = {"lift": _run_lift, "metrics": _run_metrics, "rde": _run_rde,
               "wongzakai": _run_wongzakai}
 COMMANDS = tuple(_PIPELINES)
 
-# numerical failures: exit code 3, with an "aborted" manifest
-_ABORTS = (WeightAbortError, ParticleBlowupError, DegenerateWeightsError,
-           RdeBlowupError, SimulationBlowupError)
-
-
-def _abort_diagnostics(exc) -> dict:
-    """The diagnostics each abort type fills in its constructor."""
-    return dict(exc.diagnostics)
-
 
 def run(cfg: RunConfig) -> int:
     start = time.perf_counter()
@@ -394,10 +382,10 @@ def run(cfg: RunConfig) -> int:
     }
     try:
         rows, cols, payload, norm = _PIPELINES[cfg.command](cfg, model, out_dir)
-    except _ABORTS as exc:
+    except NumericalAbort as exc:  # exit code 3, with an "aborted" manifest
         manifest.update(status="aborted", wall_time_s=time.perf_counter() - start,
                         error={"type": type(exc).__name__, "message": str(exc),
-                               "diagnostics": _abort_diagnostics(exc)})
+                               "diagnostics": dict(exc.diagnostics)})
         _write_json(base + "_manifest.json", manifest)
         raise
 
@@ -458,7 +446,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except _ABORTS as exc:
+    except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -111,13 +111,8 @@ ABORT_LOG_WEIGHT = 60.0
 
 
 class ParticleBlowupError(NumericalAbort):
-    """A particle state left the finite range; carries which one and when."""
-
-    def __init__(self, message: str, particle_index: int, step_index: int):
-        super().__init__(message, {"particle_index": particle_index,
-                                   "step_index": step_index})
-        self.particle_index = particle_index
-        self.step_index = step_index
+    """A particle state left the finite range; its diagnostics name which
+    one and when."""
 
 
 class WeightAbortError(NumericalAbort):
@@ -659,7 +654,8 @@ def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
         if not finite.all():
             i = int(np.argmin(finite))
             raise ParticleBlowupError(
-                f"particle {i} blew up at step {k} (t={t1})", i, k)
+                f"particle {i} blew up at step {k} (t={t1})",
+                {"particle_index": i, "step_index": k})
 
     amax = float(np.max(np.abs(logw)))
     if amax > abort_log_weight:

@@ -423,7 +423,7 @@ def _distance_bound(comps: np.ndarray, p: float):
         return None
     top = float(np.max(np.abs(comps), initial=0.0))
     if not top:
-        return None  # all points 0 (d_p(x, x)): every cost is 0, none is skipped
+        return None  # all points 0 (rho_p's level 1 of a pair that shares it): no cost is skipped
     floor = _norm_floor(d, p)
     c = _block_centers(m)
     return _block_bound(m, d, p, 4.0 * math.sqrt(d) * top + floor,

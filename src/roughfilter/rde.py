@@ -22,8 +22,9 @@ from .tensor_group import group_pow
 
 
 class NumericalAbort(RuntimeError):
-    """A numerical failure that stops a run. Each subclass fills
-    `diagnostics`, the dict that the CLI's aborted manifest reports."""
+    """A numerical failure that stops a run. Every abort type is a subclass
+    built as NumericalAbort(message, diagnostics); the CLI catches this base
+    and reports `diagnostics` in its aborted manifest."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -31,13 +32,9 @@ class NumericalAbort(RuntimeError):
 
 
 class RdeBlowupError(NumericalAbort):
-    """Raised when a state stops being finite; `step_index` is the driver
-    segment k whose Davie steps on [t_k, t_{k+1}], or whose jump at t_{k+1},
-    produced it."""
-
-    def __init__(self, message: str, step_index: int):
-        super().__init__(message, {"step_index": step_index})
-        self.step_index = step_index
+    """Raised when a state stops being finite; diagnostics["step_index"] is
+    the driver segment k whose Davie steps on [t_k, t_{k+1}], or whose jump
+    at t_{k+1}, produced it."""
 
 
 # RK4 substeps per unit jump size of a Marcus time-1 flow
@@ -280,7 +277,7 @@ def solve_canonical_rde(V: VectorField, pair: AdmissiblePair, y0, steps: int,
                             slot_substeps)
             total += 1
         if not np.all(np.isfinite(y)):
-            raise RdeBlowupError(f"state blew up at step {k}", k)
+            raise RdeBlowupError(f"state blew up at step {k}", {"step_index": k})
         out.append(y.copy())
     return RdeSolution(X.times, np.asarray(out),
                        {"scheme": "davie2+marcus", "steps_total": total,

@@ -608,12 +608,9 @@ def _accepted_nu2(model: ModelSpec, noise: NoiseBundle, X: CadlagPath):
 
 
 class SimulationBlowupError(NumericalAbort):
-    """Raised when the simulated state stops being finite; `step_index` is
-    the grid step k whose Heun step on [t_k, t_{k+1}] produced it."""
-
-    def __init__(self, message: str, step_index: int):
-        super().__init__(message, {"step_index": step_index})
-        self.step_index = step_index
+    """Raised when the simulated state stops being finite;
+    diagnostics["step_index"] is the grid step k whose Heun step on
+    [t_k, t_{k+1}] produced it."""
 
 
 def simulate_pair(model: ModelSpec, noise: NoiseBundle):
@@ -654,7 +651,8 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle):
         x = x + 0.5 * (dx1 + dx2)
         y = y + 0.5 * (dy1 + dy2)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise SimulationBlowupError(f"simulation blew up at step {k}", k)
+            raise SimulationBlowupError(f"simulation blew up at step {k}",
+                                        {"step_index": k})
         preX[k + 1], preY[k + 1] = x, y
         tk = float(times[k + 1])
         for a in nu1_at.get(k + 1, ()):

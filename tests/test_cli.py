@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import roughfilter
+from roughfilter import cli
 from roughfilter.cli import (
-    _ABORTS,
+    COMMANDS,
     RunConfig,
-    _abort_diagnostics,
     build_config,
     load_config_file,
     main,
@@ -27,7 +27,7 @@ from roughfilter.filtering import (
     realized_observation,
 )
 from roughfilter.lift import read_rough_path_json
-from roughfilter.rde import RdeBlowupError
+from roughfilter.rde import NumericalAbort, RdeBlowupError
 from roughfilter.sim import SimulationBlowupError, get_model
 
 
@@ -220,35 +220,59 @@ def test_exit_codes(tmp_path, capsys):
         assert diag["threshold"] == 1e-6
         assert diag["min_log_weight"] <= diag["max_log_weight"]
         assert isinstance(diag["particle_index"], int)
-    assert _abort_diagnostics(ParticleBlowupError("m", 4, 7)) == {
-        "particle_index": 4, "step_index": 7}
-    assert _abort_diagnostics(RdeBlowupError("m", 3)) == {"step_index": 3}
+
+
+def _abort_types():
+    """Every subclass of NumericalAbort that the package defines, found
+    recursively, in a fixed order."""
+    found, todo = set(), [NumericalAbort]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("roughfilter.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return sorted(found, key=lambda kind: kind.__name__)
 
 
 def test_every_abort_carries_its_diagnostics():
-    """Each abort type the CLI catches fills `diagnostics` from its own
-    constructor arguments, and the manifest reports that dict as it is."""
-    weights = {"max_log_weight": 70.0, "min_log_weight": -1.0,
-               "particle_index": 2, "threshold": 60.0}
-    degenerate = {"max_log_weight": 1.0, "min_log_weight": 0.5, "n_nonfinite": 3}
+    """Each abort type is built as NumericalAbort(message, diagnostics) and
+    keeps that dict as its raise site gave it. The table lists the dict each
+    raise site builds; an abort type added without an entry fails here."""
     built = {
-        WeightAbortError: (WeightAbortError("m", weights), weights),
-        ParticleBlowupError: (ParticleBlowupError("m", 4, 7),
-                              {"particle_index": 4, "step_index": 7}),
-        DegenerateWeightsError: (DegenerateWeightsError("m", degenerate), degenerate),
-        RdeBlowupError: (RdeBlowupError("m", 3), {"step_index": 3}),
-        SimulationBlowupError: (SimulationBlowupError("m", 9), {"step_index": 9}),
+        WeightAbortError: {"max_log_weight": 70.0, "min_log_weight": -1.0,
+                           "particle_index": 2, "threshold": 60.0},
+        ParticleBlowupError: {"particle_index": 4, "step_index": 7},
+        DegenerateWeightsError: {"max_log_weight": 1.0, "min_log_weight": 0.5,
+                                 "n_nonfinite": 3},
+        RdeBlowupError: {"step_index": 3},
+        SimulationBlowupError: {"step_index": 9},
     }
-    assert set(built) == set(_ABORTS)
-    for kind, (exc, expected) in built.items():
-        assert type(exc) is kind and str(exc) == "m"
-        assert isinstance(exc.diagnostics, dict)
-        assert exc.diagnostics == expected
-        assert _abort_diagnostics(exc) == exc.diagnostics
-    assert built[ParticleBlowupError][0].particle_index == 4
-    assert built[ParticleBlowupError][0].step_index == 7
-    assert built[RdeBlowupError][0].step_index == 3
-    assert built[SimulationBlowupError][0].step_index == 9
+    assert set(built) == set(_abort_types())
+    for kind, diagnostics in built.items():
+        assert "__init__" not in vars(kind)
+        exc = kind("m", diagnostics)
+        assert str(exc) == "m" and exc.diagnostics == diagnostics
+
+
+@pytest.mark.parametrize("kind", _abort_types(), ids=lambda kind: kind.__name__)
+def test_cli_reports_every_abort(kind, tmp_path, monkeypatch, capsys):
+    """Whatever abort type a pipeline raises, main exits 3 and writes only
+    the aborted manifest, whose diagnostics equal the raised dict."""
+    command = COMMANDS[_abort_types().index(kind) % len(COMMANDS)]
+    diagnostics = {"step_index": 5, "particle_index": 2, "max_log_weight": 61.5}
+
+    def pipeline(cfg, model, out_dir):
+        raise kind("it broke", diagnostics)
+
+    monkeypatch.setitem(cli._PIPELINES, command, pipeline)
+    out = str(tmp_path)
+    assert main([command, "--out", out]) == 3
+    assert capsys.readouterr().err == "numerical abort: it broke\n"
+    assert os.listdir(out) == [f"{command}_manifest.json"]
+    manifest = _read_json(os.path.join(out, f"{command}_manifest.json"))
+    assert manifest["status"] == "aborted"
+    assert manifest["error"] == {"type": kind.__name__, "message": "it broke",
+                                 "diagnostics": diagnostics}
 
 
 def test_simulation_blowup_aborts(tmp_path, capsys):

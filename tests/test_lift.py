@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_paths import block_edge_lengths, cell_counts, first_pruned_length
@@ -535,10 +535,16 @@ def pruning_pair(rng, family, m, d):
     then steps of 1e-6 (the level-2 increments cancel), a constant path
     (zero costs), steps near 1e-170 or 1e-155 (their squares underflow),
     or the level2_only pair of test_rho_p_matches_row_loop_at_block_edges
-    (Y with X's level 1)."""
+    (Y with X's level 1). In the bump family Y is X, drifting by 10 in
+    each component, moved by 1e-3 at points 3 to 5 of the first column
+    block: level 1 differs only there, so from every later block center c
+    to j the level-2 difference is 0, and the row maxima come from that
+    block through its cross terms of lift._chen_bound alone."""
     t = np.linspace(0.0, 1.0, m + 1)
     steps = rng.standard_normal((m, d)) / np.sqrt(m)
-    if family == "offset":
+    if family == "bump":
+        steps += 10.0 / m
+    elif family == "offset":
         steps[0] = 1e3
         steps[1:] *= 1e-6
     elif family == "equal":
@@ -553,19 +559,30 @@ def pruning_pair(rng, family, m, d):
         walk = np.cumsum(rng.standard_normal((m + 1, d, d)) / np.sqrt(m), axis=0)
         walk[0] = 0.0
         return X, RoughPath(t, X.level1, X.level2 + walk)
+    if family == "bump":
+        w = v.copy()
+        w[3:6] += 1e-3 * rng.standard_normal(d)
+        return X, stratonovich_lift(CadlagPath(t, w))
     coarse = np.unique(np.append(np.arange(0, m + 1, 2), m))
     return X, stratonovich_lift(CadlagPath(t[coarse], v[coarse]))
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), data=st.data(),
-       family=st.sampled_from(("walk", "ties", "offset", "equal", "tiny", "level2_only")),
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), extra=st.integers(0, 250),
+       family=st.sampled_from(("walk", "ties", "offset", "equal", "tiny", "level2_only",
+                               "bump")),
        p=st.one_of(st.just(2.5), st.floats(2.0, 3.0, exclude_max=True)))
-def test_rho_p_matches_row_loop_when_pruned(seed, d, data, family, p):
+@example(seed=1, d=2, extra=118, family="bump", p=2.5)
+@example(seed=0, d=1, extra=0, family="level2_only", p=2.5)
+def test_rho_p_matches_row_loop_when_pruned(seed, d, extra, family, p):
     """Merged lengths from the first at which either level's recursion
-    tries its bound."""
+    tries its bound, plus `extra`. The bump family's row maxima rest on the
+    cross terms of lift._chen_bound: with them halved, rho_p leaves the row
+    loop on it, the explicit example included. The level2_only example
+    prunes level 1 at d = 1 with every level-1 point 0, which sets no
+    bound (paths._distance_bound)."""
     start = min(first_pruned_length(d), first_pruned_length(d * d))
-    m = data.draw(st.integers(start, start + 250), label="m")
+    m = start + extra
     X, Y = pruning_pair(np.random.default_rng(seed), family, m - 1, d)
     assert len(_merged_running(X, Y)[0]) == m
     assert repr(rho_p(X, Y, p)) == repr(row_loop_rho_p(X, Y, p))

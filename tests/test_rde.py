@@ -213,7 +213,7 @@ def test_blowup_raises_with_step_index():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RdeBlowupError) as info:
             solve_canonical_rde(V, AdmissiblePair(X), [3.0], steps=100)
-    assert info.value.step_index >= 0
+    assert info.value.diagnostics["step_index"] >= 0
 
 
 def test_blowup_step_index_names_driver_segment():
@@ -230,7 +230,7 @@ def test_blowup_step_index_names_driver_segment():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RdeBlowupError) as info:
             solve_canonical_rde(V, AdmissiblePair(X), [0.5], steps=1000)
-    assert info.value.step_index == 7
+    assert info.value.diagnostics == {"step_index": 7}
 
 
 def _full_jacobian(V, t, y):
