@@ -55,7 +55,9 @@ particles, such as a declared sigma1 dW, is a column (d, 1). Plain callables
 keep their protocol: they get the views x.T, y.T.
 
 A sweep draws the auxiliary noise of all its particles in one call,
-aux_sampler(seed_base, N); the default draws one block from
+aux_sampler(seed_base, N) -> (dB, (segment, particle, mark)): the nu1 atoms
+are one table, rows sorted by segment, then particle, then time, and each
+step applies its segment's slice of rows. The default draws one block from
 SeedSequence(seed_base) (gaussian_poisson_sampler, scheme AUX_STREAM), and
 per_seed_sampler adapts a sampler keyed by one seed per particle. The
 estimates are taken from log weights shifted by their maximum.
@@ -197,11 +199,17 @@ AUX_STREAM = ("block/v1: SeedSequence(seed_base).spawn(3); "
               "time-ordered within each particle")
 
 
+# The table of a draw without auxiliary atoms.
+_NO_ATOMS = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 1)))
+
+
 def gaussian_poisson_sampler(model: ModelSpec, times: np.ndarray):
     """Default auxiliary sampler on a grid: sample(seed_base, N) returns the
     fresh Brownian increments for sigma0 of N particles, dB of shape
-    (N, n_seg, d_B), and their nu1 atoms as {segment: [(particle, mark)]},
-    applied at segment right endpoints (AUX_STREAM names the scheme).
+    (N, n_seg, d_B), and their nu1 atoms as one table (segment, particle,
+    mark): int arrays (K,), (K,) and the marks (K, d_u), rows sorted by
+    segment, then particle, then time. An atom applies at its segment's
+    right endpoint (AUX_STREAM names the scheme).
 
     SeedSequence(seed_base) spawns three independent streams: the first
     draws dB in one standard_normal block (particle-major), the second the
@@ -227,22 +235,16 @@ def gaussian_poisson_sampler(model: ModelSpec, times: np.ndarray):
         noise, counts_ss, rows_ss = np.random.SeedSequence(seed_base).spawn(3)
         dB = np.random.default_rng(noise).standard_normal((N, n_seg, model.dim_b))
         dB *= sq
-        aux_atoms = {}
-        if jumps:
-            counts = np.random.default_rng(counts_ss).poisson(mean_count, N)
-            rows = np.random.default_rng(rows_ss).random((int(counts.sum()), 2))
-            particle = np.repeat(np.arange(N), counts)
-            at = times[0] + (times[-1] - times[0]) * rows[:, 0]
-            seg = np.clip(np.searchsorted(times, at, side="left") - 1,
-                          0, n_seg - 1)
-            pick = cdf.searchsorted(rows[:, 1], side="right")
-            # by segment, then particle, then time: each segment's list holds
-            # a particle's atoms in time order
-            order = np.lexsort((at, particle, seg))
-            for s, i, c in zip(seg[order].tolist(), particle[order].tolist(),
-                               pick[order].tolist()):
-                aux_atoms.setdefault(s, []).append((i, marks[c]))
-        return dB, aux_atoms
+        if not jumps:
+            return dB, _NO_ATOMS
+        counts = np.random.default_rng(counts_ss).poisson(mean_count, N)
+        rows = np.random.default_rng(rows_ss).random((int(counts.sum()), 2))
+        particle = np.repeat(np.arange(N), counts)
+        at = times[0] + (times[-1] - times[0]) * rows[:, 0]
+        seg = np.clip(np.searchsorted(times, at, side="left") - 1, 0, n_seg - 1)
+        pick = cdf.searchsorted(rows[:, 1], side="right")
+        order = np.lexsort((at, particle, seg))
+        return dB, (seg[order], particle[order], marks[pick[order]])
 
     return sample
 
@@ -250,23 +252,64 @@ def gaussian_poisson_sampler(model: ModelSpec, times: np.ndarray):
 def per_seed_sampler(sample):
     """Adapt a per-seed sampler, sample(seed) -> (dB (n_seg, d_B),
     [(segment, mark)]), to the block protocol of gaussian_poisson_sampler:
-    particle i draws from seed seed_base + i. Each draw is copied in and
-    dropped, so the N per-seed arrays are never held at once."""
+    particle i draws from seed seed_base + i, and its atoms join the table
+    in the order sample lists them (a stable sort by segment). Each dB is
+    copied in and dropped, so the N per-seed arrays are never held at
+    once."""
 
     def block(seed_base: int, N: int):
-        dB_all = None
-        aux_atoms = {}
+        dB_all, rows = None, []
         for i in range(N):
             dB, atoms = sample(seed_base + i)
             dB = np.asarray(dB)
             if dB_all is None:
                 dB_all = np.empty((N,) + dB.shape, dtype=dB.dtype)
             dB_all[i] = dB
-            for seg, mark in atoms:
-                aux_atoms.setdefault(int(seg), []).append((i, mark))
-        return dB_all, aux_atoms
+            rows += [(int(s), i, np.atleast_1d(np.asarray(u, dtype=float))) for s, u in atoms]
+        rows.sort(key=lambda row: row[0])  # stable: a segment keeps the rows' order
+        return dB_all, tuple(map(np.array, zip(*rows))) if rows else _NO_ATOMS
 
     return block
+
+
+def _checked_draw(draw, N: int, n_seg: int, m_end: int, dim_b: int):
+    """A block sampler's draw (dB, (segment, particle, mark)) as arrays,
+    checked once per sweep: a table of three columns, dB of shape
+    (N, >= m_end, d_B), equal column lengths, segment non-decreasing within
+    [0, n_seg), particle within [0, N) and mark 2-d. A violation raises
+    ValueError naming the field."""
+    dB, table = draw
+    if isinstance(table, dict) or len(table) != 3:
+        raise ValueError("aux sampler: atoms must be a table (segment, particle, mark)")
+    dB = np.asarray(dB)
+    seg, particle, mark = (np.asarray(a) for a in table)
+    if dB.ndim != 3 or dB.shape[0] != N or dB.shape[1] < m_end or dB.shape[2] != dim_b:
+        raise ValueError(f"aux sampler: dB has shape {dB.shape}, not "
+                         f"({N}, >= {m_end}, {dim_b})")
+    if mark.ndim != 2:
+        raise ValueError(f"aux sampler: mark has shape {mark.shape}, not (K, d_u)")
+    if not len(seg) == len(particle) == len(mark):
+        raise ValueError(f"aux sampler: segment, particle and mark have "
+                         f"lengths {len(seg)}, {len(particle)}, {len(mark)}")
+    if len(seg) and (seg[0] < 0 or seg[-1] >= n_seg or np.any(seg[1:] < seg[:-1])):
+        raise ValueError(f"aux sampler: segment is not non-decreasing "
+                         f"within [0, {n_seg})")
+    if len(particle) and (particle.min() < 0 or particle.max() >= N):
+        raise ValueError(f"aux sampler: particle is not within [0, {N})")
+    return dB, (seg, particle, mark)
+
+
+def _kept_columns(model: ModelSpec, mark: np.ndarray) -> np.ndarray:
+    """Each auxiliary row's column among a declared f1's kept values: the
+    mark of nu1.marks() whose float64 bits the row's mark has, else -1 (off
+    nu1's support, or f1 plain)."""
+    rows = np.ascontiguousarray(mark, dtype=float).view(np.uint64)
+    if model._declared_batch.f1:
+        bits = np.ascontiguousarray(model.nu1.marks(), dtype=float).view(np.uint64)
+        if rows.shape[1] == bits.shape[1]:
+            hit = (rows[:, None, :] == bits[None]).all(axis=2)
+            return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    return np.full(len(rows), -1)
 
 
 # -- joint vector field and rates ------------------------------------------
@@ -326,21 +369,22 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
 
 
 def _normalize_record(jump_record, times: np.ndarray, t: float):
-    """Observed atoms as {grid index: [marks]} from the accepted atoms as
-    (time, mark) pairs (not a JumpRecord, whose candidates predate
-    thinning). Atom times must sit on the driver grid."""
-    if jump_record is None:
-        return {}
-    out = {}
-    for at, mark in jump_record:
+    """Observed atoms up to t as a table (segment, mark) like the auxiliary
+    one, from the accepted atoms as (time, mark) pairs (not a JumpRecord,
+    whose candidates predate thinning): an atom at grid index i belongs to
+    segment i - 1, and the rows are in a stable sort by segment. Atom times
+    must sit on the driver grid."""
+    rows = []
+    for at, mark in jump_record or ():
         at = float(at)
         if at > t + _grid_tol(times):
             continue
         i = _grid_index_of(times, at, "observed atom")
         if i == 0:
             raise ValueError("observed atom at the initial time")
-        out.setdefault(i, []).append(np.atleast_1d(np.asarray(mark, dtype=float)))
-    return out
+        rows.append((i - 1, np.atleast_1d(np.asarray(mark, dtype=float))))
+    rows.sort(key=lambda row: row[0])  # stable
+    return tuple(map(np.array, zip(*rows))) if rows else _NO_ATOMS[::2]
 
 
 def _grid_tol(times: np.ndarray) -> float:
@@ -371,27 +415,22 @@ class _Route:
         self.x, self.y = (np.repeat(np.array(v)[:, None], N, axis=1)
                           for v in (self.model.x0, self.model.y0))
         kept = self.model._declared_batch.f1
-        # a declared f1's kept values, one column per mark of nu1, found by
-        # the mark's bytes
-        self.kept_f1 = None if not kept else (
-            {np.asarray(u).tobytes(): c for c, u in enumerate(self.model.nu1.marks())},
-            np.concatenate(kept, axis=1))
+        # a declared f1's kept values, one column per mark of nu1
+        self.kept_f1 = np.concatenate(kept, axis=1) if kept else None
 
-    def aux_jumps(self, t1: float, atoms):
-        """Auxiliary nu1 atoms [(particle, mark)]: X jumps by f1, each
-        particle's atoms in their order. A declared f1 adds its kept values
-        at all of a segment's atoms by one np.add.at, which applies a
-        repeated particle once per atom, in order; a plain f1, or an atom
-        whose mark is not one of nu1's, is evaluated atom by atom."""
+    def aux_jumps(self, t1: float, particle, mark, column):
+        """One segment's rows of the auxiliary table: X jumps by f1, each
+        particle's atoms in their order. With every row's kept column
+        (_kept_columns) on nu1's support, a declared f1 adds its kept values
+        by one np.add.at, which applies a repeated particle once per row, in
+        order; a plain f1, or a row off the support, is evaluated atom by
+        atom."""
         x, y = self.x, self.y
-        if self.kept_f1 is not None and atoms:
-            index, values = self.kept_f1
-            at = [index.get(np.asarray(mark, dtype=float).tobytes()) for _, mark in atoms]
-            if None not in at:
-                np.add.at(x, (slice(None), [i for i, _ in atoms]), values[:, at])
-                return
-        for i, mark in atoms:
-            x[:, i] += np.asarray(self.model.f1(t1, x[:, i], y[:, i], mark))
+        if column.min() >= 0:
+            np.add.at(x, (slice(None), particle), self.kept_f1[:, column])
+            return
+        for i, u in zip(particle.tolist(), mark):
+            x[:, i] += np.asarray(self.model.f1(t1, x[:, i], y[:, i], u))
 
     def observed_jump(self, t1: float, mark):
         """An observed nu2 atom moves X by f3."""
@@ -600,15 +639,12 @@ class _FlowRoute(_ObservationRoute):
         self.phi, self.dphi = flow_map(s, w1, self.xt)
         return h0, comp0
 
-    def aux_jumps(self, t1: float, atoms):
+    def aux_jumps(self, t1: float, particle, mark, column):
         """X jumps by f1; X~ follows through phi(-W). Atoms of one particle
         apply in turn, each from the position the previous one left."""
-        if not atoms:
-            return
-        for i, mark in atoms:
+        for i, u in zip(particle.tolist(), mark):
             xi = self.phi[i:i + 1]
-            xp = xi + np.asarray(
-                self.model.f1(t1, xi[:, None], self.y[:, i], mark))[..., 0]
+            xp = xi + np.asarray(self.model.f1(t1, xi[:, None], self.y[:, i], u))[..., 0]
             self.xt[i] = flow_map(self.s, -self.w1, xp)[0][0]
             self.phi[i] = xp[0]
         self.phi, self.dphi = flow_map(self.s, self.w1, self.xt)
@@ -632,21 +668,26 @@ def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
     m_end = _grid_index_of(times, t)
     if m_end == 0:
         raise ValueError("horizon t must be positive on the driver grid")
-    atoms_at = _normalize_record(jump_record, times, t)
+    obs_seg, obs_marks = _normalize_record(jump_record, times, t)
     if aux_sampler is None:
         aux_sampler = gaussian_poisson_sampler(model, times[:m_end + 1])
-    dB_all, aux_atoms = aux_sampler(seed_base, particles)
+    dB_all, (seg, particle, mark) = _checked_draw(
+        aux_sampler(seed_base, particles), particles, len(times) - 1, m_end,
+        model.dim_b)
+    aux_at, obs_at = (np.searchsorted(s, np.arange(m_end + 1)) for s in (seg, obs_seg))
+    column = _kept_columns(model, mark)
 
     route.start(particles)
     logw = np.zeros(particles)
-    for k in range(m_end):
+    for k, lo, hi in zip(range(m_end), aux_at, aux_at[1:]):
         t0, t1 = float(times[k]), float(times[k + 1])
         logw = route.advance(k, t0, t1, dB_all[:, k, :].T, logw)
-        route.aux_jumps(t1, aux_atoms.get(k, ()))
-        for mark in atoms_at.get(k + 1, ()):
+        if hi > lo:
+            route.aux_jumps(t1, particle[lo:hi], mark[lo:hi], column[lo:hi])
+        for u in obs_marks[obs_at[k]:obs_at[k + 1]]:
             if isinstance(model.nu2, LevyMeasure):
-                logw = logw + np.log(_observed_lambda(model, t1, route.x.T, mark))
-            route.observed_jump(t1, mark)
+                logw = logw + np.log(_observed_lambda(model, t1, route.x.T, u))
+            route.observed_jump(t1, u)
         logw = route.driver_jump(k, logw)
 
         finite = (np.isfinite(route.x).all(axis=0)
@@ -668,8 +709,7 @@ def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
              "particle_index": i, "threshold": abort_log_weight})
     x, y = route.end(m_end)
     meta = {**route.meta(m_end), "grid_points": int(m_end + 1),
-            "observed_atoms": int(sum(len(v) for v in atoms_at.values())),
-            "t": float(t)}
+            "observed_atoms": len(obs_marks), "t": float(t)}
     return _result_from_sweep(f, x.T, y.T, logw, meta, particles, seed_base)
 
 
@@ -714,8 +754,9 @@ def theta(model: ModelSpec, f: TestFunction, obs_driver, jump_record,
     numbers), plus a delta-method standard error for the ratio. jump_record
     lists the accepted observed atoms as (time, mark) pairs, or is None.
     aux_sampler, by default gaussian_poisson_sampler on the grid up to t, is
-    called once as aux_sampler(seed_base, particles) -> (dB, {segment:
-    [(particle, mark)]}); per_seed_sampler adapts a per-seed sampler."""
+    called once as aux_sampler(seed_base, particles) -> (dB, (segment,
+    particle, mark)), the atoms as one table sorted by segment, then
+    particle, then time; per_seed_sampler adapts a per-seed sampler."""
     return _sweep(model, _RoughRoute(model, obs_driver), f, t, jump_record,
                   particles, seed_base, aux_sampler, abort_log_weight)
 

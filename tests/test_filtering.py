@@ -889,12 +889,12 @@ def test_rejects_off_grid_and_initial_atoms():
 
 
 def test_declared_aux_jumps_match_the_atom_loop():
-    """A declared f1 adds its kept values at a segment's auxiliary atoms by
-    one np.add.at, without calling f1: the particles end where the loop
-    over the atoms of a plain f1 puts them, bit for bit, with several atoms
-    of one mark and of different marks on one particle, a mark given as a
-    list, and particles without atoms. A mark that is not one of nu1's
-    sends the segment through the loop."""
+    """A declared f1 adds its kept values at a segment's slice of the
+    auxiliary table by one np.add.at, without calling f1: the particles end
+    where the loop over the rows of a plain f1 puts them, bit for bit, with
+    several atoms of one mark and of different marks on one particle, and
+    particles without atoms. A mark that is not one of nu1's sends the
+    segment through the loop."""
     rng = np.random.default_rng(11)
     marks = rng.standard_normal((3, 2))
     calls = []
@@ -908,10 +908,12 @@ def test_declared_aux_jumps_match_the_atom_loop():
     declared = replace(get_model("correlated_jump_multidim"), f1=counted,
                        nu1=LevyMeasure(tuple((tuple(u), 0.5) for u in marks)))
     plain = replace(declared, f1=_plain(jump))
-    atoms = [(0, marks[1]), (2, marks[0]), (2, marks[2]), (2, marks[0]),
-             (3, marks[1].tolist()), (5, marks[2]), (5, marks[2])]
+    particle = [0, 2, 2, 2, 3, 5, 5]
+    mark = marks[[1, 0, 2, 0, 1, 2, 2]]
     x, y = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
-    for extra, f1_calls in (([], 0), ([(4, np.array([9.0, 9.0]))], len(atoms) + 1)):
+    for extra, f1_calls in ((0, 0), (1, len(particle) + 1)):
+        rows = (np.array(particle + [4] * extra),
+                np.concatenate([mark, np.full((extra, 2), 9.0)]))
         ends = []
         for model in (declared, plain):
             route = _Route()
@@ -919,7 +921,7 @@ def test_declared_aux_jumps_match_the_atom_loop():
             route.start(6)
             route.x, route.y = x.copy(), y.copy()
             calls.clear()
-            route.aux_jumps(0.5, atoms + extra)
+            route.aux_jumps(0.5, *rows, filtering._kept_columns(model, rows[1]))
             ends.append(route.x)
             if model is declared:
                 assert len(calls) == f1_calls
@@ -998,11 +1000,11 @@ def test_particle_blowup_names_particle_and_step(route):
 # -- auxiliary noise sampler ------------------------------------------------
 
 
-def _atom_list(aux_atoms):
-    """{segment: [(particle, mark)]} as comparable (segment, particle, mark)
-    tuples in the sampler's order."""
-    return [(seg, i, tuple(np.asarray(m, dtype=float)))
-            for seg, pairs in aux_atoms.items() for i, m in pairs]
+def _atom_list(table):
+    """The rows of a (segment, particle, mark) table as comparable tuples,
+    in table order."""
+    seg, particle, mark = table
+    return [(int(s), int(i), tuple(m)) for s, i, m in zip(seg, particle, mark.tolist())]
 
 
 def test_gaussian_poisson_sampler_shapes_and_determinism():
@@ -1014,11 +1016,11 @@ def test_gaussian_poisson_sampler_shapes_and_determinism():
     dB2, atoms2 = sample(123, 400)
     assert np.array_equal(dB, dB2)
     assert _atom_list(atoms) == _atom_list(atoms2)
-    assert all(0 <= seg < 8 for seg in atoms)
-    assert all(0 <= i < 400 for pairs in atoms.values() for i, _ in pairs)
+    seg, particle, mark = atoms
+    assert seg.shape == particle.shape == (len(mark),) and mark.shape[1:] == (1,)
+    assert np.all((0 <= seg) & (seg < 8)) and np.all((0 <= particle) & (particle < 400))
     # across the block the nu1 atoms appear at the configured rate
-    n_atoms = sum(len(pairs) for pairs in atoms.values())
-    assert 0.3 < n_atoms / 400 < 0.7  # rate1 * T = 0.5
+    assert 0.3 < len(seg) / 400 < 0.7  # rate1 * T = 0.5
 
 
 def test_sampler_marks_follow_choice_stream():
@@ -1040,7 +1042,7 @@ def test_sampler_marks_follow_choice_stream():
               * np.sqrt(np.diff(times))[:, None])
         counts = np.random.default_rng(counts_ss).poisson(nu1.total_rate, N)
         rows = np.random.default_rng(rows_ss).random((counts.sum(), 2))
-        expected = {}
+        expected = []
         start = 0
         for i, k in enumerate(counts):
             own = rows[start:start + k]
@@ -1048,12 +1050,11 @@ def test_sampler_marks_follow_choice_stream():
             for at, u in own[np.argsort(own[:, 0], kind="stable")]:
                 seg = min(max(int(np.searchsorted(times, at, side="left")) - 1, 0), 15)
                 pick = int(cdf.searchsorted(u, side="right"))
-                expected.setdefault(seg, []).append((i, nu1.marks()[pick]))
+                expected.append((seg, i, tuple(nu1.marks()[pick])))
         got_dB, atoms = sample(seed_base, N)
         assert np.array_equal(got_dB, dB)
-        assert _atom_list(atoms) == _atom_list(dict(sorted(expected.items())))
-    picks = [int(np.flatnonzero(nu1.marks()[:, 0] == m[0])[0])
-             for pairs in atoms.values() for _, m in pairs]
+        assert _atom_list(atoms) == sorted(expected, key=lambda a: a[0])
+    picks = [int(np.flatnonzero(nu1.marks()[:, 0] == m)[0]) for m in atoms[2][:, 0]]
     freq = np.bincount(picks, minlength=3) / len(picks)
     se = np.sqrt(probs * (1.0 - probs) / len(picks))
     assert len(picks) > 5000
@@ -1064,7 +1065,7 @@ def test_sampler_without_auxiliary_jumps():
     model = get_model("linear_gaussian")
     sample = gaussian_poisson_sampler(model, np.linspace(0.0, 1.0, 5))
     dB, atoms = sample(7, 3)
-    assert dB.shape == (3, 4, 1) and atoms == {}
+    assert dB.shape == (3, 4, 1) and _atom_list(atoms) == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -1084,7 +1085,7 @@ def test_block_sampler_prefix_independence_and_rate(seed, n):
     dB_next, _ = sample(seed + 1, N)
     assert not ({r.tobytes() for r in dB.reshape(N, -1)}
                 & {r.tobytes() for r in dB_next.reshape(N, -1)})
-    rate = sum(len(pairs) for pairs in atoms.values()) / N
+    rate = len(atoms[0]) / N
     assert abs(rate - 0.5) < 5.0 * np.sqrt(0.5 / N)  # rate1 * T = 0.5
 
 
@@ -1206,3 +1207,95 @@ def test_no_einsum_runs_per_step(monkeypatch):
             monkeypatch.setattr(np, "einsum", real)
         for route in ("rough", "direct"):
             assert counts[route, 16] == counts[route, 32], (name, counts)
+
+
+def _table(rows):
+    """(segment, particle, mark) rows as the block sampler's table."""
+    seg, particle, mark = zip(*rows) if rows else ((), (), ())
+    return (np.array(seg, dtype=int), np.array(particle, dtype=int),
+            np.array(mark, dtype=float).reshape(-1, 1))
+
+
+@pytest.mark.parametrize("field,broken", [
+    ("table", lambda dB, s, i, m: (dB, {0: [(0, m[0])], 1: [], 2: [(0, m[1]), (1, m[2])]})),
+    ("table", lambda dB, s, i, m: (dB, (s, m))),
+    ("lengths", lambda dB, s, i, m: (dB, (s, i[:2], m))),
+    ("segment", lambda dB, s, i, m: (dB, (s[::-1], i, m))),
+    ("segment", lambda dB, s, i, m: (dB, (s - 1, i, m))),
+    ("segment", lambda dB, s, i, m: (dB, (s + 2, i, m))),
+    ("particle", lambda dB, s, i, m: (dB, (s, i - 1, m))),
+    ("particle", lambda dB, s, i, m: (dB, (s, i + 1, m))),
+    ("mark", lambda dB, s, i, m: (dB, (s, i, m[:, 0]))),
+    ("dB", lambda dB, s, i, m: (dB[1:], (s, i, m))),
+    ("dB", lambda dB, s, i, m: (dB[:, :1], (s, i, m))),
+    ("dB", lambda dB, s, i, m: (np.concatenate([dB, dB], axis=2), (s, i, m))),
+])
+def test_block_sampler_table_is_checked(field, broken):
+    """A custom block sampler's draw is checked once per sweep, and a
+    violation names its field. Unchecked, particle -1 would move particle
+    N - 1 and a negative segment would be dropped; the dict of the earlier
+    protocol is named as not a table. Atoms past the horizon's
+    segment, on a sampler's longer grid, are accepted and never applied."""
+    model = get_model("scalar_jump_diffusion")
+    drv = _linear_driver(np.linspace(0.0, 1.0, 5), [0.0, 0.1, 0.0, -0.1, 0.2])
+    f = FUNCTION_CATALOG["identity"]
+    dB = np.zeros((2, 4, 1))
+    table = _table([(0, 0, 1.0), (2, 0, -1.0), (2, 1, 1.0)])
+    late = _table([(0, 0, 1.0), (2, 0, -1.0), (2, 1, 1.0), (3, 1, 5.0)])
+    assert (theta(model, f, drv, None, 0.75, 2, 0, aux_sampler=lambda s, n: (dB, table))
+            == theta(model, f, drv, None, 0.75, 2, 0, aux_sampler=lambda s, n: (dB, late)))
+    with pytest.raises(ValueError, match=f"aux sampler: .*{field}"):
+        theta(model, f, drv, None, 1.0, 2, 0,
+              aux_sampler=lambda s, n: broken(dB, *table))
+
+
+# nu1's support and two marks off it, for the auxiliary table property
+_AUX_MARKS = (1.0, -0.5, 2.0)
+_OFF_MARKS = (0.3, -1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_aux_table_sweeps(data):
+    """Random auxiliary tables (repeated particles, several nu1 marks,
+    off-support marks, empty segments) on both routes, with observed atoms:
+    - a declared f1 and the same f1 plain end bit for bit equal;
+    - with a plain f1 that moves x to the mark, one particle's two different
+      marks in one segment apply in table order: swapping them changes the
+      result;
+    - per_seed_sampler, replaying a block draw's rows particle by particle,
+      returns that draw's dB and table."""
+    nu1 = LevyMeasure(tuple(((u,), r) for u, r in zip(_AUX_MARKS, (0.4, 1.1, 0.7))))
+    declared = replace(get_model("scalar_jump_diffusion", rate2=3.0), nu1=nu1)
+    obs = realized_observation(declared, 1.0, 4, data.draw(st.integers(0, 20)))
+    n_seg = len(obs["driver"].times) - 1
+    f = FUNCTION_CATALOG["identity"]
+    N = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.tuples(
+        st.integers(0, n_seg - 1), st.integers(0, N - 1),
+        st.sampled_from(_AUX_MARKS + _OFF_MARKS)), max_size=16))
+    pair = (data.draw(st.integers(0, n_seg - 1)), data.draw(st.integers(0, N - 1)))
+    rows = sorted(rows + [pair + (1.0,), pair + (2.0,)], key=lambda r: r[:2])
+    at = max(k for k, r in enumerate(rows) if r[:2] == pair) - 1  # the pair's 1.0
+    swapped = rows[:at] + [rows[at + 1], rows[at]] + rows[at + 2:]
+    dB = np.random.default_rng(data.draw(st.integers(0, 2**32))).standard_normal((N, n_seg, 1))
+
+    def sweeps(model, rows):
+        def sampler(seed_base, n):
+            return 0.3 * dB, _table(rows)
+        return (theta(model, f, obs["driver"], obs["jump_record"], 1.0, N, 0,
+                      aux_sampler=sampler),
+                direct_reference_filter(model, f, obs["Y"], obs["atoms"], 1.0, N, 0,
+                                        aux_sampler=sampler))
+
+    assert sweeps(declared, rows) == sweeps(replace(declared, f1=_plain(declared.f1)), rows)
+    to_mark = replace(declared, f1=lambda t, x, y, u: np.asarray(u, dtype=float) - x)
+    ordered, reordered = sweeps(to_mark, rows), sweeps(to_mark, swapped)
+    assert all(a != b for a, b in zip(ordered, reordered))
+
+    n, seed = data.draw(st.integers(1, 300)), data.draw(st.integers(0, 2**63))
+    block_dB, block = gaussian_poisson_sampler(declared, np.linspace(0.0, 1.0, 9))(seed, n)
+    replay = per_seed_sampler(lambda s: (block_dB[s - 5], [
+        (g, u) for g, i, u in zip(*block) if i == s - 5]))(5, n)
+    assert np.array_equal(replay[0], block_dB)
+    assert all(np.array_equal(a, b) for a, b in zip(replay[1], block))

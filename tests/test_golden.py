@@ -212,12 +212,11 @@ def test_golden_sampler_stream():
     assert digest.hexdigest() == SAMPLER_SHA256
 
 
-def _block_digest(dB, aux_atoms):
+def _block_digest(dB, table):
     digest = hashlib.sha256(dB.tobytes())
-    for seg in sorted(aux_atoms):
-        for i, mark in aux_atoms[seg]:
-            digest.update(np.int64(seg).tobytes() + np.int64(i).tobytes()
-                          + np.asarray(mark).tobytes())
+    for seg, i, mark in zip(*table):
+        digest.update(np.int64(seg).tobytes() + np.int64(i).tobytes()
+                      + np.asarray(mark).tobytes())
     return digest.hexdigest()
 
 
@@ -225,7 +224,7 @@ def test_golden_block_sampler_stream():
     """One block draw of the default stream: 50 particles at seed base 0."""
     sample = gaussian_poisson_sampler(get_model("scalar_jump_diffusion"),
                                       np.linspace(0.0, 1.0, STEPS + 1))
-    dB, aux_atoms = sample(0, 50)
+    dB, table = sample(0, 50)
     assert dB.shape == (50, STEPS, 1)
     assert AUX_STREAM.startswith("block/v1:")
-    assert _block_digest(dB, aux_atoms) == BLOCK_SHA256
+    assert _block_digest(dB, table) == BLOCK_SHA256
