@@ -20,7 +20,6 @@ from .filtering import (
     FilterResult,
     McEstimate,
     ParticleBlowupError,
-    TestFunction,
     WeightAbortError,
     direct_reference_filter,
     epsilon_stability_experiment,

@@ -57,7 +57,9 @@ keep their protocol: they get the views x.T, y.T.
 A sweep draws the auxiliary noise of all its particles in one call,
 aux_sampler(seed_base, N) -> (dB, (segment, particle, mark)): the nu1 atoms
 are one table, rows sorted by segment, then particle, then time, and each
-step applies its segment's slice of rows. The default draws one block from
+step applies its segment's slice of rows by one rule on all three routes
+(_Route.aux_jumps); the flow route then pulls each particle that jumped
+back through phi(-W) once. The default draws one block from
 SeedSequence(seed_base) (gaussian_poisson_sampler, scheme AUX_STREAM), and
 per_seed_sampler adapts a sampler keyed by one seed per particle. The
 estimates are taken from log weights shifted by their maximum.
@@ -66,6 +68,7 @@ estimates are taken from log weights shifted by their maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,36 +132,13 @@ class DegenerateWeightsError(NumericalAbort):
 # -- test functions and estimates ------------------------------------------
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """A named test function f(x, y); the evaluator must broadcast over
-    leading axes of x and y."""
-
-    __test__ = False  # not a pytest item, despite the name
-
-    evaluator: callable
-    name: str = "f"
-
-    def __call__(self, x, y) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(x, dtype=float),
-                                         np.asarray(y, dtype=float)),
-                          dtype=float)
-
-    @staticmethod
-    def constant(c: float = 1.0) -> "TestFunction":
-        return TestFunction(lambda x, y: np.full(x.shape[:-1], float(c)),
-                            name=f"const{c}")
-
-    @staticmethod
-    def coordinate(i: int = 0) -> "TestFunction":
-        return TestFunction(lambda x, y: x[..., i], name=f"x{i}")
-
-
+# Test functions f(x, y) by CLI name; each broadcasts over the leading axes
+# of x and y.
 FUNCTION_CATALOG = {
-    "identity": TestFunction.coordinate(0),
-    "one": TestFunction.constant(1.0),
-    "square": TestFunction(lambda x, y: x[..., 0] ** 2, name="square"),
-    "sin": TestFunction(lambda x, y: np.sin(x[..., 0]), name="sin"),
+    "identity": lambda x, y: x[..., 0],
+    "one": lambda x, y: np.full(x.shape[:-1], 1.0),
+    "square": lambda x, y: x[..., 0] ** 2,
+    "sin": lambda x, y: np.sin(x[..., 0]),
 }
 
 
@@ -414,17 +394,20 @@ class _Route:
     def start(self, N: int):
         self.x, self.y = (np.repeat(np.array(v)[:, None], N, axis=1)
                           for v in (self.model.x0, self.model.y0))
-        kept = self.model._declared_batch.f1
-        # a declared f1's kept values, one column per mark of nu1
-        self.kept_f1 = np.concatenate(kept, axis=1) if kept else None
+
+    @cached_property
+    def kept_f1(self) -> np.ndarray:
+        """A declared f1's kept values, one column per mark of nu1."""
+        return np.concatenate(self.model._declared_batch.f1, axis=1)
 
     def aux_jumps(self, t1: float, particle, mark, column):
         """One segment's rows of the auxiliary table: X jumps by f1, each
-        particle's atoms in their order. With every row's kept column
-        (_kept_columns) on nu1's support, a declared f1 adds its kept values
-        by one np.add.at, which applies a repeated particle once per row, in
-        order; a plain f1, or a row off the support, is evaluated atom by
-        atom."""
+        particle's atoms in their order, in place on the view `x`. This is
+        the one auxiliary-jump rule of all three routes. With every row's
+        kept column (_kept_columns) on nu1's support, a declared f1 adds its
+        kept values by one np.add.at, which applies a repeated particle once
+        per row, in order; a plain f1, or a row off the support, is
+        evaluated atom by atom."""
         x, y = self.x, self.y
         if column.min() >= 0:
             np.add.at(x, (slice(None), particle), self.kept_f1[:, column])
@@ -605,8 +588,10 @@ class _DirectRoute(_ObservationRoute):
 class _FlowRoute(_ObservationRoute):
     """Scalar models only: X = phi(W, X~) with phi the one-parameter flow of
     sigma1, so the particles carry X~ through Heun steps with the drift and
-    sigma0 pulled back by d phi / dx, and auxiliary atoms pull back through
-    phi(-W)."""
+    sigma0 pulled back by d phi / dx. Auxiliary atoms move X = phi by the
+    rule of the other routes (_Route.aux_jumps on the view phi[None]);
+    each particle that jumped is then pulled back once through phi(-W),
+    and only those particles are flowed forward again."""
 
     name = "flow"
 
@@ -640,21 +625,20 @@ class _FlowRoute(_ObservationRoute):
         return h0, comp0
 
     def aux_jumps(self, t1: float, particle, mark, column):
-        """X jumps by f1; X~ follows through phi(-W). Atoms of one particle
-        apply in turn, each from the position the previous one left."""
-        for i, u in zip(particle.tolist(), mark):
-            xi = self.phi[i:i + 1]
-            xp = xi + np.asarray(self.model.f1(t1, xi[:, None], self.y[:, i], u))[..., 0]
-            self.xt[i] = flow_map(self.s, -self.w1, xp)[0][0]
-            self.phi[i] = xp[0]
-        self.phi, self.dphi = flow_map(self.s, self.w1, self.xt)
+        """X jumps by f1 as on the other routes; X~ follows through phi(-W).
+        An unmoved particle's phi and dphi are already phi(W, X~) from the
+        Heun step."""
+        super().aux_jumps(t1, particle, mark, column)
+        moved = np.unique(particle)
+        self.xt[moved] = flow_map(self.s, -self.w1, self.phi[moved])[0]
+        self.phi[moved], self.dphi[moved] = flow_map(self.s, self.w1, self.xt[moved])
 
     def observed_jump(self, t1: float, mark):
         """f3 = 0 (checked at construction): an observed atom only
         reweights."""
 
 
-def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
+def _sweep(model: ModelSpec, route, f: callable, t: float, jump_record,
            particles: int, seed_base: int, aux_sampler,
            abort_log_weight: float) -> FilterResult:
     """March all particles along the route's grid up to t and estimate the
@@ -713,7 +697,7 @@ def _sweep(model: ModelSpec, route, f: TestFunction, t: float, jump_record,
     return _result_from_sweep(f, x.T, y.T, logw, meta, particles, seed_base)
 
 
-def _result_from_sweep(f: TestFunction, x, y, logw, meta, particles,
+def _result_from_sweep(f: callable, x, y, logw, meta, particles,
                        seed_base) -> FilterResult:
     """Estimates from the terminal log weights, shifted by their maximum:
     theta, its standard error and the Kish effective sample size
@@ -746,12 +730,14 @@ def _result_from_sweep(f: TestFunction, x, y, logw, meta, particles,
 # -- public functionals -----------------------------------------------------
 
 
-def theta(model: ModelSpec, f: TestFunction, obs_driver, jump_record,
+def theta(model: ModelSpec, f: callable, obs_driver, jump_record,
           t: float, particles: int, seed_base: int, aux_sampler=None,
           abort_log_weight: float = ABORT_LOG_WEIGHT) -> FilterResult:
     """The filter value theta = g^f / g^1 with both estimates from one
     particle sweep along the rough observation driver (common random
-    numbers), plus a delta-method standard error for the ratio. jump_record
+    numbers), plus a delta-method standard error for the ratio. The test
+    function f(x, y) is a plain callable that broadcasts over the leading
+    axes of x and y (FUNCTION_CATALOG names four). jump_record
     lists the accepted observed atoms as (time, mark) pairs, or is None.
     aux_sampler, by default gaussian_poisson_sampler on the grid up to t, is
     called once as aux_sampler(seed_base, particles) -> (dB, (segment,
@@ -764,7 +750,7 @@ def theta(model: ModelSpec, f: TestFunction, obs_driver, jump_record,
 # -- direct particle filter on the raw observation -------------------------
 
 
-def direct_reference_filter(model: ModelSpec, f: TestFunction,
+def direct_reference_filter(model: ModelSpec, f: callable,
                             obs: CadlagPath, jump_record, t: float,
                             particles: int, seed_base: int, aux_sampler=None,
                             abort_log_weight: float = ABORT_LOG_WEIGHT) -> FilterResult:
@@ -822,7 +808,7 @@ def _jump_joined_lift(times: np.ndarray, w, xi: CadlagPath) -> RoughPath:
 _CONSISTENCY_SEED = 90001
 
 
-def robust_consistency_check(model: ModelSpec, f: TestFunction, t: float,
+def robust_consistency_check(model: ModelSpec, f: callable, t: float,
                              particles: int, seeds, grid: int,
                              epsilon: float = None,
                              abort_log_weight: float = ABORT_LOG_WEIGHT) -> dict:
@@ -926,7 +912,7 @@ def flow_map(s, w: float, x: np.ndarray, substeps: int = FLOW_SUBSTEPS):
     return state[0], state[1]
 
 
-def scalar_flow_filter_detail(model: ModelSpec, f: TestFunction,
+def scalar_flow_filter_detail(model: ModelSpec, f: callable,
                               obs: CadlagPath, particles: int, seed_base: int,
                               jump_record=None, aux_sampler=None) -> FilterResult:
     """Filter value at the end of obs through the flow decomposition:
@@ -948,7 +934,12 @@ def mesh_lifts(obs: dict, t: float, mesh: int):
     at mesh + 1 equal steps on [0, t] and lift both interpolants, tabulated
     on those times plus the observed atom times: (Stratonovich lift of the
     linear one, Marcus lift of the rectangular one, which holds each
-    sample until the next)."""
+    sample until the next). The driver of an infinite-activity observation
+    joins the observed jump path, which these lifts would drop: such an
+    observation raises ValueError."""
+    if obs["driver"].dim != obs["wtilde"].dim:
+        raise ValueError("mesh_lifts needs a driver without a joined jump "
+                         "path (finite-activity observations only)")
     atom_times = np.array([a for a, _ in obs["jump_record"]])
     sub_times = np.linspace(0.0, t, int(mesh) + 1)
     grid = np.union1d(sub_times, atom_times) if len(atom_times) else sub_times
@@ -969,7 +960,7 @@ def trend_non_increasing(values, slacks) -> bool:
                for k in range(len(v) - 1))
 
 
-def robustness_experiment(model: ModelSpec, f: TestFunction, t: float,
+def robustness_experiment(model: ModelSpec, f: callable, t: float,
                           mesh_list, particles: int = 2000, seed_base: int = 0,
                           obs_seed: int = None, truth_steps: int = 512,
                           p: float = P_VAR,
@@ -1013,7 +1004,7 @@ def robustness_experiment(model: ModelSpec, f: TestFunction, t: float,
 # -- small-jump truncation stability ----------------------------------------
 
 
-def epsilon_stability_experiment(model: ModelSpec, f: TestFunction, t: float,
+def epsilon_stability_experiment(model: ModelSpec, f: callable, t: float,
                                  epsilons, particles: int, seed: int,
                                  steps: int = 128) -> dict:
     """Infinite-activity stability in the truncation level: one Brownian

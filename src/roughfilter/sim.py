@@ -567,16 +567,6 @@ def make_noise_bundle(model: ModelSpec, T: float, steps: int, seed: int,
 # -- simulation ------------------------------------------------------------
 
 
-def _atom_lookup(record: JumpRecord, times: np.ndarray):
-    """Map grid index -> atom index for atoms sitting exactly on the grid."""
-    out = {}
-    idx = np.searchsorted(times, record.times)
-    for a, i in enumerate(idx):
-        if i < len(times) and times[i] == record.times[a]:
-            out.setdefault(int(i), []).append(a)
-    return out
-
-
 def _observed_lambda(model: ModelSpec, t: float, x_left, u) -> np.ndarray:
     """lambda(t, X_{t-}, u) at an observed atom, batched over the leading
     axes of x_left; a value <= 0 raises ValueError."""
@@ -632,9 +622,10 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle):
     X[0], Y[0] = x, y
     preX[0], preY[0] = x, y
 
-    nu1_at = _atom_lookup(noise.pp_jumps["nu1"], times)
-    nu2_at = _atom_lookup(noise.pp_jumps["nu2"], times)
     rec1, rec2 = noise.pp_jumps["nu1"], noise.pp_jumps["nu2"]
+    # the atoms at grid time times[j]: rows lo[j]:hi[j] of a record (times sorted)
+    lo1, hi1, lo2, hi2 = (np.searchsorted(rec.times, times, side=side).tolist()
+                          for rec in (rec1, rec2) for side in ("left", "right"))
     rates = _reference_rates if noise.measure == "reference" else _rates
 
     def euler_rates(t, xv, yv, dB, dW, dt):
@@ -655,9 +646,9 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle):
                                         {"step_index": k})
         preX[k + 1], preY[k + 1] = x, y
         tk = float(times[k + 1])
-        for a in nu1_at.get(k + 1, ()):
+        for a in range(lo1[k + 1], hi1[k + 1]):
             x = x + np.asarray(model.f1(tk, x, y, rec1.marks[a]), dtype=float)
-        for a in nu2_at.get(k + 1, ()):
+        for a in range(lo2[k + 1], hi2[k + 1]):
             if not _kept(model, noise, a, preX[k + 1])[0]:
                 continue
             u = rec2.marks[a]
@@ -692,7 +683,8 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
     n = len(times)
     sign = 0.5 if noise.measure == "physical" else -0.5
     rec2 = noise.pp_jumps["nu2"]
-    nu2_at = _atom_lookup(rec2, times)
+    lo2, hi2 = (np.searchsorted(rec2.times, times, side=side).tolist()
+                for side in ("left", "right"))
 
     vals = np.empty(n)
     pre = np.empty(n)
@@ -715,7 +707,7 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
                 lambda u: 1.0 - np.asarray(model.lambda_fn(t0, x0v, u), dtype=float))
             acc += float(comp) * dt
         pre[k + 1] = acc
-        for a in nu2_at.get(k + 1, ()):
+        for a in range(lo2[k + 1], hi2[k + 1]):
             kept, lam = _kept(model, noise, a, X.pre_values[k + 1])
             if kept:
                 if lam is None:

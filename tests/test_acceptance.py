@@ -37,7 +37,6 @@ from test_rde import jumpy_lift_2d
 from roughfilter.fillin import AdmissiblePair, RSeq, beta_p
 from roughfilter.filtering import (
     FUNCTION_CATALOG,
-    TestFunction,
     epsilon_stability_experiment,
     per_seed_sampler,
     realized_observation,
@@ -322,7 +321,7 @@ def test_bernoulli_sweep_matches_outcome_tree():
     record = [(times[1], 1.0), (times[2], -1.0)]
     sampler = per_seed_sampler(_enum_sampler(times))
 
-    res = theta(model, TestFunction.coordinate(0), driver, record,
+    res = theta(model, FUNCTION_CATALOG["identity"], driver, record,
                 1.0, 512, _ENUM_BASE, aux_sampler=sampler)
     est_f, est_1 = res.g_f, res.g_1
     oracle_f, oracle_w = _oracle_enumeration(

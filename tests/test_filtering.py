@@ -9,6 +9,7 @@ recursion over the same outcome tree.
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from roughfilter.filtering import (
     FilterResult,
     McEstimate,
     ParticleBlowupError,
-    TestFunction,
     WeightAbortError,
     _Route,
     _RoughRoute,
@@ -54,16 +54,13 @@ from roughfilter.sim import MODEL_BUILDERS, LevyMeasure, get_model
 def test_function_catalog():
     x = np.array([[1.5, -2.0]])
     y = np.array([[0.3]])
-    assert TestFunction.coordinate(0)(x, y)[0] == 1.5
-    assert TestFunction.coordinate(1)(x, y)[0] == -2.0
-    assert TestFunction.constant(4.0)(x, y)[0] == 4.0
     assert set(FUNCTION_CATALOG) == {"identity", "one", "square", "sin"}
     assert FUNCTION_CATALOG["square"](x, y)[0] == pytest.approx(2.25)
     assert FUNCTION_CATALOG["sin"](x, y)[0] == pytest.approx(math.sin(1.5))
 
 
 def test_mc_estimate_single_sample():
-    f = TestFunction.constant(2.0)
+    f = lambda x, y: np.full(x.shape[:-1], 2.0)
     model = get_model("linear_gaussian")
     drv = _linear_driver([0.0, 0.5, 1.0], [0.0, 0.1, -0.2])
     est = theta(model, f, drv, None, 1.0, 1, 7).g_f
@@ -209,7 +206,7 @@ def test_exhaustive_outcome_tree_matches_sweep():
     record = [(times[1], 1.0), (times[2], -1.0)]
     sampler = per_seed_sampler(_enum_sampler(times))
 
-    res = theta(model, TestFunction.coordinate(0), driver, record,
+    res = theta(model, FUNCTION_CATALOG["identity"], driver, record,
                 1.0, 512, _ENUM_BASE, aux_sampler=sampler)
     oracle_f, oracle_w = _oracle_enumeration(
         PARAMS, times, w_values, record, lambda x, y: x)
@@ -246,7 +243,7 @@ def _jump_model_observation(seed=3, steps=128):
 
 def test_theta_of_one_is_exactly_one():
     model, obs = _jump_model_observation()
-    res = theta(model, TestFunction.constant(1.0), obs["driver"],
+    res = theta(model, FUNCTION_CATALOG["one"], obs["driver"],
                 obs["jump_record"], 1.0, 400, 11)
     assert res.theta == 1.0
     assert res.theta_se == 0.0
@@ -257,11 +254,11 @@ def test_theta_linearity_under_common_noise():
     args = (obs["driver"], obs["jump_record"], 1.0, 500, 11)
     t_id = theta(model, FUNCTION_CATALOG["identity"], *args)
     t_sin = theta(model, FUNCTION_CATALOG["sin"], *args)
-    combo = TestFunction(lambda x, y: 2.0 * x[..., 0] + 3.0 * np.sin(x[..., 0]))
+    combo = lambda x, y: 2.0 * x[..., 0] + 3.0 * np.sin(x[..., 0])
     t_combo = theta(model, combo, *args)
     assert t_combo.theta == pytest.approx(
         2.0 * t_id.theta + 3.0 * t_sin.theta, rel=1e-12, abs=1e-13)
-    scaled = TestFunction(lambda x, y: -1.75 * x[..., 0])
+    scaled = lambda x, y: -1.75 * x[..., 0]
     t_scaled = theta(model, scaled, *args)
     assert t_scaled.theta == pytest.approx(-1.75 * t_id.theta,
                                            rel=1e-12, abs=1e-13)
@@ -536,6 +533,11 @@ def _plain(coefficient):
     return lambda *args: np.array(coefficient(*args))
 
 
+def _no_f3(t, x, y, u):
+    """f3 = 0, which the flow route needs: common jumps do not move X."""
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 def test_plain_callable_loadings_take_the_generic_path():
     """Swapping the declared loadings and lambda for plain callables of the
     same values keeps the rough and direct values to the bit and the flow
@@ -806,7 +808,7 @@ def test_direct_route_reads_every_observation_component():
     the horizon, so theta of the second component is that component."""
     model = get_model("correlated_jump_multidim")
     obs = realized_observation(model, 1.0, 16, 2)
-    f = TestFunction(lambda x, y: y[..., 1])
+    f = lambda x, y: y[..., 1]
     res = direct_reference_filter(model, f, obs["Y"], obs["atoms"], 1.0, 4, 0)
     y_T = obs["Y"].values[-1]
     assert y_T[0] != y_T[1]
@@ -920,8 +922,10 @@ def test_declared_aux_jumps_match_the_atom_loop():
             route.model = model
             route.start(6)
             route.x, route.y = x.copy(), y.copy()
+            # the model's first use evaluates a declared f1 at nu1's marks
+            column = filtering._kept_columns(model, rows[1])
             calls.clear()
-            route.aux_jumps(0.5, *rows, filtering._kept_columns(model, rows[1]))
+            route.aux_jumps(0.5, *rows, column)
             ends.append(route.x)
             if model is declared:
                 assert len(calls) == f1_calls
@@ -1116,6 +1120,9 @@ def test_realized_observation_infinite_regime():
     # the second driver column is the cumulative observed jump path
     jumps = int(np.sum(obs["driver"].jump_flags))
     assert jumps == len(obs["atoms"])
+    # the mesh lifts carry the input alone, so they would drop those atoms
+    with pytest.raises(ValueError, match="joined jump path"):
+        mesh_lifts(obs, 1.0, 8)
 
 
 # -- batch independence and the per-step arithmetic --------------------------
@@ -1134,8 +1141,6 @@ def batch_observations():
 
 def _terminal_states(model, route, obs, particles, seed_base):
     """The particles' terminal (x, y, log w) of one sweep, particle-major."""
-    from unittest import mock
-
     real, got = filtering._result_from_sweep, {}
 
     def capture(f, x, y, logw, *rest):
@@ -1147,6 +1152,9 @@ def _terminal_states(model, route, obs, particles, seed_base):
         if route == "rough":
             theta(model, f, obs["driver"], obs["jump_record"], 1.0, particles,
                   seed_base)
+        elif route == "flow":
+            scalar_flow_filter_detail(model, f, obs["Y"], particles, seed_base,
+                                      jump_record=obs["atoms"])
         else:
             direct_reference_filter(model, f, obs["Y"], obs["atoms"], 1.0,
                                     particles, seed_base)
@@ -1162,20 +1170,24 @@ def test_particle_does_not_depend_on_the_batch(batch_observations, seed_base):
     particles. Every example checks all four catalog models, on the rough
     and the direct route, with declared sigma1 and sigma2 and with plain
     callables of the same values (the generic Davie step, and per-particle
-    solves of a 2 x 2 sigma2)."""
+    solves of a 2 x 2 sigma2). The flow route, which pulls back and flows
+    again only the particles that jumped, runs on linear_gaussian and on
+    scalar_jump_diffusion with f3 = 0 (closed-form and RK4 flows)."""
     for name in sorted(MODEL_BUILDERS):
-        declared = get_model(name)
-        plain = replace(declared, sigma1=_plain(declared.sigma1),
-                        sigma2=_plain(declared.sigma2))
         obs = batch_observations[name]
-        for model, route in itertools.product((declared, plain),
-                                              ("rough", "direct")):
+        base = get_model(name)
+        cases = [(base, "rough"), (base, "direct")]
+        if name in ("linear_gaussian", "scalar_jump_diffusion"):
+            cases.append((replace(base, f3=_no_f3), "flow"))
+        for (declared, route), plain in itertools.product(cases, (False, True)):
+            model = replace(declared, sigma1=_plain(declared.sigma1),
+                            sigma2=_plain(declared.sigma2)) if plain else declared
             ref = _terminal_states(model, route, obs, 300, seed_base)
             for n in (1, 7):
                 got = _terminal_states(model, route, obs, n, seed_base)
                 for key in ("x", "y", "logw"):
                     assert got[key].tobytes() == ref[key][:n].tobytes(), (
-                        name, route, model is plain, key, n)
+                        name, route, plain, key, n)
 
 
 def test_no_einsum_runs_per_step(monkeypatch):
@@ -1254,15 +1266,31 @@ _AUX_MARKS = (1.0, -0.5, 2.0)
 _OFF_MARKS = (0.3, -1.0)
 
 
+def _pull_back_each_atom(route, t1, particle, mark, column):
+    """The flow route's auxiliary jumps atom by atom, the reference for its
+    shared rule: each atom moves phi by f1 and pulls X~ back through
+    phi(-W), and then every particle is flowed forward again."""
+    for i, u in zip(particle.tolist(), mark):
+        xi = route.phi[i:i + 1]
+        xp = xi + np.asarray(route.model.f1(t1, xi[:, None], route.y[:, i], u))[..., 0]
+        route.xt[i] = flow_map(route.s, -route.w1, xp)[0][0]
+        route.phi[i] = xp[0]
+    route.phi, route.dphi = flow_map(route.s, route.w1, route.xt)
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_aux_table_sweeps(data):
     """Random auxiliary tables (repeated particles, several nu1 marks,
-    off-support marks, empty segments) on both routes, with observed atoms:
+    off-support marks, empty segments) on the rough and direct routes, with
+    observed atoms:
     - a declared f1 and the same f1 plain end bit for bit equal;
     - with a plain f1 that moves x to the mark, one particle's two different
       marks in one segment apply in table order: swapping them changes the
       result;
+    - the flow route (f3 = 0, sigma1 declared and an x-dependent callable)
+      ends bit for bit where the atom-by-atom pull-back puts it, with the
+      declared, plain and state-dependent f1;
     - per_seed_sampler, replaying a block draw's rows particle by particle,
       returns that draw's dB and table."""
     nu1 = LevyMeasure(tuple(((u,), r) for u, r in zip(_AUX_MARKS, (0.4, 1.1, 0.7))))
@@ -1292,6 +1320,18 @@ def test_aux_table_sweeps(data):
     to_mark = replace(declared, f1=lambda t, x, y, u: np.asarray(u, dtype=float) - x)
     ordered, reordered = sweeps(to_mark, rows), sweeps(to_mark, swapped)
     assert all(a != b for a, b in zip(ordered, reordered))
+
+    def flow(model):
+        return scalar_flow_filter_detail(model, f, obs["Y"], N, 0, obs["atoms"],
+                                         lambda seed_base, n: (0.3 * dB, _table(rows)))
+
+    for f1_model, sigma1 in itertools.product(
+            (declared, replace(declared, f1=_plain(declared.f1)), to_mark),
+            (declared.sigma1, lambda t, x, y: (0.3 + 0.2 * np.tanh(x))[..., None])):
+        model = replace(f1_model, f3=_no_f3, sigma1=sigma1)
+        with mock.patch.object(filtering._FlowRoute, "aux_jumps", _pull_back_each_atom):
+            oracle = flow(model)
+        assert flow(model) == oracle
 
     n, seed = data.draw(st.integers(1, 300)), data.draw(st.integers(0, 2**63))
     block_dB, block = gaussian_poisson_sampler(declared, np.linspace(0.0, 1.0, 9))(seed, n)
