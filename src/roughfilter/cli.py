@@ -216,7 +216,7 @@ def _run_simulate(cfg: RunConfig, model, out_dir):
     payload = {
         "model_id": model.model_id, "seed": cfg.seed, "T": cfg.T,
         "steps": cfg.steps,
-        "atoms": [[at, list(map(float, mark))] for at, mark in obs["atoms"]],
+        "atoms": [[at, mark] for at, mark in zip(*(a.tolist() for a in obs["atoms"]))],
         "terminal_x": [float(v) for v in xv[-1]],
         "terminal_y": [float(v) for v in yv[-1]],
     }

@@ -10,6 +10,10 @@ observation path as a cross-check, and the scalar flow-transformed route.
 Also provides the interpolation robustness experiment and the small-jump
 truncation stability experiment.
 
+The observed atoms reach every route as one table (times, marks), as
+realized_observation builds it, and the sweep maps it once to (segment,
+mark) rows, as it does the auxiliary table.
+
 Per-particle reference-measure dynamics of the rough route, marched on the
 driver grid:
 
@@ -202,7 +206,7 @@ def gaussian_poisson_sampler(model: ModelSpec, times: np.ndarray):
     times = np.asarray(times, dtype=float)
     n_seg = len(times) - 1
     sq = np.sqrt(np.diff(times))[:, None]
-    jumps = model.nu1 is not None and bool(model.nu1.atoms)
+    jumps = model.nu1 is not None
     if jumps:
         mean_count = model.nu1.total_rate * float(times[-1] - times[0])
         marks = model.nu1.marks()
@@ -254,29 +258,41 @@ def per_seed_sampler(sample):
 
 def _checked_draw(draw, N: int, n_seg: int, m_end: int, dim_b: int):
     """A block sampler's draw (dB, (segment, particle, mark)) as arrays,
-    checked once per sweep: a table of three columns, dB of shape
-    (N, >= m_end, d_B), equal column lengths, segment non-decreasing within
-    [0, n_seg), particle within [0, N) and mark 2-d. A violation raises
-    ValueError naming the field."""
+    checked once per sweep: dB of shape (N, >= m_end, d_B), the table's
+    shape by _checked_table, segment non-decreasing within [0, n_seg) and
+    particle within [0, N). A violation raises ValueError naming the
+    field."""
     dB, table = draw
-    if isinstance(table, dict) or len(table) != 3:
-        raise ValueError("aux sampler: atoms must be a table (segment, particle, mark)")
     dB = np.asarray(dB)
-    seg, particle, mark = (np.asarray(a) for a in table)
     if dB.ndim != 3 or dB.shape[0] != N or dB.shape[1] < m_end or dB.shape[2] != dim_b:
         raise ValueError(f"aux sampler: dB has shape {dB.shape}, not "
                          f"({N}, >= {m_end}, {dim_b})")
-    if mark.ndim != 2:
-        raise ValueError(f"aux sampler: mark has shape {mark.shape}, not (K, d_u)")
-    if not len(seg) == len(particle) == len(mark):
-        raise ValueError(f"aux sampler: segment, particle and mark have "
-                         f"lengths {len(seg)}, {len(particle)}, {len(mark)}")
+    seg, particle, mark = _checked_table("aux sampler", ("segment", "particle", "mark"), table)
     if len(seg) and (seg[0] < 0 or seg[-1] >= n_seg or np.any(seg[1:] < seg[:-1])):
         raise ValueError(f"aux sampler: segment is not non-decreasing "
                          f"within [0, {n_seg})")
     if len(particle) and (particle.min() < 0 or particle.max() >= N):
         raise ValueError(f"aux sampler: particle is not within [0, {N})")
     return dB, (seg, particle, mark)
+
+
+def _checked_table(what: str, names: tuple, table) -> list:
+    """The columns of an atom table as arrays, checked: one per name (not a
+    dict), the last, the marks, 2-d, the others 1-d, all of one length; else
+    ValueError naming the field. The one shape check of the auxiliary and
+    the observed tables."""
+    if isinstance(table, dict) or len(table) != len(names):
+        raise ValueError(f"{what}: atoms must be a table ({', '.join(names)})")
+    columns = [np.asarray(c) for c in table]
+    for name, column in zip(names, columns):
+        ndim = 2 if name == names[-1] else 1
+        if column.ndim != ndim:
+            raise ValueError(f"{what}: {name} has shape {column.shape}, not "
+                             + ("(K, d_u)" if ndim == 2 else "(K,)"))
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"{what}: {', '.join(names)} have lengths "
+                         + ", ".join(str(len(c)) for c in columns))
+    return columns
 
 
 def _kept_columns(model: ModelSpec, mark: np.ndarray) -> np.ndarray:
@@ -350,21 +366,31 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
 
 def _normalize_record(jump_record, times: np.ndarray, t: float):
     """Observed atoms up to t as a table (segment, mark) like the auxiliary
-    one, from the accepted atoms as (time, mark) pairs (not a JumpRecord,
-    whose candidates predate thinning): an atom at grid index i belongs to
-    segment i - 1, and the rows are in a stable sort by segment. Atom times
-    must sit on the driver grid."""
-    rows = []
-    for at, mark in jump_record or ():
-        at = float(at)
-        if at > t + _grid_tol(times):
-            continue
-        i = _grid_index_of(times, at, "observed atom")
-        if i == 0:
-            raise ValueError("observed atom at the initial time")
-        rows.append((i - 1, np.atleast_1d(np.asarray(mark, dtype=float))))
-    rows.sort(key=lambda row: row[0])  # stable
-    return tuple(map(np.array, zip(*rows))) if rows else _NO_ATOMS[::2]
+    one, from the table (times, marks) of accepted atoms or None (not a
+    JumpRecord, whose candidates predate thinning), checked by
+    _checked_table. A row past t + tol is dropped; else it takes the nearer
+    grid time around it, the earlier on a tie (np.argmin's choice), and at
+    index i it is in segment i - 1. The first row, in input order, off the
+    grid or at the initial time raises ValueError. Rows are in a stable
+    sort by segment."""
+    if jump_record is None:
+        return _NO_ATOMS[::2]
+    at, mark = (np.asarray(c, dtype=float) for c in
+                _checked_table("jump record", ("times", "marks"), jump_record))
+    tol = _grid_tol(times)
+    keep = ~(at > t + tol)  # a NaN time stays, to raise as off the grid
+    at, mark = at[keep], mark[keep]
+    upper = np.clip(times.searchsorted(at), 1, len(times) - 1)
+    i = upper - (at - times[upper - 1] <= times[upper] - at)
+    off = ~(np.abs(times[i] - at) <= tol)
+    bad = off | (i == 0)
+    if bad.any():
+        a = int(bad.argmax())
+        if off[a]:
+            raise ValueError(f"observed atom at t={float(at[a])} is not on the driver grid")
+        raise ValueError("observed atom at the initial time")
+    order = np.argsort(i, kind="stable")
+    return i[order] - 1, mark[order]
 
 
 def _grid_tol(times: np.ndarray) -> float:
@@ -373,10 +399,10 @@ def _grid_tol(times: np.ndarray) -> float:
     return 1e-9 * max(1.0, float(times[-1]))
 
 
-def _grid_index_of(times: np.ndarray, t: float, what: str = "horizon") -> int:
+def _grid_index_of(times: np.ndarray, t: float) -> int:
     i = int(np.argmin(np.abs(times - t)))
     if abs(times[i] - t) > _grid_tol(times):
-        raise ValueError(f"{what} at t={t} is not on the driver grid")
+        raise ValueError(f"horizon at t={t} is not on the driver grid")
     return i
 
 
@@ -737,8 +763,9 @@ def theta(model: ModelSpec, f: callable, obs_driver, jump_record,
     particle sweep along the rough observation driver (common random
     numbers), plus a delta-method standard error for the ratio. The test
     function f(x, y) is a plain callable that broadcasts over the leading
-    axes of x and y (FUNCTION_CATALOG names four). jump_record
-    lists the accepted observed atoms as (time, mark) pairs, or is None.
+    axes of x and y (FUNCTION_CATALOG names four). jump_record is the
+    table (times, marks) of accepted observed atoms on the driver grid,
+    realized_observation's `jump_record`, or None.
     aux_sampler, by default gaussian_poisson_sampler on the grid up to t, is
     called once as aux_sampler(seed_base, particles) -> (dB, (segment,
     particle, mark)), the atoms as one table sorted by segment, then
@@ -758,7 +785,8 @@ def direct_reference_filter(model: ModelSpec, f: callable,
     Brownian input is reconstructed from obs and used through plain level-1
     Heun steps (no rough lift), with trapezoid h quadrature for the weight.
     Serves as an independently discretized estimate of the same conditional
-    expectation."""
+    expectation. jump_record is theta's table, or None:
+    realized_observation's `atoms`."""
     return _sweep(model, _DirectRoute(model, obs), f, t, jump_record,
                   particles, seed_base, aux_sampler, abort_log_weight)
 
@@ -769,27 +797,29 @@ def direct_reference_filter(model: ModelSpec, f: callable,
 def realized_observation(model: ModelSpec, t: float, steps: int, seed: int,
                          epsilon: float = None):
     """Simulate the physical pair once and package what the filter sees:
-    the observation path, the accepted observed atoms as (time, mark) pairs,
-    and the rough driver (Stratonovich lift of the reconstructed Brownian
-    input; in the infinite-activity regime the Marcus lift of that input
-    joined with the observed jump path)."""
+    the observation path, the rough driver (Stratonovich lift of the
+    reconstructed Brownian input; in the infinite-activity regime the
+    Marcus lift of that input joined with the observed jump path) and the
+    accepted observed atoms as one table `atoms` = (times, marks), float
+    arrays (K,) and (K, d_u): the rows of the nu2 record that survived
+    thinning. `jump_record`, theta's argument, is `atoms`, or the empty
+    table when the driver carries the atoms."""
     noise = make_noise_bundle(model, t, steps, seed, epsilon=epsilon,
                               measure="physical")
     X, Y = simulate_pair(model, noise)
     rec2 = noise.pp_jumps["nu2"]
-    record = [(float(rec2.times[a]), np.array(rec2.marks[a], dtype=float))
-              for a in np.flatnonzero(_accepted_nu2(model, noise, X))]
+    accepted = _accepted_nu2(model, noise, X)
+    atoms = (rec2.times[accepted], rec2.marks[accepted])
     wt = reconstruct_wtilde(model, Y)
     if model.regime == "infinite_jumps":
-        xi = _atom_path(wt.times, [a for a, _ in record],
-                        [m[0] for _, m in record])
+        xi = _atom_path(wt.times, atoms[0], atoms[1][:, 0])
         driver = _jump_joined_lift(wt.times, wt.values, xi)
-        driver_record = []
+        record = tuple(a[:0] for a in atoms)
     else:
         driver = stratonovich_lift(wt)
-        driver_record = record
+        record = atoms
     return {"X": X, "Y": Y, "wtilde": wt, "driver": driver,
-            "jump_record": driver_record, "atoms": record, "noise": noise}
+            "jump_record": record, "atoms": atoms, "noise": noise}
 
 
 def _jump_joined_lift(times: np.ndarray, w, xi: CadlagPath) -> RoughPath:
@@ -920,7 +950,8 @@ def scalar_flow_filter_detail(model: ModelSpec, f: callable,
     at the reconstructed Brownian input, and X~ solving the transformed SDE
     with pulled-back drift, diffusion, and auxiliary jumps. Independent of
     the rough-driver route; only for scalar models whose common noise is
-    Brownian."""
+    Brownian. jump_record is the observed-atom table (times, marks) of
+    theta, or None."""
     route = _FlowRoute(model, obs)
     return _sweep(model, route, f, float(route.times[-1]), jump_record,
                   particles, seed_base, aux_sampler, ABORT_LOG_WEIGHT)
@@ -940,9 +971,8 @@ def mesh_lifts(obs: dict, t: float, mesh: int):
     if obs["driver"].dim != obs["wtilde"].dim:
         raise ValueError("mesh_lifts needs a driver without a joined jump "
                          "path (finite-activity observations only)")
-    atom_times = np.array([a for a, _ in obs["jump_record"]])
     sub_times = np.linspace(0.0, t, int(mesh) + 1)
-    grid = np.union1d(sub_times, atom_times) if len(atom_times) else sub_times
+    grid = np.union1d(sub_times, obs["jump_record"][0])
     sub_vals = obs["wtilde"].evaluate(sub_times)
     lin = np.column_stack([np.interp(grid, sub_times, v) for v in sub_vals.T])
     return (stratonovich_lift(CadlagPath(grid, lin, None, "linear")),

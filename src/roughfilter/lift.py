@@ -172,7 +172,7 @@ def marcus_lift(x: CadlagPath) -> RoughPath:
     """Cadlag lift: continuous stretches as in stratonovich_lift, each jump
     contributing exp(x_t - x_{t-}) so the jump log has zero level-2 part."""
     if not x.has_jumps():
-        return stratonovich_lift(x.with_interp("linear"))
+        return stratonovich_lift(x)
     n, d = x.values.shape
     chords = x.pre_values[1:] - x.values[:-1]
     jumps = x.values[1:] - x.pre_values[1:]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -104,9 +104,6 @@ class CadlagPath:
         """Left limit x(t-); equals x(t) off jump times, x(0-) := x(0)."""
         out = _pinned_values(self, t, 0.0)[1]
         return out[0] if np.isscalar(t) else out
-
-    def with_interp(self, interp: str) -> "CadlagPath":
-        return replace(self, interp=interp)
 
 
 def _pinned_values(path: CadlagPath, t, tol: float):

@@ -35,7 +35,8 @@ from .rde import NumericalAbort, _column_sum, _components_first, _components_las
 
 @dataclass(frozen=True)
 class LevyMeasure:
-    """Finite-activity jump-size measure: weighted atoms ((mark, rate), ...).
+    """Finite-activity jump-size measure: weighted atoms ((mark, rate), ...),
+    at least one. "No jumps" is None, never an empty measure.
 
     Marks are vectors (stored as tuples); rate is the Poisson intensity of
     that mark, so the total arrival rate is the sum of rates.
@@ -44,6 +45,8 @@ class LevyMeasure:
     atoms: tuple
 
     def __post_init__(self):
+        if not self.atoms:
+            raise ValueError("a LevyMeasure needs at least one atom; no jumps is None")
         norm = []
         for mark, rate in self.atoms:
             mark = tuple(float(v) for v in np.atleast_1d(mark))
@@ -132,10 +135,12 @@ class ModelSpec:
     fix, are computed once per model, on first use (_Declared). Any other
     callable is evaluated in full, at every state, with this protocol: the
     component-major sweep passes it the transposed views.
+
+    nu1 and nu2 state the jump structure, once: None where the model has no
+    such jumps, and `regime` is read off them.
     """
 
     model_id: str
-    regime: str  # "scalar" | "finite_jumps" | "infinite_jumps"
     dim_x: int
     dim_y: int
     dim_b: int
@@ -155,14 +160,18 @@ class ModelSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.regime not in ("scalar", "finite_jumps", "infinite_jumps"):
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.regime == "infinite_jumps" and not isinstance(self.nu2, StableTail):
-            raise ValueError("infinite_jumps regime needs a StableTail nu2")
         object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(self.x0)))
         object.__setattr__(self, "y0", tuple(float(v) for v in np.atleast_1d(self.y0)))
         if len(self.x0) != self.dim_x or len(self.y0) != self.dim_y:
             raise ValueError("initial values do not match declared dimensions")
+
+    @property
+    def regime(self) -> str:
+        """The jump regime: "infinite_jumps" when nu2 is a StableTail,
+        "finite_jumps" when nu1 or nu2 has atoms, else "scalar"."""
+        if isinstance(self.nu2, StableTail):
+            return "infinite_jumps"
+        return "scalar" if self.nu1 is None and self.nu2 is None else "finite_jumps"
 
     @cached_property
     def _declared_one(self) -> "_Declared":
@@ -359,7 +368,7 @@ def _rates(model: ModelSpec, t: float, x, y):
     by = rhs = _drift(model.b2, t, x, y)
     comp = 0.0
     kept = _declared_for(model, x)
-    if model.nu1 is not None and model.nu1.atoms:
+    if model.nu1 is not None:
         bx = bx - _atom_sum(
             model.nu1, _at_marks(kept.f1, model.f1, model.nu1, t, 1, x, y))
     nu2 = model.nu2
@@ -408,7 +417,7 @@ def validate_model(model: ModelSpec) -> dict:
             inv_norms = max(inv_norms, float(np.linalg.norm(np.linalg.inv(s2))))
         except np.linalg.LinAlgError:
             return {"ok": False, "reason": f"sigma2 singular at probe t={t}"}
-        if isinstance(model.nu2, LevyMeasure) and model.nu2.atoms:
+        if isinstance(model.nu2, LevyMeasure):
             for mark, rate in model.nu2.atoms:
                 lam = float(np.asarray(model.lambda_fn(t, x, np.array(mark))))
                 lam_lo, lam_hi = min(lam_lo, lam), max(lam_hi, lam)
@@ -485,7 +494,7 @@ def _sample_finite_atoms(rng, levy: LevyMeasure, T: float, boost: float):
     times = np.sort(rng.uniform(0.0, T, count))
     probs = levy.rates() / levy.total_rate
     idx = rng.choice(len(levy.atoms), size=count, p=probs)
-    marks = levy.marks()[idx] if count else np.zeros((0, len(levy.marks()[0]) if levy.atoms else 1))
+    marks = levy.marks()[idx]
     accept = rng.uniform(0.0, 1.0, count)
     return times, marks, accept
 
@@ -515,42 +524,29 @@ def _sample_stable_atoms(rng, tail: StableTail, epsilon: float, T: float):
 def make_noise_bundle(model: ModelSpec, T: float, steps: int, seed: int,
                       epsilon: float = None,
                       measure: str = "physical") -> NoiseBundle:
-    """Draw one noise realization: auxiliary and observed point processes
-    (re-drawn on exact time collisions so the two measures never jump
-    together), then Brownian increments on the union of the uniform grid and
-    all atom times. StableTail.tail_mass checks epsilon's range."""
+    """Draw one noise realization: the auxiliary (nu1) and observed (nu2)
+    point processes as independent draws from one generator, nu1 first, then
+    Brownian increments on the union of the uniform grid and all atom times.
+    Should a nu1 and a nu2 atom share a time, simulate_pair applies the nu1
+    atom first and both read the one left limit. StableTail.tail_mass checks
+    epsilon's range."""
     if measure not in ("physical", "reference"):
         raise ValueError(f"unknown measure {measure!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     rng = np.random.default_rng(seed)
-    records = {}
-
-    if model.nu1 is not None and model.nu1.atoms:
-        t1, m1, a1 = _sample_finite_atoms(rng, model.nu1, T, 1.0)
-        records["nu1"] = JumpRecord(t1, m1, a1)
-    else:
-        records["nu1"] = JumpRecord(np.zeros(0), np.zeros((0, 1)), np.zeros(0))
-
-    if isinstance(model.nu2, LevyMeasure) and model.nu2.atoms:
-        _, lam_hi = _lambda_bounds(model)
-        boost = lam_hi if measure == "physical" else 1.0
-        t2, m2, a2 = _sample_finite_atoms(rng, model.nu2, T, boost)
-        for _ in range(100):
-            clash = np.isin(t2, records["nu1"].times)
-            if not clash.any():
-                break
-            t2[clash] = rng.uniform(0.0, T, int(clash.sum()))
-            order = np.argsort(t2)
-            t2, m2, a2 = t2[order], m2[order], a2[order]
-        records["nu2"] = JumpRecord(t2, m2, a2)
+    empty = JumpRecord(np.zeros(0), np.zeros((0, 1)), np.zeros(0))
+    records = {"nu1": empty, "nu2": empty}
+    if model.nu1 is not None:
+        records["nu1"] = JumpRecord(*_sample_finite_atoms(rng, model.nu1, T, 1.0))
+    if isinstance(model.nu2, LevyMeasure):
+        boost = _lambda_bounds(model)[1] if measure == "physical" else 1.0
+        records["nu2"] = JumpRecord(*_sample_finite_atoms(rng, model.nu2, T, boost))
     elif isinstance(model.nu2, StableTail):
         if epsilon is None:
             raise ValueError("infinite-activity noise needs a truncation epsilon")
         t2, m2 = _sample_stable_atoms(rng, model.nu2, epsilon, T)
         records["nu2"] = JumpRecord(t2, m2, np.ones(len(t2)))
-    else:
-        records["nu2"] = JumpRecord(np.zeros(0), np.zeros((0, 1)), np.zeros(0))
 
     times = np.linspace(0.0, T, steps + 1)
     all_jumps = np.concatenate([records["nu1"].times, records["nu2"].times])
@@ -580,13 +576,18 @@ def _kept(model: ModelSpec, noise: NoiseBundle, a: int, x_left):
     """(kept, lam): whether observed atom a of the bundle, at (t, u),
     survives thinning, and the lambda(t, X_{t-}, u) the test evaluated.
     Under the physical measure with an atomic nu2 it survives iff
-    accept_u < lam / lambda_max; otherwise always, and lam is None (no
-    test, no evaluation)."""
+    accept_u < lam / lambda_max, and a lam above lambda_max (meta, default
+    1.0), which thinning cannot reach, raises ValueError; otherwise it
+    always survives, and lam is None (no test, no evaluation)."""
     if noise.measure == "reference" or not isinstance(model.nu2, LevyMeasure):
         return True, None
     rec = noise.pp_jumps["nu2"]
     lam = float(_observed_lambda(model, float(rec.times[a]), x_left, rec.marks[a]))
-    return bool(rec.accept_u[a] < lam / _lambda_bounds(model)[1]), lam
+    lam_max = _lambda_bounds(model)[1]
+    if lam > lam_max:
+        raise ValueError(f"lambda {lam} at t={rec.times[a]} exceeds the thinning "
+                         f"bound lambda_max={lam_max}")
+    return bool(rec.accept_u[a] < lam / lam_max), lam
 
 
 def _accepted_nu2(model: ModelSpec, noise: NoiseBundle, X: CadlagPath):
@@ -723,11 +724,9 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
 
 def _atom_path(times: np.ndarray, atom_times, sizes) -> CadlagPath:
     """Piecewise-constant cumulative atom-sum path on a grid that already
-    contains the atom times."""
-    at = np.asarray(atom_times, dtype=float)
-    order = np.argsort(at)
-    csum = np.concatenate([[0.0], np.cumsum(np.asarray(sizes, dtype=float)[order])])
-    return _step_path(times, at[order], csum)
+    contains the atom times, which are sorted (arrays, as both samplers
+    return them)."""
+    return _step_path(times, atom_times, np.concatenate([[0.0], np.cumsum(sizes)]))
 
 
 def shot_noise(levy: StableTail, epsilon: float, seed: int, grid) -> CadlagPath:
@@ -847,7 +846,7 @@ def linear_gaussian(a=-0.5, s0=0.4, s1=0.3, c=1.0, gamma=0.5,
     """Scalar correlated Kalman-Bucy system: dX = aX dt + s0 dB + s1 dW,
     dY = cX dt + gamma dW; no jumps."""
     return ModelSpec(
-        model_id="linear_gaussian", regime="scalar",
+        model_id="linear_gaussian",
         dim_x=1, dim_y=1, dim_b=1,
         b1=_linear_state([[a]]), b2=_linear_state([[c]]),
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),
@@ -873,7 +872,7 @@ def scalar_jump_diffusion(a=-0.4, s0=0.35, s1=0.25, c=0.8, gamma=0.5,
         return np.exp(kappa * np.tanh(x[..., 0]) * float(np.atleast_1d(u)[0]))
 
     return ModelSpec(
-        model_id="scalar_jump_diffusion", regime="finite_jumps",
+        model_id="scalar_jump_diffusion",
         dim_x=1, dim_y=1, dim_b=1,
         b1=_linear_state([[a]]), b2=_linear_state([[c]]),
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),
@@ -899,7 +898,7 @@ def correlated_jump_multidim(x0=(0.8, -0.2), y0=(0.0, 0.0)) -> ModelSpec:
     J2 = {(0.4, -0.2): 0.6, (-0.3, 0.3): 0.6}
 
     return ModelSpec(
-        model_id="correlated_jump_multidim", regime="finite_jumps",
+        model_id="correlated_jump_multidim",
         dim_x=2, dim_y=2, dim_b=1,
         b1=_linear_state(A), b2=_linear_state(C),
         sigma0=_const(S0), sigma1=_const(S1), sigma2=_const(S2),
@@ -919,7 +918,7 @@ def stable_shot_noise(alpha=1.0, c=0.3, a=-0.5, s0=0.35, s1=0.2, cobs=0.8,
     """Infinite-activity regime: symmetric stable-like observed jump noise
     with constant jump loadings (f2 = rho2 u, f3 = rho3 u) and lambda = 1."""
     return ModelSpec(
-        model_id="stable_shot_noise", regime="infinite_jumps",
+        model_id="stable_shot_noise",
         dim_x=1, dim_y=1, dim_b=1,
         b1=_linear_state([[a]]), b2=_linear_state([[cobs]]),
         sigma0=_const([[s0]]), sigma1=_const([[s1]]), sigma2=_const([[gamma]]),

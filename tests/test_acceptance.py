@@ -318,7 +318,7 @@ def test_bernoulli_sweep_matches_outcome_tree():
     times = np.linspace(0.0, 1.0, 4)
     w_values = np.array([0.0, 0.3, -0.2, 0.4])
     driver = _linear_driver(times, w_values)
-    record = [(times[1], 1.0), (times[2], -1.0)]
+    record = (times[[1, 2]], np.array([[1.0], [-1.0]]))
     sampler = per_seed_sampler(_enum_sampler(times))
 
     res = theta(model, FUNCTION_CATALOG["identity"], driver, record,

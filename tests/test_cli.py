@@ -162,7 +162,7 @@ def test_simulate_lift_rde_consistency_artifacts(tmp_path):
     for col, path in (("x0", obs["X"]), ("y0", obs["Y"]), ("wtilde", obs["wtilde"])):
         assert [float(r[col]) for r in sim_rows] == path.values[:, 0].tolist()
     assert _read_json(os.path.join(out, "simulate.json"))["atoms"] == [
-        [at, mark.tolist()] for at, mark in obs["atoms"]]
+        [at, mark.tolist()] for at, mark in zip(*obs["atoms"])]
     default_alpha = realized_observation(get_model("stable_shot_noise"), 1.0, 16, 0,
                                       epsilon=0.1)
     assert default_alpha["X"].values[-1, 0] != obs["X"].values[-1, 0]

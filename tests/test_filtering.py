@@ -137,7 +137,7 @@ def _oracle_enumeration(params, times, w_values, record, f):
         return bx - s1 * hv, by - gamma * hv
 
     atoms_by_index = {}
-    for at, mark in record:
+    for at, mark in zip(*record):
         i = int(np.argmin(np.abs(times - at)))
         atoms_by_index.setdefault(i, []).append(float(np.atleast_1d(mark)[0]))
 
@@ -203,7 +203,7 @@ def test_exhaustive_outcome_tree_matches_sweep():
     times = np.linspace(0.0, 1.0, 4)
     w_values = np.array([0.0, 0.3, -0.2, 0.4])
     driver = _linear_driver(times, w_values)
-    record = [(times[1], 1.0), (times[2], -1.0)]
+    record = (times[[1, 2]], np.array([[1.0], [-1.0]]))
     sampler = per_seed_sampler(_enum_sampler(times))
 
     res = theta(model, FUNCTION_CATALOG["identity"], driver, record,
@@ -222,7 +222,7 @@ def test_exhaustive_tree_other_functional_and_path():
     times = np.linspace(0.0, 0.6, 4)
     w_values = np.array([0.0, -0.25, 0.1, 0.05])
     driver = _linear_driver(times, w_values)
-    record = [(times[2], 1.0)]
+    record = (times[[2]], np.array([[1.0]]))
     sampler = per_seed_sampler(_enum_sampler(times))
 
     est = theta(model, FUNCTION_CATALOG["square"], driver, record,
@@ -284,7 +284,7 @@ def test_filter_result_fields():
     assert res.particles == 200 and res.seed_base == 5
     assert res.g_1.value > 0 and res.theta_se > 0
     assert res.driver_meta["t"] == 1.0
-    assert res.driver_meta["observed_atoms"] == len(obs["jump_record"])
+    assert res.driver_meta["observed_atoms"] == len(obs["jump_record"][0])
     # terminal weight health: the Kish ESS (sum w)^2 / sum w^2 agrees with the
     # mean and standard error of g^1, and g^1 lies within the weight range
     meta, m, se = res.driver_meta, res.g_1.value, res.g_1.stderr
@@ -340,7 +340,7 @@ def _geometric_model():
     from roughfilter.sim import ModelSpec
 
     return ModelSpec(
-        model_id="geometric_test", regime="scalar",
+        model_id="geometric_test",
         dim_x=1, dim_y=1, dim_b=1,
         b1=lambda t, x, y: -0.3 * x,
         b2=lambda t, x, y: 0.8 * x,
@@ -885,9 +885,9 @@ def test_rejects_off_grid_and_initial_atoms():
     model = get_model("scalar_jump_diffusion")
     drv = _linear_driver(np.linspace(0.0, 1.0, 5), [0.0, 0.1, 0.0, -0.1, 0.2])
     with pytest.raises(ValueError, match="not on the driver grid"):
-        theta(model, FUNCTION_CATALOG["one"], drv, [(0.3, 1.0)], 1.0, 10, 0)
+        theta(model, FUNCTION_CATALOG["one"], drv, ([0.3], [[1.0]]), 1.0, 10, 0)
     with pytest.raises(ValueError, match="initial time"):
-        theta(model, FUNCTION_CATALOG["one"], drv, [(0.0, 1.0)], 1.0, 10, 0)
+        theta(model, FUNCTION_CATALOG["one"], drv, ([0.0], [[1.0]]), 1.0, 10, 0)
 
 
 def test_declared_aux_jumps_match_the_atom_loop():
@@ -939,10 +939,92 @@ def test_atoms_past_the_horizon_are_skipped():
     model = get_model("scalar_jump_diffusion")
     drv = _linear_driver(np.linspace(0.0, 1.0, 5), [0.0, 0.1, 0.0, -0.1, 0.2])
     f = FUNCTION_CATALOG["identity"]
-    record = [(0.25, 1.0)]
+    record = ([0.25], [[1.0]])
     res = theta(model, f, drv, record, 0.5, 50, 3)
     assert res.driver_meta["observed_atoms"] == 1
-    assert theta(model, f, drv, record + [(0.75, -1.0), (0.8, 1.0)], 0.5, 50, 3) == res
+    assert theta(model, f, drv, ([0.25, 0.75, 0.8], [[1.0], [-1.0], [1.0]]),
+                 0.5, 50, 3) == res
+
+
+def _normalize_each_atom(jump_record, times, t):
+    """The per-atom loop that _normalize_record replaced, reading the table
+    row by row: the reference of test_normalize_record_matches_the_atom_loop."""
+    tol = 1e-9 * max(1.0, float(times[-1]))
+    rows = []
+    for at, mark in zip(*jump_record):
+        at = float(at)
+        if at > t + tol:
+            continue
+        i = int(np.argmin(np.abs(times - at)))
+        if abs(times[i] - at) > tol:
+            raise ValueError(f"observed atom at t={at} is not on the driver grid")
+        if i == 0:
+            raise ValueError("observed atom at the initial time")
+        rows.append((i - 1, np.atleast_1d(np.asarray(mark, dtype=float))))
+    rows.sort(key=lambda row: row[0])  # stable
+    return tuple(map(np.array, zip(*rows))) if rows else (np.zeros(0, dtype=int),
+                                                         np.zeros((0, 1)))
+
+
+def _outcome(normalize, record, times, t):
+    try:
+        return normalize(record, times, t)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_normalize_record_matches_the_atom_loop(data):
+    """Random observed-atom tables against the per-atom loop, bit for bit:
+    on-grid times jittered within the grid tolerance, exact ties between two
+    grid times closer than it, rows past the horizon (jittered onto it too),
+    unsorted and repeated rows, and the odd off-grid or initial-time row,
+    which must raise the loop's message for the first such row. A table
+    that is not (times 1-d, marks 2-d, equal lengths) raises ValueError
+    naming the field."""
+    T = data.draw(st.sampled_from([1.0, 2.5]))
+    tol = 1e-9 * T
+    times = np.linspace(0.0, T, data.draw(st.integers(2, 7)))
+    close = times[data.draw(st.lists(st.integers(1, len(times) - 2), max_size=2))
+                  if len(times) > 2 else []]
+    times = np.union1d(times, close + 2.0 ** -40)  # pairs closer than tol
+    t = float(times[data.draw(st.integers(1, len(times) - 1))])
+    t += data.draw(st.sampled_from([0.0, 0.5, -0.5])) * tol
+    good = data.draw(st.lists(st.sampled_from(["grid"] * 3 + ["tie"]), max_size=40))
+    bad = data.draw(st.sampled_from([[], [], [], ["off"], ["initial"], ["initial", "off"]]))
+    at = []
+    for kind in good + bad:
+        k = data.draw(st.integers(1, len(times) - 1))
+        if kind == "grid":
+            at.append(times[k] + data.draw(st.floats(-0.99, 0.99)) * tol)
+        elif kind == "tie" and len(close):
+            at.append(data.draw(st.sampled_from(close)) + 2.0 ** -41)
+        elif kind == "off":
+            at.append(times[k] + data.draw(st.sampled_from([-1.0, 1.0])) * 1e-3)
+        elif kind == "initial":
+            at.append(data.draw(st.floats(0.0, 0.99)) * tol)
+    at = at + data.draw(st.lists(st.sampled_from(at), max_size=5)) if at else at
+    d_u = data.draw(st.integers(1, 2))
+    marks = np.random.default_rng(data.draw(st.integers(0, 2**32))).standard_normal((len(at), d_u))
+    order = data.draw(st.permutations(range(len(at))))
+    record = (np.array(at, dtype=float)[order], marks[order])
+
+    got = _outcome(filtering._normalize_record, record, times, t)
+    want = _outcome(_normalize_each_atom, record, times, t)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+        assert len(got[1]) == len(want[1]) and got[1].tobytes() == want[1].tobytes()
+    assert filtering._normalize_record(None, times, t)[0].size == 0
+
+    for field, broken in (("table", list(zip(*record))[:1] or [(0.5, [1.0])]),
+                          ("times", (record[0][:, None], record[1])),
+                          ("marks", (record[0], record[1][:, 0])),
+                          ("lengths", (np.append(record[0], T), record[1]))):
+        with pytest.raises(ValueError, match=f"jump record: .*{field}"):
+            filtering._normalize_record(broken, times, t)
 
 
 def test_rejects_wrong_driver_dimension():
@@ -995,7 +1077,7 @@ def test_particle_blowup_names_particle_and_step(route):
                 theta(model, f, obs["driver"], None, 1.0, 8, 0,
                       aux_sampler=sampler)
             else:
-                direct_reference_filter(model, f, obs["Y"], [], 1.0, 8, 0,
+                direct_reference_filter(model, f, obs["Y"], None, 1.0, 8, 0,
                                         aux_sampler=sampler)
     assert info.value.diagnostics == {"particle_index": 3, "step_index": 5}
     assert str(info.value).startswith("particle 3 blew up at step 5 ")
@@ -1102,12 +1184,12 @@ def test_realized_observation_finite_regime():
     assert set(obs) == {"X", "Y", "wtilde", "driver", "jump_record",
                         "atoms", "noise"}
     assert obs["driver"].dim == 1
-    assert obs["jump_record"] == obs["atoms"]
-    for at, mark in obs["atoms"]:
+    assert obs["jump_record"] is obs["atoms"]
+    for at, mark in zip(*obs["atoms"]):
         assert 0.0 < at <= 1.0
         assert mark.shape == (1,)
     # atom times sit on the driver grid
-    for at, _ in obs["atoms"]:
+    for at in obs["atoms"][0]:
         assert np.min(np.abs(obs["driver"].times - at)) < 1e-9
 
 
@@ -1115,11 +1197,11 @@ def test_realized_observation_infinite_regime():
     model = get_model("stable_shot_noise")
     obs = realized_observation(model, 1.0, 64, 6, epsilon=0.05)
     assert obs["driver"].dim == 2
-    assert obs["jump_record"] == []
-    assert len(obs["atoms"]) > 0
+    assert [len(a) for a in obs["jump_record"]] == [0, 0]
+    assert len(obs["atoms"][0]) > 0
     # the second driver column is the cumulative observed jump path
     jumps = int(np.sum(obs["driver"].jump_flags))
-    assert jumps == len(obs["atoms"])
+    assert jumps == len(obs["atoms"][0])
     # the mesh lifts carry the input alone, so they would drop those atoms
     with pytest.raises(ValueError, match="joined jump path"):
         mesh_lifts(obs, 1.0, 8)

@@ -20,7 +20,7 @@ from roughfilter.rde import VectorField, _column_sum, solve_canonical_rde
 def zero_coeff_model(nu2=None, f2_scale=0.0):
     """All coefficients zero; optional observed atoms with constant f2."""
     return sim.ModelSpec(
-        model_id="zero", regime="finite_jumps" if nu2 else "scalar",
+        model_id="zero",
         dim_x=1, dim_y=1, dim_b=1,
         b1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
         b2=lambda t, x, y: np.zeros_like(np.asarray(y, dtype=float)),
@@ -46,6 +46,9 @@ class TestLevyDescriptors:
     def test_levy_measure_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             sim.LevyMeasure((((1.0,), 0.0),))
+        # "no jumps" is None: an empty measure is rejected, not integrated
+        with pytest.raises(ValueError, match="at least one atom"):
+            sim.LevyMeasure(())
 
     def test_stable_tail_moments(self):
         tail = sim.StableTail(1.5, 0.1)
@@ -92,9 +95,21 @@ class TestModelCatalog:
                 **{**sim.linear_gaussian().__dict__, "x0": (1.0, 2.0)})
 
     def test_infinite_regime_needs_stable_tail(self):
+        """The regime is read off the measures, so a model is infinite_jumps
+        exactly when nu2 is a StableTail: finite_jumps with atoms in nu1,
+        nu2 or both, scalar with neither."""
         good = sim.stable_shot_noise()
-        with pytest.raises(ValueError, match="StableTail"):
-            sim.ModelSpec(**{**good.__dict__, "nu2": None})
+        assert good.regime == "infinite_jumps"
+        assert sim.ModelSpec(**{**good.__dict__, "nu2": None}).regime == "scalar"
+        atoms = sim.LevyMeasure((((1.0,), 0.5),))
+        for nu1, nu2, regime in ((atoms, None, "finite_jumps"),
+                                 (None, atoms, "finite_jumps"),
+                                 (atoms, atoms, "finite_jumps"),
+                                 (None, None, "scalar"),
+                                 (atoms, good.nu2, "infinite_jumps")):
+            assert replace(good, nu1=nu1, nu2=nu2).regime == regime
+        assert [sim.get_model(name).regime for name in sorted(sim.MODEL_BUILDERS)] == [
+            "finite_jumps", "scalar", "finite_jumps", "infinite_jumps"]
 
 
 class TestNoiseBundle:
@@ -267,7 +282,7 @@ class TestSimulatePair:
     def test_geometric_observation_exp_field_oracle(self):
         """dY = Y o dW has the exact Stratonovich solution y0 exp(W)."""
         model = sim.ModelSpec(
-            model_id="geo", regime="scalar", dim_x=1, dim_y=1, dim_b=1,
+            model_id="geo", dim_x=1, dim_y=1, dim_b=1,
             b1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
             b2=lambda t, x, y: np.zeros_like(np.asarray(y, dtype=float)),
             sigma0=sim._const([[0.0]]), sigma1=sim._const([[0.0]]),
@@ -292,7 +307,7 @@ class TestSimulatePair:
             return (0.4 + 0.2 * np.sin(np.asarray(y, dtype=float)))[..., None]
 
         model = sim.ModelSpec(
-            model_id="wz", regime="scalar", dim_x=1, dim_y=1, dim_b=1,
+            model_id="wz", dim_x=1, dim_y=1, dim_b=1,
             b1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
             b2=lambda t, x, y: np.zeros_like(np.asarray(y, dtype=float)),
             sigma0=sim._const([[0.0]]), sigma1=sim._const([[0.0]]),
@@ -479,7 +494,7 @@ class TestGirsanovExponent:
         """b2 constant: I_t = h W_t + |h|^2 t / 2 exactly on the grid."""
         beta = 0.7
         model = sim.ModelSpec(
-            model_id="consth", regime="scalar", dim_x=1, dim_y=1, dim_b=1,
+            model_id="consth", dim_x=1, dim_y=1, dim_b=1,
             b1=lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float)),
             b2=lambda t, x, y: beta * np.ones_like(np.asarray(y, dtype=float)),
             sigma0=sim._const([[0.3]]), sigma1=sim._const([[0.0]]),
@@ -596,6 +611,19 @@ class TestGirsanovExponent:
         X, Y = sim.simulate_pair(model, nb)
         with pytest.raises(ValueError, match="lambda"):
             sim.girsanov_exponent(model, nb, X, Y)
+
+    def test_lambda_above_its_thinning_bound_raises(self):
+        """Physical bundles draw observed candidates at lambda_max nu2 and
+        thin them, so a lambda above lambda_max (meta, 1.0 when meta gives
+        none) cannot be reached: simulate_pair raises instead of accepting
+        every such atom. Reference bundles are not thinned."""
+        model = replace(sim.scalar_jump_diffusion(), meta={})
+        nb = sim.make_noise_bundle(model, 3.0, 16, seed=4)
+        with pytest.raises(ValueError, match=r"lambda 1\.31.* at t=0\.40.* exceeds the "
+                                             r"thinning bound lambda_max=1\.0"):
+            sim.simulate_pair(model, nb)
+        sim.simulate_pair(model, sim.make_noise_bundle(model, 3.0, 16, seed=4,
+                                                       measure="reference"))
 
     def test_unknown_mode(self):
         model = sim.linear_gaussian()
