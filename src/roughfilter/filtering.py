@@ -199,7 +199,8 @@ def gaussian_poisson_sampler(model: ModelSpec, times: np.ndarray):
     draws dB in one standard_normal block (particle-major), the second the
     per-particle atom counts from poisson(nu1 rate * T, N), the third one
     random((K, 2)) row per atom holding its time uniform and its mark
-    uniform (searched in the mark cdf). So the draw is deterministic in
+    uniform, which picks the mark by nu1.pick_marks, the simulator's mark
+    rule. So the draw is deterministic in
     (seed_base, N), the first N particles of a draw of N' >= N are the
     draw of N (common random numbers across particle counts), and distinct
     seed_base values give independent clouds."""
@@ -209,11 +210,6 @@ def gaussian_poisson_sampler(model: ModelSpec, times: np.ndarray):
     jumps = model.nu1 is not None
     if jumps:
         mean_count = model.nu1.total_rate * float(times[-1] - times[0])
-        marks = model.nu1.marks()
-        # the cdf Generator.choice(p=...) builds: a mark uniform picks the
-        # mark choice would pick from it
-        cdf = np.cumsum(model.nu1.rates() / model.nu1.total_rate)
-        cdf /= cdf[-1]
 
     def sample(seed_base: int, N: int):
         noise, counts_ss, rows_ss = np.random.SeedSequence(seed_base).spawn(3)
@@ -226,9 +222,8 @@ def gaussian_poisson_sampler(model: ModelSpec, times: np.ndarray):
         particle = np.repeat(np.arange(N), counts)
         at = times[0] + (times[-1] - times[0]) * rows[:, 0]
         seg = np.clip(np.searchsorted(times, at, side="left") - 1, 0, n_seg - 1)
-        pick = cdf.searchsorted(rows[:, 1], side="right")
         order = np.lexsort((at, particle, seg))
-        return dB, (seg[order], particle[order], marks[pick[order]])
+        return dB, (seg[order], particle[order], model.nu1.pick_marks(rows[order, 1]))
 
     return sample
 
@@ -415,7 +410,11 @@ FLOW_SUBSTEPS = 16  # RK4 substeps per unit |w| of the scalar flow map
 class _Route:
     """One way of stepping the common noise between grid times. A route holds
     the particle state component-major: `x` (d_X, N) and `y` (d_Y, N) are the
-    signal and observation values that jumps and weights see."""
+    signal and observation values that jumps and weights see.
+    `carries_atoms` says whether the route's driver carries the observed
+    jump path, so that the sweep must not apply the observed atoms again."""
+
+    carries_atoms = False
 
     def start(self, N: int):
         self.x, self.y = (np.repeat(np.array(v)[:, None], N, axis=1)
@@ -493,6 +492,7 @@ class _RoughRoute(_Route):
     def __init__(self, model: ModelSpec, driver: RoughPath):
         self.model, self.driver, self.times = model, driver, driver.times
         self.V = _joint_field(model, driver.dim)
+        self.carries_atoms = driver.dim > model.dim_y
         k = np.arange(len(driver.times) - 1)
         self.chords = driver.increment(k, k + 1, left_j=True)
         H = _affine_h(model, self.V)
@@ -679,6 +679,9 @@ def _sweep(model: ModelSpec, route, f: callable, t: float, jump_record,
     if m_end == 0:
         raise ValueError("horizon t must be positive on the driver grid")
     obs_seg, obs_marks = _normalize_record(jump_record, times, t)
+    if route.carries_atoms and len(obs_marks):
+        raise ValueError("the driver carries the observed jump path; its atoms up "
+                         "to t must not come again as a jump record")
     if aux_sampler is None:
         aux_sampler = gaussian_poisson_sampler(model, times[:m_end + 1])
     dB_all, (seg, particle, mark) = _checked_draw(
@@ -765,7 +768,10 @@ def theta(model: ModelSpec, f: callable, obs_driver, jump_record,
     function f(x, y) is a plain callable that broadcasts over the leading
     axes of x and y (FUNCTION_CATALOG names four). jump_record is the
     table (times, marks) of accepted observed atoms on the driver grid,
-    realized_observation's `jump_record`, or None.
+    realized_observation's `jump_record`, or None. A driver with d_Y + 1
+    components carries the observed jump path, and the joint field moves X
+    and Y across its jumps: then a jump_record row at or before t raises
+    ValueError, since the sweep would apply that atom a second time.
     aux_sampler, by default gaussian_poisson_sampler on the grid up to t, is
     called once as aux_sampler(seed_base, particles) -> (dB, (segment,
     particle, mark)), the atoms as one table sorted by segment, then

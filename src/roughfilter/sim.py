@@ -39,7 +39,9 @@ class LevyMeasure:
     at least one. "No jumps" is None, never an empty measure.
 
     Marks are vectors (stored as tuples); rate is the Poisson intensity of
-    that mark, so the total arrival rate is the sum of rates.
+    that mark, so the total arrival rate is the sum of rates. pick_marks is
+    the one mark rule of every atom draw, the simulator's and the
+    particle sweep's.
     """
 
     atoms: tuple
@@ -64,6 +66,15 @@ class LevyMeasure:
 
     def rates(self) -> np.ndarray:
         return np.array([r for _, r in self.atoms])
+
+    def pick_marks(self, uniforms) -> np.ndarray:
+        """The marks, (k, d_u), that uniforms (k,) pick with probability
+        rate / total_rate, by the cdf that Generator.choice(p=...) builds:
+        on rng.random(k) this is marks()[rng.choice(n, size=k, p=...)],
+        and it leaves the generator where choice leaves it."""
+        cdf = np.cumsum(self.rates() / self.total_rate)
+        cdf /= cdf[-1]
+        return self.marks()[cdf.searchsorted(uniforms, side="right")]
 
     def integrate(self, fn):
         """sum_a rate_a * fn(u_a); fn may return any broadcastable shape."""
@@ -395,9 +406,11 @@ def _lambda_bounds(model: ModelSpec):
 def validate_model(model: ModelSpec) -> dict:
     """Probe the standing assumptions at 64 random states (seed 0): linear
     coefficient growth, invertible sigma2 with bounded inverse, lambda
-    bounded away from 0 and infinity, the (1-lambda)^2/lambda integrability
-    functional, and the p-moment witness in the infinite-activity regime.
-    Returns a report; the 'ok' entry is the conjunction."""
+    bounded away from 0 and within the thinning bound lambda_max of _kept,
+    the (1-lambda)^2/lambda integrability functional, and the p-moment
+    witness in the infinite-activity regime. lambda is evaluated once per
+    probe and mark of an atomic nu2, sigma2 once per probe. Returns a
+    report; the 'ok' entry is the conjunction."""
     n_probes = 64
     rng = np.random.default_rng(0)
     xs = rng.standard_normal((n_probes, model.dim_x)) * 3.0
@@ -407,25 +420,22 @@ def validate_model(model: ModelSpec) -> dict:
     lam_integrability = 0.0
     for t, x, y in zip(ts, xs, ys):
         scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(y)
+        s2 = np.asarray(model.sigma2(t, y), dtype=float)
         vals = [model.b1(t, x, y), model.b2(t, x, y), model.sigma0(t, x, y),
-                model.sigma1(t, x, y), model.sigma2(t, y)]
+                model.sigma1(t, x, y), s2]
         if not all(np.all(np.isfinite(np.asarray(v, dtype=float))) for v in vals):
             return {"ok": False, "reason": "non-finite coefficient at probe"}
         growth = max(growth, max(np.max(np.abs(np.asarray(v))) for v in vals) / scale)
-        s2 = np.asarray(model.sigma2(t, y), dtype=float)
         try:
             inv_norms = max(inv_norms, float(np.linalg.norm(np.linalg.inv(s2))))
         except np.linalg.LinAlgError:
             return {"ok": False, "reason": f"sigma2 singular at probe t={t}"}
         if isinstance(model.nu2, LevyMeasure):
-            for mark, rate in model.nu2.atoms:
-                lam = float(np.asarray(model.lambda_fn(t, x, np.array(mark))))
-                lam_lo, lam_hi = min(lam_lo, lam), max(lam_hi, lam)
-            lam_integrability = max(
-                lam_integrability,
-                float(model.nu2.integrate(lambda u: (
-                    1.0 - np.asarray(model.lambda_fn(t, x, u))) ** 2
-                    / np.asarray(model.lambda_fn(t, x, u)))))
+            lams = _at_marks(None, model.lambda_fn, model.nu2, t, 0, x)
+            lam_lo = min(lam_lo, *map(float, lams))
+            lam_hi = max(lam_hi, *map(float, lams))
+            lam_integrability = max(lam_integrability, float(_atom_sum(
+                model.nu2, [(1.0 - lam) ** 2 / lam for lam in lams])))
     report = {
         "growth_ratio": float(growth),
         "sigma2_inv_bound": float(inv_norms),
@@ -436,6 +446,7 @@ def validate_model(model: ModelSpec) -> dict:
     ok = np.isfinite(growth) and np.isfinite(inv_norms)
     if isinstance(model.nu2, LevyMeasure):
         ok = ok and lam_lo > 0.0 and np.isfinite(lam_hi)
+        ok = ok and lam_hi <= _lambda_bounds(model)[1]
         ok = ok and np.isfinite(lam_integrability)
     if model.regime == "infinite_jumps":
         witness = model.nu2.p_moment(P_VAR)
@@ -460,9 +471,10 @@ class JumpRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "marks",
-                           np.atleast_2d(np.asarray(self.marks, dtype=float))
-                           if len(self.times) else np.zeros((0, 1)))
+        marks = np.asarray(self.marks, dtype=float)
+        if marks.ndim != 2:  # one row per atom; an empty record gets width 1
+            marks = marks.reshape(len(self.times), -1 if len(self.times) else 1)
+        object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "accept_u",
                            np.asarray(self.accept_u, dtype=float))
 
@@ -489,14 +501,14 @@ class NoiseBundle:
 
 
 def _sample_finite_atoms(rng, levy: LevyMeasure, T: float, boost: float):
-    rate = levy.total_rate * boost
-    count = rng.poisson(rate * T)
+    """(times, marks, accept_u) of a Poisson draw at rate boost * levy on
+    [0, T]: a count, its sorted uniform times, its marks by
+    LevyMeasure.pick_marks on one uniform each, and its acceptance
+    uniforms; marks are (count, d_u), also when count is 0."""
+    count = rng.poisson(levy.total_rate * boost * T)
     times = np.sort(rng.uniform(0.0, T, count))
-    probs = levy.rates() / levy.total_rate
-    idx = rng.choice(len(levy.atoms), size=count, p=probs)
-    marks = levy.marks()[idx]
-    accept = rng.uniform(0.0, 1.0, count)
-    return times, marks, accept
+    marks = levy.pick_marks(rng.random(count))
+    return times, marks, rng.uniform(0.0, 1.0, count)
 
 
 def _sample_stable_atoms(rng, tail: StableTail, epsilon: float, T: float):
@@ -572,29 +584,30 @@ def _observed_lambda(model: ModelSpec, t: float, x_left, u) -> np.ndarray:
     return lam
 
 
-def _kept(model: ModelSpec, noise: NoiseBundle, a: int, x_left):
-    """(kept, lam): whether observed atom a of the bundle, at (t, u),
-    survives thinning, and the lambda(t, X_{t-}, u) the test evaluated.
-    Under the physical measure with an atomic nu2 it survives iff
-    accept_u < lam / lambda_max, and a lam above lambda_max (meta, default
+def _kept(model: ModelSpec, noise: NoiseBundle, a: int, x_left) -> bool:
+    """Whether observed atom a of the bundle, at (t, u), survives thinning:
+    the one thinning rule. Under the physical measure with an atomic nu2 it
+    survives iff accept_u < lam / lambda_max, with lam = lambda(t, X_{t-},
+    u) from _observed_lambda, and a lam above lambda_max (meta, default
     1.0), which thinning cannot reach, raises ValueError; otherwise it
-    always survives, and lam is None (no test, no evaluation)."""
+    always survives, and lambda is not evaluated."""
     if noise.measure == "reference" or not isinstance(model.nu2, LevyMeasure):
-        return True, None
+        return True
     rec = noise.pp_jumps["nu2"]
     lam = float(_observed_lambda(model, float(rec.times[a]), x_left, rec.marks[a]))
     lam_max = _lambda_bounds(model)[1]
     if lam > lam_max:
         raise ValueError(f"lambda {lam} at t={rec.times[a]} exceeds the thinning "
                          f"bound lambda_max={lam_max}")
-    return bool(rec.accept_u[a] < lam / lam_max), lam
+    return bool(rec.accept_u[a] < lam / lam_max)
 
 
 def _accepted_nu2(model: ModelSpec, noise: NoiseBundle, X: CadlagPath):
-    """The thinning decisions simulate_pair made, read off the signal X it
-    returned: X.pre_values holds X_{t-} at each atom's grid index."""
+    """The thinning decisions simulate_pair made, one bool per nu2 atom,
+    read off the signal X it returned by _kept: X.pre_values holds X_{t-}
+    at each atom's grid index."""
     idx = np.searchsorted(noise.times, noise.pp_jumps["nu2"].times)
-    return np.array([_kept(model, noise, a, X.pre_values[i])[0]
+    return np.array([_kept(model, noise, a, X.pre_values[i])
                      for a, i in enumerate(idx)], dtype=bool)
 
 
@@ -650,7 +663,7 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle):
         for a in range(lo1[k + 1], hi1[k + 1]):
             x = x + np.asarray(model.f1(tk, x, y, rec1.marks[a]), dtype=float)
         for a in range(lo2[k + 1], hi2[k + 1]):
-            if not _kept(model, noise, a, preX[k + 1])[0]:
+            if not _kept(model, noise, a, preX[k + 1]):
                 continue
             u = rec2.marks[a]
             dxj = np.asarray(model.f3(tk, x, y, u), dtype=float)
@@ -672,9 +685,10 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
     Accumulates the h . dW_bundle quadrature (trapezoid for "stratonovich",
     left endpoint for "ito"), the |h|^2/2 dt term with the sign matching the
     bundle's measure (+ under "physical", - under "reference"), log lambda at
-    the accepted observed atoms, and the (1 - lambda) nu2 compensator. With
-    these signs E[exp(-I_T)] = 1 over physical bundles and E[exp(I_T)] = 1
-    over reference bundles.
+    the observed atoms that _kept accepts (_observed_lambda at X_{t-}), and
+    the (1 - lambda) nu2 compensator at the left endpoint, read from _rates
+    as the particle sweep reads it. With these signs E[exp(-I_T)] = 1 over
+    physical bundles and E[exp(I_T)] = 1 over reference bundles.
     """
     if mode not in ("stratonovich", "ito"):
         raise ValueError(f"unknown quadrature mode {mode!r}")
@@ -704,17 +718,12 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
             acc += float(h0 @ noise.brownian_W[k])
             acc += sign * float(h0 @ h0) * dt
         if isinstance(model.nu2, LevyMeasure):
-            comp = model.nu2.integrate(
-                lambda u: 1.0 - np.asarray(model.lambda_fn(t0, x0v, u), dtype=float))
-            acc += float(comp) * dt
+            acc += float(_rates(model, t0, x0v, y0v)[3]) * dt
         pre[k + 1] = acc
+        x_left = X.pre_values[k + 1]
         for a in range(lo2[k + 1], hi2[k + 1]):
-            kept, lam = _kept(model, noise, a, X.pre_values[k + 1])
-            if kept:
-                if lam is None:
-                    lam = float(_observed_lambda(
-                        model, t1, X.pre_values[k + 1], rec2.marks[a]))
-                acc += np.log(lam)
+            if _kept(model, noise, a, x_left):
+                acc += np.log(float(_observed_lambda(model, t1, x_left, rec2.marks[a])))
         vals[k + 1] = acc
     return CadlagPath(times, vals, pre, "linear")
 

@@ -1191,6 +1191,16 @@ def test_realized_observation_finite_regime():
     # atom times sit on the driver grid
     for at in obs["atoms"][0]:
         assert np.min(np.abs(obs["driver"].times - at)) < 1e-9
+    # no observed atom on a short horizon: the empty nu2 record and the
+    # empty table keep correlated_jump_multidim's two mark components
+    model = get_model("correlated_jump_multidim")
+    assert sim.make_noise_bundle(model, 0.01, 4, seed=0).pp_jumps["nu2"].marks.shape == (0, 2)
+    obs = realized_observation(model, 0.01, 4, 0)
+    assert [a.shape for a in obs["atoms"]] == [(0,), (0, 2)]
+    # marks given flat: one row per atom, width 1 when there is none
+    for times, marks, shape in (([0.2, 0.5], [1.0, -1.0], (2, 1)),
+                                ([0.2], [0.4, -0.2], (1, 2)), ([], [], (0, 1))):
+        assert sim.JumpRecord(times, marks, np.zeros(len(times))).marks.shape == shape
 
 
 def test_realized_observation_infinite_regime():
@@ -1205,6 +1215,16 @@ def test_realized_observation_infinite_regime():
     # the mesh lifts carry the input alone, so they would drop those atoms
     with pytest.raises(ValueError, match="joined jump path"):
         mesh_lifts(obs, 1.0, 8)
+    # the driver carries the atoms: the sweep refuses them a second time as
+    # a record, and a row past the horizon is dropped before that rule
+    f = FUNCTION_CATALOG["identity"]
+    with pytest.raises(ValueError, match="carries the observed jump path"):
+        theta(model, f, obs["driver"], obs["atoms"], 1.0, 50, 17)
+    past = theta(model, f, obs["driver"], ([2.0], [[0.1]]), 1.0, 50, 17)
+    assert past == theta(model, f, obs["driver"], None, 1.0, 50, 17)
+    first = float(obs["atoms"][0][0])
+    with pytest.raises(ValueError, match="carries the observed jump path"):
+        theta(model, f, obs["driver"], ([first], [[0.1]]), first, 50, 17)
 
 
 # -- batch independence and the per-step arithmetic --------------------------

@@ -42,6 +42,10 @@ class TestLevyDescriptors:
         assert np.allclose(nu.marks(), [[1.0], [-2.0]])
         # int u nu(du) = 0.75*1 + 0.25*(-2) = 0.25
         assert np.isclose(nu.integrate(lambda u: u[0]), 0.25)
+        # a uniform on a step of the cdf (0.75, 1) picks the next mark, as
+        # Generator.choice does
+        assert np.array_equal(nu.pick_marks(np.array([0.0, 0.5, 0.75, 0.9])),
+                              [[1.0], [1.0], [-2.0], [-2.0]])
 
     def test_levy_measure_rejects_bad_rate(self):
         with pytest.raises(ValueError):
@@ -49,6 +53,20 @@ class TestLevyDescriptors:
         # "no jumps" is None: an empty measure is rejected, not integrated
         with pytest.raises(ValueError, match="at least one atom"):
             sim.LevyMeasure(())
+
+    @settings(max_examples=200, deadline=None)
+    @given(rates=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1), size=st.integers(0, 50))
+    def test_pick_marks_is_generator_choice(self, rates, seed, size):
+        """pick_marks on k uniforms picks what Generator.choice(p=rates /
+        total_rate) picks, and leaves the generator in the same state."""
+        nu = sim.LevyMeasure(tuple(((float(i), -float(i)), r) for i, r in enumerate(rates)))
+        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = nu.pick_marks(rng.random(size))
+        idx = rng2.choice(len(rates), size=size, p=nu.rates() / nu.total_rate)
+        assert got.shape == (size, 2)
+        assert np.array_equal(got, nu.marks()[idx])
+        assert rng.random() == rng2.random()
 
     def test_stable_tail_moments(self):
         tail = sim.StableTail(1.5, 0.1)
@@ -84,6 +102,10 @@ class TestModelCatalog:
         report = sim.validate_model(replace(base, sigma2=sim._const([[0.0]])))
         assert report["ok"] is False
         assert report["reason"].startswith("sigma2 singular at probe t=")
+        # lambda above the thinning bound: 1.0 when meta gives none
+        report = sim.validate_model(replace(sim.scalar_jump_diffusion(), meta={}))
+        assert report["ok"] is False
+        assert report["lambda_range"][1] > 1.0
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -516,8 +538,16 @@ class TestGirsanovExponent:
 
     def test_hand_recomputed_quadrature(self):
         """Independent re-accumulation of I (trapezoid h dW, trapezoid
-        |h|^2 dt, log lambda at atoms, left-endpoint compensator) matches."""
+        |h|^2 dt, log lambda at atoms, left-endpoint compensator) matches,
+        also with a lambda that grows in time by the factor 1 + t."""
         model = sim.scalar_jump_diffusion()
+        lam = model.lambda_fn
+        self._hand_recomputed_quadrature(model)
+        self._hand_recomputed_quadrature(
+            replace(model, lambda_fn=lambda t, x, u: lam(t, x, u) * (1.0 + t)))
+
+    @staticmethod
+    def _hand_recomputed_quadrature(model):
         nb = sim.make_noise_bundle(model, 1.5, 16, seed=19, measure="reference")
         X, Y = sim.simulate_pair(model, nb)
         I = sim.girsanov_exponent(model, nb, X, Y, mode="stratonovich")
@@ -588,6 +618,8 @@ class TestGirsanovExponent:
             "meta": {**base.meta, "lambda_min": float(np.exp(-kap)),
                      "lambda_max": float(np.exp(kap))},
         })
+        # lambda reaches lambda_max exactly, which the probe allows
+        assert sim.validate_model(model)["ok"]
         n = 600
         for measure, flip in (("reference", 1.0), ("physical", -1.0)):
             vals = np.empty(n)
@@ -624,6 +656,26 @@ class TestGirsanovExponent:
             sim.simulate_pair(model, nb)
         sim.simulate_pair(model, sim.make_noise_bundle(model, 3.0, 16, seed=4,
                                                        measure="reference"))
+
+    # sha256 over I values and I pre-values of girsanov_exponent on [0, 1],
+    # 16 steps, for three catalog models, both measures, seeds 0-24 and both
+    # quadrature modes, recorded before the exponent read its compensator
+    # from sim._rates and its log lambda from sim._observed_lambda.
+    GIRSANOV_SHA256 = "f2c0d0b7d1c9ab4fa57050474e17f4dca84da1505115c1eb3c78e0b98c03883a"
+
+    def test_girsanov_bits_pinned(self):
+        digest = hashlib.sha256()
+        for name in ("linear_gaussian", "scalar_jump_diffusion", "correlated_jump_multidim"):
+            model = sim.get_model(name)
+            for measure in ("physical", "reference"):
+                for seed in range(25):
+                    nb = sim.make_noise_bundle(model, 1.0, 16, seed, measure=measure)
+                    X, Y = sim.simulate_pair(model, nb)
+                    for mode in ("stratonovich", "ito"):
+                        I = sim.girsanov_exponent(model, nb, X, Y, mode=mode)
+                        digest.update(I.values.tobytes())
+                        digest.update(I.pre_values.tobytes())
+        assert digest.hexdigest() == self.GIRSANOV_SHA256
 
     def test_unknown_mode(self):
         model = sim.linear_gaussian()
