@@ -1,6 +1,6 @@
-"""Cadlag-to-continuous machinery: path functions, jump-slot time extension,
-continuous representatives, and the alpha_p/beta_p metric estimators between
-jump-filled representatives.
+"""Cadlag-to-continuous machinery: path functions, admissible pairs,
+continuous representatives, and the alpha_p/beta_p metric estimators
+between jump-filled representatives.
 
 Jumps are opened into fictitious-time slots ordered by decreasing jump size
 (ties: earlier jump first); slot k gets width delta * r_k from a summable
@@ -127,65 +127,10 @@ class AdmissiblePair:
                     f"linear path function is inadmissible: {exc}") from None
 
 
-def ordered_jumps(pair: AdmissiblePair):
-    """Jump indices ordered by decreasing jump size, earlier time first on
-    ties; returns (indices_in_rank_order, sizes_in_rank_order)."""
-    X = pair.rough
-    idx = np.nonzero(X.jump_flags)[0]
-    sizes = homogeneous_norm(X.increment(idx, idx, left_i=True))
-    order = np.lexsort((X.times[idx], -sizes))
-    return idx[order], sizes[order]
-
-
-@dataclass(frozen=True)
-class TimeExtension:
-    """The increasing cadlag map tau(t) = t + sum_{t_k <= t} delta*r_k."""
-
-    T: float
-    jump_times: np.ndarray  # in time order
-    widths: np.ndarray  # slot widths, aligned with jump_times
-
-    @property
-    def r_total(self) -> float:
-        return float(np.sum(self.widths))
-
-    @property
-    def T_ext(self) -> float:
-        return self.T + self.r_total
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        offs = np.concatenate([[0.0], np.cumsum(self.widths)])
-        k = np.searchsorted(self.jump_times, t, side="right")
-        out = t + offs[k]
-        return float(out) if out.ndim == 0 else out
-
-    def slots(self):
-        """Extended-time slot intervals [tau(t_k-), tau(t_k)] in time order."""
-        offs = np.concatenate([[0.0], np.cumsum(self.widths)])
-        return [
-            (float(t + offs[j]), float(t + offs[j + 1]))
-            for j, t in enumerate(self.jump_times)
-        ]
-
-
 # Relative floor on slot widths: geometric r-sequences underflow the float
 # resolution of the extended time axis around rank 50, which would collapse
 # representative grid points for paths with very many jumps.
 WIDTH_FLOOR = 1e-10
-
-
-def time_extension(pair: AdmissiblePair):
-    """Slot layout for a pair: (tau, jump_slots)."""
-    X = pair.rough
-    idx_rank, _ = ordered_jumps(pair)
-    floor = WIDTH_FLOOR * max(X.T, 1.0)
-    widths_by_rank = np.array(
-        [max(pair.delta * pair.r_seq.term(k + 1), floor) for k in range(len(idx_rank))]
-    )
-    order = np.argsort(idx_rank)  # back to time order
-    ext = TimeExtension(X.T, X.times[idx_rank[order]], widths_by_rank[order])
-    return ext, ext.slots()
 
 
 # -- continuous representative --------------------------------------------
@@ -202,17 +147,25 @@ class Representative:
 
 def build_representative(pair: AdmissiblePair,
                          slot_steps: int = SLOT_STEPS) -> Representative:
-    """Open jumps into phi-filled slots, then rescale [0, T+r] back to [0, T].
-    A jump at index i becomes slot_steps + 1 points: the left limit at the
-    slot start, phi at slot_steps - 1 equal steps inside, and the value."""
+    """Open jumps into phi-filled slots, then rescale [0, T_ext] back to [0, T].
+
+    Jumps are ranked by decreasing homogeneous size, the earlier jump first
+    on a tie; the jump of rank k (1-based) gets a slot of width
+    max(delta * r_k, WIDTH_FLOOR * max(T, 1)). A grid time t goes to
+    tau(t) = t + (sum of the widths of the jumps at or before t), except
+    that the first grid time goes to 0, and T_ext = T + (sum of all
+    widths). A jump at index i becomes slot_steps + 1 points: the left
+    limit at the slot start tau(t_i) - width, phi at slot_steps - 1 equal
+    steps inside, and the value at tau(t_i)."""
     if slot_steps < 1:
         raise ValueError("slot_steps must be >= 1")
     X = pair.rough
-    if not X.has_jumps():
-        return Representative(RoughPath(X.times, X.level1, X.level2),
-                              np.arange(len(X.times)))
-    ext, _ = time_extension(pair)
-    jumps = np.nonzero(X.jump_flags)[0]  # time order, as ext.widths
+    jumps = np.nonzero(X.jump_flags)[0]  # time order
+    sizes = homogeneous_norm(X.increment(jumps, jumps, left_i=True))
+    rank = np.argsort(np.lexsort((X.times[jumps], -sizes)))
+    floor = WIDTH_FLOOR * max(X.T, 1.0)
+    widths = np.array([max(pair.delta * pair.r_seq.term(k + 1), floor)
+                       for k in rank.tolist()])
     counts = 1 + slot_steps * X.jump_flags.astype(int)
     orig_indices = np.cumsum(counts) - 1
     start = orig_indices[jumps] - slot_steps
@@ -222,19 +175,22 @@ def build_representative(pair: AdmissiblePair,
     L1 = np.empty((m, X.dim))
     L2 = np.empty((m, X.dim, X.dim))
 
-    tau = ext(X.times)
+    tau = X.times + np.concatenate([[0.0], np.cumsum(widths)])[np.cumsum(X.jump_flags)]
     tau[0] = 0.0
-    slot_start = tau[jumps] - ext.widths
+    T_ext = X.T + float(np.sum(widths))
+    slot_start = tau[jumps] - widths
     s = np.arange(1, slot_steps) / slot_steps
     t_ext[orig_indices] = tau
     t_ext[start] = slot_start
-    t_ext[inside] = slot_start[:, None] + s * ext.widths[:, None]
+    t_ext[inside] = slot_start[:, None] + s * widths[:, None]
     L1[orig_indices], L2[orig_indices] = X.level1, X.level2
     L1[start], L2[start] = X.pre_level1[jumps], X.pre_level2[jumps]
     g = pair.phi(X.point(jumps[:, None], left=True), X.point(jumps[:, None]), s)
     L1[inside], L2[inside] = g.level1, g.level2
 
-    return Representative(RoughPath(t_ext * (X.T / ext.T_ext), L1, L2), orig_indices)
+    # A one-point path on [0, 0] has T_ext = 0 and nothing to rescale.
+    scale = X.T / T_ext if T_ext else 1.0
+    return Representative(RoughPath(t_ext * scale, L1, L2), orig_indices)
 
 
 # -- alpha_p / beta_p ------------------------------------------------------

@@ -220,15 +220,6 @@ def geometric_defect_max(X: RoughPath) -> float:
     return geometric_defect(GroupElement(X.level1, X.level2))
 
 
-def marcus_jump_defect(X: RoughPath) -> float:
-    """Max level-2 magnitude of log of jump increments (zero for Marcus lifts)."""
-    idx = np.nonzero(X.jump_flags)[0]
-    if not idx.size:
-        return 0.0
-    _, chi2 = group_log(X.increment(idx, idx, left_i=True))
-    return float(np.max(np.abs(chi2)))
-
-
 def marcus_increment(X: RoughPath, i, rtol: float = 1e-8) -> np.ndarray:
     """Level 1 of the log of the jump at grid index i (an int or an index
     array). Raises ValueError unless every such jump is of Marcus type: its

@@ -428,10 +428,9 @@ def _distance_bound(comps: np.ndarray, p: float):
 
 
 def p_variation_of_points(points: np.ndarray, p: float) -> float:
-    """p-variation (already rooted) of the polyline through `points`."""
+    """p-variation (already rooted) of the polyline through `points`, an
+    (m, d) array: one row per point."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     m, d = pts.shape
     if m < 2:
         return 0.0

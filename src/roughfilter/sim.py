@@ -76,14 +76,11 @@ class LevyMeasure:
         cdf /= cdf[-1]
         return self.marks()[cdf.searchsorted(uniforms, side="right")]
 
-    def integrate(self, fn):
-        """sum_a rate_a * fn(u_a); fn may return any broadcastable shape."""
-        return _atom_sum(self, (fn(np.array(mark)) for mark, _ in self.atoms))
-
 
 def _atom_sum(levy: LevyMeasure, values):
-    """sum_a rate_a * values[a], added in atom order: the arithmetic of
-    LevyMeasure.integrate over values already evaluated at the marks."""
+    """sum_a rate_a * values[a], added in atom order, over values already
+    evaluated at the marks (levy.marks()); the values may have any shapes
+    that broadcast."""
     out = None
     for (_, rate), value in zip(levy.atoms, values):
         term = rate * np.asarray(value, dtype=float)
@@ -406,7 +403,8 @@ def _lambda_bounds(model: ModelSpec):
 def validate_model(model: ModelSpec) -> dict:
     """Probe the standing assumptions at 64 random states (seed 0): linear
     coefficient growth, invertible sigma2 with bounded inverse, lambda
-    bounded away from 0 and within the thinning bound lambda_max of _kept,
+    bounded away from 0 and within the declared [lambda_min, lambda_max]
+    (lambda_max is the thinning bound of _kept),
     the (1-lambda)^2/lambda integrability functional, and the p-moment
     witness in the infinite-activity regime. lambda is evaluated once per
     probe and mark of an atomic nu2, sigma2 once per probe. Returns a
@@ -444,14 +442,14 @@ def validate_model(model: ModelSpec) -> dict:
         "n_probes": n_probes,
     }
     ok = np.isfinite(growth) and np.isfinite(inv_norms)
+    lo, hi = _lambda_bounds(model)
     if isinstance(model.nu2, LevyMeasure):
         ok = ok and lam_lo > 0.0 and np.isfinite(lam_hi)
-        ok = ok and lam_hi <= _lambda_bounds(model)[1]
+        ok = ok and lo <= lam_lo and lam_hi <= hi
         ok = ok and np.isfinite(lam_integrability)
     if model.regime == "infinite_jumps":
         witness = model.nu2.p_moment(P_VAR)
         report[f"p_moment_{P_VAR}"] = float(witness)
-        lo, hi = _lambda_bounds(model)
         ok = ok and np.isfinite(witness) and lo == hi == 1.0
     report["ok"] = bool(ok)
     return report

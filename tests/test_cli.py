@@ -59,6 +59,14 @@ def test_config_defaults_and_validation():
         build_config("metrics", {}, {"delta_seq": "0.5,0.5"})
     with pytest.raises(ValueError, match="unknown config key"):
         build_config("filter", {"bogus": 1}, {})
+    with pytest.raises(ValueError, match="unknown command"):
+        build_config("nope", {}, {})
+    for flags, match in (({"steps": 0}, "steps"), ({"f_name": "nope"}, "unknown test function"),
+                         ({"epsilon": 0.0}, "epsilon"), ({"alpha": 2.0}, "alpha"),
+                         ({"meshes": "4,0"}, "meshes"), ({"levels": 1}, "levels"),
+                         ({"n_seeds": 0}, "n_seeds")):
+        with pytest.raises(ValueError, match=match):
+            build_config("filter", {}, flags)
 
 
 def test_flat_config_file_with_flag_override(tmp_path):
@@ -70,6 +78,9 @@ def test_flat_config_file_with_flag_override(tmp_path):
     assert cfg.model_id == "scalar_jump_diffusion"
     assert cfg.particles == 99  # flag wins
     assert cfg.meshes == (4, 8)
+    cfile.write_text("particles 77\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="without '='"):
+        load_config_file(str(cfile))
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

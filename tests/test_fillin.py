@@ -1,9 +1,9 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from roughfilter.fillin import (
+    SLOT_STEPS,
     AdmissiblePair,
     RSeq,
     alpha_p,
@@ -11,9 +11,7 @@ from roughfilter.fillin import (
     build_representative,
     linear_path_function,
     log_linear_path_function,
-    ordered_jumps,
     tabulated_path_function,
-    time_extension,
 )
 from roughfilter.lift import RoughPath, marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
@@ -103,6 +101,9 @@ def test_linear_kind_admissibility():
     with pytest.raises(ValueError):
         AdmissiblePair(area_jump_lift(), linear_path_function())
     AdmissiblePair(area_jump_lift())  # log-linear always admissible
+    for delta in (0.0, 1.5):
+        with pytest.raises(ValueError, match="delta"):
+            AdmissiblePair(step_lift(), delta=delta)
 
 
 def test_rseq_terms_and_validation():
@@ -131,63 +132,68 @@ def two_jump_lift(t1=0.25, d1=0.5, t2=0.6, d2=2.0):
     return marcus_lift(CadlagPath(times, vals, pre))
 
 
-def test_ordered_jumps_rank_and_tie_break():
+def assert_layout(rep, X, T_ext, tau, slots, slot_steps=SLOT_STEPS):
+    """The representative puts each original grid time at tau and each jump
+    slot at (start, end), in extended time [0, T_ext] scaled back to [0, T]
+    exactly as build_representative scales."""
+    scale = X.T / T_ext
+    R = rep.rough.times
+    assert list(R[rep.orig_indices]) == [t * scale for t in tau]
+    ends = rep.orig_indices[np.nonzero(X.jump_flags)[0]]
+    assert [(R[e - slot_steps], R[e]) for e in ends] == [
+        (a * scale, b * scale) for a, b in slots]
+
+
+def test_representative_rank_and_tie_break():
     X = two_jump_lift()
-    pair = AdmissiblePair(X)
-    idx, sizes = ordered_jumps(pair)
-    assert list(X.times[idx]) == [0.6, 0.25]  # bigger jump first
-    assert sizes[0] > sizes[1]
-    Y = two_jump_lift(d1=1.0, d2=1.0)
-    idx, sizes = ordered_jumps(AdmissiblePair(Y))
-    assert list(Y.times[idx]) == [0.25, 0.6]  # tie: earlier first
-    assert sizes[0] == sizes[1]
-
-
-def test_time_extension_single_jump():
-    pair = AdmissiblePair(step_lift())
-    ext, slots = time_extension(pair)
-    assert ext.r_total == 0.5
-    assert ext.T_ext == 1.5
-    assert ext(0.4) == 0.4
-    assert ext(0.5) == 1.0
-    assert ext(1.0) == 1.5
-    assert slots == [(0.5, 1.0)]
-
-
-def test_time_extension_two_jumps_and_delta():
-    pair = AdmissiblePair(two_jump_lift())
-    ext, slots = time_extension(pair)
     # bigger jump (t=0.6) takes r_1=0.5, smaller (t=0.25) takes r_2=0.25
-    assert np.allclose(ext.widths, [0.25, 0.5])
-    assert ext(0.25) == 0.5
-    assert ext(0.6) == pytest.approx(1.35)
-    assert slots[0] == (0.25, 0.5)
-    half = replace(pair, delta=0.5)
-    ext2, _ = time_extension(half)
-    assert ext2.r_total == pytest.approx(0.5 * ext.r_total)
+    assert_layout(build_representative(AdmissiblePair(X)), X, 1.75,
+                  [0.0, 0.25 + 0.25, 0.6 + 0.75, 1.0 + 0.75],
+                  [(0.25, 0.25 + 0.25), (0.6 + 0.75 - 0.5, 0.6 + 0.75)])
+    Y = two_jump_lift(d1=1.0, d2=1.0)
+    # tie: the earlier jump (t=0.25) takes r_1
+    assert_layout(build_representative(AdmissiblePair(Y)), Y, 1.75,
+                  [0.0, 0.25 + 0.5, 0.6 + 0.75, 1.0 + 0.75],
+                  [(0.25, 0.25 + 0.5), (0.6 + 0.75 - 0.25, 0.6 + 0.75)])
 
 
-def test_time_extension_jumpless_identity():
-    rng = np.random.default_rng(33)
-    ext, slots = time_extension(AdmissiblePair(brownian_lift(rng)))
-    assert ext.r_total == 0.0
-    assert slots == []
-    assert ext(0.37) == 0.37
+def test_representative_single_jump_slot():
+    X = marcus_lift(CadlagPath([0.0, 0.4, 0.5, 1.0], [[0.0], [0.0], [1.0], [1.0]],
+                               [[0.0], [0.0], [0.0], [1.0]]))
+    assert_layout(build_representative(AdmissiblePair(X)), X, 1.5,
+                  [0.0, 0.4, 1.0, 1.5], [(0.5, 1.0)])
+
+
+def test_representative_two_jumps_and_delta():
+    X = two_jump_lift()
+    # delta = 0.5 halves every width, r_1 = 0.5 and r_2 = 0.25, and so the
+    # total width 0.75
+    assert_layout(build_representative(AdmissiblePair(X, delta=0.5)), X, 1.0 + 0.5 * 0.75,
+                  [0.0, 0.25 + 0.125, 0.6 + 0.375, 1.0 + 0.375],
+                  [(0.25, 0.25 + 0.125), (0.6 + 0.375 - 0.25, 0.6 + 0.375)])
 
 
 def test_representative_jumpless_passthrough():
     rng = np.random.default_rng(34)
     X = brownian_lift(rng)
-    rep = build_representative(AdmissiblePair(X))
-    assert np.array_equal(rep.rough.times, X.times)
-    assert np.array_equal(rep.rough.level1, X.level1)
-    assert np.array_equal(rep.orig_indices, np.arange(len(X.times)))
-    assert len(rep.rough.times) == len(X.times)  # no slot points
+    for pair, slot_steps in ((AdmissiblePair(X), SLOT_STEPS),
+                             (AdmissiblePair(X, r_seq=RSeq.geometric(3.0), delta=0.125), 1)):
+        rep = build_representative(pair, slot_steps)
+        assert np.array_equal(rep.rough.times, X.times)
+        assert np.array_equal(rep.rough.level1, X.level1)
+        assert np.array_equal(rep.rough.level2, X.level2)
+        assert np.array_equal(rep.orig_indices, np.arange(len(X.times)))
+        assert len(rep.rough.times) == len(X.times)  # no slot points
+    # a one-point path on [0, 0] has nothing to rescale
+    O = stratonovich_lift(CadlagPath([0.0], [[0.0]]))
+    assert np.array_equal(build_representative(AdmissiblePair(O)).rough.times, [0.0])
 
 
 def test_representative_single_jump_layout():
     X = step_lift()
     pair = AdmissiblePair(X)
+    with pytest.raises(ValueError, match="slot_steps"):
+        build_representative(pair, slot_steps=0)
     rep = build_representative(pair, slot_steps=4)
     R = rep.rough
     assert not R.has_jumps()
@@ -217,13 +223,20 @@ def test_representative_preserves_endpoint_signature():
 
 
 def test_time_change_round_trip_exact():
-    for X in (step_lift(jump_time=0.3), two_jump_lift()):
-        pair = AdmissiblePair(X, delta=0.7)
-        rep = build_representative(pair, slot_steps=8)
-        ext, _ = time_extension(pair)
-        for i in range(len(X.times)):
-            t = float(X.times[i])
-            assert rep.rough.times[rep.orig_indices[i]] == ext(t) * (ext.T / ext.T_ext)
+    X = step_lift(jump_time=0.3)
+    w = 0.7 * 0.5
+    assert_layout(build_representative(AdmissiblePair(X, delta=0.7)), X, 1.0 + w,
+                  [0.0, 0.3 + w, 1.0 + w], [(0.3 + w - w, 0.3 + w)])
+    X = two_jump_lift()
+    w1, w2 = 0.7 * 0.25, 0.7 * 0.5
+    assert_layout(build_representative(AdmissiblePair(X, delta=0.7)), X, 1.0 + (w1 + w2),
+                  [0.0, 0.25 + w1, 0.6 + (w1 + w2), 1.0 + (w1 + w2)],
+                  [(0.25 + w1 - w1, 0.25 + w1), (0.6 + (w1 + w2) - w2, 0.6 + (w1 + w2))])
+    # a path starting after 0: its first time lands at 0, on [0, T]
+    X = marcus_lift(CadlagPath([0.2, 0.5, 1.0], [[0.0], [1.0], [1.0]],
+                               [[0.0], [0.0], [1.0]]))
+    assert_layout(build_representative(AdmissiblePair(X)), X, 1.5,
+                  [0.0, 0.5 + 0.5, 1.0 + 0.5], [(0.5, 0.5 + 0.5)])
 
 
 def test_beta_p_self_is_zero():

@@ -743,19 +743,21 @@ def test_reference_rates_evaluate_lambda_once_per_atom():
     def lam(u):
         return np.asarray(model.lambda_fn(t, x, u), dtype=float)
 
-    rhs_ref = model.b2(t, x, y) + model.nu2.integrate(
-        lambda u: model.f2(t, y, u) * (1.0 - lam(u))[..., None])
+    marks = model.nu2.marks()
+    rhs_ref = model.b2(t, x, y) + sim._atom_sum(
+        model.nu2, [model.f2(t, y, u) * (1.0 - lam(u))[..., None] for u in marks])
     h_ref = rhs_ref / model.sigma2(t, y)[..., 0]  # sigma2 is 1 x 1
     bx_ref = (model.b1(t, x, y)
-              - model.nu1.integrate(lambda u: model.f1(t, x, y, u))
-              - model.nu2.integrate(
-                  lambda u: model.f3(t, x, y, u) * lam(u)[..., None])
+              - sim._atom_sum(model.nu1,
+                              [model.f1(t, x, y, u) for u in model.nu1.marks()])
+              - sim._atom_sum(
+                  model.nu2, [model.f3(t, x, y, u) * lam(u)[..., None] for u in marks])
               - np.einsum("...ij,...j->...i", model.sigma1(t, x, y), h_ref))
     by_ref = (model.b2(t, x, y)
-              - model.nu2.integrate(
-                  lambda u: model.f2(t, y, u) * lam(u)[..., None])
+              - sim._atom_sum(
+                  model.nu2, [model.f2(t, y, u) * lam(u)[..., None] for u in marks])
               - np.einsum("...ij,...j->...i", model.sigma2(t, y), h_ref))
-    comp_ref = model.nu2.integrate(lambda u: 1.0 - lam(u))
+    comp_ref = sim._atom_sum(model.nu2, [1.0 - lam(u) for u in marks])
     for got, expect in ((bx, bx_ref), (by, by_ref), (h, h_ref),
                         (comp, comp_ref)):
         assert np.array_equal(got, expect)
@@ -879,6 +881,9 @@ def test_rejects_bad_particle_count_and_horizon():
     with pytest.raises(ValueError, match="grid"):
         theta(model, FUNCTION_CATALOG["one"], obs["driver"],
               obs["jump_record"], 0.777, 10, 0)
+    with pytest.raises(ValueError, match="horizon t must be positive"):
+        theta(model, FUNCTION_CATALOG["one"], obs["driver"],
+              obs["jump_record"], 0.0, 10, 0)
 
 
 def test_rejects_off_grid_and_initial_atoms():

@@ -17,7 +17,6 @@ from roughfilter.lift import (
     chen_defect,
     geometric_defect_max,
     marcus_increment,
-    marcus_jump_defect,
     marcus_lift,
     read_rough_path_json,
     reverse_rough_path,
@@ -138,7 +137,9 @@ def test_marcus_jumpless_bit_identical_to_stratonovich():
 def test_marcus_lift_jump_logs_vanish():
     rng = np.random.default_rng(22)
     X = marcus_lift(jumpy_path(rng, 12, 3, n_jumps=3))
-    assert marcus_jump_defect(X) < 1e-12
+    jumps = np.nonzero(X.jump_flags)[0]
+    _, lg2 = group_log(X.increment(jumps, jumps, left_i=True))
+    assert np.max(np.abs(lg2)) < 1e-12
     assert chen_defect(X) < 1e-12
     assert geometric_defect_max(X) < 1e-12
 
@@ -207,6 +208,8 @@ def _malformed(case):
         kw[key] = kw[key][:, :1]
     elif case == "pre_level1 shape":
         kw["pre_level1"] = kw["pre_level1"][:2]
+    elif case == "pre-level rows":
+        kw["pre_level1"], kw["pre_level2"] = kw["pre_level1"][:2], kw["pre_level2"][:2]
     elif case == "jump_flags shape":
         kw["jump_flags"] = kw["jump_flags"][:2]
     elif case == "level1 start":
@@ -223,7 +226,8 @@ def _malformed(case):
 
 @pytest.mark.parametrize("case", [
     "times not increasing", "time nan", "time inf", "level1 1-d", "level1 rows",
-    "level2 shape", "pre_level1 shape", "pre_level2 shape", "jump_flags shape",
+    "level2 shape", "pre_level1 shape", "pre_level2 shape", "pre-level rows",
+    "jump_flags shape",
     "level1 start", "level2 start", "jump at t=0", "level1 non-finite",
     "level2 non-finite", "pre_level1 non-finite", "pre_level2 non-finite"])
 def test_rough_path_rejects_malformed_input(case):
@@ -657,6 +661,8 @@ def test_reverse_round_trip():
     assert np.allclose(RR.level1, X.level1, atol=1e-12)
     assert np.allclose(RR.level2, X.level2, atol=1e-12)
     assert chen_defect(R) < 1e-12
+    with pytest.raises(ValueError, match="continuous paths"):
+        reverse_rough_path(marcus_lift(jumpy_path(rng, 8, 2)))
 
 
 def test_json_round_trip(tmp_path):

@@ -63,6 +63,10 @@ def test_construction_validation():
         CadlagPath([0.0, 1.0], [[1.0], [2.0]], [[0.0], [2.0]])  # jump at t=0
     with pytest.raises(ValueError):
         CadlagPath([0.0, 1.0], [[1.0], [2.0]], interp="spline")
+    with pytest.raises(ValueError, match="one row per time"):
+        CadlagPath([0.0, 1.0], [[1.0], [2.0], [3.0]])
+    with pytest.raises(ValueError, match="pre_values must match"):
+        CadlagPath([0.0, 1.0], [[1.0], [2.0]], [[1.0, 0.0], [2.0, 0.0]])
 
 
 def test_left_limits_equal_to_values_mean_no_jump():
@@ -240,6 +244,8 @@ def test_sigma_p_validation():
     x = CadlagPath([0.0, 1.0], [[0.0], [1.0]])
     with pytest.raises(ValueError):
         skorokhod_sigma_p(x, x, 2.0, 0)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        skorokhod_sigma_p(x, x, 0.5)
     y = CadlagPath([0.0, 2.0], [[0.0], [1.0]])
     with pytest.raises(ValueError):
         skorokhod_sigma_p(x, y, 2.0, 2)

@@ -66,6 +66,8 @@ def test_zero_field_constant_solution():
                               steps=50)
     assert np.allclose(sol.states, [1.0, -2.0])
     assert sol.scheme_meta["scheme"] == "davie2+marcus"
+    with pytest.raises(ValueError, match="steps"):
+        solve_canonical_rde(V, AdmissiblePair(brownian_lift(rng)), [1.0, -2.0], steps=0)
 
 
 def test_scalar_exponential_oracle():

@@ -41,7 +41,7 @@ class TestLevyDescriptors:
         assert nu.total_rate == 1.0
         assert np.allclose(nu.marks(), [[1.0], [-2.0]])
         # int u nu(du) = 0.75*1 + 0.25*(-2) = 0.25
-        assert np.isclose(nu.integrate(lambda u: u[0]), 0.25)
+        assert np.isclose(sim._atom_sum(nu, [u[0] for u in nu.marks()]), 0.25)
         # a uniform on a step of the cdf (0.75, 1) picks the next mark, as
         # Generator.choice does
         assert np.array_equal(nu.pick_marks(np.array([0.0, 0.5, 0.75, 0.9])),
@@ -94,7 +94,8 @@ class TestModelCatalog:
 
     def test_validate_model_failure_reports(self):
         """A non-finite coefficient and a singular sigma2 at a probe each
-        fail the report, with their reason."""
+        fail the report, with their reason; so does lambda outside the
+        declared [lambda_min, lambda_max]."""
         base = sim.get_model("linear_gaussian")
         nan_drift = replace(base, b1=lambda t, x, y: np.full(np.shape(x), np.nan))
         assert sim.validate_model(nan_drift) == {
@@ -106,6 +107,11 @@ class TestModelCatalog:
         report = sim.validate_model(replace(sim.scalar_jump_diffusion(), meta={}))
         assert report["ok"] is False
         assert report["lambda_range"][1] > 1.0
+        # lambda below the declared lambda_min
+        model = sim.scalar_jump_diffusion()
+        report = sim.validate_model(replace(model, meta={**model.meta, "lambda_min": 0.9}))
+        assert report["ok"] is False
+        assert report["lambda_range"][0] < 0.9
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -500,6 +506,10 @@ class TestHFunction:
                                          np.zeros((model.dim_y, 3)))
             with pytest.raises(ValueError, match="singular"):
                 sim.h_function(model, 0.0, np.zeros(d), np.zeros(model.dim_y))
+        # a plain 1 x 1 sigma2 callable is read at every call
+        plain = replace(sim.linear_gaussian(), sigma2=lambda t, y: np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="sigma2 singular at t=0.25"):
+            sim._reference_rates(plain, 0.25, np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 class TestGirsanovExponent:
@@ -683,6 +693,10 @@ class TestGirsanovExponent:
         X, Y = sim.simulate_pair(model, nb)
         with pytest.raises(ValueError, match="mode"):
             sim.girsanov_exponent(model, nb, X, Y, mode="midpoint")
+        # paths simulated on another bundle's grid
+        X, Y = sim.simulate_pair(model, sim.make_noise_bundle(model, 1.0, 16, seed=0))
+        with pytest.raises(ValueError, match="simulate_pair on this bundle"):
+            sim.girsanov_exponent(model, nb, X, Y)
 
 
 class TestWtildeReconstruction:
@@ -711,7 +725,8 @@ class TestWtildeReconstruction:
         # under the reference measure the compensator drift of Y is
         # -int f2 dnu2 dt, which reconstruct_wtilde adds back
         resid = Y.values[:, 0] - Y.values[0, 0] - gamma * W.values[:, 0] - jump_sum
-        comp = model.nu2.integrate(lambda u: model.f2(0.0, np.zeros(1), u))[0]
+        comp = sim._atom_sum(model.nu2, [model.f2(0.0, np.zeros(1), u)
+                                           for u in model.nu2.marks()])[0]
         assert np.allclose(resid, -comp * Y.times, atol=1e-10)
 
 
@@ -989,7 +1004,8 @@ def _per_call_rates(model, t, x, y):
     by = rhs = _reference_drift(model.b2, t, x, y)
     comp = 0.0
     if model.nu1 is not None and model.nu1.atoms:
-        bx = bx - model.nu1.integrate(lambda u: model.f1(t, x, y, u))
+        bx = bx - sim._atom_sum(model.nu1,
+                                [model.f1(t, x, y, u) for u in model.nu1.marks()])
     nu2 = model.nu2
     if isinstance(nu2, sim.LevyMeasure):
         lam, f2, f3 = _reference_nu2_values(model, t, x, y)

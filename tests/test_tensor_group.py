@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from roughfilter.lift import (
     chen_defect,
     geometric_defect_max,
-    marcus_jump_defect,
     marcus_lift,
 )
 from roughfilter.paths import CadlagPath
@@ -187,7 +186,10 @@ def test_chen_and_shuffle_on_random_marcus_lifts(seed, d, n):
     scale = 1.0 + float(np.max(np.abs(X.level2)))
     assert chen_defect(X) <= 1e-12 * scale
     assert geometric_defect_max(X) <= 1e-12 * scale
-    assert marcus_jump_defect(X) <= 1e-12 * scale
+    # Marcus-type jumps: the log of each jump has no level-2 part
+    jumps = np.nonzero(X.jump_flags)[0]
+    _, chi2 = group_log(X.increment(jumps, jumps, left_i=True))
+    assert np.max(np.abs(chi2), initial=0.0) <= 1e-12 * scale
 
 
 def test_identity_and_inverse():
@@ -301,6 +303,9 @@ def test_geometric_defect_zero_on_exp_products():
 def test_validation_rejects_bad_input():
     with pytest.raises(ValueError):
         GroupElement(np.array([np.nan, 0.0]))
+    for level1 in (1.0, np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="shape"):
+            GroupElement(level1)
     with pytest.raises(ValueError):
         GroupElement(np.zeros(2), np.zeros((3, 3)))
     with pytest.raises(ValueError):
