@@ -173,20 +173,30 @@ def test_representative_two_jumps_and_delta():
                   [(0.25, 0.25 + 0.125), (0.6 + 0.375 - 0.25, 0.6 + 0.375)])
 
 
-def test_representative_jumpless_passthrough():
-    rng = np.random.default_rng(34)
+def test_time_extension_jumpless_identity():
+    # without jumps the extended time is the original time: no slots, the
+    # grid unchanged, whatever the fill-in settings
+    rng = np.random.default_rng(33)
     X = brownian_lift(rng)
     for pair, slot_steps in ((AdmissiblePair(X), SLOT_STEPS),
                              (AdmissiblePair(X, r_seq=RSeq.geometric(3.0), delta=0.125), 1)):
         rep = build_representative(pair, slot_steps)
         assert np.array_equal(rep.rough.times, X.times)
-        assert np.array_equal(rep.rough.level1, X.level1)
-        assert np.array_equal(rep.rough.level2, X.level2)
         assert np.array_equal(rep.orig_indices, np.arange(len(X.times)))
-        assert len(rep.rough.times) == len(X.times)  # no slot points
     # a one-point path on [0, 0] has nothing to rescale
     O = stratonovich_lift(CadlagPath([0.0], [[0.0]]))
     assert np.array_equal(build_representative(AdmissiblePair(O)).rough.times, [0.0])
+
+
+def test_representative_jumpless_passthrough():
+    rng = np.random.default_rng(34)
+    X = brownian_lift(rng)
+    rep = build_representative(AdmissiblePair(X))
+    assert np.array_equal(rep.rough.times, X.times)
+    assert np.array_equal(rep.rough.level1, X.level1)
+    assert np.array_equal(rep.rough.level2, X.level2)
+    assert np.array_equal(rep.orig_indices, np.arange(len(X.times)))
+    assert len(rep.rough.times) == len(X.times)  # no slot points
 
 
 def test_representative_single_jump_layout():
