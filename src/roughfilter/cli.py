@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -397,7 +398,10 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it as it was, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="roughfilter",
         description="Rough-path lifts, canonical RDEs and robust particle "

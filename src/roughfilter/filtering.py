@@ -42,14 +42,18 @@ joint field's constant rows are built once and only its h row is
 differenced, or flowed across a driver jump; sigma2 is applied as its
 matrix or kept inverse; the flow route takes the closed form x + sigma1 w;
 declared jump loadings and lambda are evaluated at the marks once per
-model (sim._Declared), and with lambda_fn, f2 and f3 all declared every
-nu2 integral is one kept vector. When b2 is linear too and h's nu2 term is
-state-free (the three lambda = 1 models), h = H x + h0 is affine, the Davie
-step is closed-form and one RK4 substep per unit jump size is the exact
-Marcus flow (see _RoughRoute). Plain callables are evaluated and
-differenced in full. One reference-rate call (sim._reference_rates)
-evaluates a plain lambda once per atom of nu2 for the drift compensators,
-h and the (1 - lambda) weight rate together.
+model, and with lambda_fn, f2 and f3 all declared every nu2 integral is one
+kept vector. When b2 is linear too and h's nu2 term is state-free (the
+three lambda = 1 models), h = H x + h0 is affine, the Davie step is
+closed-form and one RK4 substep per unit jump size is the exact Marcus flow
+(see _RoughRoute). Plain callables are evaluated and differenced in full.
+One reference-rate call evaluates a plain lambda once per atom of nu2 for
+the drift compensators, h and the (1 - lambda) weight rate together.
+
+sim._Bound works out the form of each coefficient once per model, and each
+route binds its step once, in its constructor (_Route): it keeps what is
+the same at every step and picks the Davie step the model's forms allow, so
+that a step makes only the numpy calls those forms need.
 
 The sweep holds its particles component-major, x (d_X, N), y (d_Y, N) and
 the joint state (e, N). Every per-step product (sigma0 dB, sigma1 dW, sigma
@@ -90,22 +94,21 @@ from .rde import (
     VectorField,
     _central_step,
     _column_sum,
+    _components_last,
     davie_step,
     marcus_jump,
 )
 from .sim import (
+    MARK_LINEARITY_TOL,
     LevyMeasure,
     ModelSpec,
     _accepted_nu2,
     _atom_path,
-    _const,
     _const_matrix,
     _declared_matrix,
-    _loading,
+    _mark_linearity_defect,
     _moved,
     _observed_lambda,
-    _reference_rates,
-    _solve_sigma2,
     _state_matrix,
     h_function,
     make_noise_bundle,
@@ -295,7 +298,7 @@ def _kept_columns(model: ModelSpec, mark: np.ndarray) -> np.ndarray:
     mark of nu1.marks() whose float64 bits the row's mark has, else -1 (off
     nu1's support, or f1 plain)."""
     rows = np.ascontiguousarray(mark, dtype=float).view(np.uint64)
-    if model._declared_batch.f1:
+    if model._bound_batch.f1:
         bits = np.ascontiguousarray(model.nu1.marks(), dtype=float).view(np.uint64)
         if rows.shape[1] == bits.shape[1]:
             hit = (rows[:, None, :] == bits[None]).all(axis=2)
@@ -315,12 +318,20 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
     driver has one extra component. When sigma1, sigma2 (and, at that
     column, f3 and f2) are declared constant, only the h row depends on the
     state: the other rows are built once, as one constant block, and the
-    field's directional action and Marcus flow evaluate the h row alone."""
+    field's directional action and Marcus flow evaluate the h row alone.
+    The jump-path column needs f3 and f2 linear in a 1-d mark
+    (sim._mark_linearity_defect); a model that is not raises ValueError."""
     dx, dy = model.dim_x, model.dim_y
     extra = driver_dim - dy
     if extra not in (0, 1):
         raise ValueError(
             f"driver dimension {driver_dim} must be d_Y={dy} or d_Y+1")
+    if extra:
+        defect = _mark_linearity_defect(model)
+        if not defect <= MARK_LINEARITY_TOL:
+            raise ValueError(
+                "a driver that joins the jump path needs f3 and f2 linear in "
+                f"a 1-d mark; their relative defect is {defect:.3g}")
 
     def h_row(t, z):
         z = np.asarray(z, dtype=float)
@@ -347,11 +358,15 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
     kept = [_const_matrix(model.sigma1), _const_matrix(model.sigma2)] + (
         [_declared_matrix(model.f3), _declared_matrix(model.f2)] if extra else [])
     declared = all(m is not None for m in kept)
-    rows = _const(loading_rows(0.0, np.zeros(dx + dy))) if declared else loading_rows
+    block = loading_rows(0.0, np.zeros(dx + dy)) if declared else None
 
     def evaluator(t, z):
         z = np.asarray(z, dtype=float)
-        return np.concatenate([rows(t, z), h_row(t, z)], axis=-2)
+        h = h_row(t, z)  # laid out component-major, as the solver reads it
+        out = _components_last(np.empty((dx + dy + 1, driver_dim) + h.shape[:-2]), 2)
+        out[..., :dx + dy, :] = loading_rows(t, z) if block is None else block
+        out[..., dx + dy:, :] = h
+        return out
 
     return VectorField(evaluator, varying=(slice(dx + dy, None), h_row) if declared else None)
 
@@ -412,9 +427,21 @@ class _Route:
     the particle state component-major: `x` (d_X, N) and `y` (d_Y, N) are the
     signal and observation values that jumps and weights see.
     `carries_atoms` says whether the route's driver carries the observed
-    jump path, so that the sweep must not apply the observed atoms again."""
+    jump path, so that the sweep must not apply the observed atoms again.
+
+    A route binds its step at construction, in its __init__: it takes the
+    model's coefficients as sim._Bound has bound them for component-major
+    batches (declared matrix, kept sigma2 divisor or inverse, kept nu1 atom
+    sum and nu2 integrals, or plain callable), and works out once what is
+    the same at every step (a kept sigma0 dB for both Heun stages, a kept
+    sigma1 dW, the affine route's chord moves), so that `advance` makes only
+    the numpy calls that the model's forms need."""
 
     carries_atoms = False
+
+    def __init__(self, model: ModelSpec):
+        self.model, self.bound = model, model._bound_batch
+        self.sigma0_kept = _const_matrix(model.sigma0) is not None
 
     def start(self, N: int):
         self.x, self.y = (np.repeat(np.array(v)[:, None], N, axis=1)
@@ -423,7 +450,7 @@ class _Route:
     @cached_property
     def kept_f1(self) -> np.ndarray:
         """A declared f1's kept values, one column per mark of nu1."""
-        return np.concatenate(self.model._declared_batch.f1, axis=1)
+        return np.concatenate(self.bound.f1, axis=1)
 
     def aux_jumps(self, t1: float, particle, mark, column):
         """One segment's rows of the auxiliary table: X jumps by f1, each
@@ -464,8 +491,8 @@ def _affine_h(model: ModelSpec, V: VectorField):
     """H with h = H x + h0, when the joint field's only varying row is
     affine: V declares `varying`, b2 is built by _linear_state and h's nu2
     term does not depend on the state (no atomic nu2, or lambda_fn and f2
-    declared). Else None. H = sigma2^{-1} C goes through h_function's own
-    sigma2 step."""
+    declared). Else None. H = sigma2^{-1} C goes through h's own sigma2
+    solve."""
     C = _state_matrix(model.b2)
     if V.varying is None or C is None:
         return None
@@ -473,7 +500,7 @@ def _affine_h(model: ModelSpec, V: VectorField):
             _declared_matrix(model.lambda_fn) is not None
             and _declared_matrix(model.f2) is not None):
         return None
-    return _solve_sigma2(model, 0.0, None, C)
+    return model._bound_batch.solve(0.0, None, C)
 
 
 class _RoughRoute(_Route):
@@ -485,14 +512,17 @@ class _RoughRoute(_Route):
     and the Davie step is closed-form: X and Y move by block @ g1 and I by
     h . g1 + c2, where c2 = sum_{j < d_Y} (H block_X g2)_{jj} is the exact
     second-order term, the same for every particle. So a step takes one h
-    evaluation and no finite difference. Across a jump the X and Y slope is
-    constant and the I slope is linear in the flow time, so one RK4 substep
-    (per unit jump size) is the exact Marcus flow."""
+    evaluation and no finite difference, and the route takes it in place
+    of rde.davie_step. Across a jump the X and Y slope is constant and
+    the I slope is linear in the flow time, so one RK4 substep (per unit
+    jump size) is the exact Marcus flow."""
 
     def __init__(self, model: ModelSpec, driver: RoughPath):
-        self.model, self.driver, self.times = model, driver, driver.times
+        super().__init__(model)
+        self.driver, self.times = driver, driver.times
         self.V = _joint_field(model, driver.dim)
         self.carries_atoms = driver.dim > model.dim_y
+        self.jumps = driver.jump_flags.tolist()
         k = np.arange(len(driver.times) - 1)
         self.chords = driver.increment(k, k + 1, left_j=True)
         H = _affine_h(model, self.V)
@@ -502,7 +532,8 @@ class _RoughRoute(_Route):
             dx, dy = model.dim_x, model.dim_y
             block = self.V(0.0, np.zeros(dx + dy + 1))[:dx + dy]
             g1, g2 = self.chords.level1, self.chords.level2
-            self.dxy = np.einsum("ai,ki->ka", block, g1)[..., None]
+            dxy = np.einsum("ai,ki->ka", block, g1)[..., None]
+            self.dX, self.dY = dxy[:, :dx], dxy[:, dx:]
             self.gh = g1[:, :dy]
             self.c2 = np.einsum("ji,kij->k", H @ block[:dx], g2[:, :, :dy])
 
@@ -513,16 +544,18 @@ class _RoughRoute(_Route):
         return z[dx + dy]
 
     def advance(self, k: int, t0: float, t1: float, dB, logw):
-        model, x, y = self.model, self.x, self.y
-        dt = t1 - t0
-        bx0, by0, h0, comp0 = _reference_rates(model, t0, x, y)
+        rates, sigma0 = self.bound.reference_rates, self.bound.sigma0_dot
+        x, y, dt = self.x, self.y, t1 - t0
+        bx0, by0, h0, comp0 = rates(t0, x, y)
         logw = logw + (-0.5 * _inner(h0, h0) + comp0) * dt
-
-        d1x = bx0 * dt + _column_sum(_loading(model.sigma0, t0, x, y), dB)
+        s0dB = sigma0(t0, x, y, dB)
+        d1x = bx0 * dt + s0dB
         d1y = by0 * dt
         x1, y1 = x + d1x, y + d1y
-        bx1, by1, _, _ = _reference_rates(model, t1, x1, y1)
-        d2x = bx1 * dt + _column_sum(_loading(model.sigma0, t1, x1, y1), dB)
+        bx1, by1, _, _ = rates(t1, x1, y1)
+        if not self.sigma0_kept:
+            s0dB = sigma0(t1, x1, y1, dB)
+        d2x = bx1 * dt + s0dB
         d2y = by1 * dt
         x = x + 0.5 * (d1x + d2x)
         y = y + 0.5 * (d1y + d2y)
@@ -530,12 +563,14 @@ class _RoughRoute(_Route):
 
     def davie(self, k: int, t: float, x, y, logw):
         """The Davie step of the joint state (x, y, logw) along chord k;
-        returns the log weight."""
+        returns the log weight. The closed form, when h is affine, is
+        chosen by a flag: a bound method kept on the route would make it a
+        reference cycle, which holds its particles until the collector
+        runs."""
         if self.affine:
-            h = h_function(self.model, t, x.T, y.T).T
-            dx = self.model.dim_x
-            self.x = x + self.dxy[k, :dx]
-            self.y = y + self.dxy[k, dx:]
+            h = self.bound.h(t, x, y)
+            self.x = x + self.dX[k]
+            self.y = y + self.dY[k]
             return logw + _inner(h, self.gh[k]) + self.c2[k]
         z = np.concatenate([x, y, logw[None]])
         return self._unpack(davie_step(self.V, t, z.T, self.chords.level1[k],
@@ -547,7 +582,7 @@ class _RoughRoute(_Route):
         self.y = self.y + _moved(self.model.f2(t1, self.y.T, mark), 1, self.y)
 
     def driver_jump(self, k: int, logw):
-        if not self.driver.jump_flags[k + 1]:
+        if not self.jumps[k + 1]:
             return logw
         chi1 = marcus_increment(self.driver, k + 1)
         z = np.concatenate([self.x, self.y, logw[None]])
@@ -566,25 +601,36 @@ class _ObservationRoute(_Route):
     trapezoid rule in h against dW."""
 
     def __init__(self, model: ModelSpec, obs: CadlagPath):
-        self.model, self.obs = model, obs
+        super().__init__(model)
+        self.obs = obs
         self.wt = reconstruct_wtilde(model, obs)
         self.times = self.wt.times
+        self.dW = np.diff(self.wt.values, axis=0)
+
+    def start(self, N: int):
+        super().start(N)
+        self.observe(N)
+
+    def observe(self, N: int):
+        """The observation's values and left limits laid out for N
+        particles once: views (d_Y, grid, N) whose step k is (d_Y, N)."""
+        shape = (self.model.dim_y, len(self.times), N)
+        self.ys, self.ys_pre = (np.broadcast_to(v.T[:, :, None], shape)
+                                for v in (self.obs.values, self.obs.pre_values))
 
     def advance(self, k: int, t0: float, t1: float, dB, logw):
-        self.dW = self.wt.values[k + 1] - self.wt.values[k]
-        shape = (self.model.dim_y, self.x.shape[1])
-        self.y0 = np.broadcast_to(self.obs.values[k][:, None], shape)
-        self.y = np.broadcast_to(self.obs.pre_values[k + 1][:, None], shape)
+        dW = self.dW[k]
+        self.y0, self.y = self.ys[:, k], self.ys_pre[:, k + 1]
         dt = t1 - t0
         h0, comp0 = self._heun(k, t0, t1, dt, dB)
-        h1 = h_function(self.model, t1, self.x.T, self.y.T).T
-        logw = logw + 0.5 * _inner(h0 + h1, self.dW)
+        h1 = self.bound.h(t1, self.x, self.y)
+        logw = logw + 0.5 * _inner(h0 + h1, dW)
         logw = logw - 0.25 * (_inner(h0, h0) + _inner(h1, h1)) * dt
         return logw + comp0 * dt
 
     def end(self, m_end: int):
         """Terminal (X, Y), Y being the observation at the horizon."""
-        return self.x, np.broadcast_to(self.obs.values[m_end][:, None], self.y.shape)
+        return self.x, self.ys[:, m_end]
 
 
 class _DirectRoute(_ObservationRoute):
@@ -592,20 +638,30 @@ class _DirectRoute(_ObservationRoute):
 
     name = "direct"
 
+    def __init__(self, model: ModelSpec, obs: CadlagPath):
+        super().__init__(model, obs)
+        # a declared sigma1 dW is the same for every particle: one column
+        # (d_X, 1) per segment, all taken here by the product of each step
+        self.s1dW = None
+        if _const_matrix(model.sigma1) is not None:
+            s1dW = self.bound.sigma1_dot(0.0, None, None, self.dW.T)
+            self.s1dW = [s1dW[:, k:k + 1] for k in range(len(self.dW))]
+
     def _heun(self, k: int, t0: float, t1: float, dt: float, dB):
         """Step X over the segment; returns h and the lambda compensator at
         its start."""
-        model, x, y0, y1, dW = self.model, self.x, self.y0, self.y, self.dW
-        bx0, _, h0, comp0 = _reference_rates(model, t0, x, y0, signal=True)
-        s0dB = _column_sum(_loading(model.sigma0, t0, x, y0), dB)
-        s1dW = _column_sum(_loading(model.sigma1, t0, x, y0), dW)
+        bound, x, y0, y1, dW = self.bound, self.x, self.y0, self.y, self.dW[k]
+        bx0, _, h0, comp0 = bound.reference_rates(t0, x, y0, signal=True)
+        s0dB = bound.sigma0_dot(t0, x, y0, dB)
+        s1dW = (bound.sigma1_dot(t0, x, y0, dW) if self.s1dW is None
+                else self.s1dW[k])
         d1 = bx0 * dt + s0dB + s1dW
         x1 = x + d1
-        bx1 = _reference_rates(model, t1, x1, y1, signal=True)[0]
-        if _const_matrix(model.sigma0) is None:
-            s0dB = _column_sum(_loading(model.sigma0, t1, x1, y1), dB)
-        if _const_matrix(model.sigma1) is None:
-            s1dW = _column_sum(_loading(model.sigma1, t1, x1, y1), dW)
+        bx1 = bound.reference_rates(t1, x1, y1, signal=True)[0]
+        if not self.sigma0_kept:
+            s0dB = bound.sigma0_dot(t1, x1, y1, dB)
+        if self.s1dW is None:
+            s1dW = bound.sigma1_dot(t1, x1, y1, dW)
         d2 = bx1 * dt + s0dB + s1dW
         self.x = x + 0.5 * (d1 + d2)
         return h0, comp0
@@ -624,28 +680,31 @@ class _FlowRoute(_ObservationRoute):
     def __init__(self, model: ModelSpec, obs: CadlagPath):
         self.s = _scalar_sigma1(model)
         super().__init__(model, obs)
+        self.w = self.wt.values[:, 0].tolist()
 
     @property
     def x(self):
         return self.phi[None]
 
     def start(self, N: int):
+        self.observe(N)
         self.xt = np.full(N, float(self.model.x0[0]))
-        self.phi, self.dphi = flow_map(self.s, self.wt.values[0, 0], self.xt)
+        self.phi, self.dphi = flow_map(self.s, self.w[0], self.xt)
 
     def _heun(self, k: int, t0: float, t1: float, dt: float, dB):
-        model, s, y0, y1 = self.model, self.s, self.y0, self.y
-        self.w1 = w1 = self.wt.values[k + 1, 0]
+        bound, s, y0, y1 = self.bound, self.s, self.y0, self.y
+        self.w1 = w1 = self.w[k + 1]
         dB = dB[0]
         x0, dphi0 = self.x, self.dphi
-        bx0, _, h0, comp0 = _reference_rates(model, t0, x0, y0, signal=True)
-        s00 = _loading(model.sigma0, t0, x0, y0)[0, 0]
-        d1 = (bx0[0] / dphi0) * dt + (s00 / dphi0) * dB
+        bx0, _, h0, comp0 = bound.reference_rates(t0, x0, y0, signal=True)
+        s0 = bound.sigma0(t0, x0, y0)[0, 0]
+        d1 = (bx0[0] / dphi0) * dt + (s0 / dphi0) * dB
         phiP, dphiP = flow_map(s, w1, self.xt + d1)
         xP = phiP[None]
-        bx1 = _reference_rates(model, t1, xP, y1, signal=True)[0]
-        s01 = _loading(model.sigma0, t1, xP, y1)[0, 0]
-        d2 = (bx1[0] / dphiP) * dt + (s01 / dphiP) * dB
+        bx1 = bound.reference_rates(t1, xP, y1, signal=True)[0]
+        if not self.sigma0_kept:
+            s0 = bound.sigma0(t1, xP, y1)[0, 0]
+        d2 = (bx1[0] / dphiP) * dt + (s0 / dphiP) * dB
         self.xt = self.xt + 0.5 * (d1 + d2)
         self.phi, self.dphi = flow_map(s, w1, self.xt)
         return h0, comp0
@@ -671,7 +730,7 @@ def _sweep(model: ModelSpec, route, f: callable, t: float, jump_record,
     filter from their terminal (X, Y, log weight). Each step runs the route's
     continuous step, the auxiliary atoms, the observed atoms (lambda weight,
     then the route's move), the driver's Marcus jump and the finiteness
-    check."""
+    check, one test of the stacked state (X, Y, log weight)."""
     if particles < 1:
         raise ValueError("particles must be >= 1")
     times = route.times
@@ -687,14 +746,16 @@ def _sweep(model: ModelSpec, route, f: callable, t: float, jump_record,
     dB_all, (seg, particle, mark) = _checked_draw(
         aux_sampler(seed_base, particles), particles, len(times) - 1, m_end,
         model.dim_b)
-    aux_at, obs_at = (np.searchsorted(s, np.arange(m_end + 1)) for s in (seg, obs_seg))
+    aux_at, obs_at = (np.searchsorted(s, np.arange(m_end + 1)).tolist()
+                      for s in (seg, obs_seg))
     column = _kept_columns(model, mark)
+    grid = times.tolist()
 
     route.start(particles)
     logw = np.zeros(particles)
     for k, lo, hi in zip(range(m_end), aux_at, aux_at[1:]):
-        t0, t1 = float(times[k]), float(times[k + 1])
-        logw = route.advance(k, t0, t1, dB_all[:, k, :].T, logw)
+        t1 = grid[k + 1]
+        logw = route.advance(k, grid[k], t1, dB_all[:, k, :].T, logw)
         if hi > lo:
             route.aux_jumps(t1, particle[lo:hi], mark[lo:hi], column[lo:hi])
         for u in obs_marks[obs_at[k]:obs_at[k + 1]]:
@@ -703,9 +764,9 @@ def _sweep(model: ModelSpec, route, f: callable, t: float, jump_record,
             route.observed_jump(t1, u)
         logw = route.driver_jump(k, logw)
 
-        finite = (np.isfinite(route.x).all(axis=0)
-                  & np.isfinite(route.y).all(axis=0) & np.isfinite(logw))
-        if not finite.all():
+        if not np.isfinite(np.concatenate([route.x, route.y, logw[None]])).all():
+            finite = (np.isfinite(route.x).all(axis=0)
+                      & np.isfinite(route.y).all(axis=0) & np.isfinite(logw))
             i = int(np.argmin(finite))
             raise ParticleBlowupError(
                 f"particle {i} blew up at step {k} (t={t1})",

@@ -47,6 +47,9 @@ def _central_step(size):
     return 1e-6 * (1.0 + size)
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _column_sum(M, v):
     """sum_j M[:, j] v[j] in column order from 0.0 (a -0.0 product reads
     +0.0), M (rows, cols, ...) and v (cols, ...): every per-step product.
@@ -61,6 +64,21 @@ def _column_sum(M, v):
     for j in range(1, len(v)):
         out += M[:, j] * v[j]
     return out
+
+
+def _column_product(M):
+    """v -> _column_sum(M, v) for a fixed M, bit for bit, its columns split
+    once: the product of a declared matrix at every step."""
+    first, rest = M[:, 0], [(j, M[:, j]) for j in range(1, M.shape[1])]
+
+    def product(v):
+        out = first * v[0]
+        out += 0.0
+        for j, column in rest:
+            out += column * v[j]
+        return out
+
+    return product
 
 
 def _components_first(a, core: int = 1):
@@ -117,11 +135,11 @@ class VectorField:
                 u.reshape((-1,) + u.shape[2:])))
         rows, field_rows = self.varying or (None, self)
         yc = _components_first(y)
-        norm = np.max(np.abs(u), axis=1)  # (d, ...)
+        norm = np.abs(u).max(axis=1)  # (d, ...)
         # a direction below the smallest normal float counts as zero:
         # the step 1e-6 (1 + |y|) / norm would overflow
-        live = norm >= np.finfo(float).tiny
-        h = _central_step(np.max(np.abs(yc), axis=0)) / np.where(live, norm, 1.0)
+        live = norm >= _TINY
+        h = _central_step(np.abs(yc).max(axis=0)) / np.where(live, norm, 1.0)
         step = h[:, None] * np.where(live[:, None], u, 0.0)
         vals = _components_first(np.asarray(field_rows(
             t, _components_last(np.concatenate([yc + step, yc - step]), 2)),

@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .paths import P_VAR, CadlagPath, _step_path
-from .rde import NumericalAbort, _column_sum, _components_first, _components_last
+from .rde import (NumericalAbort, _column_product, _column_sum, _components_first,
+                  _components_last)
 
 
 # -- Levy measure descriptors ---------------------------------------------
@@ -140,7 +141,7 @@ class ModelSpec:
     building them with _linear_state; the particle sweep then skips the work
     that this structure makes unnecessary. The values of the declared jump
     coefficients and lambda_fn over the marks, and the nu2 integrals they
-    fix, are computed once per model, on first use (_Declared). Any other
+    fix, are computed once per model, on first use (_Bound). Any other
     callable is evaluated in full, at every state, with this protocol: the
     component-major sweep passes it the transposed views.
 
@@ -182,41 +183,30 @@ class ModelSpec:
         return "scalar" if self.nu1 is None and self.nu2 is None else "finite_jumps"
 
     @cached_property
-    def _declared_one(self) -> "_Declared":
-        return _Declared.of(self, ())
+    def _bound_one(self) -> "_Bound":
+        return _Bound(self, ())
 
     @cached_property
-    def _declared_batch(self) -> "_Declared":
-        return _Declared.of(self, (1,))
-
-
-def _declared_for(model: ModelSpec, state) -> "_Declared":
-    """The model's _Declared for one state (d,) or a batch (d, n)."""
-    return model._declared_batch if state.ndim > 1 else model._declared_one
+    def _bound_batch(self) -> "_Bound":
+        return _Bound(self, (1,))
 
 
 def h_function(model: ModelSpec, t: float, x, y):
     """h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2); broadcasts over
     leading axes of x, y. The nu2 integral is exact for atom lists (kept
-    once per model when lambda_fn, f2 and f3 are declared, see _Declared)
-    and zero in the infinite-activity regime (lambda = 1 there)."""
+    once per model when lambda_fn, f2 and f3 are declared, see _Bound)
+    and zero in the infinite-activity regime (lambda = 1 there). Leading
+    axes are flattened to the component-major batch of _Bound.h, and
+    broadcast first only where x and y differ in them."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    if lead:  # else one state, which stays 1-d
-        x, y = (a.reshape(-1, a.shape[-1]).T if a.shape[:-1] == lead else
-                np.broadcast_to(a, lead + a.shape[-1:]).reshape(-1, a.shape[-1]).T
-                for a in (x, y))
-    rhs = _drift(model.b2, t, x, y)
-    nu2 = model.nu2
-    if isinstance(nu2, LevyMeasure):
-        kept = _declared_for(model, x)
-        if kept.integrals is not None:
-            rhs = rhs + kept.integrals[2]
-        else:
-            lam = _at_marks(kept.lam, model.lambda_fn, nu2, t, 0, x)
-            f2 = _at_marks(kept.f2, model.f2, nu2, t, 1, y)
-            rhs = rhs + _atom_sum(nu2, map(_h_integrand, f2, lam))
-    h = _solve_sigma2(model, t, y, rhs)
+    lead = x.shape[:-1]
+    if lead != y.shape[:-1]:
+        lead = np.broadcast_shapes(lead, y.shape[:-1])
+        x, y = (np.broadcast_to(a, lead + a.shape[-1:]) for a in (x, y))
+    if not lead:  # one state, which stays 1-d
+        return model._bound_one.h(t, x, y)
+    h = model._bound_batch.h(t, x.reshape(-1, x.shape[-1]).T,
+                             y.reshape(-1, y.shape[-1]).T)
     return h.T.reshape(lead + h.shape[:1])
 
 
@@ -230,168 +220,226 @@ def _moved(value, core: int, state):
     as it is at one state (d,); laid against `state` if it has no n axis."""
     a = np.asarray(value, dtype=float)
     if a.ndim > core:
-        return _components_last(a)
+        return a if a.ndim == 1 else _components_last(a)
     return a[..., None] if state.ndim > 1 else a
 
 
-def _drift(coefficient, t: float, x, y):
-    """b1 or b2: for one built by _linear_state what its callable computes,
-    c * x (1 x 1) or M x, else the plain callable's value."""
+class _Bound:
+    """A model's coefficients bound once to the form each takes, for one
+    state (d,) (batch ()) or component-major states (d, n) (batch (1,)), on
+    first use per model (ModelSpec._bound_one, _bound_batch); the simulator,
+    the exponent and every sweep route call them.
+
+    A coefficient built by _const, _linear_mark or _linear_state is bound to
+    its matrix, or to its values over the marks evaluated once at a zero
+    state; the nu1 atom sum, the nu2 integrals and sigma2's divisor or
+    inverse that those fix are kept too. A plain callable is bound to its
+    evaluation at every state, with the protocol of ModelSpec (it gets the
+    views x.T, y.T). A kept value is the same at every (t, state) and enters
+    the same arithmetic, in the same order, so it gives every call's bits.
+
+    Bound, all component-major: b1, b2 (t, x, y) -> (d, n); the loadings
+    sigma0, sigma1 (t, x, y) and sigma2 (t, y) -> (rows, cols, n), kept ones
+    (rows, cols, 1), and their products with a vector v (cols, ...),
+    sigma0_dot(t, x, y, v) and so on, ordered column sums (a kept one's
+    columns split once, rde._column_product); f1_at, f3_at (t, x, y),
+    lam_at (t, x) and f2_at (t, y) -> values at the marks, in atom order;
+    nu1_sum, nu2_integrals and h_term (t, x, y), the jump terms of rates and
+    h (None without such jumps); solve(t, y, rhs) = sigma2^{-1} rhs. Kept:
+    f1, lam, f2, f3 (values at the marks, else None), integrals
+    (_nu2_integrals, when lambda_fn, f2 and f3 are declared, else None) and
+    sigma2_inv (the divisor of a 1 x 1 _const sigma2, the inverse of a d x d
+    one, 0.0 if singular, else None)."""
+
+    def __init__(self, model: ModelSpec, batch: tuple):
+        x, y = np.zeros((model.dim_x,) + batch), np.zeros((model.dim_y,) + batch)
+        col = bool(batch)
+        nu1 = model.nu1
+        nu2 = model.nu2 if isinstance(model.nu2, LevyMeasure) else None
+        self.f1_at, self.f1 = _bind_at_marks(model.f1, nu1, 1, x, y)
+        self.lam_at, self.lam = _bind_at_marks(model.lambda_fn, nu2, 0, x)
+        self.f2_at, self.f2 = _bind_at_marks(model.f2, nu2, 1, y)
+        self.f3_at, self.f3 = _bind_at_marks(model.f3, nu2, 1, x, y)
+        self.b1, self.b2 = _bind_drift(model.b1, col), _bind_drift(model.b2, col)
+        self.sigma0, self.sigma0_dot = _bind_loading(model.sigma0, col)
+        self.sigma1, self.sigma1_dot = _bind_loading(model.sigma1, col)
+        self.sigma2, self.sigma2_dot = _bind_loading(model.sigma2, col)
+        self.sigma2_inv, self.solve = _bind_solve(model.sigma2, batch)
+
+        self.nu1_sum = None
+        if nu1 is not None:
+            f1_at = self.f1_at
+            if self.f1 is not None:
+                kept_sum = _atom_sum(nu1, self.f1)
+                self.nu1_sum = lambda t, x, y: kept_sum
+            else:
+                self.nu1_sum = lambda t, x, y: _atom_sum(nu1, f1_at(t, x, y))
+        self.integrals = self.nu2_integrals = self.h_term = None
+        if nu2 is not None:
+            lam_at, f2_at, f3_at = self.lam_at, self.f2_at, self.f3_at
+            if self.lam is not None and self.f2 is not None and self.f3 is not None:
+                kept = self.integrals = _nu2_integrals(nu2, self.lam, self.f2, self.f3)
+                self.nu2_integrals = lambda t, x, y: kept
+                self.h_term = lambda t, x, y: kept[2]
+            else:
+                def nu2_integrals(t, x, y):
+                    return _nu2_integrals(nu2, lam_at(t, x), f2_at(t, y), f3_at(t, x, y))
+
+                def h_term(t, x, y):
+                    lam = lam_at(t, x)
+                    return _atom_sum(nu2, map(_h_integrand, f2_at(t, y), lam))
+
+                self.nu2_integrals, self.h_term = nu2_integrals, h_term
+
+    def h(self, t: float, x, y):
+        """h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2) at component-major
+        states, from one lambda evaluation per atom of an atomic nu2."""
+        rhs = self.b2(t, x, y)
+        if self.h_term is not None:
+            rhs = rhs + self.h_term(t, x, y)
+        return self.solve(t, y, rhs)
+
+    def rates(self, t: float, x, y):
+        """(bx + sigma1 h, by + sigma2 h, sigma2 h, comp) of reference_rates:
+        the physical-measure rates, h's right-hand side and the compensator,
+        from one evaluation of each plain lambda_fn, f1, f2 and f3 per atom.
+        A StableTail nu2 needs no compensator: the tail is symmetric and the
+        jump loadings are linear in the mark (checked where a joined
+        driver's field is built), so int f lambda dnu2 = 0."""
+        bx = self.b1(t, x, y)
+        by = rhs = self.b2(t, x, y)
+        comp = 0.0
+        if self.nu1_sum is not None:
+            bx = bx - self.nu1_sum(t, x, y)
+        if self.nu2_integrals is not None:
+            f3_lam, f2_lam, h_term, comp = self.nu2_integrals(t, x, y)
+            bx = bx - f3_lam
+            by = by - f2_lam
+            rhs = rhs + h_term
+        return bx, by, rhs, comp
+
+    def reference_rates(self, t: float, x, y, signal: bool = False):
+        """Reference-measure dt rates at component-major states x (d_X, n),
+        y (d_Y, n) or one state (d,), from one lambda evaluation per atom of
+        an atomic nu2 (none when lambda_fn, f2 and f3 are declared): (bx,
+        by, h, comp), a vector (d, n), or (d, 1) where it is the same for
+        all, with
+
+            bx = b1 - int f1 dnu1 - int f3 lambda dnu2 - sigma1 h,
+            by = b2 - int f2 lambda dnu2 - sigma2 h,
+            h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2),
+            comp = int (1 - lambda) dnu2 (0.0 without an atomic nu2).
+
+        With `signal`, by keeps its physical-measure value from rates and
+        the sigma2 h product, which a step moving X alone along a given Y
+        never reads, is skipped."""
+        bx, by, rhs, comp = self.rates(t, x, y)
+        h = self.solve(t, y, rhs)
+        bx = bx - self.sigma1_dot(t, x, y, h)
+        if not signal:
+            by = by - self.sigma2_dot(t, y, h)
+        return bx, by, h, comp
+
+
+def _bind_at_marks(coefficient, levy, core: int, *zero):
+    """(at, kept) for a coefficient over the marks of levy, or (None, None)
+    without an atomic levy: at(t, *state) gives coefficient(t, *state, u) at
+    each mark u, in atom order, with `core` component axes (0 for
+    lambda_fn, 1 for a jump loading); a declared coefficient's values are
+    kept at the zero state and `at` returns them."""
+    if not isinstance(levy, LevyMeasure):
+        return None, None
+    marks = levy.marks()
+
+    def at(t, *state):
+        views = [s.T for s in state]
+        return [_moved(coefficient(t, *views, u), core, state[0]) for u in marks]
+
+    if _declared_matrix(coefficient) is None:
+        return at, None
+    kept = at(0.0, *zero)
+    return (lambda t, *state: kept), kept
+
+
+def _bind_drift(coefficient, col: bool):
+    """b1 or b2 at component-major states: for one built by _linear_state
+    what its callable computes, c * x (1 x 1) or M x as a column sum, else
+    the plain callable's value."""
     M = _state_matrix(coefficient)
     if M is None:
-        return _moved(coefficient(t, x.T, y.T), 1, x)
+        return lambda t, x, y: _moved(coefficient(t, x.T, y.T), 1, x)
     if M.shape == (1, 1):
-        return float(M[0, 0]) * x
-    return _column_sum(M[..., None] if x.ndim > 1 else M, x)
+        c = float(M[0, 0])
+        return lambda t, x, y: c * x
+    product = _column_product(M[..., None] if col else M)
+    return lambda t, x, y: product(x)
 
 
-def _loading(coefficient, t: float, *state):
-    """sigma0, sigma1 or sigma2 as (rows, cols, n), one built by _const as
-    (rows, cols, 1); at one state (d,) as (rows, cols)."""
+def _bind_loading(coefficient, col: bool):
+    """(loading, dot) for sigma0, sigma1 or sigma2 at component-major
+    states, loading(t, *state) its matrix and dot(t, *state, v) the column
+    sum with v: one built by _const as its matrix, (rows, cols, 1) for a
+    batch, and its product; else evaluated."""
     M = _const_matrix(coefficient)
     if M is not None:
-        return M[..., None] if state[0].ndim > 1 else M
-    return _moved(coefficient(t, *(s.T for s in state)), 2, state[0])
+        M = M[..., None] if col else M
+        product = _column_product(M)
+        return (lambda t, *state: M), (lambda t, *args: product(args[-1]))
+
+    def loading(t, *state):
+        return _moved(coefficient(t, *(s.T for s in state)), 2, state[0])
+
+    return loading, lambda t, *args: _column_sum(loading(t, *args[:-1]), args[-1])
 
 
-def _solve_sigma2(model: ModelSpec, t: float, y, rhs):
-    """sigma2^{-1} rhs. A declared sigma2 is used as _Declared keeps it: a
-    division when it is 1 x 1, else the ordered column sum with its inverse
-    (elementwise, so one right-hand side gets the bits it gets among many).
-    A plain one is evaluated at y and solved."""
-    kept = _declared_for(model, rhs).sigma2
-    if isinstance(kept, float):
-        if kept == 0.0:
-            raise ValueError(f"sigma2 singular at t={t}")
-        return rhs / kept
-    if kept is not None:
-        return _column_sum(kept, rhs)
-    s2 = np.asarray(model.sigma2(t, y.T), dtype=float)
-    if s2.shape[-2:] == (1, 1):
-        if np.any(s2 == 0.0):
-            raise ValueError(f"sigma2 singular at t={t}")
-        return rhs / s2[..., 0].T
-    try:
-        if s2.ndim > 2:
-            return np.linalg.solve(s2, rhs.T[..., None])[..., 0].T
-        return np.linalg.solve(s2, rhs.reshape(len(rhs), -1)).reshape(rhs.shape)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"sigma2 singular at t={t}") from exc
+def _bind_solve(sigma2, batch: tuple):
+    """(kept, solve) with solve(t, y, rhs) = sigma2^{-1} rhs. A declared
+    sigma2 is kept once: a division by its 1 x 1 entry, else the ordered
+    column sum with its inverse (elementwise, so one right-hand side gets
+    the bits it gets among many), and a singular one as 0.0, which raises
+    at every solve. A plain one is evaluated at y and solved."""
+    s2 = _const_matrix(sigma2)
+    if s2 is not None:
+        try:
+            kept = (float(s2[0, 0]) if s2.shape == (1, 1)
+                    else np.linalg.inv(s2).reshape(s2.shape + batch))
+        except np.linalg.LinAlgError:
+            kept = 0.0
+        if isinstance(kept, float):
+            if kept == 0.0:
+                def singular(t, y, rhs):
+                    raise ValueError(f"sigma2 singular at t={t}")
+                return kept, singular
+            return kept, lambda t, y, rhs: rhs / kept
+        product = _column_product(kept)
+        return kept, lambda t, y, rhs: product(rhs)
 
+    def solve(t, y, rhs):
+        s2 = np.asarray(sigma2(t, y.T), dtype=float)
+        if s2.shape[-2:] == (1, 1):
+            if np.any(s2 == 0.0):
+                raise ValueError(f"sigma2 singular at t={t}")
+            return rhs / s2[..., 0].T
+        try:
+            if s2.ndim > 2:
+                return np.linalg.solve(s2, rhs.T[..., None])[..., 0].T
+            return np.linalg.solve(s2, rhs.reshape(len(rhs), -1)).reshape(rhs.shape)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"sigma2 singular at t={t}") from exc
 
-@dataclass(frozen=True)
-class _Declared:
-    """The values of a model's declared coefficients (built by _const or
-    _linear_mark) where the rates need them, evaluated once at a zero state:
-    the same at every (t, state) and broadcast in the same arithmetic, so
-    every call's bits. None where a plain callable is needed instead.
-
-    f1 holds f1 over nu1's marks; lam, f2, f3 hold lambda_fn, f2, f3 over
-    nu2's marks; integrals holds _nu2_integrals of those when all three
-    are declared; sigma2 the divisor of a 1 x 1 _const sigma2, the inverse
-    of a d x d one, 0.0 if singular. Arrays end in `batch`, () or (1,)."""
-
-    f1: list
-    lam: list
-    f2: list
-    f3: list
-    integrals: tuple
-    sigma2: object
-
-    @staticmethod
-    def of(model: ModelSpec, batch: tuple) -> "_Declared":
-        x, y = np.zeros((model.dim_x,) + batch), np.zeros((model.dim_y,) + batch)
-
-        def at_marks(coefficient, levy, core, *state):
-            if _declared_matrix(coefficient) is None or not isinstance(levy, LevyMeasure):
-                return None
-            return _at_marks(None, coefficient, levy, 0.0, core, *state)
-
-        lam = at_marks(model.lambda_fn, model.nu2, 0, x)
-        f2 = at_marks(model.f2, model.nu2, 1, y)
-        f3 = at_marks(model.f3, model.nu2, 1, x, y)
-        integrals = None
-        if lam is not None and f2 is not None and f3 is not None:
-            integrals = _nu2_integrals(model.nu2, lam, f2, f3)
-        s2 = _const_matrix(model.sigma2)
-        if s2 is not None:
-            try:
-                s2 = (float(s2[0, 0]) if s2.shape == (1, 1)
-                      else np.linalg.inv(s2).reshape(s2.shape + batch))
-            except np.linalg.LinAlgError:
-                s2 = 0.0
-        return _Declared(at_marks(model.f1, model.nu1, 1, x, y), lam, f2, f3,
-                         integrals, s2)
-
-
-def _at_marks(kept, coefficient, levy, t: float, core: int, *state):
-    """coefficient(t, *state, u) at each mark u of levy, in atom order, with
-    `core` component axes (0 for lambda_fn, 1 for a jump loading): the
-    values kept for a declared coefficient, else evaluated."""
-    if kept is not None:
-        return kept
-    return [_moved(coefficient(t, *(s.T for s in state), u), core, state[0])
-            for u in levy.marks()]
+    return None, solve
 
 
 def _nu2_integrals(nu2: LevyMeasure, lam, f2, f3):
     """(int f3 lambda, int f2 lambda, int f2 (1 - lambda), int (1 - lambda))
-    dnu2 from lambda, f2 and f3 at nu2's marks, each added in atom order."""
-    return (_atom_sum(nu2, (f * l for f, l in zip(f3, lam))),
-            _atom_sum(nu2, (f * l for f, l in zip(f2, lam))),
-            _atom_sum(nu2, map(_h_integrand, f2, lam)),
-            _atom_sum(nu2, (1.0 - l for l in lam)))
-
-
-def _reference_rates(model: ModelSpec, t: float, x, y, signal: bool = False):
-    """Reference-measure dt rates at component-major states x (d_X, n),
-    y (d_Y, n) or one state (d,), from one lambda evaluation per atom of an
-    atomic nu2 (none when lambda_fn, f2 and f3 are declared): (bx, by, h,
-    comp), a vector (d, n), or (d, 1) where it is the same for all, with
-
-        bx = b1 - int f1 dnu1 - int f3 lambda dnu2 - sigma1 h,
-        by = b2 - int f2 lambda dnu2 - sigma2 h,
-        h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2),
-        comp = int (1 - lambda) dnu2 (0.0 without an atomic nu2).
-
-    bx + sigma1 h and by + sigma2 h are the physical-measure rates of
-    _rates. With `signal`, by keeps that value and the sigma2 h product,
-    which a step moving X alone along a given Y never reads, is skipped."""
-    bx, by, rhs, comp = _rates(model, t, x, y)
-    h = _solve_sigma2(model, t, y, rhs)
-    bx = bx - _column_sum(_loading(model.sigma1, t, x, y), h)
-    if not signal:
-        by = by - _column_sum(_loading(model.sigma2, t, y), h)
-    return bx, by, h, comp
-
-
-def _rates(model: ModelSpec, t: float, x, y):
-    """(bx + sigma1 h, by + sigma2 h, sigma2 h, comp) of _reference_rates:
-    the physical-measure rates, h's right-hand side and the compensator,
-    from one evaluation of each plain lambda_fn, f1, f2 and f3 per atom
-    (declared ones are kept, see _Declared). A StableTail nu2 needs no
-    compensator: the tail is symmetric and the jump loadings are linear in
-    the mark, so int f lambda dnu2 = 0."""
-    bx = _drift(model.b1, t, x, y)
-    by = rhs = _drift(model.b2, t, x, y)
-    comp = 0.0
-    kept = _declared_for(model, x)
-    if model.nu1 is not None:
-        bx = bx - _atom_sum(
-            model.nu1, _at_marks(kept.f1, model.f1, model.nu1, t, 1, x, y))
-    nu2 = model.nu2
-    if isinstance(nu2, LevyMeasure):
-        integrals = kept.integrals
-        if integrals is None:
-            integrals = _nu2_integrals(
-                nu2, _at_marks(kept.lam, model.lambda_fn, nu2, t, 0, x),
-                _at_marks(kept.f2, model.f2, nu2, t, 1, y),
-                _at_marks(kept.f3, model.f3, nu2, t, 1, x, y))
-        f3_lam, f2_lam, h_term, comp = integrals
-        bx = bx - f3_lam
-        by = by - f2_lam
-        rhs = rhs + h_term
-    return bx, by, rhs, comp
+    dnu2 from lambda, f2 and f3 at nu2's marks, each added in atom order as
+    _atom_sum adds, all four in one pass over the atoms."""
+    sums = None
+    for (_, rate), l, a2, a3 in zip(nu2.atoms, lam, f2, f3):
+        rest = 1.0 - l
+        terms = (rate * (a3 * l), rate * (a2 * l), rate * (a2 * rest), rate * rest)
+        sums = terms if sums is None else tuple(s + t for s, t in zip(sums, terms))
+    return sums
 
 
 def _lambda_bounds(model: ModelSpec):
@@ -400,15 +448,52 @@ def _lambda_bounds(model: ModelSpec):
     return lo, hi
 
 
+# The worst relative defect f(u) - u f(1) that a jump loading linear in the
+# mark may show at the probes of _mark_linearity_defect (rounding only).
+MARK_LINEARITY_TOL = 1e-9
+
+
+def _mark_linearity_defect(model: ModelSpec) -> float:
+    """The separability that the infinite-activity regime needs: the jump
+    loadings linear in a 1-d mark, f3(t, x, y, u) = F3(t, x, y) u and
+    f2(t, y, u) = F2(t, y) u. Returns the worst relative defect
+    |f(u) - u f(1)| / max(|f(u)|, |u f(1)|) of a plain f3 or f2 over the
+    marks -0.7, 0.35 and 2.0 at four states (seed 0) and t = 0.5; a
+    non-finite value gives inf. A _linear_mark loading passes as its matrix
+    declares, with no call, when the matrix has one column; with more it
+    has no 1-d mark (inf)."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, model.dim_x)) * 3.0
+    y = rng.standard_normal((4, model.dim_y)) * 3.0
+    worst = 0.0
+    for f, state in ((model.f3, (x, y)), (model.f2, (y,))):
+        M = _declared_matrix(f)
+        if M is not None:
+            if np.shape(M)[-1] != 1:
+                return float("inf")
+            continue
+        unit = np.asarray(f(0.5, *state, np.array([1.0])), dtype=float)
+        for u in (-0.7, 0.35, 2.0):
+            val = np.asarray(f(0.5, *state, np.array([u])), dtype=float)
+            err = np.max(np.abs(val - u * unit))
+            if not np.isfinite(err):
+                return float("inf")
+            scale = max(np.max(np.abs(val)), np.max(np.abs(u * unit)))
+            if scale > 0.0:
+                worst = max(worst, float(err / scale))
+    return worst
+
+
 def validate_model(model: ModelSpec) -> dict:
     """Probe the standing assumptions at 64 random states (seed 0): linear
     coefficient growth, invertible sigma2 with bounded inverse, lambda
     bounded away from 0 and within the declared [lambda_min, lambda_max]
     (lambda_max is the thinning bound of _kept),
-    the (1-lambda)^2/lambda integrability functional, and the p-moment
-    witness in the infinite-activity regime. lambda is evaluated once per
-    probe and mark of an atomic nu2, sigma2 once per probe. Returns a
-    report; the 'ok' entry is the conjunction."""
+    the (1-lambda)^2/lambda integrability functional, and in the
+    infinite-activity regime the p-moment witness and the jump loadings'
+    linearity in the mark (_mark_linearity_defect). lambda is evaluated
+    once per probe and mark of an atomic nu2, sigma2 once per probe.
+    Returns a report; the 'ok' entry is the conjunction."""
     n_probes = 64
     rng = np.random.default_rng(0)
     xs = rng.standard_normal((n_probes, model.dim_x)) * 3.0
@@ -429,7 +514,8 @@ def validate_model(model: ModelSpec) -> dict:
         except np.linalg.LinAlgError:
             return {"ok": False, "reason": f"sigma2 singular at probe t={t}"}
         if isinstance(model.nu2, LevyMeasure):
-            lams = _at_marks(None, model.lambda_fn, model.nu2, t, 0, x)
+            lams = [np.asarray(model.lambda_fn(t, x, u), dtype=float)
+                    for u in model.nu2.marks()]
             lam_lo = min(lam_lo, *map(float, lams))
             lam_hi = max(lam_hi, *map(float, lams))
             lam_integrability = max(lam_integrability, float(_atom_sum(
@@ -450,7 +536,10 @@ def validate_model(model: ModelSpec) -> dict:
     if model.regime == "infinite_jumps":
         witness = model.nu2.p_moment(P_VAR)
         report[f"p_moment_{P_VAR}"] = float(witness)
-        ok = ok and np.isfinite(witness) and lo == hi == 1.0
+        defect = _mark_linearity_defect(model)
+        report["mark_linearity_defect"] = defect
+        ok = (ok and np.isfinite(witness) and lo == hi == 1.0
+              and defect <= MARK_LINEARITY_TOL)
     report["ok"] = bool(ok)
     return report
 
@@ -638,13 +727,14 @@ def simulate_pair(model: ModelSpec, noise: NoiseBundle):
     # the atoms at grid time times[j]: rows lo[j]:hi[j] of a record (times sorted)
     lo1, hi1, lo2, hi2 = (np.searchsorted(rec.times, times, side=side).tolist()
                           for rec in (rec1, rec2) for side in ("left", "right"))
-    rates = _reference_rates if noise.measure == "reference" else _rates
+    bound = model._bound_one
+    rates = bound.reference_rates if noise.measure == "reference" else bound.rates
 
     def euler_rates(t, xv, yv, dB, dW, dt):
-        bx, by = rates(model, t, xv, yv)[:2]
-        return (bx * dt + _loading(model.sigma0, t, xv, yv) @ dB
-                + _loading(model.sigma1, t, xv, yv) @ dW,
-                by * dt + _loading(model.sigma2, t, yv) @ dW)
+        bx, by = rates(t, xv, yv)[:2]
+        return (bx * dt + bound.sigma0(t, xv, yv) @ dB
+                + bound.sigma1(t, xv, yv) @ dW,
+                by * dt + bound.sigma2(t, yv) @ dW)
 
     for k in range(n - 1):
         t, dt = float(times[k]), float(times[k + 1] - times[k])
@@ -684,8 +774,8 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
     left endpoint for "ito"), the |h|^2/2 dt term with the sign matching the
     bundle's measure (+ under "physical", - under "reference"), log lambda at
     the observed atoms that _kept accepts (_observed_lambda at X_{t-}), and
-    the (1 - lambda) nu2 compensator at the left endpoint, read from _rates
-    as the particle sweep reads it. With these signs E[exp(-I_T)] = 1 over
+    the (1 - lambda) nu2 compensator at the left endpoint, read from
+    _Bound.rates as the particle sweep reads it. With these signs E[exp(-I_T)] = 1 over
     physical bundles and E[exp(I_T)] = 1 over reference bundles.
     """
     if mode not in ("stratonovich", "ito"):
@@ -716,7 +806,7 @@ def girsanov_exponent(model: ModelSpec, noise: NoiseBundle, X: CadlagPath,
             acc += float(h0 @ noise.brownian_W[k])
             acc += sign * float(h0 @ h0) * dt
         if isinstance(model.nu2, LevyMeasure):
-            acc += float(_rates(model, t0, x0v, y0v)[3]) * dt
+            acc += float(model._bound_one.rates(t0, x0v, y0v)[3]) * dt
         pre[k + 1] = acc
         x_left = X.pre_values[k + 1]
         for a in range(lo2[k + 1], hi2[k + 1]):
@@ -754,21 +844,21 @@ def reconstruct_wtilde(model: ModelSpec, Y: CadlagPath) -> CadlagPath:
     """Recover the reference-measure Brownian motion from an observation
     path: dWt = sigma2^{-1}(dY_cont + int f2 dnu2 dt), with the continuous
     increments read between left limits (observed jumps drop out exactly).
-    Exact for constant sigma2; left-endpoint sigma2 otherwise."""
-    times = Y.times
-    n = len(times)
-    out = np.zeros((n, model.dim_y))
-    w = np.zeros(model.dim_y)
-    kept, nu2 = model._declared_one, model.nu2
-    for k in range(n - 1):
-        t0 = float(times[k])
-        dt = float(times[k + 1] - times[k])
-        y0v = Y.values[k]
-        dy = Y.pre_values[k + 1] - y0v
-        if isinstance(nu2, LevyMeasure):
-            dy = dy + dt * _atom_sum(nu2, _at_marks(kept.f2, model.f2, nu2, t0, 1, y0v))
-        w = w + np.linalg.solve(_loading(model.sigma2, t0, y0v), dy)
-        out[k + 1] = w
+    Exact for constant sigma2; left-endpoint sigma2 otherwise. All
+    segments are solved in one batched call, each by the LAPACK solve it
+    gets alone, and summed in order from 0; a declared f2 gives its atom
+    sum once, a plain one and a plain sigma2 are evaluated per segment."""
+    times, dim = Y.times, model.dim_y
+    t0, y0 = times[:-1].tolist(), Y.values[:-1]
+    bound, nu2 = model._bound_one, model.nu2
+    dy = Y.pre_values[1:] - y0
+    if isinstance(nu2, LevyMeasure):
+        drift = (_atom_sum(nu2, bound.f2) if bound.f2 is not None else
+                 [_atom_sum(nu2, bound.f2_at(t, y)) for t, y in zip(t0, y0)])
+        dy = dy + np.diff(times)[:, None] * drift
+    sigma2 = np.reshape([bound.sigma2(t, y) for t, y in zip(t0, y0)], (-1, dim, dim))
+    dw = np.linalg.solve(sigma2, dy[..., None])[..., 0]
+    out = np.add.accumulate(np.concatenate([np.zeros((1, dim)), dw]))
     return CadlagPath(times, out, None, "linear")
 
 

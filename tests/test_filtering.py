@@ -6,6 +6,7 @@ and checks the Monte Carlo functional against an independent scalar
 recursion over the same outcome tree.
 """
 
+import gc
 import itertools
 import math
 from dataclasses import replace
@@ -667,17 +668,24 @@ def _count_calls(monkeypatch, name):
 
 def _sweep_calls(monkeypatch, model, driver, record, N):
     davie = _count_calls(monkeypatch, "davie_step")
-    h = _count_calls(monkeypatch, "h_function")
     jumps = _count_calls(monkeypatch, "marcus_jump")
+    h, real_h = [], sim._Bound.h
+
+    def counted_h(bound, t, x, y):
+        h.append(np.shape(x))
+        return real_h(bound, t, x, y)
+
+    monkeypatch.setattr(sim._Bound, "h", counted_h)
     res = theta(model, FUNCTION_CATALOG["identity"], driver, record, 1.0, N, 5)
-    return res, davie, [np.shape(a[2]) for a in h], [a[4] for a in jumps]
+    return res, davie, h, [a[4] for a in jumps]
 
 
 def test_closed_form_sweep_calls(monkeypatch):
-    """A closed-form sweep makes no davie_step call, one h_function call on
-    the N particle states per step, and one marcus_jump call of one substep
-    (per unit size) per driver jump; the jump's own h calls are its one
-    full-field call on the N states and its stacked RK4 stages."""
+    """A closed-form sweep makes no davie_step call, one h evaluation
+    (sim._Bound.h, component-major) on the N particle states per step, and
+    one marcus_jump call of one substep (per unit size) per driver jump; the
+    jump's own h evaluations are its one full-field call on the N states and
+    its stacked RK4 stages."""
     N = 40
     for name, eps in (("linear_gaussian", None), ("correlated_jump_multidim", None),
                       ("stable_shot_noise", 0.05)):
@@ -689,8 +697,8 @@ def test_closed_form_sweep_calls(monkeypatch):
         jumps = res.driver_meta["driver_jumps"]
         assert davie == []
         assert substeps == [1] * jumps
-        assert [s for s in h_shapes if s[:1] == (N,)] == (
-            [(N, model.dim_x)] * (steps + jumps))
+        assert [s for s in h_shapes if s[-1:] == (N,)] == (
+            [(model.dim_x, N)] * (steps + jumps))
         if name == "stable_shot_noise":
             assert res.driver_meta["driver_jumps"] > 0
 
@@ -737,7 +745,7 @@ def test_reference_rates_evaluate_lambda_once_per_atom():
     rng = np.random.default_rng(61)
     t, x, y = 0.3, rng.standard_normal((40, 1)), rng.standard_normal((40, 1))
     bx, by, h, comp = (np.asarray(r).T for r in
-                       sim._reference_rates(model, t, x.T, y.T))
+                       model._bound_batch.reference_rates(t, x.T, y.T))
     assert calls == [(40, 1)] * len(model.nu2.atoms)
 
     def lam(u):
@@ -763,6 +771,52 @@ def test_reference_rates_evaluate_lambda_once_per_atom():
         assert np.array_equal(got, expect)
 
 
+def test_plain_lambda_evaluations_per_step():
+    """A plain lambda_fn (scalar_jump_diffusion, two atoms) is evaluated at
+    most 8 times per rough step (the reference rates at both Heun stages,
+    the Davie step's field and its stacked differences, once per atom each)
+    and 6 per direct step, plus once per observed atom: binding a route's
+    step adds no evaluation."""
+    base = get_model("scalar_jump_diffusion")
+    obs = realized_observation(base, 1.0, 32, 5)
+    model, calls = _counting_lambda(base)
+    f = FUNCTION_CATALOG["identity"]
+    atoms = len(obs["atoms"][0])
+    assert atoms > 0 and len(obs["jump_record"][0]) == atoms
+    theta(model, f, obs["driver"], obs["jump_record"], 1.0, 20, 3)
+    assert 0 < len(calls) <= 8 * (len(obs["driver"].times) - 1) + atoms
+    calls.clear()
+    direct_reference_filter(model, f, obs["Y"], obs["atoms"], 1.0, 20, 3)
+    assert 0 < len(calls) <= 6 * (len(obs["Y"].times) - 1) + atoms
+
+
+def test_sweeps_leave_no_reference_cycle():
+    """No route refers to itself (a bound method kept on it would), so its
+    particles are freed when the sweep returns, not when the cyclic
+    collector next runs: with the collector off, the rough route (affine
+    and not), the direct route and the flow route leave nothing for it."""
+    f = FUNCTION_CATALOG["identity"]
+    runs = []
+    for name in ("linear_gaussian", "scalar_jump_diffusion"):
+        model = get_model(name)
+        obs = realized_observation(model, 1.0, 16, 3)
+        runs += [lambda m=model, o=obs: theta(m, f, o["driver"], o["jump_record"],
+                                              1.0, 20, 5),
+                 lambda m=model, o=obs: direct_reference_filter(m, f, o["Y"], o["atoms"],
+                                                                1.0, 20, 5)]
+    runs.append(lambda m=model, o=obs: scalar_flow_filter_detail(
+        replace(m, f3=sim._linear_mark([[0.0]])), f, o["Y"], 20, 5, o["atoms"]))
+    for run in runs:
+        run()  # first use: the models keep what they bind
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 def test_declared_lambda_integrals_at_one_state():
     """With lambda_fn, f2 and f3 declared, lambda is evaluated once per atom
     at one state, once per model: h and the reference rates share the nu2
@@ -777,10 +831,10 @@ def test_declared_lambda_integrals_at_one_state():
                           sim.h_function(plain, 0.1, x, y))
     assert calls == [(1, 2)] * len(base.nu2.atoms)  # one zero state
     calls.clear()
-    got = sim._reference_rates(model, 0.1, x.T, y.T)
+    got = model._bound_batch.reference_rates(0.1, x.T, y.T)
     sim.h_function(model, 0.4, x[:3], y[:3])
     assert calls == []
-    for g, e in zip(got, sim._reference_rates(plain, 0.1, x.T, y.T)):
+    for g, e in zip(got, plain._bound_batch.reference_rates(0.1, x.T, y.T)):
         assert np.array_equal(np.broadcast_to(g, np.shape(e)), e)
 
 
@@ -923,8 +977,7 @@ def test_declared_aux_jumps_match_the_atom_loop():
                 np.concatenate([mark, np.full((extra, 2), 9.0)]))
         ends = []
         for model in (declared, plain):
-            route = _Route()
-            route.model = model
+            route = _Route(model)
             route.start(6)
             route.x, route.y = x.copy(), y.copy()
             # the model's first use evaluates a declared f1 at nu1's marks

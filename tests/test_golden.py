@@ -228,3 +228,101 @@ def test_golden_block_sampler_stream():
     assert dB.shape == (50, STEPS, 1)
     assert AUX_STREAM.startswith("block/v1:")
     assert _block_digest(dB, table) == BLOCK_SHA256
+
+
+# -- exact sweep bits -------------------------------------------------------
+
+# sha256 over the float64 bytes of (theta, theta_se, g_f, g_f se, g_1, g_1 se)
+# of one sweep on the default block stream, at the configurations of GOLDEN
+# and at N = 10 and 200. Unlike the rtol pins above, a reordered sum or any
+# other last-bit change fails these. "geometric" is the flow tests' model
+# with every coefficient a plain callable. Recorded before the routes bound
+# their steps at construction.
+SWEEP_SHA256 = {
+    ('direct', 'correlated_jump_multidim', 10):
+        "eea0faaf14d9374e440f4f4ba8e7db102f97e2aa3189e02f4d8a130cc6d27e71",
+    ('direct', 'correlated_jump_multidim', 200):
+        "e6c744336dff19305aad7e3bcb84a3c243b368f71eaf8ed6ab7da9642710c43d",
+    ('direct', 'geometric', 10):
+        "7bd12bb87f5987e0641a1f2b6decbc1b644ddfb405f098ab7f8a87cd25118bea",
+    ('direct', 'geometric', 200):
+        "9036d0abc4155d8aaf2f1e1ed4e7803fa9852a40eadf9d61efd7853f6066d952",
+    ('direct', 'linear_gaussian', 10):
+        "f9f0c21d7c38a0ce2c35e9ba9a93e2e76d46de50eb71a38f1e15fc07d9f8cbc2",
+    ('direct', 'linear_gaussian', 200):
+        "7066746619504b19d66ffcb0db906bca61262c8bfb23207ec5ffe83ba88446b5",
+    ('direct', 'scalar_jump_diffusion', 10):
+        "77505e95c2eecc41665451eda555abdfbdc527d6ee09b37af4b616ed1da8b29b",
+    ('direct', 'scalar_jump_diffusion', 200):
+        "9909e0cf8e40d667611b2af49fa44cc86effe051a25bda8ea241d3761c8457e0",
+    ('direct', 'stable_shot_noise', 10):
+        "9e5fda4d28e67e00d0e57a2ebf2fb05aad6eb32e79330e18174b5593d48065dc",
+    ('direct', 'stable_shot_noise', 200):
+        "9ad70d66c822c092291152e58b5a0d12e91b6aa9fe6e9f20127b6730f74c0125",
+    ('flow', 'geometric', 10):
+        "40cca12d43470016b3c538db8143b57f47ff00cbccd0f0da41e85749494ce144",
+    ('flow', 'geometric', 200):
+        "e2006dd238bd7a9b3b788ce7bf78a621cbbdc59266dc33c4c3b12450e1496c5a",
+    ('flow', 'linear_gaussian', 10):
+        "f9a5111be4eac31a4ad5c0a55862c48f5ae86c018e3ed4bf8166266d220108cf",
+    ('flow', 'linear_gaussian', 200):
+        "3f99f67585363abe6980b4b923fbdf4eb237668dd2d07d282ed7f57828449e77",
+    ('flow', 'scalar_jump_diffusion:f3=0', 10):
+        "8509cd15f7a00d6a39185a110cb27705c299f402bc7046dbe408d8812ae3d67e",
+    ('flow', 'scalar_jump_diffusion:f3=0', 200):
+        "364aac12f2d1c303762539162a7855c5ca6bca8bfe733e786e5e22e41589fc60",
+    ('rough', 'correlated_jump_multidim', 10):
+        "988e9ae942f09ba3c935c52c31f75d4ff0bdc37361847c8b90205abf96886655",
+    ('rough', 'correlated_jump_multidim', 200):
+        "cecf4349bba22995143c2fdc0f72731d7e57bda4bc6a2c31c959cc38e8fd09f7",
+    ('rough', 'geometric', 10):
+        "89a4d90d6e5da697f7546321e8ce54e401699403456ef879284e3ce167c4979c",
+    ('rough', 'geometric', 200):
+        "6dcb34c65eae15cbd35ccf323539bfb2a5b3cce63eba1645ad2d4c0b7a001a4e",
+    ('rough', 'linear_gaussian', 10):
+        "3ac925f1e6818b7207c27a6d4a4f4af72ff3d879900c766b3af5163c7528ab96",
+    ('rough', 'linear_gaussian', 200):
+        "efa36afafa746b194b53c04c5e25c9fcf2396931002489a8eb39c20001fe2c9a",
+    ('rough', 'scalar_jump_diffusion', 10):
+        "adc5f9eb8b4162aaa24f4d9ec6b3949cbcdad41baee8cae164eb6a2ef58fd173",
+    ('rough', 'scalar_jump_diffusion', 200):
+        "ca7197950278437ca3312748e9059422f03301c9fc5d6bef843aaacf515715d8",
+    ('rough', 'stable_shot_noise', 10):
+        "f4f89daf8756435693330256242af55f8800c1e5d868c4ed9eb6cb67d230ff85",
+    ('rough', 'stable_shot_noise', 200):
+        "2acdc0ab8266313215cf8c2a326beb2c631f6d7c79903d0525e453f67fdf2c0f",
+    ('rough-mesh8', 'scalar_jump_diffusion', 10):
+        "c28f786bcaaa39aed0df4f42964d5fec1ea0d66170961656a2a37c5bbf3badc7",
+    ('rough-mesh8', 'scalar_jump_diffusion', 200):
+        "fad0b123501efdf4cf24a9b1dfbdd927a9d53a32bac234ec4d50b305a6c9a6dc",
+}
+
+
+def _sweep_digest(res) -> str:
+    vals = (res.theta, res.theta_se, res.g_f.value, res.g_f.stderr,
+            res.g_1.value, res.g_1.stderr)
+    return hashlib.sha256(np.array(vals, dtype=float).tobytes()).hexdigest()
+
+
+def _pinned_sweep(route, model_id, N):
+    from test_filtering import _geometric_model
+
+    model = _geometric_model() if model_id == "geometric" else _model(model_id)
+    f = FUNCTION_CATALOG["identity"]
+    if route == "rough-mesh8":
+        obs = realized_observation(model, 1.0, 2 * STEPS, OBS_SEED)
+        return theta(model, f, mesh_lifts(obs, 1.0, 8)[1], obs["jump_record"],
+                     1.0, N, SEED_BASE)
+    obs = _observation(model)
+    if route == "rough":
+        return theta(model, f, obs["driver"], obs["jump_record"], 1.0, N, SEED_BASE)
+    if route == "direct":
+        return direct_reference_filter(model, f, obs["Y"], obs["atoms"], 1.0,
+                                       N, SEED_BASE)
+    return scalar_flow_filter_detail(model, f, obs["Y"], N, SEED_BASE, obs["atoms"])
+
+
+@pytest.mark.parametrize("route,model_id,N", sorted(SWEEP_SHA256))
+def test_sweep_bits_pinned(route, model_id, N):
+    assert _sweep_digest(_pinned_sweep(route, model_id, N)) == SWEEP_SHA256[
+        (route, model_id, N)]

@@ -113,6 +113,35 @@ class TestModelCatalog:
         assert report["ok"] is False
         assert report["lambda_range"][0] < 0.9
 
+    def test_mark_nonlinear_jump_loadings_fail(self):
+        """The infinite regime joins the jump path to the driver at unit mark,
+        so f3 and f2 must be linear in the mark. f3 = 0.3 u^2 and 0.3 u^3
+        fail validate_model, and theta on a joined driver raises; the
+        declared catalog loadings pass with no call, a plain linear one by
+        the probe."""
+        from roughfilter.filtering import FUNCTION_CATALOG, realized_observation, theta
+
+        base = sim.stable_shot_noise()
+        assert sim.validate_model(base)["mark_linearity_defect"] == 0.0
+        linear = replace(base, f3=lambda t, x, y, u: np.asarray(base.f3(t, x, y, u)))
+        report = sim.validate_model(linear)
+        assert report["ok"] and report["mark_linearity_defect"] <= sim.MARK_LINEARITY_TOL
+        obs = realized_observation(base, 1.0, 16, 3, epsilon=0.05)
+        for power in (2, 3):
+            def f3(t, x, y, u, power=power):
+                jump = 0.3 * np.asarray(u, dtype=float)[..., :1] ** power
+                return np.broadcast_to(jump, np.shape(x))
+
+            model = replace(base, f3=f3)
+            report = sim.validate_model(model)
+            assert report["ok"] is False
+            assert report["mark_linearity_defect"] > 0.1
+            with pytest.raises(ValueError, match="linear in a 1-d mark"):
+                theta(model, FUNCTION_CATALOG["identity"], obs["driver"],
+                      obs["jump_record"], 1.0, 20, 17)
+        wide = replace(base, f2=sim._linear_mark([[0.25, 0.1]]))
+        assert sim.validate_model(wide)["mark_linearity_defect"] == np.inf
+
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             sim.get_model("nope")
@@ -480,36 +509,36 @@ class TestHFunction:
             assert np.array_equal(sim.h_function(model, 0.2, xb[idx], yb[idx]), h[idx])
 
     def test_declared_sigma2_kept_once_on_the_model(self):
-        """A declared sigma2 is kept in the model's _Declared, not on the
+        """A declared sigma2 is kept in the model's _Bound, not on the
         shared coefficient: its 1 x 1 entry as the divisor, a d x d
         matrix's inverse as (d, d) for one state and (d, d, 1) for a batch,
         and a singular one as 0.0, which every solve reports, at every call
         and through every rate."""
         lg = sim.linear_gaussian(gamma=0.5)
-        assert lg._declared_one.sigma2 == lg._declared_batch.sigma2 == 0.5
+        assert lg._bound_one.sigma2_inv == lg._bound_batch.sigma2_inv == 0.5
         x = np.array([[0.3], [-1.2], [0.0]])
         assert np.array_equal(sim.h_function(lg, 0.0, x, np.zeros((3, 1))),
                               (float(lg.meta["c"]) * x) / 0.5)
         cjm = sim.correlated_jump_multidim()
-        one, batch = cjm._declared_one.sigma2, cjm._declared_batch.sigma2
+        one, batch = cjm._bound_one.sigma2_inv, cjm._bound_batch.sigma2_inv
         assert one.shape == (2, 2) and batch.shape == (2, 2, 1)
         assert np.array_equal(batch[..., 0], one)
         assert np.array_equal(one, np.linalg.inv(sim._const_matrix(cjm.sigma2)))
         assert not hasattr(cjm.sigma2, "inverse")
         for model in (sim.linear_gaussian(gamma=0.0),
                       replace(cjm, sigma2=sim._const([[1.0, 2.0], [0.5, 1.0]]))):
-            assert model._declared_one.sigma2 == model._declared_batch.sigma2 == 0.0
+            assert model._bound_one.sigma2_inv == model._bound_batch.sigma2_inv == 0.0
             d = model.dim_x
             for _ in range(2):
                 with pytest.raises(ValueError, match="sigma2 singular at t=0.25"):
-                    sim._reference_rates(model, 0.25, np.zeros((d, 3)),
-                                         np.zeros((model.dim_y, 3)))
+                    model._bound_batch.reference_rates(0.25, np.zeros((d, 3)),
+                                                       np.zeros((model.dim_y, 3)))
             with pytest.raises(ValueError, match="singular"):
                 sim.h_function(model, 0.0, np.zeros(d), np.zeros(model.dim_y))
         # a plain 1 x 1 sigma2 callable is read at every call
         plain = replace(sim.linear_gaussian(), sigma2=lambda t, y: np.zeros((1, 1)))
         with pytest.raises(ValueError, match="sigma2 singular at t=0.25"):
-            sim._reference_rates(plain, 0.25, np.zeros((1, 3)), np.zeros((1, 3)))
+            plain._bound_batch.reference_rates(0.25, np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 class TestGirsanovExponent:
@@ -670,7 +699,7 @@ class TestGirsanovExponent:
     # sha256 over I values and I pre-values of girsanov_exponent on [0, 1],
     # 16 steps, for three catalog models, both measures, seeds 0-24 and both
     # quadrature modes, recorded before the exponent read its compensator
-    # from sim._rates and its log lambda from sim._observed_lambda.
+    # from sim._Bound.rates and its log lambda from sim._observed_lambda.
     GIRSANOV_SHA256 = "f2c0d0b7d1c9ab4fa57050474e17f4dca84da1505115c1eb3c78e0b98c03883a"
 
     def test_girsanov_bits_pinned(self):
@@ -728,6 +757,38 @@ class TestWtildeReconstruction:
         comp = sim._atom_sum(model.nu2, [model.f2(0.0, np.zeros(1), u)
                                            for u in model.nu2.marks()])[0]
         assert np.allclose(resid, -comp * Y.times, atol=1e-10)
+
+    def test_batched_solve_matches_the_segment_loop(self):
+        """All segments are solved in one batched call and summed by one
+        accumulate: the values of the loop that evaluates f2 and sigma2,
+        solves and adds segment by segment from 0, bit for bit, on the
+        catalog and on a plain, time-dependent 2 x 2 sigma2 with a plain f2."""
+        def loop(model, Y):
+            out, w = np.zeros((len(Y.times), model.dim_y)), np.zeros(model.dim_y)
+            for k in range(len(Y.times) - 1):
+                t, y = float(Y.times[k]), Y.values[k]
+                dy = Y.pre_values[k + 1] - y
+                if isinstance(model.nu2, sim.LevyMeasure):
+                    dy = dy + float(Y.times[k + 1] - Y.times[k]) * sim._atom_sum(
+                        model.nu2, [np.asarray(model.f2(t, y, u), dtype=float)
+                                    for u in model.nu2.marks()])
+                w = w + np.linalg.solve(np.asarray(model.sigma2(t, y), dtype=float), dy)
+                out[k + 1] = w
+            return out
+
+        cjm = sim.correlated_jump_multidim()
+        plain = replace(
+            cjm, f2=lambda t, y, u: 0.5 * np.asarray(u) + 0.1 * np.asarray(y),
+            sigma2=lambda t, y: np.broadcast_to(
+                np.array([[0.5, 0.0], [0.1, 0.45]]) * (1.0 + t),
+                np.shape(y)[:-1] + (2, 2)))
+        for model in [sim.get_model(name) for name in sim.MODEL_BUILDERS] + [plain]:
+            eps = 0.05 if model.regime == "infinite_jumps" else None
+            for seed in range(3):
+                nb = sim.make_noise_bundle(model, 1.0, 32, seed, epsilon=eps)
+                Y = sim.simulate_pair(model, nb)[1]
+                got = sim.reconstruct_wtilde(model, Y).values
+                assert got.tobytes() == loop(model, Y).tobytes(), model.model_id
 
 
 class TestShotNoise:
@@ -1054,14 +1115,14 @@ _RATE_MODELS = _rate_models()
        seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6),
        t=st.floats(0.0, 1.0), h_first=st.booleans())
 def test_reference_rates_match_the_per_call_formula(name, seed, n, t, h_first):
-    """_reference_rates and h_function, with declared values kept once per
+    """_Bound.reference_rates and h_function, with declared values kept once per
     model and products through rde._column_sum on component-major states,
     equal the per-call formula with particle-major einsum products bit for
     bit, at random states (n = 0: one unbatched state, both as 1-d arrays
     and as a batch of one component-major), whichever of the two computes
     the kept values. With
-    `signal`, _reference_rates gives the same bx, h and comp, and by at its
-    physical-measure value from _rates."""
+    `signal`, reference_rates gives the same bx, h and comp, and by at its
+    physical-measure value from _Bound.rates."""
     model = replace(_RATE_MODELS[name])  # a copy that has kept nothing yet
     rng = np.random.default_rng(seed)
     lead = (n,) if n else ()
@@ -1070,7 +1131,7 @@ def test_reference_rates_match_the_per_call_formula(name, seed, n, t, h_first):
     xc, yc = x.reshape(-1, model.dim_x).T, y.reshape(-1, model.dim_y).T
     if h_first:
         h = sim.h_function(model, t, x, y)
-    rates = sim._reference_rates(model, t, xc, yc)
+    rates = model._bound_batch.reference_rates(t, xc, yc)
     if not h_first:
         h = sim.h_function(model, t, x, y)
     expect = _per_call_rates(model, t, x, y)
@@ -1082,15 +1143,15 @@ def test_reference_rates_match_the_per_call_formula(name, seed, n, t, h_first):
         want = np.asarray(want)
         assert particle_major(got, want).tobytes() == want.tobytes(), name
     if not n:
-        for got, want in zip(sim._reference_rates(model, t, x, y), expect):
+        for got, want in zip(model._bound_one.reference_rates(t, x, y), expect):
             assert np.shape(got) == np.shape(want), name
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
     want_h = _per_call_h(model, t, x, y)
     assert h.shape == want_h.shape, name
     assert h.tobytes() == want_h.tobytes(), name
     # the routes that move X alone skip sigma2 h: by stays physical
-    signal = sim._reference_rates(model, t, xc, yc, signal=True)
-    physical_by = sim._rates(model, t, xc, yc)[1]
+    signal = model._bound_batch.reference_rates(t, xc, yc, signal=True)
+    physical_by = model._bound_batch.rates(t, xc, yc)[1]
     for got, want in zip(signal, (rates[0], physical_by) + rates[2:]):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
@@ -1110,16 +1171,16 @@ def test_declared_values_kept_once_per_model():
     use, laid out for one state and for a batch: a model built by
     dataclasses.replace computes its own."""
     model = sim.get_model("correlated_jump_multidim")
-    kept = model._declared_one, model._declared_batch
+    kept = model._bound_one, model._bound_batch
     one, batch = kept
-    assert model._declared_one is one and model._declared_batch is batch
+    assert model._bound_one is one and model._bound_batch is batch
     assert one.integrals[0].shape == (2,) and batch.integrals[0].shape == (2, 1)
     assert all(k.integrals is not None and k.f1 is None for k in kept)
     other = replace(model, lambda_fn=_plain_coefficient(model.lambda_fn))
-    assert other._declared_batch is not batch
-    for k in (other._declared_one, other._declared_batch):
+    assert other._bound_batch is not batch
+    for k in (other._bound_one, other._bound_batch):
         assert k.lam is None and k.integrals is None and k.f2 is not None
     sjd = sim.get_model("scalar_jump_diffusion")
-    for k in (sjd._declared_one, sjd._declared_batch):
+    for k in (sjd._bound_one, sjd._bound_batch):
         assert k.integrals is None and k.lam is None
         assert len(k.f1) == len(sjd.nu1.atoms)
