@@ -152,11 +152,11 @@ def build_representative(pair: AdmissiblePair,
     Jumps are ranked by decreasing homogeneous size, the earlier jump first
     on a tie; the jump of rank k (1-based) gets a slot of width
     max(delta * r_k, WIDTH_FLOOR * max(T, 1)). A grid time t goes to
-    tau(t) = t + (sum of the widths of the jumps at or before t), except
-    that the first grid time goes to 0, and T_ext = T + (sum of all
-    widths). A jump at index i becomes slot_steps + 1 points: the left
-    limit at the slot start tau(t_i) - width, phi at slot_steps - 1 equal
-    steps inside, and the value at tau(t_i)."""
+    tau(t) = t + (sum of the widths of the jumps at or before t), so
+    tau(0) = 0 (no path jumps at its initial time), and T_ext = T + (sum
+    of all widths). A jump at index i becomes slot_steps + 1 points: the
+    left limit at the slot start tau(t_i) - width, phi at slot_steps - 1
+    equal steps inside, and the value at tau(t_i)."""
     if slot_steps < 1:
         raise ValueError("slot_steps must be >= 1")
     X = pair.rough
@@ -176,7 +176,6 @@ def build_representative(pair: AdmissiblePair,
     L2 = np.empty((m, X.dim, X.dim))
 
     tau = X.times + np.concatenate([[0.0], np.cumsum(widths)])[np.cumsum(X.jump_flags)]
-    tau[0] = 0.0
     T_ext = X.T + float(np.sum(widths))
     slot_start = tau[jumps] - widths
     s = np.arange(1, slot_steps) / slot_steps

@@ -44,7 +44,8 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class RoughPath:
-    """Path in G2(R^d) sampled on a grid, as running signatures from time 0.
+    """Path in G2(R^d) sampled on a grid of [0, T] (the first time is 0), as
+    running signatures from time 0.
 
     The running signatures and the pre-jump ones are each validated once, as
     one GroupElement batch; points and increments are sub-batches of these.
@@ -67,6 +68,8 @@ class RoughPath:
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(t)):
             raise ValueError("non-finite entries in times")
+        if t[0] != 0:
+            raise ValueError("a rough path starts at time 0")
         if np.ndim(self.level1) != 2 or len(self.level1) != n:
             raise ValueError("level1 must be (n, d)")
         running = GroupElement(self.level1, self.level2)

@@ -28,7 +28,8 @@ WARP_GRID = 8
 
 @dataclass(frozen=True)
 class CadlagPath:
-    """Finite sample representation of a cadlag path on [0, T].
+    """Finite sample representation of a cadlag path on [0, T]: the first
+    sample time is 0.
 
     pre_values equal to values (or None) mean no jump: the path then keeps
     a copy of values as its left limits. This is the one place that rule
@@ -50,6 +51,8 @@ class CadlagPath:
             raise ValueError("times must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("non-finite path data")
+        if t[0] != 0:
+            raise ValueError("a path starts at time 0")
         if self.interp not in _INTERPS:
             raise ValueError(f"interp must be one of {_INTERPS}")
         pre = self.pre_values
@@ -184,6 +187,9 @@ _STRICTLY_LOWER = np.tri(_BLOCK_ROWS, _BLOCK_ROWS, -1, dtype=bool)
 _PRUNE_KEEP = 0.5
 # Relative slack of a bound on a computed norm (derived in _pvar_sum_dp).
 _REL_SLACK = 2.0 ** -20
+# The least p at which d = 1 points reduce to their turning points (derived
+# in _needed_points).
+_TURNING_P = 2.25
 
 
 def _block_end(j0: int, m: int, per_cell: int) -> int:
@@ -427,14 +433,76 @@ def _distance_bound(comps: np.ndarray, p: float):
                         lambda: _block_radii(comps[:, :len(c)] - comps[:, c]) + floor, None)
 
 
+def _needed_points(pts: np.ndarray, p: float) -> np.ndarray:
+    """The rows of the (m, d) points pts that _pvar_sum_dp needs for their
+    p-variation, to the bit: at d = 1 and p >= _TURNING_P, for points in
+    range, the first point, each point where the direction of travel
+    changes (a plateau, equal points in a row, counts as one) and the last
+    point; pts itself otherwise.
+
+    The recursion's value is the max over chains 0 = i_0 < ... < i_k = m - 1
+    of the chain's costs summed left to right (fl(a + b) is monotone in a
+    and b). A chain on the kept points is a chain, so it is enough that
+    every chain is matched by one on the kept points whose sum is at least
+    as large. A plateau's points share their value, so their costs, and a
+    cost 0 adds exactly. With u = 2^-53:
+    (a) a chain point beyond both of its chain neighbours moves to the far
+        end of its monotone run, a kept point: the neighbours lie outside
+        the run, and fl(x - y), the norm and np.power are monotone, so both
+        of its costs, and the sum, get weakly larger;
+    (b) a chain point between its chain neighbours (weakly) is dropped. Let
+        S be the running sum before it, A and B its two costs, C the cost
+        across and V = fl(S + A); A, B <= C by monotonicity. If A is below
+        half an ulp of S, V = S; if B is below half an ulp of V, fl(V + B)
+        = V <= fl(S + C). Otherwise fl(V + B) <= fl(S + C) once V - S <= C
+        - B, and V - S <= A + min(A, B): a rounding moves a sum by at most
+        the term it adds and by at most half an ulp. For the exact
+        differences a and b, (a + b)^p - a^p - b^p - min(a, b)^p >= max(a,
+        b)^(p - 1) min(a, b) at p >= 2, which covers the costs' own
+        roundings, a few p u each (p < 37 by the range tests below), unless
+        min(a, b) < 2^-40 max(a, b). Then B is below half an ulp of V, or A
+        <= 2^-80 B and C - B >= 2 A or C = B. In the last case fl(V + B) > fl(S + B) needs a rounding
+        midpoint of B's binade in (S + B, V + B], so S near half an ulp of
+        B and A > 2^-108 B, while C = B holds a to 2^-51 b and A to
+        2^(-51 p) B. So p > 108 / 51 is needed: at p = 2 the points
+        (1.6858739277029138e-07, -1.2732847289526858e-15,
+        1.0668702247329975e-15, 18.092200447811553) round one ulp apart,
+        and _TURNING_P leaves a factor 2^6 (A <= 2^-117 B was the largest
+        seen at p = 2.25).
+    Dropping the points between their neighbours until none is left, then
+    moving the others, gives a chain on the kept points.
+
+    The roundings are relative only where no difference, square, cost or
+    sum of m costs overflows and no nonzero one underflows: a nonzero
+    difference of two points is at least 2^-53 times the least nonzero
+    |point|, and at most twice the largest (compare _block_bound's `reach`
+    test); NaN and inf fail these tests."""
+    if pts.shape[1] != 1 or not p >= _TURNING_P:
+        return pts
+    x = pts[:, 0]
+    size = np.abs(x)
+    top = float(size.max())  # NaN if any point is
+    if not (top <= 0.5 or p * math.log2(2.0 * top) + math.log2(len(x)) < 1000):
+        return pts
+    if size[size <= 2.0 ** (53.0 - 1000.0 / p)].any():  # a nonzero cost could underflow
+        return pts
+    moves = x[1:] - x[:-1]
+    steps = moves.nonzero()[0]
+    up = moves[steps] > 0
+    turns = steps[1:][up[1:] != up[:-1]]  # the start of each move that turns back
+    return pts[np.concatenate(([0], turns, [len(x) - 1]))]
+
+
 def p_variation_of_points(points: np.ndarray, p: float) -> float:
     """p-variation (already rooted) of the polyline through `points`, an
-    (m, d) array: one row per point."""
+    (m, d) array: one row per point; at d = 1 the recursion runs on the
+    turning points (_needed_points)."""
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
     if m < 2:
         return 0.0
-    comps = np.ascontiguousarray(pts.T)  # (d, m): each component's row contiguous
+    comps = np.ascontiguousarray(_needed_points(pts, p).T)  # (d, m): component rows contiguous
+    m = comps.shape[1]
 
     def rows(j0, j1, cols):
         return _norms(comps[:, None, cols] - comps[:, j0:j1, None])
@@ -661,10 +729,11 @@ def skorokhod_sigma_p(x: CadlagPath, y: CadlagPath, p: float,
     computes once what moving the knot leaves fixed; a call then pulls back
     x's samples near the knot, merges them into the fixed candidates, reads
     x and y once each, and takes one p-variation of the visited points of x
-    o lambda - y, a few row blocks of _pvar_sum_dp at the tens of points of
-    mesh 8 and about 70% of the call's time. A knot vector asked for
-    again within the call is answered from a memo: 142 of the 3,103 calls
-    of the benchmark's alpha_p inputs at seed 4242.
+    o lambda - y, one row block of _pvar_sum_dp on the 13-23 turning points
+    (_needed_points) of the 80-87 visited points at mesh 8, about 45% of
+    the call's time. A knot vector asked for again within the call is
+    answered from a memo: 142 of the 3,103 calls of the benchmark's alpha_p
+    inputs at seed 4242.
     """
     if warp_grid < 1:
         raise ValueError("warp_grid must be >= 1")

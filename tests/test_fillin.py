@@ -242,11 +242,11 @@ def test_time_change_round_trip_exact():
     assert_layout(build_representative(AdmissiblePair(X, delta=0.7)), X, 1.0 + (w1 + w2),
                   [0.0, 0.25 + w1, 0.6 + (w1 + w2), 1.0 + (w1 + w2)],
                   [(0.25 + w1 - w1, 0.25 + w1), (0.6 + (w1 + w2) - w2, 0.6 + (w1 + w2))])
-    # a path starting after 0: its first time lands at 0, on [0, T]
-    X = marcus_lift(CadlagPath([0.2, 0.5, 1.0], [[0.0], [1.0], [1.0]],
-                               [[0.0], [0.0], [1.0]]))
-    assert_layout(build_representative(AdmissiblePair(X)), X, 1.5,
-                  [0.0, 0.5 + 0.5, 1.0 + 0.5], [(0.5, 0.5 + 0.5)])
+    # a path starts at time 0, so tau(0) = 0 without a special case
+    with pytest.raises(ValueError, match="starts at time 0"):
+        CadlagPath([0.2, 0.5, 1.0], [[0.0], [1.0], [1.0]], [[0.0], [0.0], [1.0]])
+    with pytest.raises(ValueError, match="starts at time 0"):
+        RoughPath(np.array([0.2, 1.0]), np.zeros((2, 1)), np.zeros((2, 1, 1)))
 
 
 def test_beta_p_self_is_zero():

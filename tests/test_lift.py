@@ -592,20 +592,32 @@ def test_rho_p_matches_row_loop_when_pruned(seed, d, extra, family, p):
     assert repr(rho_p(X, Y, p)) == repr(row_loop_rho_p(X, Y, p))
 
 
+def turning_count(x):
+    """The number of points of the sequence x that the d = 1 recursion
+    runs on: its two ends and each point where the direction of travel
+    changes, a plateau counted once."""
+    signs = [b > a for a, b in zip(x, x[1:]) if b != a]
+    return 2 + sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 def test_rho_p_of_one_overflowing_cell_in_the_pruning_regime(monkeypatch):
     """A Wong-Zakai pair long enough that both levels prune, with both
     paths' level 2 moved by +big at i1 and by -big at i2 > i1: every
     level-2 increment stays finite except the one from i1 to i2, inf - inf,
     a NaN cost in a column block that the finite pair's rows skip. The
-    result is NaN, as the row loop's."""
+    result is NaN, as the row loop's. At d = 1, level 1 runs on the turning
+    points of the level-1 difference, and still prunes there."""
     big = 1.7e308
     counts = cell_counts(monkeypatch)
     for d in (1, 2, 3):
         X, Y = pruning_pair(np.random.default_rng(40 + d), "walk", 1199, d)
         counts.clear()
         rho_p(X, Y, 2.5)
+        _, (A1, _), (B1, _) = _merged_running(X, Y)
+        level1 = 1200 if d > 1 else turning_count((A1 - B1)[:, 0])
+        assert [m for m, _ in counts] == [level1, 1200] and level1 > 800
         for m, cells in counts:
-            assert m == 1200 and cells < 0.5 * m * (m - 1) / 2  # the finite pair prunes
+            assert cells < 0.5 * m * (m - 1) / 2  # the finite pair prunes
         moved = []
         for Z in (X, Y):
             L2 = Z.level2.copy()
@@ -621,9 +633,11 @@ def test_rho_p_of_one_overflowing_cell_in_the_pruning_regime(monkeypatch):
 def test_rho_p_prunes_interpolant_lifts(monkeypatch):
     """rho_p between the delta-1 representatives of the linear and
     rectangular interpolant lifts of a Brownian path at mesh 256 (merged
-    length about 2,561, as beta_p's at mesh 256): the pruned recursions
-    compute at most 25% of the level-1 cells and 40% of the level-2 ones,
-    so that pruning cannot switch off unseen."""
+    length about 2,561, as beta_p's at mesh 256): level 1 runs on the
+    turning points of the level-1 difference (380 of them), computing at
+    most 5% of the m(m - 1)/2 cells of the merged length (16% with every
+    point kept), and the pruned level-2 recursion at most 40% of its cells,
+    so that neither the reduction nor pruning can switch off unseen."""
     rng = np.random.default_rng(4242)
     n = 2 ** 11
     w = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n) / np.sqrt(n))])
@@ -636,8 +650,10 @@ def test_rho_p_prunes_interpolant_lifts(monkeypatch):
     counts = cell_counts(monkeypatch)
     rho_p(X, Y, 2.5)
     (m1, cells1), (m2, cells2) = counts
-    assert m1 == m2 > 2500
-    assert cells1 <= 0.25 * m1 * (m1 - 1) / 2
+    _, (A1, _), (B1, _) = _merged_running(X, Y)
+    assert m2 == len(A1) > 2500
+    assert m1 == turning_count((A1 - B1)[:, 0])
+    assert cells1 <= 0.05 * m2 * (m2 - 1) / 2
     assert cells2 <= 0.40 * m2 * (m2 - 1) / 2
 
 

@@ -11,9 +11,11 @@ from roughfilter import lift, paths
 from roughfilter.fillin import AdmissiblePair, alpha_p
 from roughfilter.paths import (
     _BLOCK_ROWS,
+    _TURNING_P,
     CadlagPath,
     _block_end,
     _jump_alignment_anchors,
+    _needed_points,
     _pinned_values,
     _prunes,
     d_p,
@@ -600,6 +602,106 @@ def test_p_variation_of_points_matches_row_loop_when_pruned(seed, d, data, famil
     assert repr(p_variation_of_points(pts, p)) == repr(loop_p_variation_of_points(pts, p))
 
 
+def turning_family_points(rng, family, m):
+    """m points in R^1 of a family on which dropping the points inside
+    monotone runs could round differently from the full recursion: a walk
+    of a few ulp on an offset of 1, exact revisits of a few values and
+    their neighbours 1 ulp off, large swings with runs of tiny steps, a
+    rounded walk nudged by a few ulp (near ties), steps of mixed scales, a
+    walk in units of the last place, or a walk that holds each value one to
+    three steps (plateaus)."""
+    if family == "offset":
+        return 1.0 + np.cumsum(rng.integers(-3, 4, m)) * 2.0 ** -52
+    if family == "revisits":
+        base = rng.standard_normal(4)[rng.integers(0, 4, m)]
+        return base + rng.integers(-1, 2, m) * np.spacing(base)
+    if family == "swings":
+        return (np.repeat(1e3 * rng.standard_normal(m // 8 + 1), 8)[:m]
+                + 1e-9 * np.cumsum(rng.standard_normal(m)))
+    if family == "near_ties":
+        x = np.round(np.cumsum(rng.standard_normal(m)), 1)
+        return x + rng.integers(-2, 3, m) * np.spacing(x)
+    if family == "scales":
+        return np.cumsum(rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, m))
+    if family == "ulps":
+        start = np.float64(rng.uniform(1.0, 2.0)).view(np.int64)
+        return (start + np.cumsum(rng.integers(-40, 41, m))).view(np.float64)
+    return np.repeat(np.cumsum(rng.standard_normal(m)), rng.integers(1, 4, m))[:m]
+
+
+TURNING_FAMILIES = ("offset", "revisits", "swings", "near_ties", "scales", "ulps", "plateaus")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 150),
+       family=st.sampled_from(TURNING_FAMILIES),
+       p=st.one_of(st.just(2.0), st.just(2.5), st.floats(2.0, 3.0, exclude_max=True)))
+def test_p_variation_of_points_on_turning_points_matches_row_loop(seed, m, family, p):
+    pts = turning_family_points(np.random.default_rng(seed), family, m)[:, None]
+    assert repr(p_variation_of_points(pts, p)) == repr(loop_p_variation_of_points(pts, p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 150),
+       family=st.sampled_from(TURNING_FAMILIES),
+       p=st.one_of(st.just(1.0), st.floats(1.0, _TURNING_P, exclude_max=True)))
+def test_p_variation_of_points_below_turning_p_keeps_every_point(seed, m, family, p):
+    """At p = 1 the turning points alone round apart from the row loop on
+    about a third of these inputs."""
+    pts = turning_family_points(np.random.default_rng(seed), family, m)[:, None]
+    assert repr(p_variation_of_points(pts, p)) == repr(loop_p_variation_of_points(pts, p))
+    assert _needed_points(pts, p) is pts
+
+
+def test_needed_points_keeps_ends_and_turns():
+    """The ends, and one point of each turning plateau; a monotone or
+    constant sequence keeps its two ends."""
+    x = np.array([0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 1.0, -1.0, -1.0, 3.0, 3.0])
+    np.testing.assert_array_equal(_needed_points(x[:, None], 2.5)[:, 0], [0.0, 2.0, -1.0, 3.0])
+    for x in (np.arange(5.0), np.full(4, 0.3), np.array([0.0, -0.0])):
+        np.testing.assert_array_equal(_needed_points(x[:, None], 2.5)[:, 0], x[[0, -1]])
+
+
+def test_needed_points_keeps_every_point_out_of_range():
+    """The reduction runs only where its argument's roundings are relative:
+    no point NaN or inf, no difference, cost or sum of costs that overflows
+    (|point| up to 2^(1000 / p - 1) / m^(1 / p)), and no nonzero |point|
+    so small that a nonzero cost could underflow; and only at d = 1 and p
+    >= _TURNING_P."""
+    walk = np.cumsum(np.random.default_rng(3).standard_normal(50))[:, None]
+    assert len(_needed_points(walk, 2.5)) < 50
+    top = 2.0 ** (1000 / 2.5 - 1) / 50 ** (1 / 2.5)
+    for at, fill, kept in ((7, np.nan, True), (7, np.inf, True), (7, 0.99 * top, False),
+                           (7, 1.01 * top, True), (0, 0.0, False), (7, 2.0 ** -345, False),
+                           (7, 2.0 ** -347, True)):
+        pts = walk.copy()
+        pts[at] = fill
+        assert (_needed_points(pts, 2.5) is pts) == kept, (at, fill)
+    assert _needed_points(walk, np.nextafter(_TURNING_P, 0)) is walk
+    pts = np.hstack([walk, walk])
+    assert _needed_points(pts, 2.5) is pts
+
+
+@pytest.mark.parametrize("p, pts", [
+    (1.0, [-0.5947236978403763, 1.0393541232237578, 0.6307834874198359, -0.5947236978403765]),
+    (2.0, [1.6858739277029138e-07, -1.2732847289526858e-15, 1.0668702247329975e-15,
+           18.092200447811553]),
+    (2.05, [1.6491998260547145e-08, -9.533326455922359e-17, 1.068058758987958e-16,
+            1.100368423792331]),
+])
+def test_p_variation_of_points_below_turning_p_where_the_turns_round_apart(p, pts):
+    """Points whose turning points (all but the third) give a p-variation
+    one ulp below the row loop's. At p = 1 the chain through the third
+    point rounds higher than the cost across it; at p = 2 and 2.05 that
+    chain rounds its first sum up across a rounding midpoint of the last
+    cost, and the cost across equals the last cost (paths._needed_points).
+    Below _TURNING_P the recursion keeps every point."""
+    pts = np.array(pts)[:, None]
+    loop = loop_p_variation_of_points(pts, p)
+    assert loop_p_variation_of_points(pts[[0, 1, 3]], p) < loop
+    assert repr(p_variation_of_points(pts, p)) == repr(loop)
+
+
 def test_p_variation_of_non_finite_points_matches_row_loop(monkeypatch):
     """inf - inf makes a NaN cost, which numpy's max propagates and
     Python's would drop; an infinite cost stays infinite. The bad points sit
@@ -609,27 +711,33 @@ def test_p_variation_of_non_finite_points_matches_row_loop(monkeypatch):
     triangle, with every head infinite; an infinite point early on and one
     at the bad place make a NaN cost in the head of a later block. On a
     walk long enough to prune, the bad points sit in a column block that
-    the finite walk's rows skip."""
+    the finite walk's rows skip. At d = 1 the finite walk runs on its
+    turning points (about 46% of them, so its walk is twice as long), and
+    the bad points on every point."""
     counts = cell_counts(monkeypatch)
     outcomes = set()
     cases = [(1, 40, 5, False), (2, 40, 35, False), (3, 700, 600, False),
-             (4, 700, 697, False), (5, 1500, 600, True)]
+             (4, 700, 697, False)]
     with np.errstate(all="ignore"):
-        for seed, m, bad, walk in cases:
-            rng = np.random.default_rng(seed)
-            if walk:
-                pts = pruning_points(rng, "walk", m, 2)
-                counts.clear()
-                assert repr(p_variation_of_points(pts, 2.5)) == repr(
-                    loop_p_variation_of_points(pts, 2.5))
-                (_, cells), = counts
-                assert cells < 0.5 * m * (m - 1) / 2  # the finite walk prunes
-            for at, fill in (([bad], np.inf), ([bad], np.nan), ([bad], 1e200),
-                             ([bad, bad + 1], np.inf), ([3, bad], np.inf),
-                             ([bad, m - 2], np.inf)):
-                bad_pts = pts.copy() if walk else rng.standard_normal((m, 2))
-                bad_pts[at] = fill
-                got = p_variation_of_points(bad_pts, 2.5)
-                assert repr(got) == repr(loop_p_variation_of_points(bad_pts, 2.5))
-                outcomes.add(repr(got))
+        for d, walk_case in ((1, (5, 3000, 1200, True)), (2, (5, 1500, 600, True))):
+            for seed, m, bad, walk in cases + [walk_case]:
+                rng = np.random.default_rng(seed)
+                if walk:
+                    pts = pruning_points(rng, "walk", m, d)
+                    counts.clear()
+                    assert repr(p_variation_of_points(pts, 2.5)) == repr(
+                        loop_p_variation_of_points(pts, 2.5))
+                    (m_run, cells), = counts
+                    assert m_run == len(_needed_points(pts, 2.5)) and (d == 2) == (m_run == m)
+                    assert cells < 0.5 * m_run * (m_run - 1) / 2  # the finite walk prunes
+                for at, fill in (([bad], np.inf), ([bad], np.nan), ([bad], 1e200),
+                                 ([bad, bad + 1], np.inf), ([3, bad], np.inf),
+                                 ([bad, m - 2], np.inf)):
+                    bad_pts = pts.copy() if walk else rng.standard_normal((m, d))
+                    bad_pts[at] = fill
+                    counts.clear()
+                    got = p_variation_of_points(bad_pts, 2.5)
+                    assert counts[0][0] == m
+                    assert repr(got) == repr(loop_p_variation_of_points(bad_pts, 2.5))
+                    outcomes.add(repr(got))
     assert {"nan", "inf"} <= outcomes
