@@ -11,7 +11,6 @@ from .fillin import (
     alpha_p,
     beta_p,
     build_representative,
-    linear_path_function,
     log_linear_path_function,
 )
 from .filtering import (

@@ -260,7 +260,7 @@ def _run_rde(cfg: RunConfig, model, out_dir):
     drv = _observation(cfg, model)["driver"]
     V = _joint_field(model, drv.dim)
     z0 = np.concatenate([np.array(model.x0), np.array(model.y0), [0.0]])
-    sol = solve_canonical_rde(V, AdmissiblePair(drv), z0, cfg.steps)
+    sol = solve_canonical_rde(V, drv, z0, cfg.steps)
     rows = _time_rows(cfg, sol.times, {
         f"z{j}": sol.states[:, j] for j in range(sol.states.shape[1])})
     payload = {"model_id": model.model_id, "seed": cfg.seed,

@@ -4,10 +4,12 @@ between jump-filled representatives.
 
 Jumps are opened into fictitious-time slots ordered by decreasing jump size
 (ties: earlier jump first); slot k gets width delta * r_k from a summable
-sequence. The metrics read the filled slots; canonical RDE solutions do not
-(the rde module reads only the jump chords), so they are independent of
-these choices. No inverse time change is provided: the representative
-records where each original sample time landed (`orig_indices`).
+sequence. The metrics read the filled slots. Canonical RDE solutions do
+not depend on these choices: rde's solver takes the driver itself and
+crosses each jump by its Marcus flow, to which a continuous solve along a
+representative tends as its steps and slot steps refine. No inverse time
+change is provided: the representative records where each original sample
+time landed (`orig_indices`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lift import RoughPath, marcus_increment, rho_p
+from .lift import RoughPath, rho_p
 from .paths import WARP_GRID, CadlagPath, skorokhod_sigma_p
 from .tensor_group import GroupElement, group_inv, group_mul, group_pow, homogeneous_norm
 
@@ -31,9 +33,10 @@ SLOT_STEPS = 8
 
 @dataclass(frozen=True)
 class PathFunction:
-    """Interpolation rule phi(a, b)_s with phi_0 = a, phi_1 = b."""
+    """Interpolation rule phi(a, b)_s = a * exp(w(s) log(a^{-1} b)), so
+    phi_0 = a and phi_1 = b: the log-linear chord (w(s) = s, no profile)
+    or a tabulated traversal profile w."""
 
-    kind: str  # "log_linear" | "linear" | "tabulated"
     profile: callable = field(default=None)  # type: ignore[assignment]
 
     def __call__(self, a: GroupElement, b: GroupElement, s) -> GroupElement:
@@ -50,14 +53,7 @@ class PathFunction:
 def log_linear_path_function() -> PathFunction:
     """phi(a,b)_s = a * exp(s * log(a^{-1} b)): the straight chord in
     log-coordinates, geometric for every s."""
-    return PathFunction("log_linear")
-
-
-def linear_path_function() -> PathFunction:
-    """Straight chord of the underlying level-1 values. Only admissible for
-    jump pairs whose group increment is exp of a vector (zero level-2 log),
-    where it coincides with the log-linear rule."""
-    return PathFunction("linear")
+    return PathFunction()
 
 
 def tabulated_path_function(s_table, w_table) -> PathFunction:
@@ -71,7 +67,7 @@ def tabulated_path_function(s_table, w_table) -> PathFunction:
         raise ValueError("profile must map [0,1] onto [0,1] with fixed endpoints")
     if not (np.all(np.diff(s_table) > 0) and np.all(np.diff(w_table) >= 0)):
         raise ValueError("profile must be monotone")
-    return PathFunction("tabulated", lambda s: np.interp(s, s_table, w_table))
+    return PathFunction(lambda s: np.interp(s, s_table, w_table))
 
 
 # -- admissible pairs and slot geometry -----------------------------------
@@ -108,7 +104,9 @@ class RSeq:
 
 @dataclass(frozen=True)
 class AdmissiblePair:
-    """A cadlag rough path together with its fill-in rule."""
+    """A cadlag rough path together with its fill-in rule: what
+    build_representative and the metrics alpha_p and beta_p read. The
+    canonical RDE solver takes the rough path alone."""
 
     rough: RoughPath
     phi: PathFunction = field(default_factory=log_linear_path_function)
@@ -118,13 +116,6 @@ class AdmissiblePair:
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if self.phi.kind == "linear":
-            jumps = np.nonzero(self.rough.jump_flags)[0]
-            try:
-                marcus_increment(self.rough, jumps, rtol=1e-10)
-            except ValueError as exc:
-                raise ValueError(
-                    f"linear path function is inadmissible: {exc}") from None
 
 
 # Relative floor on slot widths: geometric r-sequences underflow the float

@@ -81,13 +81,7 @@ from functools import cached_property
 import numpy as np
 
 from .fillin import AdmissiblePair, beta_p
-from .lift import (
-    RoughPath,
-    marcus_increment,
-    marcus_lift,
-    rho_p,
-    stratonovich_lift,
-)
+from .lift import RoughPath, marcus_lift, rho_p, stratonovich_lift
 from .paths import P_VAR, CadlagPath, _step_path
 from .rde import (
     NumericalAbort,
@@ -95,6 +89,7 @@ from .rde import (
     _central_step,
     _column_sum,
     _components_last,
+    _jump_logs,
     davie_step,
     marcus_jump,
 )
@@ -506,7 +501,9 @@ def _affine_h(model: ModelSpec, V: VectorField):
 class _RoughRoute(_Route):
     """Along a level-2 driver: Heun steps for the dt and sigma0 dB terms, one
     Davie step of the joint (X, Y, I) state per segment, and Marcus time-1
-    flows across driver jumps.
+    flows across driver jumps, whose logs are read once, as the solver
+    reads them (rde._jump_logs): a jump not of Marcus type raises when the
+    route is built, before any particle moves.
 
     When h = H x + h0 is affine (_affine_h), X and Y have constant loadings
     and the Davie step is closed-form: X and Y move by block @ g1 and I by
@@ -522,7 +519,7 @@ class _RoughRoute(_Route):
         self.driver, self.times = driver, driver.times
         self.V = _joint_field(model, driver.dim)
         self.carries_atoms = driver.dim > model.dim_y
-        self.jumps = driver.jump_flags.tolist()
+        self.jump_logs = _jump_logs(driver)
         k = np.arange(len(driver.times) - 1)
         self.chords = driver.increment(k, k + 1, left_j=True)
         H = _affine_h(model, self.V)
@@ -582,9 +579,9 @@ class _RoughRoute(_Route):
         self.y = self.y + _moved(self.model.f2(t1, self.y.T, mark), 1, self.y)
 
     def driver_jump(self, k: int, logw):
-        if not self.jumps[k + 1]:
+        chi1 = self.jump_logs.get(k + 1)
+        if chi1 is None:
             return logw
-        chi1 = marcus_increment(self.driver, k + 1)
         z = np.concatenate([self.x, self.y, logw[None]])
         return self._unpack(marcus_jump(self.V, float(self.times[k + 1]), z.T,
                                         chi1, self.jump_substeps).T)
@@ -723,17 +720,17 @@ class _FlowRoute(_ObservationRoute):
         reweights."""
 
 
-def _sweep(model: ModelSpec, route, f: callable, t: float, jump_record,
-           particles: int, seed_base: int, aux_sampler,
-           abort_log_weight: float) -> FilterResult:
+def _sweep(route, f: callable, t: float, jump_record, particles: int,
+           seed_base: int, aux_sampler, abort_log_weight: float) -> FilterResult:
     """March all particles along the route's grid up to t and estimate the
-    filter from their terminal (X, Y, log weight). Each step runs the route's
-    continuous step, the auxiliary atoms, the observed atoms (lambda weight,
-    then the route's move), the driver's Marcus jump and the finiteness
-    check, one test of the stacked state (X, Y, log weight)."""
+    filter of the route's model from their terminal (X, Y, log weight).
+    Each step runs the route's continuous step, the auxiliary atoms, the
+    observed atoms (lambda weight, then the route's move), the driver's
+    Marcus jump and the finiteness check, one test of the stacked state
+    (X, Y, log weight)."""
     if particles < 1:
         raise ValueError("particles must be >= 1")
-    times = route.times
+    model, times = route.model, route.times
     m_end = _grid_index_of(times, t)
     if m_end == 0:
         raise ValueError("horizon t must be positive on the driver grid")
@@ -837,7 +834,7 @@ def theta(model: ModelSpec, f: callable, obs_driver, jump_record,
     called once as aux_sampler(seed_base, particles) -> (dB, (segment,
     particle, mark)), the atoms as one table sorted by segment, then
     particle, then time; per_seed_sampler adapts a per-seed sampler."""
-    return _sweep(model, _RoughRoute(model, obs_driver), f, t, jump_record,
+    return _sweep(_RoughRoute(model, obs_driver), f, t, jump_record,
                   particles, seed_base, aux_sampler, abort_log_weight)
 
 
@@ -854,7 +851,7 @@ def direct_reference_filter(model: ModelSpec, f: callable,
     Serves as an independently discretized estimate of the same conditional
     expectation. jump_record is theta's table, or None:
     realized_observation's `atoms`."""
-    return _sweep(model, _DirectRoute(model, obs), f, t, jump_record,
+    return _sweep(_DirectRoute(model, obs), f, t, jump_record,
                   particles, seed_base, aux_sampler, abort_log_weight)
 
 
@@ -1020,7 +1017,7 @@ def scalar_flow_filter_detail(model: ModelSpec, f: callable,
     Brownian. jump_record is the observed-atom table (times, marks) of
     theta, or None."""
     route = _FlowRoute(model, obs)
-    return _sweep(model, route, f, float(route.times[-1]), jump_record,
+    return _sweep(route, f, float(route.times[-1]), jump_record,
                   particles, seed_base, aux_sampler, ABORT_LOG_WEIGHT)
 
 

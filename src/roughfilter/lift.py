@@ -223,13 +223,13 @@ def geometric_defect_max(X: RoughPath) -> float:
     return geometric_defect(GroupElement(X.level1, X.level2))
 
 
-def marcus_increment(X: RoughPath, i, rtol: float = 1e-8) -> np.ndarray:
+def marcus_increment(X: RoughPath, i) -> np.ndarray:
     """Level 1 of the log of the jump at grid index i (an int or an index
     array). Raises ValueError unless every such jump is of Marcus type: its
-    log may have no level-2 part beyond rtol * (1 + |level 1|^2)."""
+    log may have no level-2 part beyond 1e-8 (1 + |level 1|^2)."""
     chi1, chi2 = group_log(X.increment(i, i, left_i=True))
     scale = 1.0 + np.sum(chi1 * chi1, axis=-1)
-    bad = np.atleast_1d(np.max(np.abs(chi2), axis=(-2, -1)) > rtol * scale)
+    bad = np.atleast_1d(np.max(np.abs(chi2), axis=(-2, -1)) > 1e-8 * scale)
     if np.any(bad):
         first = np.atleast_1d(i)[np.argmax(bad)]
         raise ValueError(f"jump at driver index {first} is not of Marcus type "
@@ -245,7 +245,6 @@ def _merged_running(X: RoughPath, Y: RoughPath):
     the merged grid (left limits inserted before joint jump times)."""
     times = np.union1d(X.times, Y.times)
     jumpy = np.isin(times, np.union1d(X.times[X.jump_flags], Y.times[Y.jump_flags]))
-    jumpy[0] = False
     tv = np.repeat(times, 1 + jumpy)
     is_left = np.zeros(len(tv), dtype=bool)
     is_left[(np.cumsum(1 + jumpy) - 2)[jumpy]] = True

@@ -526,10 +526,7 @@ def merge_difference(x: CadlagPath, y: CadlagPath) -> CadlagPath:
     times = np.union1d(x.times, y.times)
     xr, xl = _pinned_values(x, times, 0.0)
     yr, yl = _pinned_values(y, times, 0.0)
-    vals = xr - yr
-    pre = xl - yl
-    pre[0] = vals[0]
-    return CadlagPath(times, vals, pre, "linear")
+    return CadlagPath(times, xr - yr, xl - yl, "linear")
 
 
 def d_p(x: CadlagPath, y: CadlagPath, p: float) -> float:

@@ -4,10 +4,13 @@ geometric rough paths, with forward and inverse flows.
 The canonical (Marcus) solution is defined by filling in each jump, but only
 the Marcus flow along the jump's chord matters, not the fill-in (Chevyrev-Friz
 2019, Canonical RDEs and general semimartingales as rough paths). So the
-solver reads only the driver's own grid: Davie steps on each continuous
-chord, and across each jump the time-1 flow of y' = V(y) chi, chi the level 1
-of the jump's log, integrated with classical RK4 substeps (one Davie step
-across a large jump would leave errors far above the jump-rule tolerance).
+solver takes the driver itself, not an admissible pair, and reads only its
+own grid: Davie steps on each continuous chord, and across each jump the
+time-1 flow of y' = V(y) chi, chi the level 1 of the jump's log, integrated
+with classical RK4 substeps (one Davie step across a large jump would leave
+errors far above the jump-rule tolerance). A continuous solve along a
+fill-in's representative tends to the same states as its steps and slot
+steps refine, whatever the fill-in.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fillin import AdmissiblePair
 from .lift import RoughPath, marcus_increment, reverse_rough_path
 from .tensor_group import group_pow
 
@@ -258,25 +260,30 @@ def marcus_jump(V: VectorField, t: float, y: np.ndarray, delta: np.ndarray,
     return _components_last(z)
 
 
-def solve_canonical_rde(V: VectorField, pair: AdmissiblePair, y0, steps: int,
+def _jump_logs(X: RoughPath) -> dict:
+    """The level 1 of each jump's log by grid index, from one
+    marcus_increment call on all jumps: a non-Marcus jump raises here."""
+    jumps = np.nonzero(X.jump_flags)[0]
+    return dict(zip(jumps.tolist(), marcus_increment(X, jumps)))
+
+
+def solve_canonical_rde(V: VectorField, X: RoughPath, y0, steps: int,
                         slot_substeps: int = MARCUS_SUBSTEPS) -> RdeSolution:
     """Canonical RDE along the driver's own grid, states at its sample times.
 
     Segment k takes about steps * (t_{k+1} - t_k) / T Davie steps on equal
     geodesic parts of its continuous chord; a jump at t_{k+1} is then
     crossed by the Marcus time-1 flow along the level 1 of its log. The
-    solve reads only these chords and jump logs, never a filled slot, which
-    is why r_seq, delta and the path function of `pair` drop out. A state
-    that stops being finite raises RdeBlowupError naming segment k.
+    solve reads only these chords and jump logs, so it takes the driver
+    and no fill-in (r_seq, delta or path function). A state that stops
+    being finite raises RdeBlowupError naming segment k.
 
     `y0` is one start state (e,), giving states (times, e), or n start
     states (n, e) solved together, giving states (times, n, e); each start
     takes the same steps as it would alone."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    X = pair.rough
-    jumps = np.nonzero(X.jump_flags)[0]
-    jump_logs = dict(zip(jumps.tolist(), marcus_increment(X, jumps)))
+    jump_logs = _jump_logs(X)
     dts = np.diff(X.times)
     T = X.T if X.T > 0 else 1.0
     nsubs = np.maximum(1, np.ceil(steps * dts / T - 1e-12)).astype(int)
@@ -307,8 +314,7 @@ def flow_and_inverse(V: VectorField, X: RoughPath, x_grid, steps: int):
     |psi(T, phi(T, x)) - x| from solving along the time-reversed driver:
     one forward and one backward solve over all starts together."""
     xg = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    phis = solve_canonical_rde(V, AdmissiblePair(X), xg, steps).states[-1]
-    back = solve_canonical_rde(V, AdmissiblePair(reverse_rough_path(X)), phis,
-                               steps).states[-1]
+    phis = solve_canonical_rde(V, X, xg, steps).states[-1]
+    back = solve_canonical_rde(V, reverse_rough_path(X), phis, steps).states[-1]
     return phis, np.max(np.abs(back - xg), axis=-1)
 

@@ -9,7 +9,6 @@ from roughfilter.fillin import (
     alpha_p,
     beta_p,
     build_representative,
-    linear_path_function,
     log_linear_path_function,
     tabulated_path_function,
 )
@@ -46,7 +45,8 @@ def brownian_lift(rng, n=16, d=2):
 def test_path_function_endpoints_exact():
     rng = np.random.default_rng(30)
     a, b = random_group(rng, 2), random_group(rng, 2)
-    for phi in (log_linear_path_function(), linear_path_function()):
+    for phi in (log_linear_path_function(),
+                tabulated_path_function([0.0, 0.5, 1.0], [0.0, 0.1, 1.0])):
         assert phi(a, b, 0.0) is a
         assert phi(a, b, 1.0) is b
         assert phi(a, b, -0.2) is a
@@ -96,10 +96,7 @@ def area_jump_lift():
     return RoughPath(times, L1, L2, np.array([False, True]), pre1, pre2)
 
 
-def test_linear_kind_admissibility():
-    AdmissiblePair(step_lift(), linear_path_function())  # vector jump: fine
-    with pytest.raises(ValueError):
-        AdmissiblePair(area_jump_lift(), linear_path_function())
+def test_pair_admissibility():
     AdmissiblePair(area_jump_lift())  # log-linear always admissible
     for delta in (0.0, 1.5):
         with pytest.raises(ValueError, match="delta"):

@@ -43,7 +43,7 @@ from roughfilter.filtering import (
     theta,
     trend_non_increasing,
 )
-from roughfilter.lift import marcus_lift, stratonovich_lift
+from roughfilter.lift import RoughPath, marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
 from roughfilter.rde import VectorField, davie_step, marcus_jump
 from roughfilter.sim import MODEL_BUILDERS, LevyMeasure, get_model
@@ -1093,6 +1093,31 @@ def test_rejects_wrong_driver_dimension():
     drv = stratonovich_lift(CadlagPath(times, vals, None, "linear"))
     with pytest.raises(ValueError, match="driver dimension"):
         theta(model, FUNCTION_CATALOG["one"], drv, None, 1.0, 10, 0)
+
+
+def test_non_marcus_driver_jump_raises_before_sampling():
+    """The rough route reads every driver jump's log when it is built, so a
+    jump with an area part raises before the sampler is called."""
+    vals = np.array([[0.0, 0.0], [0.5, 0.2], [0.4, 0.1]])
+    pre = vals.copy()
+    pre[1] = [0.1, 0.0]
+    X = marcus_lift(CadlagPath([0.0, 0.5, 1.0], vals, pre))
+    A = np.array([[0.0, 0.2], [-0.2, 0.0]])  # area added from the jump on
+    bad = RoughPath(X.times, X.level1,
+                    X.level2 + np.array([0.0, 1.0, 1.0])[:, None, None] * A,
+                    X.jump_flags, X.pre_level1,
+                    X.pre_level2 + np.array([0.0, 0.0, 1.0])[:, None, None] * A)
+    calls = []
+
+    def sampler(seed_base, N):
+        calls.append((seed_base, N))
+        return gaussian_poisson_sampler(get_model("scalar_jump_diffusion"),
+                                        bad.times)(seed_base, N)
+
+    with pytest.raises(ValueError, match="driver index 1 is not of Marcus type"):
+        theta(get_model("scalar_jump_diffusion"), FUNCTION_CATALOG["one"], bad,
+              None, 1.0, 10, 0, aux_sampler=sampler)
+    assert calls == []
 
 
 def test_weight_abort_reports_extremes():

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from roughfilter.filtering import _joint_field, realized_observation
-from roughfilter.fillin import AdmissiblePair
 from roughfilter.lift import marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
 from roughfilter.rde import (
@@ -91,8 +90,7 @@ FLOW_PIN = (
 @pytest.mark.parametrize("case", sorted(SOLVE_PINS))
 def test_canonical_solve_pins(case):
     V = {"linear": linear_field, "nonlinear": nonlinear_field}[case]()
-    sol = solve_canonical_rde(V, AdmissiblePair(jumpy_driver()), [0.7, -0.3],
-                              steps=24)
+    sol = solve_canonical_rde(V, jumpy_driver(), [0.7, -0.3], steps=24)
     terminal, digest = SOLVE_PINS[case]
     assert repr(sol.states[-1].tolist()) == repr(terminal)
     assert _digest(sol.states) == digest
@@ -104,8 +102,7 @@ def test_rde_command_solve_pins(model_id):
     eps = 0.05 if model.regime == "infinite_jumps" else None
     drv = realized_observation(model, 1.0, 128, 0, epsilon=eps)["driver"]
     z0 = np.concatenate([np.array(model.x0), np.array(model.y0), [0.0]])
-    sol = solve_canonical_rde(_joint_field(model, drv.dim), AdmissiblePair(drv),
-                              z0, 128)
+    sol = solve_canonical_rde(_joint_field(model, drv.dim), drv, z0, 128)
     terminal, digest = RDE_COMMAND_PINS[model_id]
     assert repr(sol.states[-1].tolist()) == repr(terminal)
     assert _digest(sol.states) == digest

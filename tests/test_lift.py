@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from test_paths import block_edge_lengths, cell_counts, first_pruned_length
 
-from roughfilter.fillin import AdmissiblePair, build_representative, linear_path_function
+from roughfilter.fillin import AdmissiblePair, build_representative
 from roughfilter import lift
 from roughfilter.filtering import FUNCTION_CATALOG, theta
 from roughfilter.lift import (
@@ -165,11 +165,8 @@ def test_marcus_increment_and_non_marcus_jump_rejected():
         theta(get_model("scalar_jump_diffusion"), FUNCTION_CATALOG["one"],
               bad, None, 1.0, 10, 0)
     with pytest.raises(ValueError, match="not of Marcus type"):
-        solve_canonical_rde(constant_vector_field(np.zeros((1, 2))),
-                            AdmissiblePair(bad), [0.0], steps=4)
-    with pytest.raises(ValueError, match="inadmissible.*not of Marcus type"):
-        AdmissiblePair(bad, linear_path_function())
-    AdmissiblePair(X, linear_path_function())
+        solve_canonical_rde(constant_vector_field(np.zeros((1, 2))), bad, [0.0],
+                            steps=4)
 
 
 def test_increment_and_pre_point():

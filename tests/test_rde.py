@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from roughfilter.fillin import AdmissiblePair, RSeq, tabulated_path_function
+from roughfilter.fillin import (
+    AdmissiblePair,
+    RSeq,
+    build_representative,
+    tabulated_path_function,
+)
 from roughfilter.lift import RoughPath, marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
 from roughfilter.rde import (
+    MARCUS_SUBSTEPS,
     RdeBlowupError,
     VectorField,
     _column_sum,
@@ -62,17 +67,16 @@ def nilpotent_closed_form(B, X, y0):
 def test_zero_field_constant_solution():
     rng = np.random.default_rng(40)
     V = constant_vector_field(np.zeros((2, 2)))
-    sol = solve_canonical_rde(V, AdmissiblePair(brownian_lift(rng)), [1.0, -2.0],
-                              steps=50)
+    sol = solve_canonical_rde(V, brownian_lift(rng), [1.0, -2.0], steps=50)
     assert np.allclose(sol.states, [1.0, -2.0])
     assert sol.scheme_meta["scheme"] == "davie2+marcus"
     with pytest.raises(ValueError, match="steps"):
-        solve_canonical_rde(V, AdmissiblePair(brownian_lift(rng)), [1.0, -2.0], steps=0)
+        solve_canonical_rde(V, brownian_lift(rng), [1.0, -2.0], steps=0)
 
 
 def test_scalar_exponential_oracle():
     V = linear_vector_field(np.ones((1, 1, 1)))
-    sol = solve_canonical_rde(V, AdmissiblePair(line_lift()), [1.0], steps=4000)
+    sol = solve_canonical_rde(V, line_lift(), [1.0], steps=4000)
     assert abs(sol.states[-1, 0] - math.e) < 1e-6
 
 
@@ -80,8 +84,7 @@ def test_step_halving_second_order():
     V = linear_vector_field(np.ones((1, 1, 1)))
     errs = []
     for steps in (50, 100, 200, 400):
-        sol = solve_canonical_rde(V, AdmissiblePair(line_lift()), [1.0],
-                                  steps=steps)
+        sol = solve_canonical_rde(V, line_lift(), [1.0], steps=steps)
         errs.append(abs(sol.states[-1, 0] - math.e))
     assert errs[0] > errs[1] > errs[2] > errs[3]
     assert errs[0] / errs[3] > 20.0
@@ -94,7 +97,7 @@ def test_nilpotent_closed_form_continuous():
     y0 = np.array([1.0, 2.0, 3.0])
     for _ in range(3):
         X = brownian_lift(rng, n=12)
-        sol = solve_canonical_rde(V, AdmissiblePair(X), y0, steps=30)
+        sol = solve_canonical_rde(V, X, y0, steps=30)
         assert np.allclose(sol.states[-1], nilpotent_closed_form(B, X, y0),
                            atol=1e-12)
 
@@ -107,7 +110,7 @@ def test_nilpotent_pure_area_driver():
     B = nilpotent_fields()
     V = linear_vector_field(B)
     y0 = np.array([1.0, 2.0, 3.0])
-    sol = solve_canonical_rde(V, AdmissiblePair(X), y0, steps=7)
+    sol = solve_canonical_rde(V, X, y0, steps=7)
     # area drives the commutator direction: (I - a [B_1, B_2]) y0
     comm = B[0] @ B[1] - B[1] @ B[0]
     assert np.allclose(sol.states[-1], (np.eye(3) - a * comm) @ y0, atol=1e-13)
@@ -119,7 +122,7 @@ def test_nilpotent_closed_form_with_jumps():
     V = linear_vector_field(B)
     y0 = np.array([1.0, 2.0, 3.0])
     X = jumpy_lift_2d(rng)
-    sol = solve_canonical_rde(V, AdmissiblePair(X), y0, steps=40)
+    sol = solve_canonical_rde(V, X, y0, steps=40)
     assert np.allclose(sol.states[-1], nilpotent_closed_form(B, X, y0),
                        atol=1e-12)
     assert sol.scheme_meta["scheme"] == "davie2+marcus"
@@ -129,28 +132,56 @@ def test_canonical_single_jump_exponential():
     V = linear_vector_field(np.ones((1, 1, 1)))
     x = CadlagPath([0.0, 0.5, 1.0], [[0.0], [1.0], [1.0]],
                    [[0.0], [0.0], [1.0]])
-    sol = solve_canonical_rde(V, AdmissiblePair(marcus_lift(x)), [1.0], steps=10)
+    sol = solve_canonical_rde(V, marcus_lift(x), [1.0], steps=10)
     assert sol.states[0, 0] == 1.0
     assert abs(sol.states[1, 0] - math.e) < 1e-8
     assert abs(sol.states[2, 0] - math.e) < 1e-8
 
 
+def representative_gaps(V, X, layouts, y0, refinements,
+                        slot_substeps=MARCUS_SUBSTEPS):
+    """gaps[i, j]: the largest gap at the original sample times, relative to
+    max(1, |canonical state|), between the canonical solve along X and a
+    continuous solve along the representative of AdmissiblePair(X,
+    **layouts[i]), at refinement j = (steps, slot_steps). The
+    representative spends T_ext - T of its rescaled [0, T] in slots, so its
+    solve takes steps * T_ext / T in all: each continuous chord then gets
+    about as many Davie steps as in the canonical solve, and the gap is that
+    of the fill-in against the Marcus flow."""
+    n_jumps = int(np.sum(X.jump_flags))
+    gaps = np.empty((len(layouts), len(refinements)))
+    for j, (steps, slot_steps) in enumerate(refinements):
+        canon = solve_canonical_rde(V, X, y0, steps, slot_substeps).states
+        scale = max(1.0, float(np.max(np.abs(canon))))
+        for i, layout in enumerate(layouts):
+            pair = AdmissiblePair(X, **layout)
+            rep = build_representative(pair, slot_steps)
+            stretch = 1.0 + pair.delta * sum(
+                pair.r_seq.term(k) for k in range(1, n_jumps + 1)) / X.T
+            cont = solve_canonical_rde(V, rep.rough, y0, round(steps * stretch))
+            gaps[i, j] = np.max(np.abs(cont.states[rep.orig_indices] - canon)) / scale
+    return gaps
+
+
 def test_canonical_solution_independent_of_fillin_choices():
+    """Two deltas, two r_seq bases and a tabulated phi: for each, the gap to
+    the solve along the representative falls at each joint refinement of
+    steps and slot_steps. Measured final gaps: 5.9e-5, 1.4e-4 and 2.3e-4."""
     rng = np.random.default_rng(45)
     X = jumpy_lift_2d(rng)
     V = linear_vector_field(np.stack([np.diag([1.0, -0.5]),
                                       np.array([[0.0, 1.0], [0.2, 0.0]])]))
-    base = AdmissiblePair(X)
-    y0 = [1.0, 1.0]
-    ref = solve_canonical_rde(V, base, y0, steps=32)
-    for pair in (
-        replace(base, delta=0.3),
-        replace(base, r_seq=RSeq.geometric(3.0)),
-        replace(base, phi=tabulated_path_function([0.0, 0.5, 1.0],
-                                                  [0.0, 0.1, 1.0])),
-    ):
-        alt = solve_canonical_rde(V, pair, y0, steps=32)
-        assert np.array_equal(alt.states, ref.states)
+    layouts = (
+        {},
+        dict(delta=0.3, r_seq=RSeq.geometric(3.0)),
+        dict(delta=0.5, phi=tabulated_path_function([0.0, 0.5, 1.0],
+                                                    [0.0, 0.1, 1.0])),
+    )
+    # 16 RK4 substeps per unit jump size move the states by 3.5e-9 from 64 here
+    gaps = representative_gaps(V, X, layouts, [1.0, 1.0],
+                               ((4, 1), (16, 4), (64, 16)), slot_substeps=16)
+    assert np.all(np.diff(gaps, axis=1) < 0), gaps
+    assert np.max(gaps[:, -1]) < 1e-3, gaps
 
 
 def test_canonical_rejects_non_marcus_jump():
@@ -165,7 +196,7 @@ def test_canonical_rejects_non_marcus_jump():
                   np.zeros((2, 2, 2)))
     V = constant_vector_field(np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        solve_canonical_rde(V, AdmissiblePair(X), [0.0], steps=4)
+        solve_canonical_rde(V, X, [0.0], steps=4)
 
 
 def test_marcus_jump_matches_exp_flow():
@@ -214,7 +245,7 @@ def test_blowup_raises_with_step_index():
                    np.linspace(0.0, 1.0, 101)[:, None]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RdeBlowupError) as info:
-            solve_canonical_rde(V, AdmissiblePair(X), [3.0], steps=100)
+            solve_canonical_rde(V, X, [3.0], steps=100)
     assert info.value.diagnostics["step_index"] >= 0
 
 
@@ -231,7 +262,7 @@ def test_blowup_step_index_names_driver_segment():
     assert np.nonzero(X.jump_flags)[0].tolist() == [2, 4]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RdeBlowupError) as info:
-            solve_canonical_rde(V, AdmissiblePair(X), [0.5], steps=1000)
+            solve_canonical_rde(V, X, [0.5], steps=1000)
     assert info.value.diagnostics == {"step_index": 7}
 
 

@@ -142,6 +142,32 @@ class TestModelCatalog:
         wide = replace(base, f2=sim._linear_mark([[0.25, 0.1]]))
         assert sim.validate_model(wide)["mark_linearity_defect"] == np.inf
 
+    def test_non_finite_jump_loading_fails(self):
+        """A plain f3 or f2 that is not finite at the probe mark 2.0 has the
+        mark linearity defect inf: validate_model fails, and theta on a
+        joined driver raises."""
+        from roughfilter.filtering import FUNCTION_CATALOG, realized_observation, theta
+
+        base = sim.stable_shot_noise()
+        obs = realized_observation(base, 1.0, 16, 3, epsilon=0.05)
+
+        def loading(bad):
+            """0.25 u, but `bad` at u = 2.0, shaped as the first state."""
+            def f(t, state, *rest):
+                u = np.asarray(rest[-1], dtype=float)[..., :1]
+                return np.broadcast_to(np.where(u == 2.0, bad, 0.25 * u),
+                                       np.shape(state))
+            return f
+
+        for model in (replace(base, f3=loading(np.nan)),
+                      replace(base, f2=loading(np.inf))):
+            report = sim.validate_model(model)
+            assert report["mark_linearity_defect"] == np.inf
+            assert report["ok"] is False
+            with pytest.raises(ValueError, match="linear in a 1-d mark"):
+                theta(model, FUNCTION_CATALOG["identity"], obs["driver"],
+                      obs["jump_record"], 1.0, 20, 17)
+
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             sim.get_model("nope")
@@ -384,8 +410,7 @@ class TestSimulatePair:
         w_fine = np.concatenate([[0.0], np.cumsum(dw_fine)])
         ref_lift = stratonovich_lift(CadlagPath(t_fine, w_fine[:, None]))
         V = VectorField(lambda t, y: sigma2(t, y))
-        ref = solve_canonical_rde(V, fillin.AdmissiblePair(ref_lift),
-                                  np.array([0.3]), steps=4096)
+        ref = solve_canonical_rde(V, ref_lift, np.array([0.3]), steps=4096)
         y_ref = ref.states[-1, 0]
 
         errs = []
