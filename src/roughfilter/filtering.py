@@ -38,9 +38,10 @@ A model declares which coefficients are constant by how it builds them
 (sim._const for sigma0, sigma1, sigma2 and lambda_fn; sim._linear_mark for
 jump loadings linear in the mark; sim._linear_state for drifts linear in
 the signal, as every catalog model does), and declared ones skip work: the
-joint field's constant rows are built once and only its h row is
-differenced, or flowed across a driver jump; sigma2 is applied as its
-matrix or kept inverse; the flow route takes the closed form x + sigma1 w;
+joint field's constant rows are built once, and only its h row is flowed
+across a driver jump (the Davie step differences the whole field, whose
+constant rows difference to exactly 0.0); sigma2 is applied as its matrix
+or kept inverse; the flow route takes the closed form x + sigma1 w;
 declared jump loadings and lambda are evaluated at the marks once per
 model, and with lambda_fn, f2 and f3 all declared every nu2 integral is one
 kept vector. When b2 is linear too and h's nu2 term is state-free (the
@@ -50,10 +51,12 @@ closed-form and one RK4 substep per unit jump size is the exact Marcus flow
 One reference-rate call evaluates a plain lambda once per atom of nu2 for
 the drift compensators, h and the (1 - lambda) weight rate together.
 
-sim._Bound works out the form of each coefficient once per model, and each
-route binds its step once, in its constructor (_Route): it keeps what is
-the same at every step and picks the Davie step the model's forms allow, so
-that a step makes only the numpy calls those forms need.
+sim._Bound works out the form of each coefficient once per model and is
+the one reader of a declaration: this module asks it for the declared
+matrices and for H, and reads no declaration itself. Each route binds its
+step once, in its constructor (_Route): it keeps what is the same at every
+step and picks the Davie step the model's forms allow, so that a step
+makes only the numpy calls those forms need.
 
 The sweep holds its particles component-major, x (d_X, N), y (d_Y, N) and
 the joint state (e, N). Every per-step product (sigma0 dB, sigma1 dW, sigma
@@ -99,12 +102,9 @@ from .sim import (
     ModelSpec,
     _accepted_nu2,
     _atom_path,
-    _const_matrix,
-    _declared_matrix,
     _mark_linearity_defect,
     _moved,
     _observed_lambda,
-    _state_matrix,
     h_function,
     make_noise_bundle,
     reconstruct_wtilde,
@@ -307,14 +307,23 @@ def _kept_columns(model: ModelSpec, mark: np.ndarray) -> np.ndarray:
 _UNIT_MARK = np.array([1.0])
 
 
+def _constant_loadings(bound, extra: int) -> bool:
+    """Whether the joint field's loading rows are constant, as the model's
+    sim._Bound reports: sigma1 and sigma2 declared, and f3 and f2 too at a
+    jump-path column."""
+    kept = [bound.sigma1_matrix, bound.sigma2_matrix] + (
+        [bound.f3_matrix, bound.f2_matrix] if extra else [])
+    return all(m is not None for m in kept)
+
+
 def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
     """The (X, Y, I) loading matrix against the driver: rows (sigma1,
     sigma2, h), plus a jump-path column (f3, f2, 0) at unit mark when the
     driver has one extra component. When sigma1, sigma2 (and, at that
     column, f3 and f2) are declared constant, only the h row depends on the
     state: the other rows are built once, as one constant block, and the
-    field's directional action and Marcus flow evaluate the h row alone.
-    The jump-path column needs f3 and f2 linear in a 1-d mark
+    field declares `varying`, so that its Marcus flow evaluates the h row
+    alone. The jump-path column needs f3 and f2 linear in a 1-d mark
     (sim._mark_linearity_defect); a model that is not raises ValueError."""
     dx, dy = model.dim_x, model.dim_y
     extra = driver_dim - dy
@@ -350,9 +359,7 @@ def _joint_field(model: ModelSpec, driver_dim: int) -> VectorField:
             rows = np.concatenate([rows, col], axis=-1)
         return rows
 
-    kept = [_const_matrix(model.sigma1), _const_matrix(model.sigma2)] + (
-        [_declared_matrix(model.f3), _declared_matrix(model.f2)] if extra else [])
-    declared = all(m is not None for m in kept)
+    declared = _constant_loadings(model._bound_batch, extra)
     block = loading_rows(0.0, np.zeros(dx + dy)) if declared else None
 
     def evaluator(t, z):
@@ -436,7 +443,7 @@ class _Route:
 
     def __init__(self, model: ModelSpec):
         self.model, self.bound = model, model._bound_batch
-        self.sigma0_kept = _const_matrix(model.sigma0) is not None
+        self.sigma0_kept = self.bound.sigma0_matrix is not None
 
     def start(self, N: int):
         self.x, self.y = (np.repeat(np.array(v)[:, None], N, axis=1)
@@ -482,22 +489,6 @@ def _inner(a, b):
     return _column_sum(a[None], b)[0]
 
 
-def _affine_h(model: ModelSpec, V: VectorField):
-    """H with h = H x + h0, when the joint field's only varying row is
-    affine: V declares `varying`, b2 is built by _linear_state and h's nu2
-    term does not depend on the state (no atomic nu2, or lambda_fn and f2
-    declared). Else None. H = sigma2^{-1} C goes through h's own sigma2
-    solve."""
-    C = _state_matrix(model.b2)
-    if V.varying is None or C is None:
-        return None
-    if isinstance(model.nu2, LevyMeasure) and not (
-            _declared_matrix(model.lambda_fn) is not None
-            and _declared_matrix(model.f2) is not None):
-        return None
-    return model._bound_batch.solve(0.0, None, C)
-
-
 class _RoughRoute(_Route):
     """Along a level-2 driver: Heun steps for the dt and sigma0 dB terms, one
     Davie step of the joint (X, Y, I) state per segment, and Marcus time-1
@@ -505,7 +496,7 @@ class _RoughRoute(_Route):
     reads them (rde._jump_logs): a jump not of Marcus type raises when the
     route is built, before any particle moves.
 
-    When h = H x + h0 is affine (_affine_h), X and Y have constant loadings
+    When h = H x + h0 is affine (_Bound.H), X and Y have constant loadings
     and the Davie step is closed-form: X and Y move by block @ g1 and I by
     h . g1 + c2, where c2 = sum_{j < d_Y} (H block_X g2)_{jj} is the exact
     second-order term, the same for every particle. So a step takes one h
@@ -522,7 +513,7 @@ class _RoughRoute(_Route):
         self.jump_logs = _jump_logs(driver)
         k = np.arange(len(driver.times) - 1)
         self.chords = driver.increment(k, k + 1, left_j=True)
-        H = _affine_h(model, self.V)
+        H = self.bound.H if _constant_loadings(self.bound, self.carries_atoms) else None
         self.affine = H is not None
         self.jump_substeps = 1 if self.affine else JUMP_SUBSTEPS
         if self.affine:
@@ -640,7 +631,7 @@ class _DirectRoute(_ObservationRoute):
         # a declared sigma1 dW is the same for every particle: one column
         # (d_X, 1) per segment, all taken here by the product of each step
         self.s1dW = None
-        if _const_matrix(model.sigma1) is not None:
+        if self.bound.sigma1_matrix is not None:
             s1dW = self.bound.sigma1_dot(0.0, None, None, self.dW.T)
             self.s1dW = [s1dW[:, k:k + 1] for k in range(len(self.dW))]
 
@@ -949,7 +940,7 @@ def _scalar_sigma1(model: ModelSpec):
         raise ValueError(
             "common jumps feed the signal (f3 != 0); the scalar flow route "
             "only transforms the Brownian common noise")
-    const = _const_matrix(model.sigma1)
+    const = model._bound_batch.sigma1_matrix
     if const is not None:
         return float(const[0, 0])
     va = np.asarray(model.sigma1(0.0, probe_x, y_a), dtype=float)

@@ -50,7 +50,8 @@ class RoughPath:
     The running signatures and the pre-jump ones are each validated once, as
     one GroupElement batch; points and increments are sub-batches of these.
     Without pre-jump arrays the pre-jump values are the running ones: no
-    jumps."""
+    jumps. With them, a pre-jump value that is not the running one where
+    jump_flags is False raises ValueError: no jump would be taken there."""
 
     times: np.ndarray
     level1: np.ndarray  # (n, d) running level-1
@@ -88,6 +89,12 @@ class RoughPath:
                 running.level2 if self.pre_level2 is None else self.pre_level2)
             if pre.level1.shape != running.level1.shape:
                 raise ValueError("pre-level arrays must match level arrays in shape")
+            moved = ((pre.level1 != running.level1).any(axis=1)
+                     | (pre.level2 != running.level2).any(axis=(1, 2)))
+            if np.any(moved & ~flags):
+                raise ValueError("pre-jump values differ from the running ones "
+                                 f"at t={t[np.argmax(moved & ~flags)]}, which "
+                                 "has no jump flag")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "level1", running.level1)
         object.__setattr__(self, "level2", running.level2)

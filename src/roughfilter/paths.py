@@ -520,9 +520,8 @@ def p_variation(x: CadlagPath, p: float) -> float:
 
 def merge_difference(x: CadlagPath, y: CadlagPath) -> CadlagPath:
     """The path x - y sampled on the merged grid, with left limits at the
-    union of jump times."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    union of jump times; x and y must pass _check_pair."""
+    _check_pair(x, y)
     times = np.union1d(x.times, y.times)
     xr, xl = _pinned_values(x, times, 0.0)
     yr, yl = _pinned_values(y, times, 0.0)
@@ -546,8 +545,8 @@ def _horizon_tol(T: float) -> float:
 
 def _check_pair(x, y) -> None:
     """Paths or rough paths x and y must share their dimension and, within
-    _horizon_tol, their horizon: the check of skorokhod_sigma_p and
-    lift.rho_p."""
+    _horizon_tol, their horizon: the check of merge_difference (so d_p),
+    skorokhod_sigma_p and lift.rho_p."""
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if abs(x.T - y.T) > _horizon_tol(x.T):

@@ -106,9 +106,9 @@ class VectorField:
     depend on y, `varying` = (rows, evaluator of V[..., rows, :]) declares
     that the other rows are constant and that the varying rows read none of
     their own coordinates (the joint (X, Y, I) field's h row reads X and Y,
-    never I). The action then differences those rows alone, since the
-    central differences of the others would be exactly 0, and marcus_jump
-    evaluates them alone along coordinates it knows in advance.
+    never I); marcus_jump, its one reader, then evaluates those rows alone
+    along coordinates it knows in advance. The action differences the
+    whole field: a constant row differences to exactly 0.0.
     """
 
     evaluator: callable
@@ -122,7 +122,7 @@ class VectorField:
         """The supplied Jacobian J (..., e, d, e), or with `along` (..., d, e)
         its action sum_{i,b} J[a, i, b] along[..., i, b] (..., e): a column
         sum, or else the d central differences of V_i along along[..., i, :]
-        in one stacked call, of the `varying` rows alone if given (others 0)."""
+        in one stacked call."""
         y = np.asarray(y, dtype=float)
         if along is None:
             if self.jacobian is None:
@@ -135,7 +135,6 @@ class VectorField:
             return _components_last(_column_sum(
                 J.reshape((len(J), -1) + J.shape[3:]),
                 u.reshape((-1,) + u.shape[2:])))
-        rows, field_rows = self.varying or (None, self)
         yc = _components_first(y)
         norm = np.abs(u).max(axis=1)  # (d, ...)
         # a direction below the smallest normal float counts as zero:
@@ -143,17 +142,12 @@ class VectorField:
         live = norm >= _TINY
         h = _central_step(np.abs(yc).max(axis=0)) / np.where(live, norm, 1.0)
         step = h[:, None] * np.where(live[:, None], u, 0.0)
-        vals = _components_first(np.asarray(field_rows(
+        vals = _components_first(self(
             t, _components_last(np.concatenate([yc + step, yc - step]), 2)),
-            dtype=float), 3)  # (2d, rows, d, ...)
+            3)  # (2d, e, d, ...)
         # V_i at y +/- h_i u_i: column i of stacked evaluation i
-        action = sum((vals[i, :, i] - vals[d + i, :, i]) / (2.0 * h[i])
-                     for i in range(d))
-        if rows is None:
-            return _components_last(action)
-        out = np.zeros(yc.shape)
-        out[rows] = action
-        return _components_last(out)
+        return _components_last(sum((vals[i, :, i] - vals[d + i, :, i]) / (2.0 * h[i])
+                                    for i in range(d)))
 
 
 def linear_vector_field(mats) -> VectorField:

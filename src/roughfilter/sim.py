@@ -247,9 +247,11 @@ class _Bound:
     nu1_sum, nu2_integrals and h_term (t, x, y), the jump terms of rates and
     h (None without such jumps); solve(t, y, rhs) = sigma2^{-1} rhs. Kept:
     f1, lam, f2, f3 (values at the marks, else None), integrals
-    (_nu2_integrals, when lambda_fn, f2 and f3 are declared, else None) and
+    (_nu2_integrals, when lambda_fn, f2 and f3 are declared, else None),
     sigma2_inv (the divisor of a 1 x 1 _const sigma2, the inverse of a d x d
-    one, 0.0 if singular, else None)."""
+    one, 0.0 if singular, else None), the declared matrices sigma0_matrix,
+    sigma1_matrix, sigma2_matrix, f2_matrix, f3_matrix and b2_matrix (else
+    None), and H on first read. A bound keeps no reference to its model."""
 
     def __init__(self, model: ModelSpec, batch: tuple):
         x, y = np.zeros((model.dim_x,) + batch), np.zeros((model.dim_y,) + batch)
@@ -260,11 +262,13 @@ class _Bound:
         self.lam_at, self.lam = _bind_at_marks(model.lambda_fn, nu2, 0, x)
         self.f2_at, self.f2 = _bind_at_marks(model.f2, nu2, 1, y)
         self.f3_at, self.f3 = _bind_at_marks(model.f3, nu2, 1, x, y)
-        self.b1, self.b2 = _bind_drift(model.b1, col), _bind_drift(model.b2, col)
-        self.sigma0, self.sigma0_dot = _bind_loading(model.sigma0, col)
-        self.sigma1, self.sigma1_dot = _bind_loading(model.sigma1, col)
-        self.sigma2, self.sigma2_dot = _bind_loading(model.sigma2, col)
-        self.sigma2_inv, self.solve = _bind_solve(model.sigma2, batch)
+        self.f2_matrix, self.f3_matrix = _declared_matrix(model.f2), _declared_matrix(model.f3)
+        _, self.b1 = _bind_drift(model.b1, col)
+        self.b2_matrix, self.b2 = _bind_drift(model.b2, col)
+        self.sigma0_matrix, self.sigma0, self.sigma0_dot = _bind_loading(model.sigma0, col)
+        self.sigma1_matrix, self.sigma1, self.sigma1_dot = _bind_loading(model.sigma1, col)
+        self.sigma2_matrix, self.sigma2, self.sigma2_dot = _bind_loading(model.sigma2, col)
+        self.sigma2_inv, self.solve = _bind_solve(self.sigma2_matrix, model.sigma2, batch)
 
         self.nu1_sum = None
         if nu1 is not None:
@@ -290,6 +294,17 @@ class _Bound:
                     return _atom_sum(nu2, map(_h_integrand, f2_at(t, y), lam))
 
                 self.nu2_integrals, self.h_term = nu2_integrals, h_term
+
+    @cached_property
+    def H(self):
+        """H with h = H x + h0 when h is affine in the state, else None: b2
+        built by _linear_state, sigma2 declared and h's nu2 term state-free
+        (no atomic nu2, or lambda_fn and f2 declared). It goes through h's
+        own sigma2 solve on first read, so a singular sigma2 raises there."""
+        if self.b2_matrix is None or self.sigma2_matrix is None or (
+                self.h_term is not None and (self.lam is None or self.f2 is None)):
+            return None
+        return self.solve(0.0, None, self.b2_matrix)
 
     def h(self, t: float, x, y):
         """h = sigma2^{-1} (b2 + int f2 (1 - lambda) dnu2) at component-major
@@ -362,43 +377,42 @@ def _bind_at_marks(coefficient, levy, core: int, *zero):
 
 
 def _bind_drift(coefficient, col: bool):
-    """b1 or b2 at component-major states: for one built by _linear_state
-    what its callable computes, c * x (1 x 1) or M x as a column sum, else
-    the plain callable's value."""
+    """(M, drift) for b1 or b2 at component-major states: for one built by
+    _linear_state its matrix M and what its callable computes, c * x (1 x 1)
+    or M x as a column sum, else None and the plain callable's value."""
     M = _state_matrix(coefficient)
     if M is None:
-        return lambda t, x, y: _moved(coefficient(t, x.T, y.T), 1, x)
+        return None, lambda t, x, y: _moved(coefficient(t, x.T, y.T), 1, x)
     if M.shape == (1, 1):
         c = float(M[0, 0])
-        return lambda t, x, y: c * x
+        return M, lambda t, x, y: c * x
     product = _column_product(M[..., None] if col else M)
-    return lambda t, x, y: product(x)
+    return M, lambda t, x, y: product(x)
 
 
 def _bind_loading(coefficient, col: bool):
-    """(loading, dot) for sigma0, sigma1 or sigma2 at component-major
+    """(M, loading, dot) for sigma0, sigma1 or sigma2 at component-major
     states, loading(t, *state) its matrix and dot(t, *state, v) the column
-    sum with v: one built by _const as its matrix, (rows, cols, 1) for a
-    batch, and its product; else evaluated."""
+    sum with v: one built by _const as its matrix M, (rows, cols, 1) for a
+    batch, and its product; else M is None and the loading is evaluated."""
     M = _const_matrix(coefficient)
     if M is not None:
-        M = M[..., None] if col else M
-        product = _column_product(M)
-        return (lambda t, *state: M), (lambda t, *args: product(args[-1]))
+        kept = M[..., None] if col else M
+        product = _column_product(kept)
+        return M, (lambda t, *state: kept), (lambda t, *args: product(args[-1]))
 
     def loading(t, *state):
         return _moved(coefficient(t, *(s.T for s in state)), 2, state[0])
 
-    return loading, lambda t, *args: _column_sum(loading(t, *args[:-1]), args[-1])
+    return None, loading, lambda t, *args: _column_sum(loading(t, *args[:-1]), args[-1])
 
 
-def _bind_solve(sigma2, batch: tuple):
+def _bind_solve(s2, sigma2, batch: tuple):
     """(kept, solve) with solve(t, y, rhs) = sigma2^{-1} rhs. A declared
-    sigma2 is kept once: a division by its 1 x 1 entry, else the ordered
+    sigma2 s2 is kept once: a division by its 1 x 1 entry, else the ordered
     column sum with its inverse (elementwise, so one right-hand side gets
     the bits it gets among many), and a singular one as 0.0, which raises
-    at every solve. A plain one is evaluated at y and solved."""
-    s2 = _const_matrix(sigma2)
+    at every solve. A plain one (s2 None) is evaluated at y and solved."""
     if s2 is not None:
         try:
             kept = (float(s2[0, 0]) if s2.shape == (1, 1)

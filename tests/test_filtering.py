@@ -14,8 +14,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from test_rde import _partly_varying_field, rows_only_action
 
 from roughfilter import filtering, sim
 from roughfilter.filtering import (
@@ -45,7 +47,7 @@ from roughfilter.filtering import (
 )
 from roughfilter.lift import RoughPath, marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
-from roughfilter.rde import VectorField, davie_step, marcus_jump
+from roughfilter.rde import davie_step, marcus_jump
 from roughfilter.sim import MODEL_BUILDERS, LevyMeasure, get_model
 
 
@@ -499,34 +501,45 @@ def test_catalog_declares_constant_coefficients():
                           np.full((3, 1), 0.25 * -0.4))
 
 
-_FIELD_CASES = [(name, MODEL_BUILDERS[name]().dim_y) for name in MODEL_BUILDERS]
-_FIELD_CASES.append(("stable_shot_noise", 2))
+# Every driver dimension of each catalog model's joint field (d_Y, and
+# d_Y + 1 where f3 and f2 are linear in a 1-d mark), and a partly varying
+# field of rde's tests.
+_FIELD_CASES = [("linear_gaussian", 1), ("linear_gaussian", 2),
+                ("scalar_jump_diffusion", 1), ("scalar_jump_diffusion", 2),
+                ("correlated_jump_multidim", 2), ("stable_shot_noise", 1),
+                ("stable_shot_noise", 2), ("partly varying", 2)]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(_FIELD_CASES), seed=st.integers(0, 2**32 - 1),
        n=st.integers(1, 5), t=st.floats(0.0, 1.0),
        special=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2),
                                   st.sampled_from([0.0, 5e-324])),
                         max_size=4))
+@example(case=("scalar_jump_diffusion", 2), seed=0, n=2, t=0.5,
+         special=[(0, 0, 0.0), (1, 1, 5e-324)])
+@example(case=("partly varying", 2), seed=1, n=2, t=0.5,
+         special=[(0, 1, 0.0), (1, 0, 5e-324)])
 def test_structured_action_matches_generic_bitwise(case, seed, n, t, special):
-    """The h-row-only directional action of a declared model equals the
-    central-difference action over the whole joint field bit for bit,
-    zero and subnormal direction rows included."""
+    """The whole-field directional action of a field that declares
+    `varying` equals the rows-only action (test_rde.rows_only_action) bit
+    for bit, zero and subnormal direction rows included: the constant rows
+    difference to exactly 0.0."""
     name, driver_dim = case
-    model = MODEL_BUILDERS[name]()
-    V = _joint_field(model, driver_dim)
-    e = model.dim_x + model.dim_y + 1
     rng = np.random.default_rng(seed)
+    if name == "partly varying":
+        V, e = _partly_varying_field(rng.standard_normal((2, 2))), 3
+    else:
+        model = MODEL_BUILDERS[name]()
+        V, e = _joint_field(model, driver_dim), model.dim_x + model.dim_y + 1
     z = rng.uniform(-2.0, 2.0, (n, e))
     U = rng.uniform(-2.0, 2.0, (n, driver_dim, e))
     for p, i, v in special:
         U[p % n, i % driver_dim] = v
     got = V.jac(t, z, U)
-    expect = VectorField(V.evaluator).jac(t, z, U)
     assert got.shape == (n, e)
-    assert np.array_equal(got, expect)
-    assert np.array_equal(np.signbit(got), np.signbit(expect))
+    assert np.array_equal(got.view(np.int64),
+                          rows_only_action(V, t, z, U).view(np.int64))
 
 
 def _plain(coefficient):
@@ -589,6 +602,22 @@ def test_plain_callable_loadings_take_the_generic_path():
             b = scalar_flow_filter_detail(plain, f, obs["Y"], 150, 77)
             assert a.theta == pytest.approx(b.theta, rel=1e-12)
             assert a.g_1.value == pytest.approx(b.g_1.value, rel=1e-12)
+
+
+def test_affine_h_is_computed_when_the_rough_route_reads_it():
+    """_Bound.H is the matrix of an affine h, computed on first read by h's
+    own sigma2 solve: a singular declared sigma2 raises when the rough route
+    is built, not when the bound is made. A plain sigma2, or a lambda that
+    reads the state on an atomic nu2, gives None."""
+    lg = get_model("linear_gaussian")
+    assert lg._bound_batch.H.tolist() == [[lg.meta["c"] / lg.meta["gamma"]]]
+    singular = sim.linear_gaussian(gamma=0.0)
+    assert singular._bound_batch.sigma2_inv == 0.0
+    driver = _random_driver(np.random.default_rng(64), 1, 1.0)
+    with pytest.raises(ValueError, match="sigma2 singular at t=0.0"):
+        _RoughRoute(singular, driver)
+    assert replace(lg, sigma2=_plain(lg.sigma2))._bound_batch.H is None
+    assert get_model("scalar_jump_diffusion")._bound_batch.H is None
 
 
 def _random_driver(rng, dim, scale, n=6):

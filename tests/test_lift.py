@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -215,6 +216,8 @@ def _malformed(case):
         kw["level2"][0, 0, 1] = 1e-3
     elif case == "jump at t=0":
         kw["jump_flags"][0] = True
+    elif case == "pre-jump value off the flags":
+        kw["pre_level1"][1 + int(np.argmin(kw["jump_flags"][1:])), 0] += 0.5
     else:  # "<name> non-finite"
         key = case.split()[0]
         kw[key][(1,) * kw[key].ndim] = np.nan if "1" in key else np.inf
@@ -225,8 +228,9 @@ def _malformed(case):
     "times not increasing", "time nan", "time inf", "level1 1-d", "level1 rows",
     "level2 shape", "pre_level1 shape", "pre_level2 shape", "pre-level rows",
     "jump_flags shape",
-    "level1 start", "level2 start", "jump at t=0", "level1 non-finite",
-    "level2 non-finite", "pre_level1 non-finite", "pre_level2 non-finite"])
+    "level1 start", "level2 start", "jump at t=0", "pre-jump value off the flags",
+    "level1 non-finite", "level2 non-finite", "pre_level1 non-finite",
+    "pre_level2 non-finite"])
 def test_rough_path_rejects_malformed_input(case):
     with pytest.raises(ValueError):
         RoughPath(**_malformed(case))
@@ -402,6 +406,7 @@ def row_loop_levels(A1, A2, B1, B2, p):
        kind=st.sampled_from(["equal", "large", "ulp level 1", "ulp level 2", "huge level 1",
                              "huge level 2", "inf", "nan"]),
        p=st.one_of(st.just(2.5), st.floats(2.0, 3.0, exclude_max=True)))
+@example(seed=383559, d=1, m=2, kind="huge level 2", p=2.5)
 def test_rho_p_zero_difference_exit_matches_row_loop(seed, d, m, kind, p):
     """rho_p skips both recursions for equal merged signatures whose
     entries are finite and small enough that no level-2 increment
@@ -415,11 +420,12 @@ def test_rho_p_zero_difference_exit_matches_row_loop(seed, d, m, kind, p):
     j = int(rng.integers(1, m))
     if kind == "large":
         A1 *= 1.99 * 2.0 ** 499 / np.max(np.abs(A1))
-        A2 *= 1.99 * 2.0 ** 999 / np.max(np.abs(A2))
+        A2 = A2 / np.max(np.abs(A2)) * (1.99 * 2.0 ** 999)
     elif kind == "huge level 1":
         A1 *= 2.0 ** 500 * rng.uniform(1.0, 2.0 ** 20) / np.max(np.abs(A1))
     elif kind == "huge level 2":
-        A2 *= 2.0 ** 1000 * rng.uniform(1.0, 2.0 ** 20) / np.max(np.abs(A2))
+        # scaled to max 1 first: 2^1020 / max|A2| overflows when max|A2| < 1/16
+        A2 = A2 / np.max(np.abs(A2)) * (2.0 ** 1000 * rng.uniform(1.0, 2.0 ** 20))
     elif kind in ("inf", "nan"):
         (A1 if rng.random() < 0.5 else A2)[j] = np.inf if kind == "inf" else np.nan
     B1, B2 = A1.copy(), A2.copy()
@@ -676,6 +682,23 @@ def test_reverse_round_trip():
     assert chen_defect(R) < 1e-12
     with pytest.raises(ValueError, match="continuous paths"):
         reverse_rough_path(marcus_lift(jumpy_path(rng, 8, 2)))
+
+
+def test_readers_refuse_pre_jump_values_off_the_flags(tmp_path):
+    """A pre-jump value that differs from the running one where jump_flags
+    is False is refused by rough_path_from_dict and read_rough_path_json:
+    the solver, which jumps only at flagged times, would drop it."""
+    rng = np.random.default_rng(29)
+    d = rough_path_to_dict(stratonovich_lift(brownian_path(rng, 4, 1)))
+    pre1 = np.asarray(d["level1"])
+    pre1[2] += 0.5
+    d.update(pre_level1=pre1.tolist(), pre_level2=d["level2"])
+    with pytest.raises(ValueError, match="no jump flag"):
+        rough_path_from_dict(d)
+    f = tmp_path / "rough.json"
+    f.write_text(json.dumps(d), encoding="utf-8")
+    with pytest.raises(ValueError, match="no jump flag"):
+        read_rough_path_json(str(f))
 
 
 def test_json_round_trip(tmp_path):

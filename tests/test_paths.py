@@ -160,6 +160,11 @@ def test_d_p_degeneracies_and_symmetry():
     assert d_p(x, y, 2.0) == pytest.approx(d_p(y, x, 2.0), abs=1e-12)
     with pytest.raises(ValueError):
         d_p(x, random_path(rng, 5, 3), 2.0)
+    # the horizon check of skorokhod_sigma_p and rho_p: [0, 1] against [0, 2]
+    longer = CadlagPath(2.0 * y.times, y.values, y.pre_values)
+    for a, b in ((x, longer), (longer, x)):
+        with pytest.raises(ValueError, match="horizon"):
+            d_p(a, b, 2.0)
 
 
 def test_d_p_matches_brute_force_on_merged_grid():

@@ -15,10 +15,14 @@ from roughfilter.fillin import (
 from roughfilter.lift import RoughPath, marcus_lift, stratonovich_lift
 from roughfilter.paths import CadlagPath
 from roughfilter.rde import (
+    _TINY,
     MARCUS_SUBSTEPS,
     RdeBlowupError,
     VectorField,
+    _central_step,
     _column_sum,
+    _components_first,
+    _components_last,
     constant_vector_field,
     davie_step,
     flow_and_inverse,
@@ -535,6 +539,28 @@ def _partly_varying_field(M):
             [np.broadcast_to(M, y.shape[:-1] + M.shape), row(t, y)], axis=-2)
 
     return VectorField(evaluator, varying=(slice(2, None), row))
+
+
+def rows_only_action(V, t, y, along):
+    """VectorField.jac's directional action as it was for a field that
+    declares `varying`: the central differences of the varying rows alone,
+    in one stacked call, and 0.0 in the constant rows. Kept as the oracle
+    of the whole-field action, which must give its bits."""
+    rows, field_rows = V.varying
+    yc = _components_first(np.asarray(y, dtype=float))
+    u = _components_first(np.asarray(along, dtype=float), 2)  # (d, e, ...)
+    d = u.shape[0]
+    norm = np.abs(u).max(axis=1)
+    live = norm >= _TINY
+    h = _central_step(np.abs(yc).max(axis=0)) / np.where(live, norm, 1.0)
+    step = h[:, None] * np.where(live[:, None], u, 0.0)
+    vals = _components_first(np.asarray(field_rows(
+        t, _components_last(np.concatenate([yc + step, yc - step]), 2)),
+        dtype=float), 3)  # (2d, rows, d, ...)
+    out = np.zeros(yc.shape)
+    out[rows] = sum((vals[i, :, i] - vals[d + i, :, i]) / (2.0 * h[i])
+                    for i in range(d))
+    return _components_last(out)
 
 
 def test_unbatched_state_matches_batched_row():
