@@ -50,12 +50,6 @@ class PathFunction:
         return group_mul(a, group_pow(group_mul(group_inv(a), b), w))
 
 
-def log_linear_path_function() -> PathFunction:
-    """phi(a,b)_s = a * exp(s * log(a^{-1} b)): the straight chord in
-    log-coordinates, geometric for every s."""
-    return PathFunction()
-
-
 def tabulated_path_function(s_table, w_table) -> PathFunction:
     """Custom traversal profile: phi(a,b)_s = a * exp(w(s) * log(a^{-1} b))
     with w interpolated from a monotone table, w(0)=0, w(1)=1."""
@@ -109,7 +103,7 @@ class AdmissiblePair:
     canonical RDE solver takes the rough path alone."""
 
     rough: RoughPath
-    phi: PathFunction = field(default_factory=log_linear_path_function)
+    phi: PathFunction = field(default_factory=PathFunction)
     r_seq: RSeq = field(default_factory=RSeq)
     delta: float = 1.0
 
@@ -203,8 +197,6 @@ def _delta_sweep(X: AdmissiblePair, Y: AdmissiblePair, delta_seq,
         raise ValueError("delta_seq must be non-empty")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("delta_seq must be strictly decreasing")
-    if X.rough.dim != Y.rough.dim:
-        raise ValueError("dimension mismatch between pairs")
     values = []
     for d in deltas:
         rx = build_representative(replace(X, delta=d))

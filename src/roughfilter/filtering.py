@@ -1046,7 +1046,7 @@ def trend_non_increasing(values, slacks) -> bool:
 
 
 def robustness_experiment(model: ModelSpec, f: callable, t: float,
-                          mesh_list, particles: int = 2000, seed_base: int = 0,
+                          mesh_list, particles: int, seed_base: int,
                           obs_seed: int = None, truth_steps: int = 512,
                           p: float = P_VAR,
                           abort_log_weight: float = ABORT_LOG_WEIGHT) -> list:

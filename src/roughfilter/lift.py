@@ -50,15 +50,16 @@ class RoughPath:
     The running signatures and the pre-jump ones are each validated once, as
     one GroupElement batch; points and increments are sub-batches of these.
     Without pre-jump arrays the pre-jump values are the running ones: no
-    jumps. With them, a pre-jump value that is not the running one where
-    jump_flags is False raises ValueError: no jump would be taken there."""
+    jumps. The path jumps where a pre-jump value differs from the running
+    one, in level 1 or level 2; jump_flags marks those times, and a jump at
+    time 0 raises ValueError."""
 
     times: np.ndarray
     level1: np.ndarray  # (n, d) running level-1
     level2: np.ndarray  # (n, d, d) running level-2
-    jump_flags: np.ndarray = field(default=None)  # type: ignore[assignment]
     pre_level1: np.ndarray = field(default=None)  # type: ignore[assignment]
     pre_level2: np.ndarray = field(default=None)  # type: ignore[assignment]
+    jump_flags: np.ndarray = field(init=False)  # (n,) where a pre-jump value moves
     _running: GroupElement = field(init=False, repr=False, compare=False)
     _pre: GroupElement = field(init=False, repr=False, compare=False)
 
@@ -76,31 +77,23 @@ class RoughPath:
         running = GroupElement(self.level1, self.level2)
         if np.any(running.level1[0] != 0.0) or np.any(running.level2[0] != 0.0):
             raise ValueError("a rough path must start at the group identity")
-        flags = self.jump_flags
-        flags = np.zeros(n, dtype=bool) if flags is None else np.asarray(flags, dtype=bool)
-        if flags.shape != (n,):
-            raise ValueError("jump_flags must be (n,)")
-        if flags[0]:
-            raise ValueError("no jump at the initial time")
-        pre = running
+        pre, flags = running, np.zeros(n, dtype=bool)
         if self.pre_level1 is not None or self.pre_level2 is not None:
             pre = GroupElement(
                 running.level1 if self.pre_level1 is None else self.pre_level1,
                 running.level2 if self.pre_level2 is None else self.pre_level2)
             if pre.level1.shape != running.level1.shape:
                 raise ValueError("pre-level arrays must match level arrays in shape")
-            moved = ((pre.level1 != running.level1).any(axis=1)
+            flags = ((pre.level1 != running.level1).any(axis=1)
                      | (pre.level2 != running.level2).any(axis=(1, 2)))
-            if np.any(moved & ~flags):
-                raise ValueError("pre-jump values differ from the running ones "
-                                 f"at t={t[np.argmax(moved & ~flags)]}, which "
-                                 "has no jump flag")
+            if flags[0]:
+                raise ValueError("no jump at the initial time")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "level1", running.level1)
         object.__setattr__(self, "level2", running.level2)
-        object.__setattr__(self, "jump_flags", flags)
         object.__setattr__(self, "pre_level1", pre.level1)
         object.__setattr__(self, "pre_level2", pre.level2)
+        object.__setattr__(self, "jump_flags", flags)
         object.__setattr__(self, "_running", running)
         object.__setattr__(self, "_pre", pre)
 
@@ -192,8 +185,7 @@ def marcus_lift(x: CadlagPath) -> RoughPath:
     L1, L2 = _accumulate_exp_products(vs)
     post = np.arange(0, 2 * n - 1, 2)  # prefix index after both factors of each step
     pre = np.maximum(post - 1, 0)  # prefix index after the chord, before the jump
-    flags = np.concatenate([[False], np.any(jumps != 0.0, axis=1)])
-    return RoughPath(x.times, L1[post], L2[post], flags, L1[pre], L2[pre])
+    return RoughPath(x.times, L1[post], L2[post], L1[pre], L2[pre])
 
 
 def reverse_rough_path(X: RoughPath) -> RoughPath:
@@ -398,19 +390,23 @@ def rough_path_to_dict(X: RoughPath) -> dict:
 
 
 def rough_path_from_dict(obj: dict) -> RoughPath:
+    """The rough path of rough_path_to_dict's layout; raises ValueError
+    when the stored jump_flags are not where its pre-jump values jump."""
     d = int(obj["dim"])
     n = len(obj["times"])
     level2 = np.asarray(obj["level2"], dtype=float).reshape(n, d, d)
     pre1 = obj.get("pre_level1")
     pre2 = obj.get("pre_level2")
-    return RoughPath(
+    X = RoughPath(
         np.asarray(obj["times"], dtype=float),
         np.asarray(obj["level1"], dtype=float),
         level2,
-        np.asarray(obj["jump_flags"], dtype=bool),
         None if pre1 is None else np.asarray(pre1, dtype=float),
         None if pre2 is None else np.asarray(pre2, dtype=float).reshape(n, d, d),
     )
+    if not np.array_equal(np.asarray(obj["jump_flags"], dtype=bool), X.jump_flags):
+        raise ValueError("stored jump_flags differ from the jumps of the pre-jump values")
+    return X
 
 
 def write_rough_path_json(X: RoughPath, path: str) -> None:

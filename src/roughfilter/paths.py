@@ -173,7 +173,7 @@ def visited_points(x: CadlagPath) -> np.ndarray:
     return _visited_sequence(x.values, x.pre_values)
 
 
-# Row blocks of the max-plus recursion of _pvar_sum_dp: at most _BLOCK_ROWS
+# Row groups of the max-plus recursion of _pvar_sum_dp: at most _BLOCK_ROWS
 # rows, and at most _BLOCK_ELEMENTS elements in a (per_cell, rows, columns)
 # temporary, 64 KiB. numpy takes each temporary from malloc, and glibc
 # serves 128 KiB and more by a fresh mmap whose pages fault in on first
@@ -183,19 +183,13 @@ _BLOCK_ROWS = 32
 _BLOCK_ELEMENTS = 2 ** 13
 _STRICTLY_LOWER = np.tri(_BLOCK_ROWS, _BLOCK_ROWS, -1, dtype=bool)
 # Block-bound pruning in _pvar_sum_dp: a group of rows whose bound keeps
-# more than _PRUNE_KEEP of its column blocks runs as plain blocks.
+# more than _PRUNE_KEEP of its column blocks runs plain.
 _PRUNE_KEEP = 0.5
 # Relative slack of a bound on a computed norm (derived in _pvar_sum_dp).
 _REL_SLACK = 2.0 ** -20
 # The least p at which d = 1 points reduce to their turning points (derived
 # in _needed_points).
 _TURNING_P = 2.25
-
-
-def _block_end(j0: int, m: int, per_cell: int) -> int:
-    """End j1 of the row block that starts at row j0 of m."""
-    n_rows = _BLOCK_ELEMENTS // (per_cell * (j0 + _BLOCK_ROWS))
-    return min(m, j0 + max(1, min(_BLOCK_ROWS, n_rows)))
 
 
 def _prune_from(per_cell: int) -> int:
@@ -266,16 +260,17 @@ def _pvar_sum_dp(m: int, rows, power: float, per_cell: int, bound=None) -> float
     rows(j0, j1, cols) returns the norms n(i, j) of the rows j0 <= j < j1
     at the columns i of the slice cols as a new (j1 - j0, len(cols)) array
     (what it holds at columns i >= j is not read), which the recursion
-    raises to `power` in place; per_cell, the number of components a norm
-    is computed from, sizes the blocks (_block_end). A block takes the max
-    over i < j0 for all of its rows in 2-d numpy maxima, and the small
-    triangle j0 <= i < j on Python floats, row after row.
+    raises to `power` in place. Rows go in groups of up to _BLOCK_ROWS,
+    and a group's columns in pieces, sized by per_cell, the number of
+    components a norm is computed from, so that a (per_cell, rows,
+    columns) temporary holds at most _BLOCK_ELEMENTS elements. A group
+    takes the max over i < j0 for all of its rows in 2-d numpy maxima, and
+    the small triangle j0 <= i < j on Python floats, row after row.
 
     bound, if given, prunes (block-bound pruning). From row
-    _prune_from(per_cell) on, rows go in groups of up to _BLOCK_ROWS, and
-    the columns below a group in blocks K of _BLOCK_ROWS columns. The
-    group's cells (c_K, j) at the blocks' middle columns c_K are computed
-    first, as probes: max_K (best[c_K] + c(c_K, j)) and best[j0 - 1] (row
+    _prune_from(per_cell) on, the columns below a group are taken in
+    blocks K of _BLOCK_ROWS columns. The group's cells (c_K, j) at the
+    blocks' middle columns c_K are computed first, as probes: max_K (best[c_K] + c(c_K, j)) and best[j0 - 1] (row
     j's term at j - 1 is at least that) are lower bounds LB_j of row j's
     max. bound(j0, j1, blocks, probes), given the probes' norms for a slice
     of blocks, returns for each row j and block K a norm whose power bounds
@@ -314,32 +309,29 @@ def _pvar_sum_dp(m: int, rows, power: float, per_cell: int, bound=None) -> float
     it, and only where _prunes(m, per_cell).
 
     Where the bound keeps more than _PRUNE_KEEP of a group's blocks, the
-    group runs as plain blocks, and the next try waits twice as many groups
-    as the last one did, so that inputs it cannot prune (equal points,
-    where every cost is 0) pay for few tries.
+    group runs plain, and the next try waits twice as many groups as the
+    last one did, so that inputs it cannot prune (equal points, where
+    every cost is 0) pay for few tries.
 
     A NaN cost makes the sum NaN, as numpy's max propagates it through
-    every later row: Python's max would drop it, so a block whose head or
+    every later row: Python's max would drop it, so a group whose head or
     triangle holds one ends the recursion."""
     best = np.zeros(m)
-    retry = m
-    if bound is not None:
-        group = min(_BLOCK_ROWS, math.isqrt(_BLOCK_ELEMENTS // per_cell))
-        width = _BLOCK_ELEMENTS // (per_cell * group)  # >= group: the triangle fits
-        retry, fails = _prune_from(per_cell), 0
+    group = min(_BLOCK_ROWS, math.isqrt(_BLOCK_ELEMENTS // per_cell))
+    width = _BLOCK_ELEMENTS // (per_cell * group)  # >= group: the triangle fits
+    retry, fails = (m if bound is None else _prune_from(per_cell)), 0
     j0 = 1
     while j0 < m:
+        j1 = min(m, j0 + group)
         pruned = None
         if j0 >= retry:
-            j1 = min(m, j0 + group)
             pruned = _kept_pieces(j0, j1, best, rows, power, bound, width)
             fails = 0 if pruned else fails + 1
             retry = j0 + (group << fails)
         if pruned:
             pieces, head = pruned
-        else:  # a plain block: one piece of all columns, no probes
-            j1 = _block_end(j0, m, per_cell)
-            pieces, head = [slice(0, j1)], None
+        else:  # a plain group: all columns, no probes
+            pieces, head = _chunks(0, j1, width), None
         for cols in pieces:
             costs = rows(j0, j1, cols)
             np.power(costs, power, out=costs)

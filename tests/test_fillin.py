@@ -5,11 +5,11 @@ import pytest
 from roughfilter.fillin import (
     SLOT_STEPS,
     AdmissiblePair,
+    PathFunction,
     RSeq,
     alpha_p,
     beta_p,
     build_representative,
-    log_linear_path_function,
     tabulated_path_function,
 )
 from roughfilter.lift import RoughPath, marcus_lift, stratonovich_lift
@@ -45,7 +45,7 @@ def brownian_lift(rng, n=16, d=2):
 def test_path_function_endpoints_exact():
     rng = np.random.default_rng(30)
     a, b = random_group(rng, 2), random_group(rng, 2)
-    for phi in (log_linear_path_function(),
+    for phi in (PathFunction(),
                 tabulated_path_function([0.0, 0.5, 1.0], [0.0, 0.1, 1.0])):
         assert phi(a, b, 0.0) is a
         assert phi(a, b, 1.0) is b
@@ -57,7 +57,7 @@ def test_log_linear_interior_is_subgroup_point():
     rng = np.random.default_rng(31)
     a, b = random_group(rng, 2), random_group(rng, 2)
     chi1, chi2 = group_log(group_mul(group_inv(a), b))
-    phi = log_linear_path_function()
+    phi = PathFunction()
     for s in (0.25, 0.5, 0.75):
         got = phi(a, b, s)
         want = group_mul(a, group_exp(s * chi1, s * chi2))
@@ -69,7 +69,7 @@ def test_tabulated_profile_reparameterizes():
     rng = np.random.default_rng(32)
     a, b = random_group(rng, 2), random_group(rng, 2)
     tab = tabulated_path_function([0.0, 0.5, 1.0], [0.0, 0.25, 1.0])
-    log = log_linear_path_function()
+    log = PathFunction()
     got = tab(a, b, 0.5)
     want = log(a, b, 0.25)
     assert np.allclose(got.level1, want.level1)
@@ -93,7 +93,7 @@ def area_jump_lift():
     L2 = np.stack([np.zeros((2, 2)), l2])
     pre1 = np.zeros((2, 2))
     pre2 = np.zeros((2, 2, 2))
-    return RoughPath(times, L1, L2, np.array([False, True]), pre1, pre2)
+    return RoughPath(times, L1, L2, pre1, pre2)
 
 
 def test_pair_admissibility():
@@ -271,8 +271,10 @@ def test_beta_p_validation_and_mismatch_flag():
         beta_p(X, X, 2.5, delta_seq=(0.5, 0.5))
     rng = np.random.default_rng(36)
     Y3 = AdmissiblePair(brownian_lift(rng, d=3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch"):
         beta_p(X, Y3, 2.5)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        alpha_p(X, Y3, 2.5)
     Y = AdmissiblePair(brownian_lift(rng, d=1))
     sweep = beta_p(X, Y, 2.5, delta_seq=(1.0, 0.5))
     assert sweep.jump_count_mismatch

@@ -1134,7 +1134,7 @@ def test_non_marcus_driver_jump_raises_before_sampling():
     A = np.array([[0.0, 0.2], [-0.2, 0.0]])  # area added from the jump on
     bad = RoughPath(X.times, X.level1,
                     X.level2 + np.array([0.0, 1.0, 1.0])[:, None, None] * A,
-                    X.jump_flags, X.pre_level1,
+                    X.pre_level1,
                     X.pre_level2 + np.array([0.0, 0.0, 1.0])[:, None, None] * A)
     calls = []
 

@@ -27,7 +27,7 @@ from roughfilter.lift import (
     stratonovich_lift,
     write_rough_path_json,
 )
-from roughfilter.paths import CadlagPath
+from roughfilter.paths import CadlagPath, _step_path
 from roughfilter.rde import constant_vector_field, solve_canonical_rde
 from roughfilter.sim import get_model
 from roughfilter.tensor_group import (
@@ -158,7 +158,7 @@ def test_marcus_increment_and_non_marcus_jump_rejected():
     A = np.array([[0.0, 0.2], [-0.2, 0.0]])
     bad = RoughPath(X.times, X.level1,
                     X.level2 + np.array([0.0, 1.0, 1.0])[:, None, None] * A,
-                    X.jump_flags, X.pre_level1,
+                    X.pre_level1,
                     X.pre_level2 + np.array([0.0, 0.0, 1.0])[:, None, None] * A)
     with pytest.raises(ValueError, match="not of Marcus type"):
         marcus_increment(bad, 1)
@@ -189,7 +189,7 @@ def _malformed(case):
     rng = np.random.default_rng(25)
     X = marcus_lift(jumpy_path(rng, 2, 2, n_jumps=1))
     kw = dict(times=X.times.copy(), level1=X.level1.copy(),
-              level2=X.level2.copy(), jump_flags=X.jump_flags.copy(),
+              level2=X.level2.copy(),
               pre_level1=X.pre_level1.copy(), pre_level2=X.pre_level2.copy())
     if case == "times not increasing":
         kw["times"] = np.array([0.0, 1.0, 0.5])
@@ -208,16 +208,12 @@ def _malformed(case):
         kw["pre_level1"] = kw["pre_level1"][:2]
     elif case == "pre-level rows":
         kw["pre_level1"], kw["pre_level2"] = kw["pre_level1"][:2], kw["pre_level2"][:2]
-    elif case == "jump_flags shape":
-        kw["jump_flags"] = kw["jump_flags"][:2]
     elif case == "level1 start":
         kw["level1"][0, 1] = 1e-3
     elif case == "level2 start":
         kw["level2"][0, 0, 1] = 1e-3
     elif case == "jump at t=0":
-        kw["jump_flags"][0] = True
-    elif case == "pre-jump value off the flags":
-        kw["pre_level1"][1 + int(np.argmin(kw["jump_flags"][1:])), 0] += 0.5
+        kw["pre_level1"][0, 0] = 0.5
     else:  # "<name> non-finite"
         key = case.split()[0]
         kw[key][(1,) * kw[key].ndim] = np.nan if "1" in key else np.inf
@@ -227,8 +223,7 @@ def _malformed(case):
 @pytest.mark.parametrize("case", [
     "times not increasing", "time nan", "time inf", "level1 1-d", "level1 rows",
     "level2 shape", "pre_level1 shape", "pre_level2 shape", "pre-level rows",
-    "jump_flags shape",
-    "level1 start", "level2 start", "jump at t=0", "pre-jump value off the flags",
+    "level1 start", "level2 start", "jump at t=0",
     "level1 non-finite", "level2 non-finite", "pre_level1 non-finite",
     "pre_level2 non-finite"])
 def test_rough_path_rejects_malformed_input(case):
@@ -470,8 +465,8 @@ def shared_grid_marcus_pair(rng, m, d, jumps, rounded):
 
 @st.composite
 def block_edge_pairs(draw):
-    """(d, m): merged lengths around the row-block edges of rho_p's level-2
-    recursion, which sizes its blocks at d * d elements a cost."""
+    """(d, m): merged lengths around the row-group edges of rho_p's level-2
+    recursion, which sizes its groups at d * d elements a cost."""
     d = draw(st.integers(1, 3))
     return d, draw(st.sampled_from(block_edge_lengths(d * d)))
 
@@ -491,8 +486,8 @@ def test_rho_p_matches_row_loop_at_block_edges(seed, dm, jumps, rounded, level2_
     if level2_only:
         walk = np.cumsum(rng.standard_normal((len(X.times), d, d)), axis=0)
         walk[0] = 0.0
-        Y = RoughPath(X.times, X.level1, X.level2 + walk, X.jump_flags,
-                      X.pre_level1, X.pre_level2 + walk)
+        Y = RoughPath(X.times, X.level1, X.level2 + walk, X.pre_level1,
+                      X.pre_level2 + walk)
     assert len(_merged_running(X, Y)[0]) == m
     assert repr(rho_p(X, Y, p)) == repr(row_loop_rho_p(X, Y, p))
 
@@ -685,20 +680,63 @@ def test_reverse_round_trip():
 
 
 def test_readers_refuse_pre_jump_values_off_the_flags(tmp_path):
-    """A pre-jump value that differs from the running one where jump_flags
-    is False is refused by rough_path_from_dict and read_rough_path_json:
-    the solver, which jumps only at flagged times, would drop it."""
+    """rough_path_from_dict and read_rough_path_json refuse a file whose
+    jump_flags are not where its pre-jump values jump: a pre-jump value off
+    the flags, a flag where nothing jumps, and a real jump without its flag."""
     rng = np.random.default_rng(29)
     d = rough_path_to_dict(stratonovich_lift(brownian_path(rng, 4, 1)))
     pre1 = np.asarray(d["level1"])
     pre1[2] += 0.5
     d.update(pre_level1=pre1.tolist(), pre_level2=d["level2"])
-    with pytest.raises(ValueError, match="no jump flag"):
-        rough_path_from_dict(d)
-    f = tmp_path / "rough.json"
-    f.write_text(json.dumps(d), encoding="utf-8")
-    with pytest.raises(ValueError, match="no jump flag"):
-        read_rough_path_json(str(f))
+    X = marcus_lift(jumpy_path(rng, 7, 1, n_jumps=1))
+    i = int(np.nonzero(X.jump_flags)[0][0])
+    extra, missing = rough_path_to_dict(X), rough_path_to_dict(X)
+    extra["jump_flags"][1 + (i == 1)] = 1
+    missing["jump_flags"][i] = 0
+    for k, obj in enumerate((d, extra, missing)):
+        with pytest.raises(ValueError, match="stored jump_flags"):
+            rough_path_from_dict(obj)
+        f = tmp_path / f"rough{k}.json"
+        f.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match="stored jump_flags"):
+            read_rough_path_json(str(f))
+
+
+def test_pure_area_jump_is_flagged_and_refused():
+    """A pre-jump value that differs from the running one in level 2 alone
+    is a jump, of pure area: it is flagged, its log has a level-2 part, and
+    marcus_increment and solve_canonical_rde refuse it; at time 0 it is
+    refused as a jump at the initial time."""
+    A = np.array([[0.0, 0.2], [-0.2, 0.0]])
+    zero = np.zeros((2, 2))
+    L2, pre2 = np.stack([zero, A, A]), np.stack([zero, zero, A])
+    X = RoughPath(np.array([0.0, 0.5, 1.0]), np.zeros((3, 2)), L2, np.zeros((3, 2)), pre2)
+    assert X.jump_flags.tolist() == [False, True, False]
+    with pytest.raises(ValueError, match="not of Marcus type"):
+        marcus_increment(X, 1)
+    with pytest.raises(ValueError, match="not of Marcus type"):
+        solve_canonical_rde(constant_vector_field(np.zeros((1, 2))), X, [0.0], steps=4)
+    pre2[0] = -A
+    with pytest.raises(ValueError, match="initial time"):
+        RoughPath(X.times, X.level1, X.level2, pre_level2=pre2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 3),
+       step=st.booleans())
+def test_marcus_lift_flags_where_the_path_jumps(seed, n, d, step):
+    """marcus_lift(x) jumps where x does: on step paths with integer levels
+    at random grid times, where a level may repeat (a time with no jump),
+    and on Brownian paths with jumps at random times."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, n + 1))
+    if step:
+        grid = np.linspace(0.0, 1.0, n + 1)
+        levels = rng.integers(-1, 2, (k + 1, d)).astype(float)
+        x = _step_path(grid, np.sort(rng.choice(grid[1:], k, replace=False)), levels)
+    else:
+        x = jumpy_path(rng, n, d, n_jumps=k)
+    assert np.array_equal(marcus_lift(x).jump_flags, x.jump_mask)
 
 
 def test_json_round_trip(tmp_path):

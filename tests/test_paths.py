@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from scipy.optimize import fminbound
 from roughfilter import lift, paths
 from roughfilter.fillin import AdmissiblePair, alpha_p
 from roughfilter.paths import (
+    _BLOCK_ELEMENTS,
     _BLOCK_ROWS,
     _TURNING_P,
     CadlagPath,
-    _block_end,
     _jump_alignment_anchors,
     _needed_points,
     _pinned_values,
@@ -535,17 +536,14 @@ def first_pruned_length(per_cell):
 
 
 def block_edge_lengths(per_cell):
-    """Lengths m around the row-block edges of the max-plus recursion at
-    per_cell array elements a cost: 2, the end of the first block, the
-    start of the first block that the cell budget cuts below _BLOCK_ROWS
-    rows (m one past a block start ends the recursion on one row of it),
-    and the first length at which a bound is set up and tried."""
-    big = 10 ** 6
-    first = _block_end(1, big, per_cell)
-    short = 1
-    while _block_end(short, big, per_cell) - short == _BLOCK_ROWS:
-        short = _block_end(short, big, per_cell)
-    edges = (first, short + 1, first_pruned_length(per_cell))
+    """Lengths m around the row-group edges of the max-plus recursion at
+    per_cell array elements a cost: 2, the end of the first group, the
+    first length at which the element budget cuts a group's columns into
+    two pieces, and the first length at which a bound is set up and
+    tried."""
+    group = min(_BLOCK_ROWS, math.isqrt(_BLOCK_ELEMENTS // per_cell))
+    width = _BLOCK_ELEMENTS // (per_cell * group)
+    edges = (1 + group, width + 1, first_pruned_length(per_cell))
     return sorted({2} | {e + k for e in edges for k in (-1, 0, 1)} - {0, 1})
 
 

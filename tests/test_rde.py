@@ -196,8 +196,7 @@ def test_canonical_rejects_non_marcus_jump():
     g = group_exp(v)
     X = RoughPath(np.array([0.0, 1.0]), np.vstack([np.zeros(2), v]),
                   np.stack([np.zeros((2, 2)), g.level2 + A]),
-                  np.array([False, True]), np.zeros((2, 2)),
-                  np.zeros((2, 2, 2)))
+                  np.zeros((2, 2)), np.zeros((2, 2, 2)))
     V = constant_vector_field(np.zeros((1, 2)))
     with pytest.raises(ValueError):
         solve_canonical_rde(V, X, [0.0], steps=4)
