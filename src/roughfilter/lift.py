@@ -391,7 +391,11 @@ def rough_path_to_dict(X: RoughPath) -> dict:
 
 def rough_path_from_dict(obj: dict) -> RoughPath:
     """The rough path of rough_path_to_dict's layout; raises ValueError
-    when the stored jump_flags are not where its pre-jump values jump."""
+    when the stored jump_flags are not where its pre-jump values jump.
+    The format is unchanged, but a file written when marcus_lift took its
+    flags from the cadlag path's jump mask is refused where a jump was too
+    small to move any lifted value (flag 1, pre-jump values equal to the
+    running ones); the error names the first such index."""
     d = int(obj["dim"])
     n = len(obj["times"])
     level2 = np.asarray(obj["level2"], dtype=float).reshape(n, d, d)
@@ -404,8 +408,13 @@ def rough_path_from_dict(obj: dict) -> RoughPath:
         None if pre1 is None else np.asarray(pre1, dtype=float),
         None if pre2 is None else np.asarray(pre2, dtype=float).reshape(n, d, d),
     )
-    if not np.array_equal(np.asarray(obj["jump_flags"], dtype=bool), X.jump_flags):
-        raise ValueError("stored jump_flags differ from the jumps of the pre-jump values")
+    stored = np.asarray(obj["jump_flags"], dtype=bool)
+    if stored.shape != X.jump_flags.shape:
+        raise ValueError(f"stored jump_flags have shape {stored.shape}, times ({n},)")
+    off = np.flatnonzero(stored != X.jump_flags)
+    if len(off):
+        raise ValueError(f"stored jump_flags differ from the jumps of the pre-jump values "
+                         f"first at index {off[0]}: stored {int(stored[off[0]])}")
     return X
 
 

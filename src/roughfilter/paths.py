@@ -179,8 +179,12 @@ def visited_points(x: CadlagPath) -> np.ndarray:
 # serves 128 KiB and more by a fresh mmap whose pages fault in on first
 # touch: level-2 rows of 128 KiB blocks cost about twice as much per cost
 # as 64 KiB ones (numpy 2.4.6, one thread of a 2-vCPU Intel Xeon host).
+# A group's columns go in pieces of at least _MIN_COLUMNS: numpy's inner
+# loops run along them, and pieces of 9 to 30 columns made rho_p 1.1-1.4
+# times slower at d = 4-10 than pieces of every column.
 _BLOCK_ROWS = 32
 _BLOCK_ELEMENTS = 2 ** 13
+_MIN_COLUMNS = 128
 _STRICTLY_LOWER = np.tri(_BLOCK_ROWS, _BLOCK_ROWS, -1, dtype=bool)
 # Block-bound pruning in _pvar_sum_dp: a group of rows whose bound keeps
 # more than _PRUNE_KEEP of its column blocks runs plain.
@@ -190,6 +194,18 @@ _REL_SLACK = 2.0 ** -20
 # The least p at which d = 1 points reduce to their turning points (derived
 # in _needed_points).
 _TURNING_P = 2.25
+
+
+def _group_shape(per_cell: int) -> tuple:
+    """(rows, columns) of _pvar_sum_dp's row groups and column pieces at
+    per_cell elements a cost: as many rows as fit _BLOCK_ELEMENTS at
+    _MIN_COLUMNS columns, at least 1 and at most _BLOCK_ROWS, and as many
+    columns as fit at that many rows, at least _MIN_COLUMNS. The columns
+    are at least the rows, so that a group's triangle fits one piece; past
+    per_cell = _BLOCK_ELEMENTS / _MIN_COLUMNS a piece holds more than
+    _BLOCK_ELEMENTS elements."""
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (per_cell * _MIN_COLUMNS)))
+    return rows, max(_MIN_COLUMNS, _BLOCK_ELEMENTS // (per_cell * rows))
 
 
 def _prune_from(per_cell: int) -> int:
@@ -260,26 +276,26 @@ def _pvar_sum_dp(m: int, rows, power: float, per_cell: int, bound=None) -> float
     rows(j0, j1, cols) returns the norms n(i, j) of the rows j0 <= j < j1
     at the columns i of the slice cols as a new (j1 - j0, len(cols)) array
     (what it holds at columns i >= j is not read), which the recursion
-    raises to `power` in place. Rows go in groups of up to _BLOCK_ROWS,
-    and a group's columns in pieces, sized by per_cell, the number of
-    components a norm is computed from, so that a (per_cell, rows,
-    columns) temporary holds at most _BLOCK_ELEMENTS elements. A group
-    takes the max over i < j0 for all of its rows in 2-d numpy maxima, and
-    the small triangle j0 <= i < j on Python floats, row after row.
+    raises to `power` in place. Rows go in groups, and a group's columns
+    in pieces, of the shape _group_shape(per_cell), per_cell the number of
+    components a norm is computed from. A group takes the max over i < j0
+    for all of its rows in 2-d numpy maxima, and the small triangle j0 <=
+    i < j on Python floats, row after row.
 
     bound, if given, prunes (block-bound pruning). From row
     _prune_from(per_cell) on, the columns below a group are taken in
     blocks K of _BLOCK_ROWS columns. The group's cells (c_K, j) at the
-    blocks' middle columns c_K are computed first, as probes: max_K (best[c_K] + c(c_K, j)) and best[j0 - 1] (row
-    j's term at j - 1 is at least that) are lower bounds LB_j of row j's
-    max. bound(j0, j1, blocks, probes), given the probes' norms for a slice
-    of blocks, returns for each row j and block K a norm whose power bounds
-    the computed cost of every cell of K in row j; best never decreases,
-    so UB_{j, K} = best[last column of K] + that power bounds every term
+    blocks' middle columns c_K are computed first, as probes: max_K
+    (best[c_K] + c(c_K, j)) and best[j0 - 1] (row j's term at j - 1 is at
+    least that) are lower bounds LB_j of row j's max. bound(j0, j1,
+    blocks, probes), given the probes' norms for a slice of blocks,
+    returns for each row j and block K a norm whose power bounds the
+    computed cost of every cell of K in row j; best never decreases, so
+    UB_{j, K} = best[last column of K] + that power bounds every term
     best[i] + c(i, j) of the block. A block with UB_{j, K} < LB_j in every
     row of the group holds no row's max and is skipped. The kept blocks,
-    with the columns from the last whole block to j1, are computed as
-    slices of contiguous runs of at most _BLOCK_ELEMENTS elements.
+    with the columns from the last whole block to j1, are computed in
+    pieces of up to the group's width within contiguous runs.
 
     The value is the row-by-row recursion's, bit for bit: each best[i] +
     c(i, j) that is computed, the probes' included, is the same IEEE
@@ -317,8 +333,7 @@ def _pvar_sum_dp(m: int, rows, power: float, per_cell: int, bound=None) -> float
     every later row: Python's max would drop it, so a group whose head or
     triangle holds one ends the recursion."""
     best = np.zeros(m)
-    group = min(_BLOCK_ROWS, math.isqrt(_BLOCK_ELEMENTS // per_cell))
-    width = _BLOCK_ELEMENTS // (per_cell * group)  # >= group: the triangle fits
+    group, width = _group_shape(per_cell)
     retry, fails = (m if bound is None else _prune_from(per_cell)), 0
     j0 = 1
     while j0 < m:
@@ -388,14 +403,15 @@ def _norm_floor(per_cell: int, power: float) -> float:
 
 def _block_bound(m: int, per_cell: int, power: float, reach: float, radii, cross):
     """bound of _pvar_sum_dp for one level, or None where its slack does not
-    hold. The slack needs power >= 1, per_cell at most _BLOCK_ELEMENTS (so
-    that a pruned group has a row), and no norm or bound of at most
-    `reach`, its square or power, or sum of m such powers, that overflows;
-    a NaN reach fails. For row j and column block K the bound is (cross +
-    probe + radius) (1 + _REL_SLACK), added in that order: probe is the norm
-    at K's center, radius K's entry of radii(), and cross, at level 2 only,
-    the entry of cross(j0, j1, blocks) (level 1 passes None). radii() is
-    called only where the slack holds, so that it cannot overflow."""
+    hold. The slack needs power >= 1, per_cell at most _BLOCK_ELEMENTS (the
+    norms whose rounding _REL_SLACK covers), and no norm or bound of at
+    most `reach`, its square or power, or sum of m such powers, that
+    overflows; a NaN reach fails. For row j and column block K the bound
+    is (cross + probe + radius) (1 + _REL_SLACK), added in that order:
+    probe is the norm at K's center, radius K's entry of radii(), and
+    cross, at level 2 only, the entry of cross(j0, j1, blocks) (level 1
+    passes None). radii() is called only where the slack holds, so that it
+    cannot overflow."""
     if not (power >= 1.0 and per_cell <= _BLOCK_ELEMENTS and reach < 2.0 ** 500
             and (reach <= 1.0 or power * math.log2(reach) + math.log2(m) < 1000)):
         return None

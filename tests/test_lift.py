@@ -682,7 +682,8 @@ def test_reverse_round_trip():
 def test_readers_refuse_pre_jump_values_off_the_flags(tmp_path):
     """rough_path_from_dict and read_rough_path_json refuse a file whose
     jump_flags are not where its pre-jump values jump: a pre-jump value off
-    the flags, a flag where nothing jumps, and a real jump without its flag."""
+    the flags, a flag where nothing jumps, a real jump without its flag,
+    and flags of the wrong length; the error names the first index off."""
     rng = np.random.default_rng(29)
     d = rough_path_to_dict(stratonovich_lift(brownian_path(rng, 4, 1)))
     pre1 = np.asarray(d["level1"])
@@ -693,12 +694,16 @@ def test_readers_refuse_pre_jump_values_off_the_flags(tmp_path):
     extra, missing = rough_path_to_dict(X), rough_path_to_dict(X)
     extra["jump_flags"][1 + (i == 1)] = 1
     missing["jump_flags"][i] = 0
-    for k, obj in enumerate((d, extra, missing)):
-        with pytest.raises(ValueError, match="stored jump_flags"):
+    short = dict(missing, jump_flags=missing["jump_flags"][:-1])
+    n = len(X.times)
+    cases = ((d, "index 2: stored 0"), (extra, f"index {1 + (i == 1)}: stored 1"),
+             (missing, f"index {i}: stored 0"), (short, rf"shape \({n - 1},\), times \({n},\)"))
+    for k, (obj, where) in enumerate(cases):
+        with pytest.raises(ValueError, match="stored jump_flags .*" + where):
             rough_path_from_dict(obj)
         f = tmp_path / f"rough{k}.json"
         f.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(ValueError, match="stored jump_flags"):
+        with pytest.raises(ValueError, match="stored jump_flags .*" + where):
             read_rough_path_json(str(f))
 
 

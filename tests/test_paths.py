@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -12,9 +11,10 @@ from roughfilter import lift, paths
 from roughfilter.fillin import AdmissiblePair, alpha_p
 from roughfilter.paths import (
     _BLOCK_ELEMENTS,
-    _BLOCK_ROWS,
+    _MIN_COLUMNS,
     _TURNING_P,
     CadlagPath,
+    _group_shape,
     _jump_alignment_anchors,
     _needed_points,
     _pinned_values,
@@ -541,23 +541,38 @@ def block_edge_lengths(per_cell):
     first length at which the element budget cuts a group's columns into
     two pieces, and the first length at which a bound is set up and
     tried."""
-    group = min(_BLOCK_ROWS, math.isqrt(_BLOCK_ELEMENTS // per_cell))
-    width = _BLOCK_ELEMENTS // (per_cell * group)
+    group, width = _group_shape(per_cell)
     edges = (1 + group, width + 1, first_pruned_length(per_cell))
     return sorted({2} | {e + k for e in edges for k in (-1, 0, 1)} - {0, 1})
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), data=st.data(),
-       p=st.one_of(st.just(2.0), st.floats(1.0, 3.0)), coarse=st.booleans())
-def test_p_variation_of_points_matches_row_loop(seed, d, data, p, coarse):
+       p=st.one_of(st.just(2.0), st.floats(1.0, 3.0)),
+       kind=st.sampled_from(("normal", "coarse", "monotone")))
+def test_p_variation_of_points_matches_row_loop(seed, d, data, p, kind):
+    """Coarse points repeat and tie; on monotone points every row's max
+    is usually at column 0, the first column piece of a row group."""
     m = data.draw(st.one_of(st.integers(2, 40), st.sampled_from(block_edge_lengths(d))),
                   label="m")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((m, d))
-    if coarse:  # repeated points and equal distances
+    if kind == "coarse":
         pts = np.round(pts)
+    elif kind == "monotone":
+        pts = np.cumsum(np.abs(pts), axis=0)
     assert repr(p_variation_of_points(pts, p)) == repr(loop_p_variation_of_points(pts, p))
+
+
+@pytest.mark.parametrize("d, m", [(_BLOCK_ELEMENTS // _MIN_COLUMNS + 1, _MIN_COLUMNS + 3),
+                                  (_BLOCK_ELEMENTS + 1, 40)])
+def test_p_variation_of_points_matches_row_loop_at_wide_cells(d, m):
+    """Past _BLOCK_ELEMENTS / _MIN_COLUMNS components a cost, a row group
+    has one row, and its pieces hold more than _BLOCK_ELEMENTS elements;
+    past _BLOCK_ELEMENTS no bound is set up."""
+    assert _group_shape(d)[0] == 1
+    pts = np.random.default_rng(d).standard_normal((m, d))
+    assert repr(p_variation_of_points(pts, 2.5)) == repr(loop_p_variation_of_points(pts, 2.5))
 
 
 @settings(max_examples=40, deadline=None)
